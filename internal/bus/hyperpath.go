@@ -240,7 +240,14 @@ func (b *Bus) tryHyperForward(end BitTime) bool {
 	if !b.hyperArmed || end <= b.now || !b.hyperEligible() {
 		return false
 	}
+	// A hub that has not opted in to capture (a shared hub would interleave
+	// foreign events on the tape) can never record a chain's telemetry, so
+	// the bus never records a chain on it and has no memo to serve: decline
+	// before fingerprinting every node.
 	hub := b.tel.Hub()
+	if hub != nil && !hub.CaptureAllowed() {
+		return false
+	}
 	h := uint64(14695981039346656037)
 	h = fnvMix(h, uint64(b.last))
 	h = fnvMix(h, uint64(b.idleRun))
@@ -268,9 +275,7 @@ func (b *Bus) tryHyperForward(end BitTime) bool {
 		b.hyperApply(memo)
 		return true
 	}
-	// Miss: start a recording, unless the hub cannot capture the chain's
-	// telemetry (a shared hub would interleave foreign events on the tape,
-	// so capture is opt-in; without it a replay would drop events).
+	// Miss: start a recording.
 	if hub != nil && !hub.StartCapture() {
 		return false
 	}

@@ -191,13 +191,18 @@ func (l *segLog) scanSegment(seq int) (segment, bool, error) {
 }
 
 // recordTime extracts the event's bit time from a framed body (type byte +
-// payload). Event payloads are JSONL lines beginning {"t":N, so the time is
-// parsed without a full JSON decode; incident payloads report no time.
+// payload); incident and alert payloads report no time.
 func recordTime(body []byte) (int64, bool) {
 	if len(body) < 1 || body[0] != recEvent {
 		return 0, false
 	}
-	p := body[1:]
+	return payloadTime(body[1:])
+}
+
+// payloadTime parses the bit time from an event payload. Event payloads are
+// JSONL lines beginning {"t":N, so the time is read without a full JSON
+// decode.
+func payloadTime(p []byte) (int64, bool) {
 	const pre = `{"t":`
 	if len(p) < len(pre)+1 || string(p[:len(pre)]) != pre {
 		return 0, false

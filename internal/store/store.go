@@ -441,13 +441,17 @@ func (s *Store) Events(fn func(telemetry.NamedEvent) error) error {
 }
 
 // EventsInWindow streams stored events whose bit time lies in [from, to],
-// using sealed-segment indexes to skip segments wholly outside the window.
+// using sealed-segment indexes to skip segments wholly outside the window
+// and each record's leading {"t":N to skip records outside it undecoded.
 func (s *Store) EventsInWindow(from, to int64, fn func(telemetry.NamedEvent) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.events.iterate(from, to, func(typ byte, payload []byte) error {
 		if typ != recEvent {
 			return fmt.Errorf("store: record type %d in events log", typ)
+		}
+		if t, ok := payloadTime(payload); ok && (t < from || t > to) {
+			return nil
 		}
 		ev, err := telemetry.ParseEventJSON(payload)
 		if err != nil {

@@ -149,15 +149,8 @@ func (h *Hub) WriteChromeTrace(w io.Writer, bitsPerSecond int64) error {
 				Args: map[string]any{"rec": ev.A},
 			})
 		case EvFFSpan:
-			name := "idle-ff"
-			switch ev.B {
-			case 1:
-				name = "frame-ff"
-			case 2:
-				name = "contend-ff"
-			}
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: name, Ph: "X", Ts: ts, Dur: float64(ev.A) * usPerBit, Pid: pid, Tid: tid,
+				Name: ffPathName(ev.B) + "-ff", Ph: "X", Ts: ts, Dur: float64(ev.A) * usPerBit, Pid: pid, Tid: tid,
 				Args: map[string]any{"bits": ev.A},
 			})
 		case EvAlert:

@@ -40,40 +40,69 @@ func (h *Hub) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	var buf []byte
 	for _, ev := range h.sortedEvents() {
-		buf = AppendEventJSON(buf[:0], h.NodeName(ev.Node), ev)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
+		if err := writeEventJSON(bw, h.NodeName(ev.Node), ev); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// writeEventJSON renders one event plus its newline. Kept as the internal
-// convenience the streaming exporters use; AppendEventJSON is the canonical
-// encoder.
+// writeEventJSON renders one event plus its newline straight into the
+// writer's free buffer space, so a steady stream allocates nothing per event.
+// Kept as the internal convenience the streaming exporters use;
+// AppendEventJSON is the canonical encoder.
 func writeEventJSON(w *bufio.Writer, node string, ev Event) error {
-	buf := AppendEventJSON(make([]byte, 0, 96), node, ev)
+	buf := AppendEventJSON(w.AvailableBuffer(), node, ev)
 	buf = append(buf, '\n')
 	_, err := w.Write(buf)
 	return err
 }
 
-// ffPathName names an EvFFSpan B-argument path code as it appears in the
-// JSONL stream.
+// ffPathNames names the EvFFSpan B-argument path codes (see EvFFSpan) as they
+// appear in the JSONL stream and, suffixed "-ff", on Chrome trace spans.
+var ffPathNames = [...]string{"idle", "frame", "contend", "splice", "hyper"}
+
+// ffPathName names an EvFFSpan path code; unknown codes read as "idle".
 func ffPathName(code int64) string {
-	switch code {
-	case 1:
-		return "frame"
-	case 2:
-		return "contend"
-	case 3:
-		return "splice"
-	default:
-		return "idle"
+	if code > 0 && code < int64(len(ffPathNames)) {
+		return ffPathNames[code]
 	}
+	return ffPathNames[0]
+}
+
+// appendQuoted appends s as a quoted string literal. Printable ASCII other
+// than the quote and backslash quotes to itself, which covers every name the
+// simulator emits; anything else takes strconv.AppendQuote, so the bytes are
+// exactly what AppendQuote would write either way.
+func appendQuoted(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendHexID appends a CAN ID field as upper-case hex, zero-padded to three
+// digits ("0x07B").
+func appendHexID(dst []byte, id int64) []byte {
+	dst = append(dst, `,"id":"0x`...)
+	mark := len(dst)
+	dst = strconv.AppendInt(dst, id, 16)
+	if pad := 3 - (len(dst) - mark); pad > 0 {
+		dst = append(dst, "000"[:pad]...)
+		copy(dst[mark+pad:], dst[mark:])
+		copy(dst[mark:mark+pad], "000")
+	}
+	for i := mark; i < len(dst); i++ {
+		if c := dst[i]; c >= 'a' && c <= 'f' {
+			dst[i] = c - ('a' - 'A')
+		}
+	}
+	return append(dst, '"')
 }
 
 // AppendEventJSON appends one event's JSONL record (without the trailing
@@ -86,23 +115,9 @@ func AppendEventJSON(dst []byte, node string, ev Event) []byte {
 	dst = append(dst, `{"t":`...)
 	dst = strconv.AppendInt(dst, ev.Time, 10)
 	dst = append(dst, `,"node":`...)
-	dst = strconv.AppendQuote(dst, node)
+	dst = appendQuoted(dst, node)
 	dst = append(dst, `,"event":`...)
-	dst = strconv.AppendQuote(dst, ev.Kind.String())
-	appendHexID := func(dst []byte, id int64) []byte {
-		dst = append(dst, `,"id":"0x`...)
-		hex := strconv.FormatInt(id, 16)
-		for i := len(hex); i < 3; i++ {
-			dst = append(dst, '0')
-		}
-		for _, c := range hex {
-			if c >= 'a' && c <= 'f' {
-				c -= 'a' - 'A'
-			}
-			dst = append(dst, byte(c))
-		}
-		return append(dst, '"')
-	}
+	dst = appendQuoted(dst, ev.Kind.String())
 	switch ev.Kind {
 	case EvArbWon, EvTxStart, EvTxSuccess:
 		dst = appendHexID(dst, ev.A)
@@ -117,7 +132,7 @@ func AppendEventJSON(dst []byte, node string, ev Event) []byte {
 		dst = strconv.AppendInt(dst, ev.A, 10)
 	case EvError:
 		dst = append(dst, `,"kind":`...)
-		dst = strconv.AppendQuote(dst, ErrorKindName(ev.A))
+		dst = appendQuoted(dst, ErrorKindName(ev.A))
 		dst = append(dst, `,"role":`...)
 		if ev.B != 0 {
 			dst = append(dst, `"tx"`...)
@@ -133,7 +148,7 @@ func AppendEventJSON(dst []byte, node string, ev Event) []byte {
 		dst = append(dst, `,"bits":`...)
 		dst = strconv.AppendInt(dst, ev.A, 10)
 		dst = append(dst, `,"path":`...)
-		dst = strconv.AppendQuote(dst, ffPathName(ev.B))
+		dst = appendQuoted(dst, ffPathName(ev.B))
 	case EvAlert:
 		dst = append(dst, `,"rule":`...)
 		dst = strconv.AppendInt(dst, ev.A, 10)

@@ -41,16 +41,12 @@ func errorKindCode(name string) int64 {
 
 // ffPathCode is the inverse of ffPathName.
 func ffPathCode(name string) int64 {
-	switch name {
-	case "frame":
-		return 1
-	case "contend":
-		return 2
-	case "splice":
-		return 3
-	default:
-		return 0
+	for i, n := range ffPathNames {
+		if n == name {
+			return int64(i)
+		}
 	}
+	return 0
 }
 
 // jsonlRecord is the union of every kind-specific field AppendEventJSON emits.
@@ -75,11 +71,25 @@ type jsonlRecord struct {
 // AppendEventJSON (one line, without or with surrounding whitespace) back
 // into a named event. Exported so the durable store's replay path decodes
 // segment payloads through the same inverse WriteJSONL readers use.
+//
+// Records as AppendEventJSON writes them take a reflection-free scanner;
+// anything it does not accept (whitespace, escapes, non-ASCII, unknown or
+// differently-cased keys, null, malformed input) is decoded by
+// encoding/json, so the result is always what encoding/json would decode.
 func ParseEventJSON(line []byte) (NamedEvent, error) {
 	var rec jsonlRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return NamedEvent{}, err
+	if !scanRecord(line, &rec) {
+		var slow jsonlRecord // separate, so only the fallback heap-allocates a record
+		if err := json.Unmarshal(line, &slow); err != nil {
+			return NamedEvent{}, err
+		}
+		rec = slow
 	}
+	return rec.namedEvent()
+}
+
+// namedEvent maps a decoded record's kind-specific fields back onto A and B.
+func (rec *jsonlRecord) namedEvent() (NamedEvent, error) {
 	kind, ok := kindByName[rec.Event]
 	if !ok {
 		return NamedEvent{}, fmt.Errorf("unknown event %q", rec.Event)
@@ -115,6 +125,150 @@ func ParseEventJSON(line []byte) (NamedEvent, error) {
 		}
 	}
 	return ev, nil
+}
+
+// scanRecord decodes the flat grammar AppendEventJSON writes — one object of
+// "key":value members with no whitespace, integer values without fraction or
+// exponent, and string values of printable ASCII without escapes — into rec.
+// It reports false on anything else, leaving rec partly filled; the caller
+// then decodes with encoding/json. Whatever it accepts, encoding/json
+// decodes to the same record (FuzzEventJSON checks this).
+func scanRecord(b []byte, rec *jsonlRecord) bool {
+	if len(b) < 2 || b[0] != '{' || b[len(b)-1] != '}' {
+		return false
+	}
+	i := 1
+	if b[i] == '}' {
+		return i == len(b)-1
+	}
+	for {
+		key, j, ok := scanString(b, i)
+		if !ok || j >= len(b) || b[j] != ':' {
+			return false
+		}
+		i = j + 1
+		var num *int64
+		var str *string
+		var names []string // the names the encoder writes for this key
+		switch string(key) {
+		case "t":
+			num = &rec.T
+		case "node":
+			str = &rec.Node
+		case "event":
+			str, names = &rec.Event, kindNames
+		case "id":
+			str = &rec.ID
+		case "at_wire_bit":
+			num = &rec.AtWireBit
+		case "bit":
+			num = &rec.Bit
+		case "bits":
+			num = &rec.Bits
+		case "kind":
+			str, names = &rec.Kind, errorKindNames[1:]
+		case "role":
+			str, names = &rec.Role, roleNames
+		case "value":
+			num = &rec.Value
+		case "prev":
+			num = &rec.Prev
+		case "path":
+			str, names = &rec.Path, ffPathNames[:]
+		case "rule":
+			num = &rec.Rule
+		case "state":
+			str, names = &rec.State, alertStateNames
+		default:
+			return false
+		}
+		if num != nil {
+			*num, i, ok = scanInt(b, i)
+		} else {
+			var v []byte
+			v, i, ok = scanString(b, i)
+			*str = internString(v, names)
+		}
+		if !ok || i >= len(b) {
+			return false
+		}
+		switch b[i] {
+		case ',':
+			i++
+		case '}':
+			return i == len(b)-1
+		default:
+			return false
+		}
+	}
+}
+
+// scanString reads a quoted string of printable ASCII without escapes at
+// b[i], returning its contents and the index past the closing quote.
+func scanString(b []byte, i int) ([]byte, int, bool) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, i, false
+	}
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			return b[i+1 : j], j + 1, true
+		case c < ' ' || c > '~' || c == '\\':
+			return nil, j, false
+		}
+	}
+	return nil, len(b), false
+}
+
+// scanInt reads a JSON integer (-?(0|[1-9][0-9]*)) that fits an int64 at b[i]
+// and returns it with the index past its last digit.
+func scanInt(b []byte, i int) (int64, int, bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		if u > (1<<63)/10 {
+			return 0, i, false
+		}
+		u = u*10 + uint64(b[i]-'0')
+	}
+	switch {
+	case i == start, b[start] == '0' && i > start+1:
+		return 0, i, false
+	case neg && u > 1<<63, !neg && u > 1<<63-1:
+		return 0, i, false
+	}
+	if neg {
+		return -int64(u), i, true
+	}
+	return int64(u), i, true
+}
+
+// Value vocabularies of the string fields, for internString.
+var (
+	kindNames = func() (out []string) {
+		for k := EvArbWon; k <= EvAlert; k++ {
+			out = append(out, k.String())
+		}
+		return out
+	}()
+	roleNames       = []string{"tx", "rx"}
+	alertStateNames = []string{"fire", "resolve"}
+)
+
+// internString returns b as a string, reusing the matching constant when b
+// is one of names, so decoding the names the encoder writes allocates
+// nothing.
+func internString(b []byte, names []string) string {
+	for _, n := range names {
+		if n == string(b) {
+			return n
+		}
+	}
+	return string(b)
 }
 
 // ReadJSONL parses a stream previously produced by WriteJSONL or a

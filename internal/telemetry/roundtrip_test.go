@@ -83,11 +83,11 @@ func TestSequencerOrderUnderSubscriberChurn(t *testing.T) {
 }
 
 // TestReadJSONLRoundTripEveryKind writes one event of every kind — including
-// every EvFFSpan path (idle, frame, contend, splice), both EvError roles, and
-// every error-kind code — through WriteJSONL and parses it back, asserting a
+// every EvFFSpan path code, both EvError roles, every error-kind code, and
+// both alert states — through WriteJSONL and parses it back, asserting a
 // lossless round trip. This is the encoder/decoder pairing the durable
-// store's replay path depends on; the splice path had no decoder case before
-// this PR.
+// store's replay path depends on. The Chrome exporter must label every path
+// code's span by the same name table.
 func TestReadJSONLRoundTripEveryKind(t *testing.T) {
 	h := NewHub()
 	p := h.Probe("node")
@@ -110,11 +110,14 @@ func TestReadJSONLRoundTripEveryKind(t *testing.T) {
 	emit(EvREC, 1, 2)
 	emit(EvBusOff, 0, 0)
 	emit(EvRecover, 0, 0)
-	for path := int64(0); path <= 3; path++ { // idle, frame, contend, splice
-		emit(EvFFSpan, 100+path, path)
+	paths := []string{"idle", "frame", "contend", "splice", "hyper"} // EvFFSpan B = 0..4
+	for path := range paths {
+		emit(EvFFSpan, 100+int64(path), int64(path))
 	}
 	emit(EvTxStart, 0x173, 0)
 	emit(EvTxSuccess, 0x173, 0)
+	emit(EvAlert, 3, 1)
+	emit(EvAlert, 3, 0)
 
 	events := h.sortedEvents()
 	var buf bytes.Buffer
@@ -132,6 +135,16 @@ func TestReadJSONLRoundTripEveryKind(t *testing.T) {
 		want := NamedEvent{Time: ev.Time, Node: "node", Kind: ev.Kind, A: ev.A, B: ev.B}
 		if got[i] != want {
 			t.Fatalf("event %d (%s): round trip %+v, want %+v", i, ev.Kind, got[i], want)
+		}
+	}
+
+	buf.Reset()
+	if err := h.WriteChromeTrace(&buf, 500_000); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range paths {
+		if !bytes.Contains(buf.Bytes(), []byte(`"name":"`+name+`-ff"`)) {
+			t.Errorf("chrome trace has no %s-ff span", name)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bufio"
 	"io"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -31,12 +30,14 @@ const sequencerDrainLen = 1024
 // Sequencer is not safe for concurrent use; callers that feed it from
 // concurrent emitters must serialize Add.
 //
-// The buffer tracks whether it is already in canonical order: exact-stepped
-// simulations emit in global (Time, Node) order bit by bit, so the common
-// case drains with a binary search and a copy, no sort at all. Only when a
-// fast-forward span lands displaced does a drain pay for sorting — and the
-// buffer is then a handful of concatenated per-node runs, which the
-// pattern-defeating quicksort behind slices.SortFunc handles near-linearly.
+// The buffer is kept in canonical order at all times by insertion: a new
+// event is placed after every buffered event that does not sort above it,
+// scanning back from the tail. Per-node streams are monotone and a
+// fast-forward span displaces an event by at most one span, so the scan
+// stops within a handful of entries (exact-stepped simulations emit in
+// global order and never move anything), and placing an event after its
+// equals is what keeps same-(Time, Node) events in arrival order. A drain is
+// then a binary search, the emits, and one copy.
 type Sequencer struct {
 	// Slack is the reorder horizon in bit times (DefaultSequencerSlack when
 	// zero). Events can be released as soon as they are Slack older than the
@@ -45,41 +46,23 @@ type Sequencer struct {
 	// Emit receives released events in canonical order.
 	Emit func(Event)
 
-	buf    []seqEntry
-	next   int64
-	maxT   int64
-	sorted bool // buf is in canonical order as it stands
-}
-
-// seqEntry pairs a buffered event with its arrival index, the final
-// tie-break of the canonical order.
-type seqEntry struct {
-	ev  Event
-	seq int64
-}
-
-// seqLess is the canonical (Time, Node, arrival) order.
-func seqLess(a, b seqEntry) bool {
-	if a.ev.Time != b.ev.Time {
-		return a.ev.Time < b.ev.Time
-	}
-	if a.ev.Node != b.ev.Node {
-		return a.ev.Node < b.ev.Node
-	}
-	return a.seq < b.seq
+	buf  []Event
+	maxT int64
 }
 
 // Add accepts one event and releases any events that have fallen behind the
 // reorder horizon.
 func (s *Sequencer) Add(ev Event) {
-	e := seqEntry{ev: ev, seq: s.next}
-	s.next++
-	if n := len(s.buf); n == 0 {
-		s.sorted = true
-	} else if s.sorted && seqLess(e, s.buf[n-1]) {
-		s.sorted = false
+	i := len(s.buf)
+	s.buf = append(s.buf, ev)
+	for ; i > 0; i-- {
+		p := &s.buf[i-1]
+		if p.Time < ev.Time || (p.Time == ev.Time && p.Node <= ev.Node) {
+			break
+		}
+		s.buf[i] = *p
 	}
-	s.buf = append(s.buf, e)
+	s.buf[i] = ev
 	if ev.Time > s.maxT {
 		s.maxT = ev.Time
 	}
@@ -95,27 +78,15 @@ func (s *Sequencer) Add(ev Event) {
 // Flush releases every buffered event. Call at end of run.
 func (s *Sequencer) Flush() {
 	s.drain(s.maxT + 1)
-	s.buf = s.buf[:0]
-	s.sorted = true
 }
 
 // drain emits all buffered events with Time < cutoff in canonical order and
-// compacts the rest.
+// compacts the rest. The buffer is sorted by Time first, so the releasable
+// prefix is contiguous.
 func (s *Sequencer) drain(cutoff int64) {
-	if !s.sorted {
-		slices.SortFunc(s.buf, func(a, b seqEntry) int {
-			if seqLess(a, b) {
-				return -1
-			}
-			return 1
-		})
-		s.sorted = true
-	}
-	// Canonical order is by Time first, so the releasable prefix is
-	// contiguous.
-	i := sort.Search(len(s.buf), func(i int) bool { return s.buf[i].ev.Time >= cutoff })
-	for _, e := range s.buf[:i] {
-		s.Emit(e.ev)
+	i := sort.Search(len(s.buf), func(i int) bool { return s.buf[i].Time >= cutoff })
+	for _, ev := range s.buf[:i] {
+		s.Emit(ev)
 	}
 	n := copy(s.buf, s.buf[i:])
 	s.buf = s.buf[:n]
