@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"michican/internal/can"
 	"michican/internal/fsm"
 	"michican/internal/stats"
 )
@@ -68,7 +69,7 @@ func runDetectionDraw(seed int64, maxECUs int) (detectionDraw, error) {
 }
 
 // DetectionLatency runs the Sec. V-B study over n random FSMs drawn from
-// IVNs of 2..maxECUs ECUs. The draws fan out over the trial runner with one
+// IVNs of 2..maxECUs ECUs; maxECUs may not exceed the 2048 11-bit IDs. The draws fan out over the trial runner with one
 // derived seed per draw and are folded in draw order, so the result is
 // identical regardless of worker count or CPU count.
 func DetectionLatency(n, maxECUs int, seed int64) (DetectionResult, error) {
@@ -77,6 +78,9 @@ func DetectionLatency(n, maxECUs int, seed int64) (DetectionResult, error) {
 	}
 	if maxECUs < 2 {
 		maxECUs = 64
+	}
+	if maxECUs > int(can.MaxID)+1 {
+		return DetectionResult{}, fmt.Errorf("experiment: %d ECUs exceed the %d 11-bit CAN IDs", maxECUs, int(can.MaxID)+1)
 	}
 	draws, err := Map(n, 0, func(i int) (detectionDraw, error) {
 		return runDetectionDraw(DeriveSeed(seed, i), maxECUs)

@@ -1,10 +1,14 @@
 package experiment
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"michican/internal/bus"
+	"michican/internal/fsm"
 	"michican/internal/mcu"
 	"michican/internal/restbus"
 	"michican/internal/trace"
@@ -183,6 +187,62 @@ func TestDetectionLatencyDeterministic(t *testing.T) {
 	}
 	if a.MeanBits != b.MeanBits || a.DetectionRate != b.DetectionRate {
 		t.Error("study not deterministic for a fixed seed")
+	}
+}
+
+// TestDetectionStudyExact pins the Sec. V-B study and the detection sweep
+// bit for bit, so a change to the FSM code that alters any draw, tree or
+// statistic fails tier-1 rather than only the benchmark's golden digest.
+func TestDetectionStudyExact(t *testing.T) {
+	res, err := DetectionLatency(20000, 64, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DetectionResult{FSMs: 20000, DetectionRate: 1, MeanBits: 6.089845559892424, StdBits: 1.1836668088988833, MaxBits: 11, MeanFSMStates: 203.09450000000004}
+	if res != want {
+		t.Errorf("DetectionLatency(20000, 64, 7) = %#v\nwant %#v", res, want)
+	}
+	rows, err := DetectionSweep([]int{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 2048}, 300, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := []DetectionSweepRow{
+		{N: 1, FSMs: 300, MeanBits: 2.56710728277313, MaxBits: 11, MeanStates: 20.93999999999998},
+		{N: 2, FSMs: 300, MeanBits: 3.243404409736402, MaxBits: 11, MeanStates: 29.046666666666678},
+		{N: 4, FSMs: 300, MeanBits: 3.819614781884901, MaxBits: 11, MeanStates: 45.626666666666665},
+		{N: 8, FSMs: 300, MeanBits: 4.57809150757979, MaxBits: 11, MeanStates: 74.64000000000003},
+		{N: 16, FSMs: 300, MeanBits: 5.512418706803701, MaxBits: 11, MeanStates: 124.86666666666669},
+		{N: 32, FSMs: 300, MeanBits: 6.43236830187658, MaxBits: 11, MeanStates: 199.23333333333338},
+		{N: 64, FSMs: 300, MeanBits: 7.241880964498665, MaxBits: 11, MeanStates: 357.57333333333327},
+		{N: 128, FSMs: 300, MeanBits: 8.1102169551865, MaxBits: 11, MeanStates: 557.6266666666667},
+		{N: 256, FSMs: 300, MeanBits: 8.916614674139838, MaxBits: 11, MeanStates: 832.3133333333329},
+		{N: 1024, FSMs: 300, MeanBits: 10.375668911155568, MaxBits: 11, MeanStates: 1524.0333333333333},
+		{N: 2048, FSMs: 300, MeanBits: 11, MaxBits: 11, MeanStates: 23},
+	}
+	if !slices.Equal(rows, wantRows) {
+		for i := range rows {
+			if i >= len(wantRows) || rows[i] != wantRows[i] {
+				t.Errorf("sweep row %d = %#v", i, rows[i])
+			}
+		}
+		t.Fatalf("DetectionSweep rows differ from the pinned values")
+	}
+}
+
+// TestDetectionSizeLimit: IVNs larger than the 2048-ID space are rejected
+// up front with a size error, while the whole space itself still works.
+func TestDetectionSizeLimit(t *testing.T) {
+	for _, err := range []error{
+		func() error { _, err := DetectionLatency(10, 2049, 1); return err }(),
+		func() error { _, err := DetectionSweep([]int{2, 4096}, 10, 1); return err }(),
+	} {
+		if err == nil || errors.Is(err, fsm.ErrEmptyIVN) || !strings.Contains(err.Error(), "2048") {
+			t.Errorf("oversize IVN: %v, want a size error", err)
+		}
+	}
+	res, err := DetectionLatency(4, 2048, 1)
+	if err != nil || res.DetectionRate != 1 {
+		t.Errorf("maxECUs = 2048: %+v, %v", res, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"michican/internal/can"
 	"michican/internal/fsm"
 	"michican/internal/stats"
 )
@@ -39,11 +40,13 @@ func DetectionSweep(sizes []int, perN int, seed int64) ([]DetectionSweepRow, err
 	if perN <= 0 {
 		perN = 1000
 	}
+	for _, n := range sizes {
+		if n < 1 || n > int(can.MaxID)+1 {
+			return nil, fmt.Errorf("experiment: IVN size %d outside [1,%d]", n, int(can.MaxID)+1)
+		}
+	}
 	rows := make([]DetectionSweepRow, 0, len(sizes))
 	for _, n := range sizes {
-		if n < 1 {
-			return nil, fmt.Errorf("experiment: IVN size %d", n)
-		}
 		type sweepDraw struct {
 			detected bool
 			meanBits float64

@@ -11,6 +11,7 @@ package fsm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"michican/internal/can"
@@ -103,10 +104,31 @@ func (v *IVN) Index(id can.ID) int {
 func (v *IVN) Contains(id can.ID) bool { return v.Index(id) >= 0 }
 
 // DetectionSet is the set 𝔻 of CAN IDs a particular ECU must flag as
-// malicious, represented as a bitmap over the 2048 possible identifiers.
+// malicious, represented as a bitmap over the 2048 possible identifiers:
+// bit id%64 of word id/64 is set when id ∈ 𝔻.
 type DetectionSet struct {
-	mask [can.MaxID + 1]bool
+	bits [(can.MaxID + 1) / 64]uint64
 	n    int
+}
+
+// has reports whether id ∈ 𝔻; id must be a valid 11-bit identifier.
+func (d *DetectionSet) has(id can.ID) bool { return d.bits[id/64]>>(id%64)&1 != 0 }
+
+// set adds a valid 11-bit identifier to the bitmap without updating n.
+func (d *DetectionSet) set(id can.ID) { d.bits[id/64] |= 1 << (id % 64) }
+
+// count returns |𝔻 ∩ [lo, lo+size)| for a power-of-two size with lo a
+// multiple of size — the shape of every block the FSM tree splits off — so
+// the block is either whole words or a masked part of one word.
+func (d *DetectionSet) count(lo can.ID, size int) int {
+	if size < 64 {
+		return bits.OnesCount64(d.bits[lo/64] >> (lo % 64) & (1<<size - 1))
+	}
+	n := 0
+	for _, w := range d.bits[lo/64 : (int(lo)+size)/64] {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // NewDetectionSet builds 𝔻 per Definition IV.4 for the ECU at position i of
@@ -119,14 +141,18 @@ func NewDetectionSet(v *IVN, i int) (*DetectionSet, error) {
 		return nil, fmt.Errorf("fsm: ECU index %d out of range [0,%d)", i, v.Size())
 	}
 	var d DetectionSet
-	own := v.ids[i]
-	for j := can.ID(0); j <= own; j++ {
-		legit := v.Contains(j) && j != own
-		if !legit {
-			d.mask[j] = true
-			d.n++
-		}
+	end := int(v.ids[i]) + 1 // 𝔻 ⊆ [0, end)
+	for w := 0; w < end/64; w++ {
+		d.bits[w] = ^uint64(0)
 	}
+	if r := end % 64; r != 0 {
+		d.bits[end/64] = 1<<r - 1
+	}
+	// 𝔼 is ascending, so v.ids[:i] are exactly the legitimate IDs below own.
+	for _, id := range v.ids[:i] {
+		d.bits[id/64] &^= 1 << (id % 64)
+	}
+	d.n = end - i
 	return &d, nil
 }
 
@@ -138,7 +164,7 @@ func NewSpoofOnlySet(v *IVN, i int) (*DetectionSet, error) {
 		return nil, fmt.Errorf("fsm: ECU index %d out of range [0,%d)", i, v.Size())
 	}
 	var d DetectionSet
-	d.mask[v.ids[i]] = true
+	d.set(v.ids[i])
 	d.n = 1
 	return &d, nil
 }
@@ -152,8 +178,8 @@ func NewCustomSet(ids []can.ID) (*DetectionSet, error) {
 		if !id.Valid() {
 			return nil, fmt.Errorf("%w: %#x", can.ErrIDRange, uint32(id))
 		}
-		if !d.mask[id] {
-			d.mask[id] = true
+		if !d.has(id) {
+			d.set(id)
 			d.n++
 		}
 	}
@@ -162,7 +188,7 @@ func NewCustomSet(ids []can.ID) (*DetectionSet, error) {
 
 // Contains reports whether id ∈ 𝔻.
 func (d *DetectionSet) Contains(id can.ID) bool {
-	return id.Valid() && d.mask[id]
+	return id.Valid() && d.has(id)
 }
 
 // Size returns |𝔻|.
@@ -171,9 +197,9 @@ func (d *DetectionSet) Size() int { return d.n }
 // IDs returns the malicious IDs in ascending order.
 func (d *DetectionSet) IDs() []can.ID {
 	out := make([]can.ID, 0, d.n)
-	for id := range d.mask {
-		if d.mask[id] {
-			out = append(out, can.ID(id))
+	for w, word := range d.bits {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, can.ID(w*64+bits.TrailingZeros64(word)))
 		}
 	}
 	return out

@@ -1,8 +1,13 @@
 package fsm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -240,27 +245,291 @@ func TestFSMFullSet(t *testing.T) {
 	}
 }
 
-// TestFSMEquivalenceProperty: for random IVNs, the FSM decision equals the
-// naive membership test for every possible identifier.
+// refMembers computes 𝔻 of Def. IV.4 naively from the IVN's ID list: j is
+// malicious for ECU i iff j ≤ 𝔼_i and j is not another ECU's legitimate ID.
+func refMembers(v *IVN, i int) *[can.MaxID + 1]bool {
+	ids := v.IDs()
+	own := ids[i]
+	legit := make(map[can.ID]bool, len(ids))
+	for _, id := range ids {
+		if id != own {
+			legit[id] = true
+		}
+	}
+	var m [can.MaxID + 1]bool
+	for j := can.ID(0); j <= own; j++ {
+		m[j] = !legit[j]
+	}
+	return &m
+}
+
+// refBuild is the per-ID-scan tree construction: each node counts its
+// identifier range one ID at a time.
+func refBuild(m *[can.MaxID + 1]bool) *FSM {
+	f := &FSM{}
+	var build func(lo, hi can.ID) int32
+	build = func(lo, hi can.ID) int32 {
+		count := 0
+		for id := lo; id <= hi; id++ {
+			if m[id] {
+				count++
+			}
+		}
+		idx := int32(len(f.nodes))
+		switch total := int(hi-lo) + 1; count {
+		case total:
+			f.nodes = append(f.nodes, treeNode{child: [2]int32{-1, -1}, decision: Malicious})
+		case 0:
+			f.nodes = append(f.nodes, treeNode{child: [2]int32{-1, -1}, decision: Benign})
+		default:
+			f.nodes = append(f.nodes, treeNode{child: [2]int32{-1, -1}})
+			mid := lo + can.ID(total/2)
+			left := build(lo, mid-1)
+			right := build(mid, hi)
+			f.nodes[idx].child = [2]int32{left, right}
+		}
+		return idx
+	}
+	build(0, can.MaxID)
+	f.Reset()
+	return f
+}
+
+// refStats classifies all 2048 IDs one by one with Classify and checks each
+// against the membership array m.
+func refStats(f *FSM, m *[can.MaxID + 1]bool) (DetectionStats, error) {
+	var out DetectionStats
+	sum := 0
+	for id := can.ID(0); id <= can.MaxID; id++ {
+		dec, bits := f.Classify(id)
+		want := Benign
+		if m[id] {
+			want = Malicious
+		}
+		if dec != want {
+			return DetectionStats{}, fmt.Errorf("fsm: ID %s classified %v, want %v", id, dec, want)
+		}
+		if dec == Malicious {
+			out.Detected++
+			sum += bits
+			out.MaxBits = max(out.MaxBits, bits)
+		}
+	}
+	if out.Detected > 0 {
+		out.MeanBits = float64(sum) / float64(out.Detected)
+	}
+	return out, nil
+}
+
+// refDepth is the maximum Classify depth over all 2048 IDs.
+func refDepth(f *FSM) int {
+	deepest := 0
+	for id := can.ID(0); id <= can.MaxID; id++ {
+		_, d := f.Classify(id)
+		deepest = max(deepest, d)
+	}
+	return deepest
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// checkAgainstRef requires Stats and Depth of f to equal the references
+// computed from Classify and the membership array m.
+func checkAgainstRef(t *testing.T, name string, f *FSM, d *DetectionSet, m *[can.MaxID + 1]bool) {
+	t.Helper()
+	got, gotErr := f.Stats(d)
+	want, wantErr := refStats(f, m)
+	if got != want || errText(gotErr) != errText(wantErr) {
+		t.Errorf("%s: Stats = %+v, %v; reference %+v, %v", name, got, gotErr, want, wantErr)
+	}
+	if got, want := f.Depth(), refDepth(f); got != want {
+		t.Errorf("%s: Depth = %d, reference %d", name, got, want)
+	}
+}
+
+// checkSet requires d to hold exactly the IDs marked in m, and Build(d) to
+// equal the reference construction and pass the reference verification.
+func checkSet(t *testing.T, name string, d *DetectionSet, m *[can.MaxID + 1]bool) {
+	t.Helper()
+	var ids []can.ID
+	for id := can.ID(0); id <= can.MaxID; id++ {
+		if m[id] {
+			ids = append(ids, id)
+		}
+		if d.Contains(id) != m[id] {
+			t.Fatalf("%s: Contains(%s) = %v, reference %v", name, id, d.Contains(id), m[id])
+		}
+	}
+	if d.Size() != len(ids) || !slices.Equal(d.IDs(), ids) {
+		t.Fatalf("%s: Size %d IDs %v, reference %d %v", name, d.Size(), d.IDs(), len(ids), ids)
+	}
+	f := Build(d)
+	if !bytes.Equal(f.Marshal(), refBuild(m).Marshal()) {
+		t.Fatalf("%s: Build differs from the per-ID construction", name)
+	}
+	checkAgainstRef(t, name, f, d, m)
+	if _, err := f.Stats(d); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
+}
+
+// leafOffsets returns the image offsets of the leaf kind bytes.
+func leafOffsets(image []byte) []int {
+	var out []int
+	for off := 9; off < len(image); off++ {
+		if image[off] == 0 {
+			off += 8
+		} else {
+			out = append(out, off)
+		}
+	}
+	return out
+}
+
+// randomImage hand-builds a structurally valid image of n states whose
+// child pointers point anywhere, cycles included.
+func randomImage(rng *rand.Rand, n int) []byte {
+	image := binary.BigEndian.AppendUint32(append([]byte(fsmMagic), fsmVersion), uint32(n))
+	for i := 0; i < n; i++ {
+		kind := byte(rng.Intn(3))
+		if i == 0 {
+			kind = 0
+		}
+		image = append(image, kind)
+		if kind == 0 {
+			image = binary.BigEndian.AppendUint32(image, uint32(rng.Intn(n)))
+			image = binary.BigEndian.AppendUint32(image, uint32(rng.Intn(n)))
+		}
+	}
+	return image
+}
+
+// TestFSMEquivalenceProperty: for random IVNs of every size, the light and
+// full scenario sets hold exactly the naive Def. IV.4 members, Build equals
+// the per-ID construction, and Stats and Depth equal the per-ID Classify
+// references — also against the wrong set and on a corrupted image.
 func TestFSMEquivalenceProperty(t *testing.T) {
-	prop := func(seed int64, nRaw uint8) bool {
+	prop := func(seed int64, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw)%40 + 2
+		n := int(nRaw)%int(can.MaxID+1) + 1
 		v, err := RandomIVN(rng, n)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
 		i := rng.Intn(n)
-		d, err := NewDetectionSet(v, i)
+		full, err := NewDetectionSet(v, i)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		f := Build(d)
-		_, err = f.Stats(d)
-		return err == nil
+		m := refMembers(v, i)
+		checkSet(t, fmt.Sprintf("N=%d full[%d]", n, i), full, m)
+
+		light, err := NewSpoofOnlySet(v, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lm [can.MaxID + 1]bool
+		lm[v.IDs()[i]] = true
+		checkSet(t, fmt.Sprintf("N=%d light[%d]", n, i), light, &lm)
+
+		// Judged against the light set, the full machine fails unless its
+		// 𝔻 is the own ID alone.
+		f := Build(full)
+		checkAgainstRef(t, "wrong set", f, light, &lm)
+
+		image := f.Marshal()
+		leaves := leafOffsets(image)
+		image[leaves[rng.Intn(len(leaves))]] ^= 3 // malicious <-> benign
+		flipped, err := Unmarshal(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstRef(t, "flipped leaf", flipped, full, m)
+		if _, err := flipped.Stats(full); err == nil {
+			t.Error("flipped leaf passed verification")
+		}
+		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 50; trial++ {
+		var m [can.MaxID + 1]bool
+		ids := make([]can.ID, rng.Intn(300))
+		for k := range ids {
+			ids[k] = can.ID(rng.Intn(int(can.MaxID) + 1))
+			m[ids[k]] = true
+		}
+		d, err := NewCustomSet(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSet(t, fmt.Sprintf("custom %d", trial), d, &m)
+	}
+	var none, all [can.MaxID + 1]bool
+	allIDs := make([]can.ID, 0, len(all))
+	for id := range all {
+		all[id] = true
+		allIDs = append(allIDs, can.ID(id))
+	}
+	empty, _ := NewCustomSet(nil)
+	checkSet(t, "empty", empty, &none)
+	fullSpace, _ := NewCustomSet(allIDs)
+	checkSet(t, "full", fullSpace, &all)
+}
+
+// TestFSMCorruptedImages: on images whose edges share and cycle, Stats and
+// Depth still cover every ID exactly as Classify does and terminate.
+func TestFSMCorruptedImages(t *testing.T) {
+	// One internal state looping to itself: every ID ends undecided at
+	// depth 11.
+	self := binary.BigEndian.AppendUint32(append([]byte(fsmMagic), fsmVersion), 1)
+	self = append(self, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	f, err := Unmarshal(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var none [can.MaxID + 1]bool
+	empty, _ := NewCustomSet(nil)
+	if _, err := f.Stats(empty); errText(err) != "fsm: ID 0x000 classified undecided, want benign" {
+		t.Errorf("self loop: Stats error %v", err)
+	}
+	if f.Depth() != can.IDBits {
+		t.Errorf("self loop: Depth = %d, want %d", f.Depth(), can.IDBits)
+	}
+	checkAgainstRef(t, "self loop", f, empty, &none)
+
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		f, err := Unmarshal(randomImage(rng, 1+rng.Intn(12)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Judge each machine against the set it decides wherever it
+		// decides, and against a random set, so both outcomes occur.
+		var own, random [can.MaxID + 1]bool
+		var ownIDs, randomIDs []can.ID
+		for id := can.ID(0); id <= can.MaxID; id++ {
+			if dec, _ := f.Classify(id); dec == Malicious {
+				own[id] = true
+				ownIDs = append(ownIDs, id)
+			}
+			if rng.Intn(2) == 0 {
+				random[id] = true
+				randomIDs = append(randomIDs, id)
+			}
+		}
+		dOwn, _ := NewCustomSet(ownIDs)
+		dRandom, _ := NewCustomSet(randomIDs)
+		checkAgainstRef(t, fmt.Sprintf("image %d own", trial), f, dOwn, &own)
+		checkAgainstRef(t, fmt.Sprintf("image %d random", trial), f, dRandom, &random)
 	}
 }
 
@@ -279,11 +548,57 @@ func TestRandomIVNProperties(t *testing.T) {
 			t.Fatal("IDs not strictly ascending")
 		}
 	}
-	if _, err := RandomIVN(rng, 0); err == nil {
-		t.Error("n=0 accepted")
+	if _, err := RandomIVN(rng, 0); !errors.Is(err, ErrEmptyIVN) {
+		t.Errorf("n=0: %v, want ErrEmptyIVN", err)
 	}
-	if _, err := RandomIVN(rng, 5000); err == nil {
-		t.Error("n beyond ID space accepted")
+	for _, n := range []int{int(can.MaxID) + 2, 5000} {
+		_, err := RandomIVN(rng, n)
+		if err == nil || errors.Is(err, ErrEmptyIVN) || !strings.Contains(err.Error(), fmt.Sprint(n)) {
+			t.Errorf("n=%d beyond the ID space: %v, want a size error naming n", n, err)
+		}
+	}
+	v, err = RandomIVN(rng, int(can.MaxID)+1)
+	if err != nil || v.Size() != int(can.MaxID)+1 {
+		t.Fatalf("whole ID space: %v", err)
+	}
+}
+
+// refRandomIVN is the map-based draw: IDs uniformly at random until n
+// distinct ones have been seen, sorted afterwards.
+func refRandomIVN(rng *rand.Rand, n int) []can.ID {
+	seen := make(map[can.ID]struct{}, n)
+	ids := make([]can.ID, 0, n)
+	for len(ids) < n {
+		id := can.ID(rng.Intn(int(can.MaxID) + 1))
+		if _, ok := seen[id]; ok {
+			continue
+		}
+		seen[id] = struct{}{}
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestRandomIVNDrawSequence pins the generator stream the detection study's
+// results depend on: the same IDs as the map-based draw, from exactly as
+// many draws.
+func TestRandomIVNDrawSequence(t *testing.T) {
+	for _, seed := range []int64{1, 7, 160} {
+		for _, n := range []int{1, 2, 64, 1024, int(can.MaxID) + 1} {
+			rng := rand.New(rand.NewSource(seed))
+			ref := rand.New(rand.NewSource(seed))
+			v, err := RandomIVN(rng, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refRandomIVN(ref, n); !slices.Equal(v.IDs(), want) {
+				t.Errorf("seed %d N=%d: IDs differ from the map-based draw", seed, n)
+			}
+			if got, want := rng.Int63(), ref.Int63(); got != want {
+				t.Errorf("seed %d N=%d: next draw %d, reference %d", seed, n, got, want)
+			}
+		}
 	}
 }
 

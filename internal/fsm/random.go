@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"fmt"
 	"math/rand"
 
 	"michican/internal/can"
@@ -9,19 +10,24 @@ import (
 // RandomIVN draws a random in-vehicle network of n distinct CAN IDs using
 // the supplied generator. It backs the paper's detection-latency study
 // (Sec. V-B evaluates 160,000 random FSMs).
+//
+// IDs are drawn uniformly until n distinct ones have been seen, discarding
+// repeats; that draw sequence defines the study's results, so it must not
+// change.
 func RandomIVN(rng *rand.Rand, n int) (*IVN, error) {
-	if n <= 0 || n > int(can.MaxID)+1 {
+	const space = int(can.MaxID) + 1
+	if n <= 0 {
 		return nil, ErrEmptyIVN
 	}
-	seen := make(map[can.ID]struct{}, n)
-	ids := make([]can.ID, 0, n)
-	for len(ids) < n {
-		id := can.ID(rng.Intn(int(can.MaxID) + 1))
-		if _, ok := seen[id]; ok {
-			continue
-		}
-		seen[id] = struct{}{}
-		ids = append(ids, id)
+	if n > space {
+		return nil, fmt.Errorf("fsm: IVN of %d ECUs needs more than the %d distinct 11-bit CAN IDs", n, space)
 	}
-	return NewIVN(ids)
+	var seen DetectionSet
+	for seen.n < n {
+		if id := can.ID(rng.Intn(space)); !seen.has(id) {
+			seen.set(id)
+			seen.n++
+		}
+	}
+	return &IVN{ids: seen.IDs()}, nil
 }

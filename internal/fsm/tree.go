@@ -31,35 +31,26 @@ type treeNode struct {
 // paper's offline initial-configuration step.
 func Build(d *DetectionSet) *FSM {
 	f := &FSM{nodes: make([]treeNode, 0, 64)}
-	f.build(d, 0, 0, can.MaxID)
+	f.build(d, 0, int(can.MaxID)+1)
 	f.Reset()
 	return f
 }
 
-// build recursively constructs the subtree covering identifier range
-// [lo, hi] at the given bit depth and returns its node index.
-func (f *FSM) build(d *DetectionSet, depth int, lo, hi can.ID) int32 {
-	count := 0
-	for id := lo; ; id++ {
-		if d.mask[id] {
-			count++
-		}
-		if id == hi {
-			break
-		}
-	}
+// build recursively constructs the subtree covering the identifier block
+// [lo, lo+size) and returns its node index. Every block is a power-of-two
+// size on a matching boundary, so its malicious count is one popcount.
+func (f *FSM) build(d *DetectionSet, lo can.ID, size int) int32 {
 	idx := int32(len(f.nodes))
-	total := int(hi-lo) + 1
-	switch {
-	case count == total:
+	switch d.count(lo, size) {
+	case size:
 		f.nodes = append(f.nodes, treeNode{child: [2]int32{-1, -1}, decision: Malicious})
-	case count == 0:
+	case 0:
 		f.nodes = append(f.nodes, treeNode{child: [2]int32{-1, -1}, decision: Benign})
 	default:
 		f.nodes = append(f.nodes, treeNode{child: [2]int32{-1, -1}})
-		mid := lo + can.ID(total/2)
-		left := f.build(d, depth+1, lo, mid-1) // dominant = 0 = lower half
-		right := f.build(d, depth+1, mid, hi)  // recessive = 1 = upper half
+		half := size / 2
+		left := f.build(d, lo, half)               // dominant = 0 = lower half
+		right := f.build(d, lo+can.ID(half), half) // recessive = 1 = upper half
 		f.nodes[idx].child[0] = left
 		f.nodes[idx].child[1] = right
 	}
@@ -113,13 +104,30 @@ func (f *FSM) Size() int { return len(f.nodes) }
 
 // Depth returns the maximum decision depth over all 2048 identifiers.
 func (f *FSM) Depth() int {
-	max := 0
-	for id := can.ID(0); id <= can.MaxID; id++ {
-		if _, d := f.Classify(id); d > max {
-			max = d
-		}
+	deepest := 0
+	// The visitor never fails, so neither does the walk.
+	_ = f.walk(0, 0, 0, func(_ int32, _ can.ID, depth int) error {
+		deepest = max(deepest, depth)
+		return nil
+	})
+	return deepest
+}
+
+// walk visits, in ascending ID order, the state every identifier ends in
+// when classified: node n at depth k covers the 2^(11-k) IDs from lo that
+// share its k-bit path, and the walk stops at a decided node or after all
+// 11 ID bits. It follows the child edges exactly as Classify does (child 0
+// at depth k is ID bit k = 0, MSB first), so the blocks it reports
+// partition the ID space even when an Unmarshaled image shares or cycles
+// its edges, and it always terminates.
+func (f *FSM) walk(n int32, lo can.ID, depth int, visit func(n int32, lo can.ID, depth int) error) error {
+	if f.nodes[n].decision != Undecided || depth == can.IDBits {
+		return visit(n, lo, depth)
 	}
-	return max
+	if err := f.walk(f.nodes[n].child[0], lo, depth+1, visit); err != nil {
+		return err
+	}
+	return f.walk(f.nodes[n].child[1], lo+1<<(can.IDBits-1-depth), depth+1, visit)
 }
 
 // DetectionStats summarizes how early the FSM detects the IDs it flags.
@@ -134,27 +142,38 @@ type DetectionStats struct {
 
 // Stats computes detection statistics against the generating set, verifying
 // a 100% detection rate in the process: every ID in d must classify
-// malicious and every ID outside must classify benign, or an error is
-// returned (the paper's correctness check over 160,000 random FSMs).
+// malicious and every ID outside must classify benign, or an error naming
+// the lowest misclassified ID is returned with zero stats (the paper's
+// correctness check over 160,000 random FSMs). One walk checks each final
+// state's whole ID block against d at once, so all 2048 IDs are verified in
+// time linear in the FSM's size.
 func (f *FSM) Stats(d *DetectionSet) (DetectionStats, error) {
 	var out DetectionStats
 	sum := 0
-	for id := can.ID(0); id <= can.MaxID; id++ {
-		dec, bits := f.Classify(id)
-		want := Benign
-		if d.mask[id] {
-			want = Malicious
+	err := f.walk(0, 0, 0, func(n int32, lo can.ID, depth int) error {
+		size := 1 << (can.IDBits - depth)
+		dec := f.nodes[n].decision
+		switch flagged := d.count(lo, size); {
+		case dec == Malicious && flagged == size:
+			out.Detected += size
+			sum += size * depth
+			out.MaxBits = max(out.MaxBits, depth)
+			return nil
+		case dec == Benign && flagged == 0:
+			return nil
 		}
-		if dec != want {
-			return out, fmt.Errorf("fsm: ID %s classified %v, want %v", id, dec, want)
-		}
-		if dec == Malicious {
-			out.Detected++
-			sum += bits
-			if bits > out.MaxBits {
-				out.MaxBits = bits
+		for id := lo; ; id++ {
+			want := Benign
+			if d.has(id) {
+				want = Malicious
+			}
+			if dec != want {
+				return fmt.Errorf("fsm: ID %s classified %v, want %v", id, dec, want)
 			}
 		}
+	})
+	if err != nil {
+		return DetectionStats{}, err
 	}
 	if out.Detected > 0 {
 		out.MeanBits = float64(sum) / float64(out.Detected)
