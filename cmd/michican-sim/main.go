@@ -69,7 +69,7 @@ func run() error {
 		incOut     = flag.String("incidents", "", "write the forensics incident log (JSON, same shape as /incidents) to this file")
 		storeDir   = flag.String("store", "", "persist the run into a durable store at this directory (segments + checkpoints, DESIGN.md §8)")
 		resumeDir  = flag.String("resume", "", "resume an interrupted -store run from its last checkpoint (scenario flags come from the store)")
-		replayWin  = flag.String("replay-window", "", "time-travel replay: re-open this bit-time window (from:to, either side open) from the -store directory instead of simulating")
+		replayWin  = flag.String("replay-window", "", "time-travel replay: re-open this bit-time window (from:to, either side open) from the -store directory instead of simulating; alerts regenerate for every rule except ladder-collapse, which needs the fast-forward spans the store does not keep")
 		cpInterval = flag.Int64("checkpoint-interval", 1<<20, "bits of sim progress between automatic checkpoints under -store/-resume")
 		verbose    = flag.Bool("v", false, "print every decoded bus event")
 	)
@@ -479,9 +479,9 @@ func runReplay(dir, window, eventsOut, chromeOut, incOut string, jsonOut, verbos
 	eng := forensics.NewEngine(hub)
 	defer eng.Close()
 	// Alert replay: a fresh watch engine rides the replayed stream, so the
-	// window's SLO verdicts and alert transitions regenerate from history
-	// exactly as the live run produced them (full-recording replays of a
-	// -watch run reproduce the persisted alert log).
+	// window's SLO verdicts and alert transitions regenerate from history as
+	// the live run produced them — every rule except ladder-collapse, which
+	// folds fast-forward spans, and the store keeps none.
 	watcher := watch.New(hub, eng, watch.Config{})
 	replayed, last := 0, int64(0)
 	err = st.EventsInWindow(from, to, func(ev telemetry.NamedEvent) error {

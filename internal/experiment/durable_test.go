@@ -2,23 +2,28 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"michican/internal/store"
+	"michican/internal/telemetry"
+	"michican/internal/watch"
 )
 
-// sameSegments compares the .seg files of two store dirs byte for byte —
-// the on-disk witness that a resumed run converged with an uninterrupted
-// one. Checkpoint and meta files are deliberately excluded: checkpoint
-// counts legitimately differ (the resumed run skips re-checkpointing the
-// regenerated prefix).
-func sameSegments(t *testing.T, dirA, dirB string) {
+// sameSegments compares the segment files matching pattern (e.g. "*.seg")
+// of two store dirs byte for byte — the on-disk witness that a resumed run
+// converged with an uninterrupted one. Checkpoint and meta files are
+// deliberately excluded: checkpoint counts legitimately differ (the resumed
+// run skips re-checkpointing the regenerated prefix).
+func sameSegments(t *testing.T, dirA, dirB, pattern string) {
 	t.Helper()
-	segsA, _ := filepath.Glob(filepath.Join(dirA, "*.seg"))
-	segsB, _ := filepath.Glob(filepath.Join(dirB, "*.seg"))
+	segsA, _ := filepath.Glob(filepath.Join(dirA, pattern))
+	segsB, _ := filepath.Glob(filepath.Join(dirB, pattern))
 	if len(segsA) != len(segsB) {
 		t.Fatalf("segment count differs: %d vs %d", len(segsA), len(segsB))
 	}
@@ -121,7 +126,7 @@ func TestResumeDeterminismAcrossModes(t *testing.T) {
 			}
 			d2.Close()
 			// On-disk segments byte-identical (events and incidents).
-			sameSegments(t, refDir, dir)
+			sameSegments(t, refDir, dir, "*.seg")
 		})
 	}
 }
@@ -147,5 +152,122 @@ func TestResumeCompletedRun(t *testing.T) {
 	spec2, err := StoredSpec(dir)
 	if err != nil || spec2 != spec {
 		t.Fatalf("StoredSpec = %+v (%v), want %+v", spec2, err, spec)
+	}
+}
+
+// advanceSliced advances a vehicle to bit time `to` in Advance calls of at
+// most slice bits — the quantum a fleet worker (or michican-fleet
+// -slice-bits) hands it.
+func advanceSliced(v *FleetVehicle, to, slice int64) {
+	for now := v.Now(); now < to; now = v.Now() {
+		v.Advance(min(slice, to-now))
+	}
+}
+
+// sortedAlerts returns a store's alert transitions as a sorted multiset,
+// each without its Seq (its position in the log).
+func sortedAlerts(t *testing.T, st *store.Store) []string {
+	t.Helper()
+	var out []string
+	if err := st.AlertPayloads(func(p []byte) error {
+		a, err := watch.DecodeAlert(p)
+		if err != nil {
+			return err
+		}
+		a.Seq = 0
+		enc, err := watch.EncodeAlert(a)
+		out = append(out, string(enc))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestResumeIndependentOfSlicing is the slicing-independence property: a
+// durable vehicle crashed at a random point under one Advance slicing and
+// resumed under another finalizes cleanly, and its event and incident logs
+// are byte-identical to an uninterrupted run at a third slicing. The alert
+// log is compared as a multiset: its order follows the forensics engine's
+// reorder-window drain points, which can depend on slicing.
+func TestResumeIndependentOfSlicing(t *testing.T) {
+	const (
+		horizon  = 655_360 // 589,824 + 65,536: the reproduction's crash point plus a quantum
+		refSlice = horizon // the reference advances in one call
+	)
+	sinkOpts := store.SinkOptions{CheckpointIntervalBits: 262_144}
+	// The slicings that diverged before span records left the store.
+	fixed := [][2]int64{{589_824, 65_536}, {65_536, 589_824}, {4_093, 131_072}}
+	rng := rand.New(rand.NewSource(16))
+	i := 0
+	for _, attack := range []FleetAttack{FleetAttackNone, FleetAttackSpoof, FleetAttackDoS, FleetAttackToggle} {
+		for _, load := range []float64{0.3, 0.6} {
+			spec := FleetSpecAt(1, 0, horizon, false)
+			spec.Attack, spec.Load, spec.Watch = attack, load, true
+			// Each configuration resumes across one fixed pair (crashed at
+			// the reproduction's 589,824 bits) and one random pair at a
+			// random crash point.
+			pair := fixed[i%len(fixed)]
+			i++
+			cases := []struct{ crashAt, crashSlice, resumeSlice int64 }{
+				{589_824, pair[0], pair[1]},
+				{270_000 + rng.Int63n(380_000), 1 + rng.Int63n(300_000), 1 + rng.Int63n(300_000)},
+			}
+			t.Run(fmt.Sprintf("%s/%.1f", attack, load), func(t *testing.T) {
+				t.Parallel()
+				refDir := t.TempDir()
+				ref, err := StartDurableVehicle(refDir, spec, 0, "", sinkOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				advanceSliced(ref.FleetVehicle, horizon, refSlice)
+				if err := ref.FinalizeDurable(ref.Finalize()); err != nil {
+					t.Fatal(err)
+				}
+				refAlerts := sortedAlerts(t, ref.Store)
+				ref.Close()
+
+				for _, c := range cases {
+					dir := t.TempDir()
+					d1, err := StartDurableVehicle(dir, spec, 0, "", sinkOpts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					advanceSliced(d1.FleetVehicle, c.crashAt, c.crashSlice)
+					// The crash image: the tail past the last checkpoint is on
+					// disk, but no incidents, alerts or final checkpoint.
+					if err := d1.Sink.Close(d1.Now(), false); err != nil {
+						t.Fatal(err)
+					}
+					d1.Close()
+
+					d2, err := ResumeDurableVehicle(dir, sinkOpts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					advanceSliced(d2.FleetVehicle, horizon, c.resumeSlice)
+					if err := d2.FinalizeDurable(d2.Finalize()); err != nil {
+						t.Fatalf("crash at %d sliced %d, resume sliced %d: %v", c.crashAt, c.crashSlice, c.resumeSlice, err)
+					}
+					err = d2.Store.Events(func(ev telemetry.NamedEvent) error {
+						if ev.Kind == telemetry.EvFFSpan {
+							return fmt.Errorf("stored ff_span record at t=%d", ev.Time)
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := sortedAlerts(t, d2.Store); !reflect.DeepEqual(got, refAlerts) {
+						t.Fatalf("crash at %d sliced %d, resume sliced %d: alert log %d entries, reference %d (as multisets they differ)",
+							c.crashAt, c.crashSlice, c.resumeSlice, len(got), len(refAlerts))
+					}
+					d2.Close()
+					sameSegments(t, refDir, dir, "events-*.seg")
+					sameSegments(t, refDir, dir, "incidents-*.seg")
+				}
+			})
+		}
 	}
 }

@@ -207,10 +207,15 @@ type incidentState struct {
 	busOffNode  telemetry.NodeID
 	hasDefender bool
 	detAcc      stats.Accumulator
+	// leakFrozen marks a closed incident whose inc.FramesLeaked was counted
+	// at closure; the success records it covered are pruned.
+	leakFrozen bool
 }
 
 // successRec is one completed frame, kept per ID so FramesLeaked can be
-// counted against the attributed attacker when an incident resolves.
+// counted against the attributed attacker when an incident resolves. A record
+// is kept only while an incident of its ID can still cover it: an incident of
+// that ID is open, or an attempt is in flight (and may yet open one).
 type successRec struct {
 	node telemetry.NodeID
 	at   int64
@@ -227,6 +232,7 @@ type Engine struct {
 	names  map[telemetry.NodeID]string
 
 	cur         *attempt
+	spare       *attempt // a cleanly-succeeded attempt kept for the next SOF
 	open        map[int64]*incidentState
 	closed      []*incidentState
 	recovery    map[telemetry.NodeID]*incidentState
@@ -546,21 +552,24 @@ func (e *Engine) fold(ev telemetry.Event) {
 			// wireFrameEnd) and drop it.
 			e.resolveErrs(c, -1, 0)
 			e.dropped++
-			e.cur = nil
+			e.endAttempt()
 		}
 		if e.cur == nil {
-			// deadTx and tec stay nil until an error actually happens: on a
-			// healthy bus every frame opens an attempt, and this allocation
-			// is the live engine's per-frame cost.
-			e.cur = &attempt{
-				start: ev.Time,
-				tx:    make(map[telemetry.NodeID]int64, 2),
-				// The trace decoder credits a decoded frame's recessive tail
-				// (ACK delimiter + EOF) as 8 idle bits and demands 11 before
-				// a SOF: a SOF within 3 bits of a frame's end is skipped as
-				// stray noise and never becomes an episode.
-				stray: ev.Time <= e.wireFrameEnd+3,
+			// deadTx and tec stay nil until an error actually happens. On a
+			// healthy bus every frame opens an attempt and ends in a clean
+			// success, whose attempt and tx map are reused here.
+			c := e.spare
+			e.spare = nil
+			if c == nil {
+				c = &attempt{tx: make(map[telemetry.NodeID]int64, 2)}
 			}
+			c.start = ev.Time
+			// The trace decoder credits a decoded frame's recessive tail
+			// (ACK delimiter + EOF) as 8 idle bits and demands 11 before a
+			// SOF: a SOF within 3 bits of a frame's end is skipped as stray
+			// noise and never becomes an episode.
+			c.stray = ev.Time <= e.wireFrameEnd+3
+			e.cur = c
 		}
 		e.cur.tx[ev.Node] = ev.A
 
@@ -635,20 +644,26 @@ func (e *Engine) fold(ev telemetry.Event) {
 			}
 			if !live {
 				e.closeWireAttempt(c, ev.Time)
-				e.cur = nil
+				e.endAttempt()
 			}
 		}
 
 	case telemetry.EvTxSuccess:
 		e.txSuccess[ev.Node]++
-		e.successes[ev.A] = append(e.successes[ev.A], successRec{node: ev.Node, at: ev.Time})
 		if ev.Time > e.wireFrameEnd {
 			e.wireFrameEnd = ev.Time
 		}
 		if c := e.cur; c != nil {
 			if _, ok := c.tx[ev.Node]; ok {
-				e.cur = nil
+				e.endAttempt()
+				if c.clean() {
+					clear(c.tx)
+					e.spare = c
+				}
 			}
+		}
+		if e.open[ev.A] != nil || e.cur != nil {
+			e.successes[ev.A] = append(e.successes[ev.A], successRec{node: ev.Node, at: ev.Time})
 		}
 
 	case telemetry.EvTEC:
@@ -691,14 +706,39 @@ func (e *Engine) fold(ev telemetry.Event) {
 	}
 }
 
+// clean reports an attempt that saw nothing but arbitration: no error,
+// detection, pull, TEC step or bus-off. Its only state is the tx map.
+func (c *attempt) clean() bool {
+	return !c.destroyed && c.deadTx == nil && len(c.errs) == 0 && len(c.detects) == 0 &&
+		len(c.pulls) == 0 && c.tec == nil && !c.busOff
+}
+
+// endAttempt retires the in-flight attempt and drops the success records it
+// alone kept: those of IDs with no open incident. Called with e.mu held.
+func (e *Engine) endAttempt() {
+	e.cur = nil
+	for id := range e.successes {
+		if e.open[id] == nil {
+			delete(e.successes, id)
+		}
+	}
+}
+
 // closeDestroyed folds a wire-visible destroyed attempt into its ID's
 // incident. Called with e.mu held.
 func (e *Engine) closeDestroyed(c *attempt, id int64, end int64) {
 	st := e.open[id]
 	if st != nil && c.start-st.inc.End > EpisodeGapBits {
+		// The superseded incident's window is final: count its leaked frames
+		// now and drop the records no later incident of this ID can cover.
+		inc := e.resolve(st)
+		st.inc.FramesLeaked, st.leakFrozen = inc.FramesLeaked, true
+		recs := e.successes[id]
+		i := sort.Search(len(recs), func(i int) bool { return recs[i].at >= c.start })
+		e.successes[id] = recs[:copy(recs, recs[i:])]
 		e.closed = append(e.closed, st)
 		if e.onIncident != nil {
-			e.onIncident(e.resolve(st), false, -1)
+			e.onIncident(inc, false, -1)
 		}
 		st = nil
 	}
@@ -830,9 +870,11 @@ func (e *Engine) resolve(st *incidentState) Incident {
 	if found {
 		inc.Attacker = e.nodeName(attacker)
 		inc.TEC = append([]TECStep(nil), st.tecByNode[attacker]...)
-		for _, s := range e.successes[int64(inc.ID)] {
-			if s.node == attacker && s.at >= inc.Start && s.at <= inc.End {
-				inc.FramesLeaked++
+		if !st.leakFrozen {
+			for _, s := range e.successes[int64(inc.ID)] {
+				if s.node == attacker && s.at >= inc.Start && s.at <= inc.End {
+					inc.FramesLeaked++
+				}
 			}
 		}
 	}

@@ -1,10 +1,14 @@
 package forensics_test
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"michican/internal/can"
 	"michican/internal/controller"
+	"michican/internal/experiment"
 	"michican/internal/forensics"
 	"michican/internal/telemetry"
 )
@@ -270,5 +274,131 @@ func TestEngineStrayAndDroppedAttempts(t *testing.T) {
 	}
 	if st.StrayAttempts != 1 {
 		t.Errorf("stray attempts = %d, want 1", st.StrayAttempts)
+	}
+}
+
+// referenceIncidents rebuilds a live engine's incidents from the hub's
+// retained log: a detached engine replays the log, and every incident's
+// FramesLeaked is recounted from the whole log as the attacker's successes
+// of the incident's ID inside [Start, End].
+func referenceIncidents(hub *telemetry.Hub, finalizeAt int64) []forensics.Incident {
+	evs := hub.Events()
+	ref := forensics.New(hub)
+	for _, ev := range evs {
+		ref.Feed(ev)
+	}
+	if finalizeAt >= 0 {
+		ref.Finalize(finalizeAt)
+	}
+	incs := ref.Incidents()
+	for i := range incs {
+		inc := &incs[i]
+		inc.FramesLeaked = 0
+		for _, ev := range evs {
+			if ev.Kind == telemetry.EvTxSuccess && can.ID(ev.A) == inc.ID && hub.NodeName(ev.Node) == inc.Attacker &&
+				ev.Time >= inc.Start && ev.Time <= inc.End {
+				inc.FramesLeaked++
+			}
+		}
+	}
+	return incs
+}
+
+// checkAgainstReference compares every field of the live engine's incidents
+// with the reference and returns the frames leaked across them.
+func checkAgainstReference(t *testing.T, label string, hub *telemetry.Hub, eng *forensics.Engine, finalizeAt int64) int {
+	t.Helper()
+	got, want := eng.Incidents(), referenceIncidents(hub, finalizeAt)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: live incidents differ from the retained-log reference:\n got  %+v\n want %+v", label, got, want)
+	}
+	leaked := 0
+	for _, inc := range got {
+		leaked += inc.FramesLeaked
+	}
+	return leaked
+}
+
+// TestIncidentsMatchRetainedLogReference is the differential for the bounded
+// success log: on the synthetic leak case and on attacked fleet vehicles, the
+// live engine's incidents — open ones mid-run and closed ones at the end —
+// match a reference that keeps every event.
+func TestIncidentsMatchRetainedLogReference(t *testing.T) {
+	t.Run("leak", func(t *testing.T) {
+		hub := telemetry.NewHub()
+		eng := forensics.NewEngine(hub)
+		defer eng.Close()
+		em := &campaignEmitter{att: hub.Probe("attacker"), def: hub.Probe("defender")}
+		const t0 = int64(100)
+		em.destroyAttempt(t0, false)
+		em.att.Emit(t0+200, telemetry.EvTxStart, campaignID, 0)
+		em.att.Emit(t0+310, telemetry.EvTxSuccess, campaignID, 0)
+		em.destroyAttempt(t0+400, false)
+		// A second incident of the same ID, past the episode gap, closes the
+		// first mid-run; a leak after the first's end is charged to neither.
+		em.att.Emit(t0+1000, telemetry.EvTxStart, campaignID, 0)
+		em.att.Emit(t0+1110, telemetry.EvTxSuccess, campaignID, 0)
+		em.destroyAttempt(t0+2000, false)
+		em.att.Emit(t0+2100, telemetry.EvTxStart, campaignID, 0)
+		em.att.Emit(t0+2210, telemetry.EvTxSuccess, campaignID, 0)
+		em.destroyAttempt(t0+2300, false)
+		eng.Finalize(t0 + 5000)
+		if leaked := checkAgainstReference(t, "leak", hub, eng, t0+5000); leaked != 2 {
+			t.Fatalf("frames leaked across incidents = %d, want 2", leaked)
+		}
+		if n := len(eng.Incidents()); n != 2 {
+			t.Fatalf("got %d incidents, want 2", n)
+		}
+	})
+	t.Run("in-flight", func(t *testing.T) {
+		for _, prior := range []bool{false, true} {
+			// The attacker's frame completes while the defender's attempt of the
+			// same ID is in flight. That attempt is destroyed and opens an
+			// incident the attacker then dominates (closing the ID's prior
+			// incident, when there is one), so the success is a leak the engine
+			// had to keep before the incident existed.
+			hub := telemetry.NewHub()
+			eng := forensics.NewEngine(hub)
+			defer eng.Close()
+			em := &campaignEmitter{att: hub.Probe("attacker"), def: hub.Probe("defender")}
+			if prior {
+				em.destroyAttempt(100, false)
+			}
+			const t0 = int64(1100)
+			em.def.Emit(t0, telemetry.EvTxStart, campaignID, 0)
+			em.att.Emit(t0+5, telemetry.EvTxSuccess, campaignID, 0)
+			em.def.Emit(t0+14, telemetry.EvError, int64(controller.BitError), 1)
+			em.def.Emit(t0+14, telemetry.EvTEC, 8, 0)
+			em.att.Emit(t0+31, telemetry.EvErrorEnd, 0, 0)
+			em.destroyAttempt(t0+100, false)
+			em.destroyAttempt(t0+143, false)
+			eng.Finalize(t0 + 5000)
+			label := fmt.Sprintf("in-flight (prior incident %v)", prior)
+			if leaked := checkAgainstReference(t, label, hub, eng, t0+5000); leaked != 1 {
+				t.Fatalf("%s: frames leaked = %d, want 1: %+v", label, leaked, eng.Incidents())
+			}
+		}
+	})
+	for _, attack := range []experiment.FleetAttack{experiment.FleetAttackSpoof, experiment.FleetAttackDoS, experiment.FleetAttackToggle} {
+		t.Run(string(attack), func(t *testing.T) {
+			const horizon = 1 << 20
+			v, err := experiment.NewFleetVehicle(experiment.FleetVehicleSpec{
+				Seed: 7, Load: 0.3, Attack: attack, HorizonBits: horizon,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.Hub().RetainEvents(true)
+			eng := forensics.NewEngine(v.Hub())
+			defer eng.Close()
+			v.Advance(horizon / 2)
+			checkAgainstReference(t, "mid-run", v.Hub(), eng, -1)
+			v.Advance(horizon / 2)
+			eng.Finalize(v.Now())
+			checkAgainstReference(t, "final", v.Hub(), eng, v.Now())
+			if n := len(eng.Incidents()); n < 2 {
+				t.Fatalf("%d incidents; the differential needs closed ones", n)
+			}
+		})
 	}
 }

@@ -13,6 +13,9 @@ import (
 // run regenerates. completed reports a store whose final checkpoint says the
 // run already reached its horizon; the returned options are then zero and the
 // store is left untouched.
+//
+// An unfinished store written in an older format cannot be resumed by this
+// build; the error says so before anything is truncated.
 func (s *Store) ResumePoint() (opts SinkOptions, completed bool, err error) {
 	cp, err := s.LatestCheckpoint()
 	switch {
@@ -22,6 +25,9 @@ func (s *Store) ResumePoint() (opts SinkOptions, completed bool, err error) {
 		return SinkOptions{}, false, err
 	case cp.Completed:
 		return SinkOptions{}, true, nil
+	}
+	if v := s.meta.FormatVersion; v != FormatVersion {
+		return SinkOptions{}, false, fmt.Errorf("store: format %d store cannot be resumed by this build (format %d); it can still be read and replayed", v, FormatVersion)
 	}
 	if err := s.TruncateTo(cp); err != nil {
 		return SinkOptions{}, false, err

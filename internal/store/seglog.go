@@ -75,7 +75,8 @@ type segLog struct {
 	bw     *bufio.Writer
 	active *segment // == &segs[len(segs)-1]
 
-	count int64 // records across all segments
+	count int64  // records across all segments
+	rec   []byte // append's framing scratch, reused across records
 }
 
 func segName(prefix string, seq int) string { return fmt.Sprintf("%s-%06d.seg", prefix, seq) }
@@ -276,20 +277,15 @@ func (l *segLog) append(typ byte, payload []byte, t int64) (int64, error) {
 			return 0, err
 		}
 	}
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	crc := crc32.ChecksumIEEE(hdr[4:5])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	var tr [recTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	if _, err := l.bw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := l.bw.Write(payload); err != nil {
-		return 0, err
-	}
-	if _, err := l.bw.Write(tr[:]); err != nil {
+	// The whole record is framed in the log's scratch buffer and written
+	// with one call: header and trailer arrays passed to Write separately
+	// would escape to the heap, two allocations per record.
+	rec := binary.LittleEndian.AppendUint32(l.rec[:0], uint32(1+len(payload)))
+	rec = append(rec, typ)
+	rec = append(rec, payload...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec[4:]))
+	l.rec = rec
+	if _, err := l.bw.Write(rec); err != nil {
 		return 0, err
 	}
 	a := l.active

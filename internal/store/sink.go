@@ -71,11 +71,12 @@ type SinkOptions struct {
 	ResumeFromBits int64
 }
 
-// Sink subscribes to a telemetry hub and persists the canonical event stream
-// into a Store. Events pass through a Sequencer (the same reorder machinery
-// JSONLStreamer uses) so they land on disk in canonical (Time, Node, arrival)
-// order, are encoded with telemetry.AppendEventJSON — the store holds the
-// exact bytes WriteJSONL would have produced — and drain to disk on
+// Sink subscribes to a telemetry hub and persists the canonical event stream,
+// fast-forward spans and alerts excepted, into a Store. Events pass through a
+// Sequencer (the same reorder machinery JSONLStreamer uses) so they land on
+// disk in canonical (Time, Node, arrival) order, are encoded with
+// telemetry.AppendEventJSON — the store holds the exact bytes WriteJSONL
+// would have produced for those events — and drain to disk on
 // NetCommitter-style thresholds with one group fsync per drain.
 //
 // The hub callback only buffers: events batch on the emitting goroutine and
@@ -187,13 +188,16 @@ func NewSink(st *Store, hub *telemetry.Hub, opts SinkOptions) *Sink {
 	s.seq.Emit = s.release
 	go s.writer()
 	s.cancel = hub.Subscribe(func(ev telemetry.Event) {
-		if ev.Kind == telemetry.EvAlert {
-			// Alert transitions persist in their own log (AppendAlerts) with
-			// their own cursor and hash. Keeping them out of the event log
-			// keeps the stored stream canonical (alerts are emitted at
-			// incident-closure observation time, behind the stream head) and
-			// keeps event prefix hashes identical whether or not a watch
-			// engine was attached.
+		if ev.Kind == telemetry.EvFFSpan || ev.Kind == telemetry.EvAlert {
+			// Span ends fall on Run boundaries, so persisting them would make
+			// the stored stream depend on how the caller slices Advance (and
+			// a resume at a different slicing would diverge from its
+			// checkpoint); their bit counts live in the hub's michican_ff_*
+			// counters instead. Alert transitions persist in their own log
+			// (AppendAlerts) with their own cursor and hash: they are emitted
+			// at incident-closure observation time, behind the stream head,
+			// and keeping them out keeps event prefix hashes identical
+			// whether or not a watch engine was attached.
 			return
 		}
 		s.inMu.Lock()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"michican/internal/telemetry"
@@ -233,5 +234,49 @@ func TestSinkResumeDetectsDivergedPrefix(t *testing.T) {
 	end := emitScripted(h2, 50)
 	if err := s2.Close(end, false); err == nil {
 		t.Fatal("diverged prefix hash must poison the sink")
+	}
+}
+
+// TestSinkSkipsSpansAndAlerts checks that fast-forward spans and alert
+// transitions reach the hub (its counters still fold every span) but not the
+// event log.
+func TestSinkSkipsSpansAndAlerts(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Create(dir, Meta{Kind: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := telemetry.NewHub()
+	sink := NewSink(st, h, SinkOptions{})
+	bus, watch := h.Probe("bus"), h.Probe("watch")
+	for i := int64(0); i < 100; i++ {
+		bus.Emit(1000*i, telemetry.EvFFSpan, 900, 3)
+		watch.Emit(1000*i+1, telemetry.EvAlert, 0, i%2)
+	}
+	end := emitScriptedFrom(h, 100_000, 50)
+	if err := sink.Close(end, true); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if n := st2.EventCount(); n != 200 {
+		t.Fatalf("stored %d events, want the 200 scripted ones", n)
+	}
+	err = st2.Events(func(ev telemetry.NamedEvent) error {
+		if ev.Kind == telemetry.EvFFSpan || ev.Kind == telemetry.EvAlert {
+			return fmt.Errorf("stored %v record at t=%d", ev.Kind, ev.Time)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Registry().Counter("michican_ff_splice_bits_total", "node", "bus").Value(); got != 90_000 {
+		t.Fatalf("splice span counter = %d, want 90000", got)
 	}
 }

@@ -35,9 +35,16 @@ import (
 	"michican/internal/telemetry"
 )
 
-// FormatVersion stamps meta.json so a future layout change can refuse or
-// migrate old directories instead of misreading them.
-const FormatVersion = 1
+// FormatVersion stamps meta.json so a layout change can refuse or migrate
+// old directories instead of misreading them. Version 2 stopped persisting
+// fast-forward span records in the event log. Open still reads version-1
+// stores (window reads, digests, replay), but they cannot be resumed: this
+// build regenerates a prefix without span records, which can never match a
+// version-1 checkpoint's prefix hash.
+const FormatVersion = 2
+
+// minReadableVersion is the oldest format Open accepts.
+const minReadableVersion = 1
 
 // DefaultSegmentBytes is the segment roll threshold when Meta leaves it
 // zero. Rolls cost file-metadata syscalls (seal fsync + sidecar + open), so
@@ -169,7 +176,8 @@ func Create(dir string, meta Meta) (*Store, error) {
 }
 
 // Open reopens an existing store directory, scanning every segment,
-// truncating torn tails, and leaving both logs ready to append.
+// truncating torn tails, and leaving both logs ready to append. Stores of an
+// older readable format open for reading; ResumePoint refuses them.
 func Open(dir string) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil {
@@ -179,8 +187,8 @@ func Open(dir string) (*Store, error) {
 	if err := json.Unmarshal(data, &meta); err != nil {
 		return nil, fmt.Errorf("store: corrupt meta.json in %s: %w", dir, err)
 	}
-	if meta.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("store: %s has format version %d, want %d", dir, meta.FormatVersion, FormatVersion)
+	if meta.FormatVersion < minReadableVersion || meta.FormatVersion > FormatVersion {
+		return nil, fmt.Errorf("store: %s has format version %d, want %d to %d", dir, meta.FormatVersion, minReadableVersion, FormatVersion)
 	}
 	events, err := openSegLog(dir, "events", meta.SegmentBytes)
 	if err != nil {

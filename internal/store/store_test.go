@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"michican/internal/telemetry"
@@ -310,5 +311,102 @@ func TestCreateRefusesExistingStore(t *testing.T) {
 	s.Close()
 	if _, err := Create(dir, Meta{Kind: "test"}); err == nil {
 		t.Fatal("Create over an existing store must fail")
+	}
+}
+
+func TestAppendEventAllocatesNothing(t *testing.T) {
+	s, err := Create(t.TempDir(), Meta{Kind: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	payload := []byte(`{"t":1000,"node":"restbus","event":"tx_success","id":"0x173"}`)
+	appendN(t, s, 0, 100)
+	if got := testing.AllocsPerRun(1000, func() {
+		if err := s.AppendEvent(payload, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("AppendEvent allocates %v times per record, want 0", got)
+	}
+}
+
+// setFormatVersion rewrites a store's meta.json as if an older or newer
+// build had created it.
+func setFormatVersion(t *testing.T, dir string, v int) {
+	t.Helper()
+	path := filepath.Join(dir, "meta.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte(fmt.Sprintf(`"format_version": %d`, FormatVersion))
+	if !bytes.Contains(data, old) {
+		t.Fatalf("meta.json lacks %s:\n%s", old, data)
+	}
+	if err := os.WriteFile(path, bytes.Replace(data, old, []byte(fmt.Sprintf(`"format_version": %d`, v)), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFormatVersion1ReadableNotResumable builds a version-1 store (one whose
+// event log holds fast-forward span records) and checks that this build
+// reads it for window reads and replay, reports a finished one as complete,
+// and refuses to resume an unfinished one with a clear error.
+func TestFormatVersion1ReadableNotResumable(t *testing.T) {
+	for _, completed := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Create(dir, Meta{Kind: "test"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, s, 0, 10)
+		span := []byte(`{"t":1000,"node":"bus","event":"ff_span","bits":64,"path":"splice"}`)
+		if err := s.AppendEvent(span, 1000); err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, s, 11, 10)
+		if _, err := s.WriteCheckpoint(Checkpoint{TimeBits: 1500, Events: 15, Completed: completed}); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		setFormatVersion(t, dir, 1)
+
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open of a format-1 store: %v", err)
+		}
+		var kinds []telemetry.Kind
+		if err := s2.EventsInWindow(900, 1100, func(ev telemetry.NamedEvent) error {
+			kinds = append(kinds, ev.Kind)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(kinds) != 3 || kinds[1] != telemetry.EvFFSpan {
+			t.Fatalf("format-1 window read = %v, want tx_start, ff_span, tx_start", kinds)
+		}
+		_, done, err := s2.ResumePoint()
+		switch {
+		case completed && (err != nil || !done):
+			t.Fatalf("completed format-1 store: ResumePoint = done %v, err %v; want complete", done, err)
+		case !completed && (err == nil || !strings.Contains(err.Error(), "format 1 store cannot be resumed by this build")):
+			t.Fatalf("unfinished format-1 store: ResumePoint err = %v, want a format error", err)
+		}
+		if n := s2.EventCount(); n != 21 {
+			t.Fatalf("refused resume touched the store: %d events, want 21", n)
+		}
+		s2.Close()
+	}
+
+	dir := t.TempDir()
+	s, err := Create(dir, Meta{Kind: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	setFormatVersion(t, dir, FormatVersion+1)
+	if _, err := Open(dir); err == nil {
+		t.Fatal("Open of a store from a newer format must fail")
 	}
 }
