@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 
 	"michican/internal/can"
 	"michican/internal/fsm"
@@ -43,7 +42,8 @@ type detectionDraw struct {
 
 // runDetectionDraw evaluates one random FSM from its own derived seed.
 func runDetectionDraw(seed int64, maxECUs int) (detectionDraw, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := getDrawRNG(seed)
+	defer drawRNGs.Put(rng)
 	nECUs := 2 + rng.Intn(maxECUs-1)
 	ivn, err := fsm.RandomIVN(rng, nECUs)
 	if err != nil {
@@ -69,15 +69,16 @@ func runDetectionDraw(seed int64, maxECUs int) (detectionDraw, error) {
 }
 
 // DetectionLatency runs the Sec. V-B study over n random FSMs drawn from
-// IVNs of 2..maxECUs ECUs; maxECUs may not exceed the 2048 11-bit IDs. The draws fan out over the trial runner with one
-// derived seed per draw and are folded in draw order, so the result is
-// identical regardless of worker count or CPU count.
+// IVNs of 2..maxECUs ECUs; maxECUs must lie in [2, 2048], the 11-bit ID
+// space. The draws fan out over the trial runner with one derived seed per
+// draw and are folded in draw order, so the result is identical regardless
+// of worker count or CPU count.
 func DetectionLatency(n, maxECUs int, seed int64) (DetectionResult, error) {
 	if n <= 0 {
 		return DetectionResult{}, fmt.Errorf("experiment: need n > 0 FSMs")
 	}
 	if maxECUs < 2 {
-		maxECUs = 64
+		return DetectionResult{}, fmt.Errorf("experiment: need maxECUs >= 2, got %d", maxECUs)
 	}
 	if maxECUs > int(can.MaxID)+1 {
 		return DetectionResult{}, fmt.Errorf("experiment: %d ECUs exceed the %d 11-bit CAN IDs", maxECUs, int(can.MaxID)+1)

@@ -229,15 +229,24 @@ func TestDetectionStudyExact(t *testing.T) {
 	}
 }
 
-// TestDetectionSizeLimit: IVNs larger than the 2048-ID space are rejected
-// up front with a size error, while the whole space itself still works.
+// TestDetectionSizeLimit: IVNs larger than the 2048-ID space, fewer than two
+// ECUs per study IVN and empty sweep points are rejected up front with an
+// error naming the limit, while the whole ID space itself still works.
 func TestDetectionSizeLimit(t *testing.T) {
-	for _, err := range []error{
-		func() error { _, err := DetectionLatency(10, 2049, 1); return err }(),
-		func() error { _, err := DetectionSweep([]int{2, 4096}, 10, 1); return err }(),
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"maxECUs=2049", func() error { _, err := DetectionLatency(10, 2049, 1); return err }(), "2048"},
+		{"sweep N=4096", func() error { _, err := DetectionSweep([]int{2, 4096}, 10, 1); return err }(), "2048"},
+		{"maxECUs=1", func() error { _, err := DetectionLatency(10, 1, 1); return err }(), "maxECUs >= 2"},
+		{"maxECUs=0", func() error { _, err := DetectionLatency(10, 0, 1); return err }(), "maxECUs >= 2"},
+		{"perN=0", func() error { _, err := DetectionSweep([]int{2}, 0, 1); return err }(), "perN > 0"},
+		{"perN=-1", func() error { _, err := DetectionSweep([]int{2}, -1, 1); return err }(), "perN > 0"},
 	} {
-		if err == nil || errors.Is(err, fsm.ErrEmptyIVN) || !strings.Contains(err.Error(), "2048") {
-			t.Errorf("oversize IVN: %v, want a size error", err)
+		if tc.err == nil || errors.Is(tc.err, fsm.ErrEmptyIVN) || !strings.Contains(tc.err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error naming %q", tc.name, tc.err, tc.want)
 		}
 	}
 	res, err := DetectionLatency(4, 2048, 1)

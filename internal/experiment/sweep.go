@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 
 	"michican/internal/can"
 	"michican/internal/fsm"
@@ -38,7 +37,7 @@ func (r DetectionSweepRow) String() string {
 // to a serial evaluation regardless of worker count.
 func DetectionSweep(sizes []int, perN int, seed int64) ([]DetectionSweepRow, error) {
 	if perN <= 0 {
-		perN = 1000
+		return nil, fmt.Errorf("experiment: need perN > 0 FSMs per IVN size, got %d", perN)
 	}
 	for _, n := range sizes {
 		if n < 1 || n > int(can.MaxID)+1 {
@@ -55,7 +54,8 @@ func DetectionSweep(sizes []int, perN int, seed int64) ([]DetectionSweepRow, err
 		}
 		nSeed := DeriveSeed(seed, n)
 		draws, err := Map(perN, 0, func(i int) (sweepDraw, error) {
-			rng := rand.New(rand.NewSource(DeriveSeed(nSeed, i)))
+			rng := getDrawRNG(DeriveSeed(nSeed, i))
+			defer drawRNGs.Put(rng)
 			ivn, err := fsm.RandomIVN(rng, n)
 			if err != nil {
 				return sweepDraw{}, err

@@ -2,14 +2,20 @@ package obs_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
+	"michican/internal/bus"
+	"michican/internal/can"
 	"michican/internal/controller"
 	"michican/internal/forensics"
 	"michican/internal/obs"
+	"michican/internal/restbus"
 	"michican/internal/telemetry"
 )
 
@@ -154,5 +160,57 @@ func TestServeNilComponents(t *testing.T) {
 func TestServeBadAddr(t *testing.T) {
 	if _, err := obs.Serve("256.256.256.256:99999", nil, nil); err == nil {
 		t.Fatal("invalid address accepted")
+	}
+}
+
+// TestSnapshotFastPaths runs a bus whose harmonic restbus schedule the
+// hyperperiod rung can chain, then checks /snapshot reports every rung of
+// the ladder from the bus counters, hyper included.
+func TestSnapshotFastPaths(t *testing.T) {
+	m := &restbus.Matrix{Vehicle: "obs", Bus: "harmonic"}
+	for i, id := range []can.ID{0x100, 0x200, 0x300} {
+		m.Messages = append(m.Messages, restbus.Message{
+			ID:          id,
+			Transmitter: fmt.Sprintf("ecu-%d", i),
+			DLC:         i + 1,
+			Period:      time.Duration(5<<i) * time.Millisecond,
+		})
+	}
+	bb := bus.New(bus.Rate50k)
+	bb.SetHyperChainBits(m.HyperperiodBits(bus.Rate50k))
+	bb.Attach(restbus.NewReplayer("restbus", m, bus.Rate50k, rand.New(rand.NewSource(11))))
+	bb.Attach(controller.New(controller.Config{Name: "rx", AutoRecover: true}))
+	bb.Run(700_000)
+	if bb.HyperForwardedBits() == 0 {
+		t.Fatal("the hyper rung never engaged")
+	}
+
+	srv, err := obs.Serve("127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	code, body := get(t, srv.URL()+"/snapshot")
+	if code != 200 {
+		t.Fatalf("/snapshot = %d", code)
+	}
+	var doc struct {
+		FastPaths map[string]float64 `json:"fast_paths"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("/snapshot not JSON: %v\n%s", err, body)
+	}
+	fp := doc.FastPaths
+	if got, want := int64(fp["hyper_bits"]), bus.HyperForwardedTotal(); got != want {
+		t.Errorf("hyper_bits = %d, bus.HyperForwardedTotal() = %d", got, want)
+	}
+	for _, rung := range []string{"idle", "frame", "contend", "splice", "hyper"} {
+		rate, ok := fp[rung+"_hit_rate"]
+		if !ok || rate < 0 || rate > 1 {
+			t.Errorf("%s_hit_rate = %v (present %v), want within [0, 1]", rung, rate, ok)
+		}
+	}
+	if fp["hyper_hit_rate"] == 0 {
+		t.Errorf("hyper_hit_rate = 0 after a run the hyper rung carried")
 	}
 }
