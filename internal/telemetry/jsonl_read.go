@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // NamedEvent is a decoded JSONL record: an Event with the node name resolved,
@@ -77,6 +78,15 @@ type jsonlRecord struct {
 // differently-cased keys, null, malformed input) is decoded by
 // encoding/json, so the result is always what encoding/json would decode.
 func ParseEventJSON(line []byte) (NamedEvent, error) {
+	ev, err := parseEventJSON(line)
+	ev.Node = strings.Clone(ev.Node) // parseEventJSON's node may share line's bytes
+	return ev, err
+}
+
+// parseEventJSON is ParseEventJSON without the final copy: for a record the
+// scanner accepts, the node name shares line's bytes and is valid only while
+// line is unchanged.
+func parseEventJSON(line []byte) (NamedEvent, error) {
 	var rec jsonlRecord
 	if !scanRecord(line, &rec) {
 		var slow jsonlRecord // separate, so only the fallback heap-allocates a record
@@ -259,16 +269,17 @@ var (
 	alertStateNames = []string{"fire", "resolve"}
 )
 
-// internString returns b as a string, reusing the matching constant when b
-// is one of names, so decoding the names the encoder writes allocates
-// nothing.
+// internString returns b as a string: the matching constant when b is one of
+// names, else a string sharing b's bytes, valid only while b is unchanged.
+// Scanning a record therefore allocates nothing; ParseEventJSON copies the
+// one string it returns.
 func internString(b []byte, names []string) string {
 	for _, n := range names {
 		if n == string(b) {
 			return n
 		}
 	}
-	return string(b)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // ReadJSONL parses a stream previously produced by WriteJSONL or a
