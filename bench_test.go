@@ -553,11 +553,10 @@ func ffScenarioBus(b *testing.B, target float64, mode experiment.SteppingMode) *
 }
 
 // BenchmarkBusFastForward measures simulated-bits-per-second across the
-// six stepping modes — exact per-bit, idle fast-forward only (the PR1
+// five stepping modes — exact per-bit, idle fast-forward only (the PR1
 // baseline), idle plus the sole-transmitter frame fast path, the stack
-// with the contested-window path, the ladder topped by the compiled-splice
-// tier, and the full ladder with the hyperperiod super-splice tier — on
-// restbus scenarios at three offered loads: a
+// with the contested-window path, and the full ladder topped by the
+// compiled-splice tier — on restbus scenarios at three offered loads: a
 // 2% parking/diagnostic load where the bus is almost entirely idle, the
 // 30% prototype load of the online experiments, and a saturated 60% load.
 // Under idle-FF alone every busy bit is exact-stepped, so its win shrinks
@@ -580,32 +579,19 @@ func BenchmarkBusFastForward(b *testing.B) {
 			frameFF   bool
 			contendFF bool
 			spliceFF  bool
-			hyperFF   bool
 		}{
-			{"exact", experiment.ModeExact, false, false, false, false, false},
-			{"idle-ff", experiment.ModeIdleFF, true, false, false, false, false},
-			{"frame-ff", experiment.ModeFrameFF, true, true, false, false, false},
-			{"contend-ff", experiment.ModeContendFF, true, true, true, false, false},
-			{"splice-ff", experiment.ModeSpliceFF, true, true, true, true, false},
-			{"hyper-ff", experiment.ModeHyperFF, true, true, true, true, true},
+			{"exact", experiment.ModeExact, false, false, false, false},
+			{"idle-ff", experiment.ModeIdleFF, true, false, false, false},
+			{"frame-ff", experiment.ModeFrameFF, true, true, false, false},
+			{"contend-ff", experiment.ModeContendFF, true, true, true, false},
+			{"splice-ff", experiment.ModeSpliceFF, true, true, true, true},
 		} {
 			load, mode := load, mode
 			b.Run(load.name+"/"+mode.name, func(b *testing.B) {
 				bb := ffScenarioBus(b, load.target, mode.mode)
-				// Warm to each mode's compiled-cache fill point, not a fixed
-				// span: the plan caches and splice memos fill over the first
-				// 256-value payload rotation, and the hyper tier's memo table
-				// fills only after the chain-anchor orbit closes — several
-				// hundred hyperperiods. A single fixed-length warm-up leaves
-				// cache-heavy modes recording (slow, allocating) inside the
-				// timed window, overstating both ns/bit and allocs.
-				warm := int64(bitsPerIter)
-				if mode.hyperFF {
-					if h := bb.HyperChainBits(); h > 0 && 900*h > warm {
-						warm = 900 * h
-					}
-				}
-				bb.Run(warm)
+				// One untimed iteration lets the plan caches and splice memos
+				// start filling before the timed window.
+				bb.Run(bitsPerIter)
 				// Re-collect per mode run so garbage left by warm-up (or by the
 				// previous cell) is not charged to this mode's timed window.
 				runtime.GC()
@@ -618,7 +604,10 @@ func BenchmarkBusFastForward(b *testing.B) {
 				if mode.idleFF && bb.IdleForwardedBits() == 0 {
 					b.Fatal("idle fast path never engaged")
 				}
-				if mode.frameFF && bb.FrameForwardedBits() == 0 {
+				// A warm splice tier takes whole frame windows before the
+				// frame and contend paths are asked, so those two may carry
+				// nothing on a splice-ff bus.
+				if mode.frameFF && !mode.spliceFF && bb.FrameForwardedBits() == 0 {
 					b.Fatal("frame fast path never engaged")
 				}
 				if mode.contendFF && !mode.spliceFF && bb.ContendForwardedBits() == 0 {
@@ -627,17 +616,11 @@ func BenchmarkBusFastForward(b *testing.B) {
 				if !mode.contendFF && bb.ContendForwardedBits() != 0 {
 					b.Fatal("contend path engaged while disabled")
 				}
-				if mode.spliceFF && !mode.hyperFF && bb.SpliceForwardedBits() == 0 {
+				if mode.spliceFF && bb.SpliceForwardedBits() == 0 {
 					b.Fatal("splice fast path never engaged")
 				}
 				if !mode.spliceFF && bb.SpliceForwardedBits() != 0 {
 					b.Fatal("splice path engaged while disabled")
-				}
-				if mode.hyperFF && bb.HyperForwardedBits() == 0 {
-					b.Fatal("hyper fast path never engaged")
-				}
-				if !mode.hyperFF && bb.HyperForwardedBits() != 0 {
-					b.Fatal("hyper path engaged while disabled")
 				}
 				if !mode.idleFF && bb.FastForwardedBits() != 0 {
 					b.Fatal("exact path fast-forwarded")

@@ -43,8 +43,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "trial-runner pool size (0 = GOMAXPROCS, 1 = serial); results are identical either way")
 		exact      = flag.Bool("exact", false, "force exact per-bit stepping (disable idle fast-forward)")
 		contendFF  = flag.Bool("contend-ff", true, "enable the contested-window fast path (set -contend-ff=false to ablate it and the splice tier above it; idle and frame paths stay on)")
-		spliceFF   = flag.Bool("splice-ff", true, "enable the compiled-splice fast path (set -splice-ff=false to ablate the splice tier and the hyperperiod tier above it; the idle/frame/contend ladder stays on)")
-		hyperFF    = flag.Bool("hyper-ff", true, "enable the hyperperiod super-splice fast path (set -hyper-ff=false to ablate just the hyper tier; the idle/frame/contend/splice ladder stays on)")
+		spliceFF   = flag.Bool("splice-ff", true, "enable the compiled-splice fast path (set -splice-ff=false to ablate the splice tier; the idle/frame/contend ladder stays on)")
 		jsonOut    = flag.String("json", "", "measure the throughput grid (load × stepping mode) and write machine-readable results to this file")
 		gridBits   = flag.Int64("gridbits", 2_000_000, "simulated bit times per throughput-grid cell")
 		metrics    = flag.Bool("metrics", false, "collect telemetry metrics during the run and print a Prometheus-style snapshot")
@@ -108,7 +107,6 @@ func main() {
 		ExactStepping: *exact,
 		NoContendFF:   !*contendFF,
 		NoSpliceFF:    !*spliceFF,
-		NoHyperFF:     !*hyperFF,
 	}
 	var hub *telemetry.Hub
 	if *metrics || *httpAddr != "" {
@@ -181,11 +179,8 @@ func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	modes := []experiment.SteppingMode{
-		experiment.ModeExact, experiment.ModeIdleFF, experiment.ModeFrameFF,
-		experiment.ModeContendFF, experiment.ModeSpliceFF, experiment.ModeHyperFF,
-	}
-	header("Throughput grid — exact vs idle-FF vs frame-FF vs contend-FF vs splice-FF vs hyper-FF")
+	modes := experiment.SteppingModes
+	header("Throughput grid — exact vs idle-FF vs frame-FF vs contend-FF vs splice-FF")
 	fmt.Printf("fast-path modes: %v, workers=%d\n", modes, workers)
 	var rows []experiment.ThroughputRow
 	for _, load := range []float64{0.02, 0.30, 0.60} {
@@ -652,7 +647,7 @@ func profiledRun(cfg experiment.Config, table, fig int, exp string, all bool, fs
 
 	startBits := bus.SimulatedBits()
 	startIdle, startFrame, startContend := bus.IdleForwardedTotal(), bus.FrameForwardedTotal(), bus.ContendForwardedTotal()
-	startSplice, startHyper := bus.SpliceForwardedTotal(), bus.HyperForwardedTotal()
+	startSplice := bus.SpliceForwardedTotal()
 	startWall := time.Now()
 	err := run(cfg, table, fig, exp, all, fsms)
 	wall := time.Since(startWall)
@@ -663,13 +658,11 @@ func profiledRun(cfg experiment.Config, table, fig int, exp string, all bool, fs
 		frame := bus.FrameForwardedTotal() - startFrame
 		contend := bus.ContendForwardedTotal() - startContend
 		splice := bus.SpliceForwardedTotal() - startSplice
-		hyper := bus.HyperForwardedTotal() - startHyper
-		fmt.Printf("fast-path coverage: idle %d bits (%.1f%%), frame %d bits (%.1f%%), contend %d bits (%.1f%%), splice %d bits (%.1f%%), hyper %d bits (%.1f%%)\n",
+		fmt.Printf("fast-path coverage: idle %d bits (%.1f%%), frame %d bits (%.1f%%), contend %d bits (%.1f%%), splice %d bits (%.1f%%)\n",
 			idle, 100*float64(idle)/float64(simBits),
 			frame, 100*float64(frame)/float64(simBits),
 			contend, 100*float64(contend)/float64(simBits),
-			splice, 100*float64(splice)/float64(simBits),
-			hyper, 100*float64(hyper)/float64(simBits))
+			splice, 100*float64(splice)/float64(simBits))
 		if hub != nil {
 			hub.Registry().Gauge("michican_sim_bits_per_second").Set(float64(simBits) / wall.Seconds())
 		}

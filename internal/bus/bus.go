@@ -138,23 +138,6 @@ type Bus struct {
 	ffSpliceBits int64
 	spliceGen    uint64
 
-	// Hyperperiod super-splice state (see hyperpath.go). hyperCap is
-	// parallel to nodes; hyperPinned counts nodes lacking the capability;
-	// hyperGen stamps the node topology — unlike spliceGen it bumps on
-	// Attach as well as Detach, because a cached super-window's per-node
-	// entries/deltas cover exactly the node set recorded, and an attach
-	// extends that set. hyperArmed marks that the last committed ladder op
-	// was a splice (or hyper apply), the only anchors worth fingerprinting.
-	hyperCap       []Hypering
-	hyperPinned    int
-	hyperFFOff     bool
-	ffHyperBits    int64
-	hyperGen       uint64
-	hyperChainBits int64
-	hyperArmed     bool
-	hyperRec       *hyperRecording
-	hyperMemos     map[uint64]*HyperMemo
-
 	// tel receives fast-path span events (EvFFSpan). The zero Probe is a
 	// no-op, so unwired buses pay one nil check per committed span — never
 	// per bit.
@@ -205,16 +188,6 @@ func (b *Bus) Attach(n Node) {
 	if !ok {
 		b.splicePinned++
 	}
-	hc, ok := n.(Hypering)
-	b.hyperCap = append(b.hyperCap, hc)
-	if !ok {
-		b.hyperPinned++
-	}
-	// An attach extends the node set every cached super-window was recorded
-	// against, so the hyper generation bumps here too (splice memos are
-	// per-window and unaffected: the new node is simply queried).
-	b.hyperGen++
-	b.hyperDivert()
 }
 
 // Detach removes a node from the bus. It reports whether the node was found.
@@ -249,18 +222,9 @@ func (b *Bus) Detach(n Node) bool {
 			copy(b.spliceCap[i:], b.spliceCap[i+1:])
 			b.spliceCap[last] = nil
 			b.spliceCap = b.spliceCap[:last]
-			if b.hyperCap[i] == nil {
-				b.hyperPinned--
-			}
-			copy(b.hyperCap[i:], b.hyperCap[i+1:])
-			b.hyperCap[last] = nil
-			b.hyperCap = b.hyperCap[:last]
 			// Compaction renumbered the surviving nodes, so every per-node
-			// slot in the plan-carried splice memos is stale, as is every
-			// cached super-window (their entries are indexed the same way).
+			// slot in the plan-carried splice memos is stale.
 			b.spliceGen++
-			b.hyperGen++
-			b.hyperDivert()
 			b.invalidateProposal()
 			return true
 		}
@@ -317,25 +281,11 @@ func (b *Bus) Run(n int64) {
 	}
 	end := b.now + BitTime(n)
 	for b.now < end {
-		if b.tryHyperForward(end) || b.tryFastForward(end) || b.trySpliceForward(end) {
-			continue
-		}
-		if b.tryFrameForward(end) || b.tryContendForward(end) {
-			// A frame-path or contended span left the pure splice/idle
-			// regime: abandon any in-flight chain recording and disarm the
-			// hyper anchor.
-			b.hyperDivert()
-			continue
-		}
-		if b.Step() == can.Recessive {
-			// A lone recessive exact step (typically a schedule-due bit) is
-			// chain-safe; see hyperStepRecorded.
-			b.hyperStepRecorded()
-		} else {
-			b.hyperDivert()
+		if !b.tryFastForward(end) && !b.trySpliceForward(end) &&
+			!b.tryFrameForward(end) && !b.tryContendForward(end) {
+			b.Step()
 		}
 	}
-	b.hyperRunEnd()
 	simulatedBits.Add(n)
 }
 

@@ -65,10 +65,10 @@ func (b *Bus) SetFastForward(on bool) { b.ffDisabled = !on }
 
 // FastForwardedBits returns how many bit times this bus advanced via a fast
 // path — the idle quiescence jump, the sole-transmitter frame path, the
-// contested-window path, the compiled-splice path, and the hyperperiod
-// super-splice path — rather than exact stepping.
+// contested-window path, and the compiled-splice path — rather than exact
+// stepping.
 func (b *Bus) FastForwardedBits() int64 {
-	return b.ffSkipped + b.ffFrameBits + b.ffContendBits + b.ffSpliceBits + b.ffHyperBits
+	return b.ffSkipped + b.ffFrameBits + b.ffContendBits + b.ffSpliceBits
 }
 
 // idleHorizon computes the furthest bit time, bounded by end, through which
@@ -108,7 +108,6 @@ func (b *Bus) jumpIdle(horizon BitTime) {
 		ft.SkipIdle(b.now, horizon)
 	}
 	b.tel.Emit(int64(b.now), telemetry.EvFFSpan, n, 0)
-	b.hyperIdleRecorded(n)
 	b.idleRun += int(n)
 	b.last = can.Recessive
 	b.now = horizon

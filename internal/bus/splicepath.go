@@ -206,8 +206,6 @@ func (b *Bus) trySpliceForward(end BitTime) bool {
 	}
 	b.idleRun = memo.idleRun
 	b.tel.Emit(int64(b.now), telemetry.EvFFSpan, int64(n), 3)
-	b.hyperSpliceRecorded(resolved)
-	b.hyperArmed = true // a committed splice is a hyper-chain anchor
 	b.last = resolved[n-1]
 	b.now += BitTime(n)
 	b.ffSpliceBits += int64(n)

@@ -286,10 +286,6 @@ type Controller struct {
 	recoverSeqs int
 	recoverRun  int
 
-	// hyperCallbacksOK permits hyperperiod chains despite configured
-	// callbacks; see AllowHyperWithCallbacks (hyperpath.go).
-	hyperCallbacksOK bool
-
 	// Telemetry. tel's zero value is a no-op probe; lastTEC/lastREC track
 	// the last emitted counter values so EvTEC/EvREC events carry the
 	// previous value and fire only on change.

@@ -31,13 +31,12 @@ func StartDurableVehicle(dir string, spec FleetVehicleSpec, segBytes int64, fsyn
 	if err != nil {
 		return nil, err
 	}
-	st, err := store.Create(dir, store.Meta{Kind: "vehicle", SegmentBytes: segBytes, Fsync: fsync, Config: cfg})
+	v, err := NewFleetVehicle(spec)
 	if err != nil {
 		return nil, err
 	}
-	v, err := NewFleetVehicle(spec)
+	st, err := store.Create(dir, store.Meta{Kind: "vehicle", SegmentBytes: segBytes, Fsync: fsync, Config: cfg})
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
 	return &DurableVehicle{FleetVehicle: v, Store: st, Sink: store.NewSink(st, v.Hub(), opts)}, nil
@@ -66,6 +65,13 @@ func ResumeDurableVehicle(dir string, opts store.SinkOptions) (*DurableVehicle, 
 		st.Close()
 		return nil, fmt.Errorf("resume %s: bad vehicle spec in meta.json: %w", dir, err)
 	}
+	// Build the vehicle before ResumePoint rewinds the logs, so a spec this
+	// build cannot run leaves the store untouched.
+	v, err := NewFleetVehicle(spec)
+	if err != nil {
+		st.Close()
+		return nil, fmt.Errorf("resume %s: %w", dir, err)
+	}
 	resumeOpts, completed, err := st.ResumePoint()
 	if err != nil {
 		st.Close()
@@ -74,11 +80,6 @@ func ResumeDurableVehicle(dir string, opts store.SinkOptions) (*DurableVehicle, 
 	if completed {
 		st.Close()
 		return nil, ErrRunComplete
-	}
-	v, err := NewFleetVehicle(spec)
-	if err != nil {
-		st.Close()
-		return nil, err
 	}
 	opts.SkipEvents = resumeOpts.SkipEvents
 	opts.SkipIncidents = resumeOpts.SkipIncidents

@@ -49,15 +49,9 @@ type Config struct {
 	NoFrameFF bool
 	// NoSpliceFF disables just the compiled-splice fast path, leaving the
 	// idle/frame/contend ladder on — the michican-bench -splice-ff ablation
-	// knob (its off position is exactly the contend-ff grid arm). Disabling
-	// splice also ends the hyperperiod tier, which chains splice windows.
+	// knob (its off position is exactly the contend-ff grid arm).
 	// Redundant when ExactStepping is set.
 	NoSpliceFF bool
-	// NoHyperFF disables just the hyperperiod super-splice tier, leaving the
-	// full idle/frame/contend/splice ladder on — the michican-bench -hyper-ff
-	// ablation knob (its off position is exactly the splice-ff grid arm).
-	// Redundant when ExactStepping or any lower ablation is set.
-	NoHyperFF bool
 	// Hub, when set, wires every testbed participant (bus, defender
 	// controller, defense, restbus, attackers) into the telemetry collector.
 	// The parallel trial runner may share one hub across trials: node names
@@ -111,9 +105,6 @@ func newTestbed(cfg Config, matrix *restbus.Matrix, exclude []can.ID) (*testbed,
 	}
 	if cfg.NoSpliceFF {
 		tb.bus.SetSpliceFastForward(false)
-	}
-	if cfg.NoHyperFF {
-		tb.bus.SetHyperFastForward(false)
 	}
 	tb.recorder = trace.NewRecorder()
 	tb.bus.AttachTap(tb.recorder)
@@ -171,9 +162,8 @@ func scaleMatrixToLoad(m *restbus.Matrix, rate bus.Rate, target float64) *restbu
 	}
 	factor := load / target
 	// Source periods are whole multiples of the 10 ms scheduling base, so
-	// the matrix is harmonic: the lcm of the per-message period bits — the
-	// schedule hyperperiod the hyper-FF tier keys its compiled chains on —
-	// stays small. Stretching each period by a float factor and rounding
+	// the matrix is harmonic: the lcm of the per-message period bits stays
+	// small. Stretching each period by a float factor and rounding
 	// per message would shatter that structure (near-coprime period bits,
 	// lcm in the billions), so the base itself is stretched and quantized
 	// to whole bit times once, and every period scales by its integer

@@ -108,15 +108,6 @@ func fleetAttackers(a FleetAttack) []bus.Node {
 	}
 }
 
-// applyMode sets the bus's fast-path ladder to the given stepping mode.
-func applyMode(bb *bus.Bus, mode SteppingMode) {
-	bb.SetFastForward(mode != ModeExact)
-	bb.SetFrameFastForward(mode == ModeFrameFF || mode == ModeContendFF || mode == ModeSpliceFF || mode == ModeHyperFF)
-	bb.SetContendFastForward(mode == ModeContendFF || mode == ModeSpliceFF || mode == ModeHyperFF)
-	bb.SetSpliceFastForward(mode == ModeSpliceFF || mode == ModeHyperFF)
-	bb.SetHyperFastForward(mode == ModeHyperFF)
-}
-
 // FleetVehicle is one running vehicle simulation implementing the fleet
 // package's Vehicle interface. Advance/Now/Finalize are worker-owned; Hub
 // and LiveIncidents are safe for concurrent observability reads.
@@ -148,7 +139,9 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 		periodBits: bus.Rate50k.Bits(25 * time.Millisecond),
 	}
 	v.hub.RetainEvents(false)
-	applyMode(v.bb, spec.Mode)
+	if err := applyMode(v.bb, spec.Mode); err != nil {
+		return nil, fmt.Errorf("fleet vehicle %d: %w", spec.Index, err)
+	}
 
 	attackIDs := fleetAttackIDs(spec.Attack)
 	var matrix *restbus.Matrix
@@ -157,9 +150,6 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 		matrix = cleanMatrix(restbus.Buses(restbus.VehD)[0], append([]can.ID{DefenderID}, attackIDs...))
 		matrix = scaleMatrixToLoad(matrix, bus.Rate50k, spec.Load)
 		ids = append(ids, matrix.IDs()...)
-		if h := matrix.HyperperiodBits(bus.Rate50k); h > 0 {
-			v.bb.SetHyperChainBits(h)
-		}
 	}
 	ivn, err := fsm.NewIVN(ids)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	"michican/internal/bus"
@@ -18,7 +19,7 @@ import (
 // measurement.
 type SteppingMode string
 
-// The six stepping modes of the fast-forward evaluation grid.
+// The five stepping modes of the fast-forward evaluation grid.
 const (
 	// ModeExact steps every bit through the full 2N+T interface calls.
 	ModeExact SteppingMode = "exact"
@@ -38,13 +39,30 @@ const (
 	// provably passive — splice in as a single precompiled summary per node
 	// instead of being re-resolved.
 	ModeSpliceFF SteppingMode = "splice-ff"
-	// ModeHyperFF adds the hyperperiod super-splice path on top: consecutive
-	// accepted splice windows (frames, intermissions, idle gaps) chain into
-	// one compiled super-window per schedule hyperperiod, keyed by a
-	// quiescent-state fingerprint, and replay as a single O(1) delta per
-	// node once the schedule state recurs.
-	ModeHyperFF SteppingMode = "hyper-ff"
+	// ModeHyperFF names the full idle/frame/contend/splice ladder.
+	//
+	// Deprecated: use ModeSpliceFF, which it equals. It is kept only for the
+	// benchmark module's vehicle-benign workload, which selects it.
+	ModeHyperFF = ModeSpliceFF
 )
+
+// SteppingModes lists the stepping modes in ladder order: each mode enables
+// its own rung and every rung before it.
+var SteppingModes = []SteppingMode{ModeExact, ModeIdleFF, ModeFrameFF, ModeContendFF, ModeSpliceFF}
+
+// applyMode sets the bus's fast-path ladder to the given stepping mode. A
+// mode outside SteppingModes is an error naming it.
+func applyMode(bb *bus.Bus, mode SteppingMode) error {
+	rung := slices.Index(SteppingModes, mode)
+	if rung < 0 {
+		return fmt.Errorf("unknown stepping mode %q", mode)
+	}
+	bb.SetFastForward(rung >= 1)
+	bb.SetFrameFastForward(rung >= 2)
+	bb.SetContendFastForward(rung >= 3)
+	bb.SetSpliceFastForward(rung >= 4)
+	return nil
+}
 
 // ThroughputRow is one measured cell of the load × stepping-mode grid.
 type ThroughputRow struct {
@@ -74,23 +92,20 @@ type ThroughputRow struct {
 	// SpliceHitRate is the fraction of simulated bits covered by the
 	// compiled-splice fast path.
 	SpliceHitRate float64 `json:"splice_hit_rate"`
-	// HyperHitRate is the fraction of simulated bits covered by the
-	// hyperperiod super-splice fast path.
-	HyperHitRate float64 `json:"hyper_hit_rate"`
 }
 
 // String renders the row for terminal output.
 func (r ThroughputRow) String() string {
-	return fmt.Sprintf("load=%2.0f%%  %-10s  %7.2f Mbit/s  %7.1f ns/bit  idle-hit=%4.1f%%  frame-hit=%4.1f%%  contend-hit=%4.1f%%  splice-hit=%4.1f%%  hyper-hit=%4.1f%%  allocs/Mbit=%.0f",
+	return fmt.Sprintf("load=%2.0f%%  %-10s  %7.2f Mbit/s  %7.1f ns/bit  idle-hit=%4.1f%%  frame-hit=%4.1f%%  contend-hit=%4.1f%%  splice-hit=%4.1f%%  allocs/Mbit=%.0f",
 		r.Load*100, r.Mode, r.BitsPerSecond/1e6, r.NsPerBit,
-		r.IdleHitRate*100, r.FrameHitRate*100, r.ContendHitRate*100, r.SpliceHitRate*100, r.HyperHitRate*100, r.AllocsPerMBit)
+		r.IdleHitRate*100, r.FrameHitRate*100, r.ContendHitRate*100, r.SpliceHitRate*100, r.AllocsPerMBit)
 }
 
 // ThroughputScenario builds the fast-forward evaluation scenario: a Veh.-D
 // restbus replayer stretched to the target offered load at 50 kbit/s plus a
 // MichiCAN-defended ECU that ACKs the traffic. The same construction backs
 // BenchmarkBusFastForward and michican-bench -json, so the numbers are
-// comparable.
+// comparable. The empty mode is the full ladder; an unknown one is an error.
 func ThroughputScenario(target float64, mode SteppingMode) (*bus.Bus, error) {
 	bb, _, err := throughputScenario(target, mode)
 	return bb, err
@@ -107,19 +122,15 @@ func throughputScenario(target float64, mode SteppingMode) (*bus.Bus, []bus.Node
 // scaling sweep builds several independent instances of the same grid cell,
 // each with its own derived seed.
 func throughputScenarioSeeded(target float64, mode SteppingMode, seed int64) (*bus.Bus, []bus.Node, error) {
+	if mode == "" {
+		mode = ModeSpliceFF
+	}
 	src := restbus.Buses(restbus.VehD)[0]
-	// The harmonic stretch in scaleMatrixToLoad keeps the matrix's lcm
-	// structure intact, which is what lets HyperperiodBits stay small and
-	// the hyper-FF tier's chain fingerprints recur.
 	matrix := scaleMatrixToLoad(cleanMatrix(src, []can.ID{DefenderID}), bus.Rate50k, target)
 
 	bb := bus.New(bus.Rate50k)
-	applyMode(bb, mode)
-	if h := matrix.HyperperiodBits(bus.Rate50k); h > 0 {
-		// Target one schedule hyperperiod per compiled chain, so the memo
-		// working set is the rolling-counter rotation (≤256 per anchor
-		// phase) rather than an unbounded drift of chain boundaries.
-		bb.SetHyperChainBits(h)
+	if err := applyMode(bb, mode); err != nil {
+		return nil, nil, err
 	}
 	v, err := fsm.NewIVN(append(matrix.IDs(), DefenderID))
 	if err != nil {
@@ -141,7 +152,7 @@ func throughputScenarioSeeded(target float64, mode SteppingMode, seed int64) (*b
 	for _, n := range nodes {
 		bb.Attach(n)
 	}
-	if mode == ModeSpliceFF || mode == ModeHyperFF {
+	if mode == ModeSpliceFF {
 		// Schedule-driven cache warm: precompile the plans the rolling
 		// sequence counters will produce. One full rotation (256 values per
 		// message) covers every frame content the schedule can emit, so
@@ -174,30 +185,12 @@ func MeasureThroughput(target float64, mode SteppingMode, simBits int64) (Throug
 		if warmup < 1_500_000 {
 			warmup = 1_500_000
 		}
-		if mode == ModeHyperFF {
-			// The hyper tier's working set is the full schedule-state
-			// recurrence, not one plan rotation: relative deadlines repeat
-			// every hyperperiod but the rolling payload counters take up to
-			// 256 hyperperiods to come back around, and only then do the
-			// chain fingerprints start hitting. Warm through several full
-			// rotations of hyperperiod chains (the chain-anchor orbit takes
-			// a rotation or two past the first to close) so the timed window
-			// measures replay, not recording. Recording runs at splice/idle
-			// tier speed, so even 900 hyperperiods of warm-up is well under
-			// a second of wall clock.
-			if h := bb.HyperChainBits(); h > 0 {
-				if w := 900 * h; warmup < w {
-					warmup = w
-				}
-			}
-		}
 	} else if warmup < 100_000 {
 		warmup = 100_000
 	}
 	bb.Run(warmup)
 	idle0, frame0 := bb.IdleForwardedBits(), bb.FrameForwardedBits()
 	contend0, splice0 := bb.ContendForwardedBits(), bb.SpliceForwardedBits()
-	hyper0 := bb.HyperForwardedBits()
 	var ms0, ms1 runtime.MemStats
 	// Collect before the baseline read so garbage left by the warm-up (or a
 	// previous grid cell) cannot trigger a GC inside the timed window and
@@ -223,7 +216,6 @@ func MeasureThroughput(target float64, mode SteppingMode, simBits int64) (Throug
 		FrameHitRate:   float64(bb.FrameForwardedBits()-frame0) / float64(simBits),
 		ContendHitRate: float64(bb.ContendForwardedBits()-contend0) / float64(simBits),
 		SpliceHitRate:  float64(bb.SpliceForwardedBits()-splice0) / float64(simBits),
-		HyperHitRate:   float64(bb.HyperForwardedBits()-hyper0) / float64(simBits),
 	}, nil
 }
 
@@ -328,7 +320,7 @@ func ThroughputGrid(loads []float64, simBits int64) ([]ThroughputRow, error) {
 	}
 	var rows []ThroughputRow
 	for _, load := range loads {
-		for _, mode := range []SteppingMode{ModeExact, ModeIdleFF, ModeFrameFF, ModeContendFF, ModeSpliceFF, ModeHyperFF} {
+		for _, mode := range SteppingModes {
 			row, err := MeasureThroughput(load, mode, simBits)
 			if err != nil {
 				return nil, err

@@ -294,57 +294,3 @@ func (m *Meter) Reset() {
 	m.cycles, m.perBit, m.invocations, m.maxPerBit, m.sumPerBit = 0, 0, 0, 0, 0
 	m.idleCycles, m.idleInv, m.activeCycles, m.activeInv = 0, 0, 0, 0
 }
-
-// MeterState is a value snapshot of a Meter's accumulators, used by the
-// hyperperiod fast path to fold a whole recorded chain's cycle accounting
-// into the meter in O(1): the difference of two snapshots (State at chain
-// entry and exit) is the chain's exact charge sequence collapsed to sums,
-// except MaxPerBit, which is the exit's running maximum rather than a delta.
-type MeterState struct {
-	Cycles, PerBit                    int64
-	Invocations, MaxPerBit, SumPerBit int64
-	IdleCycles, IdleInv               int64
-	ActiveCycles, ActiveInv           int64
-}
-
-// State snapshots the meter's accumulators.
-func (m *Meter) State() MeterState {
-	return MeterState{
-		Cycles: m.cycles, PerBit: m.perBit,
-		Invocations: m.invocations, MaxPerBit: m.maxPerBit, SumPerBit: m.sumPerBit,
-		IdleCycles: m.idleCycles, IdleInv: m.idleInv,
-		ActiveCycles: m.activeCycles, ActiveInv: m.activeInv,
-	}
-}
-
-// Diff returns the delta from an earlier snapshot to this one. MaxPerBit in
-// the result carries the later snapshot's absolute running maximum.
-func (s MeterState) Diff(entry MeterState) MeterState {
-	return MeterState{
-		Cycles: s.Cycles - entry.Cycles, PerBit: s.PerBit - entry.PerBit,
-		Invocations: s.Invocations - entry.Invocations,
-		MaxPerBit:   s.MaxPerBit,
-		SumPerBit:   s.SumPerBit - entry.SumPerBit,
-		IdleCycles:  s.IdleCycles - entry.IdleCycles, IdleInv: s.IdleInv - entry.IdleInv,
-		ActiveCycles: s.ActiveCycles - entry.ActiveCycles, ActiveInv: s.ActiveInv - entry.ActiveInv,
-	}
-}
-
-// ApplyDelta folds a Diff result into the meter: additive for every
-// accumulator except the running maximum, which is raised to the delta's
-// absolute MaxPerBit if that is larger. Folding a delta whose entry snapshot
-// matches the meter's current state reproduces the recorded charge sequence
-// exactly.
-func (m *Meter) ApplyDelta(d MeterState) {
-	m.cycles += d.Cycles
-	m.perBit += d.PerBit
-	m.invocations += d.Invocations
-	m.sumPerBit += d.SumPerBit
-	if d.MaxPerBit > m.maxPerBit {
-		m.maxPerBit = d.MaxPerBit
-	}
-	m.idleCycles += d.IdleCycles
-	m.idleInv += d.IdleInv
-	m.activeCycles += d.ActiveCycles
-	m.activeInv += d.ActiveInv
-}

@@ -243,12 +243,10 @@ type FastPathSnapshot struct {
 	FrameBits      int64   `json:"frame_bits"`
 	ContendBits    int64   `json:"contend_bits"`
 	SpliceBits     int64   `json:"splice_bits"`
-	HyperBits      int64   `json:"hyper_bits"`
 	IdleHitRate    float64 `json:"idle_hit_rate"`
 	FrameHitRate   float64 `json:"frame_hit_rate"`
 	ContendHitRate float64 `json:"contend_hit_rate"`
 	SpliceHitRate  float64 `json:"splice_hit_rate"`
-	HyperHitRate   float64 `json:"hyper_hit_rate"`
 }
 
 // SnapshotView is the /snapshot payload.
@@ -272,14 +270,12 @@ func snapshotView(hub *telemetry.Hub) SnapshotView {
 		FrameBits:     bus.FrameForwardedTotal(),
 		ContendBits:   bus.ContendForwardedTotal(),
 		SpliceBits:    bus.SpliceForwardedTotal(),
-		HyperBits:     bus.HyperForwardedTotal(),
 	}
 	if sim > 0 {
 		v.FastPaths.IdleHitRate = float64(v.FastPaths.IdleBits) / float64(sim)
 		v.FastPaths.FrameHitRate = float64(v.FastPaths.FrameBits) / float64(sim)
 		v.FastPaths.ContendHitRate = float64(v.FastPaths.ContendBits) / float64(sim)
 		v.FastPaths.SpliceHitRate = float64(v.FastPaths.SpliceBits) / float64(sim)
-		v.FastPaths.HyperHitRate = float64(v.FastPaths.HyperBits) / float64(sim)
 	}
 	if hub == nil {
 		return v

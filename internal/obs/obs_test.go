@@ -163,9 +163,9 @@ func TestServeBadAddr(t *testing.T) {
 	}
 }
 
-// TestSnapshotFastPaths runs a bus whose harmonic restbus schedule the
-// hyperperiod rung can chain, then checks /snapshot reports every rung of
-// the ladder from the bus counters, hyper included.
+// TestSnapshotFastPaths runs a bus on a harmonic restbus schedule the splice
+// rung carries, then checks /snapshot reports every rung of the ladder from
+// the process-wide bus counters.
 func TestSnapshotFastPaths(t *testing.T) {
 	m := &restbus.Matrix{Vehicle: "obs", Bus: "harmonic"}
 	for i, id := range []can.ID{0x100, 0x200, 0x300} {
@@ -177,12 +177,11 @@ func TestSnapshotFastPaths(t *testing.T) {
 		})
 	}
 	bb := bus.New(bus.Rate50k)
-	bb.SetHyperChainBits(m.HyperperiodBits(bus.Rate50k))
 	bb.Attach(restbus.NewReplayer("restbus", m, bus.Rate50k, rand.New(rand.NewSource(11))))
 	bb.Attach(controller.New(controller.Config{Name: "rx", AutoRecover: true}))
 	bb.Run(700_000)
-	if bb.HyperForwardedBits() == 0 {
-		t.Fatal("the hyper rung never engaged")
+	if bb.SpliceForwardedBits() == 0 {
+		t.Fatal("the splice rung never engaged")
 	}
 
 	srv, err := obs.Serve("127.0.0.1:0", nil, nil)
@@ -201,16 +200,21 @@ func TestSnapshotFastPaths(t *testing.T) {
 		t.Fatalf("/snapshot not JSON: %v\n%s", err, body)
 	}
 	fp := doc.FastPaths
-	if got, want := int64(fp["hyper_bits"]), bus.HyperForwardedTotal(); got != want {
-		t.Errorf("hyper_bits = %d, bus.HyperForwardedTotal() = %d", got, want)
-	}
-	for _, rung := range []string{"idle", "frame", "contend", "splice", "hyper"} {
+	for _, rung := range []string{"idle", "frame", "contend", "splice"} {
+		if _, ok := fp[rung+"_bits"]; !ok {
+			t.Errorf("%s_bits missing from /snapshot", rung)
+		}
 		rate, ok := fp[rung+"_hit_rate"]
 		if !ok || rate < 0 || rate > 1 {
 			t.Errorf("%s_hit_rate = %v (present %v), want within [0, 1]", rung, rate, ok)
 		}
 	}
-	if fp["hyper_hit_rate"] == 0 {
-		t.Errorf("hyper_hit_rate = 0 after a run the hyper rung carried")
+	// The process-wide counters only grow, so the snapshot holds at least
+	// what this bus carried.
+	if got := int64(fp["splice_bits"]); got < bb.SpliceForwardedBits() {
+		t.Errorf("splice_bits = %d, below this bus's %d", got, bb.SpliceForwardedBits())
+	}
+	if fp["splice_hit_rate"] == 0 {
+		t.Errorf("splice_hit_rate = 0 after a run the splice rung carried")
 	}
 }

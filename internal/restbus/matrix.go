@@ -96,44 +96,6 @@ func avgWireLen(dlc int) float64 {
 	return nominal + stuffed
 }
 
-// hyperLCMCap bounds the usable hyperperiod: past ~4M bit times a schedule
-// recurrence is too long for super-splice memos to pay off within a
-// realistic simulation horizon.
-const hyperLCMCap = int64(1) << 22
-
-// HyperperiodBits returns the schedule hyperperiod of the matrix at the
-// given bus rate, in bit times: the least common multiple of the per-message
-// periods exactly as the replayer quantizes them (whole bit times, floored
-// at one). Zero means no exploitable hyperperiod — an empty matrix, or an
-// lcm beyond hyperLCMCap, which happens when the periods are not harmonic.
-// The bus's hyperperiod super-splice tier chains splice windows to this
-// length so one compiled memo covers one full schedule recurrence.
-func (m *Matrix) HyperperiodBits(rate bus.Rate) int64 {
-	var h int64
-	for _, msg := range m.Messages {
-		p := rate.Bits(msg.Period)
-		if p < 1 {
-			p = 1
-		}
-		if h == 0 {
-			h = p
-		} else {
-			h = h / gcd64(h, p) * p
-		}
-		if h > hyperLCMCap {
-			return 0
-		}
-	}
-	return h
-}
-
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 // VehicleID selects one of the paper's four test vehicles (Sec. V-A).
 type VehicleID int
 

@@ -107,10 +107,6 @@ func NewReplayer(name string, m *Matrix, rate bus.Rate, rng *rand.Rand) *Replaye
 			item.outstanding = false
 		},
 	})
-	// The OnTransmit hook above is the replayer's own completion accounting,
-	// and the replayer's hyper delta folds all of it (see hyperpath.go), so
-	// the controller may join hyperperiod chains despite the callback.
-	r.ctl.AllowHyperWithCallbacks()
 	for i := range r.idIdx {
 		r.idIdx[i] = -1
 	}

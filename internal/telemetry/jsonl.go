@@ -61,7 +61,7 @@ func writeEventJSON(w *bufio.Writer, node string, ev Event) error {
 
 // ffPathNames names the EvFFSpan B-argument path codes (see EvFFSpan) as they
 // appear in the JSONL stream and, suffixed "-ff", on Chrome trace spans.
-var ffPathNames = [...]string{"idle", "frame", "contend", "splice", "hyper"}
+var ffPathNames = [...]string{"idle", "frame", "contend", "splice"}
 
 // ffPathName names an EvFFSpan path code; unknown codes read as "idle".
 func ffPathName(code int64) string {

@@ -87,7 +87,7 @@ func FuzzEventJSON(f *testing.F) {
 		`{"t":null,"node":"n","event":"recover"}`,
 		`{"t":1,"t":2,"node":"n","event":"recover"}`,
 		`{"t":1,"node":"n","event":"arb_won","id":"0x7FF","extra":true}`,
-		`{"t":1,"node":"n","event":"ff_span","bits":3,"path":"hyper"}`,
+		`{"t":1,"node":"n","event":"ff_span","bits":3,"path":"warp"}`,
 		`{"t":1,"node":"n","event":"alert","rule":2,"state":"fire"}`,
 		`{"t":1,"node":"n","event":"recover"}}`,
 		`{"t":1,}`,

@@ -110,7 +110,7 @@ func TestReadJSONLRoundTripEveryKind(t *testing.T) {
 	emit(EvREC, 1, 2)
 	emit(EvBusOff, 0, 0)
 	emit(EvRecover, 0, 0)
-	paths := []string{"idle", "frame", "contend", "splice", "hyper"} // EvFFSpan B = 0..4
+	paths := []string{"idle", "frame", "contend", "splice"} // EvFFSpan B = 0..3
 	for path := range paths {
 		emit(EvFFSpan, 100+int64(path), int64(path))
 	}

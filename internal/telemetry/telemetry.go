@@ -69,8 +69,7 @@ const (
 	// EvFFSpan: the bus committed a fast-path span. A = the span length in
 	// bits, B = 0 for the idle quiescence path, 1 for the sole-transmitter
 	// frame path, 2 for the contested-window (multi-driver) path, 3 for the
-	// compiled-splice (whole-frame cache) path, 4 for the hyperperiod
-	// super-splice (chained-window cache) path.
+	// compiled-splice (whole-frame cache) path.
 	EvFFSpan
 	// EvTxStart: a controller began a transmission attempt — the SOF bit of
 	// a frame it is driving. A = the pending frame's CAN ID. The event time
@@ -82,8 +81,8 @@ const (
 	EvTxSuccess
 	// EvAlert: the watch engine changed an alert rule's state. A = the rule
 	// index (watch.Rule), B = 1 on fire, 0 on resolve. Alerts describe the
-	// observer, not the simulated network: they are excluded from the
-	// hyperperiod capture tape and ignored by the forensics engine.
+	// observer, not the simulated network: the forensics engine ignores
+	// them.
 	EvAlert
 )
 
@@ -153,17 +152,17 @@ type NodeID int32
 // folding an event into the registry is a few atomic operations — no map
 // lookups, no label formatting, no allocation on the emit path.
 type nodeInstruments struct {
-	arbWon, arbLost                               *Counter
-	detections                                    *Counter
-	detectionBits                                 *Histogram
-	pulls                                         *Counter
-	pullBits                                      *Counter
-	errors                                        *Counter
-	framesDestroyed                               *Counter
-	busOff, recovered                             *Counter
-	tec, rec                                      *Gauge
-	ffIdle, ffFrame, ffContend, ffSplice, ffHyper *Counter
-	txStarts, txSuccess                           *Counter
+	arbWon, arbLost                      *Counter
+	detections                           *Counter
+	detectionBits                        *Histogram
+	pulls                                *Counter
+	pullBits                             *Counter
+	errors                               *Counter
+	framesDestroyed                      *Counter
+	busOff, recovered                    *Counter
+	tec, rec                             *Gauge
+	ffIdle, ffFrame, ffContend, ffSplice *Counter
+	txStarts, txSuccess                  *Counter
 }
 
 // Hub is the telemetry collector: a registry of named nodes, an append-only
@@ -189,16 +188,6 @@ type Hub struct {
 	// readings tells a worker how much telemetry a vehicle produced without
 	// scanning its registry.
 	emits atomic.Int64
-	// Capture state for the hyperperiod super-splice recorder (see
-	// internal/bus hyperpath.go). While capturing, every emitted event except
-	// EvFFSpan is also appended to the capture tape; the bus replays the tape
-	// time-shifted on later cache hits. Capture is only meaningful when this
-	// hub hears exactly one simulation (one bus and its nodes) — a shared hub
-	// would pollute the tape with foreign events — so it is deny-by-default
-	// and must be opted in with AllowCapture.
-	captureOK bool
-	capturing bool
-	capture   []Event
 }
 
 // subscriber is one registered streaming consumer.
@@ -274,7 +263,6 @@ func (h *Hub) instrumentsFor(name string) *nodeInstruments {
 		ffFrame:         r.Counter("michican_ff_frame_bits_total", "node", name),
 		ffContend:       r.Counter("michican_ff_contend_bits_total", "node", name),
 		ffSplice:        r.Counter("michican_ff_splice_bits_total", "node", name),
-		ffHyper:         r.Counter("michican_ff_hyper_bits_total", "node", name),
 		txStarts:        r.Counter("michican_tx_attempts_total", "node", name),
 		txSuccess:       r.Counter("michican_tx_success_total", "node", name),
 	}
@@ -367,83 +355,6 @@ func (h *Hub) EmitCount() int64 {
 	return h.emits.Load()
 }
 
-// AllowCapture declares that this hub hears exactly one simulation, making
-// event-tape capture (StartCapture) legal. The hyperperiod fast path records
-// a chain's telemetry through the tape and replays it on cache hits; with a
-// hub shared across concurrent trials the tape would interleave foreign
-// events, so the bus refuses to record unless the owner has opted in.
-func (h *Hub) AllowCapture(on bool) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.captureOK = on
-	h.mu.Unlock()
-}
-
-// CaptureAllowed reports whether AllowCapture(true) was called.
-func (h *Hub) CaptureAllowed() bool {
-	if h == nil {
-		return false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.captureOK
-}
-
-// StartCapture begins recording every emitted event (except EvFFSpan and
-// EvAlert, which describe the stepping machinery and the watch engine
-// rather than the simulated network) onto
-// the capture tape. It reports false — and records nothing — unless the hub
-// owner opted in with AllowCapture. A nil hub reports true: there is nothing
-// to capture and nothing to replay, which is vacuously faithful.
-func (h *Hub) StartCapture() bool {
-	if h == nil {
-		return true
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.captureOK {
-		return false
-	}
-	h.capturing = true
-	h.capture = h.capture[:0]
-	return true
-}
-
-// StopCapture ends recording and returns the captured tape (nil when nothing
-// was captured). The returned slice is the caller's to keep.
-func (h *Hub) StopCapture() []Event {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.capturing = false
-	if len(h.capture) == 0 {
-		return nil
-	}
-	out := make([]Event, len(h.capture))
-	copy(out, h.capture)
-	h.capture = h.capture[:0]
-	return out
-}
-
-// ReplayShifted re-emits a captured tape with every event time shifted by
-// the given delta, through the full emit path: retention, metric folding,
-// and subscriber fan-out all see the replayed events exactly as if the nodes
-// had emitted them live. Event times on the tape are relative to the capture
-// epoch the caller chose when it stored them.
-func (h *Hub) ReplayShifted(tape []Event, shift int64) {
-	if h == nil {
-		return
-	}
-	for _, ev := range tape {
-		ev.Time += shift
-		h.emit(ev)
-	}
-}
-
 // emit appends the event, folds it into the metrics registry, and fans it
 // out to subscribers.
 func (h *Hub) emit(ev Event) {
@@ -451,9 +362,6 @@ func (h *Hub) emit(ev Event) {
 	h.mu.Lock()
 	if h.retain {
 		h.events = append(h.events, ev)
-	}
-	if h.capturing && ev.Kind != EvFFSpan && ev.Kind != EvAlert {
-		h.capture = append(h.capture, ev)
 	}
 	ni := h.perNode[ev.Node]
 	subs := h.subs
@@ -492,8 +400,6 @@ func (h *Hub) emit(ev Event) {
 			ni.ffFrame.Add(ev.A)
 		case 3:
 			ni.ffSplice.Add(ev.A)
-		case 4:
-			ni.ffHyper.Add(ev.A)
 		default:
 			ni.ffContend.Add(ev.A)
 		}
@@ -519,11 +425,6 @@ type Probe struct {
 // need to compute arguments (diffing TEC against the last emitted value)
 // guard the computation with Enabled; plain emits just call Emit.
 func (p Probe) Enabled() bool { return p.hub != nil }
-
-// Hub returns the hub this probe emits into (nil for the zero Probe). The
-// hyperperiod fast path uses it to check that a node's telemetry flows into
-// the same hub whose tape the bus is recording.
-func (p Probe) Hub() *Hub { return p.hub }
 
 // Emit records one event at simulated bit time t. It is a no-op on the zero
 // Probe.
