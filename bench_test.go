@@ -84,6 +84,7 @@ func BenchmarkFig6Pattern(b *testing.B) {
 // 160,000 FSMs, 100% detection, mean position ≈ 9; scaled per iteration).
 func BenchmarkDetectionLatency(b *testing.B) {
 	var mean, rate float64
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.DetectionLatency(2000, 64, 1)
 		if err != nil {
@@ -196,6 +197,7 @@ func BenchmarkDefenseComparison(b *testing.B) {
 // size (the context for the paper's aggregate mean of ≈9 bits).
 func BenchmarkDetectionSweep(b *testing.B) {
 	var dense float64
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rows, err := experiment.DetectionSweep([]int{2, 32, 256}, 100, 1)
 		if err != nil {

@@ -23,6 +23,7 @@ import (
 
 	"michican/internal/bus"
 	"michican/internal/can"
+	"michican/internal/memo"
 	"michican/internal/telemetry"
 )
 
@@ -213,16 +214,16 @@ type Controller struct {
 	// planCache misses (see PlanSource); wired from Config.Plans or
 	// SetPlanSource.
 	plans *PlanSource
-	// planSlots is a direct-mapped front cache over planCache: the map probe
-	// hashes the full frame content on every lookup, which dominates the
-	// compiled-splice offer path, so hot frames are also indexed by a cheap
-	// hash and verified by value comparison. Lazily sized; misses fall
+	// planSlots is a front cache over planCache: the map probe hashes the
+	// full frame content on every lookup, which dominates the
+	// compiled-splice offer path, so hot frames are also held in a
+	// set-associative table with a cheap hash. Lazily created; misses fall
 	// through to the map.
-	planSlots []*txPlan
+	planSlots *memo.Table[planKey, *txPlan]
 	// rxSpanCache memoizes the receive pipeline's end state per committed
 	// span (see rxRun); adoption copies the snapshot into the controller's
 	// own working buffers, so the cached slices are never aliased.
-	rxSpanCache []rxSpanSlot
+	rxSpanCache *memo.Table[rxSpanKey, *rxSnapshot]
 
 	// Receive pipeline, active for every frame on the bus from its SOF.
 	rxDestuf      can.Destuffer
@@ -361,6 +362,13 @@ func (c *Controller) Stats() Stats {
 		s.RxErrors[k] = v
 	}
 	return s
+}
+
+// MemoSlots reports the slot counts of the receive-span and transmit-plan
+// memo tables, 0 before first use. Each grows with the traffic the
+// controller sees, up to its cap (2^16 and 2^15).
+func (c *Controller) MemoSlots() (rxSpan, plan int) {
+	return c.rxSpanCache.Slots(), c.planSlots.Slots()
 }
 
 // ErrListenOnly indicates a transmission request on a monitoring-mode

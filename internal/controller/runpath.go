@@ -5,6 +5,7 @@ import (
 
 	"michican/internal/bus"
 	"michican/internal/can"
+	"michican/internal/memo"
 	"michican/internal/telemetry"
 )
 
@@ -233,32 +234,30 @@ func leadingRecessive(levels []can.Level) int {
 	return len(levels)
 }
 
-// rxSpanSlot is one direct-mapped entry of the span cache. The span is
-// identified by the identity of its bits: plans are immutable once built and
-// memoized (planFor), so a span's backing array pointer plus its length pins
-// the exact level sequence — the stored strong pointer keeps the array
-// alive, so the address cannot be reused for different bits. A collision
-// simply evicts the previous entry.
-type rxSpanSlot struct {
-	ptr  *can.Level
-	snap *rxSnapshot
-	n    int32
+// rxSpanKey identifies a committed span by the identity of its bits: plans
+// are immutable once built and memoized (planFor), so a span's backing
+// array pointer plus its length pins the exact level sequence — the cached
+// key's strong pointer keeps the array alive, so the address cannot be
+// reused for different bits.
+type rxSpanKey struct {
+	ptr *can.Level
+	n   int32
 }
 
-// rxSpanSlotBits sizes the direct-mapped span cache (message set ×
+// rxSpanSlotBits caps the span cache at 2^16 slots (message set ×
 // rolling-counter rotation × the few clamped lengths each span recurs at).
-// Sized so a realistic matrix's full rotation (tens of IDs × 256 counter
-// values ≈ 8k identities) keeps the per-set load low: at 2^16 slots in
-// two-way sets, virtually no set holds three or more live identities, which
-// under round-robin rotation would otherwise defeat the LRU and redecode
-// those spans every cycle.
+// A realistic matrix's full rotation is tens of IDs × 256 counter values ≈
+// 8k identities; at 2^16 slots in two-way sets virtually no set holds three
+// or more of them, which under round-robin rotation would otherwise defeat
+// the LRU and redecode those spans every cycle. The cache grows to the cap
+// only as the traffic installs that many spans (see memo.Table).
 const rxSpanSlotBits = 16
 
-// rxSpanIdx hashes a span identity into the cache.
-func rxSpanIdx(p *can.Level, n int) uint {
-	h := uintptr(unsafe.Pointer(p)) >> 3
-	h ^= h >> rxSpanSlotBits
-	return uint(h^uintptr(n)<<5) & (1<<rxSpanSlotBits - 1)
+// newRxSpanCache returns an empty span cache.
+func newRxSpanCache() *memo.Table[rxSpanKey, *rxSnapshot] {
+	return memo.New[rxSpanKey, *rxSnapshot](rxSpanSlotBits, func(k rxSpanKey) uint64 {
+		return uint64(uintptr(unsafe.Pointer(k.ptr))) ^ uint64(k.n)<<48
+	})
 }
 
 // rxSnapshot is the receive pipeline's complete state after consuming a
@@ -305,22 +304,10 @@ func (c *Controller) rxRun(from bus.BitTime, levels []can.Level) {
 		return
 	}
 	if c.rxSpanCache == nil {
-		c.rxSpanCache = make([]rxSpanSlot, 1<<rxSpanSlotBits)
+		c.rxSpanCache = newRxSpanCache()
 	}
-	// Two-way set-associative probe (see rxSpanSlot): a sticky collision
-	// pair in a direct-mapped table would redecode the span every time.
-	idx := rxSpanIdx(&levels[0], len(levels)) &^ 1
-	slot := &c.rxSpanCache[idx]
-	if slot.ptr != &levels[0] || int(slot.n) != len(levels) {
-		alt := &c.rxSpanCache[idx|1]
-		if alt.ptr == &levels[0] && int(alt.n) == len(levels) {
-			*slot, *alt = *alt, *slot // promote the hit to the first way
-		} else {
-			slot = nil
-		}
-	}
-	if slot != nil {
-		s := slot.snap
+	key := rxSpanKey{ptr: &levels[0], n: int32(len(levels))}
+	if s := c.rxSpanCache.Get(key); s != nil {
 		c.rxDestuf = s.destuf
 		c.rxBits = append(c.rxBits[:0], s.bits...)
 		c.rxCRC = s.crc
@@ -352,9 +339,9 @@ func (c *Controller) rxRun(from bus.BitTime, levels []can.Level) {
 	// Snapshot on the first sighting. Rolling payload counters make a span
 	// recur only once per full rotation, so a recurrence filter ("snapshot on
 	// the second decode") would redecode every one of the rotation's ~8k span
-	// identities each cycle; at 2^16 two-way slots, a wasted snapshot for a
-	// genuinely one-shot span costs one small allocation and an eviction.
-	s := &rxSnapshot{
+	// identities each cycle; a wasted snapshot for a genuinely one-shot span
+	// costs one small allocation and an eviction.
+	c.rxSpanCache.Put(key, &rxSnapshot{
 		destuf:      c.rxDestuf,
 		bits:        cloneExact(c.rxBits),
 		crc:         c.rxCRC,
@@ -377,9 +364,7 @@ func (c *Controller) rxRun(from bus.BitTime, levels []can.Level) {
 		lastWire:    c.rxLastWire,
 		wire:        c.rxWire,
 		driveNext:   c.driveNext,
-	}
-	c.rxSpanCache[idx|1] = c.rxSpanCache[idx] // demote the incumbent
-	c.rxSpanCache[idx] = rxSpanSlot{ptr: &levels[0], snap: s, n: int32(len(levels))}
+	})
 }
 
 // cloneExact copies a slice with cap == len, so appends by the adopter

@@ -1,10 +1,12 @@
 package controller
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"michican/internal/bus"
 	"michican/internal/can"
+	"michican/internal/memo"
 )
 
 // txPlan is a fully serialized transmission: the wire bits of one frame
@@ -70,13 +72,6 @@ func (c *Controller) planFor(f can.Frame) *txPlan {
 	if f.FD || len(f.Data) > can.MaxDataLen {
 		return newTxPlan(f)
 	}
-	slot := planSlotIdx(&f)
-	if c.planSlots != nil {
-		if p := c.planSlots[slot]; p != nil && p.frame.Equal(&f) {
-			p.frame = f
-			return p
-		}
-	}
 	key := planKey{id: f.ID, reqLen: int8(f.RequestLen), dataLen: int8(len(f.Data))}
 	if f.Extended {
 		key.flags |= 1
@@ -85,48 +80,47 @@ func (c *Controller) planFor(f can.Frame) *txPlan {
 		key.flags |= 2
 	}
 	copy(key.data[:], f.Data)
-	if p, ok := c.planCache[key]; ok {
+	if c.planSlots == nil {
+		c.planSlots = newPlanSlots()
+	}
+	if p := c.planSlots.Get(key); p != nil {
 		p.frame = f
-		if c.planSlots != nil {
-			c.planSlots[slot] = p
-		}
 		return p
 	}
-	var p *txPlan
-	if c.plans != nil {
-		p = c.plans.planFor(key, f)
+	p, ok := c.planCache[key]
+	if ok {
+		p.frame = f
 	} else {
-		p = newTxPlan(f)
+		if c.plans != nil {
+			p = c.plans.planFor(key, f)
+		} else {
+			p = newTxPlan(f)
+		}
+		if c.planCache == nil || len(c.planCache) >= planCacheMax {
+			c.planCache = make(map[planKey]*txPlan)
+		}
+		c.planCache[key] = p
 	}
-	if c.planCache == nil || len(c.planCache) >= planCacheMax {
-		c.planCache = make(map[planKey]*txPlan)
-	}
-	c.planCache[key] = p
-	if c.planSlots == nil {
-		c.planSlots = make([]*txPlan, 1<<planSlotBits)
-	}
-	c.planSlots[slot] = p
+	c.planSlots.Put(key, p)
 	return p
 }
 
-// planSlotBits sizes the planFor front cache: a realistic matrix's working
-// set is tens of IDs times a 256-value rolling counter (thousands of
-// distinct frames), so the direct-mapped table is sized an order of
-// magnitude above it to keep steady-state collisions rare; a collision
-// merely falls through to the content-keyed map.
+// planSlotBits caps the planFor front cache at 2^15 slots: a realistic
+// matrix's working set is tens of IDs times a 256-value rolling counter
+// (thousands of distinct frames), so the cap sits an order of magnitude
+// above it to keep steady-state collisions rare; a collision merely falls
+// through to the content-keyed map. The table grows to the cap only as the
+// controller transmits that many distinct frames (see memo.Table).
 const planSlotBits = 15
 
-// planSlotIdx hashes the cheap identity fields of a classical frame — ID,
-// length, and the edge payload bytes, which carry the rolling counters
-// that distinguish a periodic message's instances — into the front cache
-// (Fibonacci finalizer to spread the small-integer inputs).
-func planSlotIdx(f *can.Frame) uint {
-	h := uint64(f.ID)<<20 ^ uint64(len(f.Data))<<16
-	if len(f.Data) > 0 {
-		h ^= uint64(f.Data[0])<<8 ^ uint64(f.Data[len(f.Data)-1])
-	}
-	h *= 0x9E3779B97F4A7C15
-	return uint(h>>(64-planSlotBits)) & (1<<planSlotBits - 1)
+// newPlanSlots returns an empty front cache. Its hash folds the frame's
+// identity fields and the whole payload, whose edge bytes carry the
+// rolling counters that distinguish a periodic message's instances.
+func newPlanSlots() *memo.Table[planKey, *txPlan] {
+	return memo.New[planKey, *txPlan](planSlotBits, func(k planKey) uint64 {
+		h := uint64(k.id)<<24 ^ uint64(uint8(k.dataLen))<<16 ^ uint64(uint8(k.reqLen))<<8 ^ uint64(k.flags)
+		return h*0x9E3779B97F4A7C15 ^ binary.LittleEndian.Uint64(k.data[:])
+	})
 }
 
 // newTxPlan serializes a frame for transmission.

@@ -32,6 +32,7 @@ import (
 	"michican/internal/can"
 	"michican/internal/fsm"
 	"michican/internal/mcu"
+	"michican/internal/memo"
 	"michican/internal/telemetry"
 )
 
@@ -156,8 +157,8 @@ type Defense struct {
 	tel telemetry.Probe
 
 	// scanCache memoizes pure PassiveRun scans per committed-span identity
-	// (direct-mapped; see the fast-path PassiveRun in runpath.go).
-	scanCache []scanSlot
+	// (see the fast-path PassiveRun in runpath.go); lazily created.
+	scanCache *memo.Table[scanKey, scanMemo]
 }
 
 var _ bus.Node = (*Defense)(nil)
@@ -206,6 +207,10 @@ func (d *Defense) SetTelemetry(hub *telemetry.Hub) {
 
 // Stats returns a copy of the accumulated statistics.
 func (d *Defense) Stats() Stats { return d.stats }
+
+// ScanMemoSlots reports the slot count of the passive-scan memo table, 0
+// before first use. It grows with the traffic up to its 2^16 cap.
+func (d *Defense) ScanMemoSlots() int { return d.scanCache.Slots() }
 
 // Meter exposes the MCU cycle meter for CPU-utilization evaluation.
 func (d *Defense) Meter() *mcu.Meter { return d.meter }

@@ -7,6 +7,7 @@ import (
 	"michican/internal/can"
 	"michican/internal/fsm"
 	"michican/internal/mcu"
+	"michican/internal/memo"
 	"michican/internal/telemetry"
 )
 
@@ -79,28 +80,16 @@ func (d *Defense) passiveScan(frameBit int, levels []can.Level, self bool) int {
 		}
 		mode = uint8(run)
 	}
-	key := &levels[0]
 	if d.scanCache == nil {
-		d.scanCache = make([]scanSlot, 1<<scanSlotBits)
+		d.scanCache = newScanCache()
 	}
-	// Two-way set-associative probe: a sticky collision pair in a
-	// direct-mapped table would rescan the full span on every probe.
-	idx := scanIdx(key, mode) &^ 1
-	s := &d.scanCache[idx]
-	if s.ptr != key || s.mode != mode {
-		alt := &d.scanCache[idx|1]
-		if alt.ptr == key && alt.mode == mode {
-			*s, *alt = *alt, *s // promote the hit to the first way
-		} else {
-			s = nil
-		}
-	}
+	key := scanKey{ptr: &levels[0], mode: mode}
 	// The scan is causal: whether bit j is accepted depends only on bits
 	// 0..j. A recorded stop short of the scanned length therefore holds
 	// for every span length; only "accepted everything" needs a rescan
 	// when a longer span over the same bits shows up.
-	if s != nil && (s.stop < s.scanned || len(levels) <= int(s.scanned)) {
-		if n := int(s.stop); n < len(levels) {
+	if m := d.scanCache.Get(key); m.scanned > 0 && (m.stop < m.scanned || len(levels) <= int(m.scanned)) {
+		if n := int(m.stop); n < len(levels) {
 			return n
 		}
 		return len(levels)
@@ -114,38 +103,39 @@ func (d *Defense) passiveScan(frameBit int, levels []can.Level, self bool) int {
 	default:
 		n = idleScanLevels(levels, d.cntSOF)
 	}
-	if s == nil {
-		d.scanCache[idx|1] = d.scanCache[idx] // demote the incumbent
-		s = &d.scanCache[idx]
-	}
-	*s = scanSlot{ptr: key, mode: mode, scanned: int32(len(levels)), stop: int32(n)}
+	d.scanCache.Put(key, scanMemo{scanned: int32(len(levels)), stop: int32(n)})
 	return n
 }
 
-// scanSlot is one direct-mapped scan memo entry: span identity (the strong
-// pointer keeps the plan's backing array alive, so the address pins the
-// bits), the entry mode, the longest prefix scanned, and where the scan
-// stopped within it (== scanned when every bit stayed passive).
-type scanSlot struct {
-	ptr     *can.Level
-	scanned int32
-	stop    int32
-	mode    uint8
+// scanKey identifies a memoized scan: the span's identity (the cached key's
+// strong pointer keeps the plan's backing array alive, so the address pins
+// the bits) and the entry mode.
+type scanKey struct {
+	ptr  *can.Level
+	mode uint8
 }
 
-// scanSlotBits sizes the memo: 2^scanSlotBits entries organised as two-way
-// sets (message set × rolling-counter rotation × a handful of entry modes;
-// collisions merely rescan). Sized generously — a realistic matrix's full
-// rotation is ~8k span identities, and round-robin rotation through a set
-// holding three or more of them would defeat the two-way LRU, rescanning
-// those spans every cycle.
+// scanMemo is a memoized scan: the longest prefix scanned, and where the
+// scan stopped within it (== scanned when every bit stayed passive).
+// scanned ≥ 1, so the zero scanMemo is the table's empty slot.
+type scanMemo struct {
+	scanned, stop int32
+}
+
+// scanSlotBits caps the memo at 2^16 slots in two-way sets (message set ×
+// rolling-counter rotation × a handful of entry modes; collisions merely
+// rescan). A realistic matrix's full rotation is ~8k span identities, and
+// round-robin rotation through a set holding three or more of them would
+// defeat the two-way LRU, rescanning those spans every cycle. The memo
+// grows to the cap only as the traffic installs that many scans (see
+// memo.Table).
 const scanSlotBits = 16
 
-// scanIdx hashes a span identity and entry mode into the memo.
-func scanIdx(p *can.Level, mode uint8) uint {
-	h := uintptr(unsafe.Pointer(p)) >> 3
-	h ^= h >> scanSlotBits
-	return uint(h^uintptr(mode)<<7) & (1<<scanSlotBits - 1)
+// newScanCache returns an empty scan memo.
+func newScanCache() *memo.Table[scanKey, scanMemo] {
+	return memo.New[scanKey, scanMemo](scanSlotBits, func(k scanKey) uint64 {
+		return uint64(uintptr(unsafe.Pointer(k.ptr))) ^ uint64(k.mode)<<56
+	})
 }
 
 const (

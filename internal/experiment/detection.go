@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"michican/internal/can"
-	"michican/internal/fsm"
 	"michican/internal/stats"
 )
 
@@ -31,41 +30,51 @@ func (r DetectionResult) String() string {
 		r.FSMs, r.DetectionRate*100, r.MeanBits, r.StdBits, r.MaxBits, r.MeanFSMStates)
 }
 
-// detectionDraw is the outcome of evaluating one random FSM.
+// detectionDraw is the outcome of evaluating one random FSM. It is kept
+// small: the study holds one per draw until the fold.
 type detectionDraw struct {
+	meanBits float64
+	states   int32
+	maxBits  int8
 	ok       bool
 	detected bool
-	meanBits float64
-	maxBits  int
-	states   float64
 }
 
-// runDetectionDraw evaluates one random FSM from its own derived seed.
-func runDetectionDraw(seed int64, maxECUs int) (detectionDraw, error) {
-	rng := getDrawRNG(seed)
-	defer drawRNGs.Put(rng)
-	nECUs := 2 + rng.Intn(maxECUs-1)
-	ivn, err := fsm.RandomIVN(rng, nECUs)
-	if err != nil {
-		return detectionDraw{}, err
+// draw builds the FSM of a random ECU on a random IVN of n ECUs into s's
+// storage and verifies it over all 2048 IDs. The verification failure comes
+// back as miss, apart from err, so each caller decides what a miss means.
+func (s *drawState) draw(n int) (d detectionDraw, miss, err error) {
+	if err := s.ivn.FillRandom(s.rng, n); err != nil {
+		return detectionDraw{}, nil, err
 	}
-	ds, err := fsm.NewDetectionSet(ivn, rng.Intn(nECUs))
-	if err != nil {
-		return detectionDraw{}, err
+	if err := s.set.Fill(&s.ivn, s.rng.Intn(n)); err != nil {
+		return detectionDraw{}, nil, err
 	}
-	machine := fsm.Build(ds)
-	st, err := machine.Stats(ds)
-	if err != nil {
-		// A miss would break the paper's 100% claim; count it (ok=false).
-		return detectionDraw{}, nil
+	s.machine.Rebuild(&s.set)
+	st, miss := s.machine.Stats(&s.set)
+	if miss != nil {
+		return detectionDraw{}, miss, nil
 	}
 	return detectionDraw{
+		meanBits: st.MeanBits,
+		states:   int32(s.machine.Size()),
+		maxBits:  int8(st.MaxBits),
 		ok:       true,
 		detected: st.Detected > 0,
-		meanBits: st.MeanBits,
-		maxBits:  st.MaxBits,
-		states:   float64(machine.Size()),
-	}, nil
+	}, nil, nil
+}
+
+// runDetectionDraw evaluates one random FSM of the study from its own
+// derived seed. A miss would break the paper's 100% claim; the study counts
+// it (ok=false) instead of stopping.
+func runDetectionDraw(seed int64, maxECUs int) (detectionDraw, error) {
+	s := getDrawState(seed)
+	defer drawStates.Put(s)
+	d, miss, err := s.draw(2 + s.rng.Intn(maxECUs-1))
+	if miss != nil {
+		return detectionDraw{ok: false}, nil
+	}
+	return d, err
 }
 
 // DetectionLatency runs the Sec. V-B study over n random FSMs drawn from
@@ -98,11 +107,11 @@ func DetectionLatency(n, maxECUs int, seed int64) (DetectionResult, error) {
 		ok++
 		if d.detected {
 			acc.Add(d.meanBits)
-			if d.maxBits > max {
-				max = d.maxBits
+			if int(d.maxBits) > max {
+				max = int(d.maxBits)
 			}
 		}
-		states.Add(d.states)
+		states.Add(float64(d.states))
 	}
 	return DetectionResult{
 		FSMs:          n,

@@ -3,6 +3,8 @@ package experiment
 import (
 	"math/rand"
 	"sync"
+
+	"michican/internal/fsm"
 )
 
 // math/rand's additive lagged-Fibonacci generator and the Lehmer generator
@@ -131,14 +133,24 @@ func (r *drawSource) Uint64() uint64 {
 
 func (r *drawSource) Int63() int64 { return int64(r.Uint64() & rngMask) }
 
-// drawRNGs pools the per-draw generators of the detection study and sweep,
-// so a draw neither allocates nor zeroes a 5 KB register.
-var drawRNGs = sync.Pool{New: func() any { return rand.New(new(drawSource)) }}
+// drawState is one pooled worker's storage for the detection study and
+// sweep: the generator plus the IVN, 𝔻 and FSM each draw builds in place,
+// so a draw neither allocates nor zeroes a 5 KB register and the node
+// array keeps the capacity earlier draws grew it to.
+type drawState struct {
+	rng     *rand.Rand
+	ivn     fsm.IVN
+	set     fsm.DetectionSet
+	machine fsm.FSM
+}
 
-// getDrawRNG returns a pooled generator producing exactly the stream of
-// rand.New(rand.NewSource(seed)). Return it with drawRNGs.Put.
-func getDrawRNG(seed int64) *rand.Rand {
-	rng := drawRNGs.Get().(*rand.Rand)
-	rng.Seed(seed)
-	return rng
+var drawStates = sync.Pool{New: func() any { return &drawState{rng: rand.New(new(drawSource))} }}
+
+// getDrawState returns a pooled drawState whose generator produces exactly
+// the stream of rand.New(rand.NewSource(seed)). Return it with
+// drawStates.Put.
+func getDrawState(seed int64) *drawState {
+	s := drawStates.Get().(*drawState)
+	s.rng.Seed(seed)
+	return s
 }

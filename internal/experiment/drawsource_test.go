@@ -54,8 +54,9 @@ func checkDrawStream(t *testing.T, got *rand.Rand, seed int64, n int) {
 // TestDrawSourceMatchesMathRand re-seeds one pooled generator for every
 // seed, so a stale register entry from the previous stream would show.
 func TestDrawSourceMatchesMathRand(t *testing.T) {
-	rng := drawRNGs.Get().(*rand.Rand)
-	defer drawRNGs.Put(rng)
+	st := drawStates.Get().(*drawState)
+	defer drawStates.Put(st)
+	rng := st.rng
 	for _, seed := range drawSourceSeeds() {
 		rng.Seed(seed)
 		checkDrawStream(t, rng, seed, drawSourceMinDraws)
@@ -72,8 +73,9 @@ func FuzzDrawSource(f *testing.F) {
 		f.Add(seed, uint16(i*97))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
-		rng := getDrawRNG(seed)
-		defer drawRNGs.Put(rng)
+		st := getDrawState(seed)
+		defer drawStates.Put(st)
+		rng := st.rng
 		// A short prefix first, so the checked stream runs on a re-seeded
 		// instance.
 		for k := 0; k < int(n)%64; k++ {
@@ -90,12 +92,45 @@ func TestDrawRNGAllocs(t *testing.T) {
 	seed := int64(0)
 	if got := testing.AllocsPerRun(1000, func() {
 		seed++
-		rng := getDrawRNG(seed)
+		st := getDrawState(seed)
 		for k := 0; k < 64; k++ {
-			rng.Intn(2048)
+			st.rng.Intn(2048)
 		}
-		drawRNGs.Put(rng)
+		drawStates.Put(st)
 	}); got != 0 {
 		t.Errorf("pooled draw RNG: %v allocs per draw, want 0", got)
+	}
+}
+
+// TestDetectionDrawAllocatesNothing: once a draw state has built one FSM
+// of a size, further draws of that size allocate nothing, and the whole
+// study allocates a bounded handful (the result slice, the workers) rather
+// than a few objects per draw. The race detector makes sync.Pool drop
+// items at random, so the study-level count holds only without it.
+func TestDetectionDrawAllocatesNothing(t *testing.T) {
+	s := &drawState{rng: rand.New(new(drawSource))}
+	for _, n := range []int{2, 64, 2048} {
+		seed := int64(0)
+		draw := func() {
+			seed++
+			s.rng.Seed(seed)
+			if _, miss, err := s.draw(n); miss != nil || err != nil {
+				t.Fatalf("N=%d seed %d: miss %v, err %v", n, seed, miss, err)
+			}
+		}
+		draw()
+		if got := testing.AllocsPerRun(100, draw); got != 0 {
+			t.Errorf("N=%d: %v allocs per draw, want 0", n, got)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(1, func() {
+		if _, err := DetectionLatency(20000, 64, 7); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= 1000 {
+		t.Errorf("DetectionLatency(20000, 64, 7): %v allocs, want < 1000", got)
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/controller"
+	"michican/internal/core"
+	"michican/internal/fsm"
 	"michican/internal/restbus"
 	"michican/internal/trace"
 )
@@ -174,4 +176,80 @@ func TestLadderIdentityDetach(t *testing.T) {
 		t.Error("splice fast path never engaged before the detach")
 	}
 	compareLadderOutcome(t, "exact vs splice-ff with mid-cycle detach", exact, ladder)
+}
+
+// TestLadderIdentityAttackedMemoGrowth runs a spoof-attacked vehicle at 60%
+// restbus load exact and on the full ladder, long enough that each memo
+// table — the defender controller's receive-span cache, the replayer's plan
+// front cache and the defense's passive-scan memo — doubles at least twice
+// after it first fills, while the run is in progress. Growth rehashes live
+// entries mid-run; the result must stay bit-identical to exact stepping.
+func TestLadderIdentityAttackedMemoGrowth(t *testing.T) {
+	const (
+		slices    = 8
+		sliceBits = int64(100_000)
+	)
+	type memoSizes struct{ rxSpan, plan, scan int }
+	run := func(mode SteppingMode) (ladderOutcome, []memoSizes) {
+		matrix := cleanMatrix(restbus.Buses(restbus.VehD)[0], []can.ID{DefenderID})
+		matrix = scaleMatrixToLoad(matrix, bus.Rate50k, 0.60)
+		ivn, err := fsm.NewIVN(append([]can.ID{DefenderID}, matrix.IDs()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := fsm.NewDetectionSet(ivn, ivn.Index(DefenderID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, err := core.New(core.Config{Name: "michican", FSM: fsm.Build(ds)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb := bus.New(bus.Rate50k)
+		if err := applyMode(bb, mode); err != nil {
+			t.Fatal(err)
+		}
+		defCtl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
+		bb.Attach(core.NewECU(defCtl, def))
+		rep := restbus.NewReplayer("restbus", matrix, bus.Rate50k, rand.New(rand.NewSource(5)))
+		bb.Attach(rep)
+		att := attack.NewTargetedDoS("attacker", DefenderID)
+		bb.Attach(att)
+		rec := trace.NewRecorder()
+		bb.AttachTap(rec)
+
+		var sizes []memoSizes
+		for i := 0; i < slices; i++ {
+			bb.Run(sliceBits)
+			rx, _ := defCtl.MemoSlots()
+			_, plan := rep.Controller().MemoSlots()
+			sizes = append(sizes, memoSizes{rx, plan, def.ScanMemoSlots()})
+		}
+		out := ladderOutcome{Bits: rec.Bits()}
+		for _, c := range []*controller.Controller{defCtl, rep.Controller(), att.Controller()} {
+			st := c.Stats()
+			out.TEC = append(out.TEC, c.TEC())
+			out.REC = append(out.REC, c.REC())
+			out.TxSuccess = append(out.TxSuccess, st.TxSuccess)
+			out.RxFrames = append(out.RxFrames, st.RxSuccess)
+		}
+		return out, sizes
+	}
+	exact, _ := run(ModeExact)
+	ladder, sizes := run(ModeSpliceFF)
+	compareLadderOutcome(t, "exact vs splice-ff, spoofed at 60% load", exact, ladder)
+	first, last := sizes[0], sizes[len(sizes)-1]
+	for _, tab := range []struct {
+		name        string
+		first, last int
+	}{
+		{"receive-span cache", first.rxSpan, last.rxSpan},
+		{"plan front cache", first.plan, last.plan},
+		{"passive-scan memo", first.scan, last.scan},
+	} {
+		if tab.first == 0 || tab.last < 4*tab.first {
+			t.Errorf("%s: %d slots after the first slice, %d at the end; want in use and grown ≥ 4× (sizes %v)",
+				tab.name, tab.first, tab.last, sizes)
+		}
+	}
 }

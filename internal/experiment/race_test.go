@@ -1,0 +1,6 @@
+//go:build race
+
+package experiment
+
+// raceEnabled reports a -race build, whose sync.Pool drops items at random.
+const raceEnabled = true

@@ -43,9 +43,13 @@ func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 		}
 		return results, nil
 	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		firstIdx = n
+	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -55,15 +59,22 @@ func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 				if i >= n {
 					return
 				}
-				results[i], errs[i] = fn(i)
+				r, err := fn(i)
+				if err != nil {
+					mu.Lock()
+					if i < firstIdx {
+						firstIdx, firstErr = i, err
+					}
+					mu.Unlock()
+					continue
+				}
+				results[i] = r
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return results, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"michican/internal/can"
-	"michican/internal/fsm"
 	"michican/internal/stats"
 )
 
@@ -46,35 +45,15 @@ func DetectionSweep(sizes []int, perN int, seed int64) ([]DetectionSweepRow, err
 	}
 	rows := make([]DetectionSweepRow, 0, len(sizes))
 	for _, n := range sizes {
-		type sweepDraw struct {
-			detected bool
-			meanBits float64
-			maxBits  int
-			states   float64
-		}
 		nSeed := DeriveSeed(seed, n)
-		draws, err := Map(perN, 0, func(i int) (sweepDraw, error) {
-			rng := getDrawRNG(DeriveSeed(nSeed, i))
-			defer drawRNGs.Put(rng)
-			ivn, err := fsm.RandomIVN(rng, n)
-			if err != nil {
-				return sweepDraw{}, err
+		draws, err := Map(perN, 0, func(i int) (detectionDraw, error) {
+			s := getDrawState(DeriveSeed(nSeed, i))
+			defer drawStates.Put(s)
+			d, miss, err := s.draw(n)
+			if miss != nil {
+				return detectionDraw{}, fmt.Errorf("N=%d: %w", n, miss)
 			}
-			ds, err := fsm.NewDetectionSet(ivn, rng.Intn(n))
-			if err != nil {
-				return sweepDraw{}, err
-			}
-			machine := fsm.Build(ds)
-			st, err := machine.Stats(ds)
-			if err != nil {
-				return sweepDraw{}, fmt.Errorf("N=%d: %w", n, err)
-			}
-			return sweepDraw{
-				detected: st.Detected > 0,
-				meanBits: st.MeanBits,
-				maxBits:  st.MaxBits,
-				states:   float64(machine.Size()),
-			}, nil
+			return d, err
 		})
 		if err != nil {
 			return nil, err
@@ -84,11 +63,11 @@ func DetectionSweep(sizes []int, perN int, seed int64) ([]DetectionSweepRow, err
 		for _, d := range draws {
 			if d.detected {
 				acc.Add(d.meanBits)
-				if d.maxBits > maxBits {
-					maxBits = d.maxBits
+				if int(d.maxBits) > maxBits {
+					maxBits = int(d.maxBits)
 				}
 			}
-			states.Add(d.states)
+			states.Add(float64(d.states))
 		}
 		rows = append(rows, DetectionSweepRow{
 			N:          n,

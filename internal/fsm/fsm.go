@@ -137,11 +137,21 @@ func (d *DetectionSet) count(lo can.ID, size int) int {
 // observing it from another node is a spoofing attack (Def. IV.1); lower
 // unknown IDs are DoS attacks (Def. IV.2).
 func NewDetectionSet(v *IVN, i int) (*DetectionSet, error) {
-	if i < 0 || i >= v.Size() {
-		return nil, fmt.Errorf("fsm: ECU index %d out of range [0,%d)", i, v.Size())
+	d := new(DetectionSet)
+	if err := d.Fill(v, i); err != nil {
+		return nil, err
 	}
-	var d DetectionSet
+	return d, nil
+}
+
+// Fill overwrites d with the full-scenario set NewDetectionSet builds for
+// the ECU at position i of 𝔼, in place; on error d is unchanged.
+func (d *DetectionSet) Fill(v *IVN, i int) error {
+	if i < 0 || i >= v.Size() {
+		return fmt.Errorf("fsm: ECU index %d out of range [0,%d)", i, v.Size())
+	}
 	end := int(v.ids[i]) + 1 // 𝔻 ⊆ [0, end)
+	d.bits = [len(d.bits)]uint64{}
 	for w := 0; w < end/64; w++ {
 		d.bits[w] = ^uint64(0)
 	}
@@ -153,7 +163,7 @@ func NewDetectionSet(v *IVN, i int) (*DetectionSet, error) {
 		d.bits[id/64] &^= 1 << (id % 64)
 	}
 	d.n = end - i
-	return &d, nil
+	return nil
 }
 
 // NewSpoofOnlySet builds the "light scenario" detection set: only the ECU's
@@ -195,8 +205,10 @@ func (d *DetectionSet) Contains(id can.ID) bool {
 func (d *DetectionSet) Size() int { return d.n }
 
 // IDs returns the malicious IDs in ascending order.
-func (d *DetectionSet) IDs() []can.ID {
-	out := make([]can.ID, 0, d.n)
+func (d *DetectionSet) IDs() []can.ID { return d.appendIDs(make([]can.ID, 0, d.n)) }
+
+// appendIDs appends the malicious IDs to out in ascending order.
+func (d *DetectionSet) appendIDs(out []can.ID) []can.ID {
 	for w, word := range d.bits {
 		for ; word != 0; word &= word - 1 {
 			out = append(out, can.ID(w*64+bits.TrailingZeros64(word)))

@@ -650,3 +650,82 @@ func TestDetectionLatencyShape(t *testing.T) {
 	}
 	t.Logf("mean detection bit position over %d random FSMs: %.2f (paper: ~9)", count, mean)
 }
+
+// TestFillIntoReusedStorage builds random IVNs, sets and FSMs into one
+// reused IVN, DetectionSet and FSM and checks each against the allocating
+// constructors on the same stream: IDs, 𝔻, Size, Stats, Depth and the
+// classification of all 2048 IDs. The sizes alternate so that every small
+// set follows a larger one, where stale nodes or bits would show. Once the
+// storage has grown, a fill, rebuild and verification allocate nothing.
+func TestFillIntoReusedStorage(t *testing.T) {
+	var (
+		v IVN
+		d DetectionSet
+		f FSM
+	)
+	for trial, n := range []int{2048, 1, 1024, 2, 300, 5, 64, 3, 700, 64, 2000, 17} {
+		seed := int64(100 + trial)
+		rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		if err := v.FillRandom(rng, n); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Fill(&v, rng.Intn(n)); err != nil {
+			t.Fatal(err)
+		}
+		f.Rebuild(&d)
+
+		wantV, err := RandomIVN(ref, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantD, err := NewDetectionSet(wantV, ref.Intn(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Build(wantD)
+
+		name := fmt.Sprintf("trial %d N=%d", trial, n)
+		if !slices.Equal(v.IDs(), wantV.IDs()) {
+			t.Fatalf("%s: IVN differs from RandomIVN", name)
+		}
+		if d.Size() != wantD.Size() || !slices.Equal(d.IDs(), wantD.IDs()) {
+			t.Fatalf("%s: 𝔻 differs from NewDetectionSet", name)
+		}
+		if f.Size() != want.Size() || f.Depth() != want.Depth() {
+			t.Fatalf("%s: size/depth %d/%d, Build gives %d/%d",
+				name, f.Size(), f.Depth(), want.Size(), want.Depth())
+		}
+		got, gerr := f.Stats(&d)
+		exp, eerr := want.Stats(wantD)
+		if got != exp || gerr != nil || eerr != nil {
+			t.Fatalf("%s: Stats %+v (%v), Build gives %+v (%v)", name, got, gerr, exp, eerr)
+		}
+		for id := can.ID(0); id <= can.MaxID; id++ {
+			gd, gb := f.Classify(id)
+			wd, wb := want.Classify(id)
+			if gd != wd || gb != wb {
+				t.Fatalf("%s: ID %s classified %v@%d, Build gives %v@%d", name, id, gd, gb, wd, wb)
+			}
+		}
+	}
+
+	// The detection study's range, N ≤ 64, fits the storage grown above.
+	rng := rand.New(rand.NewSource(1))
+	allocs := testing.AllocsPerRun(100, func() {
+		n := 1 + rng.Intn(64)
+		if err := v.FillRandom(rng, n); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Fill(&v, rng.Intn(n)); err != nil {
+			t.Fatal(err)
+		}
+		f.Rebuild(&d)
+		if _, err := f.Stats(&d); err != nil {
+			t.Fatal(err)
+		}
+		_ = f.Depth()
+	})
+	if allocs != 0 {
+		t.Errorf("fill, rebuild and verify into grown storage: %v allocs, want 0", allocs)
+	}
+}

@@ -15,12 +15,23 @@ import (
 // repeats; that draw sequence defines the study's results, so it must not
 // change.
 func RandomIVN(rng *rand.Rand, n int) (*IVN, error) {
+	v := new(IVN)
+	if err := v.FillRandom(rng, n); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// FillRandom overwrites v with a random IVN of n distinct CAN IDs drawn
+// exactly as RandomIVN draws them, reusing v's ID storage; on error v is
+// unchanged.
+func (v *IVN) FillRandom(rng *rand.Rand, n int) error {
 	const space = int(can.MaxID) + 1
 	if n <= 0 {
-		return nil, ErrEmptyIVN
+		return ErrEmptyIVN
 	}
 	if n > space {
-		return nil, fmt.Errorf("fsm: IVN of %d ECUs needs more than the %d distinct 11-bit CAN IDs", n, space)
+		return fmt.Errorf("fsm: IVN of %d ECUs needs more than the %d distinct 11-bit CAN IDs", n, space)
 	}
 	var seen DetectionSet
 	for seen.n < n {
@@ -29,5 +40,6 @@ func RandomIVN(rng *rand.Rand, n int) (*IVN, error) {
 			seen.n++
 		}
 	}
-	return &IVN{ids: seen.IDs()}, nil
+	v.ids = seen.appendIDs(v.ids[:0])
+	return nil
 }

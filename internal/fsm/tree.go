@@ -31,9 +31,17 @@ type treeNode struct {
 // paper's offline initial-configuration step.
 func Build(d *DetectionSet) *FSM {
 	f := &FSM{nodes: make([]treeNode, 0, 64)}
+	f.Rebuild(d)
+	return f
+}
+
+// Rebuild regenerates f in place as the FSM Build(d) returns, reusing f's
+// node storage, and resets its streaming evaluator. Cursors taken from f
+// before the call are invalid after it.
+func (f *FSM) Rebuild(d *DetectionSet) {
+	f.nodes = f.nodes[:0]
 	f.build(d, 0, int(can.MaxID)+1)
 	f.Reset()
-	return f
 }
 
 // build recursively constructs the subtree covering the identifier block
