@@ -555,17 +555,15 @@ func ffScenarioBus(b *testing.B, target float64, mode experiment.SteppingMode) *
 }
 
 // BenchmarkBusFastForward measures simulated-bits-per-second across the
-// five stepping modes — exact per-bit, idle fast-forward only (the PR1
-// baseline), idle plus the sole-transmitter frame fast path, the stack
-// with the contested-window path, and the full ladder topped by the
-// compiled-splice tier — on restbus scenarios at three offered loads: a
+// four stepping modes — exact per-bit, idle fast-forward only (the PR1
+// baseline), idle plus the committed-span (contend) path, and the full
+// ladder topped by the compiled-splice tier — on restbus scenarios at three offered loads: a
 // 2% parking/diagnostic load where the bus is almost entirely idle, the
 // 30% prototype load of the online experiments, and a saturated 60% load.
 // Under idle-FF alone every busy bit is exact-stepped, so its win shrinks
-// with load (Amdahl); the frame path batches uncontended mid-frame
-// windows; the contend path batches the rest — arbitration fights and
-// pending-SOF windows — leaving only the ACK slot and enqueue bits on the
-// exact path; the splice tier lifts whole precompiled frame windows over
+// with load (Amdahl); the contend path batches committed frame spans —
+// uncontended mid-frame windows, arbitration fights and pending-SOF
+// windows — leaving only the ACK slot and enqueue bits on the exact path; the splice tier lifts whole precompiled frame windows over
 // the per-bit machinery entirely. The scenario is stationary, so each
 // iteration extends the same simulation by two seconds of bus time.
 func BenchmarkBusFastForward(b *testing.B) {
@@ -574,23 +572,12 @@ func BenchmarkBusFastForward(b *testing.B) {
 		name   string
 		target float64
 	}{{"load2", 0.02}, {"load30", 0.30}, {"load60", 0.60}} {
-		for _, mode := range []struct {
-			name      string
-			mode      experiment.SteppingMode
-			idleFF    bool
-			frameFF   bool
-			contendFF bool
-			spliceFF  bool
-		}{
-			{"exact", experiment.ModeExact, false, false, false, false},
-			{"idle-ff", experiment.ModeIdleFF, true, false, false, false},
-			{"frame-ff", experiment.ModeFrameFF, true, true, false, false},
-			{"contend-ff", experiment.ModeContendFF, true, true, true, false},
-			{"splice-ff", experiment.ModeSpliceFF, true, true, true, true},
-		} {
+		for r, mode := range experiment.SteppingModes {
+			// Mode r tops the bus ladder at rung r.
+			top := bus.Rung(r)
 			load, mode := load, mode
-			b.Run(load.name+"/"+mode.name, func(b *testing.B) {
-				bb := ffScenarioBus(b, load.target, mode.mode)
+			b.Run(load.name+"/"+string(mode), func(b *testing.B) {
+				bb := ffScenarioBus(b, load.target, mode)
 				// One untimed iteration lets the plan caches and splice memos
 				// start filling before the timed window.
 				bb.Run(bitsPerIter)
@@ -603,28 +590,25 @@ func BenchmarkBusFastForward(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(bitsPerIter)*float64(b.N)/b.Elapsed().Seconds(), "bits/s")
-				if mode.idleFF && bb.IdleForwardedBits() == 0 {
+				if top >= bus.RungIdle && bb.IdleForwardedBits() == 0 {
 					b.Fatal("idle fast path never engaged")
 				}
 				// A warm splice tier takes whole frame windows before the
-				// frame and contend paths are asked, so those two may carry
-				// nothing on a splice-ff bus.
-				if mode.frameFF && !mode.spliceFF && bb.FrameForwardedBits() == 0 {
-					b.Fatal("frame fast path never engaged")
-				}
-				if mode.contendFF && !mode.spliceFF && bb.ContendForwardedBits() == 0 {
+				// contend path is asked, so it may carry nothing on a
+				// splice-ff bus.
+				if top == bus.RungContend && bb.ContendForwardedBits() == 0 {
 					b.Fatal("contend fast path never engaged")
 				}
-				if !mode.contendFF && bb.ContendForwardedBits() != 0 {
+				if top < bus.RungContend && bb.ContendForwardedBits() != 0 {
 					b.Fatal("contend path engaged while disabled")
 				}
-				if mode.spliceFF && bb.SpliceForwardedBits() == 0 {
+				if top == bus.RungSplice && bb.SpliceForwardedBits() == 0 {
 					b.Fatal("splice fast path never engaged")
 				}
-				if !mode.spliceFF && bb.SpliceForwardedBits() != 0 {
+				if top < bus.RungSplice && bb.SpliceForwardedBits() != 0 {
 					b.Fatal("splice path engaged while disabled")
 				}
-				if !mode.idleFF && bb.FastForwardedBits() != 0 {
+				if top == bus.RungExact && bb.FastForwardedBits() != 0 {
 					b.Fatal("exact path fast-forwarded")
 				}
 			})

@@ -41,22 +41,20 @@ func main() {
 		seed       = flag.Int64("seed", 1, "deterministic seed")
 		fsms       = flag.Int("fsms", 160_000, "random FSMs for the detection study")
 		workers    = flag.Int("workers", 0, "trial-runner pool size (0 = GOMAXPROCS, 1 = serial); results are identical either way")
-		exact      = flag.Bool("exact", false, "force exact per-bit stepping (disable idle fast-forward)")
-		contendFF  = flag.Bool("contend-ff", true, "enable the contested-window fast path (set -contend-ff=false to ablate it and the splice tier above it; idle and frame paths stay on)")
-		spliceFF   = flag.Bool("splice-ff", true, "enable the compiled-splice fast path (set -splice-ff=false to ablate the splice tier; the idle/frame/contend ladder stays on)")
+		mode       = flag.String("mode", "", "stepping mode, the top rung of the fast-forward ladder: exact|idle-ff|contend-ff|splice-ff (default: the full ladder)")
 		jsonOut    = flag.String("json", "", "measure the throughput grid (load × stepping mode) and write machine-readable results to this file")
 		gridBits   = flag.Int64("gridbits", 2_000_000, "simulated bit times per throughput-grid cell")
 		metrics    = flag.Bool("metrics", false, "collect telemetry metrics during the run and print a Prometheus-style snapshot")
 		httpAddr   = flag.String("http", "", "serve live observability (/metrics /incidents /snapshot /debug/pprof) on this address while the run advances (implies -metrics)")
-		obsJSON    = flag.String("obs-overhead", "", "measure the 3×4 throughput grid across observability arms (wired hub / +idle HTTP server / +forensics engine) and write JSON to this file")
+		obsJSON    = flag.String("obs-overhead", "", "measure the 3×3 throughput grid across observability arms (wired hub / +idle HTTP server / +forensics engine) and write JSON to this file")
 		obsBudget  = flag.Float64("obs-budget", 2.0, "slowdown budget in percent the idle-server arm of the -obs-overhead grid must stay within")
-		storeJSON  = flag.String("store-overhead", "", "measure the 3×4 throughput grid across persistence arms (in-memory / +segment store / +checkpoints) and write JSON to this file")
+		storeJSON  = flag.String("store-overhead", "", "measure the 3×3 throughput grid across persistence arms (in-memory / +segment store / +checkpoints) and write JSON to this file")
 		storeBudg  = flag.Float64("store-budget", 2.0, "slowdown budget in percent the persist arm of the -store-overhead grid must stay within")
 		storeSeg   = flag.Int64("store-segment-bytes", store.DefaultSegmentBytes, "segment roll threshold for the -store-overhead arms (also recorded in the -json store block)")
 		storeFsync = flag.String("store-fsync", store.FsyncGroup, "fsync policy for the -store-overhead arms: group|checkpoint|none")
-		watchJSON  = flag.String("watch-overhead", "", "measure the 3×4 throughput grid across live-SLO arms (forensics baseline / +watch engine / +5ms SLO poller) and write JSON to this file")
+		watchJSON  = flag.String("watch-overhead", "", "measure the 3×3 throughput grid across live-SLO arms (forensics baseline / +watch engine / +5ms SLO poller) and write JSON to this file")
 		watchBudg  = flag.Float64("watch-budget", 2.0, "slowdown budget in percent the watch arm of the -watch-overhead grid must stay within at the idle cell")
-		overhead   = flag.Bool("telemetry-overhead", false, "measure disabled-vs-enabled telemetry throughput on the frame fast path and exit nonzero over -overhead-threshold")
+		overhead   = flag.Bool("telemetry-overhead", false, "measure disabled-vs-enabled telemetry throughput on the contend fast path and exit nonzero over -overhead-threshold")
 		overheadTh = flag.Float64("overhead-threshold", 2.0, "max tolerated telemetry overhead in percent for -telemetry-overhead")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -100,13 +98,11 @@ func main() {
 	}
 
 	cfg := experiment.Config{
-		Rate:          bus.Rate(*rate),
-		Duration:      *duration,
-		Seed:          *seed,
-		Workers:       *workers,
-		ExactStepping: *exact,
-		NoContendFF:   !*contendFF,
-		NoSpliceFF:    !*spliceFF,
+		Rate:     bus.Rate(*rate),
+		Duration: *duration,
+		Seed:     *seed,
+		Workers:  *workers,
+		Mode:     experiment.SteppingMode(*mode),
 	}
 	var hub *telemetry.Hub
 	if *metrics || *httpAddr != "" {
@@ -137,7 +133,7 @@ func main() {
 }
 
 // runOverheadGuard backs the CI telemetry-overhead step: it measures the
-// frame-fast-path throughput with telemetry disabled and with a metrics-only
+// contend-ff throughput with telemetry disabled and with a metrics-only
 // hub wired in, prints both, and fails when the relative cost exceeds the
 // threshold.
 func runOverheadGuard(simBits int64, thresholdPct float64) error {
@@ -180,7 +176,7 @@ func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64
 		workers = runtime.GOMAXPROCS(0)
 	}
 	modes := experiment.SteppingModes
-	header("Throughput grid — exact vs idle-FF vs frame-FF vs contend-FF vs splice-FF")
+	header("Throughput grid — exact vs idle-FF vs contend-FF vs splice-FF")
 	fmt.Printf("fast-path modes: %v, workers=%d\n", modes, workers)
 	var rows []experiment.ThroughputRow
 	for _, load := range []float64{0.02, 0.30, 0.60} {
@@ -238,6 +234,10 @@ func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64
 	fmt.Printf("\nwrote %s\n", path)
 	return nil
 }
+
+// overheadModes are the stepping modes of the obs, store and watch overhead
+// grids: every rung below splice.
+var overheadModes = []experiment.SteppingMode{experiment.ModeExact, experiment.ModeIdleFF, experiment.ModeContendFF}
 
 // writeObsOverheadJSON measures the load × stepping-mode grid across the
 // three observability arms — wired hub baseline, + bound idle HTTP server,
@@ -297,10 +297,7 @@ func writeObsOverheadJSON(path string, simBits int64, budgetPct float64) error {
 	var serverPcts, fullPcts []float64
 	maxServer, maxFull := 0.0, 0.0
 	for _, load := range []float64{0.02, 0.30, 0.60} {
-		for _, mode := range []experiment.SteppingMode{
-			experiment.ModeExact, experiment.ModeIdleFF, experiment.ModeFrameFF,
-			experiment.ModeContendFF,
-		} {
+		for _, mode := range overheadModes {
 			row, err := experiment.MeasureObsOverhead(load, mode, simBits, newStack)
 			if err != nil {
 				return err
@@ -440,10 +437,7 @@ func writeStoreOverheadJSON(path string, simBits int64, budgetPct float64, segBy
 	maxPersist, maxCp := 0.0, 0.0
 	var totalDisk, totalEvents int64
 	for _, load := range []float64{0.02, 0.30, 0.60} {
-		for _, mode := range []experiment.SteppingMode{
-			experiment.ModeExact, experiment.ModeIdleFF, experiment.ModeFrameFF,
-			experiment.ModeContendFF,
-		} {
+		for _, mode := range overheadModes {
 			row, err := experiment.MeasureStoreOverhead(load, mode, simBits, newStack)
 			if err != nil {
 				return err
@@ -557,10 +551,7 @@ func writeWatchOverheadJSON(path string, simBits int64, budgetPct float64) error
 	maxWatch, maxPolled := 0.0, 0.0
 	var totalTransitions, totalVerdicts int64
 	for _, load := range []float64{0.02, 0.30, 0.60} {
-		for _, mode := range []experiment.SteppingMode{
-			experiment.ModeExact, experiment.ModeIdleFF, experiment.ModeFrameFF,
-			experiment.ModeContendFF,
-		} {
+		for _, mode := range overheadModes {
 			row, err := experiment.MeasureWatchOverhead(load, mode, simBits)
 			if err != nil {
 				return err
@@ -646,8 +637,7 @@ func profiledRun(cfg experiment.Config, table, fig int, exp string, all bool, fs
 	}
 
 	startBits := bus.SimulatedBits()
-	startIdle, startFrame, startContend := bus.IdleForwardedTotal(), bus.FrameForwardedTotal(), bus.ContendForwardedTotal()
-	startSplice := bus.SpliceForwardedTotal()
+	startIdle, startContend, startSplice := bus.IdleForwardedTotal(), bus.ContendForwardedTotal(), bus.SpliceForwardedTotal()
 	startWall := time.Now()
 	err := run(cfg, table, fig, exp, all, fsms)
 	wall := time.Since(startWall)
@@ -655,12 +645,10 @@ func profiledRun(cfg experiment.Config, table, fig int, exp string, all bool, fs
 		fmt.Printf("\nsimulated %d bus bits in %v (%.1f Mbit/s of bus time per wall-clock second)\n",
 			simBits, wall.Round(time.Millisecond), float64(simBits)/wall.Seconds()/1e6)
 		idle := bus.IdleForwardedTotal() - startIdle
-		frame := bus.FrameForwardedTotal() - startFrame
 		contend := bus.ContendForwardedTotal() - startContend
 		splice := bus.SpliceForwardedTotal() - startSplice
-		fmt.Printf("fast-path coverage: idle %d bits (%.1f%%), frame %d bits (%.1f%%), contend %d bits (%.1f%%), splice %d bits (%.1f%%)\n",
+		fmt.Printf("fast-path coverage: idle %d bits (%.1f%%), contend %d bits (%.1f%%), splice %d bits (%.1f%%)\n",
 			idle, 100*float64(idle)/float64(simBits),
-			frame, 100*float64(frame)/float64(simBits),
 			contend, 100*float64(contend)/float64(simBits),
 			splice, 100*float64(splice)/float64(simBits))
 		if hub != nil {

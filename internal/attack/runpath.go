@@ -6,7 +6,6 @@ import (
 )
 
 var (
-	_ bus.Transmitting     = (*Attacker)(nil)
 	_ bus.RunObserver      = (*Attacker)(nil)
 	_ bus.ContendCommitter = (*Attacker)(nil)
 )
@@ -28,31 +27,11 @@ func (a *Attacker) policyHorizon(now bus.BitTime) bus.BitTime {
 	return qp.QuiescentUntil(now, a.ctl.PendingTx())
 }
 
-// CommittedBits implements bus.Transmitting: the controller's commitment,
-// clamped below the policy's next action so the injection runs on an exact
-// step — the attacker's controller is compliant, so its mid-frame stream is
-// as predictable as anyone's.
-func (a *Attacker) CommittedBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
-	bits, h := a.ctl.CommittedBits(now)
-	if h <= now || len(bits) == 0 {
-		return nil, now
-	}
-	if hp := a.policyHorizon(now); hp < h {
-		if hp <= now {
-			return nil, now
-		}
-		h = hp
-		bits = bits[:int64(h-now)]
-	}
-	return bits, h
-}
-
-// FrameBit implements bus.Transmitting.
-func (a *Attacker) FrameBit() int { return a.ctl.FrameBit() }
-
-// ContendBits implements bus.ContendCommitter: the controller's contested
-// commitment (mid-frame stream or error-flag run), clamped below the policy's
-// next action exactly as CommittedBits is.
+// ContendBits implements bus.ContendCommitter: the controller's commitment
+// (mid-frame stream, pending SOF or error-flag run), clamped below the
+// policy's next action so the injection runs on an exact step — the
+// attacker's controller is compliant, so its mid-frame stream is as
+// predictable as anyone's.
 func (a *Attacker) ContendBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
 	bits, h := a.ctl.ContendBits(now)
 	if h <= now || len(bits) == 0 {

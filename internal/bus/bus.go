@@ -90,53 +90,33 @@ type Tap interface {
 // goroutine.
 type Bus struct {
 	rate    Rate
-	nodes   []Node
-	taps    []Tap
+	nodes   []nodeRec
+	taps    []tapRec
 	now     BitTime
 	idleRun int
 	last    can.Level
 
-	// Idle fast-forward state (see quiesce.go). quiescent is parallel to
-	// nodes and ffTaps to taps, with nil entries for participants lacking
-	// the capability; pinned/tapPinned count those entries so the hot path
-	// can bail in O(1) without re-querying interfaces.
-	quiescent  []Quiescent
-	ffTaps     []TapFastForwarder
-	pinned     int
-	tapPinned  int
-	ffDisabled bool
-	ffSkipped  int64
+	// top is the highest fast-forward rung this bus may take (SetLadder);
+	// pinned has bit r set while some participant lacks a capability rung r
+	// needs. Both only change in SetLadder and Attach/AttachTap/Detach, so
+	// the walker tests one rung in O(1) without re-querying interfaces.
+	top    Rung
+	pinned uint8
 
-	// Frame fast-forward state (see framepath.go). txCap and runObs are
-	// parallel to nodes, tapRun to taps; runPinned/tapRunPinned count the
-	// participants lacking batch delivery.
-	txCap        []Transmitting
-	runObs       []RunObserver
-	runPinned    int
-	tapRun       []TapRunObserver
-	tapRunPinned int
-	frameFFOff   bool
-	ffFrameBits  int64
-
-	// Contested-window fast-forward state (see contendpath.go). contendCap is
-	// parallel to nodes; contendSc is the retained proposal scratch, which
-	// Detach invalidates (it may reference a detached node's committed
-	// stream).
-	contendCap    []ContendCommitter
-	contendFFOff  bool
+	// Bits carried by each fast-forward rung (see quiesce.go, contendpath.go
+	// and splicepath.go).
+	ffSkipped     int64
 	ffContendBits int64
-	contendSc     *contendScratch
+	ffSpliceBits  int64
 
-	// Compiled-splice fast-forward state (see splicepath.go). spliceCap is
-	// parallel to nodes; splicePinned counts nodes lacking the capability;
+	// contendSc is the contend rung's retained proposal scratch, which Detach
+	// invalidates (it may reference a detached node's committed stream).
+	contendSc *contendScratch
+
 	// spliceGen stamps the node topology so plan-carried splice memos —
 	// whose per-node slots are indexed by attachment order — invalidate
 	// when a detach renumbers the nodes.
-	spliceCap    []Splicing
-	splicePinned int
-	spliceFFOff  bool
-	ffSpliceBits int64
-	spliceGen    uint64
+	spliceGen uint64
 
 	// tel receives fast-path span events (EvFFSpan). The zero Probe is a
 	// no-op, so unwired buses pay one nil check per committed span — never
@@ -144,17 +124,34 @@ type Bus struct {
 	tel telemetry.Probe
 }
 
+// nodeRec is one attached node and the fast-forward capabilities it
+// asserts; a nil capability means the node lacks it.
+type nodeRec struct {
+	n       Node
+	quiet   Quiescent
+	run     RunObserver
+	contend ContendCommitter
+	splice  Splicing
+}
+
+// tapRec is one attached tap and the batch capabilities it asserts.
+type tapRec struct {
+	t    Tap
+	skip TapFastForwarder
+	run  TapRunObserver
+}
+
 // New creates an idle bus running at the given rate.
 func New(rate Rate) *Bus {
-	return &Bus{rate: rate, last: can.Recessive}
+	return &Bus{rate: rate, last: can.Recessive, top: RungSplice}
 }
 
 // Rate returns the configured bus speed.
 func (b *Bus) Rate() Rate { return b.rate }
 
 // SetTelemetry wires the bus to a telemetry hub under the given node name.
-// The bus emits one EvFFSpan per committed fast-path span (idle jump or
-// sole-transmitter frame batch); a nil hub disables emission.
+// The bus emits one EvFFSpan per committed fast-path span; a nil hub
+// disables emission.
 func (b *Bus) SetTelemetry(hub *telemetry.Hub, name string) {
 	b.tel = hub.Probe(name)
 }
@@ -168,60 +165,24 @@ func (b *Bus) Elapsed() time.Duration { return b.rate.Duration(int64(b.now)) }
 // Attach wires a node to the bus. Nodes may be attached mid-simulation
 // (e.g. plugging a device into the OBD-II port).
 func (b *Bus) Attach(n Node) {
-	b.nodes = append(b.nodes, n)
-	q, ok := n.(Quiescent)
-	b.quiescent = append(b.quiescent, q)
-	if !ok {
-		b.pinned++
-	}
-	tc, _ := n.(Transmitting)
-	b.txCap = append(b.txCap, tc)
-	ro, ok := n.(RunObserver)
-	b.runObs = append(b.runObs, ro)
-	if !ok {
-		b.runPinned++
-	}
-	cc, _ := n.(ContendCommitter)
-	b.contendCap = append(b.contendCap, cc)
-	sp, ok := n.(Splicing)
-	b.spliceCap = append(b.spliceCap, sp)
-	if !ok {
-		b.splicePinned++
-	}
+	r := nodeRec{n: n}
+	r.quiet, _ = n.(Quiescent)
+	r.run, _ = n.(RunObserver)
+	r.contend, _ = n.(ContendCommitter)
+	r.splice, _ = n.(Splicing)
+	b.nodes = append(b.nodes, r)
+	b.repin()
 }
 
 // Detach removes a node from the bus. It reports whether the node was found.
 func (b *Bus) Detach(n Node) bool {
-	for i, node := range b.nodes {
-		if node == n {
+	for i, r := range b.nodes {
+		if r.n == n {
 			last := len(b.nodes) - 1
 			copy(b.nodes[i:], b.nodes[i+1:])
-			b.nodes[last] = nil // clear the stale tail so the node can be GC'd
+			b.nodes[last] = nodeRec{} // clear the stale tail so the node can be GC'd
 			b.nodes = b.nodes[:last]
-			if b.quiescent[i] == nil {
-				b.pinned--
-			}
-			copy(b.quiescent[i:], b.quiescent[i+1:])
-			b.quiescent[last] = nil
-			b.quiescent = b.quiescent[:last]
-			copy(b.txCap[i:], b.txCap[i+1:])
-			b.txCap[last] = nil
-			b.txCap = b.txCap[:last]
-			if b.runObs[i] == nil {
-				b.runPinned--
-			}
-			copy(b.runObs[i:], b.runObs[i+1:])
-			b.runObs[last] = nil
-			b.runObs = b.runObs[:last]
-			copy(b.contendCap[i:], b.contendCap[i+1:])
-			b.contendCap[last] = nil
-			b.contendCap = b.contendCap[:last]
-			if b.spliceCap[i] == nil {
-				b.splicePinned--
-			}
-			copy(b.spliceCap[i:], b.spliceCap[i+1:])
-			b.spliceCap[last] = nil
-			b.spliceCap = b.spliceCap[:last]
+			b.repin()
 			// Compaction renumbered the surviving nodes, so every per-node
 			// slot in the plan-carried splice memos is stale.
 			b.spliceGen++
@@ -234,17 +195,11 @@ func (b *Bus) Detach(n Node) bool {
 
 // AttachTap adds a passive observer.
 func (b *Bus) AttachTap(t Tap) {
-	b.taps = append(b.taps, t)
-	ft, ok := t.(TapFastForwarder)
-	b.ffTaps = append(b.ffTaps, ft)
-	if !ok {
-		b.tapPinned++
-	}
-	tr, ok := t.(TapRunObserver)
-	b.tapRun = append(b.tapRun, tr)
-	if !ok {
-		b.tapRunPinned++
-	}
+	r := tapRec{t: t}
+	r.skip, _ = t.(TapFastForwarder)
+	r.run, _ = t.(TapRunObserver)
+	b.taps = append(b.taps, r)
+	b.repin()
 }
 
 // Step advances the simulation by one nominal bit time and returns the
@@ -252,16 +207,16 @@ func (b *Bus) AttachTap(t Tap) {
 func (b *Bus) Step() can.Level {
 	t := b.now
 	level := can.Recessive
-	for _, n := range b.nodes {
-		if n.Drive(t) == can.Dominant {
+	for _, r := range b.nodes {
+		if r.n.Drive(t) == can.Dominant {
 			level = can.Dominant
 		}
 	}
-	for _, n := range b.nodes {
-		n.Observe(t, level)
+	for _, r := range b.nodes {
+		r.n.Observe(t, level)
 	}
-	for _, tap := range b.taps {
-		tap.Bit(t, level)
+	for _, r := range b.taps {
+		r.t.Bit(t, level)
 	}
 	if level == can.Recessive {
 		b.idleRun++
@@ -273,20 +228,10 @@ func (b *Bus) Step() can.Level {
 	return level
 }
 
-// Run advances the simulation by n bit times, fast-forwarding through
-// stretches where every attached node and tap is quiescent (see quiesce.go).
+// Run advances the simulation by n bit times, taking the fast-forward ladder
+// wherever every participant allows it (see walk).
 func (b *Bus) Run(n int64) {
-	if n <= 0 {
-		return
-	}
-	end := b.now + BitTime(n)
-	for b.now < end {
-		if !b.tryFastForward(end) && !b.trySpliceForward(end) &&
-			!b.tryFrameForward(end) && !b.tryContendForward(end) {
-			b.Step()
-		}
-	}
-	simulatedBits.Add(n)
+	b.walk(nil, b.now+BitTime(n))
 }
 
 // RunFor advances the simulation by the number of bit times equivalent to d
@@ -297,23 +242,32 @@ func (b *Bus) RunFor(d time.Duration) {
 
 // RunUntil advances the bus until the predicate returns true or maxBits have
 // elapsed, and reports whether the predicate fired. The predicate is checked
-// after every exact step and after every quiescent jump; predicates must
-// therefore depend only on node state (which evolves identically on both
-// paths), not on the specific bit time at which they are polled.
+// after every committed step, exact or fast-forwarded; predicates must
+// therefore depend only on node state (which evolves identically on every
+// rung), not on the specific bit time at which they are polled.
 func (b *Bus) RunUntil(pred func() bool, maxBits int64) bool {
+	return b.walk(pred, b.now+BitTime(maxBits))
+}
+
+// walk is the ladder walker behind Run and RunUntil. Each iteration commits
+// one op bounded by end, trying the rungs in order — an idle jump, a
+// compiled splice, a contended span — and exact-stepping one bit when every
+// rung declines. pred, when non-nil, is polled after every op and stops the
+// walk when it fires; walk reports whether it did.
+func (b *Bus) walk(pred func() bool, end BitTime) bool {
 	start := b.now
-	end := b.now + BitTime(maxBits)
-	defer func() { simulatedBits.Add(int64(b.now - start)) }()
+	fired := false
 	for b.now < end {
-		if !b.tryFastForward(end) && !b.trySpliceForward(end) &&
-			!b.tryFrameForward(end) && !b.tryContendForward(end) {
+		if !b.tryFastForward(end) && !b.trySpliceForward(end) && !b.tryContendForward(end) {
 			b.Step()
 		}
-		if pred() {
-			return true
+		if pred != nil && pred() {
+			fired = true
+			break
 		}
 	}
-	return false
+	simulatedBits.Add(int64(b.now - start))
+	return fired
 }
 
 // IdleRun returns the number of consecutive recessive bits observed up to and

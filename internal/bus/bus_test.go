@@ -20,12 +20,12 @@ func (n *constNode) Observe(t BitTime, l can.Level) {
 	n.times = append(n.times, t)
 }
 
-// tapRec records tap callbacks.
-type tapRec struct {
+// levelTap records tap callbacks.
+type levelTap struct {
 	levels []can.Level
 }
 
-func (t *tapRec) Bit(_ BitTime, l can.Level) { t.levels = append(t.levels, l) }
+func (t *levelTap) Bit(_ BitTime, l can.Level) { t.levels = append(t.levels, l) }
 
 func TestRateConversions(t *testing.T) {
 	tests := []struct {
@@ -171,7 +171,7 @@ func TestIdleRunResetsOnDominant(t *testing.T) {
 
 func TestTapSeesEveryBit(t *testing.T) {
 	b := New(Rate500k)
-	tap := &tapRec{}
+	tap := &levelTap{}
 	b.AttachTap(tap)
 	d := &constNode{drive: can.Dominant}
 	b.Attach(d)

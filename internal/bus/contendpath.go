@@ -9,9 +9,9 @@ import (
 	"michican/internal/telemetry"
 )
 
-// ContendCommitter is the contested-window analogue of Transmitting: a node
-// that can publish the levels it will drive even while other nodes are
-// driving too.
+// ContendCommitter is the capability of the contend rung's drivers: a node
+// that can publish the levels it will drive, alone on the wire or while
+// other nodes drive too.
 //
 // ContendBits(now) returns the exact levels this node drives for bits
 // [now, horizon) *conditional on winning every monitored bit so far*: as long
@@ -21,30 +21,64 @@ import (
 // first position where some committer's recessive is overridden by another's
 // dominant (an arbitration loss, a bit error under a counterattack pull, or a
 // stuff-error collision). That bit, where the loser's behaviour forks, is
-// re-stepped exactly. A horizon <= now, or an empty slice, declines.
+// re-stepped exactly. A sole committer is the uncontended case: its stream is
+// the resolved span. The stream must exclude any bit whose observed level
+// feeds back into the node's next drive decision (a transmitter's ACK slot);
+// a frame's final EOF bit may commit — its level is unconditional — provided
+// the node's ObserveRun fires the completion events at that exact bit time. A
+// horizon <= now, or an empty slice, declines.
 //
 // ContendFrameBit reports the wire index within the current frame (SOF = 0)
 // of the bit the node drives at query time when the stream comes from a
 // serialized transmit plan, and -1 for unconditional dominant runs (error
-// flags, counterattack pulls) that carry no frame position.
+// flags, counterattack pulls) that carry no frame position. Receivers use it
+// to prove they are bit-synchronized to the committed stream.
 type ContendCommitter interface {
 	ContendBits(now BitTime) ([]can.Level, BitTime)
 	ContendFrameBit() int
 }
 
-// contendForwardedTotal is the process-wide counter for the contested-window
-// path, alongside its idle and frame siblings in framepath.go.
+// RunObserver is the batch-delivery capability of the contend rung. Nodes
+// lacking it pin the rung: every committed span is exact-stepped.
+//
+// PassiveRun(now, frameBit, levels) is the span-side analogue of
+// Quiescent.QuiescentUntil: the bus proposes that bits [now, now+len(levels))
+// resolve to exactly levels (the committers' resolved stream, whose position
+// within its frame is frameBit, or -1 for flag and pull runs), and the node
+// answers with the longest prefix it can consume while (a) driving recessive
+// for every one of those bits and (b) deferring no externally visible event —
+// no error flag, no frame-completion callback, no counterattack pull — past
+// the prefix. The answer must be prefix-monotone: accepting k bits implies the
+// same k bits would be accepted from any longer proposal. Returning 0 pins the
+// span. PassiveRun must not mutate any state — the bus may discard the
+// proposal.
+//
+// ObserveRun(from, levels) then delivers a (possibly clamped) span for real:
+// the node must leave itself in exactly the state len(levels) per-bit
+// Observe calls with these resolved levels would have produced.
+type RunObserver interface {
+	PassiveRun(now BitTime, frameBit int, levels []can.Level) int
+	ObserveRun(from BitTime, levels []can.Level)
+}
+
+// TapRunObserver is the tap-side analogue of RunObserver: a Tap that can
+// record a run of resolved levels in one call. Taps without it pin the
+// contend and splice rungs (they need every Bit call).
+type TapRunObserver interface {
+	BitRun(from BitTime, levels []can.Level)
+}
+
+// minFrameRun is the shortest span worth negotiating: below this the
+// per-node scan overhead exceeds the cost of exact stepping.
+const minFrameRun = 4
+
+// contendForwardedTotal is the process-wide counter for the contend rung,
+// alongside its idle and splice siblings.
 var contendForwardedTotal atomic.Int64
 
 // ContendForwardedTotal returns the cumulative process-wide count of bits
-// advanced via the contested-window (multi-driver) fast path.
+// advanced via the contested-window fast path.
 func ContendForwardedTotal() int64 { return contendForwardedTotal.Load() }
-
-// SetContendFastForward enables or disables the contested-window fast path
-// independently of the other two (enabled by default; SetFastForward false
-// disables all three). The separate knob exists so benchmarks can ablate
-// exact vs idle-FF vs frame-FF vs contend-FF.
-func (b *Bus) SetContendFastForward(on bool) { b.contendFFOff = !on }
 
 // ContendForwardedBits returns how many bits this bus advanced via the
 // contested-window fast path.
@@ -89,8 +123,8 @@ func (b *Bus) invalidateProposal() {
 	b.contendSc = nil
 }
 
-// tryContendForward attempts one contested-window batch advance, bounded by
-// end. It generalizes tryFrameForward to any number of simultaneous drivers:
+// tryContendForward attempts one batch advance of committed streams, bounded
+// by end — one driver or many:
 //
 //  1. every ContendCommitter publishes its conditional stream; conflicting
 //     frame positions among plan-backed streams decline the proposal (the
@@ -107,13 +141,14 @@ func (b *Bus) invalidateProposal() {
 //     receiver-side span memos key on — and the usual passive negotiation and
 //     RunObserver/TapRunObserver delivery machinery finishes the job.
 func (b *Bus) tryContendForward(end BitTime) bool {
-	if b.ffDisabled || b.contendFFOff || b.runPinned > 0 || b.tapRunPinned > 0 || end <= b.now {
+	if !b.open(RungContend) || end <= b.now {
 		return false
 	}
 	var sc *contendScratch
 	n := int(end - b.now)
 	frameBit := -1
-	for i, cc := range b.contendCap {
+	for i, r := range b.nodes {
+		cc := r.contend
 		if cc == nil {
 			continue
 		}
@@ -166,7 +201,7 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 	span := sc.bits[0]
 	if frameBit >= 0 {
 		for k, i := range sc.idx {
-			if b.contendCap[i].ContendFrameBit() >= 0 {
+			if b.nodes[i].contend.ContendFrameBit() >= 0 {
 				span = sc.bits[k]
 				break
 			}
@@ -174,12 +209,12 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 	}
 	span = span[:n]
 	next := 0
-	for i, ro := range b.runObs {
+	for i, r := range b.nodes {
 		if next < len(sc.idx) && sc.idx[next] == i {
 			next++ // committers are not passive parties
 			continue
 		}
-		k := ro.PassiveRun(b.now, frameBit, span[:n])
+		k := r.run.PassiveRun(b.now, frameBit, span[:n])
 		if k < n {
 			n = k
 		}
@@ -188,11 +223,11 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 		}
 	}
 	span = span[:n]
-	for _, ro := range b.runObs {
-		ro.ObserveRun(b.now, span)
+	for _, r := range b.nodes {
+		r.run.ObserveRun(b.now, span)
 	}
-	for _, tr := range b.tapRun {
-		tr.BitRun(b.now, span)
+	for _, r := range b.taps {
+		r.run.BitRun(b.now, span)
 	}
 	if k := trailingRecessive(span); k == n {
 		b.idleRun += n
@@ -244,4 +279,13 @@ func contendResolve(sc *contendScratch, n int) int {
 		}
 	}
 	return n
+}
+
+// trailingRecessive returns the length of the trailing recessive run.
+func trailingRecessive(levels []can.Level) int {
+	k := 0
+	for i := len(levels) - 1; i >= 0 && levels[i] == can.Recessive; i-- {
+		k++
+	}
+	return k
 }

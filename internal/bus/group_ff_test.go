@@ -29,10 +29,10 @@ func mixedRateGroup(t *testing.T, ff bool) (*bus.Group, *bus.Bus, *bus.Bus, *tra
 
 	pt := bus.New(bus.Rate500k)
 	body := bus.New(bus.Rate125k)
-	pt.SetFastForward(ff)
-	pt.SetFrameFastForward(ff)
-	body.SetFastForward(ff)
-	body.SetFrameFastForward(ff)
+	if !ff {
+		pt.SetLadder(bus.RungExact)
+		body.SetLadder(bus.RungExact)
+	}
 
 	pt.Attach(restbus.NewReplayer("pt-restbus", ptMatrix, bus.Rate500k, rand.New(rand.NewSource(3))))
 	pt.Attach(controller.New(controller.Config{Name: "pt-peer", AutoRecover: true}))
@@ -47,7 +47,7 @@ func mixedRateGroup(t *testing.T, ff bool) (*bus.Group, *bus.Bus, *bus.Bus, *tra
 
 // TestGroupMixedRateFastForwardIdentity runs the same two-domain scenario
 // through exact lockstep stepping and through the group's quiescent jump
-// (plus each member's frame fast path) and requires bit-identical wire
+// (plus each member's own ladder) and requires bit-identical wire
 // traces on both buses — the satellite regression for Group fast-forward.
 func TestGroupMixedRateFastForwardIdentity(t *testing.T) {
 	const d = 100 * time.Millisecond

@@ -41,14 +41,22 @@ type TapFastForwarder interface {
 	SkipIdle(from, to BitTime)
 }
 
-// simulatedBits counts every nominal bit time advanced by Run/RunFor/
-// RunUntil across all buses in the process, whether exact-stepped or
-// fast-forwarded. cmd/michican-bench divides it by wall time for a
-// bits-per-second throughput figure.
-var simulatedBits atomic.Int64
+// Process-wide counters. simulatedBits counts every nominal bit time
+// advanced by Run/RunFor/RunUntil across all buses in the process, whether
+// exact-stepped or fast-forwarded; cmd/michican-bench divides it by wall time
+// for a bits-per-second throughput figure. idleForwardedTotal counts the
+// idle rung's share (the other rungs keep theirs beside their paths).
+var (
+	simulatedBits      atomic.Int64
+	idleForwardedTotal atomic.Int64
+)
 
 // SimulatedBits returns the cumulative process-wide simulated bit count.
 func SimulatedBits() int64 { return simulatedBits.Load() }
+
+// IdleForwardedTotal returns the cumulative process-wide count of bits
+// advanced via the idle (quiescence) fast path.
+func IdleForwardedTotal() int64 { return idleForwardedTotal.Load() }
 
 // AddSimulatedBits credits bits advanced outside the Run family (callers
 // that drive Step directly in their own loops).
@@ -58,24 +66,82 @@ func AddSimulatedBits(n int64) {
 	}
 }
 
-// SetFastForward enables or disables idle fast-forwarding (enabled by
-// default). Disabling forces exact per-bit stepping regardless of node
-// capabilities — the reference path for golden-trace differential tests.
-func (b *Bus) SetFastForward(on bool) { b.ffDisabled = !on }
+// Rung is one step of the fast-forward ladder. The ladder is ordered: a bus
+// whose top rung is r tries every rung from RungIdle through r and
+// exact-steps whatever they all decline, so every setting is a prefix of the
+// ladder.
+type Rung uint8
+
+// The rungs, in ladder order.
+const (
+	// RungExact takes no fast path: every bit goes through Drive/Observe —
+	// the reference for the differential tests.
+	RungExact Rung = iota
+	// RungIdle jumps stretches in which every participant is quiescent.
+	RungIdle
+	// RungContend delivers committed spans in bulk: one or more drivers
+	// publish their streams, the bus resolves the wired-AND and clamps at
+	// the first divergence (contendpath.go).
+	RungContend
+	// RungSplice splices whole compiled frame windows in O(1) per node
+	// (splicepath.go).
+	RungSplice
+)
+
+// SetLadder sets the highest rung the bus may take (RungSplice, the full
+// ladder, by default). RungExact forces per-bit stepping regardless of node
+// capabilities.
+func (b *Bus) SetLadder(top Rung) { b.top = top }
+
+// repin recomputes which rungs some participant pins — lacks a capability
+// the rung needs: Quiescent (nodes) and TapFastForwarder (taps) for the idle
+// rung, RunObserver and TapRunObserver for the contend rung, Splicing and
+// TapRunObserver for the splice rung.
+func (b *Bus) repin() {
+	var pinned uint8
+	for _, r := range b.nodes {
+		if r.quiet == nil {
+			pinned |= 1 << RungIdle
+		}
+		if r.run == nil {
+			pinned |= 1 << RungContend
+		}
+		if r.splice == nil {
+			pinned |= 1 << RungSplice
+		}
+	}
+	for _, r := range b.taps {
+		if r.skip == nil {
+			pinned |= 1 << RungIdle
+		}
+		if r.run == nil {
+			pinned |= 1<<RungContend | 1<<RungSplice
+		}
+	}
+	b.pinned = pinned
+}
+
+// open reports whether rung r is enabled and no participant pins it.
+func (b *Bus) open(r Rung) bool {
+	return r <= b.top && b.pinned&(1<<r) == 0
+}
+
+// IdleForwardedBits returns how many bits this bus skipped via the idle
+// quiescence path.
+func (b *Bus) IdleForwardedBits() int64 { return b.ffSkipped }
 
 // FastForwardedBits returns how many bit times this bus advanced via a fast
-// path — the idle quiescence jump, the sole-transmitter frame path, the
-// contested-window path, and the compiled-splice path — rather than exact
-// stepping.
+// path — the idle quiescence jump, the contested-window path, and the
+// compiled-splice path — rather than exact stepping.
 func (b *Bus) FastForwardedBits() int64 {
-	return b.ffSkipped + b.ffFrameBits + b.ffContendBits + b.ffSpliceBits
+	return b.ffSkipped + b.ffContendBits + b.ffSpliceBits
 }
 
 // idleHorizon computes the furthest bit time, bounded by end, through which
 // every node promises quiescence. It returns b.now when any participant pins
 // the bus or declines the promise. It performs no state changes.
 func (b *Bus) idleHorizon(end BitTime) BitTime {
-	if b.ffDisabled || b.pinned > 0 || b.tapPinned > 0 || end <= b.now {
+	if !b.open(RungIdle) || end <= b.now {
 		return b.now
 	}
 	if len(b.nodes) == 0 {
@@ -85,8 +151,8 @@ func (b *Bus) idleHorizon(end BitTime) BitTime {
 		return b.now
 	}
 	horizon := end
-	for _, q := range b.quiescent {
-		h := q.QuiescentUntil(b.now)
+	for _, r := range b.nodes {
+		h := r.quiet.QuiescentUntil(b.now)
 		if h <= b.now {
 			return b.now
 		}
@@ -101,11 +167,11 @@ func (b *Bus) idleHorizon(end BitTime) BitTime {
 // must have obtained from idleHorizon with no intervening state changes.
 func (b *Bus) jumpIdle(horizon BitTime) {
 	n := int64(horizon - b.now)
-	for _, q := range b.quiescent {
-		q.SkipIdle(b.now, horizon)
+	for _, r := range b.nodes {
+		r.quiet.SkipIdle(b.now, horizon)
 	}
-	for _, ft := range b.ffTaps {
-		ft.SkipIdle(b.now, horizon)
+	for _, r := range b.taps {
+		r.skip.SkipIdle(b.now, horizon)
 	}
 	b.tel.Emit(int64(b.now), telemetry.EvFFSpan, n, 0)
 	b.idleRun += int(n)
@@ -117,8 +183,7 @@ func (b *Bus) jumpIdle(horizon BitTime) {
 
 // tryFastForward attempts one quiescent jump, bounded by end. It returns
 // false — having done nothing — when any participant pins the bus or
-// declines, in which case the caller tries the frame fast path and then an
-// exact Step.
+// declines, in which case the walker tries the next rung down.
 //
 // The bound matters for correctness: external code only interacts with the
 // bus (Enqueue, Attach, predicate checks) at Run-family boundaries, so a

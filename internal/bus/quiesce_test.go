@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -113,7 +114,7 @@ func TestNonQuiescentNodePinsExactStepping(t *testing.T) {
 func TestNonQuiescentTapPinsExactStepping(t *testing.T) {
 	b := New(Rate500k)
 	q := &quietNode{wakeAt: -1, fired: true}
-	tap := &tapRec{} // no TapFastForwarder capability
+	tap := &levelTap{} // no TapFastForwarder capability
 	b.Attach(q)
 	b.AttachTap(tap)
 	b.Run(500)
@@ -129,34 +130,84 @@ func TestSetFastForwardOff(t *testing.T) {
 	b := New(Rate500k)
 	q := &quietNode{wakeAt: -1, fired: true}
 	b.Attach(q)
-	b.SetFastForward(false)
+	b.SetLadder(RungExact)
 	b.Run(500)
 	if b.FastForwardedBits() != 0 {
 		t.Fatalf("fast-forwarded %d bits while disabled", b.FastForwardedBits())
 	}
-	b.SetFastForward(true)
+	b.SetLadder(RungSplice)
 	b.Run(500)
 	if b.FastForwardedBits() != 500 {
 		t.Fatalf("fast-forwarded %d bits after re-enable, want 500", b.FastForwardedBits())
 	}
 }
 
+// TestDetachUnpinsBus attaches a node lacking one capability at the first,
+// middle or last position among fully capable nodes (and a tap lacking one
+// capability beside them): it must pin exactly the rungs that need the
+// capability, and detaching the node must unpin them again.
 func TestDetachUnpinsBus(t *testing.T) {
-	b := New(Rate500k)
-	q := &quietNode{wakeAt: -1, fired: true}
-	pin := &constNode{drive: can.Recessive}
-	b.Attach(q)
-	b.Attach(pin)
-	b.Run(10)
-	if b.FastForwardedBits() != 0 {
-		t.Fatal("pinned bus fast-forwarded")
+	all := []Rung{RungIdle, RungContend, RungSplice}
+	cases := []struct {
+		name string
+		node Node
+		tap  Tap
+		pins []Rung
+	}{
+		{name: "no Quiescent", node: &noQuietNode{}, pins: []Rung{RungIdle}},
+		{name: "no RunObserver", node: &noRunNode{}, pins: []Rung{RungContend}},
+		{name: "no ContendCommitter", node: &noContendNode{}},
+		{name: "no Splicing", node: &noSpliceNode{}, pins: []Rung{RungSplice}},
+		{name: "no capability", node: &constNode{drive: can.Recessive}, pins: all},
+		{name: "tap without SkipIdle", tap: &noSkipTap{}, pins: []Rung{RungIdle}},
+		{name: "tap without BitRun", tap: &noRunTap{}, pins: []Rung{RungContend, RungSplice}},
+		{name: "tap without either", tap: &levelTap{}, pins: all},
 	}
-	if !b.Detach(pin) {
-		t.Fatal("detach failed")
+	checkPins := func(t *testing.T, b *Bus, when string, pins []Rung) {
+		t.Helper()
+		for _, r := range all {
+			if pinned := !b.open(r); pinned != slices.Contains(pins, r) {
+				t.Errorf("%s: rung %d pinned = %v, want %v", when, r, pinned, !pinned)
+			}
+		}
 	}
-	b.Run(10)
-	if b.FastForwardedBits() == 0 {
-		t.Error("bus still pinned after detaching the non-quiescent node")
+	for _, tc := range cases {
+		positions := []string{"first", "middle", "last"}
+		if tc.tap != nil {
+			positions = []string{"beside three nodes"} // taps cannot be detached
+		}
+		for pos, where := range positions {
+			t.Run(tc.name+"/"+where, func(t *testing.T) {
+				b := New(Rate500k)
+				for i := 0; i < 3; i++ {
+					if i == pos && tc.node != nil {
+						b.Attach(tc.node)
+					} else {
+						b.Attach(&fullNode{})
+					}
+				}
+				if tc.tap != nil {
+					b.AttachTap(tc.tap)
+				}
+				checkPins(t, b, "attached", tc.pins)
+				b.Run(10)
+				if jumped := b.FastForwardedBits() > 0; jumped == slices.Contains(tc.pins, RungIdle) {
+					t.Errorf("attached: idle jump taken = %v with pins %v", jumped, tc.pins)
+				}
+				if tc.node == nil {
+					return
+				}
+				if !b.Detach(tc.node) {
+					t.Fatal("detach failed")
+				}
+				checkPins(t, b, "detached", nil)
+				before := b.FastForwardedBits()
+				b.Run(10)
+				if b.FastForwardedBits() == before {
+					t.Error("bus still pinned after detaching the node")
+				}
+			})
+		}
 	}
 }
 
@@ -172,10 +223,10 @@ func TestDetachClearsBackingArray(t *testing.T) {
 	// The element past the new length must be nil so the detached node is
 	// not pinned in memory by the backing array.
 	tail := b.nodes[:cap(b.nodes)][len(b.nodes)]
-	if tail != nil {
-		t.Errorf("stale tail element %T still referenced after Detach", tail)
+	if tail != (nodeRec{}) {
+		t.Errorf("stale tail element %T still referenced after Detach", tail.n)
 	}
-	if len(b.nodes) != 1 || b.nodes[0] != Node(n2) {
+	if len(b.nodes) != 1 || b.nodes[0].n != Node(n2) {
 		t.Error("surviving node list wrong")
 	}
 }

@@ -67,7 +67,7 @@ type SpliceMemo struct {
 // counters, and telemetry by a precompiled summary whose effect is
 // bit-identical to exact stepping.
 // Any decline aborts the splice before any state changes, and the window
-// falls through to the contend/frame/exact tiers — the divergence clamp is
+// falls through to the contend and exact rungs — the divergence clamp is
 // the decline itself, so correctness never depends on the cache.
 //
 // SpliceCommit and SpliceApply then commit the window for real: Commit on the
@@ -90,18 +90,12 @@ type Splicing interface {
 }
 
 // spliceForwardedTotal is the process-wide counter for the compiled-splice
-// path, alongside its idle/frame/contend siblings.
+// path, alongside its idle and contend siblings.
 var spliceForwardedTotal atomic.Int64
 
 // SpliceForwardedTotal returns the cumulative process-wide count of bits
 // advanced via the compiled-splice fast path.
 func SpliceForwardedTotal() int64 { return spliceForwardedTotal.Load() }
-
-// SetSpliceFastForward enables or disables the compiled-splice fast path
-// independently of the other three (enabled by default; SetFastForward false
-// disables all four). The separate knob exists so benchmarks can ablate
-// exact vs idle-FF vs frame-FF vs contend-FF vs splice-FF.
-func (b *Bus) SetSpliceFastForward(on bool) { b.spliceFFOff = !on }
 
 // SpliceForwardedBits returns how many bits this bus advanced via the
 // compiled-splice fast path.
@@ -133,8 +127,8 @@ func (b *Bus) resolveMemo(memo *SpliceMemo, win SpliceWindow, n int) {
 		// run (ACK delimiter + EOF + intermission) is the post-splice idle run.
 		memo.idleRun = trailingRecessive(r)
 	}
-	if len(memo.slots) < len(b.spliceCap) {
-		slots := make([]any, len(b.spliceCap))
+	if len(memo.slots) < len(b.nodes) {
+		slots := make([]any, len(b.nodes))
 		copy(slots, memo.slots)
 		memo.slots = slots
 	}
@@ -147,16 +141,13 @@ func (b *Bus) resolveMemo(memo *SpliceMemo, win SpliceWindow, n int) {
 // dominant ACK (a window nobody acks raises an ACK error, which only the
 // exact/contend machinery handles).
 func (b *Bus) trySpliceForward(end BitTime) bool {
-	if b.ffDisabled || b.spliceFFOff || b.splicePinned > 0 || b.tapRunPinned > 0 || end <= b.now {
+	if !b.open(RungSplice) || end <= b.now {
 		return false
 	}
 	tx := -1
 	var win SpliceWindow
-	for i, sp := range b.spliceCap {
-		if sp == nil {
-			continue
-		}
-		w, ok := sp.SpliceOffer(b.now)
+	for i, r := range b.nodes {
+		w, ok := r.splice.SpliceOffer(b.now)
 		if !ok {
 			continue
 		}
@@ -179,11 +170,11 @@ func (b *Bus) trySpliceForward(end BitTime) bool {
 	b.resolveMemo(memo, win, n)
 	resolved := memo.resolved
 	acked := false
-	for i, sp := range b.spliceCap {
+	for i, r := range b.nodes {
 		if i == tx {
 			continue
 		}
-		ok, acks := sp.SpliceQuery(b.now, resolved, win.AckIdx, &memo.slots[i])
+		ok, acks := r.splice.SpliceQuery(b.now, resolved, win.AckIdx, &memo.slots[i])
 		if !ok {
 			return false
 		}
@@ -194,15 +185,15 @@ func (b *Bus) trySpliceForward(end BitTime) bool {
 	if !acked {
 		return false
 	}
-	for i, sp := range b.spliceCap {
+	for i, r := range b.nodes {
 		if i == tx {
-			sp.SpliceCommit(b.now, resolved, &memo.slots[i])
+			r.splice.SpliceCommit(b.now, resolved, &memo.slots[i])
 		} else {
-			sp.SpliceApply(b.now, resolved, win.AckIdx, win.RxView, &memo.slots[i])
+			r.splice.SpliceApply(b.now, resolved, win.AckIdx, win.RxView, &memo.slots[i])
 		}
 	}
-	for _, tr := range b.tapRun {
-		tr.BitRun(b.now, resolved)
+	for _, r := range b.taps {
+		r.run.BitRun(b.now, resolved)
 	}
 	b.idleRun = memo.idleRun
 	b.tel.Emit(int64(b.now), telemetry.EvFFSpan, int64(n), 3)

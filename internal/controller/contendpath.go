@@ -7,15 +7,16 @@ import (
 
 var _ bus.ContendCommitter = (*Controller)(nil)
 
-// ContendBits implements bus.ContendCommitter. Two controller states publish
-// a conditional stream:
+// ContendBits implements bus.ContendCommitter. Three controller states
+// publish a conditional stream:
 //
-//   - mid-frame transmitter: the same plan spans as CommittedBits. The
-//     commitment there is unconditional only under the sole-transmitter
-//     premise; under contention it holds bit by bit as long as the resolved
-//     level matches the driven one, which is exactly the condition the bus's
-//     divergence clamp enforces — the first overridden recessive (arbitration
-//     loss or bit error) is re-stepped exactly;
+//   - mid-frame transmitter: the rest of the serialized plan up to the ACK
+//     slot, or past it up to the last EOF bit (planSpan). As the sole driver
+//     the stream is unconditional; under contention it holds bit by bit as
+//     long as the resolved level matches the driven one, which is exactly
+//     the condition the bus's divergence clamp enforces — the first
+//     overridden recessive (arbitration loss or bit error) is re-stepped
+//     exactly;
 //   - active error flag: the remaining dominant flag bits, unconditional by
 //     construction (the flag ignores the wire entirely);
 //   - pending SOF: the controller decided last bit to assert SOF
@@ -30,7 +31,7 @@ var _ bus.ContendCommitter = (*Controller)(nil)
 func (c *Controller) ContendBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
 	switch c.phase {
 	case phaseFrame:
-		return c.CommittedBits(now)
+		return c.planSpan(now)
 	case phaseActiveFlag:
 		n := ActiveFlagBits - c.flagCount
 		if n <= 0 {
@@ -51,6 +52,35 @@ func (c *Controller) ContendBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
 			run := p.bits[:p.ackIdx]
 			return run, now + bus.BitTime(len(run))
 		}
+	}
+	return nil, now
+}
+
+// planSpan returns a transmitter's committed span of its txPlan, whose
+// entire wire stream is serialized up front. Two spans of the plan qualify:
+//
+//   - arbitration through the CRC delimiter (txIdx in [1, ackIdx));
+//   - ACK delimiter through the last EOF bit (txIdx in (ackIdx, len)). The
+//     trailer levels are unconditional — all recessive — so the final EOF bit
+//     commits too; txSuccess (callbacks, mailbox pop, counter updates) then
+//     fires inside the batch at the span's last bit, exactly as per-bit
+//     stepping would, and the queue cannot be read again before the next
+//     exact-stepped bit.
+//
+// The SOF (txIdx 0 never occurs between bits — beginFrame consumes it) and
+// the ACK slot (its observed level feeds back into acked) stay on the exact
+// path.
+func (c *Controller) planSpan(now bus.BitTime) ([]can.Level, bus.BitTime) {
+	if !c.transmitting || c.plan == nil {
+		return nil, now
+	}
+	switch {
+	case c.txIdx >= 1 && c.txIdx < c.plan.ackIdx:
+		run := c.plan.bits[c.txIdx:c.plan.ackIdx]
+		return run, now + bus.BitTime(len(run))
+	case c.txIdx > c.plan.ackIdx && c.txIdx < len(c.plan.bits):
+		run := c.plan.bits[c.txIdx:]
+		return run, now + bus.BitTime(len(run))
 	}
 	return nil, now
 }

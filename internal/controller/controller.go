@@ -253,7 +253,7 @@ type Controller struct {
 	// rxWire counts the wire bits of the current frame this controller has
 	// consumed (SOF included, so it reads 1 after the SOF bit). A receiver is
 	// bit-synchronized to a transmitter exactly when rxWire equals the
-	// transmitter's txIdx — the proof the frame fast path relies on.
+	// transmitter's txIdx — the proof the contend rung relies on.
 	rxWire int
 
 	// Error-signalling counters.

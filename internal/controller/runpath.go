@@ -9,49 +9,7 @@ import (
 	"michican/internal/telemetry"
 )
 
-var (
-	_ bus.Transmitting = (*Controller)(nil)
-	_ bus.RunObserver  = (*Controller)(nil)
-)
-
-// CommittedBits implements bus.Transmitting. A transmitter mid-frame has its
-// entire wire stream serialized up front (txPlan), so as long as every other
-// node stays recessive, the bits it will drive are known in advance. Two
-// spans of the plan qualify:
-//
-//   - arbitration through the CRC delimiter (txIdx in [1, ackIdx)): under the
-//     sole-transmitter premise no competing dominant bit can appear, so
-//     arbitration is uncontested by construction — any contender either
-//     commits bits itself (two committers, bus declines) or reports a
-//     dominant driveNext (pins the span);
-//   - ACK delimiter through the last EOF bit (txIdx in (ackIdx, len)). The
-//     trailer levels are unconditional — all recessive — so the final EOF bit
-//     commits too; txSuccess (callbacks, mailbox pop, counter updates) then
-//     fires inside the batch at the span's last bit, exactly as per-bit
-//     stepping would, and the queue cannot be read again before the next
-//     exact-stepped bit.
-//
-// The SOF (txIdx 0 never occurs between bits — beginFrame consumes it) and
-// the ACK slot (its observed level feeds back into acked) stay on the exact
-// path.
-func (c *Controller) CommittedBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
-	if c.phase != phaseFrame || !c.transmitting || c.plan == nil {
-		return nil, now
-	}
-	switch {
-	case c.txIdx >= 1 && c.txIdx < c.plan.ackIdx:
-		run := c.plan.bits[c.txIdx:c.plan.ackIdx]
-		return run, now + bus.BitTime(len(run))
-	case c.txIdx > c.plan.ackIdx && c.txIdx < len(c.plan.bits):
-		run := c.plan.bits[c.txIdx:]
-		return run, now + bus.BitTime(len(run))
-	}
-	return nil, now
-}
-
-// FrameBit implements bus.Transmitting: the wire index (SOF = 0) of the next
-// bit this transmitter drives.
-func (c *Controller) FrameBit() int { return c.txIdx }
+var _ bus.RunObserver = (*Controller)(nil)
 
 // PassiveRun implements bus.RunObserver. The controller promises passivity
 // over the proposed span when:
@@ -181,7 +139,7 @@ func (c *Controller) ObserveRun(from bus.BitTime, levels []can.Level) {
 }
 
 // frameRun advances a mid-frame controller over a span of resolved levels.
-// For the sole transmitter the levels are its own committed bits, so bit
+// For a transmitter the levels are its own committed bits, so bit
 // monitoring reduces to advancing txIdx, and the receive pipeline stays
 // deferred (see rxProcess) — the whole span is O(1). A receiver runs the
 // full pipeline, as in per-bit observeFrame.

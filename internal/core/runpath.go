@@ -14,7 +14,6 @@ import (
 var (
 	_ bus.RunObserver      = (*Defense)(nil)
 	_ bus.RunObserver      = (*ECU)(nil)
-	_ bus.Transmitting     = (*ECU)(nil)
 	_ bus.ContendCommitter = (*ECU)(nil)
 )
 
@@ -397,32 +396,6 @@ func (d *Defense) idleBatch(seg []can.Level) {
 	d.meter.ChargeIdleInvocations(int64(len(seg)), mcu.OpISREnterExit, mcu.OpReadRX, mcu.OpIdleTrack)
 }
 
-// CommittedBits implements bus.Transmitting for a defended ECU: the
-// controller's commitment, clamped by the defense's own passivity over that
-// stream. The bus never queries PassiveRun on the committing node, so the
-// defense sharing this attachment point must bound the span here — it could
-// otherwise decide to pull CAN_TX low mid-span (it never does for the host's
-// own legitimate frames, which SelfTransmitting suppresses, but the clamp
-// keeps that reasoning local).
-func (e *ECU) CommittedBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
-	bits, h := e.Controller.CommittedBits(now)
-	if h <= now || len(bits) == 0 || e.Defense == nil {
-		return bits, h
-	}
-	k := e.Defense.PassiveRun(now, e.Controller.FrameBit(), bits)
-	if k <= 0 {
-		return nil, now
-	}
-	if k < len(bits) {
-		bits = bits[:k]
-		h = now + bus.BitTime(k)
-	}
-	return bits, h
-}
-
-// FrameBit implements bus.Transmitting.
-func (e *ECU) FrameBit() int { return e.Controller.FrameBit() }
-
 // contendBits returns the defense's committed stream for the contested-window
 // path: the remainder of an in-progress counterattack pull, an unconditional
 // dominant run (the pull ignores the wire by design — that is the attack
@@ -440,8 +413,12 @@ func (d *Defense) contendBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
 // ContendBits implements bus.ContendCommitter for a defended ECU, combining
 // the two halves that share this attachment point:
 //
-//   - controller commitment only: as CommittedBits, clamped by the defense's
-//     own passivity over the stream;
+//   - controller commitment only: clamped by the defense's own passivity
+//     over the stream. The bus never queries PassiveRun on a committing
+//     node, so the defense sharing this attachment point must bound the span
+//     here — it could otherwise decide to pull CAN_TX low mid-span (it never
+//     does for the host's own legitimate frames, which SelfTransmitting
+//     suppresses, but the clamp keeps that reasoning local);
 //   - defense pull only: the dominant run, clamped by the controller's
 //     passivity under it (contendScan — the receiver typically stuff-errors
 //     partway through the pull, and that detection bit bounds the span);

@@ -44,7 +44,7 @@ type detachOutcome struct {
 // runDetachScenario runs a three-message restbus schedule alongside two
 // pure-receiver controllers, detaches one of them at bit detachAt, and
 // returns the resolved trace and the surviving nodes' counters.
-func runDetachScenario(t *testing.T, mode diffMode, detachAt int64) (detachOutcome, *bus.Bus) {
+func runDetachScenario(t *testing.T, mode SteppingMode, detachAt int64) (detachOutcome, *bus.Bus) {
 	t.Helper()
 	matrix := &restbus.Matrix{Vehicle: "fuzz", Bus: "detach"}
 	for i, id := range []can.ID{0x100, 0x200, 0x300} {
@@ -56,9 +56,9 @@ func runDetachScenario(t *testing.T, mode diffMode, detachAt int64) (detachOutco
 		})
 	}
 	bb := bus.New(bus.Rate50k)
-	bb.SetFastForward(mode != diffExact)
-	bb.SetFrameFastForward(mode != diffExact)
-	bb.SetContendFastForward(mode == diffContendFF)
+	if err := applyMode(bb, mode); err != nil {
+		t.Fatal(err)
+	}
 	rep := restbus.NewReplayer("restbus", matrix, bus.Rate50k, rand.New(rand.NewSource(7)))
 	bb.Attach(rep)
 	leaver := controller.New(controller.Config{Name: "leaver", AutoRecover: true})
@@ -71,7 +71,7 @@ func runDetachScenario(t *testing.T, mode diffMode, detachAt int64) (detachOutco
 	const total = int64(20_000) // 400 ms of bus time at 50 kbit/s
 	bb.Run(detachAt)
 	if !bb.Detach(leaver) {
-		t.Fatalf("mode %v: leaver not attached at detach time", mode)
+		t.Fatalf("mode %s: leaver not attached at detach time", mode)
 	}
 	bb.Run(total - detachAt)
 
@@ -97,36 +97,31 @@ func TestDetachMidFrameDifferential(t *testing.T) {
 	// Probe pass: detach at bit 1 (before any frame) and locate the third
 	// frame's interior from the resulting exact trace. The schedule before
 	// the detach bit is identical in every arm, so the position holds.
-	probe, _ := runDetachScenario(t, diffExact, 1)
+	probe, _ := runDetachScenario(t, ModeExact, 1)
 	detachAt := findMidFrameBit(probe.Bits, 3, 15)
 	if detachAt < 0 {
 		t.Fatal("probe trace holds fewer than three frames")
 	}
 
-	exact, _ := runDetachScenario(t, diffExact, detachAt)
+	exact, _ := runDetachScenario(t, ModeExact, detachAt)
 	if findMidFrameBit(exact.Bits, 3, 15) != detachAt {
 		t.Fatalf("detach bit %d is not inside the third frame of the exact run", detachAt)
 	}
-	for _, mode := range []diffMode{diffFrameFF, diffContendFF} {
-		fast, bb := runDetachScenario(t, mode, detachAt)
-		if bb.FrameForwardedBits() == 0 {
-			t.Errorf("mode %v: frame fast path never engaged", mode)
+	fast, bb := runDetachScenario(t, ModeContendFF, detachAt)
+	if bb.ContendForwardedBits() == 0 {
+		t.Error("contend fast path never engaged")
+	}
+	if !reflect.DeepEqual(exact.Bits, fast.Bits) {
+		i := 0
+		for i < len(exact.Bits) && i < len(fast.Bits) && exact.Bits[i] == fast.Bits[i] {
+			i++
 		}
-		if mode == diffContendFF && bb.ContendForwardedBits() == 0 {
-			t.Errorf("contend-ff: contend fast path never engaged")
-		}
-		if !reflect.DeepEqual(exact.Bits, fast.Bits) {
-			i := 0
-			for i < len(exact.Bits) && i < len(fast.Bits) && exact.Bits[i] == fast.Bits[i] {
-				i++
-			}
-			t.Fatalf("mode %v: traces diverge at bit %d (detach was at %d)", mode, i, detachAt)
-		}
-		fast.Bits = nil
-		want := exact
-		want.Bits = nil
-		if !reflect.DeepEqual(want, fast) {
-			t.Fatalf("mode %v: counters diverge:\n%+v\nvs\n%+v", mode, want, fast)
-		}
+		t.Fatalf("traces diverge at bit %d (detach was at %d)", i, detachAt)
+	}
+	fast.Bits = nil
+	want := exact
+	want.Bits = nil
+	if !reflect.DeepEqual(want, fast) {
+		t.Fatalf("counters diverge:\n%+v\nvs\n%+v", want, fast)
 	}
 }

@@ -66,7 +66,7 @@ func errorGauges(d *DurableVehicle) map[string]float64 {
 func TestResumeDeterminismAcrossModes(t *testing.T) {
 	const horizon = 300_000
 	sinkOpts := store.SinkOptions{FlushEvents: 512, CheckpointIntervalBits: 40_000}
-	for _, mode := range []SteppingMode{ModeExact, ModeIdleFF, ModeFrameFF, ModeContendFF, ModeSpliceFF} {
+	for _, mode := range SteppingModes {
 		t.Run(string(mode), func(t *testing.T) {
 			spec := FleetVehicleSpec{
 				Index: 0, Seed: 12345, Load: 0.30, Mode: mode,

@@ -33,25 +33,11 @@ type Config struct {
 	// Workers bounds the trial-runner pool (see Map): 0 means GOMAXPROCS,
 	// 1 forces the serial reference path. Results are identical either way.
 	Workers int
-	// ExactStepping disables the bus's idle fast-forward, forcing per-bit
-	// simulation — the reference path for golden-trace differential tests.
-	ExactStepping bool
-	// NoContendFF disables the contested-window fast path and the
-	// compiled-splice tier above it, leaving the idle and sole-transmitter
-	// paths on — the michican-bench -contend-ff ablation knob (each grid arm
-	// switches off its tier and every tier above). Redundant when
-	// ExactStepping is set.
-	NoContendFF bool
-	// NoFrameFF additionally disables the sole-transmitter frame fast path
-	// (and, since it builds on frame spans, the contested-window path),
-	// leaving only the idle fast-forward — the "idle-ff" arm of the
-	// stepping-mode grid. Redundant when ExactStepping is set.
-	NoFrameFF bool
-	// NoSpliceFF disables just the compiled-splice fast path, leaving the
-	// idle/frame/contend ladder on — the michican-bench -splice-ff ablation
-	// knob (its off position is exactly the contend-ff grid arm).
-	// Redundant when ExactStepping is set.
-	NoSpliceFF bool
+	// Mode is the stepping mode (see SteppingModes): "" is the full
+	// fast-forward ladder, ModeExact the per-bit reference path for
+	// golden-trace differential tests, and the modes between them the
+	// michican-bench -mode ablations. An unknown mode is an error.
+	Mode SteppingMode
 	// Hub, when set, wires every testbed participant (bus, defender
 	// controller, defense, restbus, attackers) into the telemetry collector.
 	// The parallel trial runner may share one hub across trials: node names
@@ -93,18 +79,8 @@ type testbed struct {
 // legitimate, plus 0x173 itself.
 func newTestbed(cfg Config, matrix *restbus.Matrix, exclude []can.ID) (*testbed, error) {
 	tb := &testbed{bus: bus.New(cfg.Rate)}
-	tb.bus.SetFastForward(!cfg.ExactStepping)
-	if cfg.NoContendFF {
-		tb.bus.SetContendFastForward(false)
-		tb.bus.SetSpliceFastForward(false)
-	}
-	if cfg.NoFrameFF {
-		tb.bus.SetFrameFastForward(false)
-		tb.bus.SetContendFastForward(false)
-		tb.bus.SetSpliceFastForward(false)
-	}
-	if cfg.NoSpliceFF {
-		tb.bus.SetSpliceFastForward(false)
+	if err := applyMode(tb.bus, cfg.Mode); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	tb.recorder = trace.NewRecorder()
 	tb.bus.AttachTap(tb.recorder)

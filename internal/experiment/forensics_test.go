@@ -5,23 +5,9 @@ import (
 	"time"
 )
 
-// forensicsModes enumerates the five stepping arms the incident parity must
-// hold across: the forensics engine sees the same event stream whichever
-// fast paths deliver it.
-var forensicsModes = []struct {
-	name string
-	set  func(*Config)
-}{
-	{"exact", func(c *Config) { c.ExactStepping = true }},
-	{"idle-ff", func(c *Config) { c.NoFrameFF = true }},
-	{"frame-ff", func(c *Config) { c.NoContendFF = true }},
-	{"contend-ff", func(c *Config) { c.NoSpliceFF = true }},
-	{"splice-ff", func(c *Config) {}},
-}
-
 // TestTable2ForensicsParity regenerates every Table-II row from forensics
 // incidents alone and requires bit-for-bit equality with the trace-derived
-// rows, in all five stepping modes. Equality of Mean/Std/Max durations
+// rows, in every stepping mode. Equality of Mean/Std/Max durations
 // implies the incident boundaries (SOF of the first destroyed attempt, last
 // busy bit of the final error episode) land on exactly the bits the wire
 // decoder assigns.
@@ -31,21 +17,20 @@ func TestTable2ForensicsParity(t *testing.T) {
 		exps = []int{1, 2, 5}
 	}
 	for _, exp := range exps {
-		for _, mode := range forensicsModes {
-			cfg := Config{Duration: 500 * time.Millisecond}
-			mode.set(&cfg)
+		for _, mode := range SteppingModes {
+			cfg := Config{Duration: 500 * time.Millisecond, Mode: mode}
 			traceRows, incidentRows, err := Table2Forensics(cfg, exp)
 			if err != nil {
-				t.Fatalf("exp %d %s: %v", exp, mode.name, err)
+				t.Fatalf("exp %d %s: %v", exp, mode, err)
 			}
 			if len(traceRows) != len(incidentRows) {
 				t.Fatalf("exp %d %s: %d trace rows vs %d incident rows",
-					exp, mode.name, len(traceRows), len(incidentRows))
+					exp, mode, len(traceRows), len(incidentRows))
 			}
 			for i := range traceRows {
 				if traceRows[i] != incidentRows[i] {
 					t.Errorf("exp %d %s: row %d differs\ntrace:    %+v\nincident: %+v",
-						exp, mode.name, i, traceRows[i], incidentRows[i])
+						exp, mode, i, traceRows[i], incidentRows[i])
 				}
 			}
 		}

@@ -23,8 +23,8 @@ import (
 
 // idleOnlyObserver is a deliberately half-capable participant: it promises
 // idle quiescence (so inter-frame jumps still happen) but implements no
-// RunObserver, which pins every sole-transmitter frame span back to exact
-// per-bit stepping. Fuzz mixes include it to exercise the pinning path.
+// RunObserver or Splicing, which pins every frame span back to exact per-bit
+// stepping. Fuzz mixes include it to exercise the pinning path.
 type idleOnlyObserver struct {
 	bits int64
 }
@@ -39,30 +39,11 @@ func (o *idleOnlyObserver) QuiescentUntil(now bus.BitTime) bus.BitTime {
 
 func (o *idleOnlyObserver) SkipIdle(from, to bus.BitTime) { o.bits += int64(to - from) }
 
-// diffMode selects which fast-path stack a differential arm runs with.
-type diffMode int
-
-const (
-	// diffExact steps every bit.
-	diffExact diffMode = iota
-	// diffFrameFF enables the idle and sole-transmitter paths but disables
-	// the contested-window and compiled-splice paths, so multi-driver
-	// windows exact-step.
-	diffFrameFF
-	// diffContendFF adds bulk wired-AND resolution of contested windows,
-	// with the compiled-splice tier still disabled.
-	diffContendFF
-	// diffSpliceFF enables the full ladder topped by the compiled-splice
-	// tier, which folds whole precompiled frame windows plus their
-	// intermission tails.
-	diffSpliceFF
-)
-
 // ffCounters reports which fast paths a run engaged.
 type ffCounters struct {
-	idle, frame, contend, splice int64
+	idle, contend, splice int64
 	// pinned records that the half-capable observer joined, pinning the
-	// frame, contend, and splice paths to exact stepping by construction.
+	// contend and splice paths to exact stepping by construction.
 	pinned bool
 }
 
@@ -84,7 +65,7 @@ type diffOutcome struct {
 // built to provoke arbitration fights, optionally a fabrication attacker
 // that starts at a random bit, and optionally the half-capable pinning
 // observer.
-func runRandomScenario(seed int64, mode diffMode, hub *telemetry.Hub) (diffOutcome, ffCounters, error) {
+func runRandomScenario(seed int64, mode SteppingMode, hub *telemetry.Hub) (diffOutcome, ffCounters, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var out diffOutcome
 	var ff ffCounters
@@ -157,10 +138,9 @@ func runRandomScenario(seed int64, mode diffMode, hub *telemetry.Hub) (diffOutco
 	}
 
 	bb := bus.New(bus.Rate50k)
-	bb.SetFastForward(mode != diffExact)
-	bb.SetFrameFastForward(mode != diffExact)
-	bb.SetContendFastForward(mode == diffContendFF || mode == diffSpliceFF)
-	bb.SetSpliceFastForward(mode == diffSpliceFF)
+	if err := applyMode(bb, mode); err != nil {
+		return out, ff, err
+	}
 
 	defCtl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
 	ecu := core.NewECU(defCtl, def)
@@ -185,7 +165,7 @@ func runRandomScenario(seed int64, mode diffMode, hub *telemetry.Hub) (diffOutco
 	}
 
 	// Pinned-node mix: with probability ~1/3 a half-capable observer joins,
-	// pinning every frame span to exact stepping in both runs.
+	// pinning every frame span to exact stepping in every run.
 	pinned := rng.Intn(3) == 0
 	if pinned {
 		bb.Attach(&idleOnlyObserver{})
@@ -238,7 +218,6 @@ func runRandomScenario(seed int64, mode diffMode, hub *telemetry.Hub) (diffOutco
 	out.Detections = ds2.Detections
 	out.Counterattacks = ds2.Counterattacks
 	ff.idle = bb.IdleForwardedBits()
-	ff.frame = bb.FrameForwardedBits()
 	ff.contend = bb.ContendForwardedBits()
 	ff.splice = bb.SpliceForwardedBits()
 	ff.pinned = pinned
@@ -249,15 +228,15 @@ func runRandomScenario(seed int64, mode diffMode, hub *telemetry.Hub) (diffOutco
 // can finalize their forensics engines at the recording end.
 const fuzzTotalBits = int64(20_000)
 
-// diffSeed runs one seed five ways — exact with no telemetry, frame-FF with
-// contested windows exact-stepped, contend-FF with bulk wired-AND
-// resolution, splice-FF with the full ladder including compiled-window
-// splicing, and exact again with a fully wired, event-retaining hub — and
-// fails on any divergence: every fast path must be bit-invisible, and
-// telemetry must be a pure observer on every path. The four wired arms each
-// feed a live forensics engine, and the reconstructed incident logs must be
-// identical across stepping modes — the tentpole's parity claim, fuzzed.
-// With floors set it also requires each arm's own rung to carry bits, which
+// diffSeed runs one seed five ways — exact with no telemetry, then one arm
+// per fast-forward stepping mode (idle-ff, contend-ff, splice-ff: each tops
+// the ladder one rung higher), and exact again with a fully wired,
+// event-retaining hub — and fails on any divergence: every fast path must be
+// bit-invisible, and telemetry must be a pure observer on every path. The
+// four wired arms each feed a live forensics engine, and the reconstructed
+// incident logs must be identical across stepping modes — the tentpole's
+// parity claim, fuzzed. Every arm checks that no rung above its own engaged;
+// with floors set it also requires each arm's own rung to carry bits, which
 // holds for the fixed sweep's seeds but not for every schedule (a saturated
 // bus with two replayers never has the lone transmitter a splice needs).
 // Returns the number of incidents the seed produced.
@@ -278,29 +257,26 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 		return e.Incidents()
 	}
 
-	exact, exFF, err := runRandomScenario(seed, diffExact, nil)
+	exact, exFF, err := runRandomScenario(seed, ModeExact, nil)
 	if err != nil {
 		t.Fatalf("seed %d exact: %v", seed, err)
 	}
-	if exFF.idle != 0 || exFF.frame != 0 || exFF.contend != 0 || exFF.splice != 0 {
+	if exFF.idle != 0 || exFF.contend != 0 || exFF.splice != 0 {
 		t.Fatalf("seed %d: exact run fast-forwarded", seed)
 	}
-	fastHub, fastEng, fastW := newEng(false)
-	fast, fastFF, err := runRandomScenario(seed, diffFrameFF, fastHub)
+	idleHub, idleEng, idleW := newEng(false)
+	idle, idleFF, err := runRandomScenario(seed, ModeIdleFF, idleHub)
 	if err != nil {
-		t.Fatalf("seed %d fast: %v", seed, err)
+		t.Fatalf("seed %d idle: %v", seed, err)
 	}
-	if floors && fastFF.idle == 0 {
+	if floors && idleFF.idle == 0 {
 		t.Errorf("seed %d: idle fast path never engaged", seed)
 	}
-	if floors && fastFF.frame == 0 && !fastFF.pinned {
-		t.Errorf("seed %d: frame fast path never engaged with no pinning node", seed)
-	}
-	if fastFF.contend != 0 || fastFF.splice != 0 {
-		t.Errorf("seed %d: disabled fast path engaged on frame-ff arm", seed)
+	if idleFF.contend != 0 || idleFF.splice != 0 {
+		t.Errorf("seed %d: disabled fast path engaged on idle-ff arm", seed)
 	}
 	contendHub, contendEng, contendW := newEng(false)
-	contend, contendFF, err := runRandomScenario(seed, diffContendFF, contendHub)
+	contend, contendFF, err := runRandomScenario(seed, ModeContendFF, contendHub)
 	if err != nil {
 		t.Fatalf("seed %d contend: %v", seed, err)
 	}
@@ -311,7 +287,7 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 		t.Errorf("seed %d: splice path engaged while disabled", seed)
 	}
 	spliceHub, spliceEng, spliceW := newEng(false)
-	splice, spliceFF, err := runRandomScenario(seed, diffSpliceFF, spliceHub)
+	splice, spliceFF, err := runRandomScenario(seed, ModeSpliceFF, spliceHub)
 	if err != nil {
 		t.Fatalf("seed %d splice: %v", seed, err)
 	}
@@ -319,7 +295,7 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 		t.Errorf("seed %d: splice fast path never engaged with no pinning node", seed)
 	}
 	hub, wiredEng, wiredW := newEng(true)
-	wired, _, err := runRandomScenario(seed, diffExact, hub)
+	wired, _, err := runRandomScenario(seed, ModeExact, hub)
 	if err != nil {
 		t.Fatalf("seed %d wired: %v", seed, err)
 	}
@@ -338,8 +314,8 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 			t.Fatalf("seed %d: %s counters diverge:\n%+v\nvs\n%+v", seed, label, a, b)
 		}
 	}
-	compare("exact vs frame-ff", exact, fast)
-	compare("frame-ff vs contend-ff", fast, contend)
+	compare("exact vs idle-ff", exact, idle)
+	compare("idle-ff vs contend-ff", idle, contend)
 	compare("contend-ff vs splice-ff", contend, splice)
 	compare("splice-ff vs telemetry-wired-exact", splice, wired)
 	if hub.Len() == 0 {
@@ -350,12 +326,12 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 	// stream must be field-identical, whatever mix of fast paths stepped the
 	// run.
 	exactIncs := finalize(wiredEng)
-	fastIncs := finalize(fastEng)
+	idleIncs := finalize(idleEng)
 	contendIncs := finalize(contendEng)
 	spliceIncs := finalize(spliceEng)
-	if !reflect.DeepEqual(exactIncs, fastIncs) {
-		t.Fatalf("seed %d: forensics incidents diverge exact vs frame-ff:\n%+v\nvs\n%+v",
-			seed, exactIncs, fastIncs)
+	if !reflect.DeepEqual(exactIncs, idleIncs) {
+		t.Fatalf("seed %d: forensics incidents diverge exact vs idle-ff:\n%+v\nvs\n%+v",
+			seed, exactIncs, idleIncs)
 	}
 	if !reflect.DeepEqual(exactIncs, contendIncs) {
 		t.Fatalf("seed %d: forensics incidents diverge exact vs contend-ff:\n%+v\nvs\n%+v",
@@ -413,7 +389,7 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 		label string
 		w     *watch.Engine
 	}{
-		{"frame-ff", fastW}, {"contend-ff", contendW},
+		{"idle-ff", idleW}, {"contend-ff", contendW},
 		{"splice-ff", spliceW},
 	} {
 		if v := sortVerdicts(arm.w.Verdicts()); !reflect.DeepEqual(wiredVerdicts, v) {

@@ -22,7 +22,7 @@ func goldenCfg(seed int64) Config {
 func TestTable2GoldenTrace(t *testing.T) {
 	for _, spec := range table2Specs() {
 		exact := goldenCfg(1).Defaults()
-		exact.ExactStepping = true
+		exact.Mode = ModeExact
 		slowRows, slowTB, err := runTable2Scenario(exact, spec)
 		if err != nil {
 			t.Fatalf("exp %d exact: %v", spec.exp, err)
@@ -61,7 +61,7 @@ func TestTable2GoldenTrace(t *testing.T) {
 
 // TestFig6GoldenTrace is the same differential for the Fig. 6 scenario.
 func TestFig6GoldenTrace(t *testing.T) {
-	exact := Config{Seed: 1, ExactStepping: true}
+	exact := Config{Seed: 1, Mode: ModeExact}
 	slowRes, slowTB, err := fig6Scenario(exact)
 	if err != nil {
 		t.Fatalf("exact: %v", err)

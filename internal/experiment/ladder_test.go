@@ -60,14 +60,11 @@ type ladderOutcome struct {
 // mutating the node set at bit mutateAt (a Run boundary), and returns the
 // resolved trace plus the surviving nodes' counters, and the splice-tier
 // bits carried before the mutation.
-func runLadderScenario(t *testing.T, mode diffMode, total, mutateAt int64,
+func runLadderScenario(t *testing.T, top bus.Rung, total, mutateAt int64,
 	mutate func(bb *bus.Bus, leaver *controller.Controller, ctls *[]*controller.Controller)) (ladderOutcome, int64) {
 	t.Helper()
 	bb := bus.New(bus.Rate50k)
-	bb.SetFastForward(mode != diffExact)
-	bb.SetFrameFastForward(mode != diffExact)
-	bb.SetContendFastForward(mode == diffContendFF || mode == diffSpliceFF)
-	bb.SetSpliceFastForward(mode == diffSpliceFF)
+	bb.SetLadder(top)
 	rep := restbus.NewReplayer("restbus", harmonicMatrix(), bus.Rate50k, rand.New(rand.NewSource(11)))
 	bb.Attach(rep)
 	leaver := controller.New(controller.Config{Name: "leaver", AutoRecover: true})
@@ -122,8 +119,8 @@ func compareLadderOutcome(t *testing.T, label string, a, b ladderOutcome) {
 // ladder: the splice tier must carry the run, and the result must stay
 // bit-identical to exact stepping.
 func TestLadderIdentityHarmonic(t *testing.T) {
-	exact, _ := runLadderScenario(t, diffExact, ladderTestTotal, 0, nil)
-	ladder, spliced := runLadderScenario(t, diffSpliceFF, ladderTestTotal, 0, nil)
+	exact, _ := runLadderScenario(t, bus.RungExact, ladderTestTotal, 0, nil)
+	ladder, spliced := runLadderScenario(t, bus.RungSplice, ladderTestTotal, 0, nil)
 	if spliced == 0 {
 		t.Error("splice fast path never engaged on the full ladder")
 	}
@@ -148,8 +145,8 @@ func TestLadderIdentityAttach(t *testing.T) {
 				bb.Attach(att)
 				*ctls = append(*ctls, att.Controller())
 			}
-			exact, _ := runLadderScenario(t, diffExact, ladderTestTotal, tc.at, attach)
-			ladder, spliced := runLadderScenario(t, diffSpliceFF, ladderTestTotal, tc.at, attach)
+			exact, _ := runLadderScenario(t, bus.RungExact, ladderTestTotal, tc.at, attach)
+			ladder, spliced := runLadderScenario(t, bus.RungSplice, ladderTestTotal, tc.at, attach)
 			if spliced == 0 {
 				t.Error("splice fast path never engaged before the attach")
 			}
@@ -170,8 +167,8 @@ func TestLadderIdentityDetach(t *testing.T) {
 		}
 		*ctls = append((*ctls)[:1], (*ctls)[2:]...) // replayer and stayer survive
 	}
-	exact, _ := runLadderScenario(t, diffExact, ladderTestTotal, detachAt, detach)
-	ladder, spliced := runLadderScenario(t, diffSpliceFF, ladderTestTotal, detachAt, detach)
+	exact, _ := runLadderScenario(t, bus.RungExact, ladderTestTotal, detachAt, detach)
+	ladder, spliced := runLadderScenario(t, bus.RungSplice, ladderTestTotal, detachAt, detach)
 	if spliced == 0 {
 		t.Error("splice fast path never engaged before the detach")
 	}

@@ -13,14 +13,14 @@ import (
 
 // TestSteppingModeValidation pins how every constructor that takes a stepping
 // mode treats each valid mode, the empty mode (the full ladder) and an
-// unknown one (an error naming it): the fleet vehicle, the throughput
-// scenario, and a durable vehicle started fresh or resumed from a stored
-// spec.
+// unknown one (an error naming it), including the retired "frame-ff": the
+// fleet vehicle, the throughput scenario, the experiments' Config.Mode, and a
+// durable vehicle started fresh or resumed from a stored spec.
 func TestSteppingModeValidation(t *testing.T) {
 	cases := []struct {
 		mode SteppingMode
 		want SteppingMode // the mode the vehicle runs; "" when rejected
-	}{{"", ModeSpliceFF}, {"bogus", ""}}
+	}{{"", ModeSpliceFF}, {"bogus", ""}, {"frame-ff", ""}}
 	for _, m := range SteppingModes {
 		cases = append(cases, struct{ mode, want SteppingMode }{m, m})
 	}
@@ -45,6 +45,8 @@ func TestSteppingModeValidation(t *testing.T) {
 			}
 			_, err = ThroughputScenario(0.02, tc.mode)
 			check("ThroughputScenario", err)
+			_, err = newTestbed(Config{Mode: tc.mode}.Defaults(), nil, nil)
+			check("Config.Mode", err)
 
 			dir := filepath.Join(t.TempDir(), "fresh")
 			dv, err := StartDurableVehicle(dir, spec, 0, "", store.SinkOptions{})

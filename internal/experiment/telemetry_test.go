@@ -17,32 +17,32 @@ import (
 // emit points sit on the exact path and on the batch fast paths.
 func TestTelemetryDifferential(t *testing.T) {
 	for _, spec := range table2Specs() {
-		for _, exact := range []bool{false, true} {
+		for _, mode := range []SteppingMode{ModeSpliceFF, ModeExact} {
 			plain := goldenCfg(1).Defaults()
-			plain.ExactStepping = exact
+			plain.Mode = mode
 			plainRows, plainTB, err := runTable2Scenario(plain, spec)
 			if err != nil {
-				t.Fatalf("exp %d exact=%v plain: %v", spec.exp, exact, err)
+				t.Fatalf("exp %d %s plain: %v", spec.exp, mode, err)
 			}
 
 			wired := goldenCfg(1).Defaults()
-			wired.ExactStepping = exact
+			wired.Mode = mode
 			wired.Hub = telemetry.NewHub()
 			wiredRows, wiredTB, err := runTable2Scenario(wired, spec)
 			if err != nil {
-				t.Fatalf("exp %d exact=%v wired: %v", spec.exp, exact, err)
+				t.Fatalf("exp %d %s wired: %v", spec.exp, mode, err)
 			}
 
 			if !reflect.DeepEqual(plainTB.recorder.Bits(), wiredTB.recorder.Bits()) {
-				t.Fatalf("exp %d exact=%v: telemetry changed the bit stream (len %d vs %d)",
-					spec.exp, exact, plainTB.recorder.Len(), wiredTB.recorder.Len())
+				t.Fatalf("exp %d %s: telemetry changed the bit stream (len %d vs %d)",
+					spec.exp, mode, plainTB.recorder.Len(), wiredTB.recorder.Len())
 			}
 			if !reflect.DeepEqual(plainRows, wiredRows) {
-				t.Errorf("exp %d exact=%v: rows differ:\nplain: %+v\nwired: %+v",
-					spec.exp, exact, plainRows, wiredRows)
+				t.Errorf("exp %d %s: rows differ:\nplain: %+v\nwired: %+v",
+					spec.exp, mode, plainRows, wiredRows)
 			}
 			if wired.Hub.Len() == 0 {
-				t.Errorf("exp %d exact=%v: wired hub captured no events", spec.exp, exact)
+				t.Errorf("exp %d %s: wired hub captured no events", spec.exp, mode)
 			}
 		}
 	}
@@ -167,11 +167,11 @@ func TestTelemetryIntegrationSpoof(t *testing.T) {
 	}
 }
 
-// BenchmarkFrameFFTelemetry measures the frame-fast-path scenario with the
+// BenchmarkContendFFTelemetry measures the contend-ff scenario with the
 // telemetry layer disabled (zero probes, one nil check per emit site) and
 // with a metrics-only hub — the numbers behind the <2% disabled-path claim
 // and the CI overhead guard.
-func BenchmarkFrameFFTelemetry(b *testing.B) {
+func BenchmarkContendFFTelemetry(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		hub  func() *telemetry.Hub
@@ -184,7 +184,7 @@ func BenchmarkFrameFFTelemetry(b *testing.B) {
 		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			bb, nodes, err := throughputScenario(0.30, ModeFrameFF)
+			bb, nodes, err := throughputScenario(0.30, ModeContendFF)
 			if err != nil {
 				b.Fatal(err)
 			}

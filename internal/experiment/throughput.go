@@ -19,48 +19,47 @@ import (
 // measurement.
 type SteppingMode string
 
-// The five stepping modes of the fast-forward evaluation grid.
+// The four stepping modes of the fast-forward evaluation grid, one per rung
+// of the bus ladder.
 const (
 	// ModeExact steps every bit through the full 2N+T interface calls.
 	ModeExact SteppingMode = "exact"
 	// ModeIdleFF adds the PR1 idle fast-forward: inter-frame recessive
 	// windows jump in one shot, frames stay exact.
 	ModeIdleFF SteppingMode = "idle-ff"
-	// ModeFrameFF adds the sole-transmitter frame fast path on top: an
-	// uncontended frame's committed span is resolved and delivered in bulk.
-	ModeFrameFF SteppingMode = "frame-ff"
-	// ModeContendFF adds the contested-window fast path on top: spans with
-	// multiple conditional drivers (arbitration fights, pending SOFs, error
-	// flags) resolve via bit-packed wired-AND words and clamp at the first
-	// divergence instead of pinning the whole window to exact stepping.
+	// ModeContendFF adds the committed-span fast path on top: a frame's
+	// committed span — one transmitter alone, or several conditional
+	// drivers (arbitration fights, pending SOFs, error flags) — resolves via
+	// bit-packed wired-AND words and clamps at the first divergence.
 	ModeContendFF SteppingMode = "contend-ff"
 	// ModeSpliceFF adds the compiled-splice path on top: whole steady-state
 	// frame windows — one transmitter with a memoized plan, everyone else
 	// provably passive — splice in as a single precompiled summary per node
 	// instead of being re-resolved.
 	ModeSpliceFF SteppingMode = "splice-ff"
-	// ModeHyperFF names the full idle/frame/contend/splice ladder.
+	// ModeHyperFF names the full idle/contend/splice ladder.
 	//
 	// Deprecated: use ModeSpliceFF, which it equals. It is kept only for the
 	// benchmark module's vehicle-benign workload, which selects it.
 	ModeHyperFF = ModeSpliceFF
 )
 
-// SteppingModes lists the stepping modes in ladder order: each mode enables
-// its own rung and every rung before it.
-var SteppingModes = []SteppingMode{ModeExact, ModeIdleFF, ModeFrameFF, ModeContendFF, ModeSpliceFF}
+// SteppingModes lists the stepping modes in ladder order: mode i tops the
+// bus ladder at bus.Rung(i), enabling its own rung and every rung before it.
+var SteppingModes = []SteppingMode{ModeExact, ModeIdleFF, ModeContendFF, ModeSpliceFF}
 
-// applyMode sets the bus's fast-path ladder to the given stepping mode. A
-// mode outside SteppingModes is an error naming it.
+// applyMode sets the bus's fast-path ladder to the given stepping mode; the
+// empty mode is the full ladder. Any other mode outside SteppingModes is an
+// error naming it.
 func applyMode(bb *bus.Bus, mode SteppingMode) error {
+	if mode == "" {
+		mode = ModeSpliceFF
+	}
 	rung := slices.Index(SteppingModes, mode)
 	if rung < 0 {
 		return fmt.Errorf("unknown stepping mode %q", mode)
 	}
-	bb.SetFastForward(rung >= 1)
-	bb.SetFrameFastForward(rung >= 2)
-	bb.SetContendFastForward(rung >= 3)
-	bb.SetSpliceFastForward(rung >= 4)
+	bb.SetLadder(bus.Rung(rung))
 	return nil
 }
 
@@ -83,11 +82,8 @@ type ThroughputRow struct {
 	// IdleHitRate is the fraction of simulated bits covered by the idle
 	// fast path.
 	IdleHitRate float64 `json:"idle_hit_rate"`
-	// FrameHitRate is the fraction of simulated bits covered by the
-	// sole-transmitter frame fast path.
-	FrameHitRate float64 `json:"frame_hit_rate"`
 	// ContendHitRate is the fraction of simulated bits covered by the
-	// contested-window (multi-driver) fast path.
+	// committed-span (contend) fast path.
 	ContendHitRate float64 `json:"contend_hit_rate"`
 	// SpliceHitRate is the fraction of simulated bits covered by the
 	// compiled-splice fast path.
@@ -96,9 +92,9 @@ type ThroughputRow struct {
 
 // String renders the row for terminal output.
 func (r ThroughputRow) String() string {
-	return fmt.Sprintf("load=%2.0f%%  %-10s  %7.2f Mbit/s  %7.1f ns/bit  idle-hit=%4.1f%%  frame-hit=%4.1f%%  contend-hit=%4.1f%%  splice-hit=%4.1f%%  allocs/Mbit=%.0f",
+	return fmt.Sprintf("load=%2.0f%%  %-10s  %7.2f Mbit/s  %7.1f ns/bit  idle-hit=%4.1f%%  contend-hit=%4.1f%%  splice-hit=%4.1f%%  allocs/Mbit=%.0f",
 		r.Load*100, r.Mode, r.BitsPerSecond/1e6, r.NsPerBit,
-		r.IdleHitRate*100, r.FrameHitRate*100, r.ContendHitRate*100, r.SpliceHitRate*100, r.AllocsPerMBit)
+		r.IdleHitRate*100, r.ContendHitRate*100, r.SpliceHitRate*100, r.AllocsPerMBit)
 }
 
 // ThroughputScenario builds the fast-forward evaluation scenario: a Veh.-D
@@ -189,8 +185,7 @@ func MeasureThroughput(target float64, mode SteppingMode, simBits int64) (Throug
 		warmup = 100_000
 	}
 	bb.Run(warmup)
-	idle0, frame0 := bb.IdleForwardedBits(), bb.FrameForwardedBits()
-	contend0, splice0 := bb.ContendForwardedBits(), bb.SpliceForwardedBits()
+	idle0, contend0, splice0 := bb.IdleForwardedBits(), bb.ContendForwardedBits(), bb.SpliceForwardedBits()
 	var ms0, ms1 runtime.MemStats
 	// Collect before the baseline read so garbage left by the warm-up (or a
 	// previous grid cell) cannot trigger a GC inside the timed window and
@@ -213,7 +208,6 @@ func MeasureThroughput(target float64, mode SteppingMode, simBits int64) (Throug
 		NsPerBit:       wall * 1e9 / float64(simBits),
 		AllocsPerMBit:  float64(ms1.Mallocs-ms0.Mallocs) / (float64(simBits) / 1e6),
 		IdleHitRate:    float64(bb.IdleForwardedBits()-idle0) / float64(simBits),
-		FrameHitRate:   float64(bb.FrameForwardedBits()-frame0) / float64(simBits),
 		ContendHitRate: float64(bb.ContendForwardedBits()-contend0) / float64(simBits),
 		SpliceHitRate:  float64(bb.SpliceForwardedBits()-splice0) / float64(simBits),
 	}, nil

@@ -11,7 +11,7 @@ import (
 // all cells in one process, which blurs profiles).
 func BenchmarkThroughputCell(b *testing.B) {
 	for _, load := range []float64{0.30, 0.60} {
-		for _, mode := range []SteppingMode{ModeFrameFF, ModeContendFF} {
+		for _, mode := range []SteppingMode{ModeContendFF, ModeSpliceFF} {
 			b.Run(fmt.Sprintf("load=%.0f%%/%s", load*100, mode), func(b *testing.B) {
 				bb, err := ThroughputScenario(load, mode)
 				if err != nil {

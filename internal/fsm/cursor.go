@@ -3,7 +3,7 @@ package fsm
 import "michican/internal/can"
 
 // Cursor is a non-mutating streaming walker over an FSM. The defense core
-// uses it to pre-scan a proposed run of bits (the bus frame fast path's
+// uses it to pre-scan a proposed run of bits (the bus contend rung's
 // PassiveRun query) without disturbing the FSM's own streaming state: the
 // proposal may be discarded, and only a later ObserveRun commits it.
 type Cursor struct {

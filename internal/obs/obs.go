@@ -240,11 +240,9 @@ type NodeSnapshot struct {
 type FastPathSnapshot struct {
 	SimulatedBits  int64   `json:"simulated_bits"`
 	IdleBits       int64   `json:"idle_bits"`
-	FrameBits      int64   `json:"frame_bits"`
 	ContendBits    int64   `json:"contend_bits"`
 	SpliceBits     int64   `json:"splice_bits"`
 	IdleHitRate    float64 `json:"idle_hit_rate"`
-	FrameHitRate   float64 `json:"frame_hit_rate"`
 	ContendHitRate float64 `json:"contend_hit_rate"`
 	SpliceHitRate  float64 `json:"splice_hit_rate"`
 }
@@ -267,13 +265,11 @@ func snapshotView(hub *telemetry.Hub) SnapshotView {
 	v.FastPaths = FastPathSnapshot{
 		SimulatedBits: sim,
 		IdleBits:      bus.IdleForwardedTotal(),
-		FrameBits:     bus.FrameForwardedTotal(),
 		ContendBits:   bus.ContendForwardedTotal(),
 		SpliceBits:    bus.SpliceForwardedTotal(),
 	}
 	if sim > 0 {
 		v.FastPaths.IdleHitRate = float64(v.FastPaths.IdleBits) / float64(sim)
-		v.FastPaths.FrameHitRate = float64(v.FastPaths.FrameBits) / float64(sim)
 		v.FastPaths.ContendHitRate = float64(v.FastPaths.ContendBits) / float64(sim)
 		v.FastPaths.SpliceHitRate = float64(v.FastPaths.SpliceBits) / float64(sim)
 	}

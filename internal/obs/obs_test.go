@@ -200,7 +200,7 @@ func TestSnapshotFastPaths(t *testing.T) {
 		t.Fatalf("/snapshot not JSON: %v\n%s", err, body)
 	}
 	fp := doc.FastPaths
-	for _, rung := range []string{"idle", "frame", "contend", "splice"} {
+	for _, rung := range []string{"idle", "contend", "splice"} {
 		if _, ok := fp[rung+"_bits"]; !ok {
 			t.Errorf("%s_bits missing from /snapshot", rung)
 		}
@@ -208,6 +208,9 @@ func TestSnapshotFastPaths(t *testing.T) {
 		if !ok || rate < 0 || rate > 1 {
 			t.Errorf("%s_hit_rate = %v (present %v), want within [0, 1]", rung, rate, ok)
 		}
+	}
+	if _, ok := fp["frame_bits"]; ok {
+		t.Error("/snapshot still reports the deleted frame rung")
 	}
 	// The process-wide counters only grow, so the snapshot holds at least
 	// what this bus carried.

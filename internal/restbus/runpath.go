@@ -6,29 +6,17 @@ import (
 )
 
 var (
-	_ bus.Transmitting     = (*Replayer)(nil)
 	_ bus.RunObserver      = (*Replayer)(nil)
 	_ bus.ContendCommitter = (*Replayer)(nil)
 )
 
-// CommittedBits implements bus.Transmitting: the controller's commitment,
-// unclamped. A controller mid-frame never consults its transmit queue before
-// the bit after the frame's last EOF bit, so a scheduled deadline inside the
-// span does not alter any drive decision; ObserveRun interleaves every due
-// item at its exact virtual bit, before the controller consumes that bit.
-// (Deadlines due while the controller is *outside* a frame keep their
-// exact-step treatment through QuiescentUntil and the PassiveRun clamp
-// below.)
-func (r *Replayer) CommittedBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
-	return r.ctl.CommittedBits(now)
-}
-
-// FrameBit implements bus.Transmitting.
-func (r *Replayer) FrameBit() int { return r.ctl.FrameBit() }
-
-// ContendBits implements bus.ContendCommitter: the controller's contested
-// commitment. Mid-frame and error-signal phases never read the transmit
-// queue, so deadlines inside the span defer to ObserveRun as above. The one
+// ContendBits implements bus.ContendCommitter: the controller's commitment.
+// A controller mid-frame or signalling an error never consults its transmit
+// queue before the phase ends, so a scheduled deadline inside the span does
+// not alter any drive decision; ObserveRun interleaves every due item at its
+// exact virtual bit, before the controller consumes that bit. (Deadlines due
+// while the controller is *outside* a frame keep their exact-step treatment
+// through QuiescentUntil and the PassiveRun clamp below.) The one
 // commitment that does read the queue is a pending SOF (the head frame is
 // serialized at the SOF bit itself), so it declines when a deadline is due at
 // this very bit — the enqueue could reorder a priority-sorted mailbox's head

@@ -60,8 +60,10 @@ func writeEventJSON(w *bufio.Writer, node string, ev Event) error {
 }
 
 // ffPathNames names the EvFFSpan B-argument path codes (see EvFFSpan) as they
-// appear in the JSONL stream and, suffixed "-ff", on Chrome trace spans.
-var ffPathNames = [...]string{"idle", "frame", "contend", "splice"}
+// appear in the JSONL stream and, suffixed "-ff", on Chrome trace spans. The
+// retired codes 1 and 4 keep their names so older stores read back as
+// written.
+var ffPathNames = [...]string{"idle", "frame", "contend", "splice", "hyper"}
 
 // ffPathName names an EvFFSpan path code; unknown codes read as "idle".
 func ffPathName(code int64) string {

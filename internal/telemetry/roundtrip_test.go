@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -83,11 +85,12 @@ func TestSequencerOrderUnderSubscriberChurn(t *testing.T) {
 }
 
 // TestReadJSONLRoundTripEveryKind writes one event of every kind — including
-// every EvFFSpan path code, both EvError roles, every error-kind code, and
-// both alert states — through WriteJSONL and parses it back, asserting a
-// lossless round trip. This is the encoder/decoder pairing the durable
-// store's replay path depends on. The Chrome exporter must label every path
-// code's span by the same name table.
+// every EvFFSpan path code, retired ones too, both EvError roles, every
+// error-kind code, and both alert states — through WriteJSONL and parses it
+// back, asserting a lossless round trip. This is the encoder/decoder pairing
+// the durable store's replay path depends on. The Chrome exporter must label
+// every path code's span by the same name table, and replaying the parsed
+// stream through a fresh hub must count only the live path codes.
 func TestReadJSONLRoundTripEveryKind(t *testing.T) {
 	h := NewHub()
 	p := h.Probe("node")
@@ -110,7 +113,7 @@ func TestReadJSONLRoundTripEveryKind(t *testing.T) {
 	emit(EvREC, 1, 2)
 	emit(EvBusOff, 0, 0)
 	emit(EvRecover, 0, 0)
-	paths := []string{"idle", "frame", "contend", "splice"} // EvFFSpan B = 0..3
+	paths := []string{"idle", "frame", "contend", "splice", "hyper"} // EvFFSpan B = 0..4; 1 and 4 retired
 	for path := range paths {
 		emit(EvFFSpan, 100+int64(path), int64(path))
 	}
@@ -136,6 +139,25 @@ func TestReadJSONLRoundTripEveryKind(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("event %d (%s): round trip %+v, want %+v", i, ev.Kind, got[i], want)
 		}
+	}
+
+	replay := NewHub()
+	for _, ev := range got {
+		replay.Probe(ev.Node).Emit(ev.Time, ev.Kind, ev.A, ev.B)
+	}
+	ff := map[string]int64{}
+	for k, v := range replay.Registry().SnapshotCounters() {
+		if strings.HasPrefix(k, "michican_ff_") {
+			ff[k] = v
+		}
+	}
+	wantFF := map[string]int64{
+		`michican_ff_idle_bits_total{node="node"}`:    100,
+		`michican_ff_contend_bits_total{node="node"}`: 102,
+		`michican_ff_splice_bits_total{node="node"}`:  103,
+	}
+	if !reflect.DeepEqual(ff, wantFF) {
+		t.Errorf("replayed ff counters %v, want %v (retired codes 1 and 4 count nowhere)", ff, wantFF)
 	}
 
 	buf.Reset()

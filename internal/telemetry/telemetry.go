@@ -67,9 +67,12 @@ const (
 	// sequence and rejoined as error-active.
 	EvRecover
 	// EvFFSpan: the bus committed a fast-path span. A = the span length in
-	// bits, B = 0 for the idle quiescence path, 1 for the sole-transmitter
-	// frame path, 2 for the contested-window (multi-driver) path, 3 for the
-	// compiled-splice (whole-frame cache) path.
+	// bits, B = 0 for the idle quiescence path, 2 for the committed-span
+	// (contend) path, 3 for the compiled-splice (whole-frame cache) path.
+	// Codes 1 (the sole-transmitter frame path) and 4 (the hyperperiod
+	// path) are retired: the bus no longer emits them, stores written
+	// before their removal still hold them, the JSONL and Chrome views still
+	// name them, and the hub counts them in no rung's counter.
 	EvFFSpan
 	// EvTxStart: a controller began a transmission attempt — the SOF bit of
 	// a frame it is driving. A = the pending frame's CAN ID. The event time
@@ -152,17 +155,17 @@ type NodeID int32
 // folding an event into the registry is a few atomic operations — no map
 // lookups, no label formatting, no allocation on the emit path.
 type nodeInstruments struct {
-	arbWon, arbLost                      *Counter
-	detections                           *Counter
-	detectionBits                        *Histogram
-	pulls                                *Counter
-	pullBits                             *Counter
-	errors                               *Counter
-	framesDestroyed                      *Counter
-	busOff, recovered                    *Counter
-	tec, rec                             *Gauge
-	ffIdle, ffFrame, ffContend, ffSplice *Counter
-	txStarts, txSuccess                  *Counter
+	arbWon, arbLost             *Counter
+	detections                  *Counter
+	detectionBits               *Histogram
+	pulls                       *Counter
+	pullBits                    *Counter
+	errors                      *Counter
+	framesDestroyed             *Counter
+	busOff, recovered           *Counter
+	tec, rec                    *Gauge
+	ffIdle, ffContend, ffSplice *Counter
+	txStarts, txSuccess         *Counter
 }
 
 // Hub is the telemetry collector: a registry of named nodes, an append-only
@@ -260,7 +263,6 @@ func (h *Hub) instrumentsFor(name string) *nodeInstruments {
 		tec:             r.Gauge("michican_tec", "node", name),
 		rec:             r.Gauge("michican_rec", "node", name),
 		ffIdle:          r.Counter("michican_ff_idle_bits_total", "node", name),
-		ffFrame:         r.Counter("michican_ff_frame_bits_total", "node", name),
 		ffContend:       r.Counter("michican_ff_contend_bits_total", "node", name),
 		ffSplice:        r.Counter("michican_ff_splice_bits_total", "node", name),
 		txStarts:        r.Counter("michican_tx_attempts_total", "node", name),
@@ -393,15 +395,13 @@ func (h *Hub) emit(ev Event) {
 	case EvRecover:
 		ni.recovered.Inc()
 	case EvFFSpan:
-		switch ev.B {
+		switch ev.B { // retired and unknown path codes count nowhere
 		case 0:
 			ni.ffIdle.Add(ev.A)
-		case 1:
-			ni.ffFrame.Add(ev.A)
+		case 2:
+			ni.ffContend.Add(ev.A)
 		case 3:
 			ni.ffSplice.Add(ev.A)
-		default:
-			ni.ffContend.Add(ev.A)
 		}
 	case EvTxStart:
 		ni.txStarts.Inc()

@@ -59,7 +59,7 @@ func TestEmitFoldsMetrics(t *testing.T) {
 	p.Emit(133, EvBusOff, 0, 0)
 	p.Emit(200, EvRecover, 0, 0)
 	p.Emit(210, EvFFSpan, 64, 0)
-	p.Emit(220, EvFFSpan, 32, 1)
+	p.Emit(220, EvFFSpan, 32, 2)
 
 	r := h.Registry()
 	checks := []struct {
@@ -74,7 +74,7 @@ func TestEmitFoldsMetrics(t *testing.T) {
 		{"michican_busoff_total", 1},
 		{"michican_recoveries_total", 1},
 		{"michican_ff_idle_bits_total", 64},
-		{"michican_ff_frame_bits_total", 32},
+		{"michican_ff_contend_bits_total", 32},
 	}
 	for _, c := range checks {
 		if got := r.Counter(c.name, "node", "michican").Value(); got != c.want {

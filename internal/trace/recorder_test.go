@@ -78,7 +78,7 @@ func TestBitRunWordBoundaryOffsets(t *testing.T) {
 }
 
 // TestBitRunChainedSpans: back-to-back BitRun deliveries of varying lengths
-// (the frame fast path delivers one span per forwarded frame) keep the
+// (the contend rung delivers one span per forwarded frame) keep the
 // packing consistent across span joins that straddle word boundaries.
 func TestBitRunChainedSpans(t *testing.T) {
 	run, ref := NewRecorder(), NewRecorder()
