@@ -185,12 +185,22 @@ func sortedAlerts(t *testing.T, st *store.Store) []string {
 	return out
 }
 
+// noLateEvents fails the test if the hub's sequencer released any event
+// out of canonical order.
+func noLateEvents(t *testing.T, h *telemetry.Hub) {
+	t.Helper()
+	if n := h.LateEvents(); n != 0 {
+		t.Fatalf("hub sequencer saw %d late events: the reorder slack no longer covers the ladder's displacement", n)
+	}
+}
+
 // TestResumeIndependentOfSlicing is the slicing-independence property: a
 // durable vehicle crashed at a random point under one Advance slicing and
 // resumed under another finalizes cleanly, and its event and incident logs
 // are byte-identical to an uninterrupted run at a third slicing. The alert
-// log is compared as a multiset: its order follows the forensics engine's
-// reorder-window drain points, which can depend on slicing.
+// log is compared as a multiset: its order follows the hub sequencer's
+// drain points, which can depend on slicing. No hub may see a late event:
+// the sequencer's slack must cover every displacement the ladder produces.
 func TestResumeIndependentOfSlicing(t *testing.T) {
 	const (
 		horizon  = 655_360 // 589,824 + 65,536: the reproduction's crash point plus a quantum
@@ -225,6 +235,7 @@ func TestResumeIndependentOfSlicing(t *testing.T) {
 				if err := ref.FinalizeDurable(ref.Finalize()); err != nil {
 					t.Fatal(err)
 				}
+				noLateEvents(t, ref.Hub())
 				refAlerts := sortedAlerts(t, ref.Store)
 				ref.Close()
 
@@ -240,6 +251,7 @@ func TestResumeIndependentOfSlicing(t *testing.T) {
 					if err := d1.Sink.Close(d1.Now(), false); err != nil {
 						t.Fatal(err)
 					}
+					noLateEvents(t, d1.Hub())
 					d1.Close()
 
 					d2, err := ResumeDurableVehicle(dir, sinkOpts)
@@ -250,6 +262,7 @@ func TestResumeIndependentOfSlicing(t *testing.T) {
 					if err := d2.FinalizeDurable(d2.Finalize()); err != nil {
 						t.Fatalf("crash at %d sliced %d, resume sliced %d: %v", c.crashAt, c.crashSlice, c.resumeSlice, err)
 					}
+					noLateEvents(t, d2.Hub())
 					err = d2.Store.Events(func(ev telemetry.NamedEvent) error {
 						if ev.Kind == telemetry.EvFFSpan {
 							return fmt.Errorf("stored ff_span record at t=%d", ev.Time)

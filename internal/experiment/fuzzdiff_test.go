@@ -329,6 +329,9 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 	idleIncs := finalize(idleEng)
 	contendIncs := finalize(contendEng)
 	spliceIncs := finalize(spliceEng)
+	for _, h := range []*telemetry.Hub{hub, idleHub, contendHub, spliceHub} {
+		noLateEvents(t, h)
+	}
 	if !reflect.DeepEqual(exactIncs, idleIncs) {
 		t.Fatalf("seed %d: forensics incidents diverge exact vs idle-ff:\n%+v\nvs\n%+v",
 			seed, exactIncs, idleIncs)

@@ -10,12 +10,12 @@
 // the event stream a third source of truth alongside the exact and
 // fast-forward stepping paths.
 //
-// The engine is streaming: events arrive in per-node order (batch fast-path
-// delivery hands each node its whole span one node at a time), a
-// telemetry.Sequencer restores canonical global order behind a bounded
-// reorder horizon, and incidents fold incrementally — a long-running
-// simulation can expose closed and in-flight incidents over HTTP while the
-// run is still advancing.
+// The engine is streaming: it subscribes to the hub's ordered stream, whose
+// one sequencer restores canonical global order behind a bounded reorder
+// horizon (batch fast-path delivery hands each node its whole span one node
+// at a time), and folds each released batch under one lock. Incidents fold
+// incrementally — a long-running simulation can expose closed and in-flight
+// incidents over HTTP while the run is still advancing.
 package forensics
 
 import (
@@ -222,13 +222,11 @@ type successRec struct {
 }
 
 // Engine folds the telemetry event stream into incidents. Create with
-// NewEngine (which subscribes to the hub) or with New (feed events
-// manually); all methods are safe for concurrent use with ongoing emission.
+// NewEngine; all methods are safe for concurrent use with ongoing emission.
 type Engine struct {
 	mu     sync.Mutex
 	hub    *telemetry.Hub
 	cancel func()
-	seq    telemetry.Sequencer
 	names  map[telemetry.NodeID]string
 
 	cur         *attempt
@@ -272,9 +270,11 @@ type Engine struct {
 // consumer can apply the same recording-edge rule as Complete.
 type IncidentFunc func(inc Incident, atEnd bool, recordingEnd int64)
 
-// New creates a detached engine that resolves node names through the hub's
-// registry but does not subscribe; feed it with Feed and Finalize.
-func New(h *telemetry.Hub) *Engine {
+// NewEngine creates an engine subscribed to the hub's ordered stream: every
+// event emitted from now on reaches the incident fold in canonical order,
+// one released batch at a time, with no retained-log copies. Call Finalize
+// (and optionally Close) when the run completes.
+func NewEngine(h *telemetry.Hub) *Engine {
 	e := &Engine{
 		hub:          h,
 		names:        make(map[telemetry.NodeID]string),
@@ -290,50 +290,36 @@ func New(h *telemetry.Hub) *Engine {
 		firstDetect:  -1,
 		endAt:        -1,
 	}
-	e.seq.Emit = e.fold
-	return e
-}
-
-// NewEngine creates an engine subscribed to the hub: every event emitted
-// from now on streams through the sequencer into the incident fold, with no
-// retained-log copies. Call Finalize (and optionally Close) when the run
-// completes.
-func NewEngine(h *telemetry.Hub) *Engine {
-	e := New(h)
-	e.cancel = h.Subscribe(e.Feed)
+	e.cancel = h.SubscribeOrdered(e.feed)
 	return e
 }
 
 // SetOnIncident registers a closure observer, called in canonical stream
 // order with a resolved snapshot of each incident as it closes. The callback
-// runs with the engine lock held — it must not call back into the engine —
-// but it may emit telemetry (Feed ignores EvAlert without taking the lock,
-// so a watch rule can publish alerts from inside the callback). Call before
-// the run starts; closures that happened earlier are not replayed.
+// runs with the engine lock held, inside the hub's batch delivery — it must
+// not call back into the engine — but it may emit EvAlert (alerts bypass
+// the hub's sequencer, so a watch rule can publish alerts from inside the
+// callback). Call before the run starts; closures that happened earlier
+// are not replayed.
 func (e *Engine) SetOnIncident(fn IncidentFunc) {
 	e.mu.Lock()
 	e.onIncident = fn
 	e.mu.Unlock()
 }
 
-// Feed accepts one event. Exposed for consumers that replay a recorded
-// stream (candump) instead of subscribing live.
-func (e *Engine) Feed(ev telemetry.Event) {
-	if ev.Kind == telemetry.EvAlert {
-		// Alerts describe the watch engine observing this very stream, not
-		// the simulated network; folding them would be circular (and the
-		// watch engine publishes them from inside SetOnIncident callbacks,
-		// which hold e.mu).
-		return
-	}
+// feed folds one canonical-order batch from the hub. Alerts never reach it:
+// they describe the watch engine observing this very stream, not the
+// simulated network, and bypass the hub's sequencer.
+func (e *Engine) feed(batch []telemetry.Event) {
 	e.mu.Lock()
-	e.eventsSeen++
-	e.seq.Add(ev)
+	e.eventsSeen += int64(len(batch))
+	for _, ev := range batch {
+		e.fold(ev)
+	}
 	e.mu.Unlock()
 }
 
-// Close cancels the hub subscription (idempotent; no-op for detached
-// engines).
+// Close cancels the hub subscription (idempotent).
 func (e *Engine) Close() {
 	if e.cancel != nil {
 		e.cancel()
@@ -341,14 +327,14 @@ func (e *Engine) Close() {
 	}
 }
 
-// Finalize flushes the reorder window and records the end of the recording.
-// In-flight state (an unresolved attempt, open incidents) is preserved and
-// visible via InFlight; Complete applies the recording-edge rule against
-// the recorded end.
+// Finalize flushes the hub's reorder window into the fold and records the
+// end of the recording. In-flight state (an unresolved attempt, open
+// incidents) is preserved and visible via InFlight; Complete applies the
+// recording-edge rule against the recorded end.
 func (e *Engine) Finalize(recordingEnd int64) {
+	e.hub.Flush()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.seq.Flush()
 	alreadyFinal := e.finalized
 	e.finalized = true
 	e.endAt = recordingEnd
@@ -540,7 +526,7 @@ func (e *Engine) closeWireAttempt(c *attempt, errorEnd int64) {
 }
 
 // fold advances the reconstruction by one event, in canonical global order.
-// Called with e.mu held (from the Sequencer inside Feed/Finalize).
+// Called with e.mu held, from feed.
 func (e *Engine) fold(ev telemetry.Event) {
 	switch ev.Kind {
 	case telemetry.EvTxStart:
@@ -1016,6 +1002,8 @@ func (e *Engine) FirstBusOffAt(node string) int64 {
 
 // Stats reports engine-level counters for diagnostics.
 type EngineStats struct {
+	// EventsSeen counts the events folded so far: those the hub's
+	// sequencer has released.
 	EventsSeen      int64 `json:"events_seen"`
 	DroppedAttempts int   `json:"dropped_attempts"`
 	StrayAttempts   int   `json:"stray_attempts"`

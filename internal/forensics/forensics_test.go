@@ -278,14 +278,20 @@ func TestEngineStrayAndDroppedAttempts(t *testing.T) {
 }
 
 // referenceIncidents rebuilds a live engine's incidents from the hub's
-// retained log: a detached engine replays the log, and every incident's
+// retained log: the log replays, in emission order, through a fresh hub
+// with the same nodes and an engine of its own, and every incident's
 // FramesLeaked is recounted from the whole log as the attacker's successes
 // of the incident's ID inside [Start, End].
 func referenceIncidents(hub *telemetry.Hub, finalizeAt int64) []forensics.Incident {
 	evs := hub.Events()
-	ref := forensics.New(hub)
+	replay := telemetry.NewHub()
+	var probes []telemetry.Probe
+	for _, name := range hub.Nodes() {
+		probes = append(probes, replay.Probe(name))
+	}
+	ref := forensics.NewEngine(replay)
 	for _, ev := range evs {
-		ref.Feed(ev)
+		probes[ev.Node].Emit(ev.Time, ev.Kind, ev.A, ev.B)
 	}
 	if finalizeAt >= 0 {
 		ref.Finalize(finalizeAt)

@@ -6,19 +6,28 @@ import (
 	"michican/internal/telemetry"
 )
 
-// benignFrames feeds a detached engine clean frames: each one a SOF, an
-// arbitration win and a success, every fourth with a second transmitter that
-// loses arbitration. It returns the bit time after the last frame.
-func benignFrames(e *Engine, a, b telemetry.NodeID, t int64, n int) int64 {
+// benignHub is a hub with retention off, a restbus node a and a defender
+// node b, and an engine subscribed to it.
+func benignHub() (e *Engine, a, b telemetry.Probe) {
+	hub := telemetry.NewHub()
+	hub.RetainEvents(false)
+	a, b = hub.Probe("restbus"), hub.Probe("defender")
+	return NewEngine(hub), a, b
+}
+
+// benignFrames emits clean frames: each one a SOF, an arbitration win and a
+// success, every fourth with a second transmitter that loses arbitration.
+// It returns the bit time after the last frame.
+func benignFrames(a, b telemetry.Probe, t int64, n int) int64 {
 	for i := 0; i < n; i++ {
 		id := int64(0x100 + i%32)
-		e.Feed(telemetry.Event{Time: t, Kind: telemetry.EvTxStart, Node: a, A: id})
+		a.Emit(t, telemetry.EvTxStart, id, 0)
 		if i%4 == 0 {
-			e.Feed(telemetry.Event{Time: t, Kind: telemetry.EvTxStart, Node: b, A: id + 1})
-			e.Feed(telemetry.Event{Time: t + 11, Kind: telemetry.EvArbLost, Node: b, A: 11})
+			b.Emit(t, telemetry.EvTxStart, id+1, 0)
+			b.Emit(t+11, telemetry.EvArbLost, 11, 0)
 		}
-		e.Feed(telemetry.Event{Time: t + 12, Kind: telemetry.EvArbWon, Node: a, A: id})
-		e.Feed(telemetry.Event{Time: t + 110, Kind: telemetry.EvTxSuccess, Node: a, A: id})
+		a.Emit(t+12, telemetry.EvArbWon, id, 0)
+		a.Emit(t+110, telemetry.EvTxSuccess, id, 0)
 		t += 130
 	}
 	return t
@@ -35,11 +44,8 @@ func (e *Engine) retainedSuccesses() int {
 // TestSuccessLogBoundedOnBenignTraffic: with no incident open, no completed
 // frame can ever be charged as leaked, so none may be kept.
 func TestSuccessLogBoundedOnBenignTraffic(t *testing.T) {
-	hub := telemetry.NewHub()
-	hub.Probe("restbus")
-	hub.Probe("defender")
-	e := New(hub)
-	end := benignFrames(e, 0, 1, 0, 100_000)
+	e, a, b := benignHub()
+	end := benignFrames(a, b, 0, 100_000)
 	e.Finalize(end)
 	if n := e.retainedSuccesses(); n != 0 {
 		t.Fatalf("success log retains %d records after 100000 benign frames, want 0", n)
@@ -53,14 +59,12 @@ func TestSuccessLogBoundedOnBenignTraffic(t *testing.T) {
 }
 
 // TestCleanFrameFoldAllocatesNothing: folding a healthy frame reuses the
-// previous frame's attempt and tx map.
+// previous frame's attempt and tx map, and the hub's ordered delivery adds
+// nothing per event.
 func TestCleanFrameFoldAllocatesNothing(t *testing.T) {
-	hub := telemetry.NewHub()
-	hub.Probe("restbus")
-	hub.Probe("defender")
-	e := New(hub)
-	next := benignFrames(e, 0, 1, 0, 10_000)
-	frames := func() { next = benignFrames(e, 0, 1, next, 4) }
+	_, a, b := benignHub()
+	next := benignFrames(a, b, 0, 10_000)
+	frames := func() { next = benignFrames(a, b, next, 4) }
 	if got := testing.AllocsPerRun(1000, frames); got != 0 {
 		t.Fatalf("folding four clean frames allocates %v times, want 0", got)
 	}

@@ -71,22 +71,22 @@ type SinkOptions struct {
 	ResumeFromBits int64
 }
 
-// Sink subscribes to a telemetry hub and persists the canonical event stream,
-// fast-forward spans and alerts excepted, into a Store. Events pass through a
-// Sequencer (the same reorder machinery JSONLStreamer uses) so they land on
-// disk in canonical (Time, Node, arrival) order, are encoded with
+// Sink subscribes to a telemetry hub's ordered stream and persists it,
+// fast-forward spans and alerts excepted, into a Store. The hub's one
+// sequencer hands it canonical (Time, Node, arrival) batches, so events land
+// on disk in the order WriteJSONL writes them. Each is encoded with
 // telemetry.AppendEventRecord — each record reads back exactly the event
-// WriteJSONL's line for it would — and drain to disk on NetCommitter-style
+// WriteJSONL's line for it would — and drains to disk on NetCommitter-style
 // thresholds with one group fsync per drain.
 //
-// The hub callback only buffers: events batch on the emitting goroutine and
-// hand off to a dedicated writer goroutine that does everything expensive
-// (canonical ordering, record encoding, CRC framing, disk writes, group
-// fsyncs). The on-disk layout is unaffected by the hand-off — segment rolls
-// are a pure function of the record stream — so persistence costs the
-// simulation thread a buffered append, not a write. Persistence errors are
-// sticky and surface from Err, Checkpoint, and Close rather than panicking
-// the datapath.
+// The hub callback only buffers: each batch is copied into a hand-off
+// buffer under one lock, and full buffers ship to a dedicated writer
+// goroutine that does everything expensive (record encoding, CRC framing,
+// disk writes, group fsyncs). The on-disk layout is unaffected by the
+// hand-off — segment rolls are a pure function of the record stream — so
+// persistence costs the simulation thread a copy, not a write. Persistence
+// errors are sticky and surface from Err, Checkpoint, and Close rather than
+// panicking the datapath.
 //
 // Close requires that emission has stopped (detach order: stop the sim, then
 // Close the sink) — events still in flight on other goroutines at Close time
@@ -98,12 +98,12 @@ type Sink struct {
 
 	cancel func()
 
-	// Hot path: the hub callback appends into inBuf under inMu; full batches
-	// ship through work to the writer goroutine, which recycles their backing
-	// arrays through free.
+	// Hot path: the hub's batch callback copies into inBuf under inMu; full
+	// buffers ship through work to the writer goroutine, which recycles
+	// their backing arrays through free.
 	inMu  sync.Mutex
 	inBuf []telemetry.Event
-	added atomic.Int64 // events received from the hub
+	added atomic.Int64 // events shipped to the writer
 	work  chan sinkBatch
 	free  chan []telemetry.Event
 	done  chan struct{}
@@ -112,7 +112,6 @@ type Sink struct {
 	// writer holds it while processing a batch; control calls (Checkpoint,
 	// AppendIncidents, Close, Err) take it between batches.
 	mu    sync.Mutex
-	seq   telemetry.Sequencer
 	names map[telemetry.NodeID]string
 	enc   []byte
 
@@ -185,55 +184,47 @@ func NewSink(st *Store, hub *telemetry.Hub, opts SinkOptions) *Sink {
 	s.cCheckpoints = reg.Counter("michican_store_checkpoints_total")
 	s.gBacklog = reg.Gauge("michican_store_drain_backlog")
 	s.gCheckpointMs = reg.Gauge("michican_store_checkpoint_ms")
-	s.seq.Emit = s.release
 	go s.writer()
-	s.cancel = hub.Subscribe(func(ev telemetry.Event) {
-		if ev.Kind == telemetry.EvFFSpan || ev.Kind == telemetry.EvAlert {
-			// Span ends fall on Run boundaries, so persisting them would make
-			// the stored stream depend on how the caller slices Advance (and
-			// a resume at a different slicing would diverge from its
-			// checkpoint); their bit counts live in the hub's michican_ff_*
-			// counters instead. Alert transitions persist in their own log
-			// (AppendAlerts) with their own cursor and hash: they are emitted
-			// at incident-closure observation time, behind the stream head,
-			// and keeping them out keeps event prefix hashes identical
-			// whether or not a watch engine was attached.
-			return
-		}
-		s.inMu.Lock()
-		s.inBuf = append(s.inBuf, ev)
-		n := len(s.inBuf)
-		s.inMu.Unlock()
-		s.added.Add(1)
-		if n >= sinkBatchEvents {
-			s.handOff(nil)
-		}
-	})
+	s.cancel = hub.SubscribeOrdered(s.receive)
 	return s
 }
 
-// handOff ships the hot-path buffer to the writer, optionally with a barrier
-// the writer closes once the batch is processed. Empty buffers still ship
-// when a barrier rides along.
-func (s *Sink) handOff(barrier chan struct{}) {
+// receive is the hub's batch callback: it copies the batch into the
+// hand-off buffer, shipping every full buffer to the writer. Spans stay
+// out: their ends fall on Run boundaries, so persisting them would make the
+// stored stream depend on how the caller slices Advance; their bit counts
+// live in the hub's michican_ff_* counters. Alerts never reach an ordered
+// subscriber; they persist in their own log (AppendAlerts).
+func (s *Sink) receive(batch []telemetry.Event) {
 	s.inMu.Lock()
-	evs := s.inBuf
-	var next []telemetry.Event
-	select {
-	case next = <-s.free:
-	default:
-		next = make([]telemetry.Event, 0, sinkBatchEvents)
-	}
-	s.inBuf = next
-	s.inMu.Unlock()
-	if len(evs) == 0 && barrier == nil {
-		// Nothing to ship; put the swapped-in buffer's predecessor back.
-		select {
-		case s.free <- evs:
-		default:
+	for _, ev := range batch {
+		if ev.Kind != telemetry.EvFFSpan {
+			s.inBuf = append(s.inBuf, ev)
+			if len(s.inBuf) == sinkBatchEvents {
+				s.shipLocked(nil)
+			}
 		}
+	}
+	s.inMu.Unlock()
+}
+
+// shipLocked hands the hot-path buffer to the writer, optionally with a
+// barrier the writer closes once the batch is processed, and swaps in a
+// recycled buffer. Empty buffers still ship when a barrier rides along.
+// Called with inMu held, and holds it across the send so a concurrent
+// barrier cannot overtake a full buffer; the writer never takes inMu, so a
+// full queue only blocks (backpressure), it cannot deadlock.
+func (s *Sink) shipLocked(barrier chan struct{}) {
+	evs := s.inBuf
+	if len(evs) == 0 && barrier == nil {
 		return
 	}
+	select {
+	case s.inBuf = <-s.free:
+	default:
+		s.inBuf = make([]telemetry.Event, 0, sinkBatchEvents)
+	}
+	s.added.Add(int64(len(evs)))
 	s.work <- sinkBatch{evs: evs, done: barrier}
 }
 
@@ -241,18 +232,20 @@ func (s *Sink) handOff(barrier chan struct{}) {
 // processed every event received so far.
 func (s *Sink) barrier() {
 	ch := make(chan struct{})
-	s.handOff(ch)
+	s.inMu.Lock()
+	s.shipLocked(ch)
+	s.inMu.Unlock()
 	<-ch
 }
 
-// writer is the persistence goroutine: it owns the sequencer and the store
-// appends, so the emitting thread never waits on the disk.
+// writer is the persistence goroutine: it owns the store appends, so the
+// emitting thread never waits on the disk.
 func (s *Sink) writer() {
 	defer close(s.done)
 	for b := range s.work {
 		s.mu.Lock()
 		for _, ev := range b.evs {
-			s.seq.Add(ev)
+			s.release(ev)
 		}
 		s.mu.Unlock()
 		if b.evs != nil {
@@ -284,8 +277,8 @@ func hashPayload(h uint64, payload []byte) uint64 {
 
 func hashString(h uint64) string { return fmt.Sprintf("%016x", h) }
 
-// release receives one canonically-ordered event from the sequencer. Called
-// with s.mu held, on the writer goroutine.
+// release persists one canonically-ordered event. Called with s.mu held, on
+// the writer goroutine.
 func (s *Sink) release(ev telemetry.Event) {
 	if s.err != nil {
 		return
@@ -354,11 +347,10 @@ func (s *Sink) reconcileLocked() {
 	s.cCheckpoints.Add(st.Checkpoints - s.lastStats.Checkpoints)
 	s.gCheckpointMs.Set(st.LastCheckpointMs)
 	s.lastStats = st
-	// Backlog: events received from the hub but not yet durable — the
-	// hand-off queue plus the sequencer's reorder window plus anything
-	// buffered between drains. Stats counters restart at zero per process,
-	// so at resume the skipped prefix is subtracted rather than the prior
-	// run's appends.
+	// Backlog: events shipped to the writer but not yet durable — the
+	// hand-off queue plus anything appended since the last drain. Stats
+	// counters restart at zero per process, so at resume the skipped prefix
+	// is subtracted rather than the prior run's appends.
 	s.gBacklog.Set(float64(s.added.Load() - s.skippedEv - st.EventsAppended))
 }
 
@@ -454,10 +446,11 @@ func (s *Sink) SyncAge(now time.Time) time.Duration {
 	return now.Sub(time.Unix(0, s.lastSyncAt.Load()))
 }
 
-// Backlog reports the events received from the hub but not yet durable (the
-// hand-off queue plus the reorder window plus anything buffered between
-// drains). It is the same figure the michican_store_drain_backlog gauge
-// carries, but readable without a registry snapshot.
+// Backlog reports the events shipped to the writer but not yet durable (the
+// hand-off queue plus anything appended since the last drain; the reorder
+// window lives in the hub). It is the same figure the
+// michican_store_drain_backlog gauge carries, but readable without a
+// registry snapshot.
 func (s *Sink) Backlog() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -465,8 +458,7 @@ func (s *Sink) Backlog() int64 {
 }
 
 // Checkpoint waits for the writer to catch up with everything received so
-// far, flushes the reorder window's released tail, and durably records a
-// resume point at bit time t.
+// far and durably records a resume point at bit time t.
 func (s *Sink) Checkpoint(t int64) error {
 	s.barrier()
 	s.mu.Lock()
@@ -490,18 +482,19 @@ func (s *Sink) Err() error {
 	return s.err
 }
 
-// Close detaches from the hub, joins the writer goroutine, flushes the
-// reorder window, makes everything durable, and — when completed is true —
-// writes a final checkpoint marked Completed at bit time t. Returns the
-// first error encountered.
+// Close flushes the hub's reorder window into the sink (so a crash image,
+// Close(t, false) with no forensics Finalize, still persists the tail),
+// detaches, joins the writer goroutine, makes everything durable, and —
+// when completed is true — writes a final checkpoint marked Completed at
+// bit time t. Returns the first error encountered.
 func (s *Sink) Close(t int64, completed bool) error {
+	s.hub.Flush()
 	s.cancel()
 	s.barrier()
 	close(s.work)
 	<-s.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq.Flush()
 	if s.err != nil {
 		return s.err
 	}

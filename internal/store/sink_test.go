@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"michican/internal/forensics"
 	"michican/internal/telemetry"
 )
 
@@ -56,41 +57,99 @@ func durableJSONL(t *testing.T, dir string) []byte {
 	return buf.Bytes()
 }
 
+// TestSinkMatchesWriteJSONL: the stored stream equals WriteJSONL of the
+// retained log, whether the sink is the hub's only ordered subscriber (the
+// store-overhead harness's wiring) or rides beside a forensics engine (a
+// durable vehicle's), and whether the run finalizes (forensics Finalize,
+// then the incident hand-off and a Completed close, as FinalizeDurable
+// does) or stops at a crash image (a bare Close(t, false), which must still
+// flush the hub's reorder window into the store).
 func TestSinkMatchesWriteJSONL(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Create(dir, Meta{Kind: "test"})
+	for _, withForensics := range []bool{false, true} {
+		for _, finalize := range []bool{true, false} {
+			name := fmt.Sprintf("forensics=%v/finalize=%v", withForensics, finalize)
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				st, err := Create(dir, Meta{Kind: "test"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := telemetry.NewHub()
+				var eng *forensics.Engine
+				if withForensics {
+					eng = forensics.NewEngine(h)
+				}
+				sink := NewSink(st, h, SinkOptions{FlushEvents: 7})
+				end := emitScripted(h, 500)
+				if eng != nil && finalize {
+					eng.Finalize(end)
+					payloads, err := forensics.EncodeIncidents(eng.Incidents())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sink.AppendIncidents(payloads); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sink.Close(end, finalize); err != nil {
+					t.Fatal(err)
+				}
+				st.Close()
+
+				var want bytes.Buffer
+				if err := h.WriteJSONL(&want); err != nil {
+					t.Fatal(err)
+				}
+				got := durableJSONL(t, dir)
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("durable stream diverges from WriteJSONL: %d vs %d bytes", len(got), want.Len())
+				}
+
+				st2, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st2.Close()
+				cp, err := st2.LatestCheckpoint()
+				if !finalize {
+					if err == nil && cp.Completed {
+						t.Fatalf("crash image left a Completed checkpoint %+v", cp)
+					}
+					return
+				}
+				// The completed run left a final checkpoint covering everything.
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cp.Completed || cp.Events != st2.EventCount() {
+					t.Fatalf("final checkpoint = %+v, events on disk %d", cp, st2.EventCount())
+				}
+			})
+		}
+	}
+}
+
+// TestSinkEmitAllocatesNothing: on a hub carrying a forensics engine and a
+// sink, steady-state emission — sequencing, batch delivery, the incident
+// fold, the hand-off copy and the writer's appends — allocates nothing per
+// event.
+func TestSinkEmitAllocatesNothing(t *testing.T) {
+	st, err := Create(t.TempDir(), Meta{Kind: "test", Fsync: FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	h := telemetry.NewHub()
-	sink := NewSink(st, h, SinkOptions{FlushEvents: 7})
-	end := emitScripted(h, 500)
-	if err := sink.Close(end, true); err != nil {
+	h.RetainEvents(false)
+	forensics.NewEngine(h)
+	sink := NewSink(st, h, SinkOptions{})
+	next := emitScripted(h, 20_000)
+	frames := func() { next = emitScriptedFrom(h, next, 1) }
+	if got := testing.AllocsPerRun(20_000, frames); got != 0 {
+		t.Fatalf("emitting one scripted round (4 events) allocates %v times, want 0", got)
+	}
+	if err := sink.Close(next, true); err != nil {
 		t.Fatal(err)
-	}
-	st.Close()
-
-	var want bytes.Buffer
-	if err := h.WriteJSONL(&want); err != nil {
-		t.Fatal(err)
-	}
-	got := durableJSONL(t, dir)
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("durable stream diverges from WriteJSONL: %d vs %d bytes", len(got), want.Len())
-	}
-
-	// The completed run left a final checkpoint covering everything.
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	cp, err := st2.LatestCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cp.Completed || cp.Events != st2.EventCount() {
-		t.Fatalf("final checkpoint = %+v, events on disk %d", cp, st2.EventCount())
 	}
 }
 

@@ -282,8 +282,9 @@ func internString(b []byte, names []string) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// ReadJSONL parses a stream previously produced by WriteJSONL or a
-// JSONLStreamer back into named events, preserving stream order.
+// ReadJSONL parses a stream previously produced by WriteJSONL (the
+// canonical-order export of a retained log) back into named events,
+// preserving stream order.
 func ReadJSONL(r io.Reader) ([]NamedEvent, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

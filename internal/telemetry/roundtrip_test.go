@@ -10,10 +10,10 @@ import (
 )
 
 // TestSequencerOrderUnderSubscriberChurn closes the coverage gap the durable
-// store leans on: a sequencer-backed consumer (the store's sink shape) must
-// release every event in canonical order even while other subscribers join
-// and leave the hub mid-stream. Churn rebuilds the hub's copy-on-write
-// subscriber list under emission; the long-lived consumer's view must be
+// store leans on: an ordered consumer (the store's sink shape) must receive
+// every event in canonical order even while other raw and ordered
+// subscribers join and leave the hub mid-stream. Churn rebuilds the hub's
+// subscriber lists under emission; the long-lived consumer's view must be
 // unaffected — no losses, no duplicates, no reorders beyond the sequencer's
 // contract.
 func TestSequencerOrderUnderSubscriberChurn(t *testing.T) {
@@ -21,10 +21,9 @@ func TestSequencerOrderUnderSubscriberChurn(t *testing.T) {
 	h.RetainEvents(true)
 	var mu sync.Mutex
 	var released []Event
-	seq := Sequencer{Emit: func(ev Event) { released = append(released, ev) }}
-	cancel := h.Subscribe(func(ev Event) {
+	cancel := h.SubscribeOrdered(func(b []Event) {
 		mu.Lock()
-		seq.Add(ev)
+		released = append(released, b...)
 		mu.Unlock()
 	})
 
@@ -41,6 +40,7 @@ func TestSequencerOrderUnderSubscriberChurn(t *testing.T) {
 				return
 			default:
 				h.Subscribe(func(Event) {})()
+				h.SubscribeOrdered(func([]Event) {})()
 			}
 		}
 	}()
@@ -58,10 +58,10 @@ func TestSequencerOrderUnderSubscriberChurn(t *testing.T) {
 	}
 	close(stop)
 	churnWG.Wait()
+	h.Flush()
 	cancel()
 	mu.Lock()
-	seq.Flush()
-	mu.Unlock()
+	defer mu.Unlock()
 
 	if len(released) != 2*rounds {
 		t.Fatalf("sequencer released %d events, want %d (churn lost or duplicated events)", len(released), 2*rounds)

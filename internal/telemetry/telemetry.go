@@ -19,10 +19,14 @@
 // A Hub is safe for concurrent emission, so the parallel experiment runner
 // can share one hub across trials: node registration dedupes by name, and
 // the per-node metric instruments aggregate across trials through atomics.
+// Consumers that need canonical bit-time order (forensics, the durable
+// store) subscribe to the hub's one sequencer, which hands them released
+// runs of the stream as ordered batches (SubscribeOrdered).
 package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -84,8 +88,8 @@ const (
 	EvTxSuccess
 	// EvAlert: the watch engine changed an alert rule's state. A = the rule
 	// index (watch.Rule), B = 1 on fire, 0 on resolve. Alerts describe the
-	// observer, not the simulated network: the forensics engine ignores
-	// them.
+	// observer, not the simulated network: they bypass the hub's sequencer,
+	// so ordered subscribers (forensics, the store sink) never see them.
 	EvAlert
 )
 
@@ -169,22 +173,36 @@ type nodeInstruments struct {
 }
 
 // Hub is the telemetry collector: a registry of named nodes, an append-only
-// event log, and a metrics registry fed by the same emit calls. Create with
-// NewHub; a nil *Hub is a valid "disabled" hub (Probe returns a no-op probe).
+// event log, a metrics registry fed by the same emit calls, and the one
+// reorder buffer that turns the emitted stream into canonical-order batches.
+// Create with NewHub; a nil *Hub is a valid "disabled" hub (Probe returns a
+// no-op probe).
 type Hub struct {
+	// mu guards node registration, the retained log and subscription
+	// changes. An emit takes it only to append to a retained log.
 	mu      sync.Mutex
 	names   []string
 	byName  map[string]NodeID
 	perNode []*nodeInstruments
 	events  []Event
-	retain  bool
+	retain  atomic.Bool
 	reg     *Registry
-	// subs is the subscriber list, replaced wholesale on every
-	// Subscribe/unsubscribe (copy-on-write): emit reads the slice header
-	// under mu and iterates outside it, so a steady-state emit never copies
-	// and subscribers may call back into the hub without deadlocking.
-	subs      []subscriber
+	// subs is the raw subscriber list, replaced wholesale on every
+	// Subscribe/unsubscribe (copy-on-write) and read through an atomic
+	// pointer, so a steady-state emit neither locks nor copies and
+	// subscribers may call back into the hub without deadlocking.
+	subs      atomic.Pointer[[]subscriber]
 	nextSubID int
+	// seqMu serializes the ordered path: the sequencer, the ordered
+	// subscribers (each identified by its callback's address) and batch
+	// delivery, which runs under it so batches reach every subscriber in
+	// release order even with concurrent emitters. sequencing mirrors
+	// len(ordered) > 0, so an emit with no ordered subscriber neither locks
+	// nor buffers.
+	seqMu      sync.Mutex
+	seq        sequencer
+	ordered    []*func([]Event)
+	sequencing atomic.Bool
 	// emits counts every event ever emitted through this hub, retained or
 	// not. It is the O(1) "logical updates" proxy the fleet's thresholded
 	// net-commit policy checks per scheduling slice: comparing two EmitCount
@@ -193,7 +211,7 @@ type Hub struct {
 	emits atomic.Int64
 }
 
-// subscriber is one registered streaming consumer.
+// subscriber is one registered raw streaming consumer.
 type subscriber struct {
 	id int
 	fn func(Event)
@@ -201,7 +219,10 @@ type subscriber struct {
 
 // NewHub creates an empty hub that retains events.
 func NewHub() *Hub {
-	return &Hub{byName: make(map[string]NodeID), retain: true, reg: NewRegistry()}
+	h := &Hub{byName: make(map[string]NodeID), reg: NewRegistry()}
+	h.retain.Store(true)
+	h.subs.Store(&[]subscriber{})
+	return h
 }
 
 // RetainEvents toggles event retention. Metrics-only consumers (the
@@ -211,9 +232,7 @@ func (h *Hub) RetainEvents(on bool) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	h.retain = on
-	h.mu.Unlock()
+	h.retain.Store(on)
 }
 
 // Registry returns the hub's metrics registry (never nil for a non-nil hub).
@@ -242,7 +261,7 @@ func (h *Hub) Probe(name string) Probe {
 		h.names = append(h.names, name)
 		h.perNode = append(h.perNode, h.instrumentsFor(name))
 	}
-	return Probe{hub: h, node: id}
+	return Probe{hub: h, node: id, ni: h.perNode[id]}
 }
 
 // instrumentsFor pre-resolves the per-node metric handles. Called with h.mu
@@ -317,13 +336,13 @@ func (h *Hub) Len() int {
 	return len(h.events)
 }
 
-// Subscribe registers a streaming consumer and returns its cancel function.
-// The callback is invoked synchronously from every Emit, outside the hub
-// lock, after the event has been retained (if retention is on) and before
-// Emit returns — so a single-threaded simulation delivers events to
-// subscribers in exact emission order, with no retained-log copy needed.
-// When multiple goroutines emit concurrently, callbacks run concurrently
-// too: subscribers that keep state must do their own locking.
+// Subscribe registers a raw streaming consumer and returns its cancel
+// function. The callback is invoked synchronously from every Emit, after
+// the event has been retained (if retention is on) and released to ordered
+// subscribers, and before Emit returns — so a single-threaded simulation
+// delivers events to it in exact emission order. When multiple goroutines
+// emit concurrently, callbacks run concurrently too: subscribers that keep
+// state must do their own locking.
 func (h *Hub) Subscribe(fn func(Event)) (unsubscribe func()) {
 	if h == nil || fn == nil {
 		return func() {}
@@ -331,21 +350,73 @@ func (h *Hub) Subscribe(fn func(Event)) (unsubscribe func()) {
 	h.mu.Lock()
 	id := h.nextSubID
 	h.nextSubID++
-	subs := make([]subscriber, len(h.subs), len(h.subs)+1)
-	copy(subs, h.subs)
-	h.subs = append(subs, subscriber{id: id, fn: fn})
+	subs := append(slices.Clip(*h.subs.Load()), subscriber{id: id, fn: fn})
+	h.subs.Store(&subs)
 	h.mu.Unlock()
 	return func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
-		subs := make([]subscriber, 0, len(h.subs))
-		for _, s := range h.subs {
-			if s.id != id {
-				subs = append(subs, s)
-			}
-		}
-		h.subs = subs
+		subs := slices.DeleteFunc(slices.Clone(*h.subs.Load()), func(s subscriber) bool { return s.id == id })
+		h.subs.Store(&subs)
 	}
+}
+
+// SubscribeOrdered registers a consumer of the canonical-order stream and
+// returns its cancel function. While an ordered subscriber is attached,
+// every event except EvAlert passes through the hub's one sequencer: once
+// 1024 events are buffered, each emit releases those more than 4096 bits
+// older than the newest, and Flush releases the rest. Each released run
+// reaches every ordered subscriber as one batch in canonical (Time, Node,
+// arrival) order, the order WriteJSONL writes, before the emit that
+// released it fans out to raw subscribers. The batch is valid only during
+// the callback, which runs under the hub's sequencing lock: it may emit
+// EvAlert (alerts bypass the sequencer) but no other kind, and must not
+// call Flush or (un)subscribe an ordered consumer. When the last ordered
+// subscriber leaves, the buffer is dropped.
+func (h *Hub) SubscribeOrdered(fn func([]Event)) (unsubscribe func()) {
+	if h == nil || fn == nil {
+		return func() {}
+	}
+	sub := &fn
+	h.seqMu.Lock()
+	h.ordered = append(h.ordered, sub)
+	h.sequencing.Store(true)
+	h.seqMu.Unlock()
+	return func() {
+		h.seqMu.Lock()
+		defer h.seqMu.Unlock()
+		h.ordered = slices.DeleteFunc(h.ordered, func(o *func([]Event)) bool { return o == sub })
+		if len(h.ordered) == 0 {
+			h.sequencing.Store(false)
+			h.seq = sequencer{buf: h.seq.buf[:0], late: h.seq.late}
+		}
+	}
+}
+
+// Flush releases every event the sequencer still buffers to the ordered
+// subscribers. Call once emission has stopped (end of run, before a
+// consumer detaches); an event emitted after a Flush counts as late unless
+// it is newer than everything flushed.
+func (h *Hub) Flush() {
+	if h == nil {
+		return
+	}
+	h.seqMu.Lock()
+	defer h.seqMu.Unlock()
+	h.seq.release(h.seq.maxT+1, h.ordered)
+}
+
+// LateEvents returns how many sequenced events arrived older than the
+// cutoff of a release already delivered, so possibly out of canonical
+// order. The sequencer's slack makes this zero for every stream the
+// simulator emits; tests assert it.
+func (h *Hub) LateEvents() int64 {
+	if h == nil {
+		return 0
+	}
+	h.seqMu.Lock()
+	defer h.seqMu.Unlock()
+	return h.seq.late
 }
 
 // EmitCount returns the number of events emitted through the hub so far
@@ -357,17 +428,16 @@ func (h *Hub) EmitCount() int64 {
 	return h.emits.Load()
 }
 
-// emit appends the event, folds it into the metrics registry, and fans it
-// out to subscribers.
-func (h *Hub) emit(ev Event) {
+// emit appends the event to the retained log, folds it into the metrics
+// registry, releases it through the sequencer to ordered subscribers, and
+// fans it out to raw subscribers.
+func (h *Hub) emit(ni *nodeInstruments, ev Event) {
 	h.emits.Add(1)
-	h.mu.Lock()
-	if h.retain {
+	if h.retain.Load() {
+		h.mu.Lock()
 		h.events = append(h.events, ev)
+		h.mu.Unlock()
 	}
-	ni := h.perNode[ev.Node]
-	subs := h.subs
-	h.mu.Unlock()
 
 	switch ev.Kind {
 	case EvArbWon:
@@ -408,7 +478,14 @@ func (h *Hub) emit(ev Event) {
 	case EvTxSuccess:
 		ni.txSuccess.Inc()
 	}
-	for _, s := range subs {
+	if ev.Kind != EvAlert && h.sequencing.Load() {
+		h.seqMu.Lock()
+		if len(h.ordered) > 0 {
+			h.seq.add(ev, h.ordered)
+		}
+		h.seqMu.Unlock()
+	}
+	for _, s := range *h.subs.Load() {
 		s.fn(ev)
 	}
 }
@@ -419,6 +496,7 @@ func (h *Hub) emit(ev Event) {
 type Probe struct {
 	hub  *Hub
 	node NodeID
+	ni   *nodeInstruments
 }
 
 // Enabled reports whether this probe is wired to a hub. Emit sites that
@@ -432,5 +510,5 @@ func (p Probe) Emit(t int64, kind Kind, a, b int64) {
 	if p.hub == nil {
 		return
 	}
-	p.hub.emit(Event{Time: t, Kind: kind, Node: p.node, A: a, B: b})
+	p.hub.emit(p.ni, Event{Time: t, Kind: kind, Node: p.node, A: a, B: b})
 }

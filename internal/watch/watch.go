@@ -585,10 +585,11 @@ func (w *Engine) closeLadderWindow() {
 	w.gLadBase.Set(w.baseline)
 }
 
-// onIncident is the forensics closure hook. It runs with the forensics
-// engine's lock held (lock order: forensics.mu -> watch.mu, never the
-// reverse) and must not call back into the forensics engine; emitting
-// EvAlert is safe because forensics.Feed ignores alerts without locking.
+// onIncident is the forensics closure hook. It runs inside the hub's batch
+// delivery with the forensics engine's lock held (lock order: the hub's
+// sequencing lock -> forensics.mu -> watch.mu, never the reverse) and must
+// not call back into the forensics engine; emitting EvAlert is safe because
+// alerts bypass the hub's sequencer.
 func (w *Engine) onIncident(inc forensics.Incident, atEnd bool, recordingEnd int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
