@@ -13,15 +13,12 @@ var _ bus.Splicing = (*Attacker)(nil)
 // it, because Tick never runs on the splice path. (A window the defense would
 // counterattack is declined at query time by the defense itself, exactly as
 // the lower tiers decline it.)
-func (a *Attacker) SpliceOffer(now bus.BitTime) (bus.SpliceWindow, bool) {
-	win, ok := a.ctl.SpliceOffer(now)
-	if !ok {
-		return bus.SpliceWindow{}, false
+func (a *Attacker) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
+	win := a.ctl.SpliceOffer(now)
+	if win == nil || a.policyHorizon(now) < now+bus.BitTime(len(win.Bits)+can.IntermissionBits) {
+		return nil
 	}
-	if a.policyHorizon(now) < now+bus.BitTime(len(win.Bits)+can.IntermissionBits) {
-		return bus.SpliceWindow{}, false
-	}
-	return win, true
+	return win
 }
 
 // SpliceQuery implements bus.Splicing: the controller's promise, gated on the

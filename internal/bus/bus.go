@@ -207,16 +207,17 @@ func (b *Bus) AttachTap(t Tap) {
 func (b *Bus) Step() can.Level {
 	t := b.now
 	level := can.Recessive
-	for _, r := range b.nodes {
-		if r.n.Drive(t) == can.Dominant {
+	nodes, taps := b.nodes, b.taps
+	for i := range nodes {
+		if nodes[i].n.Drive(t) == can.Dominant {
 			level = can.Dominant
 		}
 	}
-	for _, r := range b.nodes {
-		r.n.Observe(t, level)
+	for i := range nodes {
+		nodes[i].n.Observe(t, level)
 	}
-	for _, r := range b.taps {
-		r.t.Bit(t, level)
+	for i := range taps {
+		taps[i].t.Bit(t, level)
 	}
 	if level == can.Recessive {
 		b.idleRun++

@@ -147,8 +147,9 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 	var sc *contendScratch
 	n := int(end - b.now)
 	frameBit := -1
-	for i, r := range b.nodes {
-		cc := r.contend
+	nodes, taps := b.nodes, b.taps
+	for i := range nodes {
+		cc := nodes[i].contend
 		if cc == nil {
 			continue
 		}
@@ -201,7 +202,7 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 	span := sc.bits[0]
 	if frameBit >= 0 {
 		for k, i := range sc.idx {
-			if b.nodes[i].contend.ContendFrameBit() >= 0 {
+			if nodes[i].contend.ContendFrameBit() >= 0 {
 				span = sc.bits[k]
 				break
 			}
@@ -209,12 +210,12 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 	}
 	span = span[:n]
 	next := 0
-	for i, r := range b.nodes {
+	for i := range nodes {
 		if next < len(sc.idx) && sc.idx[next] == i {
 			next++ // committers are not passive parties
 			continue
 		}
-		k := r.run.PassiveRun(b.now, frameBit, span[:n])
+		k := nodes[i].run.PassiveRun(b.now, frameBit, span[:n])
 		if k < n {
 			n = k
 		}
@@ -223,11 +224,11 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 		}
 	}
 	span = span[:n]
-	for _, r := range b.nodes {
-		r.run.ObserveRun(b.now, span)
+	for i := range nodes {
+		nodes[i].run.ObserveRun(b.now, span)
 	}
-	for _, r := range b.taps {
-		r.run.BitRun(b.now, span)
+	for i := range taps {
+		taps[i].run.BitRun(b.now, span)
 	}
 	if k := trailingRecessive(span); k == n {
 		b.idleRun += n

@@ -25,7 +25,7 @@ func (runCap) PassiveRun(_ BitTime, _ int, levels []can.Level) int       { retur
 func (runCap) ObserveRun(BitTime, []can.Level)                           {}
 func (contendCap) ContendBits(now BitTime) ([]can.Level, BitTime)        { return nil, now }
 func (contendCap) ContendFrameBit() int                                  { return -1 }
-func (spliceCap) SpliceOffer(BitTime) (SpliceWindow, bool)               { return SpliceWindow{}, false }
+func (spliceCap) SpliceOffer(BitTime) *SpliceWindow                      { return nil }
 func (spliceCap) SpliceApply(BitTime, []can.Level, int, can.Frame, *any) {}
 func (spliceCap) SpliceCommit(BitTime, []can.Level, *any)                {}
 func (spliceCap) SpliceQuery(BitTime, []can.Level, int, *any) (ok, acks bool) {

@@ -151,8 +151,9 @@ func (b *Bus) idleHorizon(end BitTime) BitTime {
 		return b.now
 	}
 	horizon := end
-	for _, r := range b.nodes {
-		h := r.quiet.QuiescentUntil(b.now)
+	nodes := b.nodes
+	for i := range nodes {
+		h := nodes[i].quiet.QuiescentUntil(b.now)
 		if h <= b.now {
 			return b.now
 		}
@@ -167,11 +168,12 @@ func (b *Bus) idleHorizon(end BitTime) BitTime {
 // must have obtained from idleHorizon with no intervening state changes.
 func (b *Bus) jumpIdle(horizon BitTime) {
 	n := int64(horizon - b.now)
-	for _, r := range b.nodes {
-		r.quiet.SkipIdle(b.now, horizon)
+	nodes, taps := b.nodes, b.taps
+	for i := range nodes {
+		nodes[i].quiet.SkipIdle(b.now, horizon)
 	}
-	for _, r := range b.taps {
-		r.skip.SkipIdle(b.now, horizon)
+	for i := range taps {
+		taps[i].skip.SkipIdle(b.now, horizon)
 	}
 	b.tel.Emit(int64(b.now), telemetry.EvFFSpan, n, 0)
 	b.idleRun += int(n)

@@ -82,8 +82,13 @@ type SpliceMemo struct {
 // window) reuse the result. The bus clears slots when node numbering or bus
 // identity changes; nodes must tolerate a foreign value only in so far as
 // type-asserting their own.
+//
+// SpliceOffer returns nil to decline. A non-nil window is owned by the
+// offerer and is valid only until the offerer's next SpliceOffer,
+// SpliceCommit or Observe call: the offerer may build it once and reuse it,
+// and the bus reads it within one splice attempt and never keeps it.
 type Splicing interface {
-	SpliceOffer(now BitTime) (SpliceWindow, bool)
+	SpliceOffer(now BitTime) *SpliceWindow
 	SpliceQuery(now BitTime, resolved []can.Level, ackIdx int, slot *any) (ok, acks bool)
 	SpliceApply(now BitTime, resolved []can.Level, ackIdx int, rx can.Frame, slot *any)
 	SpliceCommit(now BitTime, resolved []can.Level, slot *any)
@@ -104,7 +109,7 @@ func (b *Bus) SpliceForwardedBits() int64 { return b.ffSpliceBits }
 // resolveMemo brings the window's memo up to date for this bus: reset on an
 // owner or topology change, build the resolved span (dominant ACK, recessive
 // intermission tail) on first sight, and size the per-node slot array.
-func (b *Bus) resolveMemo(memo *SpliceMemo, win SpliceWindow, n int) {
+func (b *Bus) resolveMemo(memo *SpliceMemo, win *SpliceWindow, n int) {
 	if memo.owner != b || memo.gen != b.spliceGen {
 		memo.owner, memo.gen = b, b.spliceGen
 		memo.resolved = nil
@@ -145,10 +150,11 @@ func (b *Bus) trySpliceForward(end BitTime) bool {
 		return false
 	}
 	tx := -1
-	var win SpliceWindow
-	for i, r := range b.nodes {
-		w, ok := r.splice.SpliceOffer(b.now)
-		if !ok {
+	var win *SpliceWindow
+	nodes, taps := b.nodes, b.taps
+	for i := range nodes {
+		w := nodes[i].splice.SpliceOffer(b.now)
+		if w == nil {
 			continue
 		}
 		if tx >= 0 {
@@ -170,11 +176,11 @@ func (b *Bus) trySpliceForward(end BitTime) bool {
 	b.resolveMemo(memo, win, n)
 	resolved := memo.resolved
 	acked := false
-	for i, r := range b.nodes {
+	for i := range nodes {
 		if i == tx {
 			continue
 		}
-		ok, acks := r.splice.SpliceQuery(b.now, resolved, win.AckIdx, &memo.slots[i])
+		ok, acks := nodes[i].splice.SpliceQuery(b.now, resolved, win.AckIdx, &memo.slots[i])
 		if !ok {
 			return false
 		}
@@ -185,15 +191,16 @@ func (b *Bus) trySpliceForward(end BitTime) bool {
 	if !acked {
 		return false
 	}
-	for i, r := range b.nodes {
+	ackIdx, rx := win.AckIdx, win.RxView // the offer dies at the commit
+	for i := range nodes {
 		if i == tx {
-			r.splice.SpliceCommit(b.now, resolved, &memo.slots[i])
+			nodes[i].splice.SpliceCommit(b.now, resolved, &memo.slots[i])
 		} else {
-			r.splice.SpliceApply(b.now, resolved, win.AckIdx, win.RxView, &memo.slots[i])
+			nodes[i].splice.SpliceApply(b.now, resolved, ackIdx, rx, &memo.slots[i])
 		}
 	}
-	for _, r := range b.taps {
-		r.run.BitRun(b.now, resolved)
+	for i := range taps {
+		taps[i].run.BitRun(b.now, resolved)
 	}
 	b.idleRun = memo.idleRun
 	b.tel.Emit(int64(b.now), telemetry.EvFFSpan, int64(n), 3)

@@ -282,6 +282,9 @@ type Controller struct {
 	// second plan-cache probe; beginFrame validates it against the live
 	// queue head before trusting it.
 	pendingPlan *txPlan
+	// offer is the window SpliceOffer hands the bus, rewritten on every
+	// offer; the bus reads it within one splice attempt.
+	offer bus.SpliceWindow
 
 	// Bus-off recovery progress.
 	recoverSeqs int

@@ -17,13 +17,14 @@ var _ bus.Splicing = (*Controller)(nil)
 //
 // RxView is precomputed to the exact frame a receiver's decodeRx would
 // report, so receivers can deliver it without re-decoding the bit stream.
-func (c *Controller) SpliceOffer(now bus.BitTime) (bus.SpliceWindow, bool) {
+// The window lives in the controller and is rewritten on every offer.
+func (c *Controller) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 	if c.phase != phaseIdle || !c.pendingSOF {
-		return bus.SpliceWindow{}, false
+		return nil
 	}
 	f, ok := c.queue.head()
 	if !ok || f.FD || len(f.Data) > can.MaxDataLen {
-		return bus.SpliceWindow{}, false
+		return nil
 	}
 	p := c.queue.headPlan()
 	if p == nil {
@@ -43,7 +44,8 @@ func (c *Controller) SpliceOffer(now bus.BitTime) (bus.SpliceWindow, bool) {
 	} else {
 		rx.Data = f.Data // receivers clone per delivery
 	}
-	return bus.SpliceWindow{Bits: p.bits, AckIdx: p.ackIdx, RxView: rx, Memo: p.memo, Resolved: p.resolved}, true
+	c.offer = bus.SpliceWindow{Bits: p.bits, AckIdx: p.ackIdx, RxView: rx, Memo: p.memo, Resolved: p.resolved}
+	return &c.offer
 }
 
 // SpliceQuery implements bus.Splicing: promise, without mutating state, that

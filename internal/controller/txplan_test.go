@@ -104,3 +104,29 @@ func TestPlanCacheReuse(t *testing.T) {
 		t.Fatalf("different payloads shared a plan")
 	}
 }
+
+// TestSpliceOfferReusesItsWindow: a controller with nothing to send declines
+// with nil; one about to assert SOF offers its plan's window with the queued
+// frame's receiver view, from the one window slot it owns.
+func TestSpliceOfferReusesItsWindow(t *testing.T) {
+	c := New(Config{Name: "tx"})
+	if w := c.SpliceOffer(0); w != nil {
+		t.Fatalf("idle controller with an empty queue offered %+v, want nil", w)
+	}
+	f := can.Frame{ID: 0x123, Data: []byte{1, 2, 3}}
+	if err := c.Enqueue(f); err != nil {
+		t.Fatal(err)
+	}
+	c.Observe(0, can.Recessive) // idle bus: assert SOF next bit
+	w := c.SpliceOffer(1)
+	if w == nil {
+		t.Fatal("controller about to assert SOF declined to offer")
+	}
+	if again := c.SpliceOffer(1); again != w {
+		t.Errorf("a second offer returned a new window")
+	}
+	if w.RxView.ID != f.ID || string(w.RxView.Data) != string(f.Data) || w.Memo == nil ||
+		len(w.Bits) == 0 || w.Bits[w.AckIdx] != can.Recessive {
+		t.Errorf("offered window %+v does not describe frame %+v", w, f)
+	}
+}

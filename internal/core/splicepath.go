@@ -263,9 +263,7 @@ func (d *Defense) compileSplice(resolved []can.Level, self bool) *spliceSummary 
 
 // SpliceOffer implements bus.Splicing for a standalone Defense: it never
 // transmits frames, so it never offers.
-func (d *Defense) SpliceOffer(bus.BitTime) (bus.SpliceWindow, bool) {
-	return bus.SpliceWindow{}, false
-}
+func (d *Defense) SpliceOffer(bus.BitTime) *bus.SpliceWindow { return nil }
 
 // SpliceQuery implements bus.Splicing: the defense never acks (it is not a
 // CAN node in the protocol sense).
@@ -290,19 +288,19 @@ func (d *Defense) SpliceCommit(now bus.BitTime, resolved []can.Level, _ *any) {
 // guarantees the defense absorbs its host's own window — from the baseline
 // with self true the scan always accepts (the strike decision suppresses on
 // SelfTransmitting), and the commit-side fold takes the summary path.
-func (e *ECU) SpliceOffer(now bus.BitTime) (bus.SpliceWindow, bool) {
-	win, ok := e.Controller.SpliceOffer(now)
-	if !ok || e.Defense == nil {
-		return win, ok
+func (e *ECU) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
+	win := e.Controller.SpliceOffer(now)
+	if win == nil || e.Defense == nil {
+		return win
 	}
 	d := e.Defense
 	if d.mux.DriveLevel() == can.Dominant {
-		return bus.SpliceWindow{}, false
+		return nil
 	}
 	if d.armed && (d.inFrame || d.cntSOF < can.IdleForSOF) {
-		return bus.SpliceWindow{}, false
+		return nil
 	}
-	return win, true
+	return win
 }
 
 // SpliceQuery implements bus.Splicing: both halves must promise passivity;

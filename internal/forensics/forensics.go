@@ -15,7 +15,10 @@
 // horizon (batch fast-path delivery hands each node its whole span one node
 // at a time), and folds each released batch under one lock. Incidents fold
 // incrementally — a long-running simulation can expose closed and in-flight
-// incidents over HTTP while the run is still advancing.
+// incidents over HTTP while the run is still advancing. Every transmission
+// attempt, whether it succeeds, is destroyed or is dropped, is recycled into
+// the next one, so a steady stream of frames or of destroyed attempts folds
+// without allocating.
 package forensics
 
 import (
@@ -166,6 +169,12 @@ type errRec struct {
 // node that asserted the same SOF bit joins it; arbitration losers drop out;
 // the survivor either completes (EvTxSuccess) or is destroyed (EvError
 // followed by the wire-wide EvErrorEnd).
+//
+// The engine keeps one attempt and recycles it: every retired attempt —
+// succeeded, destroyed or dropped — is reset in place for the next SOF,
+// keeping its maps and slice storage. That is sound only because nothing
+// that outlives an attempt aliases its storage: closeDestroyed,
+// closeWireAttempt, chain and attachBusOff copy every value they keep.
 type attempt struct {
 	start int64
 	// tx maps each surviving transmitter to the CAN ID it is sending
@@ -189,13 +198,64 @@ type attempt struct {
 	stray bool
 	errs  []errRec
 	// destroyed flips on the first EvError inside the attempt.
-	destroyed  bool
-	detects    []detectRec
-	pulls      []pullRec
-	tec        map[telemetry.NodeID][]TECStep
+	destroyed bool
+	detects   []detectRec
+	pulls     []pullRec
+	// tec holds each surviving transmitter's TEC steps, one entry per node
+	// in first-step order. Every consumer folds them per node, so the order
+	// carries no meaning.
+	tec        []nodeTEC
 	busOff     bool
 	busOffNode telemetry.NodeID
 	busOffAt   int64
+}
+
+// nodeTEC is one node's TEC steps within an attempt.
+type nodeTEC struct {
+	node  telemetry.NodeID
+	steps []TECStep
+}
+
+// addTEC appends a TEC step to the node's list, reusing a retired entry's
+// storage when a new node appears.
+func (c *attempt) addTEC(node telemetry.NodeID, step TECStep) {
+	for i := range c.tec {
+		if c.tec[i].node == node {
+			c.tec[i].steps = append(c.tec[i].steps, step)
+			return
+		}
+	}
+	n := len(c.tec)
+	if n == cap(c.tec) {
+		c.tec = append(c.tec, nodeTEC{})
+	} else {
+		c.tec = c.tec[:n+1]
+	}
+	t := &c.tec[n]
+	t.node = node
+	t.steps = append(t.steps[:0], step)
+}
+
+// tecOf returns the node's TEC steps within the attempt.
+func (c *attempt) tecOf(node telemetry.NodeID) []TECStep {
+	for i := range c.tec {
+		if c.tec[i].node == node {
+			return c.tec[i].steps
+		}
+	}
+	return nil
+}
+
+// reset empties the attempt for reuse, keeping its maps and slice storage.
+func (c *attempt) reset() {
+	clear(c.tx)
+	clear(c.deadTx)
+	c.stray, c.destroyed, c.busOff = false, false, false
+	c.busOffNode, c.busOffAt = 0, 0
+	c.errs = c.errs[:0]
+	c.detects = c.detects[:0]
+	c.pulls = c.pulls[:0]
+	c.tec = c.tec[:0]
 }
 
 // incidentState is an Incident under construction plus the working state
@@ -230,7 +290,7 @@ type Engine struct {
 	names  map[telemetry.NodeID]string
 
 	cur         *attempt
-	spare       *attempt // a cleanly-succeeded attempt kept for the next SOF
+	spare       *attempt // the last retired attempt, reset for the next SOF
 	open        map[int64]*incidentState
 	closed      []*incidentState
 	recovery    map[telemetry.NodeID]*incidentState
@@ -479,8 +539,8 @@ func (e *Engine) closeWireAttempt(c *attempt, errorEnd int64) {
 		// never counts.
 		if c.busOff && idKnown {
 			if st := e.open[id]; st != nil {
-				for node, steps := range c.tec {
-					st.tecByNode[node] = append(st.tecByNode[node], steps...)
+				for _, t := range c.tec {
+					st.tecByNode[t.node] = append(st.tecByNode[t.node], t.steps...)
 				}
 				e.attachBusOff(st, c)
 			}
@@ -541,9 +601,8 @@ func (e *Engine) fold(ev telemetry.Event) {
 			e.endAttempt()
 		}
 		if e.cur == nil {
-			// deadTx and tec stay nil until an error actually happens. On a
-			// healthy bus every frame opens an attempt and ends in a clean
-			// success, whose attempt and tx map are reused here.
+			// The retired attempt comes back reset; only the first SOF (and
+			// the first error, for deadTx) allocates.
 			c := e.spare
 			e.spare = nil
 			if c == nil {
@@ -642,10 +701,6 @@ func (e *Engine) fold(ev telemetry.Event) {
 		if c := e.cur; c != nil {
 			if _, ok := c.tx[ev.Node]; ok {
 				e.endAttempt()
-				if c.clean() {
-					clear(c.tx)
-					e.spare = c
-				}
 			}
 		}
 		if e.open[ev.A] != nil || e.cur != nil {
@@ -657,10 +712,7 @@ func (e *Engine) fold(ev telemetry.Event) {
 		if c := e.cur; c != nil {
 			e.resolveErrs(c, ev.Node, ev.Time)
 			if _, ok := c.tx[ev.Node]; ok {
-				if c.tec == nil {
-					c.tec = make(map[telemetry.NodeID][]TECStep, 1)
-				}
-				c.tec[ev.Node] = append(c.tec[ev.Node], TECStep{At: ev.Time, Value: ev.A, Prev: ev.B})
+				c.addTEC(ev.Node, TECStep{At: ev.Time, Value: ev.A, Prev: ev.B})
 			}
 		}
 
@@ -692,17 +744,12 @@ func (e *Engine) fold(ev telemetry.Event) {
 	}
 }
 
-// clean reports an attempt that saw nothing but arbitration: no error,
-// detection, pull, TEC step or bus-off. Its only state is the tx map.
-func (c *attempt) clean() bool {
-	return !c.destroyed && c.deadTx == nil && len(c.errs) == 0 && len(c.detects) == 0 &&
-		len(c.pulls) == 0 && c.tec == nil && !c.busOff
-}
-
-// endAttempt retires the in-flight attempt and drops the success records it
-// alone kept: those of IDs with no open incident. Called with e.mu held.
+// endAttempt retires the in-flight attempt into the spare slot, reset, and
+// drops the success records it alone kept: those of IDs with no open
+// incident. Called with e.mu held.
 func (e *Engine) endAttempt() {
-	e.cur = nil
+	e.cur.reset()
+	e.spare, e.cur = e.cur, nil
 	for id := range e.successes {
 		if e.open[id] == nil {
 			delete(e.successes, id)
@@ -752,8 +799,8 @@ func (e *Engine) closeDestroyed(c *attempt, id int64, end int64) {
 	for node := range c.tx {
 		st.destroyedBy[node]++
 	}
-	for node, steps := range c.tec {
-		st.tecByNode[node] = append(st.tecByNode[node], steps...)
+	for _, t := range c.tec {
+		st.tecByNode[t.node] = append(st.tecByNode[t.node], t.steps...)
 	}
 	det := e.idDet[id]
 	if det == nil {
@@ -792,7 +839,7 @@ func (e *Engine) attachBusOff(st *incidentState, c *attempt) {
 	inc.BusOffAt = c.busOffAt
 	inc.Eradicated = true
 	st.busOffNode = c.busOffNode
-	if steps := c.tec[c.busOffNode]; len(steps) > 0 {
+	if steps := c.tecOf(c.busOffNode); len(steps) > 0 {
 		last := steps[len(steps)-1]
 		inc.Causality = append(inc.Causality, ChainLink{
 			At:   last.At,

@@ -22,21 +22,21 @@ var _ bus.Splicing = (*Replayer)(nil)
 // end, before such a due fires, while the commit-time drain runs before
 // OnTransmit — so the drain would record a deadline miss the exact path does
 // not. Those windows are declined.
-func (r *Replayer) SpliceOffer(now bus.BitTime) (bus.SpliceWindow, bool) {
+func (r *Replayer) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 	if r.nextScan <= now {
-		return bus.SpliceWindow{}, false
+		return nil
 	}
-	win, ok := r.ctl.SpliceOffer(now)
-	if !ok {
-		return bus.SpliceWindow{}, false
+	win := r.ctl.SpliceOffer(now)
+	if win == nil {
+		return nil
 	}
 	if i := r.itemIdx(win.RxView.ID); i >= 0 {
 		to := now + bus.BitTime(len(win.Bits)+can.IntermissionBits)
 		if r.items[i].nextDue < to {
-			return bus.SpliceWindow{}, false
+			return nil
 		}
 	}
-	return win, true
+	return win
 }
 
 // SpliceQuery implements bus.Splicing: the controller's promise alone. A
