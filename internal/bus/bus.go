@@ -113,7 +113,7 @@ type Bus struct {
 	// invalidates (it may reference a detached node's committed stream).
 	contendSc *contendScratch
 
-	// spliceGen stamps the node topology so plan-carried splice memos —
+	// spliceGen stamps the node topology so offerers' splice memos —
 	// whose per-node slots are indexed by attachment order — invalidate
 	// when a detach renumbers the nodes.
 	spliceGen uint64
@@ -184,7 +184,7 @@ func (b *Bus) Detach(n Node) bool {
 			b.nodes = b.nodes[:last]
 			b.repin()
 			// Compaction renumbered the surviving nodes, so every per-node
-			// slot in the plan-carried splice memos is stale.
+			// slot in the offerers' splice memos is stale.
 			b.spliceGen++
 			b.invalidateProposal()
 			return true

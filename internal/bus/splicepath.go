@@ -33,18 +33,18 @@ type SpliceWindow struct {
 	Resolved []can.Level
 }
 
-// SpliceMemo is the per-window cache an offerer's transmit plan carries
-// across offers of the same frame content. Periodic traffic re-offers the
-// same few thousand windows (messages × their rolling-counter rotation), so
-// everything derivable from the window alone is computed once and then
-// reached by direct pointer: the ACK-substituted resolved span with its
-// trailing idle run (the bus's half), and one opaque slot per attached node
-// for whatever that node wants to remember about this window (the defense
-// stores its compiled Algorithm-1 summary there). The memo lives on the plan
-// and is only reachable through it, so invalidation is the plan's own
-// content-addressed lifecycle — no address hashing, no aliasing. The
-// owner/gen stamp resets the slots when the memo meets a different bus or a
-// detach renumbers the nodes.
+// SpliceMemo is the per-window cache an offerer keeps for one frame content
+// across offers. Periodic traffic re-offers the same few thousand windows
+// (messages × their rolling-counter rotation), so everything derivable from
+// the window alone is computed once and then reached by direct pointer: the
+// ACK-substituted resolved span with its trailing idle run (the bus's
+// half), and one opaque slot per attached node for whatever that node wants
+// to remember about this window (the defense stores its compiled
+// Algorithm-1 summary there). The offerer hands the same memo back with
+// every offer of the window (a controller keeps one per compiled plan), so
+// the memo is never looked up by address here. The owner/gen stamp resets
+// the slots when the memo meets a different bus or a detach renumbers the
+// nodes.
 type SpliceMemo struct {
 	owner    *Bus
 	gen      uint64

@@ -48,7 +48,7 @@ func (c *Controller) ContendBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
 			if p == nil {
 				p = c.planFor(f)
 			}
-			c.pendingPlan = p
+			c.pendingPlan, c.pendingFrame = p, f
 			run := p.bits[:p.ackIdx]
 			return run, now + bus.BitTime(len(run))
 		}

@@ -205,21 +205,24 @@ type Controller struct {
 	// Frame-attempt state (phaseFrame).
 	transmitting bool
 	plan         *txPlan
-	txIdx        int
-	acked        bool
-	// planCache memoizes serializations of recently transmitted frames
-	// (periodic traffic retransmits a small fixed message set); see planFor.
-	planCache map[planKey]*txPlan
-	// plans, when non-nil, is the fleet-shared plan cache consulted on
-	// planCache misses (see PlanSource); wired from Config.Plans or
-	// SetPlanSource.
+	// txFrame is the frame in flight, latched from the mailbox head at its
+	// SOF (the plan is shared and carries no frame value).
+	txFrame can.Frame
+	txIdx   int
+	acked   bool
+	// plans, when non-nil, is the fleet-shared plan cache (see PlanSource);
+	// wired from Config.Plans or SetPlanSource. Without it the controller
+	// compiles through own, its private source, created on first use.
 	plans *PlanSource
-	// planSlots is a front cache over planCache: the map probe hashes the
-	// full frame content on every lookup, which dominates the
-	// compiled-splice offer path, so hot frames are also held in a
-	// set-associative table with a cheap hash. Lazily created; misses fall
-	// through to the map.
+	own   *PlanSource
+	// planSlots is a front cache over the plan source: the source's map
+	// probe hashes the full frame content under a lock on every lookup,
+	// which dominates the compiled-splice offer path, so hot frames are also
+	// held in a set-associative table with a cheap hash. Lazily created;
+	// misses fall through to the source.
 	planSlots *memo.Table[planKey, *txPlan]
+	// memos holds this controller's splice memo per offered plan.
+	memos spliceMemos
 	// rxSpanCache memoizes the receive pipeline's end state per committed
 	// span (see rxRun); adoption copies the snapshot into the controller's
 	// own working buffers, so the cached slices are never aliased.
@@ -278,10 +281,12 @@ type Controller struct {
 	pendingSOF bool
 
 	// pendingPlan caches the head frame's plan between the pending-SOF
-	// ContendBits query and the beginFrame that consumes it, saving the
-	// second plan-cache probe; beginFrame validates it against the live
-	// queue head before trusting it.
-	pendingPlan *txPlan
+	// ContendBits query or splice offer and the beginFrame (or SpliceCommit)
+	// that consumes it, saving the second plan-cache probe; pendingFrame is
+	// the head it was resolved for, against which beginFrame validates the
+	// live queue head before trusting the plan.
+	pendingPlan  *txPlan
+	pendingFrame can.Frame
 	// offer is the window SpliceOffer hands the bus, rewritten on every
 	// offer; the bus reads it within one splice attempt.
 	offer bus.SpliceWindow
@@ -368,10 +373,11 @@ func (c *Controller) Stats() Stats {
 }
 
 // MemoSlots reports the slot counts of the receive-span and transmit-plan
-// memo tables, 0 before first use. Each grows with the traffic the
-// controller sees, up to its cap (2^16 and 2^15).
-func (c *Controller) MemoSlots() (rxSpan, plan int) {
-	return c.rxSpanCache.Slots(), c.planSlots.Slots()
+// memo tables, 0 before first use, and the entries of the splice memo
+// index. Each grows with the traffic the controller sees, up to its cap
+// (2^16 and 2^15 slots; one entry per plan its source publishes).
+func (c *Controller) MemoSlots() (rxSpan, plan, splice int) {
+	return c.rxSpanCache.Slots(), c.planSlots.Slots(), c.memos.entries()
 }
 
 // ErrListenOnly indicates a transmission request on a monitoring-mode

@@ -17,19 +17,18 @@ func (c *Controller) beginFrame(t bus.BitTime, level can.Level, contender bool) 
 	c.plan = nil
 	if contender {
 		if f, ok := c.queue.head(); ok {
-			if p := c.pendingPlan; p != nil && p.frame.Equal(&f) {
-				p.frame = f
-				c.plan = p
-			} else if p := c.queue.headPlan(); p != nil {
-				c.plan = p
-			} else {
-				c.plan = c.planFor(f)
+			p := c.pendingPlan
+			if p == nil || !c.pendingFrame.Equal(&f) {
+				if p = c.queue.headPlan(); p == nil {
+					p = c.planFor(f)
+				}
 			}
+			c.plan, c.txFrame = p, f
 			c.txIdx = 0
 			c.acked = false
 			c.transmitting = true
 			c.stats.TxAttempts++
-			c.tel.Emit(int64(t), telemetry.EvTxStart, int64(c.plan.frame.ID), 0)
+			c.tel.Emit(int64(t), telemetry.EvTxStart, int64(f.ID), 0)
 		}
 	}
 	c.pendingPlan = nil
@@ -118,7 +117,7 @@ func (c *Controller) monitorTxBit(t bus.BitTime, level can.Level) bool {
 	}
 	c.txIdx++
 	if c.txIdx == c.plan.arbEnd {
-		c.tel.Emit(int64(t), telemetry.EvArbWon, int64(c.plan.frame.ID), 0)
+		c.tel.Emit(int64(t), telemetry.EvArbWon, int64(c.txFrame.ID), 0)
 	}
 	if c.txIdx >= len(c.plan.bits) {
 		c.txSuccess(t)
@@ -130,7 +129,7 @@ func (c *Controller) monitorTxBit(t bus.BitTime, level can.Level) bool {
 
 // txSuccess finalizes an acknowledged, error-free transmission.
 func (c *Controller) txSuccess(t bus.BitTime) {
-	f := c.plan.frame
+	f := c.txFrame
 	c.queue.remove(f)
 	c.stats.TxSuccess++
 	c.tel.Emit(int64(t), telemetry.EvTxSuccess, int64(f.ID), 0)

@@ -153,7 +153,7 @@ func (c *Controller) frameRun(from bus.BitTime, levels []can.Level) {
 			// bit where txIdx first reached arbEnd, the same instant the
 			// exact path emits at.
 			c.tel.Emit(int64(from)+int64(c.plan.arbEnd-1-before),
-				telemetry.EvArbWon, int64(c.plan.frame.ID), 0)
+				telemetry.EvArbWon, int64(c.txFrame.ID), 0)
 		}
 		if c.txIdx >= len(c.plan.bits) {
 			// The span reached the final EOF bit: the transmission completed

@@ -30,10 +30,7 @@ func (c *Controller) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 	if p == nil {
 		p = c.planFor(f)
 	}
-	c.pendingPlan = p
-	if p.memo == nil {
-		p.memo = &bus.SpliceMemo{}
-	}
+	c.pendingPlan, c.pendingFrame = p, f
 	rx := can.Frame{ID: f.ID, Extended: f.Extended}
 	if f.Remote {
 		rx.Remote = true
@@ -44,7 +41,7 @@ func (c *Controller) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 	} else {
 		rx.Data = f.Data // receivers clone per delivery
 	}
-	c.offer = bus.SpliceWindow{Bits: p.bits, AckIdx: p.ackIdx, RxView: rx, Memo: p.memo, Resolved: p.resolved}
+	c.offer = bus.SpliceWindow{Bits: p.bits, AckIdx: p.ackIdx, RxView: rx, Memo: c.memos.of(p), Resolved: p.resolved}
 	return &c.offer
 }
 
@@ -144,13 +141,13 @@ func (c *Controller) SpliceCommit(now bus.BitTime, resolved []can.Level, _ *any)
 	p := c.pendingPlan
 	if c.phase == phaseIdle && c.pendingSOF && p != nil &&
 		len(p.bits)+IntermissionBits == len(resolved) {
-		// The in-flight frame is the one offered — latched in pendingPlan at
+		// The in-flight frame is the one offered — latched in pendingFrame at
 		// the window's SOF, exactly as beginFrame latches the head there. The
 		// current head may already differ: schedule deadlines drained into the
 		// span enqueue ahead of the commit, and a priority-sorted mailbox
 		// re-sorts them above the in-flight frame, just as on the exact path.
 		{
-			f := p.frame
+			f := c.pendingFrame
 			end := now + bus.BitTime(len(p.bits)-1)
 			c.pendingSOF, c.pendingPlan = false, nil
 			c.stats.TxAttempts++

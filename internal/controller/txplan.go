@@ -11,9 +11,13 @@ import (
 
 // txPlan is a fully serialized transmission: the wire bits of one frame
 // (stuff bits included, ACK slot recessive) plus the geometry the transmit
-// engine needs while monitoring the bus bit by bit.
+// engine needs while monitoring the bus bit by bit. A plan depends only on
+// the frame's encoded fields and is immutable once its source publishes it:
+// every controller on a PlanSource transmits the same frame content from
+// the same plan, and everything a controller tracks about an attempt (the
+// frame value it latched from the mailbox, its splice memo) lives on the
+// controller, never here.
 type txPlan struct {
-	frame can.Frame
 	// bits is the wire sequence from SOF through the last EOF bit.
 	bits []can.Level
 	// arbEnd is the wire index just past the arbitration field (the 11 ID
@@ -32,21 +36,19 @@ type txPlan struct {
 	// ackIdx is the wire index of the ACK slot, where reading dominant while
 	// sending recessive means the frame was acknowledged.
 	ackIdx int
-	// memo is the compiled-splice cache this plan's window carries across
-	// offers (lazily created on first offer; see bus.SpliceMemo). It rides
-	// on the plan so the splice tier's lookups are a pointer chase instead
-	// of a table probe, and dies with the plan's content-addressed entry.
-	memo *bus.SpliceMemo
-	// resolved, when non-nil, is the fleet-shared pre-resolved splice span
-	// (window + dominant ACK + recessive intermission) from a PlanSource;
-	// splice offers hand it to the bus so every vehicle's memo adopts the
-	// same immutable copy instead of rebuilding its own.
+	// resolved is the pre-resolved splice span (window + dominant ACK +
+	// recessive intermission) the splice tier hands to the bus, so every
+	// bus's memo adopts this one copy instead of building its own. Nil only
+	// for FD and oversize frames, which never splice.
 	resolved []can.Level
+	// id is the plan's dense publication index in its source (0, 1, 2, …),
+	// the address of its splice memo on each controller (see spliceMemos);
+	// -1 for a plan the source did not publish.
+	id int32
 }
 
 // planKey is the value identity of a classical frame, used to memoize
-// serializations: a txPlan is immutable once built and depends only on the
-// frame's encoded fields, so equal frames share one plan.
+// serializations: equal frames share one plan.
 type planKey struct {
 	id      can.ID
 	flags   uint8
@@ -55,23 +57,9 @@ type planKey struct {
 	data    [can.MaxDataLen]byte
 }
 
-// planCacheMax bounds the per-controller plan cache. Periodic traffic cycles
-// a small message set, but payloads commonly carry an 8-bit rolling counter,
-// multiplying the distinct-frame population by up to 256 per ID; the cap is
-// sized to hold a realistic matrix's full rotation (tens of IDs × 256) and
-// only guards truly adversarial workloads, where it resets the cache.
-const planCacheMax = 16384
-
-// planFor returns the serialized plan for f, reusing a cached serialization
-// when this controller has transmitted an equal frame before. Mirrors a real
-// controller's mailbox, which keeps the frame serialized between the
-// retransmissions and periodic re-sends that dominate bus traffic. The
-// cached plan's frame field is refreshed to the current head so completion
-// callbacks observe exactly the enqueued value, as on the uncached path.
-func (c *Controller) planFor(f can.Frame) *txPlan {
-	if f.FD || len(f.Data) > can.MaxDataLen {
-		return newTxPlan(f)
-	}
+// keyOf returns the content key of a classical frame (the caller has
+// excluded FD and oversize frames).
+func keyOf(f *can.Frame) planKey {
 	key := planKey{id: f.ID, reqLen: int8(f.RequestLen), dataLen: int8(len(f.Data))}
 	if f.Extended {
 		key.flags |= 1
@@ -80,27 +68,26 @@ func (c *Controller) planFor(f can.Frame) *txPlan {
 		key.flags |= 2
 	}
 	copy(key.data[:], f.Data)
+	return key
+}
+
+// planFor returns the serialized plan for f, probing the controller's front
+// cache and then its plan source (the shared one when wired, otherwise the
+// controller's own). Mirrors a real controller's mailbox, which keeps the
+// frame serialized between the retransmissions and periodic re-sends that
+// dominate bus traffic.
+func (c *Controller) planFor(f can.Frame) *txPlan {
+	if f.FD || len(f.Data) > can.MaxDataLen {
+		return newTxPlan(f)
+	}
+	key := keyOf(&f)
 	if c.planSlots == nil {
 		c.planSlots = newPlanSlots()
 	}
 	if p := c.planSlots.Get(key); p != nil {
-		p.frame = f
 		return p
 	}
-	p, ok := c.planCache[key]
-	if ok {
-		p.frame = f
-	} else {
-		if c.plans != nil {
-			p = c.plans.planFor(key, f)
-		} else {
-			p = newTxPlan(f)
-		}
-		if c.planCache == nil || len(c.planCache) >= planCacheMax {
-			c.planCache = make(map[planKey]*txPlan)
-		}
-		c.planCache[key] = p
-	}
+	p := c.source().plan(key, &f, true)
 	c.planSlots.Put(key, p)
 	return p
 }
@@ -109,7 +96,7 @@ func (c *Controller) planFor(f can.Frame) *txPlan {
 // matrix's working set is tens of IDs times a 256-value rolling counter
 // (thousands of distinct frames), so the cap sits an order of magnitude
 // above it to keep steady-state collisions rare; a collision merely falls
-// through to the content-keyed map. The table grows to the cap only as the
+// through to the plan source. The table grows to the cap only as the
 // controller transmits that many distinct frames (see memo.Table).
 const planSlotBits = 15
 
@@ -123,11 +110,67 @@ func newPlanSlots() *memo.Table[planKey, *txPlan] {
 	})
 }
 
-// newTxPlan serializes a frame for transmission.
+// spliceMemoPageBits sizes a spliceMemos page: 64 entries, 1 KiB.
+const spliceMemoPageBits = 6
+
+// spliceMemos maps the plans this controller offers to its splice memos
+// (see bus.SpliceMemo): the per-bus half of a window's cache — the
+// owner/gen stamp and every node's compiled summary — which cannot ride on
+// a plan shared by every vehicle. An entry is addressed by the plan's dense
+// id, in pages allocated as offers reach them, so a controller that offers
+// a handful of windows holds a page or two and one cycling a matrix's full
+// rotation holds one entry per plan; nothing is ever evicted. The entry
+// records its plan, so a plan of another source with the same id (a
+// controller rewired between sources) replaces the memo instead of
+// inheriting it. Ids are below the source's cap, which bounds the index.
+type spliceMemos struct {
+	pages []*[1 << spliceMemoPageBits]spliceMemoEntry
+}
+
+type spliceMemoEntry struct {
+	plan *txPlan
+	memo *bus.SpliceMemo
+}
+
+// of returns p's memo, creating it on first offer, or nil for an
+// unpublished plan (the bus then caches the window for one offer only).
+func (m *spliceMemos) of(p *txPlan) *bus.SpliceMemo {
+	if p.id < 0 {
+		return nil
+	}
+	pg := int(p.id) >> spliceMemoPageBits
+	if pg >= len(m.pages) {
+		m.pages = append(m.pages, make([]*[1 << spliceMemoPageBits]spliceMemoEntry, pg+1-len(m.pages))...)
+	}
+	page := m.pages[pg]
+	if page == nil {
+		page = new([1 << spliceMemoPageBits]spliceMemoEntry)
+		m.pages[pg] = page
+	}
+	e := &page[int(p.id)&(1<<spliceMemoPageBits-1)]
+	if e.plan != p {
+		e.plan, e.memo = p, &bus.SpliceMemo{}
+	}
+	return e.memo
+}
+
+// entries returns the number of memo entries the index has room for.
+func (m *spliceMemos) entries() int {
+	n := 0
+	for _, pg := range m.pages {
+		if pg != nil {
+			n += len(pg)
+		}
+	}
+	return n
+}
+
+// newTxPlan serializes a frame for transmission into an unpublished plan
+// (id -1); classical frames also get their resolved splice span.
 func newTxPlan(f can.Frame) *txPlan {
 	if f.FD {
 		wire, isStuff, arbEnd, ackIdx := can.FDWirePlan(&f)
-		return &txPlan{frame: f, bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx}
+		return &txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, id: -1}
 	}
 	if !f.Extended {
 		return newTxPlanBase(f)
@@ -163,21 +206,34 @@ func newTxPlan(f can.Frame) *txPlan {
 	for len(isStuff) < len(wire) {
 		isStuff = append(isStuff, false)
 	}
-	return &txPlan{frame: f, bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx}
+	resolved := resolveSpan(make([]can.Level, len(wire)+IntermissionBits), wire, ackIdx)
+	return &txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, resolved: resolved, id: -1}
+}
+
+// resolveSpan fills dst (len(bits)+IntermissionBits levels) with the window
+// as a splice resolves it: the acknowledged frame, then the recessive
+// intermission tail.
+func resolveSpan(dst, bits []can.Level, ackIdx int) []can.Level {
+	copy(dst, bits)
+	dst[ackIdx] = can.Dominant
+	for i := len(bits); i < len(dst); i++ {
+		dst[i] = can.Recessive
+	}
+	return dst
 }
 
 // newTxPlanBase serializes a classical base-format frame with field
 // generation, CRC-15, and bit stuffing fused into a single pass (two
-// allocations total). The output — bits, isStuff, arbEnd, ackIdx — is
-// bit-identical to the general three-pass path in newTxPlan, which remains
-// the reference for extended frames (a differential test pins the
-// equivalence). Serialization runs on every frame start, so this is the
-// hottest single routine under load.
+// allocations for the arrays: the wire bits and the resolved span share
+// one). The output — bits, isStuff, arbEnd, ackIdx — is bit-identical to the
+// general three-pass path in newTxPlan, which remains the reference for
+// extended frames (a differential test pins the equivalence).
 func newTxPlanBase(f can.Frame) *txPlan {
 	unstuffed := can.UnstuffedLen(len(f.Data))
 	dataEnd := unstuffed - can.CRCBits
 	maxWire := unstuffed + unstuffed/4 + 3 + can.EOFBits
-	bits := make([]can.Level, 0, maxWire)
+	levels := make([]can.Level, 2*maxWire+IntermissionBits)
+	bits := levels[:0:maxWire]
 	isStuff := make([]bool, 0, maxWire)
 
 	rtr := can.Dominant
@@ -250,7 +306,9 @@ func newTxPlanBase(f can.Frame) *txPlan {
 	for len(isStuff) < len(bits) {
 		isStuff = append(isStuff, false)
 	}
-	return &txPlan{frame: f, bits: bits, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx}
+	n := len(bits)
+	resolved := resolveSpan(levels[maxWire:maxWire+n+IntermissionBits:maxWire+n+IntermissionBits], bits, ackIdx)
+	return &txPlan{bits: bits[:n:n], arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, resolved: resolved, id: -1}
 }
 
 // levelOf returns bit i of v as a wire level (set = recessive).
@@ -258,41 +316,25 @@ func levelOf(v uint, i int) can.Level {
 	return can.Level(v >> uint(i) & 1)
 }
 
-// Planned is a frame pre-validated and pre-serialized for transmission on a
-// specific controller. Schedule-driven producers (the restbus replayer) build
-// one per upcoming message instance and enqueue it with EnqueuePlanned, so
-// the steady-state transmit path — and the splice tier keyed off it — starts
-// from the plan by direct pointer instead of re-probing the plan cache on
+// Planned is a frame pre-validated and pre-serialized for transmission: a
+// rolling-counter instance resolved through Rolling.Instance. Schedule-driven
+// producers (the restbus replayer) enqueue it with EnqueuePlanned, so the
+// steady-state transmit path — and the splice tier keyed off it — starts
+// from the plan by direct pointer instead of probing the plan caches on
 // every frame start. The zero Planned is invalid.
 type Planned struct {
 	frame can.Frame
 	plan  *txPlan
 }
 
-// Valid reports whether p holds a plannable frame (the zero Planned, and any
-// frame the classical serializer cannot plan, is not).
+// Valid reports whether p holds a plannable frame (the zero Planned is not).
 func (p Planned) Valid() bool { return p.plan != nil }
 
 // Frame returns the planned frame value.
 func (p Planned) Frame() can.Frame { return p.frame }
 
-// ErrUnplannable indicates a frame the pre-serialized enqueue path cannot
-// carry (FD or oversize frames plan per-transmission on the exact path).
+// ErrUnplannable indicates an enqueue of the zero Planned.
 var ErrUnplannable = errors.New("controller: frame cannot be pre-planned")
-
-// Plan validates, clones, and serializes f for later EnqueuePlanned calls.
-// The returned handle is immutable and reusable: enqueueing it any number of
-// times costs no validation, cloning, or cache probing.
-func (c *Controller) Plan(f can.Frame) (Planned, error) {
-	if err := f.Validate(); err != nil {
-		return Planned{}, err
-	}
-	if f.FD || len(f.Data) > can.MaxDataLen {
-		return Planned{}, ErrUnplannable
-	}
-	f = f.Clone()
-	return Planned{frame: f, plan: c.planFor(f)}, nil
-}
 
 // EnqueuePlanned schedules a pre-planned frame for transmission, carrying
 // its serialization into the mailbox so the transmit paths skip the plan

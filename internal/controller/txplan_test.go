@@ -37,7 +37,7 @@ func genericTxPlan(f can.Frame) *txPlan {
 	for len(isStuff) < len(wire) {
 		isStuff = append(isStuff, false)
 	}
-	return &txPlan{frame: f, bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx}
+	return &txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx}
 }
 
 // TestTxPlanBaseMatchesGeneric differentially checks the fused single-pass

@@ -177,16 +177,17 @@ func TestLadderIdentityDetach(t *testing.T) {
 
 // TestLadderIdentityAttackedMemoGrowth runs a spoof-attacked vehicle at 60%
 // restbus load exact and on the full ladder, long enough that each memo
-// table — the defender controller's receive-span cache, the replayer's plan
-// front cache and the defense's passive-scan memo — doubles at least twice
-// after it first fills, while the run is in progress. Growth rehashes live
-// entries mid-run; the result must stay bit-identical to exact stepping.
+// table — the defender controller's receive-span cache, the replayer's
+// splice memo index and the defense's passive-scan memo — grows at least
+// fourfold after it first fills, while the run is in progress. Growth
+// rehashes live entries mid-run; the result must stay bit-identical to
+// exact stepping.
 func TestLadderIdentityAttackedMemoGrowth(t *testing.T) {
 	const (
 		slices    = 8
 		sliceBits = int64(100_000)
 	)
-	type memoSizes struct{ rxSpan, plan, scan int }
+	type memoSizes struct{ rxSpan, splice, scan int }
 	run := func(mode SteppingMode) (ladderOutcome, []memoSizes) {
 		matrix := cleanMatrix(restbus.Buses(restbus.VehD)[0], []can.ID{DefenderID})
 		matrix = scaleMatrixToLoad(matrix, bus.Rate50k, 0.60)
@@ -218,9 +219,9 @@ func TestLadderIdentityAttackedMemoGrowth(t *testing.T) {
 		var sizes []memoSizes
 		for i := 0; i < slices; i++ {
 			bb.Run(sliceBits)
-			rx, _ := defCtl.MemoSlots()
-			_, plan := rep.Controller().MemoSlots()
-			sizes = append(sizes, memoSizes{rx, plan, def.ScanMemoSlots()})
+			rx, _, _ := defCtl.MemoSlots()
+			_, _, splice := rep.Controller().MemoSlots()
+			sizes = append(sizes, memoSizes{rx, splice, def.ScanMemoSlots()})
 		}
 		out := ladderOutcome{Bits: rec.Bits()}
 		for _, c := range []*controller.Controller{defCtl, rep.Controller(), att.Controller()} {
@@ -241,7 +242,7 @@ func TestLadderIdentityAttackedMemoGrowth(t *testing.T) {
 		first, last int
 	}{
 		{"receive-span cache", first.rxSpan, last.rxSpan},
-		{"plan front cache", first.plan, last.plan},
+		{"splice memo index", first.splice, last.splice},
 		{"passive-scan memo", first.scan, last.scan},
 	} {
 		if tab.first == 0 || tab.last < 4*tab.first {

@@ -14,7 +14,8 @@ import (
 // cache: sharing is a pure memory/compile-time optimization, so every
 // vehicle's wire trace and incident log must be bit-identical with the cache
 // on and off, including across a mid-run Remove of a vehicle whose
-// controllers reference the shared plans.
+// controllers reference the shared plans, and the published plans and
+// rolling payloads must come out of the run unwritten.
 
 // runSharedCacheArm builds n recorded vehicles (optionally resolving plans
 // through src), runs the fleet to drain, and returns per-vehicle outcomes.
@@ -90,6 +91,11 @@ func TestFleetDeterminismSharedPlanCache(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatalf("shared source never served a cross-vehicle hit: %+v", st)
 	}
+	// Two workers transmitted from the shared plans and payloads
+	// concurrently; none may have written to them.
+	if err := src.Verify(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestFleetRemoveWhileSharedPlans removes a vehicle mid-run while its
@@ -118,5 +124,8 @@ func TestFleetRemoveWhileSharedPlans(t *testing.T) {
 	}
 	if st := src.Stats(); st.Hits == 0 || st.Plans == 0 {
 		t.Fatalf("shared source never exercised across the removal: %+v", st)
+	}
+	if err := src.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -172,24 +172,15 @@ type errRec struct {
 //
 // The engine keeps one attempt and recycles it: every retired attempt —
 // succeeded, destroyed or dropped — is reset in place for the next SOF,
-// keeping its maps and slice storage. That is sound only because nothing
-// that outlives an attempt aliases its storage: closeDestroyed,
+// keeping its slice storage. That is sound only because nothing that
+// outlives an attempt aliases its storage: closeDestroyed,
 // closeWireAttempt, chain and attachBusOff copy every value they keep.
 type attempt struct {
 	start int64
-	// tx maps each surviving transmitter to the CAN ID it is sending
-	// (EvTxStart's argument). The wire's arbitration field carries the
-	// survivors' common ID — recovered this way rather than from EvArbWon
-	// because a counterattack on an arbitration-region stuff bit (a low ID
-	// with a long dominant run, e.g. 0x050) destroys the attempt before the
-	// controller's arbEnd while the wire still shows all 11 ID bits.
-	tx map[telemetry.NodeID]int64
-	// deadTx marks transmitters that aborted their own transmission (an
-	// EvError in the transmitter role). A transmitter that is neither dead
-	// nor an arbitration loser is still driving the frame: as long as one
-	// remains live the wire episode has not resolved, so the attempt must
-	// stay open past other nodes' error delimiters.
-	deadTx map[telemetry.NodeID]bool
+	// tx holds one record per node that asserted the SOF (or erred in the
+	// transmitter role) — one or two in practice, so a slice scan beats a
+	// map (see txRec).
+	tx []txRec
 	// stray marks an attempt whose SOF the wire decoder skips: it began
 	// within 3 bits of the previous frame's last EOF bit, so the decoder's
 	// 11-recessive SOF rule is unmet and the bits read as stray noise. This
@@ -208,6 +199,39 @@ type attempt struct {
 	busOff     bool
 	busOffNode telemetry.NodeID
 	busOffAt   int64
+}
+
+// txRec is one transmitter of an attempt. A surviving transmitter (not
+// lost) carries the CAN ID it is sending (EvTxStart's argument): the wire's
+// arbitration field carries the survivors' common ID — recovered this way
+// rather than from EvArbWon because a counterattack on an arbitration-region
+// stuff bit (a low ID with a long dominant run, e.g. 0x050) destroys the
+// attempt before the controller's arbEnd while the wire still shows all 11
+// ID bits. dead marks a node that aborted its own transmission (an EvError
+// in the transmitter role). A survivor that is not dead is still driving
+// the frame: as long as one remains live the wire episode has not resolved,
+// so the attempt must stay open past other nodes' error delimiters.
+type txRec struct {
+	node telemetry.NodeID
+	id   int64
+	lost bool // lost arbitration: no longer a survivor
+	dead bool
+}
+
+// txOf returns the node's record, or nil.
+func (c *attempt) txOf(node telemetry.NodeID) *txRec {
+	for i := range c.tx {
+		if c.tx[i].node == node {
+			return &c.tx[i]
+		}
+	}
+	return nil
+}
+
+// survives reports whether the node is a surviving transmitter.
+func (c *attempt) survives(node telemetry.NodeID) bool {
+	r := c.txOf(node)
+	return r != nil && !r.lost
 }
 
 // nodeTEC is one node's TEC steps within an attempt.
@@ -246,10 +270,9 @@ func (c *attempt) tecOf(node telemetry.NodeID) []TECStep {
 	return nil
 }
 
-// reset empties the attempt for reuse, keeping its maps and slice storage.
+// reset empties the attempt for reuse, keeping its slice storage.
 func (c *attempt) reset() {
-	clear(c.tx)
-	clear(c.deadTx)
+	c.tx = c.tx[:0]
 	c.stray, c.destroyed, c.busOff = false, false, false
 	c.busOffNode, c.busOffAt = 0, 0
 	c.errs = c.errs[:0]
@@ -289,12 +312,16 @@ type Engine struct {
 	cancel func()
 	names  map[telemetry.NodeID]string
 
-	cur         *attempt
-	spare       *attempt // the last retired attempt, reset for the next SOF
-	open        map[int64]*incidentState
-	closed      []*incidentState
-	recovery    map[telemetry.NodeID]*incidentState
-	successes   map[int64][]successRec
+	cur       *attempt
+	spare     *attempt // the last retired attempt, reset for the next SOF
+	open      map[int64]*incidentState
+	closed    []*incidentState
+	recovery  map[telemetry.NodeID]*incidentState
+	successes map[int64][]successRec
+	// unowned lists the IDs whose success records the in-flight attempt
+	// alone keeps (no incident of the ID was open when the first one was
+	// recorded); endAttempt prunes exactly these.
+	unowned     []int64
 	txSuccess   map[telemetry.NodeID]int
 	firstBusOff map[telemetry.NodeID]int64
 	idDet       map[int64]*stats.Accumulator
@@ -521,10 +548,13 @@ func (e *Engine) closeWireAttempt(c *attempt, errorEnd int64) {
 	// the bit after its trigger) lands inside the stuffed SOF+ID region.
 	var id int64
 	idKnown := false
-	for _, fid := range c.tx {
+	for _, r := range c.tx {
+		if r.lost {
+			continue
+		}
 		if !idKnown {
-			id, idKnown = fid, true
-		} else if fid != id {
+			id, idKnown = r.id, true
+		} else if r.id != id {
 			idKnown = false
 			break
 		}
@@ -601,12 +631,12 @@ func (e *Engine) fold(ev telemetry.Event) {
 			e.endAttempt()
 		}
 		if e.cur == nil {
-			// The retired attempt comes back reset; only the first SOF (and
-			// the first error, for deadTx) allocates.
+			// The retired attempt comes back reset; only the first SOF
+			// allocates.
 			c := e.spare
 			e.spare = nil
 			if c == nil {
-				c = &attempt{tx: make(map[telemetry.NodeID]int64, 2)}
+				c = &attempt{tx: make([]txRec, 0, 2)}
 			}
 			c.start = ev.Time
 			// The trace decoder credits a decoded frame's recessive tail
@@ -616,11 +646,17 @@ func (e *Engine) fold(ev telemetry.Event) {
 			c.stray = ev.Time <= e.wireFrameEnd+3
 			e.cur = c
 		}
-		e.cur.tx[ev.Node] = ev.A
+		if r := e.cur.txOf(ev.Node); r != nil {
+			r.id, r.lost = ev.A, false
+		} else {
+			e.cur.tx = append(e.cur.tx, txRec{node: ev.Node, id: ev.A})
+		}
 
 	case telemetry.EvArbLost:
 		if c := e.cur; c != nil {
-			delete(c.tx, ev.Node)
+			if r := c.txOf(ev.Node); r != nil {
+				r.lost = true
+			}
 		}
 
 	case telemetry.EvDetect:
@@ -652,10 +688,11 @@ func (e *Engine) fold(ev telemetry.Event) {
 			c.destroyed = true
 			rec := errRec{node: ev.Node, at: ev.Time, kind: ev.A, tx: ev.B == 1}
 			if rec.tx {
-				if c.deadTx == nil {
-					c.deadTx = make(map[telemetry.NodeID]bool, 2)
+				if r := c.txOf(ev.Node); r != nil {
+					r.dead = true
+				} else {
+					c.tx = append(c.tx, txRec{node: ev.Node, lost: true, dead: true})
 				}
-				c.deadTx[ev.Node] = true
 			}
 			// The ISO passive-ACK exception bumps no counter, so no
 			// same-instant EvTEC will arrive to resolve this record;
@@ -681,8 +718,8 @@ func (e *Engine) fold(ev telemetry.Event) {
 		// and the wire resolves only at that survivor's own completion.
 		if c := e.cur; c != nil && c.destroyed {
 			live := false
-			for node := range c.tx {
-				if !c.deadTx[node] {
+			for _, r := range c.tx {
+				if !r.lost && !r.dead {
 					live = true
 					break
 				}
@@ -698,20 +735,22 @@ func (e *Engine) fold(ev telemetry.Event) {
 		if ev.Time > e.wireFrameEnd {
 			e.wireFrameEnd = ev.Time
 		}
-		if c := e.cur; c != nil {
-			if _, ok := c.tx[ev.Node]; ok {
-				e.endAttempt()
-			}
+		if c := e.cur; c != nil && c.survives(ev.Node) {
+			e.endAttempt()
 		}
 		if e.open[ev.A] != nil || e.cur != nil {
-			e.successes[ev.A] = append(e.successes[ev.A], successRec{node: ev.Node, at: ev.Time})
+			recs, ok := e.successes[ev.A]
+			if !ok && e.open[ev.A] == nil {
+				e.unowned = append(e.unowned, ev.A)
+			}
+			e.successes[ev.A] = append(recs, successRec{node: ev.Node, at: ev.Time})
 		}
 
 	case telemetry.EvTEC:
 		e.tec[ev.Node] = ev.A
 		if c := e.cur; c != nil {
 			e.resolveErrs(c, ev.Node, ev.Time)
-			if _, ok := c.tx[ev.Node]; ok {
+			if c.survives(ev.Node) {
 				c.addTEC(ev.Node, TECStep{At: ev.Time, Value: ev.A, Prev: ev.B})
 			}
 		}
@@ -726,12 +765,10 @@ func (e *Engine) fold(ev telemetry.Event) {
 		if _, ok := e.firstBusOff[ev.Node]; !ok {
 			e.firstBusOff[ev.Node] = ev.Time
 		}
-		if c := e.cur; c != nil {
-			if _, ok := c.tx[ev.Node]; ok {
-				c.busOff = true
-				c.busOffNode = ev.Node
-				c.busOffAt = ev.Time
-			}
+		if c := e.cur; c != nil && c.survives(ev.Node) {
+			c.busOff = true
+			c.busOffNode = ev.Node
+			c.busOffAt = ev.Time
 		}
 
 	case telemetry.EvRecover:
@@ -746,15 +783,19 @@ func (e *Engine) fold(ev telemetry.Event) {
 
 // endAttempt retires the in-flight attempt into the spare slot, reset, and
 // drops the success records it alone kept: those of IDs with no open
-// incident. Called with e.mu held.
+// incident. Only the attempt can have recorded such IDs (with no attempt in
+// flight a success is kept only for an open incident, and incidents never
+// leave the open table, only get superseded in it), and it listed them in
+// e.unowned. Called with e.mu held.
 func (e *Engine) endAttempt() {
 	e.cur.reset()
 	e.spare, e.cur = e.cur, nil
-	for id := range e.successes {
+	for _, id := range e.unowned {
 		if e.open[id] == nil {
 			delete(e.successes, id)
 		}
 	}
+	e.unowned = e.unowned[:0]
 }
 
 // closeDestroyed folds a wire-visible destroyed attempt into its ID's
@@ -796,8 +837,10 @@ func (e *Engine) closeDestroyed(c *attempt, id int64, end int64) {
 	inc.Attempts++
 	inc.End = end
 
-	for node := range c.tx {
-		st.destroyedBy[node]++
+	for _, r := range c.tx {
+		if !r.lost {
+			st.destroyedBy[r.node]++
+		}
 	}
 	for _, t := range c.tec {
 		st.tecByNode[t.node] = append(st.tecByNode[t.node], t.steps...)
@@ -856,8 +899,10 @@ func (e *Engine) attachBusOff(st *incidentState, c *attempt) {
 func (c *attempt) chain(e *Engine) []ChainLink {
 	var links []ChainLink
 	// The SOF: name the surviving transmitters (losers already dropped out).
-	for node := range c.tx {
-		links = append(links, ChainLink{At: c.start, Node: e.nodeName(node), Step: "tx_start"})
+	for _, r := range c.tx {
+		if !r.lost {
+			links = append(links, ChainLink{At: c.start, Node: e.nodeName(r.node), Step: "tx_start"})
+		}
 	}
 	sort.Slice(links, func(i, j int) bool { return links[i].Node < links[j].Node })
 	for _, d := range c.detects {

@@ -62,16 +62,16 @@ type schedItem struct {
 	// maxLat accumulates the worst observed latency; Stats materializes the
 	// per-ID map from it, keeping the per-transmission callback map-free.
 	maxLat int64
-	// bufs holds the message's 256 payload instances (the rolling counter is
-	// the only varying byte), pre-built so the schedule scan enqueues without
-	// allocating. The slices are immutable once built: the controller's plan
-	// cache and receivers key off their identity.
-	bufs [][]byte
-	// planned holds the pre-serialized enqueue handle per rolling-counter
-	// value, filled lazily (or by WarmSplice) so the steady-state schedule
-	// scan enqueues by direct pointer — no validation, cloning, or plan-cache
-	// probing per instance.
-	planned []controller.Planned
+	// roll is the message's compiled rolling-counter rotation — its 256
+	// payload instances (the counter is the only varying byte) and their
+	// plans — resolved through the controller's plan source on first
+	// enqueue, so replayers on one shared source hold one table between
+	// them and the schedule scan enqueues by direct pointer, without
+	// allocating, validating or probing a plan cache per instance.
+	roll *controller.Rolling
+	// seen marks the counter values this replayer has resolved, so each
+	// counts once in the source's hit statistics.
+	seen [4]uint64
 }
 
 var (
@@ -115,10 +115,7 @@ func NewReplayer(name string, m *Matrix, rate bus.Rate, rng *rand.Rand) *Replaye
 		if period < 1 {
 			period = 1
 		}
-		item := schedItem{
-			msg: msg, periodBits: period,
-			bufs: seqBufs(msg.DLC), planned: make([]controller.Planned, 256),
-		}
+		item := schedItem{msg: msg, periodBits: period}
 		if rng != nil {
 			item.nextDue = bus.BitTime(rng.Int63n(period))
 		}
@@ -151,47 +148,33 @@ func (r *Replayer) itemIdx(id can.ID) int {
 	return -1
 }
 
-// plannedFor returns the pre-serialized enqueue handle for the item's given
-// rolling-counter value, building it on first sight. Matrix messages are
-// classical base frames, so planning cannot fail; the zero handle is returned
-// only for a malformed message, which the enqueue path then skips exactly as
-// Enqueue would have rejected it.
+// plannedFor returns the enqueue handle for the item's given rolling-counter
+// value, resolving the message's rolling table on first use. Matrix messages
+// are classical base frames, so planning cannot fail; the zero handle is
+// returned only for a malformed message, which the enqueue path then skips
+// exactly as Enqueue would have rejected it.
 func (r *Replayer) plannedFor(item *schedItem, seq byte) controller.Planned {
-	if pl := item.planned[seq]; pl.Valid() {
-		return pl
-	}
-	pl, err := r.ctl.Plan(can.Frame{ID: item.msg.ID, Data: item.bufs[seq]})
-	if err != nil {
-		return controller.Planned{}
-	}
-	item.planned[seq] = pl
-	return pl
-}
-
-// seqBufs pre-builds one payload per rolling-counter value, sliced out of a
-// single allocation with full capacity caps so no later append can alias.
-func seqBufs(dlc int) [][]byte {
-	bufs := make([][]byte, 256)
-	base := make([]byte, 256*dlc)
-	for s := range bufs {
-		buf := base[s*dlc : (s+1)*dlc : (s+1)*dlc]
-		if dlc > 0 {
-			buf[0] = byte(s)
+	if item.roll == nil {
+		if item.roll = r.ctl.Rolling(item.msg.ID, item.msg.DLC); item.roll == nil {
+			return controller.Planned{}
 		}
-		bufs[s] = buf
 	}
-	return bufs
+	w, bit := seq>>6, uint64(1)<<(seq&63)
+	first := item.seen[w]&bit == 0
+	item.seen[w] |= bit
+	return item.roll.Instance(seq, first)
 }
 
 // Controller exposes the replayer's protocol controller.
 func (r *Replayer) Controller() *controller.Controller { return r.ctl }
 
 // SharePlans wires a fleet-shared compiled-plan cache into the replayer's
-// controller: every plan the schedule compiles (lazily or via WarmSplice)
-// resolves through the source, so N replayers stamped from the same matrix
-// share one immutable copy of each serialization and its pre-resolved splice
-// span. Call before the replayer produces traffic; behavior is bit-identical
-// with or without sharing.
+// controller: every rolling table and plan the schedule compiles (lazily or
+// via WarmSplice) resolves through the source, so N replayers stamped from
+// the same matrix share one immutable copy of each payload rotation,
+// serialization and pre-resolved splice span. Call before WarmSplice and
+// before the replayer produces traffic; behavior is bit-identical with or
+// without sharing.
 func (r *Replayer) SharePlans(src *controller.PlanSource) { r.ctl.SetPlanSource(src) }
 
 // SetTelemetry wires the replayer's controller to a telemetry hub.

@@ -80,11 +80,9 @@ func (r *Replayer) SpliceCommit(now bus.BitTime, resolved []can.Level, slot *any
 
 // WarmSplice precompiles the transmit plans for the next rounds instances of
 // every scheduled message — the frames the rolling sequence counter will
-// produce — so steady-state splicing starts on plan-cache hits instead of
-// paying a serialization on each first sight. The warm set is what the
-// splice tier keys every memo on (window identity = the plan's backing
-// array), making this the schedule-driven warm half of the cache story; the
-// invalidate half is content ageing through the bounded plan cache.
+// produce — so steady-state splicing starts on compiled plans instead of
+// paying a serialization on each first sight. On a shared plan source the
+// first replayer compiles and every later one resolves by lookup.
 func (r *Replayer) WarmSplice(rounds int) {
 	for i := range r.items {
 		item := &r.items[i]
