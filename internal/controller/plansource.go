@@ -112,33 +112,37 @@ func (s *PlanSource) HitRate() float64 {
 // excluded FD and oversize frames), counting a hit or a miss when count is
 // set. The first build of each key wins the publication race, so every
 // controller ends up with the same plan; at the cap the build is returned
-// unpublished.
+// unpublished. Only the build that is served counts a miss: a racer whose
+// build lost to a published one adopts that plan and counts a hit, so the
+// counters do not depend on how many workers raced.
 func (s *PlanSource) plan(key planKey, f *can.Frame, count bool) *txPlan {
 	s.mu.RLock()
 	p := s.plans[key]
 	s.mu.RUnlock()
-	if p != nil {
-		if count {
-			s.hits.Add(1)
+	if p == nil {
+		p = newTxPlan(*f)
+		s.mu.Lock()
+		if prev := s.plans[key]; prev != nil {
+			p = prev
+		} else {
+			if len(s.plans) < s.limit() {
+				if s.plans == nil {
+					s.plans = make(map[planKey]*txPlan)
+				}
+				p.id = int32(len(s.plans))
+				s.plans[key] = p
+				s.bytes.Add(int64(unsafe.Sizeof(*p)) + int64(cap(p.bits)+cap(p.resolved)+cap(p.isStuff)))
+			}
+			if count {
+				s.misses.Add(1)
+			}
+			count = false
 		}
-		return p
+		s.mu.Unlock()
 	}
 	if count {
-		s.misses.Add(1)
+		s.hits.Add(1)
 	}
-	p = newTxPlan(*f)
-	s.mu.Lock()
-	if prev := s.plans[key]; prev != nil {
-		p = prev
-	} else if len(s.plans) < s.limit() {
-		if s.plans == nil {
-			s.plans = make(map[planKey]*txPlan)
-		}
-		p.id = int32(len(s.plans))
-		s.plans[key] = p
-		s.bytes.Add(int64(unsafe.Sizeof(*p)) + int64(cap(p.bits)+cap(p.resolved)+cap(p.isStuff)))
-	}
-	s.mu.Unlock()
 	return p
 }
 

@@ -13,8 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"michican/internal/telemetry"
 )
 
 // Record framing: every appended record is
@@ -37,13 +35,41 @@ const (
 
 // Record types.
 const (
-	recEvent    = 1
-	recIncident = 2
-	recAlert    = 3
+	recEvent      = 1 // one event record (telemetry.AppendEventRecord), format 3
+	recIncident   = 2
+	recAlert      = 3
+	recEventBlock = 4 // one event block (telemetry.BlockEncoder), format 4
 )
+
+// recSpan is what a run of records holds: n log entries (events on the
+// event log, payloads on the others) and, when timed, the bounds of their
+// bit times.
+type recSpan struct {
+	n          int64
+	minT, maxT int64
+	timed      bool
+}
+
+// add extends s by the records r describes.
+func (s *recSpan) add(r recSpan) {
+	if r.timed {
+		if !s.timed {
+			s.minT, s.maxT, s.timed = r.minT, r.maxT, true
+		} else {
+			s.minT, s.maxT = min(s.minT, r.minT), max(s.maxT, r.maxT)
+		}
+	}
+	s.n += r.n
+}
+
+// outside reports whether s's entries all lie outside the window [from, to].
+func (s recSpan) outside(from, to int64) bool {
+	return s.timed && (s.maxT < from || s.minT > to)
+}
 
 // segIndex is the sidecar written when a segment seals: enough to answer
 // window queries without reading the segment and to sanity-check recovery.
+// Records counts entries (events on the event log), not framed records.
 type segIndex struct {
 	Records   int64 `json:"records"`
 	Bytes     int64 `json:"bytes"`
@@ -53,12 +79,10 @@ type segIndex struct {
 
 // segment is one on-disk segment file of a segLog.
 type segment struct {
-	seq     int
-	records int64
-	bytes   int64
-	firstT  int64
-	lastT   int64
-	sealed  bool
+	seq    int
+	bytes  int64
+	sealed bool
+	recSpan
 }
 
 // segLog is an append-only, CRC-framed, segmented record log. The active
@@ -72,17 +96,23 @@ type segLog struct {
 	dir      string
 	prefix   string
 	segBytes int64
-	// eventTime reads an event payload's bit time in the store's format;
-	// nil on the incident and alert logs, whose records carry none.
-	eventTime func(payload []byte) (int64, bool)
+	// spanOf reads what one record holds from its type and payload; nil on
+	// the incident and alert logs, whose records hold one untimed entry each.
+	spanOf func(typ byte, payload []byte) (recSpan, error)
 
-	segs   []segment
-	f      *os.File
+	segs []segment
+	f    *os.File
+	// bw is created on the first append: the incident and alert logs are
+	// written only at finalize, so most of a run holds no buffer for them.
 	bw     *bufio.Writer
 	active *segment // == &segs[len(segs)-1]
 
-	count int64  // records across all segments
+	count int64  // entries across all segments
 	rec   []byte // append's framing scratch, reused across records
+	// dirty marks appends or a truncation not yet fsynced; sync skips a
+	// clean log. syncs counts the segment fsyncs issued.
+	dirty bool
+	syncs int64
 }
 
 // Buffer sizes: writeBufBytes for the one buffered writer a log reuses
@@ -99,8 +129,8 @@ func (l *segLog) segPath(seq int) string    { return filepath.Join(l.dir, segNam
 func (l *segLog) idxPath(seq int) string    { return filepath.Join(l.dir, idxName(l.prefix, seq)) }
 
 // newSegLog creates an empty log with its first segment open.
-func newSegLog(dir, prefix string, segBytes int64, eventTime func([]byte) (int64, bool)) (*segLog, error) {
-	l := &segLog{dir: dir, prefix: prefix, segBytes: segBytes, eventTime: eventTime}
+func newSegLog(dir, prefix string, segBytes int64, spanOf func(byte, []byte) (recSpan, error)) (*segLog, error) {
+	l := &segLog{dir: dir, prefix: prefix, segBytes: segBytes, spanOf: spanOf}
 	if err := l.openSegment(1); err != nil {
 		return nil, err
 	}
@@ -110,8 +140,8 @@ func newSegLog(dir, prefix string, segBytes int64, eventTime func([]byte) (int64
 // openSegLog reopens an existing log, scanning every segment, truncating any
 // torn tail, and reopening the last segment for append. Missing files mean
 // an empty log (a fresh first segment is created).
-func openSegLog(dir, prefix string, segBytes int64, eventTime func([]byte) (int64, bool)) (*segLog, error) {
-	l := &segLog{dir: dir, prefix: prefix, segBytes: segBytes, eventTime: eventTime}
+func openSegLog(dir, prefix string, segBytes int64, spanOf func(byte, []byte) (recSpan, error)) (*segLog, error) {
+	l := &segLog{dir: dir, prefix: prefix, segBytes: segBytes, spanOf: spanOf}
 	names, err := filepath.Glob(filepath.Join(dir, prefix+"-*.seg"))
 	if err != nil {
 		return nil, err
@@ -149,7 +179,7 @@ func openSegLog(dir, prefix string, segBytes int64, eventTime func([]byte) (int6
 		}
 		seg.sealed = i < len(seqs)-1 && !tornHere
 		l.segs = append(l.segs, seg)
-		l.count += seg.records
+		l.count += seg.n
 		torn = tornHere
 	}
 	last := &l.segs[len(l.segs)-1]
@@ -160,15 +190,19 @@ func openSegLog(dir, prefix string, segBytes int64, eventTime func([]byte) (int6
 		return nil, err
 	}
 	l.activate(f, last)
+	l.dirty = torn // a cut tail reaches the disk with the next sync
 	return l, nil
 }
 
 // scanSegment validates one segment record by record, reading it into *buf
-// (grown as needed and kept for the next segment). A torn or corrupt tail
-// truncates the file at the last valid record boundary; tornHere reports that
-// this happened (later segments are then dropped by the caller).
+// (grown as needed and kept for the next segment): one CRC per record, and
+// the record's entry count and time bounds from its header alone. A torn or
+// corrupt tail truncates the file at the last valid record boundary;
+// tornHere reports that this happened (later segments are then dropped by
+// the caller). A record whose CRC holds but whose header does not parse is
+// not a torn write, so it fails the open instead of being cut away.
 func (l *segLog) scanSegment(seq int, buf *[]byte) (segment, bool, error) {
-	seg := segment{seq: seq, firstT: -1, lastT: -1}
+	seg := segment{seq: seq}
 	path := l.segPath(seq)
 	data, err := readFileInto(*buf, path)
 	if err != nil {
@@ -189,14 +223,12 @@ func (l *segLog) scanSegment(seq int, buf *[]byte) (segment, bool, error) {
 			torn = true
 			break
 		}
-		if t, ok := l.recordTime(body); ok {
-			if seg.firstT < 0 {
-				seg.firstT = t
-			}
-			seg.lastT = t
+		sp, err := l.recordSpan(body)
+		if err != nil {
+			return seg, false, fmt.Errorf("store: %s byte %d: %w", segName(l.prefix, seq), off, err)
 		}
+		seg.add(sp)
 		off += 4 + n + recTrailerLen
-		seg.records++
 	}
 	if off != int64(len(data)) {
 		torn = true
@@ -231,67 +263,12 @@ func readFileInto(buf []byte, path string) ([]byte, error) {
 	return buf, nil
 }
 
-// recordTime extracts the event's bit time from a framed body (type byte +
-// payload); incident and alert payloads report no time.
-func (l *segLog) recordTime(body []byte) (int64, bool) {
-	if l.eventTime == nil || len(body) < 1 || body[0] != recEvent {
-		return 0, false
+// recordSpan reads what one framed body (type byte + payload) holds.
+func (l *segLog) recordSpan(body []byte) (recSpan, error) {
+	if l.spanOf == nil {
+		return recSpan{n: 1}, nil
 	}
-	return l.eventTime(body[1:])
-}
-
-// eventCodec reads the event payloads of one store format: time alone, for
-// segment time bounds and window skips, and the full decode.
-type eventCodec struct {
-	time   func(payload []byte) (int64, bool)
-	decode func(payload []byte, names *telemetry.NodeNames) (telemetry.NamedEvent, error)
-}
-
-// codecFor returns the event codec of format version v. Formats 1 and 2
-// hold JSONL lines; format 3 holds binary records.
-func codecFor(v int) eventCodec {
-	if v < 3 {
-		return eventCodec{jsonPayloadTime, func(p []byte, _ *telemetry.NodeNames) (telemetry.NamedEvent, error) {
-			return telemetry.ParseEventJSON(p)
-		}}
-	}
-	return eventCodec{payloadTime, telemetry.ParseEventRecord}
-}
-
-// payloadTime reads the bit time of a format-3 event payload, the record's
-// leading varint (telemetry.AppendEventRecord).
-func payloadTime(p []byte) (int64, bool) {
-	t, n := binary.Varint(p)
-	return t, n > 0
-}
-
-// jsonPayloadTime reads the bit time of a format-1 or -2 event payload. Those
-// payloads are JSONL lines beginning {"t":N, so the time is read without a
-// full JSON decode.
-func jsonPayloadTime(p []byte) (int64, bool) {
-	const pre = `{"t":`
-	if len(p) < len(pre)+1 || string(p[:len(pre)]) != pre {
-		return 0, false
-	}
-	i := len(pre)
-	var t int64
-	neg := false
-	if p[i] == '-' {
-		neg = true
-		i++
-	}
-	start := i
-	for i < len(p) && p[i] >= '0' && p[i] <= '9' {
-		t = t*10 + int64(p[i]-'0')
-		i++
-	}
-	if i == start {
-		return 0, false
-	}
-	if neg {
-		t = -t
-	}
-	return t, true
+	return l.spanOf(body[0], body[1:])
 }
 
 // openSegment creates and activates a fresh segment file.
@@ -300,7 +277,7 @@ func (l *segLog) openSegment(seq int) error {
 	if err != nil {
 		return err
 	}
-	l.segs = append(l.segs, segment{seq: seq, firstT: -1, lastT: -1})
+	l.segs = append(l.segs, segment{seq: seq})
 	l.activate(f, &l.segs[len(l.segs)-1])
 	return nil
 }
@@ -309,9 +286,7 @@ func (l *segLog) openSegment(seq int) error {
 // log appends through the same buffered writer; it is always flushed before
 // its file changes.
 func (l *segLog) activate(f *os.File, seg *segment) {
-	if l.bw == nil {
-		l.bw = bufio.NewWriterSize(f, writeBufBytes)
-	} else {
+	if l.bw != nil {
 		l.bw.Reset(f)
 	}
 	l.f, l.active = f, seg
@@ -319,18 +294,24 @@ func (l *segLog) activate(f *os.File, seg *segment) {
 
 // seal closes the active segment: flush, fsync, index sidecar.
 func (l *segLog) seal() error {
-	if err := l.bw.Flush(); err != nil {
+	if err := l.flush(); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
+	l.syncs++
+	l.dirty = false
 	if err := l.f.Close(); err != nil {
 		return err
 	}
 	a := l.active
 	a.sealed = true
-	idx, err := json.Marshal(segIndex{Records: a.records, Bytes: a.bytes, FirstTime: a.firstT, LastTime: a.lastT})
+	first, last := int64(-1), int64(-1)
+	if a.timed {
+		first, last = a.minT, a.maxT
+	}
+	idx, err := json.Marshal(segIndex{Records: a.n, Bytes: a.bytes, FirstTime: first, LastTime: last})
 	if err != nil {
 		return err
 	}
@@ -341,9 +322,9 @@ func (l *segLog) seal() error {
 	return os.WriteFile(l.idxPath(a.seq), append(idx, '\n'), 0o644)
 }
 
-// append frames and writes one record, rolling the active segment first when
-// the record would push it past segBytes.
-func (l *segLog) append(typ byte, payload []byte, t int64) (int64, error) {
+// append frames and writes one record holding sp, rolling the active segment
+// first when the record would push it past segBytes.
+func (l *segLog) append(typ byte, payload []byte, sp recSpan) (int64, error) {
 	recLen := int64(recHeaderLen + len(payload) + recTrailerLen)
 	if l.active.bytes > 0 && l.active.bytes+recLen > l.segBytes {
 		if err := l.seal(); err != nil {
@@ -361,31 +342,43 @@ func (l *segLog) append(typ byte, payload []byte, t int64) (int64, error) {
 	rec = append(rec, payload...)
 	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec[4:]))
 	l.rec = rec
+	if l.bw == nil {
+		l.bw = bufio.NewWriterSize(l.f, writeBufBytes)
+	}
 	if _, err := l.bw.Write(rec); err != nil {
 		return 0, err
 	}
 	a := l.active
 	a.bytes += recLen
-	a.records++
-	if typ == recEvent {
-		if a.firstT < 0 {
-			a.firstT = t
-		}
-		a.lastT = t
-	}
-	l.count++
+	a.add(sp)
+	l.count += sp.n
+	l.dirty = true
 	return recLen, nil
 }
 
 // flush pushes buffered writes to the OS.
-func (l *segLog) flush() error { return l.bw.Flush() }
-
-// sync flushes and fsyncs the active segment.
-func (l *segLog) sync() error {
-	if err := l.bw.Flush(); err != nil {
-		return err
+func (l *segLog) flush() error {
+	if l.bw == nil {
+		return nil
 	}
-	return l.f.Sync()
+	return l.bw.Flush()
+}
+
+// sync flushes and fsyncs the active segment when the log holds anything
+// not yet fsynced, and reports whether it did.
+func (l *segLog) sync() (bool, error) {
+	if !l.dirty {
+		return false, nil
+	}
+	if err := l.flush(); err != nil {
+		return false, err
+	}
+	if err := l.f.Sync(); err != nil {
+		return false, err
+	}
+	l.syncs++
+	l.dirty = false
+	return true, nil
 }
 
 // close flushes and closes the active segment without sealing it (it reopens
@@ -394,7 +387,7 @@ func (l *segLog) close() error {
 	if l.f == nil {
 		return nil
 	}
-	if err := l.bw.Flush(); err != nil {
+	if err := l.flush(); err != nil {
 		return err
 	}
 	err := l.f.Close()
@@ -402,31 +395,39 @@ func (l *segLog) close() error {
 	return err
 }
 
-// truncate rewinds the log to exactly n records: the segment holding record
-// n is cut at that record's boundary and reopened as the active tail, and
-// every later segment is deleted. This is the recovery protocol's rewind to
-// a checkpoint cursor — the un-checkpointed tail is regenerated bit-identical
-// by the resumed simulation.
+// truncate rewinds the log to exactly n entries: the segment holding entry n
+// is cut at that record boundary and reopened as the active tail, and every
+// later segment is deleted. This is the recovery protocol's rewind to a
+// checkpoint cursor — the un-checkpointed tail is regenerated bit-identical
+// by the resumed simulation. A cursor that falls inside a record (an event
+// block) is refused before anything changes.
 func (l *segLog) truncate(n int64) error {
 	if n > l.count {
-		return fmt.Errorf("store: truncate %s to %d records but only %d on disk", l.prefix, n, l.count)
+		return fmt.Errorf("store: truncate %s to %d entries but only %d on disk", l.prefix, n, l.count)
 	}
 	if n == l.count {
 		return nil
 	}
-	if err := l.close(); err != nil {
+	if err := l.flush(); err != nil {
 		return err
 	}
-	// Find the segment holding record n (the first kept-count records of it).
+	// Find the segment holding entry n (the first keep entries of it).
 	var cum int64
 	cut := len(l.segs) - 1
-	var keep int64
 	for i := range l.segs {
-		if cum+l.segs[i].records >= n {
-			cut, keep = i, n-cum
+		if cum+l.segs[i].n >= n {
+			cut = i
 			break
 		}
-		cum += l.segs[i].records
+		cum += l.segs[i].n
+	}
+	seg := &l.segs[cut]
+	off, kept, err := l.prefixOf(seg.seq, n-cum)
+	if err != nil {
+		return err
+	}
+	if err := l.close(); err != nil {
+		return err
 	}
 	for _, s := range l.segs[cut+1:] {
 		if err := os.Remove(l.segPath(s.seq)); err != nil {
@@ -435,52 +436,56 @@ func (l *segLog) truncate(n int64) error {
 		os.Remove(l.idxPath(s.seq))
 	}
 	l.segs = l.segs[:cut+1]
-	seg := &l.segs[cut]
+	seg = &l.segs[cut]
 	os.Remove(l.idxPath(seg.seq))
 	seg.sealed = false
-	// Re-scan the kept prefix for the byte offset and time bounds.
-	off, firstT, lastT, err := l.offsetOfRecord(seg.seq, keep)
-	if err != nil {
-		return err
-	}
 	if err := os.Truncate(l.segPath(seg.seq), off); err != nil {
 		return err
 	}
-	seg.bytes, seg.records, seg.firstT, seg.lastT = off, keep, firstT, lastT
+	seg.bytes, seg.recSpan = off, kept
 	f, err := os.OpenFile(l.segPath(seg.seq), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
 	l.activate(f, seg)
-	l.count = cum + keep
+	l.count = n
+	l.dirty = true
 	return nil
 }
 
-// offsetOfRecord returns the byte offset just past the keep-th record of a
-// segment, plus the event-time bounds of the kept prefix.
-func (l *segLog) offsetOfRecord(seq int, keep int64) (off, firstT, lastT int64, err error) {
-	firstT, lastT = -1, -1
+// prefixOf walks a segment's record headers to the boundary after its first
+// keep entries and returns that byte offset and what the records before it
+// hold.
+func (l *segLog) prefixOf(seq int, keep int64) (int64, recSpan, error) {
+	var kept recSpan
 	if keep == 0 {
-		return 0, firstT, lastT, nil
+		return 0, kept, nil
 	}
 	data, err := os.ReadFile(l.segPath(seq))
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, kept, err
 	}
-	for i := int64(0); i < keep; i++ {
+	off := int64(0)
+	for kept.n < keep {
 		if int64(len(data))-off < recHeaderLen+recTrailerLen {
-			return 0, 0, 0, fmt.Errorf("store: %s segment %d shorter than %d records", l.prefix, seq, keep)
+			return 0, kept, fmt.Errorf("store: %s segment %d shorter than %d entries", l.prefix, seq, keep)
 		}
 		n := int64(binary.LittleEndian.Uint32(data[off:]))
-		if t, ok := l.recordTime(data[off+4 : off+4+n]); ok {
-			if firstT < 0 {
-				firstT = t
-			}
-			lastT = t
+		if off+4+n+recTrailerLen > int64(len(data)) {
+			return 0, kept, fmt.Errorf("store: %s segment %d shorter than %d entries", l.prefix, seq, keep)
 		}
+		sp, err := l.recordSpan(data[off+4 : off+4+n])
+		if err != nil {
+			return 0, kept, err
+		}
+		if kept.n+sp.n > keep {
+			return 0, kept, fmt.Errorf("store: %s cursor falls inside a record of segment %d: %d entries precede it, %d end it",
+				l.prefix, seq, kept.n, kept.n+sp.n)
+		}
+		kept.add(sp)
 		off += 4 + n + recTrailerLen
 	}
-	return off, firstT, lastT, nil
+	return off, kept, nil
 }
 
 // snapshot flushes the log and copies its segment table. Reading the copy
@@ -495,20 +500,17 @@ func (l *segLog) snapshot() ([]segment, error) {
 	return slices.Clone(l.segs), nil
 }
 
-// readSegments streams every record of a snapshot in append order through
+// readSegments streams the records of a snapshot in append order through
 // fn, which receives the record type and payload (valid only during the
-// call). Segments whose event-time range falls entirely outside [fromT, toT]
-// are skipped via their bounds (use math.MinInt64/MaxInt64 to scan
-// everything); records are still delivered unfiltered within visited
-// segments — callers filter.
+// call). Segments and records whose event times fall entirely outside
+// [fromT, toT] are skipped on their bounds (use math.MinInt64/MaxInt64 to
+// scan everything); a delivered record may still hold events outside the
+// window — callers filter.
 func (l *segLog) readSegments(segs []segment, fromT, toT int64, fn func(typ byte, payload []byte) error) error {
 	var br *bufio.Reader
 	var buf []byte
 	for _, seg := range segs {
-		if seg.records == 0 {
-			continue
-		}
-		if seg.firstT >= 0 && (seg.lastT < fromT || seg.firstT > toT) {
+		if seg.n == 0 || seg.outside(fromT, toT) {
 			continue
 		}
 		f, err := os.Open(l.segPath(seg.seq))
@@ -520,7 +522,7 @@ func (l *segLog) readSegments(segs []segment, fromT, toT int64, fn func(typ byte
 		} else {
 			br.Reset(f)
 		}
-		buf, err = l.readSegment(seg, br, buf, fn)
+		buf, err = l.readSegment(seg, br, buf, fromT, toT, fn)
 		f.Close()
 		if err != nil {
 			return err
@@ -529,9 +531,10 @@ func (l *segLog) readSegments(segs []segment, fromT, toT int64, fn func(typ byte
 	return nil
 }
 
-// readSegment streams the first seg.bytes bytes of one segment through fn,
-// reading via br and framing into buf, which it returns for reuse.
-func (l *segLog) readSegment(seg segment, br *bufio.Reader, buf []byte, fn func(typ byte, payload []byte) error) ([]byte, error) {
+// readSegment streams the records in the first seg.bytes bytes of one
+// segment that overlap [fromT, toT] through fn, reading via br and framing
+// into buf, which it returns for reuse.
+func (l *segLog) readSegment(seg segment, br *bufio.Reader, buf []byte, fromT, toT int64, fn func(typ byte, payload []byte) error) ([]byte, error) {
 	var hdr [4]byte
 	for off := int64(0); off < seg.bytes; {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -552,10 +555,17 @@ func (l *segLog) readSegment(seg segment, br *bufio.Reader, buf []byte, fn func(
 		if crc32.ChecksumIEEE(buf[:n]) != crc {
 			return buf, fmt.Errorf("store: CRC mismatch in %s", segName(l.prefix, seg.seq))
 		}
+		off += int64(4 + n + recTrailerLen)
+		sp, err := l.recordSpan(buf[:n])
+		if err != nil {
+			return buf, err
+		}
+		if sp.outside(fromT, toT) {
+			continue
+		}
 		if err := fn(buf[0], buf[1:n]); err != nil {
 			return buf, err
 		}
-		off += int64(4 + n + recTrailerLen)
 	}
 	return buf, nil
 }

@@ -74,10 +74,17 @@ type SinkOptions struct {
 // Sink subscribes to a telemetry hub's ordered stream and persists it,
 // fast-forward spans and alerts excepted, into a Store. The hub's one
 // sequencer hands it canonical (Time, Node, arrival) batches, so events land
-// on disk in the order WriteJSONL writes them. Each is encoded with
-// telemetry.AppendEventRecord — each record reads back exactly the event
-// WriteJSONL's line for it would — and drains to disk on NetCommitter-style
-// thresholds with one group fsync per drain.
+// on disk in the order WriteJSONL writes them. Each joins the sink's open
+// event block — each reads back exactly the event WriteJSONL's line for it
+// would — which goes to the store, under one store lock, when it fills;
+// the log drains to disk on NetCommitter-style thresholds with one group
+// fsync per drain.
+//
+// A checkpoint reaches the last whole block, not the last event: its events
+// cursor and prefix hash are those of the block boundary, so checkpoints
+// never cut a block and the block layout stays a function of the event
+// stream alone. A checkpoint thus trails its bit time by under blockEvents
+// events, which a resumed run regenerates with the rest of its tail.
 //
 // The hub callback only buffers: each batch is copied into a hand-off
 // buffer under one lock, and full buffers ship to a dedicated writer
@@ -114,10 +121,13 @@ type Sink struct {
 	mu    sync.Mutex
 	names map[telemetry.NodeID]string
 	enc   []byte
+	blk   eventBlock // the open block of the events being persisted
 
-	evHash       uint64 // FNV-1a over appended (or skipped) event payloads, canonical order
+	evHash       uint64 // FNV-1a over appended (or skipped) events' records, canonical order
 	incHash      uint64 // same, over incident payloads
 	alertHash    uint64 // same, over alert payloads
+	wholeEvents  int64  // events the store holds in whole blocks: a checkpoint's reach
+	wholeHash    uint64 // evHash as of the last of those events
 	skippedEv    int64
 	skippedInc   int64
 	skippedAlert int64
@@ -167,6 +177,8 @@ func NewSink(st *Store, hub *telemetry.Hub, opts SinkOptions) *Sink {
 		done:         make(chan struct{}),
 		names:        make(map[telemetry.NodeID]string),
 		evHash:       fnvOffset64,
+		wholeEvents:  opts.SkipEvents,
+		wholeHash:    fnvOffset64,
 		incHash:      fnvOffset64,
 		alertHash:    fnvOffset64,
 		lastFlushT:   opts.ResumeFromBits,
@@ -260,10 +272,11 @@ func (s *Sink) writer() {
 	}
 }
 
-// hashPayload folds one framed payload into a running FNV-1a hash, with a
-// newline folded in after each payload as the record separator. A prefix
-// hash therefore pins the exact payload bytes of the prefix in order: binary
-// event records, JSON incident and alert payloads.
+// hashPayload folds one payload into a running FNV-1a hash, with a newline
+// folded in after each payload as the record separator. A prefix hash
+// therefore pins the exact bytes of the prefix in order: each event's
+// format-3 record (telemetry.AppendEventRecord) whatever block holds it,
+// and the JSON incident and alert payloads.
 func hashPayload(h uint64, payload []byte) uint64 {
 	const prime = 1099511628211
 	for _, b := range payload {
@@ -294,17 +307,18 @@ func (s *Sink) release(ev telemetry.Event) {
 		// Resume: this event is already durable from the interrupted run.
 		// Hash it for the boundary check instead of re-appending.
 		s.skippedEv++
-		if s.skippedEv == s.opts.SkipEvents && s.opts.ExpectPrefixHash != "" {
-			if got := hashString(s.evHash); got != s.opts.ExpectPrefixHash {
+		if s.skippedEv == s.opts.SkipEvents {
+			s.wholeHash = s.evHash
+			if got := hashString(s.evHash); s.opts.ExpectPrefixHash != "" && got != s.opts.ExpectPrefixHash {
 				s.err = fmt.Errorf("store: resume prefix diverged: regenerated %d events hash %s, checkpoint recorded %s",
 					s.skippedEv, got, s.opts.ExpectPrefixHash)
 			}
 		}
 		return
 	}
-	if err := s.st.appendRecord(s.enc, ev.Time); err != nil {
-		s.err = err
-		return
+	s.blk.enc.Append(name, ev)
+	if s.blk.full() {
+		s.writeBlockLocked()
 	}
 	s.pendEvents++
 	if s.pendEvents >= s.opts.FlushEvents || ev.Time-s.lastFlushT >= s.opts.FlushIntervalBits {
@@ -313,6 +327,17 @@ func (s *Sink) release(ev telemetry.Event) {
 	if s.opts.CheckpointIntervalBits > 0 && ev.Time-s.lastCpT >= s.opts.CheckpointIntervalBits {
 		s.checkpointLocked(ev.Time, false)
 	}
+}
+
+// writeBlockLocked hands the open block to the store; the events then lie in
+// whole blocks, where a checkpoint may reach them.
+func (s *Sink) writeBlockLocked() {
+	whole, err := s.st.appendBlock(&s.blk)
+	if err != nil {
+		s.err = err
+		return
+	}
+	s.wholeEvents, s.wholeHash = whole, s.evHash
 }
 
 // drainLocked flushes the appended tail to the OS, group-commits it with an
@@ -348,15 +373,17 @@ func (s *Sink) reconcileLocked() {
 	s.gCheckpointMs.Set(st.LastCheckpointMs)
 	s.lastStats = st
 	// Backlog: events shipped to the writer but not yet durable — the
-	// hand-off queue plus anything appended since the last drain. Stats
-	// counters restart at zero per process, so at resume the skipped prefix
-	// is subtracted rather than the prior run's appends.
+	// hand-off queue, the open block, and anything appended since the last
+	// drain. Stats counters restart at zero per process, so at resume the
+	// skipped prefix is subtracted rather than the prior run's appends.
 	s.gBacklog.Set(float64(s.added.Load() - s.skippedEv - st.EventsAppended))
 }
 
-// checkpointLocked writes a checkpoint at bit time t. Suppressed while the
-// skip cursor has not been reached (the interrupted run's checkpoints
-// already cover that prefix).
+// checkpointLocked writes a checkpoint at bit time t, cursoring the events
+// in whole blocks; a completed run's final checkpoint closes the open block
+// first and so covers every event. Suppressed while the skip cursor has not
+// been reached (the interrupted run's checkpoints already cover that
+// prefix).
 func (s *Sink) checkpointLocked(t int64, completed bool) {
 	if s.err != nil {
 		return
@@ -365,12 +392,18 @@ func (s *Sink) checkpointLocked(t int64, completed bool) {
 		return
 	}
 	start := time.Now()
+	if completed {
+		s.writeBlockLocked()
+		if s.err != nil {
+			return
+		}
+	}
 	cp := Checkpoint{
 		TimeBits:     t,
-		Events:       s.st.EventCount(),
+		Events:       s.wholeEvents,
 		Incidents:    s.st.IncidentCount(),
 		Alerts:       s.st.AlertCount(),
-		PrefixHash:   hashString(s.evHash),
+		PrefixHash:   hashString(s.wholeHash),
 		IncidentHash: hashString(s.incHash),
 		AlertHash:    hashString(s.alertHash),
 		Completed:    completed,
@@ -447,8 +480,8 @@ func (s *Sink) SyncAge(now time.Time) time.Duration {
 }
 
 // Backlog reports the events shipped to the writer but not yet durable (the
-// hand-off queue plus anything appended since the last drain; the reorder
-// window lives in the hub). It is the same figure the
+// hand-off queue, the open block, and anything appended since the last
+// drain; the reorder window lives in the hub). It is the same figure the
 // michican_store_drain_backlog gauge carries, but readable without a
 // registry snapshot.
 func (s *Sink) Backlog() int64 {
@@ -484,9 +517,10 @@ func (s *Sink) Err() error {
 
 // Close flushes the hub's reorder window into the sink (so a crash image,
 // Close(t, false) with no forensics Finalize, still persists the tail),
-// detaches, joins the writer goroutine, makes everything durable, and —
-// when completed is true — writes a final checkpoint marked Completed at
-// bit time t. Returns the first error encountered.
+// detaches, joins the writer goroutine, writes the open event block, and
+// makes everything durable: when completed is true, by writing a final
+// checkpoint marked Completed at bit time t, whose one group commit covers
+// every log; otherwise by a Sync. Returns the first error encountered.
 func (s *Sink) Close(t int64, completed bool) error {
 	s.hub.Flush()
 	s.cancel()
@@ -498,14 +532,13 @@ func (s *Sink) Close(t int64, completed bool) error {
 	if s.err != nil {
 		return s.err
 	}
-	if err := s.st.Sync(); err != nil {
-		if s.err == nil {
-			s.err = err
-		}
-		return s.err
-	}
 	if completed {
 		s.checkpointLocked(t, true)
+	} else {
+		s.writeBlockLocked()
+		if err := s.st.Sync(); err != nil && s.err == nil {
+			s.err = err
+		}
 	}
 	s.reconcileLocked()
 	return s.err

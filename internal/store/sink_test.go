@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"michican/internal/forensics"
 	"michican/internal/telemetry"
@@ -337,5 +338,100 @@ func TestSinkSkipsSpansAndAlerts(t *testing.T) {
 	}
 	if got := h.Registry().Counter("michican_ff_splice_bits_total", "node", "bus").Value(); got != 90_000 {
 		t.Fatalf("splice span counter = %d, want 90000", got)
+	}
+}
+
+// TestSinkQueueBlocksAtBound holds the sink's writer at its lock so the
+// hand-off queue fills to sinkQueueBatches: the emitter must then block in
+// the hub callback rather than grow the queue, and once the writer is
+// released every event must reach the store.
+func TestSinkQueueBlocksAtBound(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Create(dir, Meta{Kind: "test", Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := telemetry.NewHub()
+	sink := NewSink(st, h, SinkOptions{})
+	// The writer takes one batch and waits on mu, the queue holds
+	// sinkQueueBatches more, and the emitter blocks sending the next: it has
+	// then counted sinkQueueBatches+2 batches as shipped and has more to go.
+	const rounds = (sinkQueueBatches + 3) * sinkBatchEvents / 4
+	const blockedAt = (sinkQueueBatches + 2) * sinkBatchEvents
+	sink.mu.Lock()
+	emitted := make(chan int64)
+	go func() {
+		end := emitScripted(h, rounds)
+		h.Flush()
+		emitted <- end
+	}()
+	for deadline := time.Now().Add(10 * time.Second); sink.added.Load() != blockedAt || len(sink.work) != sinkQueueBatches; {
+		if time.Now().After(deadline) {
+			sink.mu.Unlock()
+			t.Fatalf("emitter never blocked: %d events shipped, %d batches queued", sink.added.Load(), len(sink.work))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-emitted:
+		sink.mu.Unlock()
+		t.Fatal("the emitter finished while the queue was full")
+	default:
+	}
+	sink.mu.Unlock()
+	end := <-emitted
+	if err := sink.Close(end, true); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if got, want := st.EventCount(), int64(4*rounds); got != want {
+		t.Fatalf("stored %d events, emitted %d", got, want)
+	}
+	var want bytes.Buffer
+	if err := h.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got := durableJSONL(t, dir); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("stored stream diverges from the emitted one: %d vs %d bytes", len(got), want.Len())
+	}
+}
+
+// TestFinalizeIsOneGroupCommit counts the fsyncs a finalize issues: the
+// final checkpoint's one group commit fsyncs the event log (its last block)
+// and the incident log, and leaves the never-written alert log alone — no
+// second commit, no fsync of a clean log. The alert log never even
+// allocates its write buffer.
+func TestFinalizeIsOneGroupCommit(t *testing.T) {
+	st, err := Create(t.TempDir(), Meta{Kind: "test", Fsync: FsyncCheckpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.incidents.bw != nil || st.alerts.bw != nil {
+		t.Fatal("Create allocated write buffers for the incident and alert logs")
+	}
+	h := telemetry.NewHub()
+	sink := NewSink(st, h, SinkOptions{})
+	end := emitScriptedFrom(h, 0, 3*blockEvents/4+10)
+	if err := sink.Checkpoint(end); err != nil {
+		t.Fatal(err)
+	}
+	syncs := func() [3]int64 { return [3]int64{st.events.syncs, st.incidents.syncs, st.alerts.syncs} }
+	before, commits := syncs(), st.Stats().Fsyncs
+	if err := sink.AppendIncidents([][]byte{[]byte(`{"id":"0x123"}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(end, true); err != nil {
+		t.Fatal(err)
+	}
+	after := syncs()
+	if got := [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}; got != [3]int64{1, 1, 0} {
+		t.Fatalf("finalize fsynced (events, incidents, alerts) %v times, want [1 1 0]", got)
+	}
+	if got := st.Stats().Fsyncs - commits; got != 1 {
+		t.Fatalf("finalize made %d group commits, want 1", got)
+	}
+	if st.alerts.bw != nil {
+		t.Fatal("the unwritten alert log allocated a write buffer")
 	}
 }

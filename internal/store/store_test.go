@@ -30,14 +30,15 @@ func appendN(t *testing.T, s *Store, start, n int) {
 	}
 }
 
-// appendJSON appends the same events as appendN with their JSONL lines as
-// the stored payloads, the event log of a format-1 or format-2 store.
-func appendJSON(t *testing.T, s *Store, start, n int) {
+// appendRecords appends the same events as appendN as one format-3 record
+// each, the event log of a format-3 store.
+func appendRecords(t *testing.T, s *Store, start, n int) {
 	t.Helper()
 	for i := start; i < start+n; i++ {
 		ev := syntheticEvent(i)
-		if err := s.appendRecord(telemetry.AppendEventJSON(nil, "n", ev), ev.Time); err != nil {
-			t.Fatalf("appendRecord %d: %v", i, err)
+		rec := telemetry.AppendEventRecord(nil, "n", ev)
+		if err := s.appendLocked(s.events, recEvent, rec, recSpan{n: 1, minT: ev.Time, maxT: ev.Time, timed: true}); err != nil {
+			t.Fatalf("append record %d: %v", i, err)
 		}
 	}
 }
@@ -99,8 +100,9 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 }
 
 // TestAppendEventStoresRecord checks that AppendEvent keeps a JSONL line's
-// binary record, which reads back as the line's event, and refuses a line
-// that is not an event without appending anything.
+// event in the open block, which Close writes as the event log's one
+// record, a block that reads back as the line's event; and that it refuses
+// a line that is not an event without appending anything.
 func TestAppendEventStoresRecord(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, Meta{Kind: "test"})
@@ -122,9 +124,11 @@ func TestAppendEventStoresRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := telemetry.AppendEventRecord(nil, "restbus", ev)
-	if len(seg) != recHeaderLen+len(want)+recTrailerLen || !bytes.Equal(seg[recHeaderLen:len(seg)-recTrailerLen], want) {
-		t.Fatalf("event segment %x, want the one record %x", seg, want)
+	var blk telemetry.BlockEncoder
+	blk.Append("restbus", ev)
+	want := blk.AppendBlock(nil)
+	if len(seg) != recHeaderLen+len(want)+recTrailerLen || seg[4] != recEventBlock || !bytes.Equal(seg[recHeaderLen:len(seg)-recTrailerLen], want) {
+		t.Fatalf("event segment %x, want the one block %x", seg, want)
 	}
 	s2, err := Open(dir)
 	if err != nil {
@@ -140,17 +144,17 @@ func TestAppendEventStoresRecord(t *testing.T) {
 func TestSegmentRollSealAndWindowSkip(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force many rolls.
-	s, err := Create(dir, Meta{Kind: "test", SegmentBytes: 512})
+	s, err := Create(dir, Meta{Kind: "test", SegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, s, 0, 200)
+	appendN(t, s, 0, 20*blockEvents)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
 	if st.SegmentsSealed < 5 {
-		t.Fatalf("expected many sealed segments with 512-byte rolls, got %d", st.SegmentsSealed)
+		t.Fatalf("expected many sealed segments with 2048-byte rolls, got %d", st.SegmentsSealed)
 	}
 	idx, _ := filepath.Glob(filepath.Join(dir, "events-*.idx"))
 	if int64(len(idx)) != st.SegmentsSealed {
@@ -178,7 +182,7 @@ func TestLayoutIndependentOfFlushCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 3*blockEvents+17; i++ {
 		payload := []byte(fmt.Sprintf(`{"t":%d,"node":"n","event":"tx_start","id":"0x0%02X"}`, i*100, i%200))
 		if err := a.AppendEvent(payload, int64(i*100)); err != nil {
 			t.Fatal(err)
@@ -226,11 +230,13 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, s, 0, 50)
+	whole := 2 * blockEvents
+	appendN(t, s, 0, whole+50)
 	s.Close()
 
 	// Tear the tail: chop the last 7 bytes of the active segment, splitting
-	// the final record's CRC trailer as a crash mid-write would.
+	// the final record's CRC trailer as a crash mid-write would. That record
+	// is the 50-event block Close wrote, so all 50 are lost.
 	seg := filepath.Join(dir, "events-000001.seg")
 	info, err := os.Stat(seg)
 	if err != nil {
@@ -245,14 +251,14 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatalf("open after torn tail: %v", err)
 	}
 	defer s2.Close()
-	if got := s2.EventCount(); got != 49 {
-		t.Fatalf("EventCount after torn-tail recovery = %d, want 49", got)
+	if got := s2.EventCount(); got != int64(whole) {
+		t.Fatalf("EventCount after torn-tail recovery = %d, want %d", got, whole)
 	}
 	// The log accepts appends again and replays cleanly.
-	appendN(t, s2, 49, 1)
+	appendN(t, s2, whole, blockEvents)
 	times := collectTimes(t, s2, 0, 1<<62)
-	if len(times) != 50 {
-		t.Fatalf("replay after recovery = %d events, want 50", len(times))
+	if len(times) != whole+blockEvents {
+		t.Fatalf("replay after recovery = %d events, want %d", len(times), whole+blockEvents)
 	}
 }
 
@@ -262,7 +268,7 @@ func TestCorruptRecordTruncatesAndDropsLaterSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, s, 0, 200)
+	appendN(t, s, 0, 8*blockEvents)
 	s.Close()
 	segs, _ := filepath.Glob(filepath.Join(dir, "events-*.seg"))
 	if len(segs) < 3 {
@@ -290,7 +296,7 @@ func TestCorruptRecordTruncatesAndDropsLaterSegments(t *testing.T) {
 	if int64(len(times)) != s2.EventCount() {
 		t.Fatalf("replay %d != count %d", len(times), s2.EventCount())
 	}
-	if len(times) == 0 || len(times) >= 200 {
+	if len(times) == 0 || len(times) >= 8*blockEvents {
 		t.Fatalf("corruption should cost some but not all records, kept %d", len(times))
 	}
 	left, _ := filepath.Glob(filepath.Join(dir, "events-*.seg"))
@@ -301,12 +307,18 @@ func TestCorruptRecordTruncatesAndDropsLaterSegments(t *testing.T) {
 
 func TestCheckpointTruncateResumePoint(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Create(dir, Meta{Kind: "test", SegmentBytes: 1024})
+	s, err := Create(dir, Meta{Kind: "test", SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, s, 0, 120)
-	cp, err := s.WriteCheckpoint(Checkpoint{TimeBits: 11900, Events: 120, Incidents: 0, PrefixHash: "abc"})
+	cut := 3 * blockEvents
+	appendN(t, s, 0, cut+40)
+	// The open block's 40 events are not on disk, so a checkpoint may not
+	// reach them.
+	if _, err := s.WriteCheckpoint(Checkpoint{Events: int64(cut + 40)}); err == nil {
+		t.Fatal("a checkpoint reached into the open block")
+	}
+	cp, err := s.WriteCheckpoint(Checkpoint{TimeBits: int64(cut-1) * 100, Events: int64(cut), PrefixHash: "abc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +326,7 @@ func TestCheckpointTruncateResumePoint(t *testing.T) {
 		t.Fatalf("first checkpoint seq = %d", cp.Seq)
 	}
 	// A durable-but-uncheckpointed tail follows.
-	appendN(t, s, 120, 80)
+	appendN(t, s, cut+40, 2*blockEvents)
 	s.Close()
 
 	s2, err := Open(dir)
@@ -326,25 +338,33 @@ func TestCheckpointTruncateResumePoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Events != 120 || got.PrefixHash != "abc" {
+	if got.Events != int64(cut) || got.PrefixHash != "abc" {
 		t.Fatalf("LatestCheckpoint = %+v", got)
+	}
+	// A cursor inside a block is refused before anything is cut.
+	before := segmentBytes(t, dir)
+	if err := s2.TruncateTo(Checkpoint{Events: int64(cut - 1)}); err == nil || !strings.Contains(err.Error(), "inside a record") {
+		t.Fatalf("TruncateTo inside a block: err = %v", err)
+	}
+	if after := segmentBytes(t, dir); !slices.Equal(after, before) || s2.EventCount() != int64(cut+40+2*blockEvents) {
+		t.Fatalf("refused truncation changed the log: sizes %v, was %v; %d events", after, before, s2.EventCount())
 	}
 	if err := s2.TruncateTo(got); err != nil {
 		t.Fatal(err)
 	}
-	if n := s2.EventCount(); n != 120 {
-		t.Fatalf("EventCount after TruncateTo = %d, want 120", n)
+	if n := s2.EventCount(); n != int64(cut) {
+		t.Fatalf("EventCount after TruncateTo = %d, want %d", n, cut)
 	}
 	// Re-appending the same tail reproduces the same layout as a run that
 	// never had the extra records truncated.
-	appendN(t, s2, 120, 80)
+	appendN(t, s2, cut, 40+2*blockEvents)
 	s2.Close()
 
-	ref, err := Create(t.TempDir(), Meta{Kind: "test", SegmentBytes: 1024})
+	ref, err := Create(t.TempDir(), Meta{Kind: "test", SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, ref, 0, 200)
+	appendN(t, ref, 0, cut+40+2*blockEvents)
 	ref.Close()
 	assertSameSegments(t, dir, ref.Dir())
 }
@@ -408,65 +428,23 @@ func setFormatVersion(t *testing.T, dir string, v int) {
 	}
 }
 
-// TestFormatVersion1ReadableNotResumable builds a version-1 store (one whose
-// event log holds fast-forward span records) and checks that this build
-// reads it for window reads and replay, reports a finished one as complete,
-// and refuses to resume an unfinished one with a clear error.
-func TestFormatVersion1ReadableNotResumable(t *testing.T) {
-	for _, completed := range []bool{false, true} {
+// TestOpenRefusesFormats1And2 checks that a store of format 1 or 2, whose
+// event log held JSONL lines, is refused at Open with the formats this build
+// reads, as is one of a newer format.
+func TestOpenRefusesFormats1And2(t *testing.T) {
+	for _, v := range []int{1, 2, FormatVersion + 1} {
 		dir := t.TempDir()
 		s, err := Create(dir, Meta{Kind: "test"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		appendJSON(t, s, 0, 10)
-		span := []byte(`{"t":1000,"node":"bus","event":"ff_span","bits":64,"path":"splice"}`)
-		if err := s.appendRecord(span, 1000); err != nil {
-			t.Fatal(err)
-		}
-		appendJSON(t, s, 11, 10)
-		if _, err := s.WriteCheckpoint(Checkpoint{TimeBits: 1500, Events: 15, Completed: completed}); err != nil {
-			t.Fatal(err)
-		}
+		appendN(t, s, 0, 10)
 		s.Close()
-		setFormatVersion(t, dir, 1)
-
-		s2, err := Open(dir)
-		if err != nil {
-			t.Fatalf("Open of a format-1 store: %v", err)
+		setFormatVersion(t, dir, v)
+		want := fmt.Sprintf("has format version %d; this build reads formats 3 to %d", v, FormatVersion)
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open of a format-%d store: err = %v, want %q", v, err, want)
 		}
-		var kinds []telemetry.Kind
-		if err := s2.EventsInWindow(900, 1100, func(ev telemetry.NamedEvent) error {
-			kinds = append(kinds, ev.Kind)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(kinds) != 3 || kinds[1] != telemetry.EvFFSpan {
-			t.Fatalf("format-1 window read = %v, want tx_start, ff_span, tx_start", kinds)
-		}
-		_, done, err := s2.ResumePoint()
-		switch {
-		case completed && (err != nil || !done):
-			t.Fatalf("completed format-1 store: ResumePoint = done %v, err %v; want complete", done, err)
-		case !completed && (err == nil || !strings.Contains(err.Error(), "format 1 store cannot be resumed by this build")):
-			t.Fatalf("unfinished format-1 store: ResumePoint err = %v, want a format error", err)
-		}
-		if n := s2.EventCount(); n != 21 {
-			t.Fatalf("refused resume touched the store: %d events, want 21", n)
-		}
-		s2.Close()
-	}
-
-	dir := t.TempDir()
-	s, err := Create(dir, Meta{Kind: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	setFormatVersion(t, dir, FormatVersion+1)
-	if _, err := Open(dir); err == nil {
-		t.Fatal("Open of a store from a newer format must fail")
 	}
 }
 
@@ -489,73 +467,89 @@ func readAll(t *testing.T, s *Store, from, to int64) (all, window []telemetry.Na
 	return all, window
 }
 
-// TestFormatVersion2ReadableNotResumable writes the same stream as a
-// format-2 store (JSONL payloads) and as a format-3 store (binary records),
+// TestFormatVersion3ReadableNotResumable writes the same stream as a
+// format-3 store (one record per event) and as a format-4 store (blocks),
 // checks that both read back the same events in full and in a window that
-// segment bounds must narrow, and that an unfinished format-2 store refuses
-// to resume before anything is truncated.
-func TestFormatVersion2ReadableNotResumable(t *testing.T) {
-	const n = 300
-	build := func(appendFn func(*testing.T, *Store, int, int)) string {
+// segment bounds must narrow, that the format-3 store refuses appends, and
+// that an unfinished one refuses to resume before anything is truncated
+// while a finished one reports itself complete.
+func TestFormatVersion3ReadableNotResumable(t *testing.T) {
+	const n = 3 * blockEvents
+	build := func(v int, completed bool) string {
 		dir := t.TempDir()
 		s, err := Create(dir, Meta{Kind: "test", SegmentBytes: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
-		appendFn(t, s, 0, n/2)
-		if _, err := s.WriteCheckpoint(Checkpoint{TimeBits: 100 * n / 2, Events: n / 2}); err != nil {
+		if v == 3 {
+			s.meta.FormatVersion = 3
+			s.events.spanOf = eventSpanOf(3)
+			appendRecords(t, s, 0, n)
+		} else {
+			appendN(t, s, 0, n)
+		}
+		if _, err := s.WriteCheckpoint(Checkpoint{TimeBits: 100 * blockEvents, Events: blockEvents, Completed: completed}); err != nil {
 			t.Fatal(err)
 		}
-		appendFn(t, s, n/2, n/2)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if v == 3 {
+			setFormatVersion(t, dir, 3)
+		}
 		return dir
 	}
-	v2Dir, v3Dir := build(appendJSON), build(appendN)
-	setFormatVersion(t, v2Dir, 2)
-
-	v3, err := Open(v3Dir)
+	v3Dir := build(3, false)
+	v4, err := Open(build(FormatVersion, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v3.Close()
-	v2, err := Open(v2Dir)
+	defer v4.Close()
+	v3, err := Open(v3Dir)
 	if err != nil {
-		t.Fatalf("Open of a format-2 store: %v", err)
+		t.Fatalf("Open of a format-3 store: %v", err)
 	}
-	defer v2.Close()
-	if segs := len(v2.events.segs); segs < 3 {
-		t.Fatalf("format-2 store has %d segments, want several for the window to skip", segs)
+	defer v3.Close()
+	if segs := len(v3.events.segs); segs < 3 {
+		t.Fatalf("format-3 store has %d segments, want several for the window to skip", segs)
 	}
-	for _, seg := range v2.events.segs {
-		if seg.firstT < 0 || seg.lastT < seg.firstT {
-			t.Fatalf("format-2 segment %d has time bounds [%d, %d]; the JSON times were not read", seg.seq, seg.firstT, seg.lastT)
+	for _, seg := range v3.events.segs {
+		if !seg.timed || seg.maxT < seg.minT {
+			t.Fatalf("format-3 segment %d has time bounds [%d, %d]; the record times were not read", seg.seq, seg.minT, seg.maxT)
 		}
 	}
-	wantAll, wantWin := readAll(t, v3, 12_000, 14_000)
-	gotAll, gotWin := readAll(t, v2, 12_000, 14_000)
+	wantAll, wantWin := readAll(t, v4, 12_000, 14_000)
+	gotAll, gotWin := readAll(t, v3, 12_000, 14_000)
 	if len(wantAll) != n || len(wantWin) != 21 {
-		t.Fatalf("format-3 read-back: %d events, window %d; want %d and 21", len(wantAll), len(wantWin), n)
+		t.Fatalf("format-4 read-back: %d events, window %d; want %d and 21", len(wantAll), len(wantWin), n)
 	}
 	if !slices.Equal(gotAll, wantAll) || !slices.Equal(gotWin, wantWin) {
-		t.Fatalf("format-2 read-back differs from format 3:\n%v\n%v", gotWin, wantWin)
+		t.Fatalf("format-3 read-back differs from format 4:\n%v\n%v", gotWin, wantWin)
 	}
 
-	if err := v2.AppendEvent(telemetry.AppendEventJSON(nil, "n", syntheticEvent(n)), 100*n); err == nil {
-		t.Fatal("AppendEvent on a format-2 store must fail: records would join its JSONL lines")
+	if err := v3.AppendEvent(telemetry.AppendEventJSON(nil, "n", syntheticEvent(n)), 100*n); err == nil {
+		t.Fatal("AppendEvent on a format-3 store must fail: blocks would join its records")
 	}
 
-	before := segmentBytes(t, v2Dir)
-	_, _, err = v2.ResumePoint()
-	if err == nil || !strings.Contains(err.Error(), "format 2 store cannot be resumed by this build (format 3)") {
-		t.Fatalf("unfinished format-2 store: ResumePoint err = %v, want a format error", err)
+	before := segmentBytes(t, v3Dir)
+	_, _, err = v3.ResumePoint()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format 3 store cannot be resumed by this build (format %d)", FormatVersion)) {
+		t.Fatalf("unfinished format-3 store: ResumePoint err = %v, want a format error", err)
 	}
-	if c := v2.EventCount(); c != n {
+	if c := v3.EventCount(); c != n {
 		t.Fatalf("refused resume touched the store: %d events, want %d", c, n)
 	}
-	if after := segmentBytes(t, v2Dir); !slices.Equal(after, before) {
+	if after := segmentBytes(t, v3Dir); !slices.Equal(after, before) {
 		t.Fatalf("refused resume changed segment sizes: %v, was %v", after, before)
+	}
+
+	done, err := Open(build(3, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done.Close()
+	if _, completed, err := done.ResumePoint(); err != nil || !completed {
+		t.Fatalf("completed format-3 store: ResumePoint = complete %v, err %v; want complete", completed, err)
 	}
 }
 
@@ -587,7 +581,7 @@ func TestWindowReadDoesNotBlockAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	appendN(t, s, 0, 10)
+	appendN(t, s, 0, blockEvents)
 	read := 0
 	err = s.EventsInWindow(0, 1<<62, func(ev telemetry.NamedEvent) error {
 		read++
@@ -596,8 +590,12 @@ func TestWindowReadDoesNotBlockAppends(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			ev := syntheticEvent(10)
-			err := s.AppendEvent(telemetry.AppendEventJSON(nil, "n", ev), ev.Time)
+			// A whole block, so the appends reach the disk.
+			var err error
+			for i := blockEvents; i < 2*blockEvents && err == nil; i++ {
+				ev := syntheticEvent(i)
+				err = s.AppendEvent(telemetry.AppendEventJSON(nil, "n", ev), ev.Time)
+			}
 			if err == nil {
 				err = s.Flush()
 			}
@@ -613,10 +611,105 @@ func TestWindowReadDoesNotBlockAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if read != 10 {
-		t.Fatalf("window read delivered %d events, want the 10 present when it started", read)
+	if read != blockEvents {
+		t.Fatalf("window read delivered %d events, want the %d present when it started", read, blockEvents)
 	}
-	if times := collectTimes(t, s, 0, 1<<62); len(times) != 11 {
-		t.Fatalf("after the concurrent append the store reads %d events, want 11", len(times))
+	if times := collectTimes(t, s, 0, 1<<62); len(times) != 2*blockEvents {
+		t.Fatalf("after the concurrent appends the store reads %d events, want %d", len(times), 2*blockEvents)
+	}
+}
+
+// TestTornTailAtEveryOffset tears a store's event log at every byte offset
+// of its last two blocks, as a crash mid-write could: Open recovers exactly
+// the blocks wholly before the tear, and ResumePoint rewinds to the
+// checkpoint the two blocks follow.
+func TestTornTailAtEveryOffset(t *testing.T) {
+	src := t.TempDir()
+	s, err := Create(src, Meta{Kind: "test", SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 0, 2*blockEvents)
+	cp, err := s.WriteCheckpoint(Checkpoint{TimeBits: 100 * (2*blockEvents - 1), Events: 2 * blockEvents})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64 // the byte offset after each block
+	for b := 2; b < 4; b++ {
+		ends = append(ends, s.events.active.bytes)
+		appendN(t, s, b*blockEvents, blockEvents)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ends = append(ends, s.events.active.bytes)
+	seg, err := os.ReadFile(filepath.Join(src, segName("events", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := os.ReadFile(filepath.Join(src, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpName := fmt.Sprintf("checkpoint-%08d.json", cp.Seq)
+	cpFile, err := os.ReadFile(filepath.Join(src, cpName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(seg)) != ends[2] {
+		t.Fatalf("segment holds %d bytes, the blocks end at %d", len(seg), ends[2])
+	}
+	dir := t.TempDir()
+	for off := ends[0]; off < ends[2]; off++ {
+		for name, data := range map[string][]byte{"meta.json": meta, cpName: cpFile, segName("events", 1): seg[:off]} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := int64(2 * blockEvents)
+		if off >= ends[1] {
+			want += blockEvents
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatalf("tear at byte %d: Open: %v", off, err)
+		}
+		if got := st.EventCount(); got != want {
+			t.Fatalf("tear at byte %d: Open recovered %d events, want %d", off, got, want)
+		}
+		opts, completed, err := st.ResumePoint()
+		if err != nil || completed || opts.SkipEvents != cp.Events || st.EventCount() != cp.Events {
+			t.Fatalf("tear at byte %d: ResumePoint = %+v, complete %v, err %v; %d events left, want %d",
+				off, opts, completed, err, st.EventCount(), cp.Events)
+		}
+		st.Close()
+	}
+}
+
+// TestWindowReadAllocatesPerReadNotPerEvent checks that a window read's
+// allocations do not grow with the events it decodes: a read of forty
+// blocks allocates what a read of four does.
+func TestWindowReadAllocatesPerReadNotPerEvent(t *testing.T) {
+	allocs := func(blocks int) float64 {
+		s, err := Create(t.TempDir(), Meta{Kind: "test", SegmentBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		appendN(t, s, 0, blocks*blockEvents)
+		n := 0
+		read := func() {
+			if err := s.Events(func(telemetry.NamedEvent) error { n++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read()
+		if n != blocks*blockEvents {
+			t.Fatalf("read %d events of %d", n, blocks*blockEvents)
+		}
+		return testing.AllocsPerRun(20, read)
+	}
+	if few, many := allocs(4), allocs(40); many != few {
+		t.Fatalf("reading 40 blocks allocates %v times, 4 blocks %v: decoding allocates per event", many, few)
 	}
 }

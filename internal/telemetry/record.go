@@ -5,15 +5,18 @@ import (
 	"errors"
 )
 
-// AppendEventRecord appends one event's compact binary record, the durable
-// store's event payload, to dst and returns the grown slice:
+// AppendEventRecord appends one event's compact binary record to dst and
+// returns the grown slice:
 //
 //	varint Time | u8 Kind | varint A | varint B | uvarint len(node) | node
 //
 // A and B are stored as the JSONL view keeps them, so ParseEventRecord reads
 // back exactly what ParseEventJSON reads from AppendEventJSON's line for the
 // same event; JSONL stays the export view of a stored stream. The node name
-// is inline, so every record decodes on its own.
+// is inline, so every record decodes on its own. The record was the store's
+// event payload in format 3; since format 4 the store keeps event blocks
+// (block.go), and the record's bytes remain what a checkpoint's prefix hash
+// covers.
 func AppendEventRecord(dst []byte, node string, ev Event) []byte {
 	a, b := viewArgs(ev.Kind, ev.A, ev.B)
 	dst = binary.AppendVarint(dst, ev.Time)
@@ -22,17 +25,6 @@ func AppendEventRecord(dst []byte, node string, ev Event) []byte {
 	dst = binary.AppendVarint(dst, b)
 	dst = binary.AppendUvarint(dst, uint64(len(node)))
 	return append(dst, node...)
-}
-
-// AppendEventRecordFromJSON appends the record of the event one JSONL line
-// holds: what AppendEventRecord writes for the event ParseEventJSON reads
-// from line. A line AppendEventJSON wrote transcodes without allocating.
-func AppendEventRecordFromJSON(dst, line []byte) ([]byte, error) {
-	ev, err := parseEventJSON(line)
-	if err != nil {
-		return dst, err
-	}
-	return AppendEventRecord(dst, ev.Node, Event{Time: ev.Time, Kind: ev.Kind, A: ev.A, B: ev.B}), nil
 }
 
 // maxNodeNames bounds a NodeNames table. A stream names a handful of nodes;

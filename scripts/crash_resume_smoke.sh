@@ -18,6 +18,21 @@ if [[ -n "${FLEET_BIN:-}" ]]; then
   FLEET=("$FLEET_BIN")
 fi
 
+# wait_for_checkpoint returns once any vehicle store under $1 holds a
+# checkpoint — the run is then part-way through its horizon — or after
+# KILL_AFTER seconds, whichever comes first. A fixed delay alone lands after
+# the run has finished on a host fast enough to run the whole horizon in it.
+wait_for_checkpoint() {
+  local polls
+  polls=$(awk -v s="$KILL_AFTER" 'BEGIN { printf "%d", s * 100 }')
+  for ((i = 0; i < polls; i++)); do
+    if compgen -G "$1/*/checkpoint-*.json" >/dev/null; then
+      return
+    fi
+    sleep 0.01
+  done
+}
+
 # -watch attaches a live SLO engine to every vehicle: each store also gets a
 # persisted alert log, so the digest diff below additionally proves alerts
 # regenerate byte-identically across a kill + resume (the resumed roster
@@ -25,10 +40,10 @@ fi
 echo "== reference: uninterrupted durable run ($VEHICLES vehicles, $HORIZON bits, watch on)"
 "${FLEET[@]}" -vehicles "$VEHICLES" -horizon-bits "$HORIZON" -watch -store "$WORK/ref" >/dev/null
 
-echo "== crash run: SIGKILL after ${KILL_AFTER}s"
+echo "== crash run: SIGKILL at the first checkpoint, at most ${KILL_AFTER}s in"
 "${FLEET[@]}" -vehicles "$VEHICLES" -horizon-bits "$HORIZON" -watch -store "$WORK/crash" >/dev/null 2>&1 &
 PID=$!
-sleep "$KILL_AFTER"
+wait_for_checkpoint "$WORK/crash"
 # go run execs the built binary as a child; kill the whole process group is
 # overkill here — kill the direct child tree.
 pkill -9 -P "$PID" 2>/dev/null || true
@@ -73,10 +88,10 @@ echo "OK: $(wc -l < "$WORK/ref.digest") vehicle stores (incl. alert logs) byte-i
 # at finalize.
 CRASH_SLICE=4093
 RESUME_SLICE=131072
-echo "== crash run at -slice-bits $CRASH_SLICE: SIGKILL after ${KILL_AFTER}s"
+echo "== crash run at -slice-bits $CRASH_SLICE: SIGKILL at the first checkpoint, at most ${KILL_AFTER}s in"
 "${FLEET[@]}" -vehicles "$VEHICLES" -horizon-bits "$HORIZON" -watch -slice-bits "$CRASH_SLICE" -store "$WORK/crash2" >/dev/null 2>&1 &
 PID=$!
-sleep "$KILL_AFTER"
+wait_for_checkpoint "$WORK/crash2"
 pkill -9 -P "$PID" 2>/dev/null || true
 kill -9 "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
