@@ -578,8 +578,8 @@ func BenchmarkBusFastForward(b *testing.B) {
 			load, mode := load, mode
 			b.Run(load.name+"/"+string(mode), func(b *testing.B) {
 				bb := ffScenarioBus(b, load.target, mode)
-				// One untimed iteration lets the plan caches and splice memos
-				// start filling before the timed window.
+				// One untimed iteration lets the plan caches and the defense's
+				// splice summaries start filling before the timed window.
 				bb.Run(bitsPerIter)
 				// Re-collect per mode run so garbage left by warm-up (or by the
 				// previous cell) is not charged to this mode's timed window.

@@ -1,9 +1,6 @@
 package attack
 
-import (
-	"michican/internal/bus"
-	"michican/internal/can"
-)
+import "michican/internal/bus"
 
 var _ bus.Splicing = (*Attacker)(nil)
 
@@ -15,7 +12,7 @@ var _ bus.Splicing = (*Attacker)(nil)
 // the lower tiers decline it.)
 func (a *Attacker) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 	win := a.ctl.SpliceOffer(now)
-	if win == nil || a.policyHorizon(now) < now+bus.BitTime(len(win.Bits)+can.IntermissionBits) {
+	if win == nil || a.policyHorizon(now) < now+bus.BitTime(len(win.Resolved)) {
 		return nil
 	}
 	return win
@@ -24,20 +21,20 @@ func (a *Attacker) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 // SpliceQuery implements bus.Splicing: the controller's promise, gated on the
 // policy sleeping through the whole window (an injection inside it would
 // change the mailbox mid-window, which only exact stepping reproduces).
-func (a *Attacker) SpliceQuery(now bus.BitTime, resolved []can.Level, ackIdx int, slot *any) (bool, bool) {
-	if a.policyHorizon(now) < now+bus.BitTime(len(resolved)) {
+func (a *Attacker) SpliceQuery(now bus.BitTime, w *bus.SpliceWindow) (bool, bool) {
+	if a.policyHorizon(now) < now+bus.BitTime(len(w.Resolved)) {
 		return false, false
 	}
-	return a.ctl.SpliceQuery(now, resolved, ackIdx, slot)
+	return a.ctl.SpliceQuery(now, w)
 }
 
 // SpliceApply implements bus.Splicing. The offer/query gates promised the
 // policy a no-op over the window, so only the controller advances.
-func (a *Attacker) SpliceApply(now bus.BitTime, resolved []can.Level, ackIdx int, rx can.Frame, slot *any) {
-	a.ctl.SpliceApply(now, resolved, ackIdx, rx, slot)
+func (a *Attacker) SpliceApply(now bus.BitTime, w *bus.SpliceWindow) {
+	a.ctl.SpliceApply(now, w)
 }
 
 // SpliceCommit implements bus.Splicing.
-func (a *Attacker) SpliceCommit(now bus.BitTime, resolved []can.Level, slot *any) {
-	a.ctl.SpliceCommit(now, resolved, slot)
+func (a *Attacker) SpliceCommit(now bus.BitTime, w *bus.SpliceWindow) {
+	a.ctl.SpliceCommit(now, w)
 }

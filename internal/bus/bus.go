@@ -113,10 +113,10 @@ type Bus struct {
 	// invalidates (it may reference a detached node's committed stream).
 	contendSc *contendScratch
 
-	// spliceGen stamps the node topology so offerers' splice memos —
-	// whose per-node slots are indexed by attachment order — invalidate
-	// when a detach renumbers the nodes.
-	spliceGen uint64
+	// spliceWin is the splice rung's copy of the committed offer: the
+	// offerer may rewrite its own window in SpliceCommit, before the
+	// receivers apply it.
+	spliceWin SpliceWindow
 
 	// tel receives fast-path span events (EvFFSpan). The zero Probe is a
 	// no-op, so unwired buses pay one nil check per committed span — never
@@ -183,9 +183,6 @@ func (b *Bus) Detach(n Node) bool {
 			b.nodes[last] = nodeRec{} // clear the stale tail so the node can be GC'd
 			b.nodes = b.nodes[:last]
 			b.repin()
-			// Compaction renumbered the surviving nodes, so every per-node
-			// slot in the offerers' splice memos is stale.
-			b.spliceGen++
 			b.invalidateProposal()
 			return true
 		}

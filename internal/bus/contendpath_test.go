@@ -17,20 +17,18 @@ type (
 	spliceCap  struct{}
 )
 
-func (driveCap) Drive(BitTime) can.Level                                 { return can.Recessive }
-func (driveCap) Observe(BitTime, can.Level)                              {}
-func (quietCap) QuiescentUntil(BitTime) BitTime                          { return QuiescentForever }
-func (quietCap) SkipIdle(_, _ BitTime)                                   {}
-func (runCap) PassiveRun(_ BitTime, _ int, levels []can.Level) int       { return len(levels) }
-func (runCap) ObserveRun(BitTime, []can.Level)                           {}
-func (contendCap) ContendBits(now BitTime) ([]can.Level, BitTime)        { return nil, now }
-func (contendCap) ContendFrameBit() int                                  { return -1 }
-func (spliceCap) SpliceOffer(BitTime) *SpliceWindow                      { return nil }
-func (spliceCap) SpliceApply(BitTime, []can.Level, int, can.Frame, *any) {}
-func (spliceCap) SpliceCommit(BitTime, []can.Level, *any)                {}
-func (spliceCap) SpliceQuery(BitTime, []can.Level, int, *any) (ok, acks bool) {
-	return true, true
-}
+func (driveCap) Drive(BitTime) can.Level                             { return can.Recessive }
+func (driveCap) Observe(BitTime, can.Level)                          {}
+func (quietCap) QuiescentUntil(BitTime) BitTime                      { return QuiescentForever }
+func (quietCap) SkipIdle(_, _ BitTime)                               {}
+func (runCap) PassiveRun(_ BitTime, _ int, levels []can.Level) int   { return len(levels) }
+func (runCap) ObserveRun(BitTime, []can.Level)                       {}
+func (contendCap) ContendBits(now BitTime) ([]can.Level, BitTime)    { return nil, now }
+func (contendCap) ContendFrameBit() int                              { return -1 }
+func (spliceCap) SpliceOffer(BitTime) *SpliceWindow                  { return nil }
+func (spliceCap) SpliceApply(BitTime, *SpliceWindow)                 {}
+func (spliceCap) SpliceCommit(BitTime, *SpliceWindow)                {}
+func (spliceCap) SpliceQuery(BitTime, *SpliceWindow) (ok, acks bool) { return true, true }
 
 type (
 	fullNode struct {

@@ -26,20 +26,20 @@ func (o *slotOfferer) SpliceOffer(BitTime) *SpliceWindow {
 		return nil
 	}
 	w := o.windows[o.sent]
-	o.slot = SpliceWindow{Bits: w, AckIdx: len(w) - 9, RxView: can.Frame{ID: can.ID(o.sent)}}
+	o.slot = SpliceWindow{Resolved: w, AckIdx: len(w) - 12, RxView: can.Frame{ID: can.ID(o.sent)}, PlanID: -1}
 	return &o.slot
 }
 
-func (o *slotOfferer) SpliceQuery(BitTime, []can.Level, int, *any) (ok, acks bool) {
+func (o *slotOfferer) SpliceQuery(BitTime, *SpliceWindow) (ok, acks bool) {
 	return false, false
 }
 
-func (o *slotOfferer) SpliceApply(BitTime, []can.Level, int, can.Frame, *any) {}
+func (o *slotOfferer) SpliceApply(BitTime, *SpliceWindow) {}
 
-func (o *slotOfferer) SpliceCommit(_ BitTime, resolved []can.Level, _ *any) {
-	o.committed = append(o.committed, append([]can.Level(nil), resolved...))
+func (o *slotOfferer) SpliceCommit(_ BitTime, w *SpliceWindow) {
+	o.committed = append(o.committed, append([]can.Level(nil), w.Resolved...))
 	o.sent++
-	o.slot = SpliceWindow{Bits: []can.Level{can.Dominant}, RxView: can.Frame{ID: 0x7FF}}
+	o.slot = SpliceWindow{Resolved: []can.Level{can.Dominant}, RxView: can.Frame{ID: 0x7FF}}
 }
 
 // spliceReceiver acks every window and records what each splice applied.
@@ -54,35 +54,37 @@ type spliceReceiver struct {
 
 func (r *spliceReceiver) SpliceOffer(BitTime) *SpliceWindow { return nil }
 
-func (r *spliceReceiver) SpliceQuery(BitTime, []can.Level, int, *any) (ok, acks bool) {
+func (r *spliceReceiver) SpliceQuery(BitTime, *SpliceWindow) (ok, acks bool) {
 	return true, true
 }
 
-func (r *spliceReceiver) SpliceApply(_ BitTime, resolved []can.Level, _ int, rx can.Frame, _ *any) {
-	r.applied = append(r.applied, append([]can.Level(nil), resolved...))
-	r.ids = append(r.ids, rx.ID)
+func (r *spliceReceiver) SpliceApply(_ BitTime, w *SpliceWindow) {
+	r.applied = append(r.applied, append([]can.Level(nil), w.Resolved...))
+	r.ids = append(r.ids, w.RxView.ID)
 }
 
-func (r *spliceReceiver) SpliceCommit(BitTime, []can.Level, *any) {}
+func (r *spliceReceiver) SpliceCommit(BitTime, *SpliceWindow) {}
 
-// offerWindow is the k-th test window: SOF, a k-dependent body, a recessive
-// ACK slot 9 bits before the end, and a recessive tail.
+// offerWindow is the k-th test window as a splice resolves it: SOF, a
+// k-dependent body, a dominant ACK slot 12 bits before the end, and a
+// recessive tail (ACK delimiter, EOF and intermission).
 func offerWindow(k int) []can.Level {
-	w := make([]can.Level, 30+k)
+	w := make([]can.Level, 30+k+can.IntermissionBits)
 	for i := range w {
 		w[i] = can.Recessive
-		if i < len(w)-10 && (i+k)%3 == 0 {
+		if i < len(w)-13 && (i+k)%3 == 0 {
 			w[i] = can.Dominant
 		}
 	}
+	w[len(w)-12] = can.Dominant
 	return w
 }
 
 // TestSpliceCommitsTheWindowOfferedInItsProbe: the offerer rewrites its one
 // window slot on every call and scribbles over it when its commit runs —
-// before the receivers' — yet every splice resolves, commits and applies
-// exactly the window offered in that probe. Once the offerer declines with
-// nil, the bus exact-steps.
+// before the receivers' — yet every splice commits and applies exactly the
+// window offered in that probe. Once the offerer declines with nil, the bus
+// exact-steps.
 func TestSpliceCommitsTheWindowOfferedInItsProbe(t *testing.T) {
 	o := &slotOfferer{}
 	var want [][]can.Level
@@ -90,10 +92,8 @@ func TestSpliceCommitsTheWindowOfferedInItsProbe(t *testing.T) {
 	for k := 0; k < 5; k++ {
 		w := offerWindow(k)
 		o.windows = append(o.windows, w)
-		r := append(append([]can.Level(nil), w...), can.Recessive, can.Recessive, can.Recessive)
-		r[len(w)-9] = can.Dominant
-		want = append(want, r)
-		total += len(r)
+		want = append(want, append([]can.Level(nil), w...))
+		total += len(w)
 	}
 	rx := &spliceReceiver{}
 	b := New(Rate500k)
@@ -138,17 +138,15 @@ func (errorFrameDriver) Drive(t BitTime) can.Level {
 	return can.Recessive
 }
 
-func (errorFrameDriver) Observe(BitTime, can.Level)                             {}
-func (errorFrameDriver) QuiescentUntil(now BitTime) BitTime                     { return now }
-func (errorFrameDriver) SkipIdle(_, _ BitTime)                                  {}
-func (errorFrameDriver) ContendBits(now BitTime) ([]can.Level, BitTime)         { return nil, now }
-func (errorFrameDriver) ContendFrameBit() int                                   { return -1 }
-func (errorFrameDriver) SpliceOffer(BitTime) *SpliceWindow                      { return nil }
-func (errorFrameDriver) SpliceApply(BitTime, []can.Level, int, can.Frame, *any) {}
-func (errorFrameDriver) SpliceCommit(BitTime, []can.Level, *any)                {}
-func (errorFrameDriver) SpliceQuery(BitTime, []can.Level, int, *any) (ok, acks bool) {
-	return true, false
-}
+func (errorFrameDriver) Observe(BitTime, can.Level)                         {}
+func (errorFrameDriver) QuiescentUntil(now BitTime) BitTime                 { return now }
+func (errorFrameDriver) SkipIdle(_, _ BitTime)                              {}
+func (errorFrameDriver) ContendBits(now BitTime) ([]can.Level, BitTime)     { return nil, now }
+func (errorFrameDriver) ContendFrameBit() int                               { return -1 }
+func (errorFrameDriver) SpliceOffer(BitTime) *SpliceWindow                  { return nil }
+func (errorFrameDriver) SpliceApply(BitTime, *SpliceWindow)                 {}
+func (errorFrameDriver) SpliceCommit(BitTime, *SpliceWindow)                {}
+func (errorFrameDriver) SpliceQuery(BitTime, *SpliceWindow) (ok, acks bool) { return true, false }
 
 // TestDecliningProbesAllocateNothing: exact-stepping an error frame with
 // every rung open costs the three declining probes and the step, none of

@@ -221,8 +221,6 @@ type Controller struct {
 	// held in a set-associative table with a cheap hash. Lazily created;
 	// misses fall through to the source.
 	planSlots *memo.Table[planKey, *txPlan]
-	// memos holds this controller's splice memo per offered plan.
-	memos spliceMemos
 	// rxSpanCache memoizes the receive pipeline's end state per committed
 	// span (see rxRun); adoption copies the snapshot into the controller's
 	// own working buffers, so the cached slices are never aliased.
@@ -373,11 +371,10 @@ func (c *Controller) Stats() Stats {
 }
 
 // MemoSlots reports the slot counts of the receive-span and transmit-plan
-// memo tables, 0 before first use, and the entries of the splice memo
-// index. Each grows with the traffic the controller sees, up to its cap
-// (2^16 and 2^15 slots; one entry per plan its source publishes).
-func (c *Controller) MemoSlots() (rxSpan, plan, splice int) {
-	return c.rxSpanCache.Slots(), c.planSlots.Slots(), c.memos.entries()
+// memo tables, 0 before first use. Each grows with the traffic the
+// controller sees, up to its cap (2^16 and 2^15 slots).
+func (c *Controller) MemoSlots() (rxSpan, plan int) {
+	return c.rxSpanCache.Slots(), c.planSlots.Slots()
 }
 
 // ErrListenOnly indicates a transmission request on a monitoring-mode

@@ -251,10 +251,10 @@ func deliverThrough(t *testing.T, tx *Controller, f can.Frame) ([]can.Frame, int
 
 // TestPlanSourceAtCap fills a shared source to planSourceMax plans and
 // rolling tables: past the cap it stops publishing (the tables and the
-// byte count stay put; a plan is unpublished, id -1, so it gets no memo
-// entry, and a rolling table keeps no plan) yet still serves correct plans
-// and tables, which the controller transmits, on the splice rung, like any
-// other.
+// byte count stay put; a plan is unpublished, id -1, so its window is
+// offered without a PlanID, and a rolling table keeps no plan) yet still
+// serves correct plans and tables, which the controller transmits, on the
+// splice rung, like any other.
 func TestPlanSourceAtCap(t *testing.T) {
 	src := NewPlanSource()
 	fillTo(src, planSourceMax)
@@ -267,9 +267,6 @@ func TestPlanSourceAtCap(t *testing.T) {
 	}
 	if !samePlan(p, newTxPlan(f)) {
 		t.Fatal("plan past the cap differs from a fresh compilation")
-	}
-	if c.memos.of(p) != nil {
-		t.Fatal("unpublished plan was given a memo entry")
 	}
 	if r := c.Rolling(0x124, 2); r == nil || src.rolls[rollKey{0x124, 2}] != nil {
 		t.Fatal("rolling table past the cap: want an unpublished, usable table")
@@ -314,34 +311,6 @@ func TestPrivatePlanSourceAtCap(t *testing.T) {
 	got, _ := deliverThrough(t, c, f)
 	if len(got) != 1 || !got[0].Equal(&f) {
 		t.Fatalf("receiver got %v, want [%v]", got, f)
-	}
-}
-
-// TestSpliceMemosAtCap checks the plan→memo index at both ends of its
-// range: the first and the last id a source can publish each get one
-// stable memo, pages are allocated only where offers land, a plan of
-// another source with the same id replaces the memo instead of inheriting
-// it, and an unpublished plan gets none.
-func TestSpliceMemosAtCap(t *testing.T) {
-	var m spliceMemos
-	first, last := &txPlan{id: 0}, &txPlan{id: planSourceMax - 1}
-	mf, ml := m.of(first), m.of(last)
-	if mf == nil || ml == nil || mf == ml {
-		t.Fatal("published plans at the ends of the id range got no distinct memos")
-	}
-	if m.of(first) != mf || m.of(last) != ml {
-		t.Fatal("memo not stable across offers")
-	}
-	if len(m.pages) != planSourceMax>>spliceMemoPageBits || m.entries() != 2<<spliceMemoPageBits {
-		t.Fatalf("index holds %d pages, %d entries; want %d pages, 2 allocated",
-			len(m.pages), m.entries(), planSourceMax>>spliceMemoPageBits)
-	}
-	other := &txPlan{id: last.id}
-	if mo := m.of(other); mo == nil || mo == ml {
-		t.Fatal("a plan of another source inherited the memo of the same id")
-	}
-	if m.of(&txPlan{id: -1}) != nil {
-		t.Fatal("unpublished plan got a memo")
 	}
 }
 

@@ -41,7 +41,7 @@ func (c *Controller) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 	} else {
 		rx.Data = f.Data // receivers clone per delivery
 	}
-	c.offer = bus.SpliceWindow{Bits: p.bits, AckIdx: p.ackIdx, RxView: rx, Memo: c.memos.of(p), Resolved: p.resolved}
+	c.offer = bus.SpliceWindow{Resolved: p.resolved, AckIdx: p.ackIdx, RxView: rx, PlanID: p.id}
 	return &c.offer
 }
 
@@ -52,7 +52,7 @@ func (c *Controller) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 // a plan-backed stream can raise no error, acks are declared rather than
 // driven, and every callback the window contains (OnReceive, counter
 // updates) lands at its exact bit time in SpliceApply.
-func (c *Controller) SpliceQuery(now bus.BitTime, resolved []can.Level, ackIdx int, _ *any) (bool, bool) {
+func (c *Controller) SpliceQuery(bus.BitTime, *bus.SpliceWindow) (bool, bool) {
 	if c.driveNext == can.Dominant {
 		return false, false
 	}
@@ -74,20 +74,20 @@ func (c *Controller) SpliceQuery(now bus.BitTime, resolved []can.Level, ackIdx i
 }
 
 // SpliceApply implements bus.Splicing: fold the whole resolved span into a
-// passive node in O(1), leaving it in exactly the state len(resolved) per-bit
+// passive node in O(1), leaving it in exactly the state len(w.Resolved) per-bit
 // Observe calls would have produced. For a receiver that is the
 // rxComplete/endAttempt effect at the last EOF bit, with the precomputed
 // RxView standing in for decodeRx, followed by the intermission tail's
 // end-of-intermission transition; a bus-off node (non-recovering — the query
 // declined auto-recovery) only tracks the idle run.
-func (c *Controller) SpliceApply(now bus.BitTime, resolved []can.Level, ackIdx int, rx can.Frame, _ *any) {
+func (c *Controller) SpliceApply(now bus.BitTime, w *bus.SpliceWindow) {
 	c.idleRun = 1 + can.EOFBits + IntermissionBits
 	c.driveNext = can.Recessive
 	if c.phase == phaseBusOff {
 		return
 	}
 	// Receiver: rxComplete at the last EOF bit.
-	end := now + bus.BitTime(len(resolved)-IntermissionBits-1)
+	end := now + bus.BitTime(len(w.Resolved)-IntermissionBits-1)
 	c.stats.RxSuccess++
 	if c.rec > PassiveThreshold {
 		c.rec = PassiveThreshold
@@ -97,6 +97,7 @@ func (c *Controller) SpliceApply(now bus.BitTime, resolved []can.Level, ackIdx i
 	c.emitCounters(end)
 	c.updateState(end)
 	if c.cfg.OnReceive != nil {
+		rx := w.RxView
 		if len(rx.Data) > 0 {
 			rx.Data = append([]byte(nil), rx.Data...)
 		}
@@ -137,7 +138,8 @@ func (c *Controller) spliceTail() {
 // twice (endAttempt leaves it reset either way; txIdx and acked are dead
 // until the next beginFrame rewrites them). Any state mismatch with the
 // offer falls back to the full machinery.
-func (c *Controller) SpliceCommit(now bus.BitTime, resolved []can.Level, _ *any) {
+func (c *Controller) SpliceCommit(now bus.BitTime, w *bus.SpliceWindow) {
+	resolved := w.Resolved
 	p := c.pendingPlan
 	if c.phase == phaseIdle && c.pendingSOF && p != nil &&
 		len(p.bits)+IntermissionBits == len(resolved) {

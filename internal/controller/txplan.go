@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 
-	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/memo"
 )
@@ -15,8 +14,8 @@ import (
 // the frame's encoded fields and is immutable once its source publishes it:
 // every controller on a PlanSource transmits the same frame content from
 // the same plan, and everything a controller tracks about an attempt (the
-// frame value it latched from the mailbox, its splice memo) lives on the
-// controller, never here.
+// frame value it latched from the mailbox) lives on the controller, never
+// here.
 type txPlan struct {
 	// bits is the wire sequence from SOF through the last EOF bit.
 	bits []can.Level
@@ -37,13 +36,13 @@ type txPlan struct {
 	// sending recessive means the frame was acknowledged.
 	ackIdx int
 	// resolved is the pre-resolved splice span (window + dominant ACK +
-	// recessive intermission) the splice tier hands to the bus, so every
-	// bus's memo adopts this one copy instead of building its own. Nil only
-	// for FD and oversize frames, which never splice.
+	// recessive intermission) the splice tier hands to the bus, one copy
+	// for every bus whose controllers transmit this frame. Nil only for FD
+	// and oversize frames, which never splice.
 	resolved []can.Level
 	// id is the plan's dense publication index in its source (0, 1, 2, …),
-	// the address of its splice memo on each controller (see spliceMemos);
-	// -1 for a plan the source did not publish.
+	// offered with the window as its PlanID (the defense indexes its
+	// compiled summaries by it); -1 for a plan the source did not publish.
 	id int32
 }
 
@@ -108,61 +107,6 @@ func newPlanSlots() *memo.Table[planKey, *txPlan] {
 		h := uint64(k.id)<<24 ^ uint64(uint8(k.dataLen))<<16 ^ uint64(uint8(k.reqLen))<<8 ^ uint64(k.flags)
 		return h*0x9E3779B97F4A7C15 ^ binary.LittleEndian.Uint64(k.data[:])
 	})
-}
-
-// spliceMemoPageBits sizes a spliceMemos page: 64 entries, 1 KiB.
-const spliceMemoPageBits = 6
-
-// spliceMemos maps the plans this controller offers to its splice memos
-// (see bus.SpliceMemo): the per-bus half of a window's cache — the
-// owner/gen stamp and every node's compiled summary — which cannot ride on
-// a plan shared by every vehicle. An entry is addressed by the plan's dense
-// id, in pages allocated as offers reach them, so a controller that offers
-// a handful of windows holds a page or two and one cycling a matrix's full
-// rotation holds one entry per plan; nothing is ever evicted. The entry
-// records its plan, so a plan of another source with the same id (a
-// controller rewired between sources) replaces the memo instead of
-// inheriting it. Ids are below the source's cap, which bounds the index.
-type spliceMemos struct {
-	pages []*[1 << spliceMemoPageBits]spliceMemoEntry
-}
-
-type spliceMemoEntry struct {
-	plan *txPlan
-	memo *bus.SpliceMemo
-}
-
-// of returns p's memo, creating it on first offer, or nil for an
-// unpublished plan (the bus then caches the window for one offer only).
-func (m *spliceMemos) of(p *txPlan) *bus.SpliceMemo {
-	if p.id < 0 {
-		return nil
-	}
-	pg := int(p.id) >> spliceMemoPageBits
-	if pg >= len(m.pages) {
-		m.pages = append(m.pages, make([]*[1 << spliceMemoPageBits]spliceMemoEntry, pg+1-len(m.pages))...)
-	}
-	page := m.pages[pg]
-	if page == nil {
-		page = new([1 << spliceMemoPageBits]spliceMemoEntry)
-		m.pages[pg] = page
-	}
-	e := &page[int(p.id)&(1<<spliceMemoPageBits-1)]
-	if e.plan != p {
-		e.plan, e.memo = p, &bus.SpliceMemo{}
-	}
-	return e.memo
-}
-
-// entries returns the number of memo entries the index has room for.
-func (m *spliceMemos) entries() int {
-	n := 0
-	for _, pg := range m.pages {
-		if pg != nil {
-			n += len(pg)
-		}
-	}
-	return n
 }
 
 // newTxPlan serializes a frame for transmission into an unpublished plan

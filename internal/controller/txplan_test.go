@@ -107,7 +107,9 @@ func TestPlanCacheReuse(t *testing.T) {
 
 // TestSpliceOfferReusesItsWindow: a controller with nothing to send declines
 // with nil; one about to assert SOF offers its plan's window with the queued
-// frame's receiver view, from the one window slot it owns.
+// frame's receiver view, from the one window slot it owns. The window is the
+// plan's own resolved span and publication id, the pair the defense keys its
+// compiled summaries by.
 func TestSpliceOfferReusesItsWindow(t *testing.T) {
 	c := New(Config{Name: "tx"})
 	if w := c.SpliceOffer(0); w != nil {
@@ -125,8 +127,11 @@ func TestSpliceOfferReusesItsWindow(t *testing.T) {
 	if again := c.SpliceOffer(1); again != w {
 		t.Errorf("a second offer returned a new window")
 	}
-	if w.RxView.ID != f.ID || string(w.RxView.Data) != string(f.Data) || w.Memo == nil ||
-		len(w.Bits) == 0 || w.Bits[w.AckIdx] != can.Recessive {
+	if w.RxView.ID != f.ID || string(w.RxView.Data) != string(f.Data) ||
+		len(w.Resolved) == 0 || w.Resolved[w.AckIdx] != can.Dominant {
 		t.Errorf("offered window %+v does not describe frame %+v", w, f)
+	}
+	if p := c.planFor(f); w.PlanID != p.id || p.id != 0 || &w.Resolved[0] != &p.resolved[0] {
+		t.Errorf("offered window (PlanID %d) is not the published plan %d's span", w.PlanID, p.id)
 	}
 }

@@ -159,6 +159,9 @@ type Defense struct {
 	// scanCache memoizes pure PassiveRun scans per committed-span identity
 	// (see the fast-path PassiveRun in runpath.go); lazily created.
 	scanCache *memo.Table[scanKey, scanMemo]
+	// splices holds the compiled-splice summaries by window (see
+	// spliceIndex in splicepath.go).
+	splices spliceIndex
 }
 
 var _ bus.Node = (*Defense)(nil)
@@ -208,9 +211,11 @@ func (d *Defense) SetTelemetry(hub *telemetry.Hub) {
 // Stats returns a copy of the accumulated statistics.
 func (d *Defense) Stats() Stats { return d.stats }
 
-// ScanMemoSlots reports the slot count of the passive-scan memo table, 0
-// before first use. It grows with the traffic up to its 2^16 cap.
-func (d *Defense) ScanMemoSlots() int { return d.scanCache.Slots() }
+// MemoSlots reports the slot count of the passive-scan memo table and the
+// entries of the splice summary index, 0 before first use. Each grows with
+// the traffic up to its cap (2^16 slots; one entry per window id below
+// 2^17).
+func (d *Defense) MemoSlots() (scan, splice int) { return d.scanCache.Slots(), d.splices.slots() }
 
 // Meter exposes the MCU cycle meter for CPU-utilization evaluation.
 func (d *Defense) Meter() *mcu.Meter { return d.meter }

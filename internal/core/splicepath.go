@@ -13,17 +13,73 @@ var (
 	_ bus.Splicing = (*Defense)(nil)
 )
 
-// spliceMemoEntry is the defense's entry in a splice window's per-node memo
-// slot (bus.SpliceMemo): the compiled summary for each SelfTransmitting
-// answer — the only live input the in-window walk consults — plus a done
-// flag distinguishing "compiled to nil" (the window is known unsummarizable,
-// so repeat offers skip the compile walk) from "not compiled yet". The entry
-// is reached by a pointer chase through the offerer's transmit plan, so no
-// table probe or identity hash is involved; it dies with the plan.
-type spliceMemoEntry struct {
-	n    int // resolved-window length the entry was compiled for
-	done [2]bool
+// spliceIndexPageBits sizes a spliceIndex page: 64 entries, 1.5 KiB.
+const spliceIndexPageBits = 6
+
+// spliceIndexMax bounds the PlanIDs the index addresses, matching the
+// largest plan source (2^17 plans), so the page table holds at most 2^11
+// pointers; a window numbered past it compiles uncached.
+const spliceIndexMax = 1 << 17
+
+// spliceIndex holds the defense's compiled summaries by the offered
+// window's PlanID, in pages allocated as offers reach them, so a defense
+// that sees a handful of windows holds a page or two and one that sees a
+// matrix's full rolling-counter rotation holds one entry per plan. Nothing
+// is evicted; a lookup is a pointer chase, with no hashing and no
+// conflicts. Unnumbered windows (PlanID -1) compile on every offer and
+// never grow the index.
+type spliceIndex struct {
+	pages []*[1 << spliceIndexPageBits]spliceEntry
+}
+
+// spliceEntry is one window's compiled summaries, one per SelfTransmitting
+// answer — the only live input the in-window walk consults. span is the
+// first level of the resolved span they were compiled for: offerers number
+// their windows independently (each plan source counts from 0), so a
+// same-id window with another span recompiles instead of inheriting the
+// entry. A nil summary is not compiled yet; declinedSplice marks a window
+// known to be unsummarizable, so repeat offers skip the walk.
+type spliceEntry struct {
+	span *can.Level
 	sums [2]*spliceSummary
+}
+
+// declinedSplice is the shared summary of every window compileSplice
+// returned nil for.
+var declinedSplice = new(spliceSummary)
+
+// entry returns w's index entry, reset when it was compiled for another
+// span, or nil when w is unnumbered or numbered past the index bound.
+func (x *spliceIndex) entry(w *bus.SpliceWindow) *spliceEntry {
+	id := int(w.PlanID)
+	if id < 0 || id >= spliceIndexMax {
+		return nil
+	}
+	pg := id >> spliceIndexPageBits
+	if pg >= len(x.pages) {
+		x.pages = append(x.pages, make([]*[1 << spliceIndexPageBits]spliceEntry, pg+1-len(x.pages))...)
+	}
+	page := x.pages[pg]
+	if page == nil {
+		page = new([1 << spliceIndexPageBits]spliceEntry)
+		x.pages[pg] = page
+	}
+	e := &page[id&(1<<spliceIndexPageBits-1)]
+	if span := &w.Resolved[0]; e.span != span {
+		*e = spliceEntry{span: span}
+	}
+	return e
+}
+
+// slots returns the number of entries the index has room for.
+func (x *spliceIndex) slots() int {
+	n := 0
+	for _, pg := range x.pages {
+		if pg != nil {
+			n += len(pg)
+		}
+	}
+	return n
 }
 
 // spliceSummary is the precompiled effect of one whole resolved frame window
@@ -35,7 +91,6 @@ type spliceMemoEntry struct {
 // postID, extFlag) are reset by the next beginFrame before anything reads
 // them, so the summary does not carry them.
 type spliceSummary struct {
-	n         int   // window length the summary was compiled for
 	trackN    int64 // stuff-track-class invocations (incl. the strike bit)
 	idStoreN  int64 // ID bits stored after the FSM decided
 	idStepN   int64 // ID bits stepped through the FSM
@@ -55,7 +110,7 @@ type spliceSummary struct {
 // the promise, and the apply that follows reuses it. Off the baseline the
 // generic passive scan decides. Any decline falls through to the lower
 // tiers.
-func (d *Defense) spliceQuery(resolved []can.Level, self bool, slot *any) bool {
+func (d *Defense) spliceQuery(w *bus.SpliceWindow, self bool) bool {
 	if d.mux.DriveLevel() == can.Dominant {
 		return false
 	}
@@ -63,9 +118,9 @@ func (d *Defense) spliceQuery(resolved []can.Level, self bool, slot *any) bool {
 		return true
 	}
 	if d.inFrame || d.cntSOF < can.IdleForSOF {
-		return d.passiveScan(0, resolved, self) == len(resolved)
+		return d.passiveScan(0, w.Resolved, self) == len(w.Resolved)
 	}
-	return d.spliceSummaryFor(resolved, self, slot) != nil
+	return d.spliceSummaryFor(w, self) != nil
 }
 
 // spliceApply folds one accepted window into the defense. From the
@@ -74,7 +129,8 @@ func (d *Defense) spliceQuery(resolved []can.Level, self bool, slot *any) bool {
 // the exact ObserveRun machinery runs instead — spliceQuery accepted the
 // whole window, so ObserveRun is passive over it and remains bit-exact. The
 // splice never depends on the summary for correctness, only for speed.
-func (d *Defense) spliceApply(now bus.BitTime, resolved []can.Level, self bool, slot *any) {
+func (d *Defense) spliceApply(now bus.BitTime, w *bus.SpliceWindow, self bool) {
+	resolved := w.Resolved
 	if !d.armed {
 		d.mux.LatchRX(resolved[len(resolved)-1])
 		return
@@ -83,7 +139,7 @@ func (d *Defense) spliceApply(now bus.BitTime, resolved []can.Level, self bool, 
 		d.ObserveRun(now, resolved)
 		return
 	}
-	s := d.spliceSummaryFor(resolved, self, slot)
+	s := d.spliceSummaryFor(w, self)
 	if s == nil {
 		d.ObserveRun(now, resolved)
 		return
@@ -132,30 +188,31 @@ func (d *Defense) spliceApply(now bus.BitTime, resolved []can.Level, self bool, 
 	d.mux.LatchRX(resolved[len(resolved)-1])
 }
 
-// spliceSummaryFor returns the memoized summary for the window, compiling it
-// on first sight into this node's slot of the window's memo. A nil return
-// means the window is not summarizable from the baseline, which spliceQuery
-// reports as a decline; the exact fallback in spliceApply keeps that
-// reasoning non-load-bearing. With a nil slot (an unmemoized caller) the
-// compile runs uncached.
-func (d *Defense) spliceSummaryFor(resolved []can.Level, self bool, slot *any) *spliceSummary {
-	if slot == nil {
-		return d.compileSplice(resolved, self)
-	}
-	e, ok := (*slot).(*spliceMemoEntry)
-	if !ok || e.n != len(resolved) {
-		e = &spliceMemoEntry{n: len(resolved)}
-		*slot = e
+// spliceSummaryFor returns the window's summary, compiling it into the
+// defense's index on first sight (see spliceIndex); an unnumbered window
+// compiles uncached. A nil return means the window is not summarizable from
+// the baseline, which spliceQuery reports as a decline; the exact fallback
+// in spliceApply keeps that reasoning non-load-bearing.
+func (d *Defense) spliceSummaryFor(w *bus.SpliceWindow, self bool) *spliceSummary {
+	e := d.splices.entry(w)
+	if e == nil {
+		return d.compileSplice(w.Resolved, self)
 	}
 	k := 0
 	if self {
 		k = 1
 	}
-	if !e.done[k] {
-		e.done[k] = true
-		e.sums[k] = d.compileSplice(resolved, self)
+	s := e.sums[k]
+	if s == nil {
+		if s = d.compileSplice(w.Resolved, self); s == nil {
+			s = declinedSplice
+		}
+		e.sums[k] = s
 	}
-	return e.sums[k]
+	if s == declinedSplice {
+		return nil
+	}
+	return s
 }
 
 // compileSplice walks the resolved window through Algorithm 1 from the
@@ -170,7 +227,7 @@ func (d *Defense) compileSplice(resolved []can.Level, self bool) *spliceSummary 
 	if len(resolved) == 0 || resolved[0] != can.Dominant {
 		return nil // a window not anchored at a SOF is no frame window
 	}
-	s := &spliceSummary{n: len(resolved)}
+	s := &spliceSummary{}
 	var destuf can.Destuffer
 	destuf.Reset()
 	destuf.Next(can.Dominant) // the SOF bit seeds the tracker
@@ -267,19 +324,19 @@ func (d *Defense) SpliceOffer(bus.BitTime) *bus.SpliceWindow { return nil }
 
 // SpliceQuery implements bus.Splicing: the defense never acks (it is not a
 // CAN node in the protocol sense).
-func (d *Defense) SpliceQuery(_ bus.BitTime, resolved []can.Level, _ int, slot *any) (bool, bool) {
-	return d.spliceQuery(resolved, d.selfNow(), slot), false
+func (d *Defense) SpliceQuery(_ bus.BitTime, w *bus.SpliceWindow) (bool, bool) {
+	return d.spliceQuery(w, d.selfNow()), false
 }
 
 // SpliceApply implements bus.Splicing.
-func (d *Defense) SpliceApply(now bus.BitTime, resolved []can.Level, _ int, _ can.Frame, slot *any) {
-	d.spliceApply(now, resolved, d.selfNow(), slot)
+func (d *Defense) SpliceApply(now bus.BitTime, w *bus.SpliceWindow) {
+	d.spliceApply(now, w, d.selfNow())
 }
 
 // SpliceCommit implements bus.Splicing. Unreachable — the defense never
 // offers — but exact if it ever ran.
-func (d *Defense) SpliceCommit(now bus.BitTime, resolved []can.Level, _ *any) {
-	d.ObserveRun(now, resolved)
+func (d *Defense) SpliceCommit(now bus.BitTime, w *bus.SpliceWindow) {
+	d.ObserveRun(now, w.Resolved)
 }
 
 // SpliceOffer implements bus.Splicing for a defended ECU: the controller's
@@ -305,12 +362,12 @@ func (e *ECU) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 
 // SpliceQuery implements bus.Splicing: both halves must promise passivity;
 // the ack promise is the controller's alone.
-func (e *ECU) SpliceQuery(now bus.BitTime, resolved []can.Level, ackIdx int, slot *any) (bool, bool) {
-	ok, acks := e.Controller.SpliceQuery(now, resolved, ackIdx, slot)
+func (e *ECU) SpliceQuery(now bus.BitTime, w *bus.SpliceWindow) (bool, bool) {
+	ok, acks := e.Controller.SpliceQuery(now, w)
 	if !ok {
 		return false, false
 	}
-	if e.Defense != nil && !e.Defense.spliceQuery(resolved, e.Defense.selfNow(), slot) {
+	if e.Defense != nil && !e.Defense.spliceQuery(w, e.Defense.selfNow()) {
 		return false, false
 	}
 	return true, acks
@@ -320,14 +377,14 @@ func (e *ECU) SpliceQuery(now bus.BitTime, resolved []can.Level, ackIdx int, slo
 // order ObserveRun uses. The self answer is latched before the controller
 // folds its half: the controller is a receiver over this window on both
 // sides of the fold, so the answer is window-invariant either way.
-func (e *ECU) SpliceApply(now bus.BitTime, resolved []can.Level, ackIdx int, rx can.Frame, slot *any) {
+func (e *ECU) SpliceApply(now bus.BitTime, w *bus.SpliceWindow) {
 	var self bool
 	if e.Defense != nil {
 		self = e.Defense.selfNow()
 	}
-	e.Controller.SpliceApply(now, resolved, ackIdx, rx, slot)
+	e.Controller.SpliceApply(now, w)
 	if e.Defense != nil {
-		e.Defense.spliceApply(now, resolved, self, slot)
+		e.Defense.spliceApply(now, w, self)
 	}
 }
 
@@ -335,9 +392,9 @@ func (e *ECU) SpliceApply(now bus.BitTime, resolved []can.Level, ackIdx int, rx 
 // transmission, and the defense folds the window with self true — on the
 // exact path the host controller answers SelfTransmitting at the mid-frame
 // strike bit, and over a committed splice it is the transmitter throughout.
-func (e *ECU) SpliceCommit(now bus.BitTime, resolved []can.Level, slot *any) {
-	e.Controller.SpliceCommit(now, resolved, slot)
+func (e *ECU) SpliceCommit(now bus.BitTime, w *bus.SpliceWindow) {
+	e.Controller.SpliceCommit(now, w)
 	if e.Defense != nil {
-		e.Defense.spliceApply(now, resolved, true, slot)
+		e.Defense.spliceApply(now, w, true)
 	}
 }

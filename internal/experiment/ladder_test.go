@@ -157,8 +157,8 @@ func TestLadderIdentityAttach(t *testing.T) {
 
 // TestLadderIdentityDetach detaches one pure-receiver controller mid-cycle,
 // after the ladder has been splicing over the four-node set. The detach
-// renumbers the nodes (and so invalidates every splice memo's per-node
-// slots); the run must stay bit-identical to exact stepping through it.
+// renumbers the nodes; the run must stay bit-identical to exact stepping
+// through it.
 func TestLadderIdentityDetach(t *testing.T) {
 	detachAt := 300*ladderTestCycle + ladderTestCycle/2
 	detach := func(bb *bus.Bus, leaver *controller.Controller, ctls *[]*controller.Controller) {
@@ -177,10 +177,11 @@ func TestLadderIdentityDetach(t *testing.T) {
 
 // TestLadderIdentityAttackedMemoGrowth runs a spoof-attacked vehicle at 60%
 // restbus load exact and on the full ladder, long enough that each memo
-// table — the defender controller's receive-span cache, the replayer's
-// splice memo index and the defense's passive-scan memo — grows at least
-// fourfold after it first fills, while the run is in progress. Growth
-// rehashes live entries mid-run; the result must stay bit-identical to
+// table — the defender controller's receive-span cache, the defense's
+// splice summary index and its passive-scan memo — grows at least fourfold
+// after it first fills, while the run is in progress. Growth rehashes live
+// entries mid-run, and the index meets same-id windows from the three
+// controllers' private plan sources; the result must stay bit-identical to
 // exact stepping.
 func TestLadderIdentityAttackedMemoGrowth(t *testing.T) {
 	const (
@@ -219,9 +220,9 @@ func TestLadderIdentityAttackedMemoGrowth(t *testing.T) {
 		var sizes []memoSizes
 		for i := 0; i < slices; i++ {
 			bb.Run(sliceBits)
-			rx, _, _ := defCtl.MemoSlots()
-			_, _, splice := rep.Controller().MemoSlots()
-			sizes = append(sizes, memoSizes{rx, splice, def.ScanMemoSlots()})
+			rx, _ := defCtl.MemoSlots()
+			scan, splice := def.MemoSlots()
+			sizes = append(sizes, memoSizes{rx, splice, scan})
 		}
 		out := ladderOutcome{Bits: rec.Bits()}
 		for _, c := range []*controller.Controller{defCtl, rep.Controller(), att.Controller()} {
@@ -242,7 +243,7 @@ func TestLadderIdentityAttackedMemoGrowth(t *testing.T) {
 		first, last int
 	}{
 		{"receive-span cache", first.rxSpan, last.rxSpan},
-		{"splice memo index", first.splice, last.splice},
+		{"splice summary index", first.splice, last.splice},
 		{"passive-scan memo", first.scan, last.scan},
 	} {
 		if tab.first == 0 || tab.last < 4*tab.first {

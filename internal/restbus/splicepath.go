@@ -1,9 +1,6 @@
 package restbus
 
-import (
-	"michican/internal/bus"
-	"michican/internal/can"
-)
+import "michican/internal/bus"
 
 var _ bus.Splicing = (*Replayer)(nil)
 
@@ -31,7 +28,7 @@ func (r *Replayer) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 		return nil
 	}
 	if i := r.itemIdx(win.RxView.ID); i >= 0 {
-		to := now + bus.BitTime(len(win.Bits)+can.IntermissionBits)
+		to := now + bus.BitTime(len(win.Resolved))
 		if r.items[i].nextDue < to {
 			return nil
 		}
@@ -45,8 +42,8 @@ func (r *Replayer) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 // constant across the window and the enqueues only touch the dormant queue,
 // which no windowed bit observes (the same argument ObserveRun's whole-span
 // branch rests on).
-func (r *Replayer) SpliceQuery(now bus.BitTime, resolved []can.Level, ackIdx int, slot *any) (bool, bool) {
-	return r.ctl.SpliceQuery(now, resolved, ackIdx, slot)
+func (r *Replayer) SpliceQuery(now bus.BitTime, w *bus.SpliceWindow) (bool, bool) {
+	return r.ctl.SpliceQuery(now, w)
 }
 
 // SpliceApply implements bus.Splicing: process every deadline the window
@@ -56,12 +53,9 @@ func (r *Replayer) SpliceQuery(now bus.BitTime, resolved []can.Level, ackIdx int
 // end-of-intermission transition reads the queue, so a deadline enqueued
 // anywhere in the span must already be there — exactly as the exact path's
 // scanDue-before-Observe order guarantees bit by bit.
-func (r *Replayer) SpliceApply(now bus.BitTime, resolved []can.Level, ackIdx int, rx can.Frame, slot *any) {
-	to := now + bus.BitTime(len(resolved))
-	for r.nextScan < to {
-		r.scanDue(r.nextScan)
-	}
-	r.ctl.SpliceApply(now, resolved, ackIdx, rx, slot)
+func (r *Replayer) SpliceApply(now bus.BitTime, w *bus.SpliceWindow) {
+	r.drainDue(now, w)
+	r.ctl.SpliceApply(now, w)
 }
 
 // SpliceCommit implements bus.Splicing: process every deadline the window
@@ -70,12 +64,18 @@ func (r *Replayer) SpliceApply(now bus.BitTime, resolved []can.Level, ackIdx int
 // including one at the final bit — lands before txSuccess fires OnTransmit
 // there; draining first preserves that order, and with it the deadline-miss
 // check against the still-outstanding in-flight message.
-func (r *Replayer) SpliceCommit(now bus.BitTime, resolved []can.Level, slot *any) {
-	to := now + bus.BitTime(len(resolved))
+func (r *Replayer) SpliceCommit(now bus.BitTime, w *bus.SpliceWindow) {
+	r.drainDue(now, w)
+	r.ctl.SpliceCommit(now, w)
+}
+
+// drainDue processes every deadline due inside the window, at its recorded
+// due time.
+func (r *Replayer) drainDue(now bus.BitTime, w *bus.SpliceWindow) {
+	to := now + bus.BitTime(len(w.Resolved))
 	for r.nextScan < to {
 		r.scanDue(r.nextScan)
 	}
-	r.ctl.SpliceCommit(now, resolved, slot)
 }
 
 // WarmSplice precompiles the transmit plans for the next rounds instances of

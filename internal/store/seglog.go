@@ -116,8 +116,8 @@ type segLog struct {
 }
 
 // Buffer sizes: writeBufBytes for the one buffered writer a log reuses
-// across its segments, readBufBytes for the one buffered reader a read
-// reuses across the segments it visits.
+// across its segments, readBufBytes caps the one buffered reader a read
+// reuses across the segments it visits (sized to the largest of them).
 const (
 	writeBufBytes = 64 << 10
 	readBufBytes  = 256 << 10
@@ -507,6 +507,12 @@ func (l *segLog) snapshot() ([]segment, error) {
 // scan everything); a delivered record may still hold events outside the
 // window — callers filter.
 func (l *segLog) readSegments(segs []segment, fromT, toT int64, fn func(typ byte, payload []byte) error) error {
+	var size int64
+	for _, seg := range segs {
+		if seg.n > 0 && !seg.outside(fromT, toT) {
+			size = max(size, min(seg.bytes, readBufBytes))
+		}
+	}
 	var br *bufio.Reader
 	var buf []byte
 	for _, seg := range segs {
@@ -518,7 +524,7 @@ func (l *segLog) readSegments(segs []segment, fromT, toT int64, fn func(typ byte
 			return err
 		}
 		if br == nil {
-			br = bufio.NewReaderSize(f, readBufBytes)
+			br = bufio.NewReaderSize(f, int(size))
 		} else {
 			br.Reset(f)
 		}

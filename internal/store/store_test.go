@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -688,8 +689,36 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 
 // TestWindowReadAllocatesPerReadNotPerEvent checks that a window read's
 // allocations do not grow with the events it decodes: a read of forty
-// blocks allocates what a read of four does.
+// blocks allocates what a read of four does. A small-window read of a
+// small store allocates a few kilobytes, not a full-size read buffer.
 func TestWindowReadAllocatesPerReadNotPerEvent(t *testing.T) {
+	s, err := Create(t.TempDir(), Meta{Kind: "test", SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendN(t, s, 0, 4*blockEvents)
+	n := 0
+	window := func() {
+		if err := s.EventsInWindow(100_000, 101_000, func(telemetry.NamedEvent) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window()
+	if n != 11 {
+		t.Fatalf("window read %d events, want 11", n)
+	}
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		window()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > 32<<10 {
+		t.Errorf("a small-window read of a %d-byte store allocates %d B, want at most 32 KiB", s.events.diskBytes(), per)
+	}
+
 	allocs := func(blocks int) float64 {
 		s, err := Create(t.TempDir(), Meta{Kind: "test", SegmentBytes: 1 << 20})
 		if err != nil {

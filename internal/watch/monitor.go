@@ -216,29 +216,27 @@ func (fc *FleetCollector) Snapshot(now time.Time) FleetAlertView {
 	}
 	var merged latencyHist
 	for _, id := range ids {
-		e := engines[id]
-		snap := e.Snapshot()
+		v := engines[id].fleetView()
 		view.Vehicles = append(view.Vehicles, VehicleAlerts{
 			ID:     id,
-			Active: snap.Active,
-			SLO:    snap.SLO,
+			Active: v.active,
+			SLO:    v.slo,
 		})
-		view.ActiveTotal += len(snap.Active)
-		for _, a := range snap.Active {
+		view.ActiveTotal += len(v.active)
+		for _, a := range v.active {
 			view.ByRule[a.Rule]++
 		}
-		view.Transitions["total"] += int64(len(snap.Log))
-		view.SLO.EngagedIncidents += snap.SLO.EngagedIncidents
-		view.SLO.DetectionViolations += snap.SLO.DetectionViolations
-		view.SLO.Eradications += snap.SLO.Eradications
-		view.SLO.EradicationFailures += snap.SLO.EradicationFailures
-		view.SLO.LeakIncidents += snap.SLO.LeakIncidents
-		view.SLO.FramesLeaked += snap.SLO.FramesLeaked
-		counts, n := e.histCounts()
-		for v, c := range counts {
-			merged.counts[v] += c
+		view.Transitions["total"] += int64(v.transitions)
+		view.SLO.EngagedIncidents += v.slo.EngagedIncidents
+		view.SLO.DetectionViolations += v.slo.DetectionViolations
+		view.SLO.Eradications += v.slo.Eradications
+		view.SLO.EradicationFailures += v.slo.EradicationFailures
+		view.SLO.LeakIncidents += v.slo.LeakIncidents
+		view.SLO.FramesLeaked += v.slo.FramesLeaked
+		for b, c := range v.lat.counts {
+			merged.counts[b] += c
 		}
-		merged.n += n
+		merged.n += v.lat.n
 	}
 	view.SLO.DetectionP50Bits = merged.percentile(50)
 	view.SLO.DetectionP99Bits = merged.percentile(99)

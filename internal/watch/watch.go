@@ -743,18 +743,24 @@ func (w *Engine) SLO() SLOSummary {
 func (w *Engine) Snapshot() Snapshot {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s := Snapshot{
-		Active:   []Alert{},
+	return Snapshot{
+		Active:   w.activeLocked(),
 		Log:      append([]Alert{}, w.log...),
 		SLO:      w.sloLocked(),
 		Verdicts: len(w.verdicts),
 	}
+}
+
+// activeLocked copies the currently-firing alerts (non-nil). Called with
+// w.mu held.
+func (w *Engine) activeLocked() []Alert {
+	active := []Alert{}
 	for r := Rule(0); r < numRules; r++ {
 		if a := w.active[r]; a != nil {
-			s.Active = append(s.Active, *a)
+			active = append(active, *a)
 		}
 	}
-	return s
+	return active
 }
 
 // Alerts returns a copy of the transition log.
@@ -782,9 +788,20 @@ func (w *Engine) EncodeAlertLog() ([][]byte, error) {
 	return EncodeAlerts(log)
 }
 
-// histCounts exposes the latency histogram for fleet-level merging.
-func (w *Engine) histCounts() ([latencyHistBuckets]int64, int64) {
+// fleetView is one engine's share of FleetCollector.Snapshot: the active
+// alerts, the scoreboard, the transition count and the latency histogram.
+type fleetView struct {
+	active      []Alert
+	slo         SLOSummary
+	transitions int
+	lat         latencyHist
+}
+
+// fleetView reads the engine's share under one lock. Unlike Snapshot it
+// counts the transition log instead of copying it, so its cost does not
+// grow with the run.
+func (w *Engine) fleetView() fleetView {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.lat.counts, w.lat.n
+	return fleetView{active: w.activeLocked(), slo: w.sloLocked(), transitions: len(w.log), lat: w.lat}
 }

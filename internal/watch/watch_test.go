@@ -2,6 +2,7 @@ package watch
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -404,6 +405,38 @@ func TestFleetCollectorMerge(t *testing.T) {
 	view = fc.Snapshot(time.Now())
 	if len(view.Vehicles) != 1 || view.SLO.EngagedIncidents != 1 {
 		t.Fatalf("unregister: %+v", view.SLO)
+	}
+}
+
+// TestFleetCollectorSnapshotCountsTheLog: a fleet snapshot reports each
+// engine's transition count without copying its log, so the bytes it
+// allocates do not grow with the log's length.
+func TestFleetCollectorSnapshotCountsTheLog(t *testing.T) {
+	bytesPerSnapshot := func(transitions int) uint64 {
+		w := New(telemetry.NewHub(), nil, Config{})
+		w.mu.Lock()
+		for i := 0; i < transitions; i++ {
+			w.fire(RuleCampaign, SevWarning, int64(i), "campaign", nil)
+		}
+		w.mu.Unlock()
+		fc := NewFleetCollector(nil)
+		fc.Register(0, w)
+		if got := fc.Snapshot(time.Now()).Transitions["total"]; got != int64(transitions) {
+			t.Fatalf("snapshot counts %d transitions, want %d", got, transitions)
+		}
+		const rounds = 50
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			fc.Snapshot(time.Now())
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / rounds
+	}
+	short, long := bytesPerSnapshot(10), bytesPerSnapshot(10_000)
+	if long > short+4096 {
+		t.Fatalf("a snapshot allocates %d B over a 10,000-transition log, %d B over 10; want no growth", long, short)
 	}
 }
 
