@@ -50,6 +50,13 @@ func New(name string, policy Policy) *Attacker {
 // statistics inspection).
 func (a *Attacker) Controller() *controller.Controller { return a.ctl }
 
+// SharePlans wires a fleet-shared compiled-plan cache into the attacker's
+// controller, as restbus.Replayer.SharePlans does for the replayer: its
+// frames then carry the shared source's plan ids, which the defense's splice
+// index is keyed by. Call before the attacker produces traffic; behavior is
+// bit-identical with or without sharing.
+func (a *Attacker) SharePlans(src *controller.PlanSource) { a.ctl.SetPlanSource(src) }
+
 // SetTelemetry wires the attacker's controller to a telemetry hub, so the
 // induced error episodes, TEC march, and bus-off entries are captured.
 func (a *Attacker) SetTelemetry(hub *telemetry.Hub) { a.ctl.SetTelemetry(hub) }

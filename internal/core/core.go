@@ -217,6 +217,12 @@ func (d *Defense) Stats() Stats { return d.stats }
 // 2^17).
 func (d *Defense) MemoSlots() (scan, splice int) { return d.scanCache.Slots(), d.splices.slots() }
 
+// SpliceResets counts the splice index entries recompiled because a window
+// numbered like an earlier one carried another resolved span: offerers on
+// separate plan sources sharing ids. It stays 0 when every offerer on the
+// bus draws from one source.
+func (d *Defense) SpliceResets() int64 { return d.splices.resets }
+
 // Meter exposes the MCU cycle meter for CPU-utilization evaluation.
 func (d *Defense) Meter() *mcu.Meter { return d.meter }
 

@@ -27,9 +27,32 @@ const spliceIndexMax = 1 << 17
 // matrix's full rolling-counter rotation holds one entry per plan. Nothing
 // is evicted; a lookup is a pointer chase, with no hashing and no
 // conflicts. Unnumbered windows (PlanID -1) compile on every offer and
-// never grow the index.
+// never grow the index. The summaries themselves live in slab chunks.
 type spliceIndex struct {
 	pages []*[1 << spliceIndexPageBits]spliceEntry
+	slab  []spliceSummary // the open chunk; entries point into it
+	// resets counts entries recompiled because a window with their id
+	// carried another span.
+	resets int64
+}
+
+// Slab chunks grow from slabFirst summaries by doubling up to slabMax, so
+// a defense that compiles a handful of windows holds a small chunk and one
+// that compiles thousands pays one allocation per slabMax of them.
+const (
+	slabFirst = 4
+	slabMax   = 256
+)
+
+// keep copies s into the slab and returns its address, stable for the
+// defense's lifetime: a full chunk is left to the entries pointing into it
+// and a new one opens.
+func (x *spliceIndex) keep(s *spliceSummary) *spliceSummary {
+	if len(x.slab) == cap(x.slab) {
+		x.slab = make([]spliceSummary, 0, min(max(2*cap(x.slab), slabFirst), slabMax))
+	}
+	x.slab = append(x.slab, *s)
+	return &x.slab[len(x.slab)-1]
 }
 
 // spliceEntry is one window's compiled summaries, one per SelfTransmitting
@@ -45,7 +68,7 @@ type spliceEntry struct {
 }
 
 // declinedSplice is the shared summary of every window compileSplice
-// returned nil for.
+// declined.
 var declinedSplice = new(spliceSummary)
 
 // entry returns w's index entry, reset when it was compiled for another
@@ -66,6 +89,9 @@ func (x *spliceIndex) entry(w *bus.SpliceWindow) *spliceEntry {
 	}
 	e := &page[id&(1<<spliceIndexPageBits-1)]
 	if span := &w.Resolved[0]; e.span != span {
+		if e.span != nil {
+			x.resets++
+		}
 		*e = spliceEntry{span: span}
 	}
 	return e
@@ -196,7 +222,11 @@ func (d *Defense) spliceApply(now bus.BitTime, w *bus.SpliceWindow, self bool) {
 func (d *Defense) spliceSummaryFor(w *bus.SpliceWindow, self bool) *spliceSummary {
 	e := d.splices.entry(w)
 	if e == nil {
-		return d.compileSplice(w.Resolved, self)
+		var s spliceSummary
+		if !d.compileSplice(&s, w.Resolved, self) {
+			return nil
+		}
+		return &s
 	}
 	k := 0
 	if self {
@@ -204,7 +234,10 @@ func (d *Defense) spliceSummaryFor(w *bus.SpliceWindow, self bool) *spliceSummar
 	}
 	s := e.sums[k]
 	if s == nil {
-		if s = d.compileSplice(w.Resolved, self); s == nil {
+		var c spliceSummary
+		if d.compileSplice(&c, w.Resolved, self) {
+			s = d.splices.keep(&c)
+		} else {
 			s = declinedSplice
 		}
 		e.sums[k] = s
@@ -219,15 +252,14 @@ func (d *Defense) spliceSummaryFor(w *bus.SpliceWindow, self bool) *spliceSummar
 // post-SOF baseline — stuff tracker seeded with the dominant SOF, FSM at its
 // root, flags clear — on value copies, recording the per-class invocation
 // counts and the exit state. It mirrors frameRunBatch's control flow bit for
-// bit and returns nil for any window whose walk would mutate beyond the
-// summary's vocabulary (a pull launch, a stuff violation, a walk that ends
-// still in-frame, or a trailing run long enough to depend on the entry
-// cnt_sof).
-func (d *Defense) compileSplice(resolved []can.Level, self bool) *spliceSummary {
+// bit, filling s, and returns false for any window whose walk would mutate
+// beyond the summary's vocabulary (a pull launch, a stuff violation, a walk
+// that ends still in-frame, or a trailing run long enough to depend on the
+// entry cnt_sof).
+func (d *Defense) compileSplice(s *spliceSummary, resolved []can.Level, self bool) bool {
 	if len(resolved) == 0 || resolved[0] != can.Dominant {
-		return nil // a window not anchored at a SOF is no frame window
+		return false // a window not anchored at a SOF is no frame window
 	}
-	s := &spliceSummary{}
 	var destuf can.Destuffer
 	destuf.Reset()
 	destuf.Next(can.Dominant) // the SOF bit seeds the tracker
@@ -241,7 +273,7 @@ func (d *Defense) compileSplice(resolved []can.Level, self bool) *spliceSummary 
 		i++
 		payload, err := destuf.Next(level)
 		if err != nil {
-			return nil // six equal levels inside a plan window: not a plan
+			return false // six equal levels inside a plan window: not a plan
 		}
 		if !payload {
 			s.trackN++
@@ -263,7 +295,7 @@ func (d *Defense) compileSplice(resolved []can.Level, self bool) *spliceSummary 
 		postID++
 		if !d.cfg.ExtendedAware {
 			if attackFlag && d.cfg.PreventionEnabled && !self {
-				return nil // the pull would launch: the query declines this
+				return false // the pull would launch: the query declines this
 			}
 			s.trackN++
 			s.strikeOff = i - 1
@@ -277,7 +309,7 @@ func (d *Defense) compileSplice(resolved []can.Level, self bool) *spliceSummary 
 			s.trackN++
 			if level == can.Dominant {
 				if attackFlag && d.cfg.PreventionEnabled && !self {
-					return nil
+					return false
 				}
 				s.strikeOff = i - 1
 				inFrame = false
@@ -289,7 +321,7 @@ func (d *Defense) compileSplice(resolved []can.Level, self bool) *spliceSummary 
 			}
 		case extFlag && postID == 2+can.ExtLowBits+1:
 			if attackFlag && d.cfg.PreventionEnabled && !self {
-				return nil
+				return false
 			}
 			s.trackN++
 			s.strikeOff = i - 1
@@ -299,7 +331,7 @@ func (d *Defense) compileSplice(resolved []can.Level, self bool) *spliceSummary 
 		}
 	}
 	if inFrame {
-		return nil // ran off the window mid-frame: not a whole-frame plan
+		return false // ran off the window mid-frame: not a whole-frame plan
 	}
 	s.cursor = cur
 	s.flagged = attackFlag
@@ -312,10 +344,10 @@ func (d *Defense) compileSplice(resolved []can.Level, self bool) *spliceSummary 
 		// An all-recessive remainder accumulates onto the entry cnt_sof; the
 		// dominant ACK makes this unreachable for real windows, but a window
 		// that hits it is simply left to the exact path.
-		return nil
+		return false
 	}
 	s.exitSOF = run
-	return s
+	return true
 }
 
 // SpliceOffer implements bus.Splicing for a standalone Defense: it never

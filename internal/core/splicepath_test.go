@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -143,8 +144,50 @@ func TestSpliceIndexSameIDOtherSource(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		w, self := wins[i%2], i%4 < 2
-		if got, want := d.spliceSummaryFor(w, self), d.compileSplice(w.Resolved, self); !reflect.DeepEqual(got, want) {
+		var want spliceSummary
+		if !d.compileSplice(&want, w.Resolved, self) {
+			t.Fatalf("offer %d: window not summarizable", i)
+		}
+		if got := d.spliceSummaryFor(w, self); !reflect.DeepEqual(*got, want) {
 			t.Fatalf("offer %d (span of frame %d, self %v): summary %+v, want %+v", i, i%2, self, got, want)
+		}
+	}
+}
+
+// TestSpliceSummariesComeFromSlabs: compiled summaries are carved from the
+// defense's slab chunks, not allocated one by one. After a first compile
+// has built the index's page, 1,000 more distinct windows cost the chunks
+// that hold them (8…256 entries, eight allocations), and each keeps its
+// own summary.
+func TestSpliceSummariesComeFromSlabs(t *testing.T) {
+	d := buildDefense(t, spliceIDs, 1, Config{Name: "michican"})
+	wins := make([]*bus.SpliceWindow, 1001)
+	for i := range wins {
+		w := offeredWindow(t, can.Frame{ID: 0x0A0, Data: []byte{byte(i), byte(i >> 8)}})
+		w.PlanID = 0 // one entry, so only the summaries can allocate
+		wins[i] = w
+	}
+	if d.spliceSummaryFor(wins[0], true) == nil {
+		t.Fatal("window 0 not summarizable")
+	}
+	sums := make([]*spliceSummary, 0, len(wins))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, w := range wins[1:] {
+		sums = append(sums, d.spliceSummaryFor(w, true))
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 10 {
+		t.Fatalf("compiling %d windows made %d allocations, want at most 10", len(sums), n)
+	}
+	if got := d.SpliceResets(); got != int64(len(sums)) {
+		t.Fatalf("%d span resets, want %d", got, len(sums))
+	}
+	for i, s := range sums {
+		var want spliceSummary
+		if s == nil || !d.compileSplice(&want, wins[i+1].Resolved, true) || *s != want {
+			t.Fatalf("window %d: summary %+v, want %+v", i+1, s, want)
 		}
 	}
 }

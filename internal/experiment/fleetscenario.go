@@ -95,14 +95,14 @@ func fleetAttackIDs(a FleetAttack) []can.ID {
 }
 
 // fleetAttackers builds the mix's attacker nodes.
-func fleetAttackers(a FleetAttack) []bus.Node {
+func fleetAttackers(a FleetAttack) []*attack.Attacker {
 	switch a {
 	case FleetAttackSpoof:
-		return []bus.Node{attack.NewTargetedDoS("attacker", DefenderID)}
+		return []*attack.Attacker{attack.NewTargetedDoS("attacker", DefenderID)}
 	case FleetAttackDoS:
-		return []bus.Node{attack.NewTargetedDoS("attacker", 0x064)}
+		return []*attack.Attacker{attack.NewTargetedDoS("attacker", 0x064)}
 	case FleetAttackToggle:
-		return []bus.Node{attack.NewToggling("attacker", 0x050, 0x051)}
+		return []*attack.Attacker{attack.NewToggling("attacker", 0x050, 0x051)}
 	default:
 		return nil
 	}
@@ -117,6 +117,7 @@ type FleetVehicle struct {
 	hub        *telemetry.Hub
 	eng        *forensics.Engine
 	defender   *controller.Controller
+	defense    *core.Defense
 	recorder   *trace.Recorder
 	rp         *restbus.Replayer
 	watch      *watch.Engine
@@ -164,6 +165,7 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 		return nil, err
 	}
 	v.defender = controller.New(controller.Config{Name: "defender", AutoRecover: true, Plans: spec.Plans})
+	v.defense = defense
 	v.bb.Attach(core.NewECU(v.defender, defense))
 
 	var rp *restbus.Replayer
@@ -177,6 +179,9 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 	}
 	attackers := fleetAttackers(spec.Attack)
 	for _, a := range attackers {
+		if spec.Plans != nil {
+			a.SharePlans(spec.Plans)
+		}
 		v.bb.Attach(a)
 	}
 
@@ -187,9 +192,7 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 		rp.SetTelemetry(v.hub)
 	}
 	for _, a := range attackers {
-		if ta, ok := a.(interface{ SetTelemetry(*telemetry.Hub) }); ok {
-			ta.SetTelemetry(v.hub)
-		}
+		a.SetTelemetry(v.hub)
 	}
 	if spec.Record {
 		v.recorder = trace.NewRecorder()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -83,6 +84,66 @@ type segment struct {
 	bytes  int64
 	sealed bool
 	recSpan
+	// blocks is the block table of a timed log's segment, one entry per
+	// record in file order, filled at append and by Open's scan, so a
+	// window read seeks to just the records it needs. Untimed logs keep
+	// none; a segment that outgrows 32-bit offsets drops its table (wide)
+	// and is read whole.
+	blocks []blockRef
+	wide   bool
+}
+
+// blockRef locates one timed record in its segment — the offset and length
+// of its frame — and bounds its entries' bit times. 24 bytes.
+type blockRef struct {
+	off, n     uint32
+	minT, maxT int64
+}
+
+// table records a timed record of recLen framed bytes appended at the
+// segment's end.
+func (s *segment) table(recLen int64, sp recSpan) {
+	if !sp.timed || s.wide {
+		return
+	}
+	if s.bytes+recLen > math.MaxUint32 {
+		s.blocks, s.wide = nil, true
+		return
+	}
+	s.blocks = append(s.blocks, blockRef{off: uint32(s.bytes), n: uint32(recLen), minT: sp.minT, maxT: sp.maxT})
+}
+
+// eachRun calls fn with the byte ranges [start, end) of the segment's first
+// s.bytes bytes that hold the records overlapping [fromT, toT], adjacent
+// records merged into one range. A segment without a block table is one
+// range.
+func (s *segment) eachRun(fromT, toT int64, fn func(start, end int64) error) error {
+	if len(s.blocks) == 0 {
+		return fn(0, s.bytes)
+	}
+	start, end := int64(-1), int64(-1)
+	for _, b := range s.blocks {
+		off, stop := int64(b.off), int64(b.off)+int64(b.n)
+		if stop > s.bytes {
+			break // appended after the snapshot was taken
+		}
+		if b.maxT < fromT || b.minT > toT {
+			continue
+		}
+		if off != end {
+			if start >= 0 {
+				if err := fn(start, end); err != nil {
+					return err
+				}
+			}
+			start = off
+		}
+		end = stop
+	}
+	if start < 0 {
+		return nil
+	}
+	return fn(start, end)
 }
 
 // segLog is an append-only, CRC-framed, segmented record log. The active
@@ -227,6 +288,8 @@ func (l *segLog) scanSegment(seq int, buf *[]byte) (segment, bool, error) {
 		if err != nil {
 			return seg, false, fmt.Errorf("store: %s byte %d: %w", segName(l.prefix, seq), off, err)
 		}
+		seg.bytes = off
+		seg.table(4+n+recTrailerLen, sp)
 		seg.add(sp)
 		off += 4 + n + recTrailerLen
 	}
@@ -349,6 +412,7 @@ func (l *segLog) append(typ byte, payload []byte, sp recSpan) (int64, error) {
 		return 0, err
 	}
 	a := l.active
+	a.table(recLen, sp)
 	a.bytes += recLen
 	a.add(sp)
 	l.count += sp.n
@@ -443,6 +507,9 @@ func (l *segLog) truncate(n int64) error {
 		return err
 	}
 	seg.bytes, seg.recSpan = off, kept
+	for len(seg.blocks) > 0 && int64(seg.blocks[len(seg.blocks)-1].off) >= off {
+		seg.blocks = seg.blocks[:len(seg.blocks)-1]
+	}
 	f, err := os.OpenFile(l.segPath(seg.seq), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -504,18 +571,25 @@ func (l *segLog) snapshot() ([]segment, error) {
 // fn, which receives the record type and payload (valid only during the
 // call). Segments and records whose event times fall entirely outside
 // [fromT, toT] are skipped on their bounds (use math.MinInt64/MaxInt64 to
-// scan everything); a delivered record may still hold events outside the
-// window — callers filter.
+// scan everything): a segment with a block table is read only over the
+// byte ranges of its overlapping records. Every record read is CRC-checked.
+// A delivered record may still hold events outside the window — callers
+// filter.
 func (l *segLog) readSegments(segs []segment, fromT, toT int64, fn func(typ byte, payload []byte) error) error {
+	// One buffered reader serves every range, sized to the longest.
 	var size int64
-	for _, seg := range segs {
-		if seg.n > 0 && !seg.outside(fromT, toT) {
-			size = max(size, min(seg.bytes, readBufBytes))
+	for i := range segs {
+		if seg := &segs[i]; seg.n > 0 && !seg.outside(fromT, toT) {
+			seg.eachRun(fromT, toT, func(start, end int64) error {
+				size = max(size, min(end-start, readBufBytes))
+				return nil
+			})
 		}
 	}
 	var br *bufio.Reader
 	var buf []byte
-	for _, seg := range segs {
+	for i := range segs {
+		seg := &segs[i]
 		if seg.n == 0 || seg.outside(fromT, toT) {
 			continue
 		}
@@ -523,12 +597,17 @@ func (l *segLog) readSegments(segs []segment, fromT, toT int64, fn func(typ byte
 		if err != nil {
 			return err
 		}
-		if br == nil {
-			br = bufio.NewReaderSize(f, int(size))
-		} else {
-			br.Reset(f)
-		}
-		buf, err = l.readSegment(seg, br, buf, fromT, toT, fn)
+		err = seg.eachRun(fromT, toT, func(start, end int64) error {
+			r := io.NewSectionReader(f, start, end-start)
+			if br == nil {
+				br = bufio.NewReaderSize(r, int(size))
+			} else {
+				br.Reset(r)
+			}
+			var err error
+			buf, err = l.readRange(seg.seq, end-start, br, buf, fromT, toT, fn)
+			return err
+		})
 		f.Close()
 		if err != nil {
 			return err
@@ -537,29 +616,29 @@ func (l *segLog) readSegments(segs []segment, fromT, toT int64, fn func(typ byte
 	return nil
 }
 
-// readSegment streams the records in the first seg.bytes bytes of one
-// segment that overlap [fromT, toT] through fn, reading via br and framing
-// into buf, which it returns for reuse.
-func (l *segLog) readSegment(seg segment, br *bufio.Reader, buf []byte, fromT, toT int64, fn func(typ byte, payload []byte) error) ([]byte, error) {
+// readRange streams the records in the next length bytes of segment seq
+// that overlap [fromT, toT] through fn, reading via br and framing into
+// buf, which it returns for reuse.
+func (l *segLog) readRange(seq int, length int64, br *bufio.Reader, buf []byte, fromT, toT int64, fn func(typ byte, payload []byte) error) ([]byte, error) {
 	var hdr [4]byte
-	for off := int64(0); off < seg.bytes; {
+	for off := int64(0); off < length; {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return buf, fmt.Errorf("store: %s ends before its %d bytes: %w", segName(l.prefix, seg.seq), seg.bytes, err)
+			return buf, fmt.Errorf("store: %s ends inside a record: %w", segName(l.prefix, seq), err)
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:]))
 		if n < 1 || n > recMaxLen {
-			return buf, fmt.Errorf("store: corrupt record length %d in %s", n, segName(l.prefix, seg.seq))
+			return buf, fmt.Errorf("store: corrupt record length %d in %s", n, segName(l.prefix, seq))
 		}
 		if cap(buf) < n+recTrailerLen {
 			buf = make([]byte, n+recTrailerLen)
 		}
 		buf = buf[:n+recTrailerLen]
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return buf, fmt.Errorf("store: %s ends before its %d bytes: %w", segName(l.prefix, seg.seq), seg.bytes, err)
+			return buf, fmt.Errorf("store: %s ends inside a record: %w", segName(l.prefix, seq), err)
 		}
 		crc := binary.LittleEndian.Uint32(buf[n:])
 		if crc32.ChecksumIEEE(buf[:n]) != crc {
-			return buf, fmt.Errorf("store: CRC mismatch in %s", segName(l.prefix, seg.seq))
+			return buf, fmt.Errorf("store: CRC mismatch in %s", segName(l.prefix, seq))
 		}
 		off += int64(4 + n + recTrailerLen)
 		sp, err := l.recordSpan(buf[:n])

@@ -742,3 +742,79 @@ func TestWindowReadAllocatesPerReadNotPerEvent(t *testing.T) {
 		t.Fatalf("reading 40 blocks allocates %v times, 4 blocks %v: decoding allocates per event", many, few)
 	}
 }
+
+// TestWindowReadReadsOnlyItsBlocks: a window read seeks through the
+// segment's block table to the blocks its window overlaps and reads nothing
+// else. Every byte of the segment outside those blocks is overwritten and
+// the 11-event window still reads back; a flipped byte inside them fails
+// the read on its CRC. Open rebuilds the same table from its header walk.
+func TestWindowReadReadsOnlyItsBlocks(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, Meta{Kind: "test", SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 0, 16*blockEvents)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appended := slices.Clone(s.events.segs[0].blocks)
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	seg := s.events.segs[0]
+	if len(s.events.segs) != 1 || !slices.Equal(seg.blocks, appended) || len(appended) != 16 {
+		t.Fatalf("Open's block table %v, append's %v (want 16 blocks in one segment)", seg.blocks, appended)
+	}
+
+	const from, to = 100_000, 101_000
+	var start, end, blockBytes int64 = -1, 0, 0
+	if err := seg.eachRun(from, to, func(s, e int64) error {
+		if start >= 0 {
+			t.Fatalf("window spans two ranges")
+		}
+		start, end = s, e
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range seg.blocks {
+		blockBytes = max(blockBytes, int64(b.n))
+	}
+	if start < 0 || end-start > 2*blockBytes {
+		t.Fatalf("window reads bytes [%d, %d) of a %d-byte segment, want at most two blocks (%d B)", start, end, seg.bytes, 2*blockBytes)
+	}
+
+	path := s.events.segPath(seg.seq)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		if int64(i) < start || int64(i) >= end {
+			data[i] = 0xFF
+		}
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	if err := s.EventsInWindow(from, to, func(ev telemetry.NamedEvent) error {
+		got = append(got, ev.Time)
+		return nil
+	}); err != nil {
+		t.Fatalf("window read touched bytes outside its blocks: %v", err)
+	}
+	if len(got) != 11 || got[0] != from || got[10] != to {
+		t.Fatalf("window read %v, want the 11 events from %d to %d", got, from, to)
+	}
+
+	data[(start+end)/2] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EventsInWindow(from, to, func(telemetry.NamedEvent) error { return nil }); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("a flipped byte inside the window's block read back with error %v, want a CRC mismatch", err)
+	}
+}

@@ -36,6 +36,7 @@ import (
 
 	"michican/internal/controller"
 	"michican/internal/forensics"
+	"michican/internal/jsonenc"
 	"michican/internal/telemetry"
 )
 
@@ -155,27 +156,14 @@ type Alert struct {
 }
 
 // EncodeAlert renders one alert transition as its canonical JSON payload —
-// the bytes the durable store's alert log holds.
-func EncodeAlert(a Alert) ([]byte, error) { return json.Marshal(a) }
+// the bytes the durable store's alert log holds (see appendAlert).
+func EncodeAlert(a Alert) ([]byte, error) { return appendAlert(nil, &a), nil }
 
 // DecodeAlert parses a stored alert payload.
 func DecodeAlert(payload []byte) (Alert, error) {
 	var a Alert
 	err := json.Unmarshal(payload, &a)
 	return a, err
-}
-
-// EncodeAlerts renders a transition log as store payloads, one per alert.
-func EncodeAlerts(log []Alert) ([][]byte, error) {
-	out := make([][]byte, 0, len(log))
-	for _, a := range log {
-		p, err := EncodeAlert(a)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // Config tunes an Engine. The zero value applies the paper-grounded
@@ -373,9 +361,10 @@ type Engine struct {
 	defenderID telemetry.NodeID
 	defenderOK bool
 
-	// alert state
-	log         []Alert
-	active      [numRules]*Alert
+	// alert state: the transition log, and per rule the log index of its
+	// active fire (-1 while resolved).
+	log         []record
+	active      [numRules]int
 	transitions [numRules]*telemetry.Counter
 	gActive     [numRules]*telemetry.Gauge
 
@@ -414,6 +403,9 @@ func New(hub *telemetry.Hub, eng *forensics.Engine, cfg Config) *Engine {
 		hub:   hub,
 		cfg:   cfg,
 		names: make(map[telemetry.NodeID]string),
+	}
+	for r := range w.active {
+		w.active[r] = -1
 	}
 	w.probe = hub.Probe("watch")
 	reg := hub.Registry()
@@ -512,24 +504,23 @@ func (w *Engine) foldDefender(ev telemetry.Event) {
 	cur := w.activeLevel(RuleDefenderConfinement)
 	switch {
 	case level > cur:
-		reason := fmt.Sprintf("defender error-passive (TEC=%d REC=%d)", w.defTEC, w.defREC)
+		reason := because(reasonDefenderPassive, "", w.defTEC, w.defREC)
 		if level == 2 {
-			reason = "defender bus-off: fault confinement breached"
+			reason = because(reasonDefenderBusOff, "")
 		}
-		w.fire(RuleDefenderConfinement, sev, ev.Time, reason, map[string]int64{
-			"tec": w.defTEC, "rec": w.defREC, "level": int64(level),
-		})
+		w.fire(RuleDefenderConfinement, sev, ev.Time, reason,
+			evidenceOf(keyLevel, int64(level)).and(keyRec, w.defREC).and(keyTec, w.defTEC))
 	case level == 0 && cur > 0:
 		w.resolveRule(RuleDefenderConfinement, ev.Time,
-			fmt.Sprintf("defender error-active again (TEC=%d REC=%d)", w.defTEC, w.defREC))
+			because(reasonDefenderActive, "", w.defTEC, w.defREC))
 	}
 }
 
 // activeLevel reads the "level" evidence of the rule's active alert (0 when
 // resolved). Called with w.mu held.
 func (w *Engine) activeLevel(r Rule) int {
-	if a := w.active[r]; a != nil {
-		return int(a.Evidence["level"])
+	if i := w.active[r]; i >= 0 {
+		return int(w.log[i].ev.get(keyLevel))
 	}
 	return 0
 }
@@ -572,14 +563,11 @@ func (w *Engine) closeLadderWindow() {
 	t := w.winEnd
 	if collapsed {
 		w.fire(RuleLadderCollapse, SevWarning, t,
-			fmt.Sprintf("fast-path hit rate %.2f collapsed below %.2f of baseline %.2f",
-				rate, w.cfg.LadderCollapseRatio, w.baseline),
-			map[string]int64{
-				"hit_rate_pct": int64(rate * 100), "baseline_pct": int64(w.baseline * 100),
-			})
+			because(reasonLadderCollapsed, "",
+				floatArg(rate), floatArg(w.cfg.LadderCollapseRatio), floatArg(w.baseline)),
+			evidenceOf(keyBaselinePct, int64(w.baseline*100)).and(keyHitRatePct, int64(rate*100)))
 	} else {
-		w.resolveRule(RuleLadderCollapse, t,
-			fmt.Sprintf("fast-path hit rate %.2f recovered", rate))
+		w.resolveRule(RuleLadderCollapse, t, because(reasonLadderRecovered, "", floatArg(rate)))
 		w.baseline += (rate - w.baseline) / 4
 	}
 	w.gLadBase.Set(w.baseline)
@@ -602,24 +590,20 @@ func (w *Engine) onIncident(inc forensics.Incident, atEnd bool, recordingEnd int
 	w.cEngaged.Inc()
 
 	// Campaign ledger: one fire/resolve pair at the incident's boundaries.
-	evidence := map[string]int64{
-		"attempts":   int64(v.Attempts),
-		"detections": int64(inc.Detections),
-		"leaked":     int64(v.FramesLeaked),
-	}
+	witness := evidenceOf(keyAttempts, int64(v.Attempts))
 	if v.Eradicated {
-		evidence["bus_off_at"] = inc.BusOffAt
+		witness = witness.and(keyBusOffAt, inc.BusOffAt)
 	}
+	witness = witness.and(keyDetections, int64(inc.Detections)).and(keyLeaked, int64(v.FramesLeaked))
 	w.fire(RuleCampaign, SevInfo, v.Start,
-		fmt.Sprintf("spoofing campaign on %s engaged (%d attempts)", v.IDHex, v.Attempts), evidence)
-	outcome := "attacker abandoned"
+		because(reasonCampaignEngaged, v.IDHex, int64(v.Attempts)), witness)
+	outcome := reasonCampaignAbandoned
 	if v.Eradicated {
-		outcome = "attacker eradicated"
+		outcome = reasonCampaignEradicated
 	} else if !v.EradicationOK {
-		outcome = "full campaign NOT eradicated"
+		outcome = reasonCampaignNotEradicated
 	}
-	w.resolveRule(RuleCampaign, v.End,
-		fmt.Sprintf("campaign on %s closed: %s", v.IDHex, outcome))
+	w.resolveRule(RuleCampaign, v.End, because(outcome, v.IDHex))
 
 	// Detection-latency SLO.
 	if v.DetectionLatencyBits >= 0 {
@@ -631,12 +615,11 @@ func (w *Engine) onIncident(inc forensics.Incident, atEnd bool, recordingEnd int
 		w.detViol++
 		w.cDetViol.Inc()
 		w.fire(RuleDetectionLatency, SevWarning, v.Start,
-			fmt.Sprintf("detection on %s took %d bits (SLO <= %d)",
-				v.IDHex, v.DetectionLatencyBits, w.cfg.SLOMaxDetectionLatencyBits),
-			map[string]int64{"latency_bits": v.DetectionLatencyBits})
+			because(reasonDetectionSlow, v.IDHex, v.DetectionLatencyBits, w.cfg.SLOMaxDetectionLatencyBits),
+			evidenceOf(keyLatencyBits, v.DetectionLatencyBits))
 	} else {
 		w.resolveRule(RuleDetectionLatency, v.End,
-			fmt.Sprintf("detection on %s back inside the window (%d bits)", v.IDHex, v.DetectionLatencyBits))
+			because(reasonDetectionInside, v.IDHex, v.DetectionLatencyBits))
 	}
 
 	// Zero-leaked-frames SLO.
@@ -646,11 +629,10 @@ func (w *Engine) onIncident(inc forensics.Incident, atEnd bool, recordingEnd int
 		w.cLeakInc.Inc()
 		w.cLeaked.Add(int64(v.FramesLeaked))
 		w.fire(RuleFrameLeak, SevCritical, v.Start,
-			fmt.Sprintf("%d attacker frame(s) of %s leaked during the campaign", v.FramesLeaked, v.IDHex),
-			map[string]int64{"frames": int64(v.FramesLeaked)})
+			because(reasonFramesLeaked, v.IDHex, int64(v.FramesLeaked)),
+			evidenceOf(keyFrames, int64(v.FramesLeaked)))
 	} else {
-		w.resolveRule(RuleFrameLeak, v.End,
-			fmt.Sprintf("campaign on %s leaked nothing", v.IDHex))
+		w.resolveRule(RuleFrameLeak, v.End, because(reasonNothingLeaked, v.IDHex))
 	}
 
 	// Eradication SLO.
@@ -659,35 +641,25 @@ func (w *Engine) onIncident(inc forensics.Incident, atEnd bool, recordingEnd int
 		w.erad++
 		w.cErad.Inc()
 		w.resolveRule(RuleEradication, inc.BusOffAt,
-			fmt.Sprintf("attacker on %s driven bus-off after %d attempts", v.IDHex, v.Attempts))
+			because(reasonDrivenBusOff, v.IDHex, int64(v.Attempts)))
 	case !v.EradicationOK:
 		w.eradFail++
 		w.cEradFail.Inc()
 		w.fire(RuleEradication, SevCritical, v.End,
-			fmt.Sprintf("full campaign on %s (%d attempts) closed without bus-off", v.IDHex, v.Attempts),
-			map[string]int64{"attempts": int64(v.Attempts)})
+			because(reasonNoBusOff, v.IDHex, int64(v.Attempts)),
+			evidenceOf(keyAttempts, int64(v.Attempts)))
 	}
 }
 
 // fire appends a fire transition unless the rule is already active at the
 // same severity, and re-emits it onto the hub as EvAlert. Called with w.mu
 // held.
-func (w *Engine) fire(r Rule, sev Severity, t int64, reason string, evidence map[string]int64) {
-	if a := w.active[r]; a != nil && a.Severity == sev.String() && r != RuleCampaign {
+func (w *Engine) fire(r Rule, sev Severity, t int64, reason why, witness evidence) {
+	if i := w.active[r]; i >= 0 && w.log[i].sev == sev && r != RuleCampaign {
 		return // already firing at this grade; no churn
 	}
-	a := Alert{
-		Seq:      int64(len(w.log)),
-		Rule:     r.String(),
-		RuleID:   int(r),
-		Severity: sev.String(),
-		State:    "fire",
-		Time:     t,
-		Reason:   reason,
-		Evidence: evidence,
-	}
-	w.log = append(w.log, a)
-	w.active[r] = &w.log[len(w.log)-1]
+	w.active[r] = len(w.log)
+	w.log = append(w.log, record{t: t, why: reason, ev: witness, rule: r, sev: sev})
 	w.transitions[r].Inc()
 	w.gActive[r].Set(1)
 	w.probe.Emit(t, telemetry.EvAlert, int64(r), 1)
@@ -695,21 +667,13 @@ func (w *Engine) fire(r Rule, sev Severity, t int64, reason string, evidence map
 
 // resolveRule appends a resolve transition when the rule is active. Called
 // with w.mu held.
-func (w *Engine) resolveRule(r Rule, t int64, reason string) {
-	if w.active[r] == nil {
+func (w *Engine) resolveRule(r Rule, t int64, reason why) {
+	i := w.active[r]
+	if i < 0 {
 		return
 	}
-	sev := w.active[r].Severity
-	w.log = append(w.log, Alert{
-		Seq:      int64(len(w.log)),
-		Rule:     r.String(),
-		RuleID:   int(r),
-		Severity: sev,
-		State:    "resolve",
-		Time:     t,
-		Reason:   reason,
-	})
-	w.active[r] = nil
+	w.log = append(w.log, record{t: t, why: reason, rule: r, sev: w.log[i].sev, resolve: true})
+	w.active[r] = -1
 	w.transitions[r].Inc()
 	w.gActive[r].Set(0)
 	w.probe.Emit(t, telemetry.EvAlert, int64(r), 0)
@@ -745,7 +709,7 @@ func (w *Engine) Snapshot() Snapshot {
 	defer w.mu.Unlock()
 	return Snapshot{
 		Active:   w.activeLocked(),
-		Log:      append([]Alert{}, w.log...),
+		Log:      w.alertsLocked(make([]Alert, 0, len(w.log))),
 		SLO:      w.sloLocked(),
 		Verdicts: len(w.verdicts),
 	}
@@ -755,19 +719,31 @@ func (w *Engine) Snapshot() Snapshot {
 // w.mu held.
 func (w *Engine) activeLocked() []Alert {
 	active := []Alert{}
-	for r := Rule(0); r < numRules; r++ {
-		if a := w.active[r]; a != nil {
-			active = append(active, *a)
+	for _, i := range w.active {
+		if i >= 0 {
+			active = append(active, w.log[i].alert(i))
 		}
 	}
 	return active
+}
+
+// alertsLocked appends the transition log, materialized, to dst. Called
+// with w.mu held.
+func (w *Engine) alertsLocked(dst []Alert) []Alert {
+	for i := range w.log {
+		dst = append(dst, w.log[i].alert(i))
+	}
+	return dst
 }
 
 // Alerts returns a copy of the transition log.
 func (w *Engine) Alerts() []Alert {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return append([]Alert(nil), w.log...)
+	if len(w.log) == 0 {
+		return nil
+	}
+	return w.alertsLocked(make([]Alert, 0, len(w.log)))
 }
 
 // Verdicts returns a copy of the per-incident SLO scorecards, in closure
@@ -780,12 +756,21 @@ func (w *Engine) Verdicts() []IncidentVerdict {
 }
 
 // EncodeAlertLog renders the transition log as durable-store payloads — the
-// batch FinalizeDurable hands to Sink.AppendAlerts.
+// batch FinalizeDurable hands to Sink.AppendAlerts — into one buffer, one
+// sub-slice per transition. Payload i is EncodeAlert of Alerts()[i].
 func (w *Engine) EncodeAlertLog() ([][]byte, error) {
+	// Appends never touch a record below len, so the records read here need
+	// no lock once the length is taken.
 	w.mu.Lock()
-	log := append([]Alert(nil), w.log...)
+	log := w.log[:len(w.log):len(w.log)]
 	w.mu.Unlock()
-	return EncodeAlerts(log)
+	hint := 0
+	for i := range log {
+		hint += log[i].sizeHint()
+	}
+	return jsonenc.Records(len(log), hint, func(dst []byte, i int) ([]byte, error) {
+		return log[i].appendJSON(dst, i), nil
+	})
 }
 
 // fleetView is one engine's share of FleetCollector.Snapshot: the active

@@ -416,7 +416,7 @@ func TestFleetCollectorSnapshotCountsTheLog(t *testing.T) {
 		w := New(telemetry.NewHub(), nil, Config{})
 		w.mu.Lock()
 		for i := 0; i < transitions; i++ {
-			w.fire(RuleCampaign, SevWarning, int64(i), "campaign", nil)
+			w.fire(RuleCampaign, SevWarning, int64(i), because(reasonCampaignEngaged, "0x123", 1), evidence{})
 		}
 		w.mu.Unlock()
 		fc := NewFleetCollector(nil)
