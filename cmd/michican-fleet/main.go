@@ -62,7 +62,6 @@ func main() {
 		queryW      = flag.Int("query-workers", 2, "benchmark: concurrent HTTP query clients hammering /fleet/metrics and /fleet/incidents")
 		scalingVeh  = flag.Int("scaling-vehicles", 8, "benchmark: vehicles per scaling-sweep run")
 		noScaling   = flag.Bool("no-scaling", false, "benchmark: skip the worker scaling sweep")
-		sharedCache = flag.Bool("shared-cache", true, "resolve every vehicle's compiled tx plans through one fleet-shared content-addressed cache (set -shared-cache=false to ablate: each vehicle compiles its plans privately; traces are bit-identical either way)")
 		aggOverhead = flag.Bool("agg-overhead", false, "measure fleet aggregation overhead vs the same vehicles run standalone and exit nonzero over -agg-budget")
 		aggBudget   = flag.Float64("agg-budget", 5.0, "aggregation overhead budget in percent for -agg-overhead")
 		storeDir    = flag.String("store", "", "persist every vehicle into a durable store rooted at this directory (one subdirectory per vehicle, DESIGN.md §8)")
@@ -89,18 +88,17 @@ func main() {
 	case *storeDigest:
 		err = runStoreDigest(*storeDir)
 	case *aggOverhead:
-		err = runAggOverhead(cfg, *vehicles, *horizon, *seed, *aggBudget, *sharedCache)
+		err = runAggOverhead(cfg, *vehicles, *horizon, *seed, *aggBudget)
 	case *bench || *benchJSON != "":
 		err = runBench(cfg, benchParams{
 			vehicles: *vehicles, total: *total, seed: *seed, horizon: *horizon,
 			churn: *churn, queryWorkers: *queryW,
 			scalingVehicles: *scalingVeh, scaling: !*noScaling,
-			sharedCache: *sharedCache,
-			jsonPath:    *benchJSON,
+			jsonPath: *benchJSON,
 		})
 	default:
 		err = runFleet(cfg, *vehicles, *horizon, *seed, *httpAddr, *linger,
-			durableParams{dir: *storeDir, resume: *resume, checkpointBits: *cpInterval}, *sharedCache,
+			durableParams{dir: *storeDir, resume: *resume, checkpointBits: *cpInterval},
 			*watchOn, *top)
 	}
 	if err != nil {
@@ -117,39 +115,32 @@ func pinPolicy(noPin bool) string {
 	return "LockOSThread per worker"
 }
 
-// buildAndAdd mints vehicle i from the fleet seed and joins it, resolving its
-// compiled plans through the shared cache when one is wired (nil = private).
-func buildAndAdd(f *fleet.Fleet, fleetSeed int64, i int, horizon int64, plans *controller.PlanSource) error {
-	spec := experiment.FleetSpecAt(fleetSeed, i, horizon, false)
-	spec.Plans = plans
-	v, err := experiment.NewFleetVehicle(spec)
+// buildAndAdd mints vehicle i from the fleet seed and joins it; Add wires
+// the fleet's plan cache in.
+func buildAndAdd(f *fleet.Fleet, fleetSeed int64, i int, horizon int64) error {
+	v, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(fleetSeed, i, horizon, false))
 	if err != nil {
 		return err
 	}
 	return f.Add(v)
 }
 
-// newPlans mints the fleet-shared plan cache, or nil under -shared-cache=false.
-func newPlans(shared bool) *controller.PlanSource {
-	if !shared {
-		return nil
-	}
-	return controller.NewPlanSource()
-}
-
-// planCacheMetrics returns the /fleet/metrics appender exposing the shared
-// plan cache's counters; an uncached fleet appends nothing.
-func planCacheMetrics(plans *controller.PlanSource) []obs.FleetOption {
-	if plans == nil {
-		return nil
-	}
-	return []obs.FleetOption{obs.WithFleetMetrics(func(w io.Writer) {
-		st := plans.Stats()
+// planCacheMetrics is the /fleet/metrics appender exposing the counters of
+// the fleet's plan cache.
+func planCacheMetrics(f *fleet.Fleet) obs.FleetOption {
+	return obs.WithFleetMetrics(func(w io.Writer) {
+		st := f.Plans().Stats()
 		fmt.Fprintf(w, "michican_fleet_plan_cache_hits_total %d\n", st.Hits)
 		fmt.Fprintf(w, "michican_fleet_plan_cache_misses_total %d\n", st.Misses)
 		fmt.Fprintf(w, "michican_fleet_plan_cache_plans %d\n", st.Plans)
 		fmt.Fprintf(w, "michican_fleet_plan_cache_resident_bytes %d\n", st.ResidentBytes)
-	})}
+	})
+}
+
+// printPlanCache prints the one-line summary of a plan cache.
+func printPlanCache(st controller.PlanSourceStats, hitRate float64) {
+	fmt.Printf("plan cache: %d plans resident (%d bytes), %d hits / %d misses (%.1f%% hit rate)\n",
+		st.Plans, st.ResidentBytes, st.Hits, st.Misses, 100*hitRate)
 }
 
 // durableParams bundles the daemon's persistence knobs.
@@ -170,8 +161,7 @@ func vehicleDir(root string, i int) string {
 // sink, retirement appends the incident log and a final Completed checkpoint
 // via OnFinalize), and -resume rebuilds the roster from the directory listing,
 // continuing each vehicle from its newest checkpoint.
-func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr string, linger time.Duration, dp durableParams, sharedCache, watchOn, top bool) error {
-	plans := newPlans(sharedCache)
+func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr string, linger time.Duration, dp durableParams, watchOn, top bool) error {
 	var collector *watch.FleetCollector
 	if watchOn {
 		collector = watch.NewFleetCollector(nil)
@@ -211,7 +201,6 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 	case dp.dir != "":
 		for i := 0; i < vehicles; i++ {
 			spec := experiment.FleetSpecAt(seed, i, horizon, false)
-			spec.Plans = plans
 			spec.Watch = watchOn
 			dv, err := experiment.StartDurableVehicle(vehicleDir(dp.dir, i), spec, 0, "", opts)
 			if err != nil {
@@ -227,7 +216,6 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 	default:
 		for i := 0; i < vehicles; i++ {
 			spec := experiment.FleetSpecAt(seed, i, horizon, false)
-			spec.Plans = plans
 			spec.Watch = watchOn
 			v, err := experiment.NewFleetVehicle(spec)
 			if err != nil {
@@ -255,8 +243,7 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 
 	var server *obs.Server
 	if httpAddr != "" {
-		fleetOpts := planCacheMetrics(plans)
-		fleetOpts = append(fleetOpts, obs.WithFleetHealth(mon.Check))
+		fleetOpts := []obs.FleetOption{planCacheMetrics(f), obs.WithFleetHealth(mon.Check)}
 		if collector != nil {
 			fleetOpts = append(fleetOpts, obs.WithFleetAlerts(func() watch.FleetAlertView {
 				return collector.Snapshot(time.Now())
@@ -300,13 +287,7 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 	}
 	wall := time.Since(start)
 	printSummary(f, wall)
-	if plans != nil {
-		st := plans.Stats()
-		fmt.Printf("plan cache: %d plans resident (%d bytes), %d hits / %d misses (%.1f%% hit rate)\n",
-			st.Plans, st.ResidentBytes, st.Hits, st.Misses, 100*plans.HitRate())
-	} else {
-		fmt.Println("plan cache: ablated (-shared-cache=false), every vehicle compiled privately")
-	}
+	printPlanCache(f.Plans().Stats(), f.Plans().HitRate())
 	if server != nil && linger > 0 {
 		fmt.Printf("lingering %v for inspection...\n", linger)
 		time.Sleep(linger)
@@ -496,7 +477,6 @@ type benchParams struct {
 	queryWorkers    int
 	scalingVehicles int
 	scaling         bool
-	sharedCache     bool
 	jsonPath        string
 }
 
@@ -525,9 +505,7 @@ type churnResult struct {
 	SpliceBitsTotal           int64                `json:"splice_bits_total"`
 	Incidents                 fleet.IncidentTotals `json:"incidents"`
 	Query                     queryResult          `json:"query"`
-	// SharedCache tells whether the run resolved plans through one fleet-wide
-	// cache; PlanCache carries its counters (zero when ablated).
-	SharedCache      bool                       `json:"shared_cache"`
+	// PlanCache carries the counters of the fleet's plan cache.
 	PlanCache        controller.PlanSourceStats `json:"plan_cache"`
 	PlanCacheHitRate float64                    `json:"plan_cache_hit_rate"`
 }
@@ -582,13 +560,7 @@ func runBench(cfg fleet.Config, p benchParams) error {
 		res.LogicalUpdates, res.CommitCalls, res.UpdatesPerCommit)
 	fmt.Printf("query load: %d requests, p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
 		res.Query.Requests, res.Query.P50Ms, res.Query.P95Ms, res.Query.P99Ms, res.Query.MaxMs)
-	if res.SharedCache {
-		fmt.Printf("plan cache: %d plans resident (%d bytes), %d hits / %d misses (%.1f%% hit rate)\n",
-			res.PlanCache.Plans, res.PlanCache.ResidentBytes,
-			res.PlanCache.Hits, res.PlanCache.Misses, 100*res.PlanCacheHitRate)
-	} else {
-		fmt.Println("plan cache: ablated (-shared-cache=false), every vehicle compiled privately")
-	}
+	printPlanCache(res.PlanCache, res.PlanCacheHitRate)
 
 	eff := cfg.Defaults()
 	rep := benchReport{
@@ -651,7 +623,6 @@ func runChurn(cfg fleet.Config, p benchParams) (*churnResult, error) {
 		f        *fleet.Fleet
 		removeAt = map[int64]bool{}
 	)
-	plans := newPlans(p.sharedCache)
 	nextIdx.Store(int64(p.vehicles))
 	if p.churn {
 		// Remove one active vehicle at every 25% completion mark of the
@@ -674,18 +645,18 @@ func runChurn(cfg fleet.Config, p benchParams) (*churnResult, error) {
 			}
 		}
 		if i := nextIdx.Add(1) - 1; int(i) < p.total {
-			if err := buildAndAdd(f, p.seed, int(i), p.horizon, plans); err != nil {
+			if err := buildAndAdd(f, p.seed, int(i), p.horizon); err != nil {
 				joinErr.Store(err)
 			}
 		}
 	}
 	f = fleet.New(cfg)
 	for i := 0; i < p.vehicles; i++ {
-		if err := buildAndAdd(f, p.seed, i, p.horizon, plans); err != nil {
+		if err := buildAndAdd(f, p.seed, i, p.horizon); err != nil {
 			return nil, err
 		}
 	}
-	server, err := obs.ServeFleet("127.0.0.1:0", f, planCacheMetrics(plans)...)
+	server, err := obs.ServeFleet("127.0.0.1:0", f, planCacheMetrics(f))
 	if err != nil {
 		return nil, err
 	}
@@ -766,9 +737,8 @@ func runChurn(cfg fleet.Config, p benchParams) (*churnResult, error) {
 		CommittedDelta:            mv.CommittedDelta,
 		SpliceBitsTotal:           sumFamily(mv, "michican_ff_splice_bits_total"),
 		Incidents:                 iv.Totals,
-		SharedCache:               p.sharedCache,
-		PlanCache:                 plans.Stats(),
-		PlanCacheHitRate:          plans.HitRate(),
+		PlanCache:                 f.Plans().Stats(),
+		PlanCacheHitRate:          f.Plans().HitRate(),
 	}
 	if res.CommitCalls > 0 {
 		res.UpdatesPerCommit = float64(res.LogicalUpdates) / float64(res.CommitCalls)
@@ -800,10 +770,9 @@ func runChurn(cfg fleet.Config, p benchParams) (*churnResult, error) {
 func runScalingCell(cfg fleet.Config, p benchParams, workers int) (scalingRow, error) {
 	cfg.Workers = workers
 	cfg.OnRetire = nil
-	f := fleet.New(cfg)
-	plans := newPlans(p.sharedCache) // fresh per cell, so cells stay independent
+	f := fleet.New(cfg) // a fresh plan cache per cell, so cells stay independent
 	for i := 0; i < p.scalingVehicles; i++ {
-		if err := buildAndAdd(f, p.seed, i, p.horizon, plans); err != nil {
+		if err := buildAndAdd(f, p.seed, i, p.horizon); err != nil {
 			return scalingRow{}, err
 		}
 	}
@@ -831,7 +800,7 @@ func runScalingCell(cfg fleet.Config, p benchParams, workers int) (scalingRow, e
 // commits); the difference is the whole cost of sharding + thresholded
 // aggregation. Two rounds per arm, best-of — the min is robust against
 // scheduler interference on shared runners.
-func runAggOverhead(cfg fleet.Config, vehicles int, horizon, seed int64, budgetPct float64, sharedCache bool) error {
+func runAggOverhead(cfg fleet.Config, vehicles int, horizon, seed int64, budgetPct float64) error {
 	if horizon <= 0 {
 		return fmt.Errorf("agg-overhead needs -horizon-bits > 0")
 	}
@@ -843,7 +812,7 @@ func runAggOverhead(cfg fleet.Config, vehicles int, horizon, seed int64, budgetP
 		vehicles, horizon, eff.SliceBits, eff.CommitThreshold, eff.CommitIntervalBits)
 
 	standalone := func() (float64, error) {
-		plans := newPlans(sharedCache) // fresh per round, symmetric with the fleet arm
+		plans := controller.NewPlanSource() // fresh per round, as each fleet arm's
 		vs := make([]*experiment.FleetVehicle, vehicles)
 		for i := range vs {
 			spec := experiment.FleetSpecAt(seed, i, horizon, false)
@@ -875,9 +844,8 @@ func runAggOverhead(cfg fleet.Config, vehicles int, horizon, seed int64, budgetP
 	}
 	fleetArm := func() (float64, error) {
 		f := fleet.New(cfg)
-		plans := newPlans(sharedCache)
 		for i := 0; i < vehicles; i++ {
-			if err := buildAndAdd(f, seed, i, horizon, plans); err != nil {
+			if err := buildAndAdd(f, seed, i, horizon); err != nil {
 				return 0, err
 			}
 		}

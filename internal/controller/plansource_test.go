@@ -121,7 +121,7 @@ func TestPlanSourceZeroValue(t *testing.T) {
 }
 
 // TestPlanSourceNilSafe: observability paths read stats off a possibly-nil
-// source (the -shared-cache=false ablation), which must be a clean zero.
+// source (MeasureFleetPlanCache's private arm), which must be a clean zero.
 func TestPlanSourceNilSafe(t *testing.T) {
 	var src *PlanSource
 	if st := src.Stats(); st != (PlanSourceStats{}) {

@@ -10,6 +10,9 @@ import (
 	"sort"
 	"testing"
 
+	"michican/internal/controller"
+	"michican/internal/fleet"
+	"michican/internal/forensics"
 	"michican/internal/store"
 	"michican/internal/telemetry"
 	"michican/internal/watch"
@@ -282,5 +285,117 @@ func TestResumeIndependentOfSlicing(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// durableFleet is a fleet that persists each retiring vehicle as
+// michican-fleet -store does: FinalizeDurable, then Store.Close.
+func durableFleet(t *testing.T) *fleet.Fleet {
+	return fleet.New(fleet.Config{Workers: 2, NoPin: true, OnFinalize: func(v fleet.Vehicle, incs []forensics.Incident) {
+		dv := v.(*DurableVehicle)
+		if err := dv.FinalizeDurable(incs); err != nil {
+			t.Errorf("finalize vehicle %d: %v", v.ID(), err)
+		}
+		if err := dv.Store.Close(); err != nil {
+			t.Errorf("close vehicle %d: %v", v.ID(), err)
+		}
+	}})
+}
+
+// TestResumedFleetSharesPlans pins the fleet's plan-ownership rule on the
+// recovery path: a roster crashed past a checkpoint and resumed through
+// ResumeDurableVehicle into a new fleet compiles through the fleet's one
+// source (every controller of every vehicle), compiles each distinct frame
+// exactly as often as an uninterrupted shared run, and leaves stores
+// byte-identical to that run.
+func TestResumedFleetSharesPlans(t *testing.T) {
+	const (
+		horizon = 524_288
+		crashAt = 327_680 // five 65,536-bit quanta, past the 262,144 checkpoint
+		slice   = 65_536  // the fleet's default quantum
+	)
+	sinkOpts := store.SinkOptions{CheckpointIntervalBits: 131_072}
+	mixes := []struct {
+		attack FleetAttack
+		load   float64
+	}{{FleetAttackSpoof, 0.3}, {FleetAttackDoS, 0.3}, {FleetAttackToggle, 0.6}, {FleetAttackNone, 0.02}}
+	specs := make([]FleetVehicleSpec, len(mixes))
+	for i, m := range mixes {
+		specs[i] = FleetSpecAt(3, i, horizon, false)
+		specs[i].Attack, specs[i].Load, specs[i].Watch = m.attack, m.load, true
+	}
+	refRoot, crashRoot := t.TempDir(), t.TempDir()
+	dirOf := func(root string, i int) string { return filepath.Join(root, fmt.Sprintf("v%05d", i)) }
+
+	// The uninterrupted reference: the fleet wires its source into vehicles
+	// built without one.
+	ref := durableFleet(t)
+	for i, spec := range specs {
+		dv, err := StartDurableVehicle(dirOf(refRoot, i), spec, 0, "", sinkOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Add(dv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.Start()
+	ref.Wait()
+	ref.Stop()
+	want := ref.Plans().Stats()
+	if want.Misses == 0 || want.Hits == 0 {
+		t.Fatalf("reference fleet never exercised its plan source: %+v", want)
+	}
+
+	// The crash image: every vehicle advanced past a checkpoint, then its
+	// sink and store closed without finalizing.
+	for i, spec := range specs {
+		dv, err := StartDurableVehicle(dirOf(crashRoot, i), spec, 0, "", sinkOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		advanceSliced(dv.FleetVehicle, crashAt, slice)
+		if err := dv.Sink.Close(dv.Now(), false); err != nil {
+			t.Fatal(err)
+		}
+		dv.Close()
+	}
+
+	f := durableFleet(t)
+	for i := range specs {
+		dv, err := ResumeDurableVehicle(dirOf(crashRoot, i), sinkOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp, err := dv.Store.LatestCheckpoint(); err != nil || cp.Events == 0 {
+			t.Fatalf("vehicle %d: no mid-run checkpoint to resume from: %+v (%v)", i, cp, err)
+		}
+		if err := f.Add(dv); err != nil {
+			t.Fatal(err)
+		}
+		ctls := []*controller.Controller{dv.defender}
+		if dv.rp != nil {
+			ctls = append(ctls, dv.rp.Controller())
+		}
+		for _, a := range dv.attackers {
+			ctls = append(ctls, a.Controller())
+		}
+		if len(ctls) < 2 {
+			t.Fatalf("vehicle %d: %d controllers, want a defender plus a replayer or attacker", i, len(ctls))
+		}
+		for _, c := range ctls {
+			if c.PlanSource() != f.Plans() {
+				t.Fatalf("vehicle %d: a controller does not resolve through the fleet's plan source", i)
+			}
+		}
+	}
+	f.Start()
+	f.Wait()
+	f.Stop()
+	if got := f.Plans().Stats(); got.Misses != want.Misses {
+		t.Fatalf("resumed fleet compiled %d distinct frames, the uninterrupted run %d", got.Misses, want.Misses)
+	}
+	for i := range specs {
+		sameSegments(t, dirOf(refRoot, i), dirOf(crashRoot, i), "*.seg")
 	}
 }

@@ -23,8 +23,8 @@ import (
 // touches — bus, RNG, telemetry hub, forensics engine, recorder — is owned
 // by the vehicle, so thousands of them advance on shared-nothing workers
 // with per-vehicle results bit-identical for any worker count or churn
-// order; the only cross-vehicle coupling is the thresholded net-commit of
-// counter deltas the fleet layer applies from outside.
+// order; the only cross-vehicle coupling is the fleet's immutable plan cache
+// and the net-commit of counter deltas the fleet layer applies from outside.
 
 // FleetAttack selects a vehicle's attacker mix (the Sec. V-C scenarios).
 type FleetAttack string
@@ -69,13 +69,12 @@ type FleetVehicleSpec struct {
 	// durable-store meta) because the alert log it produces is persisted —
 	// a resumed run must regenerate it identically.
 	Watch bool
-	// Plans, when set, is the fleet-shared compiled-plan cache: the
-	// vehicle's replayer and defender resolve frame serializations through
-	// it, sharing one immutable copy per distinct frame across every
-	// vehicle on the same source. Purely a memory/compile-time
-	// optimization — traces are bit-identical with and without it (the
-	// determinism tests pin that), so it is excluded from the spec's
-	// determinism identity and from durable-store spec serialization.
+	// Plans, when set, is the compiled-plan cache every controller of the
+	// vehicle resolves frames through (nil: fleet.Add wires in the fleet's).
+	// Purely a memory/compile-time optimization — traces are bit-identical
+	// with and without it (the determinism tests pin that), so it is
+	// excluded from the spec's determinism identity and from durable-store
+	// spec serialization.
 	Plans *controller.PlanSource `json:"-"`
 }
 
@@ -120,6 +119,7 @@ type FleetVehicle struct {
 	defense    *core.Defense
 	recorder   *trace.Recorder
 	rp         *restbus.Replayer
+	attackers  []*attack.Attacker
 	watch      *watch.Engine
 	periodBits int64
 	nextSend   bus.BitTime
@@ -164,34 +164,27 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.defender = controller.New(controller.Config{Name: "defender", AutoRecover: true, Plans: spec.Plans})
+	v.defender = controller.New(controller.Config{Name: "defender", AutoRecover: true})
 	v.defense = defense
 	v.bb.Attach(core.NewECU(v.defender, defense))
 
-	var rp *restbus.Replayer
 	if matrix != nil {
-		rp = restbus.NewReplayer("restbus", matrix, bus.Rate50k, newRand(spec.Seed))
-		if spec.Plans != nil {
-			rp.SharePlans(spec.Plans)
-		}
-		v.rp = rp
-		v.bb.Attach(rp)
+		v.rp = restbus.NewReplayer("restbus", matrix, bus.Rate50k, newRand(spec.Seed))
+		v.bb.Attach(v.rp)
 	}
-	attackers := fleetAttackers(spec.Attack)
-	for _, a := range attackers {
-		if spec.Plans != nil {
-			a.SharePlans(spec.Plans)
-		}
+	v.attackers = fleetAttackers(spec.Attack)
+	for _, a := range v.attackers {
 		v.bb.Attach(a)
 	}
+	v.SharePlans(spec.Plans)
 
 	v.bb.SetTelemetry(v.hub, "bus")
 	v.defender.SetTelemetry(v.hub)
 	defense.SetTelemetry(v.hub)
-	if rp != nil {
-		rp.SetTelemetry(v.hub)
+	if v.rp != nil {
+		v.rp.SetTelemetry(v.hub)
 	}
-	for _, a := range attackers {
+	for _, a := range v.attackers {
 		a.SetTelemetry(v.hub)
 	}
 	if spec.Record {
@@ -209,6 +202,23 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 	}
 	return v, nil
 }
+
+// SharePlans wires a plan cache into every controller of the vehicle (nil:
+// each compiles privately). fleet.Add calls it, before the first Advance,
+// on a vehicle built without spec.Plans — a resumed one, for instance.
+func (v *FleetVehicle) SharePlans(src *controller.PlanSource) {
+	v.spec.Plans = src
+	v.defender.SetPlanSource(src)
+	if v.rp != nil {
+		v.rp.SharePlans(src)
+	}
+	for _, a := range v.attackers {
+		a.SharePlans(src)
+	}
+}
+
+// PlanSource returns the vehicle's plan cache (nil: private compiles).
+func (v *FleetVehicle) PlanSource() *controller.PlanSource { return v.spec.Plans }
 
 // Watch returns the vehicle's live SLO engine (nil unless spec.Watch).
 func (v *FleetVehicle) Watch() *watch.Engine { return v.watch }

@@ -4,7 +4,8 @@
 //
 // The sharding model is deliberately boring: a vehicle is a complete,
 // self-contained simulation (its own bus, nodes, RNG, telemetry hub and
-// forensics engine — nothing shared), and a worker owns a disjoint set of
+// forensics engine; the only thing shared is the fleet's immutable
+// compiled-plan cache, see Plans), and a worker owns a disjoint set of
 // vehicles that it advances round-robin in SliceBits quanta. Workers are
 // pinned one goroutine per OS thread (LockOSThread), sized to NumCPU by
 // default. Because no two workers ever touch the same vehicle and a vehicle
@@ -36,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"michican/internal/controller"
 	"michican/internal/forensics"
 	"michican/internal/telemetry"
 )
@@ -66,6 +68,13 @@ type Vehicle interface {
 	Finalize() []forensics.Incident
 	// Describe is a one-line scenario summary for the snapshot endpoints.
 	Describe() string
+}
+
+// planSharer is the optional capability through which Add wires the fleet's
+// compiled-plan cache into a vehicle built without one of its own.
+type planSharer interface {
+	PlanSource() *controller.PlanSource
+	SharePlans(*controller.PlanSource)
 }
 
 // Config sizes the fleet.
@@ -156,8 +165,9 @@ type retiredRecord struct {
 
 // Fleet is the running control plane.
 type Fleet struct {
-	cfg Config
-	agg *Aggregate
+	cfg   Config
+	agg   *Aggregate
+	plans *controller.PlanSource
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -179,6 +189,7 @@ func New(cfg Config) *Fleet {
 	f := &Fleet{
 		cfg:     cfg.Defaults(),
 		agg:     newAggregate(),
+		plans:   controller.NewPlanSource(),
 		byID:    make(map[int]*shard),
 		retired: make(map[int]retiredRecord),
 	}
@@ -197,9 +208,14 @@ func (f *Fleet) Aggregate() *Aggregate { return f.agg }
 // Config returns the effective (defaulted) configuration.
 func (f *Fleet) Config() Config { return f.cfg }
 
+// Plans returns the compiled-plan cache Add wires into every vehicle that
+// joins without one of its own, resumed vehicles included.
+func (f *Fleet) Plans() *controller.PlanSource { return f.plans }
+
 // Add joins a vehicle, before or after Start. Assignment is round-robin in
 // join order, which keeps shard placement deterministic for a deterministic
-// join sequence.
+// join sequence. A vehicle that can share plans and has no source yet is
+// wired to Plans before its first Advance; one with its own source keeps it.
 func (f *Fleet) Add(v Vehicle) error {
 	s := &shard{
 		v:       v,
@@ -230,6 +246,9 @@ func (f *Fleet) Add(v Vehicle) error {
 	w := f.workers[s.worker]
 	f.mu.Unlock()
 
+	if ps, ok := v.(planSharer); ok && ps.PlanSource() == nil {
+		ps.SharePlans(f.plans)
+	}
 	w.add(s)
 	return nil
 }

@@ -17,12 +17,14 @@ import (
 // controllers reference the shared plans, and the published plans and
 // rolling payloads must come out of the run unwritten.
 
-// runSharedCacheArm builds n recorded vehicles (optionally resolving plans
-// through src), runs the fleet to drain, and returns per-vehicle outcomes.
+// runSharedCacheArm builds n recorded vehicles, each resolving plans through
+// the source plans returns for it (a fresh one per vehicle is the private
+// arm: a nil source would be filled by the fleet's own), runs the fleet to
+// drain, and returns per-vehicle outcomes.
 // When removeIdx is non-negative, that vehicle is built horizon-less and
 // removed right after Start, so its retirement races the workers — the
 // shared-nothing sharding must keep every other vehicle unaffected.
-func runSharedCacheArm(t *testing.T, n int, src *controller.PlanSource, removeIdx int) map[int]vehicleTrace {
+func runSharedCacheArm(t *testing.T, n int, plans func() *controller.PlanSource, removeIdx int) map[int]vehicleTrace {
 	t.Helper()
 	f := fleet.New(fleet.Config{Workers: 2, NoPin: true})
 	vehicles := make(map[int]*experiment.FleetVehicle, n)
@@ -32,7 +34,7 @@ func runSharedCacheArm(t *testing.T, n int, src *controller.PlanSource, removeId
 			horizon = 0 // runs until removed
 		}
 		spec := experiment.FleetSpecAt(testSeed, i, horizon, true)
-		spec.Plans = src
+		spec.Plans = plans()
 		v, err := experiment.NewFleetVehicle(spec)
 		if err != nil {
 			t.Fatalf("build vehicle %d: %v", i, err)
@@ -70,9 +72,9 @@ func runSharedCacheArm(t *testing.T, n int, src *controller.PlanSource, removeId
 // fleet-shared source — and the source must actually have been exercised.
 func TestFleetDeterminismSharedPlanCache(t *testing.T) {
 	const n = 5
-	private := runSharedCacheArm(t, n, nil, -1)
+	private := runSharedCacheArm(t, n, controller.NewPlanSource, -1)
 	src := controller.NewPlanSource()
-	shared := runSharedCacheArm(t, n, src, -1)
+	shared := runSharedCacheArm(t, n, func() *controller.PlanSource { return src }, -1)
 
 	for id := 0; id < n; id++ {
 		p, s := private[id], shared[id]
@@ -105,9 +107,9 @@ func TestFleetDeterminismSharedPlanCache(t *testing.T) {
 // and the cache keeps serving the survivors afterwards.
 func TestFleetRemoveWhileSharedPlans(t *testing.T) {
 	const n, removeIdx = 4, 1
-	private := runSharedCacheArm(t, n, nil, removeIdx)
+	private := runSharedCacheArm(t, n, controller.NewPlanSource, removeIdx)
 	src := controller.NewPlanSource()
-	shared := runSharedCacheArm(t, n, src, removeIdx)
+	shared := runSharedCacheArm(t, n, func() *controller.PlanSource { return src }, removeIdx)
 
 	for id := 0; id < n; id++ {
 		if id == removeIdx {
@@ -127,5 +129,44 @@ func TestFleetRemoveWhileSharedPlans(t *testing.T) {
 	}
 	if err := src.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFleetAddKeepsVehicleSource pins the ownership rule's other half: Add
+// wires the fleet's plan cache only into a vehicle that has none, so a
+// vehicle built with its own spec.Plans keeps compiling through it, while a
+// vehicle without one joins the fleet's.
+func TestFleetAddKeepsVehicleSource(t *testing.T) {
+	f := fleet.New(fleet.Config{Workers: 2, NoPin: true})
+	own := controller.NewPlanSource()
+	spec := experiment.FleetSpecAt(testSeed, 0, testHorizon, false)
+	spec.Plans = own
+	kept, err := experiment.NewFleetVehicle(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wired, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(testSeed, 1, testHorizon, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*experiment.FleetVehicle{kept, wired} {
+		if err := f.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kept.PlanSource() != own {
+		t.Fatal("Add replaced the vehicle's own plan source")
+	}
+	if wired.PlanSource() != f.Plans() {
+		t.Fatal("Add did not wire the fleet's plan source into a vehicle without one")
+	}
+	f.Start()
+	f.Wait()
+	f.Stop()
+	if st := own.Stats(); st.Misses == 0 {
+		t.Fatalf("the vehicle's own source compiled nothing: %+v", st)
+	}
+	if st := f.Plans().Stats(); st.Misses == 0 {
+		t.Fatalf("the fleet's source compiled nothing: %+v", st)
 	}
 }

@@ -3,10 +3,14 @@ package forensics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
+	"michican/internal/can"
+	"michican/internal/controller"
 	"michican/internal/stats"
+	"michican/internal/telemetry"
 )
 
 // FuzzIncidentJSON checks appendIncident against json.Marshal on random
@@ -86,5 +90,34 @@ func TestEncodeIncidentsAllocatesPerBatch(t *testing.T) {
 		}
 	}); n > 3 {
 		t.Fatalf("encoding %d incidents allocates %v times, want at most 3", len(incs), n)
+	}
+}
+
+// TestStepTextsMatchFormatting pins the table- and append-built incident
+// texts to the fmt forms they replace: IDHex for every base ID and a spread
+// of extended ones, and the numbered and error causality steps in and past
+// their tables.
+func TestStepTextsMatchFormatting(t *testing.T) {
+	ids := []int64{0x800, 0xFFF, 0x1000, 0x18DAF110, int64(can.MaxExtID)}
+	for id := int64(0); id <= int64(can.MaxID); id++ {
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		if got, want := idHex(id), fmt.Sprintf("0x%03X", id); got != want {
+			t.Fatalf("idHex(%d) = %q, want %q", id, got, want)
+		}
+	}
+	for n := int64(-1); n <= 40; n++ {
+		if got, want := numberedStep(detectSteps[:], "detect@bit", "", n), fmt.Sprintf("detect@bit%d", n); got != want {
+			t.Fatalf("detect step %d = %q, want %q", n, got, want)
+		}
+		if got, want := numberedStep(pullSteps[:], "counterattack(", " bits)", n), fmt.Sprintf("counterattack(%d bits)", n); got != want {
+			t.Fatalf("pull step %d = %q, want %q", n, got, want)
+		}
+	}
+	for kind := int64(0); kind <= int64(controller.AckError)+1; kind++ {
+		if got, want := errorStep(kind), fmt.Sprintf("error(%s)", telemetry.ErrorKindName(kind)); got != want {
+			t.Fatalf("error step %d = %q, want %q", kind, got, want)
+		}
 	}
 }

@@ -23,7 +23,9 @@ package forensics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"michican/internal/can"
@@ -174,7 +176,7 @@ type errRec struct {
 // succeeded, destroyed or dropped — is reset in place for the next SOF,
 // keeping its slice storage. That is sound only because nothing that
 // outlives an attempt aliases its storage: closeDestroyed,
-// closeWireAttempt, chain and attachBusOff copy every value they keep.
+// closeWireAttempt and attachBusOff copy every value they keep.
 type attempt struct {
 	start int64
 	// tx holds one record per node that asserted the SOF (or erred in the
@@ -282,17 +284,90 @@ func (c *attempt) reset() {
 }
 
 // incidentState is an Incident under construction plus the working state
-// needed to resolve attribution at snapshot time.
+// needed to resolve attribution at snapshot time. Its TEC trajectories and
+// causality chain are slab lists (see slab), so a snapshot shares them.
 type incidentState struct {
-	inc         Incident
-	destroyedBy map[telemetry.NodeID]int
-	tecByNode   map[telemetry.NodeID][]TECStep
+	inc Incident
+	// nodes lists the incident's transmitters in first-seen order; nodeBuf
+	// holds the first two (a campaign has one or two), so the list costs
+	// no allocation.
+	nodes       []incNode
+	nodeBuf     [2]incNode
 	busOffNode  telemetry.NodeID
 	hasDefender bool
 	detAcc      stats.Accumulator
 	// leakFrozen marks a closed incident whose inc.FramesLeaked was counted
 	// at closure; the success records it covered are pruned.
 	leakFrozen bool
+}
+
+// incNode is one transmitter's share of an incident: the destroyed attempts
+// it drove and its TEC trajectory across the incident.
+type incNode struct {
+	node      telemetry.NodeID
+	destroyed int
+	tec       []TECStep
+}
+
+// nodeOf returns the node's entry, adding it on first sight.
+func (st *incidentState) nodeOf(node telemetry.NodeID) *incNode {
+	for i := range st.nodes {
+		if st.nodes[i].node == node {
+			return &st.nodes[i]
+		}
+	}
+	if st.nodes == nil {
+		st.nodes = st.nodeBuf[:0]
+	}
+	st.nodes = append(st.nodes, incNode{node: node})
+	return &st.nodes[len(st.nodes)-1]
+}
+
+// tecOf returns the node's TEC trajectory across the incident.
+func (st *incidentState) tecOf(node telemetry.NodeID) []TECStep {
+	for _, n := range st.nodes {
+		if n.node == node {
+			return n.tec
+		}
+	}
+	return nil
+}
+
+// slab carves the engine's growable lists (TEC trajectories, causality
+// chains) out of shared chunks, so the many short lists an engine keeps per
+// incident cost one allocation per chunk rather than a few growths each.
+// A list's capacity is its reservation in a chunk. A full list whose
+// reservation ends at the chunk's fill point widens in place; any other
+// moves to a reservation twice its size, leaving its old storage unchanged
+// to whoever still holds it. The engine only ever writes past a list's
+// length, so a snapshot clipped to cap == len never changes, and an append
+// by its holder copies instead of writing into the engine's reservation.
+type slab[T any] struct{ chunk []T }
+
+// A list's first reservation holds slabList elements; chunks grow from
+// slabFirst elements by doubling up to slabMax.
+const (
+	slabList  = 4
+	slabFirst = 16
+	slabMax   = 512
+)
+
+// extend returns list with more appended.
+func (s *slab[T]) extend(list []T, more ...T) []T {
+	if n, c := len(list)+len(more), cap(list); n > c {
+		room := max(2*c, n, slabList)
+		start := len(s.chunk) - c
+		if c == 0 || &list[:c][c-1] != &s.chunk[len(s.chunk)-1] || start+room > cap(s.chunk) {
+			if len(s.chunk)+room > cap(s.chunk) {
+				s.chunk = make([]T, 0, max(min(max(2*cap(s.chunk), slabFirst), slabMax), room))
+			}
+			start = len(s.chunk)
+			s.chunk = append(s.chunk, list...)
+		}
+		s.chunk = s.chunk[:start+room]
+		list = s.chunk[start : start+len(list) : start+room]
+	}
+	return append(list, more...)
 }
 
 // successRec is one completed frame, kept per ID so FramesLeaked can be
@@ -325,6 +400,12 @@ type Engine struct {
 	txSuccess   map[telemetry.NodeID]int
 	firstBusOff map[telemetry.NodeID]int64
 	idDet       map[int64]*stats.Accumulator
+
+	// tecs and links back every incident's TEC trajectories and causality
+	// chain; hops is the scratch the first attempt's chain is built in.
+	tecs  slab[TECStep]
+	links slab[ChainLink]
+	hops  []ChainLink
 
 	// tec/rec mirror each node's error counters from EvTEC/EvREC so the
 	// engine can derive fault-confinement state (which decides whether an
@@ -569,9 +650,7 @@ func (e *Engine) closeWireAttempt(c *attempt, errorEnd int64) {
 		// never counts.
 		if c.busOff && idKnown {
 			if st := e.open[id]; st != nil {
-				for _, t := range c.tec {
-					st.tecByNode[t.node] = append(st.tecByNode[t.node], t.steps...)
-				}
+				e.foldTEC(st, c)
 				e.attachBusOff(st, c)
 			}
 		}
@@ -774,7 +853,7 @@ func (e *Engine) fold(ev telemetry.Event) {
 	case telemetry.EvRecover:
 		if st := e.recovery[ev.Node]; st != nil {
 			st.inc.RecoveredAt = ev.Time
-			st.inc.Causality = append(st.inc.Causality,
+			st.inc.Causality = e.links.extend(st.inc.Causality,
 				ChainLink{At: ev.Time, Node: e.nodeName(ev.Node), Step: "recover"})
 			delete(e.recovery, ev.Node)
 		}
@@ -819,18 +898,14 @@ func (e *Engine) closeDestroyed(c *attempt, id int64, end int64) {
 	first := false
 	if st == nil {
 		first = true
-		st = &incidentState{
-			inc: Incident{
-				ID:            can.ID(id),
-				IDHex:         fmt.Sprintf("0x%03X", id),
-				Start:         c.start,
-				FirstDetectAt: -1,
-				BusOffAt:      -1,
-				RecoveredAt:   -1,
-			},
-			destroyedBy: make(map[telemetry.NodeID]int),
-			tecByNode:   make(map[telemetry.NodeID][]TECStep),
-		}
+		st = &incidentState{inc: Incident{
+			ID:            can.ID(id),
+			IDHex:         idHex(id),
+			Start:         c.start,
+			FirstDetectAt: -1,
+			BusOffAt:      -1,
+			RecoveredAt:   -1,
+		}}
 		e.open[id] = st
 	}
 	inc := &st.inc
@@ -839,12 +914,10 @@ func (e *Engine) closeDestroyed(c *attempt, id int64, end int64) {
 
 	for _, r := range c.tx {
 		if !r.lost {
-			st.destroyedBy[r.node]++
+			st.nodeOf(r.node).destroyed++
 		}
 	}
-	for _, t := range c.tec {
-		st.tecByNode[t.node] = append(st.tecByNode[t.node], t.steps...)
-	}
+	e.foldTEC(st, c)
 	det := e.idDet[id]
 	if det == nil {
 		det = &stats.Accumulator{}
@@ -867,10 +940,20 @@ func (e *Engine) closeDestroyed(c *attempt, id int64, end int64) {
 		inc.PullBitsTotal += p.bitsDriven
 	}
 	if first {
-		st.inc.Causality = c.chain(e)
+		e.hops = c.chain(e, e.hops[:0])
+		st.inc.Causality = e.links.extend(nil, e.hops...)
 	}
 	if c.busOff {
 		e.attachBusOff(st, c)
+	}
+}
+
+// foldTEC extends the incident's per-node TEC trajectories by the attempt's
+// steps. Called with e.mu held.
+func (e *Engine) foldTEC(st *incidentState, c *attempt) {
+	for _, t := range c.tec {
+		n := st.nodeOf(t.node)
+		n.tec = e.tecs.extend(n.tec, t.steps...)
 	}
 }
 
@@ -882,72 +965,124 @@ func (e *Engine) attachBusOff(st *incidentState, c *attempt) {
 	inc.BusOffAt = c.busOffAt
 	inc.Eradicated = true
 	st.busOffNode = c.busOffNode
+	name := e.nodeName(c.busOffNode)
+	var hops [2]ChainLink
+	n := 0
 	if steps := c.tecOf(c.busOffNode); len(steps) > 0 {
 		last := steps[len(steps)-1]
-		inc.Causality = append(inc.Causality, ChainLink{
-			At:   last.At,
-			Node: e.nodeName(c.busOffNode),
-			Step: fmt.Sprintf("tec %d→%d", last.Prev, last.Value),
-		})
+		var buf [48]byte
+		step := strconv.AppendInt(append(buf[:0], "tec "...), last.Prev, 10)
+		step = strconv.AppendInt(append(step, "→"...), last.Value, 10)
+		hops[n] = ChainLink{At: last.At, Node: name, Step: string(step)}
+		n++
 	}
-	inc.Causality = append(inc.Causality,
-		ChainLink{At: c.busOffAt, Node: e.nodeName(c.busOffNode), Step: "bus_off"})
+	hops[n] = ChainLink{At: c.busOffAt, Node: name, Step: "bus_off"}
+	inc.Causality = e.links.extend(inc.Causality, hops[:n+1]...)
 	e.recovery[c.busOffNode] = st
 }
 
-// chain reconstructs the first attempt's causal hops.
-func (c *attempt) chain(e *Engine) []ChainLink {
-	var links []ChainLink
-	// The SOF: name the surviving transmitters (losers already dropped out).
+// chain appends the first attempt's causal hops to links.
+func (c *attempt) chain(e *Engine, links []ChainLink) []ChainLink {
+	// The SOF: name the surviving transmitters (losers already dropped out)
+	// in name order.
 	for _, r := range c.tx {
-		if !r.lost {
-			links = append(links, ChainLink{At: c.start, Node: e.nodeName(r.node), Step: "tx_start"})
+		if r.lost {
+			continue
 		}
+		l := ChainLink{At: c.start, Node: e.nodeName(r.node), Step: "tx_start"}
+		links = append(links, l)
+		i := len(links) - 1
+		for ; i > 0 && links[i-1].Node > l.Node; i-- {
+			links[i] = links[i-1]
+		}
+		links[i] = l
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i].Node < links[j].Node })
 	for _, d := range c.detects {
 		links = append(links, ChainLink{At: d.at, Node: e.nodeName(d.node),
-			Step: fmt.Sprintf("detect@bit%d", d.bit)})
+			Step: numberedStep(detectSteps[:], "detect@bit", "", d.bit)})
 	}
 	for _, p := range c.pulls {
 		links = append(links, ChainLink{At: p.startAt, Node: e.nodeName(p.node),
-			Step: fmt.Sprintf("counterattack(%d bits)", p.bitsDriven)})
+			Step: numberedStep(pullSteps[:], "counterattack(", " bits)", p.bitsDriven)})
 	}
 	if len(c.errs) > 0 {
 		first := c.errs[0]
-		links = append(links, ChainLink{At: first.at, Node: "",
-			Step: fmt.Sprintf("error(%s)", telemetry.ErrorKindName(first.kind))})
+		links = append(links, ChainLink{At: first.at, Node: "", Step: errorStep(first.kind)})
 	}
 	return links
+}
+
+// The causality steps that carry a number, as constants for the numbers a
+// base-format campaign produces: decision bits 1–11 of the ID and pulls of
+// at most the 7 bits 13–19. numberedStep formats any other number.
+var (
+	detectSteps = [...]string{"detect@bit0", "detect@bit1", "detect@bit2", "detect@bit3",
+		"detect@bit4", "detect@bit5", "detect@bit6", "detect@bit7", "detect@bit8",
+		"detect@bit9", "detect@bit10", "detect@bit11"}
+	pullSteps = [...]string{"counterattack(0 bits)", "counterattack(1 bits)",
+		"counterattack(2 bits)", "counterattack(3 bits)", "counterattack(4 bits)",
+		"counterattack(5 bits)", "counterattack(6 bits)", "counterattack(7 bits)"}
+)
+
+// numberedStep returns prefix n suffix, from the table when n is in it.
+func numberedStep(table []string, prefix, suffix string, n int64) string {
+	if n >= 0 && n < int64(len(table)) {
+		return table[n]
+	}
+	return prefix + strconv.FormatInt(n, 10) + suffix
+}
+
+// errorStep names an error hop by the kind of the attempt's first error.
+func errorStep(kind int64) string {
+	switch controller.ErrorKind(kind) {
+	case controller.BitError:
+		return "error(bit)"
+	case controller.StuffError:
+		return "error(stuff)"
+	case controller.FormError:
+		return "error(form)"
+	case controller.CRCError:
+		return "error(crc)"
+	case controller.AckError:
+		return "error(ack)"
+	}
+	return "error(" + telemetry.ErrorKindName(kind) + ")"
+}
+
+// idHex renders a non-negative ID as IDHex, fmt's "0x%03X": 0x and at
+// least three upper-case hex digits.
+func idHex(id int64) string {
+	digits := 3
+	for v := id >> 12; v > 0; v >>= 4 {
+		digits++
+	}
+	var buf [2 + 16]byte
+	b := append(buf[:0], '0', 'x')
+	for i := digits - 1; i >= 0; i-- {
+		b = append(b, "0123456789ABCDEF"[id>>(4*i)&0xF])
+	}
+	return string(b)
 }
 
 // resolve renders a snapshot of an incident with attribution applied.
 // Called with e.mu held.
 func (e *Engine) resolve(st *incidentState) Incident {
 	inc := st.inc
-	var attacker telemetry.NodeID
-	found := false
-	if inc.Eradicated {
-		attacker, found = st.busOffNode, true
-	} else {
+	attacker, found := st.busOffNode, inc.Eradicated
+	if !found {
 		// Deterministic attribution: most destroyed attempts, ties broken
 		// by the lower node ID (registration order, which is fixed per
 		// scenario wiring).
-		nodes := make([]telemetry.NodeID, 0, len(st.destroyedBy))
-		for node := range st.destroyedBy {
-			nodes = append(nodes, node)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 		best := 0
-		for _, node := range nodes {
-			if n := st.destroyedBy[node]; n > best {
-				best, attacker, found = n, node, true
+		for _, n := range st.nodes {
+			if n.destroyed > best || (found && n.destroyed == best && n.node < attacker) {
+				best, attacker, found = n.destroyed, n.node, true
 			}
 		}
 	}
 	if found {
 		inc.Attacker = e.nodeName(attacker)
-		inc.TEC = append([]TECStep(nil), st.tecByNode[attacker]...)
+		inc.TEC = slices.Clip(st.tecOf(attacker))
 		if !st.leakFrozen {
 			for _, s := range e.successes[int64(inc.ID)] {
 				if s.node == attacker && s.at >= inc.Start && s.at <= inc.End {
@@ -957,7 +1092,7 @@ func (e *Engine) resolve(st *incidentState) Incident {
 		}
 	}
 	inc.DetectionBits = st.detAcc.Summarize()
-	inc.Causality = append([]ChainLink(nil), st.inc.Causality...)
+	inc.Causality = slices.Clip(inc.Causality)
 	return inc
 }
 

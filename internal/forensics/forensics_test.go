@@ -3,6 +3,7 @@ package forensics_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -141,6 +142,57 @@ func TestEngineFullCampaign(t *testing.T) {
 	st := eng.Stats()
 	if !st.Finalized || st.RecordingEnd != end || st.DroppedAttempts != 0 || st.StrayAttempts != 0 {
 		t.Errorf("engine stats = %+v", st)
+	}
+}
+
+// TestIncidentSnapshotsStayUnchanged: a resolved incident shares its TEC
+// trajectory and causality chain with the engine, so neither may change as
+// the campaign goes on, and a consumer appending to them must not reach
+// into the engine's copy.
+func TestIncidentSnapshotsStayUnchanged(t *testing.T) {
+	hub := telemetry.NewHub()
+	hub.RetainEvents(false)
+	eng := forensics.NewEngine(hub)
+	defer eng.Close()
+	em := &campaignEmitter{att: hub.Probe("attacker"), def: hub.Probe("defender")}
+	const t0 = int64(100)
+	for i := 0; i < 10; i++ {
+		em.destroyAttempt(t0+int64(i)*attemptSpacing, false)
+	}
+	hub.Flush() // release the reorder window into the fold
+	snap := eng.Incidents()[0]
+	tec := append([]forensics.TECStep(nil), snap.TEC...)
+	chain := append([]forensics.ChainLink(nil), snap.Causality...)
+	// A consumer's appends must copy rather than write into the engine.
+	grown := append(snap.TEC, forensics.TECStep{At: -1, Value: -1, Prev: -1})
+	for i := 10; i < forensics.FullCampaignAttempts; i++ {
+		em.destroyAttempt(t0+int64(i)*attemptSpacing, i == forensics.FullCampaignAttempts-1)
+	}
+	hub.Flush()
+	erad := eng.Incidents()[0] // bus-off hops in, recovery still to come
+	eradChain := append([]forensics.ChainLink(nil), erad.Causality...)
+	grownChain := append(erad.Causality, forensics.ChainLink{At: -1, Step: "bogus"})
+	em.att.Emit(t0+40_000, telemetry.EvRecover, 0, 0)
+	eng.Finalize(t0 + 40_100)
+
+	if !reflect.DeepEqual(snap.TEC, tec) || !reflect.DeepEqual(snap.Causality, chain) ||
+		!reflect.DeepEqual(erad.Causality, eradChain) {
+		t.Fatal("a snapshot's TEC trajectory or causality chain changed as the campaign went on")
+	}
+	if grown[10].At != -1 || grownChain[len(eradChain)].Step != "bogus" {
+		t.Fatal("the engine wrote into a consumer's appended storage")
+	}
+	inc := eng.Incidents()[0]
+	if len(inc.TEC) != forensics.FullCampaignAttempts {
+		t.Fatalf("final trajectory has %d steps, want %d", len(inc.TEC), forensics.FullCampaignAttempts)
+	}
+	for i, s := range inc.TEC {
+		if s.Prev != int64(8*i) || s.Value != int64(8*(i+1)) {
+			t.Fatalf("final trajectory step %d = %+v", i, s)
+		}
+	}
+	if got := causalitySteps(inc); got != "tx_start,detect@bit9,counterattack(7 bits),error(bit),tec 248→256,bus_off,recover" {
+		t.Fatalf("final causality chain %s", got)
 	}
 }
 
@@ -406,5 +458,59 @@ func TestIncidentsMatchRetainedLogReference(t *testing.T) {
 				t.Fatalf("%d incidents; the differential needs closed ones", n)
 			}
 		})
+	}
+}
+
+// incidentAllocBudget bounds what folding one incident costs the engine,
+// counted over whole attacked runs: its state, its causality steps and its
+// share of the slab chunks its TEC trajectory and chain come from.
+const incidentAllocBudget = 8
+
+// TestIncidentFoldAllocationsPerIncident is the engine's allocation guard on
+// real traffic: the recorded event streams of a spoof, a DoS and a toggle
+// vehicle replay into fresh engines, and folding every event, finalizing and
+// listing the incidents may allocate at most incidentAllocBudget times per
+// incident.
+func TestIncidentFoldAllocationsPerIncident(t *testing.T) {
+	const horizon = 1 << 20
+	var allocs uint64
+	incidents := 0
+	for _, attack := range []experiment.FleetAttack{experiment.FleetAttackSpoof, experiment.FleetAttackDoS, experiment.FleetAttackToggle} {
+		v, err := experiment.NewFleetVehicle(experiment.FleetVehicleSpec{
+			Seed: 7, Load: 0.3, Attack: attack, HorizonBits: horizon,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Hub().RetainEvents(true)
+		v.Advance(horizon)
+		v.Finalize()
+		evs := v.Hub().Events()
+		replay := telemetry.NewHub()
+		replay.RetainEvents(false)
+		var probes []telemetry.Probe
+		for _, name := range v.Hub().Nodes() {
+			probes = append(probes, replay.Probe(name))
+		}
+		eng := forensics.NewEngine(replay)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, ev := range evs {
+			probes[ev.Node].Emit(ev.Time, ev.Kind, ev.A, ev.B)
+		}
+		eng.Finalize(horizon)
+		n := len(eng.Incidents())
+		runtime.ReadMemStats(&after)
+		eng.Close()
+		if n == 0 {
+			t.Fatalf("%s: no incidents to measure", attack)
+		}
+		allocs += after.Mallocs - before.Mallocs
+		incidents += n
+	}
+	per := float64(allocs) / float64(incidents)
+	t.Logf("%d allocations over %d incidents: %.2f per incident", allocs, incidents, per)
+	if per > incidentAllocBudget {
+		t.Fatalf("folding an incident allocates %.2f times, want at most %d", per, incidentAllocBudget)
 	}
 }

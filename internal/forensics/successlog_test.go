@@ -2,6 +2,7 @@ package forensics
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"michican/internal/controller"
@@ -211,5 +212,46 @@ func TestRecycledAttemptCarriesNothingOver(t *testing.T) {
 	}
 	if st := e.Stats(); st.DroppedAttempts != 1 || st.StrayAttempts != 0 {
 		t.Errorf("dropped %d, stray %d attempts; want 1 and 0", st.DroppedAttempts, st.StrayAttempts)
+	}
+}
+
+// TestSlabListsMatchAppend grows three lists through one slab in an
+// interleaved order, as a toggling attacker's two open incidents and a
+// third ID's do, and checks each against plain append, that every snapshot
+// taken along the way (clipped, as resolve hands them out) keeps its
+// contents, and that the slab does not copy a list on every step.
+func TestSlabListsMatchAppend(t *testing.T) {
+	var s slab[int]
+	lists, refs := make([][]int, 3), make([][]int, 3)
+	var snaps, snapRefs [][]int
+	moves := 0
+	for i := 0; i < 300; i++ {
+		k := i % 3
+		if i%7 == 0 {
+			k = 2
+		}
+		before := lists[k]
+		lists[k] = s.extend(lists[k], i, -i)
+		refs[k] = append(refs[k], i, -i)
+		if len(before) > 0 && &before[:1][0] != &lists[k][0] {
+			moves++
+		}
+		if i%11 == 0 {
+			snaps = append(snaps, slices.Clip(lists[k]))
+			snapRefs = append(snapRefs, slices.Clone(refs[k]))
+		}
+	}
+	for k := range lists {
+		if !slices.Equal(lists[k], refs[k]) {
+			t.Fatalf("list %d = %v, want %v", k, lists[k], refs[k])
+		}
+	}
+	for i := range snaps {
+		if !slices.Equal(snaps[i], snapRefs[i]) {
+			t.Fatalf("snapshot %d changed: %v, want %v", i, snaps[i], snapRefs[i])
+		}
+	}
+	if moves > 30 {
+		t.Fatalf("%d moves for 300 interleaved extends: reservations are not doubling", moves)
 	}
 }

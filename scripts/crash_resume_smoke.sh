@@ -33,6 +33,16 @@ wait_for_checkpoint() {
   done
 }
 
+# plan_cache_shared fails unless the resume output in $1 reports a plan cache
+# with resident plans and hits: a resumed roster must compile through the
+# fleet's one shared cache, not fall back to private per-vehicle compiles.
+plan_cache_shared() {
+  if ! grep -Eq '^plan cache: [1-9][0-9]* plans resident \([0-9]+ bytes\), [1-9][0-9]* hits' "$1"; then
+    echo "FAIL: the resumed fleet's plan cache is empty: $(grep '^plan cache:' "$1" || echo 'no plan cache line')" >&2
+    exit 1
+  fi
+}
+
 # -watch attaches a live SLO engine to every vehicle: each store also gets a
 # persisted alert log, so the digest diff below additionally proves alerts
 # regenerate byte-identically across a kill + resume (the resumed roster
@@ -61,6 +71,7 @@ if ! grep -Eq 'resumed roster from .*: [1-9][0-9]* vehicles continuing' "$WORK/r
   echo "FAIL: the kill landed after the run finished — nothing was resumed; lower KILL_AFTER" >&2
   exit 1
 fi
+plan_cache_shared "$WORK/resume.out"
 
 echo "== compare store digests"
 "${FLEET[@]}" -store-digest -store "$WORK/ref" > "$WORK/ref.digest"
@@ -106,6 +117,7 @@ if ! grep -Eq 'resumed roster from .*: [1-9][0-9]* vehicles continuing' "$WORK/r
   echo "FAIL: the second kill landed after the run finished — nothing was resumed; lower KILL_AFTER" >&2
   exit 1
 fi
+plan_cache_shared "$WORK/resume2.out"
 
 echo "== compare event and incident segment hashes"
 (cd "$WORK/ref" && sha256sum */events-*.seg */incidents-*.seg) > "$WORK/ref.sha"
