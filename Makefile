@@ -3,8 +3,7 @@
 GO ?= go
 
 .PHONY: all build test vet bench bench-short race repro examples cover clean \
-	fleet fleet-bench fleet-guard store-bench store-guard crash-resume-smoke \
-	watch-bench watch-guard bench-trend
+	fleet fleet-bench fleet-guard store-guard watch-guard crash-resume-smoke
 
 all: build vet test
 
@@ -48,30 +47,15 @@ fleet-bench:
 fleet-guard:
 	$(GO) run ./cmd/michican-fleet -agg-overhead -vehicles 8
 
-# The persistence-overhead grid behind BENCH_PR8.json (in-memory vs
-# +segment store vs +checkpoints, 3 loads × 4 stepping modes).
-store-bench:
-	$(GO) run ./cmd/michican-bench -store-overhead BENCH_PR8.json
-
-# The idle-persistence budget guard (exact stepping at 2% load must stay
-# within 2% of the in-memory baseline).
+# The persistence-overhead guard (in-memory vs +segment store vs
+# +checkpoints): exact stepping at 2% load must stay within 2% of in-memory.
 store-guard:
-	$(GO) run ./cmd/michican-bench -store-overhead /tmp/store-overhead.json -gridbits 500000
+	$(GO) run ./cmd/michican-bench -overhead store -overhead-json /tmp/store-overhead.json
 
-# The live-SLO overhead grid behind BENCH_PR10.json (forensics baseline vs
-# +watch engine vs +5ms SLO poller, 3 loads × 4 stepping modes).
-watch-bench:
-	$(GO) run ./cmd/michican-bench -watch-overhead BENCH_PR10.json
-
-# The watch-engine budget guard (exact stepping at 2% load must stay within
-# 2% of the forensics-wired baseline).
+# The live-SLO overhead guard (forensics vs +watch engine vs +5 ms SLO
+# poller): exact stepping at 2% load must stay within 2% of forensics alone.
 watch-guard:
-	$(GO) run ./cmd/michican-bench -watch-overhead /tmp/watch-overhead.json -gridbits 500000
-
-# Fold the committed BENCH_PR*.json series into a trend table and gate each
-# series tip's 60%-load headline against its last committed baseline.
-bench-trend:
-	./scripts/bench_trend.sh
+	$(GO) run ./cmd/michican-bench -overhead watch -overhead-json /tmp/watch-overhead.json
 
 # Kill a durable fleet run mid-flight, resume it from the last checkpoints,
 # and assert the segment files come out byte-identical to an uninterrupted

@@ -18,7 +18,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"michican/internal/bus"
@@ -46,44 +45,31 @@ func main() {
 		gridBits   = flag.Int64("gridbits", 2_000_000, "simulated bit times per throughput-grid cell")
 		metrics    = flag.Bool("metrics", false, "collect telemetry metrics during the run and print a Prometheus-style snapshot")
 		httpAddr   = flag.String("http", "", "serve live observability (/metrics /incidents /snapshot /debug/pprof) on this address while the run advances (implies -metrics)")
-		obsJSON    = flag.String("obs-overhead", "", "measure the 3×3 throughput grid across observability arms (wired hub / +idle HTTP server / +forensics engine) and write JSON to this file")
-		obsBudget  = flag.Float64("obs-budget", 2.0, "slowdown budget in percent the idle-server arm of the -obs-overhead grid must stay within")
-		storeJSON  = flag.String("store-overhead", "", "measure the 3×3 throughput grid across persistence arms (in-memory / +segment store / +checkpoints) and write JSON to this file")
-		storeBudg  = flag.Float64("store-budget", 2.0, "slowdown budget in percent the persist arm of the -store-overhead grid must stay within")
-		storeSeg   = flag.Int64("store-segment-bytes", store.DefaultSegmentBytes, "segment roll threshold for the -store-overhead arms (also recorded in the -json store block)")
-		storeFsync = flag.String("store-fsync", store.FsyncGroup, "fsync policy for the -store-overhead arms: group|checkpoint|none")
-		watchJSON  = flag.String("watch-overhead", "", "measure the 3×3 throughput grid across live-SLO arms (forensics baseline / +watch engine / +5ms SLO poller) and write JSON to this file")
-		watchBudg  = flag.Float64("watch-budget", 2.0, "slowdown budget in percent the watch arm of the -watch-overhead grid must stay within at the idle cell")
-		overhead   = flag.Bool("telemetry-overhead", false, "measure disabled-vs-enabled telemetry throughput on the contend fast path and exit nonzero over -overhead-threshold")
-		overheadTh = flag.Float64("overhead-threshold", 2.0, "max tolerated telemetry overhead in percent for -telemetry-overhead")
+		telOver    = flag.Bool("telemetry-overhead", false, "CI's telemetry guard: best of three uncalibrated runs per arm, no hub vs a metrics-only hub (contend-ff, 30% load); exit nonzero over -overhead-threshold")
+		telOverTh  = flag.Float64("overhead-threshold", 2.0, "max tolerated telemetry overhead in percent for -telemetry-overhead")
+		overhead   = flag.String("overhead", "", "measure one layer's paired overhead grid and exit nonzero over -overhead-budget: telemetry|obs|store|watch")
+		overJSON   = flag.String("overhead-json", "", "also write the -overhead grid as JSON to this file")
+		overBudget = flag.Float64("overhead-budget", 2.0, "slowdown budget in percent for the gated arm of -overhead")
+		storeSeg   = flag.Int64("store-segment-bytes", store.DefaultSegmentBytes, "segment roll threshold for the -overhead store arms (also recorded in the -json store block)")
+		storeFsync = flag.String("store-fsync", store.FsyncGroup, "fsync policy for the -overhead store arms: group|checkpoint|none")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
 
-	if *overhead {
-		if err := runOverheadGuard(*gridBits, *overheadTh); err != nil {
+	if *telOver {
+		if err := runTelemetryGuard(*gridBits, *telOverTh); err != nil {
 			fmt.Fprintln(os.Stderr, "michican-bench:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *obsJSON != "" {
-		if err := writeObsOverheadJSON(*obsJSON, *gridBits, *obsBudget); err != nil {
-			fmt.Fprintln(os.Stderr, "michican-bench:", err)
-			os.Exit(1)
+	if *overhead != "" {
+		layer, err := overheadLayerFor(*overhead, *storeSeg, *storeFsync)
+		if err == nil {
+			err = runOverhead(layer, *gridBits, *overBudget, *overJSON)
 		}
-		return
-	}
-	if *storeJSON != "" {
-		if err := writeStoreOverheadJSON(*storeJSON, *gridBits, *storeBudg, *storeSeg, *storeFsync); err != nil {
-			fmt.Fprintln(os.Stderr, "michican-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *watchJSON != "" {
-		if err := writeWatchOverheadJSON(*watchJSON, *gridBits, *watchBudg); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "michican-bench:", err)
 			os.Exit(1)
 		}
@@ -132,11 +118,10 @@ func main() {
 	}
 }
 
-// runOverheadGuard backs the CI telemetry-overhead step: it measures the
-// contend-ff throughput with telemetry disabled and with a metrics-only
-// hub wired in, prints both, and fails when the relative cost exceeds the
-// threshold.
-func runOverheadGuard(simBits int64, thresholdPct float64) error {
+// runTelemetryGuard backs the CI telemetry-overhead step: it measures the
+// contend-ff throughput with no hub and with a metrics-only hub wired in,
+// prints both, and fails when the relative cost exceeds the threshold.
+func runTelemetryGuard(simBits int64, thresholdPct float64) error {
 	header("Telemetry overhead guard — batch fast paths")
 	row, err := experiment.MeasureTelemetryOverhead(experiment.ModeContendFF, simBits)
 	if err != nil {
@@ -238,127 +223,6 @@ func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64
 	return nil
 }
 
-// overheadModes are the stepping modes of the obs, store and watch overhead
-// grids: every rung below splice.
-var overheadModes = []experiment.SteppingMode{experiment.ModeExact, experiment.ModeIdleFF, experiment.ModeContendFF}
-
-// writeObsOverheadJSON measures the load × stepping-mode grid across the
-// three observability arms — wired hub baseline, + bound idle HTTP server,
-// + live forensics engine — and writes the comparison as JSON
-// (BENCH_PR5.json). The budget gates the server arm only: an idle HTTP
-// surface must cost nothing until a request arrives. A real off-path cost
-// would shift every cell the same way, so the primary gate is the grid-wide
-// median slowdown; a per-cell backstop at 3× the budget catches a cell that
-// is individually broken rather than noisy. The forensics arm folds every
-// event as it streams, so its cost scales with event rate (frames per
-// wall-second, highest on the fast paths); it is reported for transparency
-// but not gated.
-func writeObsOverheadJSON(path string, simBits int64, budgetPct float64) error {
-	type report struct {
-		GeneratedAt        string                      `json:"generated_at"`
-		GoVersion          string                      `json:"go_version"`
-		GOMAXPROCS         int                         `json:"gomaxprocs"`
-		Baseline           string                      `json:"baseline"`
-		ServerArm          string                      `json:"server_arm"`
-		FullStackArm       string                      `json:"full_stack_arm"`
-		BudgetPct          float64                     `json:"budget_pct"`
-		SimBitsPer         int64                       `json:"simulated_bits_per_cell"`
-		Rows               []experiment.ObsOverheadRow `json:"rows"`
-		MedianServerPct    float64                     `json:"median_server_overhead_pct"`
-		MaxServerPct       float64                     `json:"max_server_overhead_pct"`
-		MedianFullStackPct float64                     `json:"median_full_stack_overhead_pct"`
-		MaxFullStackPct    float64                     `json:"max_full_stack_overhead_pct"`
-		WithinBudget       bool                        `json:"within_budget"`
-	}
-	newStack := func(arm experiment.ObsArm) (*telemetry.Hub, func(), error) {
-		hub := telemetry.NewHub()
-		hub.RetainEvents(false)
-		if arm == experiment.ObsBaseline {
-			return hub, func() {}, nil
-		}
-		var eng *forensics.Engine
-		if arm == experiment.ObsFullStack {
-			eng = forensics.NewEngine(hub)
-		}
-		server, err := obs.Serve("127.0.0.1:0", hub, eng)
-		if err != nil {
-			return nil, nil, err
-		}
-		return hub, func() {
-			server.Close()
-			if eng != nil {
-				eng.Close()
-			}
-		}, nil
-	}
-	header("Observability overhead grid — wired hub vs +server vs +forensics")
-	var rows []experiment.ObsOverheadRow
-	// The budget is one-sided: overhead means the arm slowed the simulation
-	// down. An idle, accept-blocked server cannot legitimately make the core
-	// loop faster, so a negative cell is measurement noise in the arm's
-	// favour and does not threaten the budget.
-	var serverPcts, fullPcts []float64
-	maxServer, maxFull := 0.0, 0.0
-	for _, load := range []float64{0.02, 0.30, 0.60} {
-		for _, mode := range overheadModes {
-			row, err := experiment.MeasureObsOverhead(load, mode, simBits, newStack)
-			if err != nil {
-				return err
-			}
-			fmt.Println(row.String())
-			rows = append(rows, row)
-			serverPcts = append(serverPcts, row.ServerOverheadPct)
-			fullPcts = append(fullPcts, row.FullStackOverheadPct)
-			if row.ServerOverheadPct > maxServer {
-				maxServer = row.ServerOverheadPct
-			}
-			if row.FullStackOverheadPct > maxFull {
-				maxFull = row.FullStackOverheadPct
-			}
-		}
-	}
-	median := func(v []float64) float64 {
-		s := append([]float64(nil), v...)
-		sort.Float64s(s)
-		if len(s)%2 == 1 {
-			return s[len(s)/2]
-		}
-		return (s[len(s)/2-1] + s[len(s)/2]) / 2
-	}
-	medServer, medFull := median(serverPcts), median(fullPcts)
-	rep := report{
-		GeneratedAt:        time.Now().UTC().Format(time.RFC3339),
-		GoVersion:          runtime.Version(),
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		Baseline:           "hub wired, retention off, no observability consumers",
-		ServerArm:          "baseline + obs HTTP server bound (idle) — grid median gated by budget_pct, per cell by 3×",
-		FullStackArm:       "server arm + forensics engine subscribed — reported, not gated",
-		BudgetPct:          budgetPct,
-		SimBitsPer:         simBits,
-		Rows:               rows,
-		MedianServerPct:    medServer,
-		MaxServerPct:       maxServer,
-		MedianFullStackPct: medFull,
-		MaxFullStackPct:    maxFull,
-		WithinBudget:       medServer <= budgetPct && maxServer <= 3*budgetPct,
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (server slowdown: grid median %.2f%%, worst cell %.2f%%, budget %.1f%%; full stack median %.2f%%, worst %.2f%%)\n",
-		path, medServer, maxServer, budgetPct, medFull, maxFull)
-	if !rep.WithinBudget {
-		return fmt.Errorf("idle observability server overhead (median %.2f%%, worst cell %.2f%%) exceeds %.1f%% budget",
-			medServer, maxServer, budgetPct)
-	}
-	return nil
-}
-
 // storeBlock documents the persistence configuration a benchmark report was
 // generated under: whether a durable store was attached to the measured runs,
 // and the segment/fsync policy any persistence arms used.
@@ -366,262 +230,6 @@ type storeBlock struct {
 	Enabled      bool   `json:"enabled"`
 	SegmentBytes int64  `json:"segment_bytes"`
 	Fsync        string `json:"fsync"`
-}
-
-// writeStoreOverheadJSON measures the load × stepping-mode grid across the
-// three persistence arms — in-memory baseline, + segment-store sink draining
-// on NetCommitter-style thresholds, + periodic checkpoints — and writes the
-// comparison as JSON (BENCH_PR8.json). The budget gates the persist arm: the
-// sink batches encodes and group-fsyncs per drain, so steady-state persistence
-// must cost the simulation almost nothing. As with the obs guard, the primary
-// gate is the grid-wide median of the paired per-round slowdown with a
-// per-cell backstop at 3× the budget; the checkpoint arm is reported for
-// transparency but not gated (its cost is a handful of small JSON writes per
-// run, visible mostly in the fastest cells).
-func writeStoreOverheadJSON(path string, simBits int64, budgetPct float64, segBytes int64, fsync string) error {
-	type report struct {
-		GeneratedAt         string                        `json:"generated_at"`
-		GoVersion           string                        `json:"go_version"`
-		GOMAXPROCS          int                           `json:"gomaxprocs"`
-		Baseline            string                        `json:"baseline"`
-		PersistArm          string                        `json:"persist_arm"`
-		CheckpointArm       string                        `json:"checkpoint_arm"`
-		Store               storeBlock                    `json:"store"`
-		BudgetPct           float64                       `json:"budget_pct"`
-		SimBitsPer          int64                         `json:"simulated_bits_per_cell"`
-		Rows                []experiment.StoreOverheadRow `json:"rows"`
-		IdlePersistPct      float64                       `json:"idle_persist_overhead_pct"`
-		MedianPersistPct    float64                       `json:"median_persist_overhead_pct"`
-		MaxPersistPct       float64                       `json:"max_persist_overhead_pct"`
-		MedianCheckpointPct float64                       `json:"median_checkpoint_overhead_pct"`
-		MaxCheckpointPct    float64                       `json:"max_checkpoint_overhead_pct"`
-		TotalDiskBytes      int64                         `json:"total_disk_bytes"`
-		TotalEventsAppended int64                         `json:"total_events_appended"`
-		WithinBudget        bool                          `json:"within_budget"`
-	}
-	newStack := func(arm experiment.StoreArm) (*telemetry.Hub, func() (experiment.StoreStackStats, error), error) {
-		hub := telemetry.NewHub()
-		hub.RetainEvents(false)
-		if arm == experiment.StoreOff {
-			return hub, func() (experiment.StoreStackStats, error) { return experiment.StoreStackStats{}, nil }, nil
-		}
-		dir, err := os.MkdirTemp("", "michican-store-bench-*")
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := store.Create(dir, store.Meta{Kind: "bench", SegmentBytes: segBytes, Fsync: fsync})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, nil, err
-		}
-		var opts store.SinkOptions
-		if arm == experiment.StoreCheckpoint {
-			// Several checkpoints per cell, so the arm actually measures them.
-			opts.CheckpointIntervalBits = 1 << 18
-		}
-		sink := store.NewSink(st, hub, opts)
-		return hub, func() (experiment.StoreStackStats, error) {
-			serr := sink.Close(0, false)
-			stats := st.Stats()
-			res := experiment.StoreStackStats{DiskBytes: stats.DiskBytes, EventsAppended: stats.EventsAppended}
-			cerr := st.Close()
-			os.RemoveAll(dir)
-			if serr != nil {
-				return res, serr
-			}
-			return res, cerr
-		}, nil
-	}
-	header("Persistence overhead grid — in-memory vs +segment store vs +checkpoints")
-	var rows []experiment.StoreOverheadRow
-	// One-sided budget, as with the obs guard: a negative cell means the
-	// persistence arm measured faster (noise in its favour), never a cost.
-	var persistPcts, cpPcts []float64
-	maxPersist, maxCp := 0.0, 0.0
-	var totalDisk, totalEvents int64
-	for _, load := range []float64{0.02, 0.30, 0.60} {
-		for _, mode := range overheadModes {
-			row, err := experiment.MeasureStoreOverhead(load, mode, simBits, newStack)
-			if err != nil {
-				return err
-			}
-			fmt.Println(row.String())
-			rows = append(rows, row)
-			persistPcts = append(persistPcts, row.PersistOverheadPct)
-			cpPcts = append(cpPcts, row.CheckpointOverheadPct)
-			if row.PersistOverheadPct > maxPersist {
-				maxPersist = row.PersistOverheadPct
-			}
-			if row.CheckpointOverheadPct > maxCp {
-				maxCp = row.CheckpointOverheadPct
-			}
-			totalDisk += row.DiskBytes
-			totalEvents += row.EventsAppended
-		}
-	}
-	median := func(v []float64) float64 {
-		s := append([]float64(nil), v...)
-		sort.Float64s(s)
-		if len(s)%2 == 1 {
-			return s[len(s)/2]
-		}
-		return (s[len(s)/2-1] + s[len(s)/2]) / 2
-	}
-	medPersist, medCp := median(persistPcts), median(cpPcts)
-	// The budget gates the idle cell — exact stepping at 2% offered load,
-	// the configuration a live deployment leaves -store enabled on. The
-	// fast-forward cells are event-rate-bound: FF compresses thousands of
-	// simulated bits into each wall microsecond, so the events-per-second
-	// the sink must encode and write is inflated by the same factor, and
-	// persistence there costs what the disk costs. They are reported in
-	// full (as the obs guard reports its ungated forensics arm) but not
-	// gated.
-	idlePersist := 0.0
-	for _, r := range rows {
-		if r.Load == 0.02 && r.Mode == experiment.ModeExact {
-			idlePersist = r.PersistOverheadPct
-		}
-	}
-	rep := report{
-		GeneratedAt:         time.Now().UTC().Format(time.RFC3339),
-		GoVersion:           runtime.Version(),
-		GOMAXPROCS:          runtime.GOMAXPROCS(0),
-		Baseline:            "hub wired, retention off, no persistence",
-		PersistArm:          "baseline + store.Sink draining on default thresholds — idle cell (exact stepping, 2% load) gated by budget_pct; fast-forward cells are event-rate-bound and reported ungated",
-		CheckpointArm:       "persist arm + periodic checkpoints every 2^18 bits — reported, not gated",
-		Store:               storeBlock{Enabled: true, SegmentBytes: segBytes, Fsync: fsync},
-		BudgetPct:           budgetPct,
-		SimBitsPer:          simBits,
-		Rows:                rows,
-		IdlePersistPct:      idlePersist,
-		MedianPersistPct:    medPersist,
-		MaxPersistPct:       maxPersist,
-		MedianCheckpointPct: medCp,
-		MaxCheckpointPct:    maxCp,
-		TotalDiskBytes:      totalDisk,
-		TotalEventsAppended: totalEvents,
-		WithinBudget:        idlePersist <= budgetPct,
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (idle cell %+.2f%% vs %.1f%% budget; event-rate-bound grid median %.2f%%, worst cell %.2f%%; +checkpoints median %.2f%%, worst %.2f%%)\n",
-		path, idlePersist, budgetPct, medPersist, maxPersist, medCp, maxCp)
-	if !rep.WithinBudget {
-		return fmt.Errorf("idle-persistence overhead (exact stepping at 2%% load: %+.2f%%) exceeds %.1f%% budget",
-			idlePersist, budgetPct)
-	}
-	return nil
-}
-
-// writeWatchOverheadJSON measures the load × stepping-mode grid across the
-// three live-SLO arms — forensics-wired baseline, + subscribed watch engine,
-// + a 5ms SLO/snapshot poller — and writes the comparison as JSON
-// (BENCH_PR10.json). The budget gates the watch arm at the idle cell (exact
-// stepping, 2% offered load): the engine folds only matching event kinds and
-// every incident-driven rule runs off forensics closures, so an idle alert
-// surface must cost the simulation almost nothing. The fast-forward cells are
-// event-rate-bound exactly as in the store guard and are reported ungated;
-// the polled arm documents reader cost and is likewise only reported.
-func writeWatchOverheadJSON(path string, simBits int64, budgetPct float64) error {
-	type report struct {
-		GeneratedAt      string                        `json:"generated_at"`
-		GoVersion        string                        `json:"go_version"`
-		GOMAXPROCS       int                           `json:"gomaxprocs"`
-		Baseline         string                        `json:"baseline"`
-		WatchArm         string                        `json:"watch_arm"`
-		PolledArm        string                        `json:"polled_arm"`
-		BudgetPct        float64                       `json:"budget_pct"`
-		SimBitsPer       int64                         `json:"simulated_bits_per_cell"`
-		Rows             []experiment.WatchOverheadRow `json:"rows"`
-		IdleWatchPct     float64                       `json:"idle_watch_overhead_pct"`
-		MedianWatchPct   float64                       `json:"median_watch_overhead_pct"`
-		MaxWatchPct      float64                       `json:"max_watch_overhead_pct"`
-		MedianPolledPct  float64                       `json:"median_polled_overhead_pct"`
-		MaxPolledPct     float64                       `json:"max_polled_overhead_pct"`
-		TotalTransitions int64                         `json:"total_transitions"`
-		TotalVerdicts    int64                         `json:"total_verdicts"`
-		WithinBudget     bool                          `json:"within_budget"`
-	}
-	header("Live-SLO overhead grid — forensics baseline vs +watch engine vs +poller")
-	var rows []experiment.WatchOverheadRow
-	var watchPcts, polledPcts []float64
-	maxWatch, maxPolled := 0.0, 0.0
-	var totalTransitions, totalVerdicts int64
-	for _, load := range []float64{0.02, 0.30, 0.60} {
-		for _, mode := range overheadModes {
-			row, err := experiment.MeasureWatchOverhead(load, mode, simBits)
-			if err != nil {
-				return err
-			}
-			fmt.Println(row.String())
-			rows = append(rows, row)
-			watchPcts = append(watchPcts, row.WatchOverheadPct)
-			polledPcts = append(polledPcts, row.PolledOverheadPct)
-			if row.WatchOverheadPct > maxWatch {
-				maxWatch = row.WatchOverheadPct
-			}
-			if row.PolledOverheadPct > maxPolled {
-				maxPolled = row.PolledOverheadPct
-			}
-			totalTransitions += row.Transitions
-			totalVerdicts += row.Verdicts
-		}
-	}
-	median := func(v []float64) float64 {
-		s := append([]float64(nil), v...)
-		sort.Float64s(s)
-		if len(s)%2 == 1 {
-			return s[len(s)/2]
-		}
-		return (s[len(s)/2-1] + s[len(s)/2]) / 2
-	}
-	medWatch, medPolled := median(watchPcts), median(polledPcts)
-	idleWatch := 0.0
-	for _, r := range rows {
-		if r.Load == 0.02 && r.Mode == experiment.ModeExact {
-			idleWatch = r.WatchOverheadPct
-		}
-	}
-	rep := report{
-		GeneratedAt:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion:        runtime.Version(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Baseline:         "hub wired, retention off, forensics engine attached, no watch engine",
-		WatchArm:         "baseline + watch.New subscribed (SLO folds + alert rules) — idle cell (exact stepping, 2% load) gated by budget_pct; fast-forward cells are event-rate-bound and reported ungated",
-		PolledArm:        "watch arm + background SLO()/Snapshot() reader every 5ms — reported, not gated",
-		BudgetPct:        budgetPct,
-		SimBitsPer:       simBits,
-		Rows:             rows,
-		IdleWatchPct:     idleWatch,
-		MedianWatchPct:   medWatch,
-		MaxWatchPct:      maxWatch,
-		MedianPolledPct:  medPolled,
-		MaxPolledPct:     maxPolled,
-		TotalTransitions: totalTransitions,
-		TotalVerdicts:    totalVerdicts,
-		WithinBudget:     idleWatch <= budgetPct,
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (idle cell %+.2f%% vs %.1f%% budget; grid median %.2f%%, worst cell %.2f%%; +poller median %.2f%%, worst %.2f%%)\n",
-		path, idleWatch, budgetPct, medWatch, maxWatch, medPolled, maxPolled)
-	if !rep.WithinBudget {
-		return fmt.Errorf("watch-engine overhead (exact stepping at 2%% load: %+.2f%%) exceeds %.1f%% budget",
-			idleWatch, budgetPct)
-	}
-	return nil
 }
 
 // profiledRun wraps run with the pprof plumbing and the throughput summary,

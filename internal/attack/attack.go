@@ -23,7 +23,10 @@ import (
 // inputs (seeded RNGs) so experiments are reproducible.
 type Policy interface {
 	// Tick returns the frames to enqueue at bit time t, given how many
-	// frames are already pending in the attacker's transmit mailbox.
+	// frames are already pending in the attacker's transmit mailbox. A
+	// returned frame may share its payload with the policy's template:
+	// Controller.Enqueue copies the frame, so the caller must enqueue it
+	// before the template changes and must not modify it.
 	Tick(t bus.BitTime, pending int) []can.Frame
 }
 
@@ -97,12 +100,12 @@ func (f *Flood) Tick(t bus.BitTime, pending int) []can.Frame {
 			return nil
 		}
 		f.nextDue = t + bus.BitTime(f.PeriodBits)
-		return []can.Frame{f.Frame.Clone()}
+		return []can.Frame{f.Frame}
 	}
 	if pending > 0 {
 		return nil
 	}
-	return []can.Frame{f.Frame.Clone()}
+	return []can.Frame{f.Frame}
 }
 
 // NewTraditionalDoS floods CAN ID 0x000 — the highest priority on the bus —
@@ -182,7 +185,7 @@ func (g *Toggle) Tick(_ bus.BitTime, pending int) []can.Frame {
 	if pending > 0 || len(g.Frames) == 0 {
 		return nil
 	}
-	f := g.Frames[g.next].Clone()
+	f := g.Frames[g.next]
 	g.next = (g.next + 1) % len(g.Frames)
 	return []can.Frame{f}
 }

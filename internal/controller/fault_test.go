@@ -232,6 +232,46 @@ func TestBusOffRecovery(t *testing.T) {
 	spin(t, b, func() bool { return attacker.Stats().TxAttempts > 32 }, 200, "re-attack")
 }
 
+func TestBusOffKeepsMailboxCapacity(t *testing.T) {
+	// Bus-off aborts the pending requests but keeps the mailbox's backing
+	// arrays, zeroed, so a persistent attacker re-submitting after every
+	// recovery does not re-grow them: Enqueue's own payload copy is then its
+	// only allocation.
+	b := bus.New(bus.Rate500k)
+	attacker := newTestController("attacker", nil)
+	b.Attach(attacker)
+	b.Attach(newTestController("witness", nil))
+	b.Attach(newJammer(13, 20))
+	frame := can.Frame{ID: 0x173, Data: make([]byte, 8)}
+	const queued = 4
+	for i := 0; i < queued; i++ {
+		if err := attacker.Enqueue(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spin(t, b, func() bool { return attacker.State() == BusOff }, 5000, "bus-off")
+	q := &attacker.queue
+	if q.len() != 0 || cap(q.frames) < queued || cap(q.plans) < queued {
+		t.Fatalf("after bus-off: %d queued, capacity %d frames / %d plans; want 0 queued, capacity >= %d",
+			q.len(), cap(q.frames), cap(q.plans), queued)
+	}
+	for i, f := range q.frames[:cap(q.frames)] {
+		if f.Data != nil || q.plans[:cap(q.plans)][i] != nil {
+			t.Fatalf("dropped mailbox slot %d still pins its frame or plan", i)
+		}
+	}
+	spin(t, b, func() bool { return attacker.State() == ErrorActive }, 3000, "recovery")
+	// One warm-up call plus queued-1 measured ones fill the kept capacity.
+	allocs := testing.AllocsPerRun(queued-1, func() {
+		if err := attacker.Enqueue(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Enqueue after bus-off recovery allocates %v times, want 1 (the payload copy)", allocs)
+	}
+}
+
 func TestNoAutoRecoverStaysBusOff(t *testing.T) {
 	b := bus.New(bus.Rate500k)
 	attacker := New(Config{Name: "attacker", AutoRecover: false})

@@ -355,4 +355,12 @@ func (q *txQueue) remove(f can.Frame) {
 
 func (q *txQueue) len() int { return len(q.frames) }
 
-func (q *txQueue) clear() { q.frames, q.plans = nil, nil }
+// clear drops every queued frame but keeps the mailbox's capacity, so a
+// controller that re-submits after bus-off does not re-grow it. Every slot
+// up to capacity is zeroed, including those remove shifted past the end, so
+// none pins a payload or plan.
+func (q *txQueue) clear() {
+	clear(q.frames[:cap(q.frames)])
+	clear(q.plans[:cap(q.plans)])
+	q.frames, q.plans = q.frames[:0], q.plans[:0]
+}

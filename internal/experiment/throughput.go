@@ -108,7 +108,7 @@ func ThroughputScenario(target float64, mode SteppingMode) (*bus.Bus, error) {
 }
 
 // throughputScenario is the full-fidelity constructor: it also returns the
-// attached nodes so callers (the telemetry-overhead guard) can wire them into
+// attached nodes so callers (the overhead harness) can wire them into
 // a hub after construction.
 func throughputScenario(target float64, mode SteppingMode) (*bus.Bus, []bus.Node, error) {
 	return throughputScenarioSeeded(target, mode, 1)

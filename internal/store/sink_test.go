@@ -60,7 +60,7 @@ func durableJSONL(t *testing.T, dir string) []byte {
 
 // TestSinkMatchesWriteJSONL: the stored stream equals WriteJSONL of the
 // retained log, whether the sink is the hub's only ordered subscriber (the
-// store-overhead harness's wiring) or rides beside a forensics engine (a
+// store overhead arm's wiring) or rides beside a forensics engine (a
 // durable vehicle's), and whether the run finalizes (forensics Finalize,
 // then the incident hand-off and a Completed close, as FinalizeDurable
 // does) or stops at a crash image (a bare Close(t, false), which must still
