@@ -136,10 +136,9 @@ func (b *Bus) invalidateProposal() {
 //     divergence bit itself is left to an exact Step, where arbitration loss,
 //     bit error, or stuff error runs the ordinary per-bit logic;
 //  4. within the clamp the resolved levels equal *every* committer's own
-//     bits, so one committer's stream stands in for the resolved span — the
-//     delivered slice keeps the stable backing-array identity that the
-//     receiver-side span memos key on — and the usual passive negotiation and
-//     RunObserver/TapRunObserver delivery machinery finishes the job.
+//     bits, so the first committer's stream stands in for the resolved span,
+//     and the usual passive negotiation and RunObserver/TapRunObserver
+//     delivery machinery finishes the job.
 func (b *Bus) tryContendForward(end BitTime) bool {
 	if !b.open(RungContend) || end <= b.now {
 		return false
@@ -196,19 +195,8 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 			return false
 		}
 	}
-	// The resolved span equals each committer's own bits over the clamp;
-	// prefer a plan-backed stream as the canonical slice (its identity recurs
-	// across periodic retransmissions, keeping span memos hot).
-	span := sc.bits[0]
-	if frameBit >= 0 {
-		for k, i := range sc.idx {
-			if nodes[i].contend.ContendFrameBit() >= 0 {
-				span = sc.bits[k]
-				break
-			}
-		}
-	}
-	span = span[:n]
+	// The resolved span equals each committer's own bits over the clamp.
+	span := sc.bits[0][:n]
 	next := 0
 	for i := range nodes {
 		if next < len(sc.idx) && sc.idx[next] == i {

@@ -28,10 +28,8 @@ func PackLevels(words []uint64, off int, levels []Level) {
 }
 
 // dominantRunArr backs DominantRun: Dominant is the zero Level, so the zero
-// array is all-dominant. It is never written, giving every returned run a
-// stable backing-array identity — pointer-keyed span memos treat equal
-// (pointer, length) pairs as equal bit content, which holds here because the
-// content is immutable.
+// array is all-dominant. It is never written, so every run shares it without
+// an allocation.
 var dominantRunArr [256]Level
 
 // DominantRun returns a read-only slice of n dominant levels (n ≤ 256,

@@ -97,30 +97,6 @@ func (c *Controller) ContendFrameBit() int {
 	return -1
 }
 
-// TxCompleteWithin reports whether delivering the next n resolved bits could
-// fire this controller's transmit-completion callback (txSuccess and with it
-// Config.OnTransmit). Only a transmitting controller whose plan's last bit
-// lies within the next n bits completes; a receiver, an error-signalling
-// node, or a transmitter whose frame extends past the span cannot. Schedule
-// wrappers (restbus.Replayer) use the answer to decide whether deadline
-// processing must interleave with span delivery or may batch at the span's
-// end.
-func (c *Controller) TxCompleteWithin(n int) bool {
-	switch c.phase {
-	case phaseFrame:
-		return c.transmitting && c.txIdx+n >= len(c.plan.bits)
-	case phaseIdle:
-		if !c.pendingSOF {
-			return false
-		}
-		if c.pendingPlan == nil {
-			return true // plan unknown: assume completion is reachable
-		}
-		return n >= len(c.pendingPlan.bits)
-	}
-	return false
-}
-
 // InFrame reports whether the controller is inside a frame or signalling an
 // error — the phases whose drive decisions never consult the transmit queue.
 // While it holds, an Enqueue can be deferred to any later bit of the phase

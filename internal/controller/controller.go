@@ -23,7 +23,6 @@ import (
 
 	"michican/internal/bus"
 	"michican/internal/can"
-	"michican/internal/memo"
 	"michican/internal/telemetry"
 )
 
@@ -215,16 +214,12 @@ type Controller struct {
 	// compiles through own, its private source, created on first use.
 	plans *PlanSource
 	own   *PlanSource
-	// planSlots is a front cache over the plan source: the source's map
-	// probe hashes the full frame content under a lock on every lookup,
-	// which dominates the compiled-splice offer path, so hot frames are also
-	// held in a set-associative table with a cheap hash. Lazily created;
-	// misses fall through to the source.
-	planSlots *memo.Table[planKey, *txPlan]
-	// rxSpanCache memoizes the receive pipeline's end state per committed
-	// span (see rxRun); adoption copies the snapshot into the controller's
-	// own working buffers, so the cached slices are never aliased.
-	rxSpanCache *memo.Table[rxSpanKey, *rxSnapshot]
+	// planSlots is a lock-free front cache over the plan source, whose
+	// lookups take the source's lock — on a fleet-shared source, contended
+	// across vehicles — on the compiled-splice offer path. Lazily created;
+	// it stops installing at planSlotsMax entries, and misses fall through
+	// to the source.
+	planSlots map[planKey]*txPlan
 
 	// Receive pipeline, active for every frame on the bus from its SOF.
 	rxDestuf      can.Destuffer
@@ -370,12 +365,10 @@ func (c *Controller) Stats() Stats {
 	return s
 }
 
-// MemoSlots reports the slot counts of the receive-span and transmit-plan
-// memo tables, 0 before first use. Each grows with the traffic the
-// controller sees, up to its cap (2^16 and 2^15 slots).
-func (c *Controller) MemoSlots() (rxSpan, plan int) {
-	return c.rxSpanCache.Slots(), c.planSlots.Slots()
-}
+// MemoSlots reports the entries of the transmit-plan front cache, 0 before
+// first use. It grows with the distinct frames the controller transmits, up
+// to planSlotsMax.
+func (c *Controller) MemoSlots() int { return len(c.planSlots) }
 
 // ErrListenOnly indicates a transmission request on a monitoring-mode
 // controller.

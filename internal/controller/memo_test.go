@@ -1,32 +1,46 @@
 package controller
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"michican/internal/can"
-	"michican/internal/memo/memotest"
 )
 
-// TestMemoTablesAtBounds checks the receive-span cache and the plan front
-// cache, as the controller builds them, at their initial size, growth
-// trigger and cap.
+// TestMemoTablesAtBounds checks the plan front cache, as planFor fills it,
+// at its bound: planSlotsMax distinct frames fill it exactly, a further
+// frame is served by the plan source without being installed, and the
+// resident frames keep hitting.
 func TestMemoTablesAtBounds(t *testing.T) {
-	t.Run("rx-span", func(t *testing.T) {
-		levels := make([]can.Level, 10<<rxSpanSlotBits)
-		snaps := []*rxSnapshot{{}, {}, {}}
-		memotest.CheckBounds(t, newRxSpanCache(), rxSpanSlotBits,
-			func(i int) rxSpanKey { return rxSpanKey{ptr: &levels[i], n: int32(1 + i%7)} },
-			func(i int) *rxSnapshot { return snaps[i%len(snaps)] })
-	})
 	t.Run("plan", func(t *testing.T) {
-		plans := []*txPlan{{}, {}, {}}
-		memotest.CheckBounds(t, newPlanSlots(), planSlotBits,
-			func(i int) planKey {
-				k := planKey{id: can.ID(i & 0x7FF), dataLen: 8}
-				binary.LittleEndian.PutUint64(k.data[:], uint64(i>>11))
-				return k
-			},
-			func(i int) *txPlan { return plans[i%len(plans)] })
+		src := NewPlanSource()
+		c := New(Config{Name: "c"})
+		c.SetPlanSource(src)
+		frame := func(i int) can.Frame {
+			return can.Frame{ID: can.ID(i & 0x7FF), Data: []byte{byte(i >> 11), byte(i >> 19)}}
+		}
+		if got := c.MemoSlots(); got != 0 {
+			t.Fatalf("fresh controller: %d entries, want 0", got)
+		}
+		first := c.planFor(frame(0))
+		for i := 1; i < planSlotsMax; i++ {
+			c.planFor(frame(i))
+		}
+		if got := c.MemoSlots(); got != planSlotsMax {
+			t.Fatalf("after %d distinct frames: %d entries, want %d", planSlotsMax, got, planSlotsMax)
+		}
+		f := frame(planSlotsMax)
+		p := c.planFor(f)
+		if got := c.MemoSlots(); got != planSlotsMax {
+			t.Fatalf("a frame past the bound was installed: %d entries, want %d", got, planSlotsMax)
+		}
+		if want := src.plan(keyOf(&f), &f, false); p != want {
+			t.Fatal("a frame past the bound got another plan than the source hands out")
+		}
+		if p.id < 0 {
+			t.Fatal("a frame past the bound got an unpublished plan")
+		}
+		if c.planFor(frame(0)) != first {
+			t.Fatal("a resident frame no longer hits its cached plan")
+		}
 	})
 }

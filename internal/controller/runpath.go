@@ -1,11 +1,8 @@
 package controller
 
 import (
-	"unsafe"
-
 	"michican/internal/bus"
 	"michican/internal/can"
-	"michican/internal/memo"
 	"michican/internal/telemetry"
 )
 
@@ -192,157 +189,13 @@ func leadingRecessive(levels []can.Level) int {
 	return len(levels)
 }
 
-// rxSpanKey identifies a committed span by the identity of its bits: plans
-// are immutable once built and memoized (planFor), so a span's backing
-// array pointer plus its length pins the exact level sequence — the cached
-// key's strong pointer keeps the array alive, so the address cannot be
-// reused for different bits.
-type rxSpanKey struct {
-	ptr *can.Level
-	n   int32
-}
-
-// rxSpanSlotBits caps the span cache at 2^16 slots (message set ×
-// rolling-counter rotation × the few clamped lengths each span recurs at).
-// A realistic matrix's full rotation is tens of IDs × 256 counter values ≈
-// 8k identities; at 2^16 slots in two-way sets virtually no set holds three
-// or more of them, which under round-robin rotation would otherwise defeat
-// the LRU and redecode those spans every cycle. The cache grows to the cap
-// only as the traffic installs that many spans (see memo.Table).
-const rxSpanSlotBits = 16
-
-// newRxSpanCache returns an empty span cache.
-func newRxSpanCache() *memo.Table[rxSpanKey, *rxSnapshot] {
-	return memo.New[rxSpanKey, *rxSnapshot](rxSpanSlotBits, func(k rxSpanKey) uint64 {
-		return uint64(uintptr(unsafe.Pointer(k.ptr))) ^ uint64(k.n)<<48
-	})
-}
-
-// rxSnapshot is the receive pipeline's complete state after consuming a
-// span from the post-SOF baseline. Both slices are stored with cap == len,
-// so a later append (a follow-up bit after a clamped span) reallocates and
-// leaves the cached arrays untouched.
-type rxSnapshot struct {
-	destuf      can.Destuffer
-	bits        []can.Level
-	crc         can.CRC15
-	dlc         int
-	crcOK       bool
-	trailer     int
-	layout      can.Layout
-	layoutKnown bool
-	remote      bool
-	dataLen     int
-	awaitStuff  bool
-	fd, fdKnown bool
-	fdcrc17     can.FDCRC
-	fdcrc21     can.FDCRC
-	dynStuff    int
-	fsIdx       int
-	fsbNext     bool
-	fdCRCBits   []can.Level
-	lastWire    can.Level
-	wire        int
-	driveNext   can.Level
-}
-
-// rxRun feeds a span of resolved levels through the receive pipeline.
-//
-// A receiver consuming a committed span from the post-SOF baseline (rxWire
-// == 1, the state resetRx plus the SOF bit always produces) ends in a state
-// that is a pure function of the span's levels — the pipeline reads nothing
-// else, the bit time only feeds error paths a compliant stream cannot reach,
-// and no receiver-visible callback fires before the final EOF bit, which is
-// never committed. Periodic traffic replays the same spans over and over, so
-// that end state is memoized per span identity and a hit replaces the whole
-// decode with a state copy.
+// rxRun feeds a span of resolved levels through the receive pipeline. The
+// stuffed region of a classical frame after the DLC is known — the bulk of
+// every span — runs through a tight inline loop; everything else falls back
+// to the per-bit functions. Should an error path ever leave the frame phase
+// mid-span (impossible for a compliant committed stream, but cheap to
+// guard), the remainder replays through exact per-bit Observe.
 func (c *Controller) rxRun(from bus.BitTime, levels []can.Level) {
-	if c.phase != phaseFrame || c.rxWire != 1 {
-		c.rxRunSteps(from, levels)
-		return
-	}
-	if c.rxSpanCache == nil {
-		c.rxSpanCache = newRxSpanCache()
-	}
-	key := rxSpanKey{ptr: &levels[0], n: int32(len(levels))}
-	if s := c.rxSpanCache.Get(key); s != nil {
-		c.rxDestuf = s.destuf
-		c.rxBits = append(c.rxBits[:0], s.bits...)
-		c.rxCRC = s.crc
-		c.rxDLC = s.dlc
-		c.rxCRCOK = s.crcOK
-		c.rxTrailer = s.trailer
-		c.rxLayout = s.layout
-		c.rxLayoutKnown = s.layoutKnown
-		c.rxRemote = s.remote
-		c.rxDataLen = s.dataLen
-		c.rxAwaitStuff = s.awaitStuff
-		c.rxFD = s.fd
-		c.rxFDKnown = s.fdKnown
-		*c.rxFDCRC17 = s.fdcrc17
-		*c.rxFDCRC21 = s.fdcrc21
-		c.rxDynStuff = s.dynStuff
-		c.rxFSIdx = s.fsIdx
-		c.rxFSBNext = s.fsbNext
-		c.rxFDCRCBits = append(c.rxFDCRCBits[:0], s.fdCRCBits...)
-		c.rxLastWire = s.lastWire
-		c.rxWire = s.wire
-		c.driveNext = s.driveNext
-		return
-	}
-	c.rxRunSteps(from, levels)
-	if c.phase != phaseFrame || c.rxWire != 1+len(levels) {
-		return // left the frame or split the span: state not span-pure
-	}
-	// Snapshot on the first sighting. Rolling payload counters make a span
-	// recur only once per full rotation, so a recurrence filter ("snapshot on
-	// the second decode") would redecode every one of the rotation's ~8k span
-	// identities each cycle; a wasted snapshot for a genuinely one-shot span
-	// costs one small allocation and an eviction.
-	c.rxSpanCache.Put(key, &rxSnapshot{
-		destuf:      c.rxDestuf,
-		bits:        cloneExact(c.rxBits),
-		crc:         c.rxCRC,
-		dlc:         c.rxDLC,
-		crcOK:       c.rxCRCOK,
-		trailer:     c.rxTrailer,
-		layout:      c.rxLayout,
-		layoutKnown: c.rxLayoutKnown,
-		remote:      c.rxRemote,
-		dataLen:     c.rxDataLen,
-		awaitStuff:  c.rxAwaitStuff,
-		fd:          c.rxFD,
-		fdKnown:     c.rxFDKnown,
-		fdcrc17:     *c.rxFDCRC17,
-		fdcrc21:     *c.rxFDCRC21,
-		dynStuff:    c.rxDynStuff,
-		fsIdx:       c.rxFSIdx,
-		fsbNext:     c.rxFSBNext,
-		fdCRCBits:   cloneExact(c.rxFDCRCBits),
-		lastWire:    c.rxLastWire,
-		wire:        c.rxWire,
-		driveNext:   c.driveNext,
-	})
-}
-
-// cloneExact copies a slice with cap == len, so appends by the adopter
-// reallocate instead of scribbling on the original.
-func cloneExact(s []can.Level) []can.Level {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]can.Level, len(s))
-	copy(out, s)
-	return out
-}
-
-// rxRunSteps is the stepping decode behind rxRun. The stuffed region of a
-// classical frame after the DLC is known — the bulk of every span — runs
-// through a tight inline loop; everything else falls back to the per-bit
-// functions. Should an error path ever leave the frame phase mid-span
-// (impossible for a compliant committed stream, but cheap to guard), the
-// remainder replays through exact per-bit Observe.
-func (c *Controller) rxRunSteps(from bus.BitTime, levels []can.Level) {
 	for i := 0; i < len(levels); {
 		if c.phase != phaseFrame {
 			for ; i < len(levels); i++ {

@@ -1,11 +1,9 @@
 package controller
 
 import (
-	"encoding/binary"
 	"errors"
 
 	"michican/internal/can"
-	"michican/internal/memo"
 )
 
 // txPlan is a fully serialized transmission: the wire bits of one frame
@@ -80,34 +78,24 @@ func (c *Controller) planFor(f can.Frame) *txPlan {
 		return newTxPlan(f)
 	}
 	key := keyOf(&f)
-	if c.planSlots == nil {
-		c.planSlots = newPlanSlots()
-	}
-	if p := c.planSlots.Get(key); p != nil {
+	if p := c.planSlots[key]; p != nil {
 		return p
 	}
 	p := c.source().plan(key, &f, true)
-	c.planSlots.Put(key, p)
+	if len(c.planSlots) < planSlotsMax {
+		if c.planSlots == nil {
+			c.planSlots = make(map[planKey]*txPlan)
+		}
+		c.planSlots[key] = p
+	}
 	return p
 }
 
-// planSlotBits caps the planFor front cache at 2^15 slots: a realistic
+// planSlotsMax caps the planFor front cache at 2^15 entries: a realistic
 // matrix's working set is tens of IDs times a 256-value rolling counter
-// (thousands of distinct frames), so the cap sits an order of magnitude
-// above it to keep steady-state collisions rare; a collision merely falls
-// through to the plan source. The table grows to the cap only as the
-// controller transmits that many distinct frames (see memo.Table).
-const planSlotBits = 15
-
-// newPlanSlots returns an empty front cache. Its hash folds the frame's
-// identity fields and the whole payload, whose edge bytes carry the
-// rolling counters that distinguish a periodic message's instances.
-func newPlanSlots() *memo.Table[planKey, *txPlan] {
-	return memo.New[planKey, *txPlan](planSlotBits, func(k planKey) uint64 {
-		h := uint64(k.id)<<24 ^ uint64(uint8(k.dataLen))<<16 ^ uint64(uint8(k.reqLen))<<8 ^ uint64(k.flags)
-		return h*0x9E3779B97F4A7C15 ^ binary.LittleEndian.Uint64(k.data[:])
-	})
-}
+// (thousands of distinct frames), an order of magnitude below the cap.
+// Past it, new frames are not installed and go to the plan source.
+const planSlotsMax = 1 << 15
 
 // newTxPlan serializes a frame for transmission into an unpublished plan
 // (id -1); classical frames also get their resolved splice span.

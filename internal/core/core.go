@@ -32,7 +32,6 @@ import (
 	"michican/internal/can"
 	"michican/internal/fsm"
 	"michican/internal/mcu"
-	"michican/internal/memo"
 	"michican/internal/telemetry"
 )
 
@@ -156,9 +155,6 @@ type Defense struct {
 	// Probe is a no-op.
 	tel telemetry.Probe
 
-	// scanCache memoizes pure PassiveRun scans per committed-span identity
-	// (see the fast-path PassiveRun in runpath.go); lazily created.
-	scanCache *memo.Table[scanKey, scanMemo]
 	// splices holds the compiled-splice summaries by window (see
 	// spliceIndex in splicepath.go).
 	splices spliceIndex
@@ -211,11 +207,9 @@ func (d *Defense) SetTelemetry(hub *telemetry.Hub) {
 // Stats returns a copy of the accumulated statistics.
 func (d *Defense) Stats() Stats { return d.stats }
 
-// MemoSlots reports the slot count of the passive-scan memo table and the
-// entries of the splice summary index, 0 before first use. Each grows with
-// the traffic up to its cap (2^16 slots; one entry per window id below
-// 2^17).
-func (d *Defense) MemoSlots() (scan, splice int) { return d.scanCache.Slots(), d.splices.slots() }
+// MemoSlots reports the entries of the splice summary index, 0 before first
+// use. It grows with the traffic, one entry per window id below 2^17.
+func (d *Defense) MemoSlots() int { return d.splices.slots() }
 
 // SpliceResets counts the splice index entries recompiled because a window
 // numbered like an earlier one carried another resolved span: offerers on

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"unsafe"
-
 	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/fsm"
 	"michican/internal/mcu"
-	"michican/internal/memo"
 	"michican/internal/telemetry"
 )
 
@@ -46,105 +43,14 @@ func (d *Defense) passiveScan(frameBit int, levels []can.Level, self bool) int {
 	if !d.armed {
 		return len(levels)
 	}
-	// The scan is a pure function of the span's levels and a tiny entry
-	// state, and committed spans have stable identities (immutable memoized
-	// plans), so the recurring cases are memoized per span: the SOF baseline
-	// (cnt == 1 — frame counter at SOF, stuff tracker seeded, FSM at the
-	// root; parameterized by the self answer, which is span-invariant), the
-	// join baseline (hunting with cnt_sof at threshold, span starts at a
-	// frame's SOF — bit 0 synchronizes, the rest replays from the post-SOF
-	// baseline), and the idle hunt (parameterized by cnt_sof saturated at the
-	// SOF threshold — beyond it the exact count cannot change where the scan
-	// stops).
-	var mode uint8
-	join := false
 	switch {
-	case d.inFrame && d.cnt == 1:
-		mode = scanModeSOF
-		if self {
-			mode = scanModeSOFSelf
-		}
 	case d.inFrame:
 		return d.frameScan(levels, self)
 	case frameBit == 0 && d.cntSOF >= can.IdleForSOF && levels[0] == can.Dominant:
-		join = true
-		mode = scanModeJoin
-		if self {
-			mode = scanModeJoinSelf
-		}
-	default:
-		run := d.cntSOF
-		if run > can.IdleForSOF {
-			run = can.IdleForSOF
-		}
-		mode = uint8(run)
+		return d.joinScan(levels, self)
 	}
-	if d.scanCache == nil {
-		d.scanCache = newScanCache()
-	}
-	key := scanKey{ptr: &levels[0], mode: mode}
-	// The scan is causal: whether bit j is accepted depends only on bits
-	// 0..j. A recorded stop short of the scanned length therefore holds
-	// for every span length; only "accepted everything" needs a rescan
-	// when a longer span over the same bits shows up.
-	if m := d.scanCache.Get(key); m.scanned > 0 && (m.stop < m.scanned || len(levels) <= int(m.scanned)) {
-		if n := int(m.stop); n < len(levels) {
-			return n
-		}
-		return len(levels)
-	}
-	var n int
-	switch {
-	case d.inFrame:
-		n = d.frameScan(levels, self)
-	case join:
-		n = d.joinScan(levels, self)
-	default:
-		n = idleScanLevels(levels, d.cntSOF)
-	}
-	d.scanCache.Put(key, scanMemo{scanned: int32(len(levels)), stop: int32(n)})
-	return n
+	return idleScanLevels(levels, d.cntSOF)
 }
-
-// scanKey identifies a memoized scan: the span's identity (the cached key's
-// strong pointer keeps the plan's backing array alive, so the address pins
-// the bits) and the entry mode.
-type scanKey struct {
-	ptr  *can.Level
-	mode uint8
-}
-
-// scanMemo is a memoized scan: the longest prefix scanned, and where the
-// scan stopped within it (== scanned when every bit stayed passive).
-// scanned ≥ 1, so the zero scanMemo is the table's empty slot.
-type scanMemo struct {
-	scanned, stop int32
-}
-
-// scanSlotBits caps the memo at 2^16 slots in two-way sets (message set ×
-// rolling-counter rotation × a handful of entry modes; collisions merely
-// rescan). A realistic matrix's full rotation is ~8k span identities, and
-// round-robin rotation through a set holding three or more of them would
-// defeat the two-way LRU, rescanning those spans every cycle. The memo
-// grows to the cap only as the traffic installs that many scans (see
-// memo.Table).
-const scanSlotBits = 16
-
-// newScanCache returns an empty scan memo.
-func newScanCache() *memo.Table[scanKey, scanMemo] {
-	return memo.New[scanKey, scanMemo](scanSlotBits, func(k scanKey) uint64 {
-		return uint64(uintptr(unsafe.Pointer(k.ptr))) ^ uint64(k.mode)<<56
-	})
-}
-
-const (
-	// Modes 0..can.IdleForSOF are idle scans keyed by the saturated
-	// recessive run; the SOF- and join-baseline modes follow.
-	scanModeSOF      = can.IdleForSOF + 1
-	scanModeSOFSelf  = can.IdleForSOF + 2
-	scanModeJoin     = can.IdleForSOF + 3
-	scanModeJoinSelf = can.IdleForSOF + 4
-)
 
 // frameScan replays onFrameBit over the span from the defense's live state,
 // without mutating it.

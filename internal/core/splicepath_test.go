@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -171,14 +172,24 @@ func TestSpliceSummariesComeFromSlabs(t *testing.T) {
 		t.Fatal("window 0 not summarizable")
 	}
 	sums := make([]*spliceSummary, 0, len(wins))
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for _, w := range wins[1:] {
-		sums = append(sums, d.spliceSummaryFor(w, true))
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > 10 {
+	// Mallocs is process-wide, and the runtime allocates inside the window
+	// when a GC cycle starts or when restarting the world after the
+	// baseline read starts an OS thread for an idle P (new m and g, five
+	// allocations). The collector is paused and the process held to one P
+	// while the window is measured, so neither can happen.
+	n := func() uint64 {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, w := range wins[1:] {
+			sums = append(sums, d.spliceSummaryFor(w, true))
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}()
+	if n > 10 {
 		t.Fatalf("compiling %d windows made %d allocations, want at most 10", len(sums), n)
 	}
 	if got := d.SpliceResets(); got != int64(len(sums)) {
@@ -229,7 +240,7 @@ func TestSpliceIndexPastSourceCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Run(300)
-		_, slots := d.MemoSlots()
+		slots := d.MemoSlots()
 		before := b.SpliceForwardedBits()
 		for i := 0; i < 5; i++ {
 			if err := tx.Enqueue(can.Frame{ID: 0x300, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}); err != nil {
@@ -237,7 +248,7 @@ func TestSpliceIndexPastSourceCap(t *testing.T) {
 			}
 			b.Run(300)
 		}
-		_, after := d.MemoSlots()
+		after := d.MemoSlots()
 		return outcomeOf(rec, d, ctl, tx), b.SpliceForwardedBits() - before, slots, after
 	}
 	exact, _, _, _ := run(bus.RungExact)

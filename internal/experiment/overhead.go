@@ -102,7 +102,7 @@ func MeasureOverhead(load float64, mode SteppingMode, simBits int64, arms []Over
 func measureOverhead(load float64, mode SteppingMode, simBits int64, arms []OverheadArm, run scenarioRunner) (OverheadRow, error) {
 	// Calibrate twice: the second run is made at the size the first one
 	// suggests, and the repetitions are sized from the second run's rate. A
-	// fresh scenario's first bits run slower than its steady state (memos
+	// fresh scenario's first bits run slower than its steady state (plans
 	// filling, a cold process), so a size taken from a short window alone
 	// would leave every repetition short of the minimum wall time.
 	row := OverheadRow{Load: load, Mode: mode, SimulatedBits: simBits}

@@ -163,11 +163,11 @@ func throughputScenarioSeeded(target float64, mode SteppingMode, seed int64) (*b
 // MeasureThroughput simulates simBits bit times of the scenario at the given
 // load and stepping mode and reports wall-clock throughput, allocation rate,
 // and fast-path hit rates. A warm-up run lets the initial phase offsets
-// settle and the span memos populate before timing starts: the restbus
-// payloads carry rolling counters, so the working set of span identities is
+// settle and the transmit plans compile before timing starts: the restbus
+// payloads carry rolling counters, so the working set of distinct frames is
 // the full 256-value rotation (~1.4M bit times at 60% load), and a timed
 // window that starts cold spends a large prefix paying one-time plan builds
-// and span decodes instead of measuring the stepping mode. The warm-up is
+// instead of measuring the stepping mode. The warm-up is
 // one fifth of the measurement length, floored at a full rotation for grid
 // runs (1M+ bit measurements) so the table reports steady state, and at
 // 100k bits below that so short smoke runs stay cheap.

@@ -64,24 +64,8 @@ func (r *Replayer) PassiveRun(now bus.BitTime, frameBit int, levels []can.Level)
 // frameBit-0 span begins a frame whose plan was chosen from the queue head at
 // the SOF bit (dues strictly inside the span can only touch the queue, which
 // the controller does not read again before its next exact-stepped bit).
-//
-// Splitting is skipped when the controller cannot complete a transmission
-// within the span: then OnTransmit cannot fire, the outstanding flags scanDue
-// reads are constant across the span, and the enqueues only touch the
-// transmit queue — which no bit of the span observes (the bus clamps every
-// queue-visible idle/intermission proposal at nextScan via PassiveRun and
-// QuiescentUntil above). Delivering the span whole keeps its backing-array
-// identity intact for the controller's span memos, then each due is processed
-// at its recorded time with identical period arithmetic and stamps.
 func (r *Replayer) ObserveRun(from bus.BitTime, levels []can.Level) {
 	to := from + bus.BitTime(len(levels))
-	if r.nextScan < to && !r.ctl.TxCompleteWithin(len(levels)) {
-		r.ctl.ObserveRun(from, levels)
-		for r.nextScan < to {
-			r.scanDue(r.nextScan)
-		}
-		return
-	}
 	for r.nextScan < to {
 		due := r.nextScan
 		if due > from {
