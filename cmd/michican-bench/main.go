@@ -138,9 +138,9 @@ func runTelemetryGuard(simBits int64, thresholdPct float64) error {
 
 // writeThroughputJSON measures the load × stepping-mode throughput grid plus
 // a workers scaling sweep and writes both as JSON (the repo's BENCH_*.json
-// perf trajectory), echoing each row to stdout as it lands. NumCPU and the
-// pinning policy ride in the header so scaling curves from different
-// machines stay interpretable — a flat curve on a 1-core runner is physics,
+// perf trajectory), echoing each row to stdout as it lands. NumCPU and
+// GOMAXPROCS ride in the header so scaling curves from different machines
+// stay interpretable — a flat curve on a 1-core runner is physics,
 // not a regression.
 func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64, fsync string) error {
 	type report struct {
@@ -148,7 +148,6 @@ func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64
 		GoVersion   string                     `json:"go_version"`
 		GOMAXPROCS  int                        `json:"gomaxprocs"`
 		NumCPU      int                        `json:"num_cpu"`
-		PinPolicy   string                     `json:"pin_policy"`
 		Workers     int                        `json:"workers"`
 		Store       storeBlock                 `json:"store"`
 		Modes       []experiment.SteppingMode  `json:"fast_path_modes"`
@@ -203,7 +202,6 @@ func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
-		PinPolicy:   "work-stealing goroutine pool (experiment.Map), unpinned",
 		Workers:     workers,
 		Store:       storeBlock{Enabled: false, SegmentBytes: segBytes, Fsync: fsync},
 		Modes:       modes,

@@ -1,5 +1,5 @@
 // Command michican-fleet runs many independent vehicle simulations behind
-// one control plane: shared-nothing workers pinned one per core, each
+// one control plane: shared-nothing workers, one per GOMAXPROCS, each
 // advancing a shard of full restbus + defense + attacker vehicles, with
 // per-vehicle telemetry folded into a fleet-wide aggregate through
 // thresholded net commits and served over HTTP (/fleet/*).
@@ -47,8 +47,7 @@ func main() {
 	var (
 		vehicles    = flag.Int("vehicles", 16, "initial fleet size")
 		total       = flag.Int("total", 0, "total vehicles over the run incl. churn joiners (0 = 2x -vehicles with -churn, else -vehicles)")
-		workers     = flag.Int("workers", 0, "shared-nothing worker count (0 = NumCPU, pinned one per core)")
-		noPin       = flag.Bool("no-pin", false, "do not LockOSThread per worker")
+		workers     = flag.Int("workers", 0, "shared-nothing worker count (0 = GOMAXPROCS)")
 		seed        = flag.Int64("seed", 1, "fleet seed; per-vehicle seeds derive via experiment.DeriveSeed")
 		horizon     = flag.Int64("horizon-bits", 2_000_000, "simulated bits per vehicle before it retires (0 = run until removed)")
 		sliceBits   = flag.Int64("slice-bits", 65536, "scheduling quantum per vehicle per worker turn")
@@ -78,7 +77,6 @@ func main() {
 
 	cfg := fleet.Config{
 		Workers:            *workers,
-		NoPin:              *noPin,
 		SliceBits:          *sliceBits,
 		CommitThreshold:    *commitTh,
 		CommitIntervalBits: *commitIval,
@@ -105,14 +103,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "michican-fleet:", err)
 		os.Exit(1)
 	}
-}
-
-// pinPolicy names the worker-pinning policy for the report headers.
-func pinPolicy(noPin bool) string {
-	if noPin {
-		return "goroutine (unpinned)"
-	}
-	return "LockOSThread per worker"
 }
 
 // buildAndAdd mints vehicle i from the fleet seed and joins it; Add wires
@@ -258,8 +248,8 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 		fmt.Printf("fleet control plane listening on %s\n", server.URL())
 	}
 	h := f.Health()
-	fmt.Printf("fleet: %d vehicles, %d workers (%s), slice=%d bits, commit threshold=%d events / interval=%d bits\n",
-		vehicles, h.Workers, pinPolicy(cfg.NoPin), h.SliceBits, h.CommitThreshold, h.CommitIntervalBits)
+	fmt.Printf("fleet: %d vehicles, %d workers, slice=%d bits, commit threshold=%d events / interval=%d bits\n",
+		vehicles, h.Workers, h.SliceBits, h.CommitThreshold, h.CommitIntervalBits)
 	start := time.Now()
 	var stopTop chan struct{}
 	var topDone sync.WaitGroup
@@ -524,7 +514,6 @@ type benchReport struct {
 	GoVersion          string       `json:"go_version"`
 	GOMAXPROCS         int          `json:"gomaxprocs"`
 	NumCPU             int          `json:"num_cpu"`
-	PinPolicy          string       `json:"pin_policy"`
 	Seed               int64        `json:"seed"`
 	Workers            int          `json:"workers"`
 	HorizonBits        int64        `json:"horizon_bits"`
@@ -547,7 +536,7 @@ func runBench(cfg fleet.Config, p benchParams) error {
 		}
 	}
 	fmt.Printf("==== fleet churn benchmark ====\n")
-	fmt.Printf("gomaxprocs=%d numcpu=%d pin=%s\n", runtime.GOMAXPROCS(0), runtime.NumCPU(), pinPolicy(cfg.NoPin))
+	fmt.Printf("gomaxprocs=%d numcpu=%d\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
 
 	res, err := runChurn(cfg, p)
 	if err != nil {
@@ -568,7 +557,6 @@ func runBench(cfg fleet.Config, p benchParams) error {
 		GoVersion:          runtime.Version(),
 		GOMAXPROCS:         runtime.GOMAXPROCS(0),
 		NumCPU:             runtime.NumCPU(),
-		PinPolicy:          pinPolicy(cfg.NoPin),
 		Seed:               p.seed,
 		Workers:            eff.Workers,
 		HorizonBits:        p.horizon,

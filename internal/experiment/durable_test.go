@@ -291,7 +291,7 @@ func TestResumeIndependentOfSlicing(t *testing.T) {
 // durableFleet is a fleet that persists each retiring vehicle as
 // michican-fleet -store does: FinalizeDurable, then Store.Close.
 func durableFleet(t *testing.T) *fleet.Fleet {
-	return fleet.New(fleet.Config{Workers: 2, NoPin: true, OnFinalize: func(v fleet.Vehicle, incs []forensics.Incident) {
+	return fleet.New(fleet.Config{Workers: 2, OnFinalize: func(v fleet.Vehicle, incs []forensics.Incident) {
 		dv := v.(*DurableVehicle)
 		if err := dv.FinalizeDurable(incs); err != nil {
 			t.Errorf("finalize vehicle %d: %v", v.ID(), err)

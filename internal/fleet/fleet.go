@@ -7,12 +7,16 @@
 // forensics engine; the only thing shared is the fleet's immutable
 // compiled-plan cache, see Plans), and a worker owns a disjoint set of
 // vehicles that it advances round-robin in SliceBits quanta. Workers are
-// pinned one goroutine per OS thread (LockOSThread), sized to NumCPU by
-// default. Because no two workers ever touch the same vehicle and a vehicle
-// shares no mutable state with any other, per-vehicle results are
-// bit-identical for any worker count and any join/leave interleaving — the
-// scheduler only decides *when* a vehicle's bits get simulated, never *what*
-// they are.
+// plain goroutines, one per GOMAXPROCS by default, and each yields its P
+// (runtime.Gosched) after every slice. Workers are not locked to OS threads:
+// such a lock binds a goroutine to a thread, not a thread to a core, so it
+// keeps no working set warm, and a CPU-bound worker that never yields holds
+// its P until async preemption (~10 ms) while the store sinks, the
+// observability handlers and the collector wait behind it. Because no two
+// workers ever touch the same vehicle and a vehicle shares no mutable state
+// with any other, per-vehicle results are bit-identical for any worker count
+// and any join/leave interleaving — the scheduler only decides *when* a
+// vehicle's bits get simulated, never *what* they are.
 //
 // The aggregation layer is where the fleet earns its throughput: per-vehicle
 // telemetry counters accumulate through the vehicle's own atomic registry
@@ -79,13 +83,10 @@ type planSharer interface {
 
 // Config sizes the fleet.
 type Config struct {
-	// Workers is the shared-nothing worker count; 0 means runtime.NumCPU()
-	// (one per core).
+	// Workers is the shared-nothing worker count; 0 means
+	// runtime.GOMAXPROCS(0), so a process limited to fewer Ps than cores
+	// starts no worker that could never run alongside the others.
 	Workers int
-	// NoPin disables per-worker LockOSThread. Pinning is on by default: a
-	// worker that owns its OS thread keeps its vehicles' working sets warm
-	// instead of migrating across threads mid-slice.
-	NoPin bool
 	// SliceBits is the scheduling quantum: how much simulated time a worker
 	// advances one vehicle before rotating to the next. Default 65536.
 	SliceBits int64
@@ -113,7 +114,7 @@ type Config struct {
 // Defaults fills unset fields.
 func (c Config) Defaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.SliceBits <= 0 {
 		c.SliceBits = 65536
@@ -143,6 +144,9 @@ type shard struct {
 	worker  int
 	desc    string
 	horizon int64
+	// labels carries the worker and vehicle profile labels, built once at
+	// placement; the worker switches to it before each slice.
+	labels context.Context
 
 	// Worker-owned commit state.
 	lastEmits      int64
@@ -195,7 +199,7 @@ func New(cfg Config) *Fleet {
 	}
 	f.cond = sync.NewCond(&f.mu)
 	for i := 0; i < f.cfg.Workers; i++ {
-		w := &worker{f: f, id: i}
+		w := &worker{f: f, labels: pprof.WithLabels(context.Background(), pprof.Labels("fleet-worker", strconv.Itoa(i)))}
 		w.cond = sync.NewCond(&w.mu)
 		f.workers = append(f.workers, w)
 	}
@@ -245,6 +249,7 @@ func (f *Fleet) Add(v Vehicle) error {
 	f.joined.Add(1)
 	w := f.workers[s.worker]
 	f.mu.Unlock()
+	s.labels = pprof.WithLabels(w.labels, pprof.Labels("vehicle", strconv.Itoa(v.ID())))
 
 	if ps, ok := v.(planSharer); ok && ps.PlanSource() == nil {
 		ps.SharePlans(f.plans)
@@ -335,10 +340,11 @@ func (f *Fleet) onRetired(s *shard, res VehicleResult) {
 
 // worker owns a disjoint set of shards and advances them round-robin.
 type worker struct {
-	f    *Fleet
-	id   int
-	mu   sync.Mutex
-	cond *sync.Cond
+	f *Fleet
+	// labels carries the worker's profile label, the parent of its shards'.
+	labels context.Context
+	mu     sync.Mutex
+	cond   *sync.Cond
 	// shards is the worker's run queue; next is the round-robin cursor.
 	shards []*shard
 	next   int
@@ -367,28 +373,25 @@ func (w *worker) drop(s *shard) {
 	w.mu.Unlock()
 }
 
-// run is the worker loop: pinned to an OS thread, it takes the next shard
-// in rotation, advances it one slice, and applies the commit policy. The
-// loop carries pprof labels so CPU/heap profiles of a fleet run split by
-// worker, and each step adds the vehicle id — "which vehicle is this worker
-// burning time on" falls straight out of /debug/pprof/profile.
+// run is the worker loop: it takes the next shard in rotation, advances it
+// one slice, applies the commit policy, and yields its P so the goroutines
+// beside the fleet (store sinks, HTTP handlers, the collector) run within a
+// slice rather than at the next preemption. Each step runs under the
+// shard's worker and vehicle pprof labels, so CPU/heap profiles of a fleet
+// run split by worker and "which vehicle is this worker burning time on"
+// falls straight out of /debug/pprof/profile.
 func (w *worker) run() {
 	defer w.f.wg.Done()
-	if !w.f.cfg.NoPin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
-	pprof.Do(context.Background(), pprof.Labels("fleet-worker", strconv.Itoa(w.id)), func(ctx context.Context) {
-		for {
-			s := w.take()
-			if s == nil {
-				return
-			}
-			pprof.Do(ctx, pprof.Labels("vehicle", strconv.Itoa(s.v.ID())), func(context.Context) {
-				w.step(s)
-			})
+	pprof.SetGoroutineLabels(w.labels)
+	for {
+		s := w.take()
+		if s == nil {
+			return
 		}
-	})
+		pprof.SetGoroutineLabels(s.labels)
+		w.step(s)
+		runtime.Gosched()
+	}
 }
 
 // take returns the next shard in rotation, blocking while the queue is
@@ -483,7 +486,6 @@ func (w *worker) retire(s *shard) {
 type Health struct {
 	Status             string `json:"status"`
 	Workers            int    `json:"workers"`
-	Pinned             bool   `json:"pinned"`
 	ActiveVehicles     int    `json:"active_vehicles"`
 	Joined             int64  `json:"vehicles_joined"`
 	Completed          int64  `json:"vehicles_completed"`
@@ -501,7 +503,6 @@ func (f *Fleet) Health() Health {
 	return Health{
 		Status:             "ok",
 		Workers:            f.cfg.Workers,
-		Pinned:             !f.cfg.NoPin,
 		ActiveVehicles:     active,
 		Joined:             f.joined.Load(),
 		Completed:          f.completed.Load(),

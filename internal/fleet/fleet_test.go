@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"michican/internal/experiment"
@@ -28,10 +29,7 @@ type vehicleTrace struct {
 // join only once the fleet is already running.
 func runArm(t *testing.T, workers int, joinOrder []int, joinAfterStart int) (map[int]vehicleTrace, *fleet.Fleet) {
 	t.Helper()
-	f := fleet.New(fleet.Config{
-		Workers: workers,
-		NoPin:   true, // tests share the process; pinning is exercised in the smoke run
-	})
+	f := fleet.New(fleet.Config{Workers: workers})
 	vehicles := make(map[int]*experiment.FleetVehicle)
 	join := func(i int) {
 		v, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(testSeed, i, testHorizon, true))
@@ -69,8 +67,9 @@ func runArm(t *testing.T, workers int, joinOrder []int, joinAfterStart int) (map
 
 // TestDeterminismAcrossWorkerCountsAndChurn is the fleet's core contract:
 // the same vehicle spec produces a bit-identical wire trace and incident log
-// whether the fleet runs 1 worker or 4, and whether vehicles join up-front
-// in order or churn in shuffled, mid-run. The scheduler decides when a
+// whether the fleet runs 1, 2 or 4 workers, on one P or two, and whether
+// vehicles join up-front in order or churn in shuffled, mid-run. At one P
+// every yielding worker time-shares it. The scheduler decides when a
 // vehicle's bits are simulated, never what they are.
 func TestDeterminismAcrossWorkerCountsAndChurn(t *testing.T) {
 	const n = 6
@@ -84,22 +83,38 @@ func TestDeterminismAcrossWorkerCountsAndChurn(t *testing.T) {
 		order          []int
 		joinAfterStart int
 	}{
+		{"workers=2", 2, inOrder, 0},
+		{"workers=2 churned", 2, shuffled, 3},
 		{"workers=4", 4, inOrder, 0},
 		{"workers=4 churned", 4, shuffled, 3},
 		{"workers=1 churned", 1, shuffled, 2},
 	}
-	for _, arm := range arms {
-		got, _ := runArm(t, arm.workers, arm.order, arm.joinAfterStart)
-		for id := 0; id < n; id++ {
-			b, g := base[id], got[id]
-			if b.bits != g.bits {
-				t.Errorf("%s: vehicle %d wire trace diverged from the 1-worker baseline", arm.name, id)
-			}
-			if !reflect.DeepEqual(b.incidents, g.incidents) {
-				t.Errorf("%s: vehicle %d incident log diverged: %d vs %d incidents",
-					arm.name, id, len(b.incidents), len(g.incidents))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, arm := range arms {
+			got, _ := runArm(t, arm.workers, arm.order, arm.joinAfterStart)
+			for id := 0; id < n; id++ {
+				b, g := base[id], got[id]
+				if b.bits != g.bits {
+					t.Errorf("GOMAXPROCS=%d %s: vehicle %d wire trace diverged from the 1-worker baseline",
+						procs, arm.name, id)
+				}
+				if !reflect.DeepEqual(b.incidents, g.incidents) {
+					t.Errorf("GOMAXPROCS=%d %s: vehicle %d incident log diverged: %d vs %d incidents",
+						procs, arm.name, id, len(b.incidents), len(g.incidents))
+				}
 			}
 		}
+	}
+}
+
+// TestDefaultWorkersFollowGOMAXPROCS checks the default worker count is the
+// number of Ps, not of cores: a process limited to one P starts one worker.
+func TestDefaultWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := fleet.New(fleet.Config{}).Health().Workers; got != 1 {
+		t.Fatalf("default workers at GOMAXPROCS=1 = %d, want 1", got)
 	}
 }
 
@@ -112,7 +127,6 @@ func TestAggregateMatchesVehicleSum(t *testing.T) {
 	const n = 5
 	f := fleet.New(fleet.Config{
 		Workers: 2,
-		NoPin:   true,
 		// A tiny threshold forces many commit batches, maximizing the chance
 		// an interleaving bug double- or under-counts.
 		CommitThreshold: 64,
@@ -164,7 +178,7 @@ func TestAggregateMatchesVehicleSum(t *testing.T) {
 // TestIncidentHandOff checks retired vehicles' incidents land in the
 // aggregate's totals and per-vehicle index exactly once.
 func TestIncidentHandOff(t *testing.T) {
-	f := fleet.New(fleet.Config{Workers: 2, NoPin: true})
+	f := fleet.New(fleet.Config{Workers: 2})
 	var wantTotal int
 	vehicles := make([]*experiment.FleetVehicle, 4)
 	for i := range vehicles {
@@ -195,7 +209,7 @@ func TestIncidentHandOff(t *testing.T) {
 // TestRemoveRetiresWithoutHorizon covers explicit removal: a horizon-less
 // vehicle runs until removed, and removal before Start retires it cleanly.
 func TestRemoveRetiresWithoutHorizon(t *testing.T) {
-	f := fleet.New(fleet.Config{Workers: 1, NoPin: true})
+	f := fleet.New(fleet.Config{Workers: 1})
 	v, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(testSeed, 0, 0, false))
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +249,6 @@ func TestChurnViaOnRetire(t *testing.T) {
 	joinErr := make(chan error, total)
 	f = fleet.New(fleet.Config{
 		Workers: 2,
-		NoPin:   true,
 		OnRetire: func(fleet.VehicleResult) {
 			i, ok := <-next
 			if !ok {
@@ -287,7 +300,7 @@ func TestChurnViaOnRetire(t *testing.T) {
 // workers are advancing: the census, per-vehicle snapshots and the metrics
 // view must all return consistent data without perturbing the run.
 func TestVehicleViewsDuringRun(t *testing.T) {
-	f := fleet.New(fleet.Config{Workers: 2, NoPin: true})
+	f := fleet.New(fleet.Config{Workers: 2})
 	const n = 4
 	for i := 0; i < n; i++ {
 		v, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(testSeed, i, testHorizon, false))

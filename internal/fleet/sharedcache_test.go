@@ -26,7 +26,7 @@ import (
 // shared-nothing sharding must keep every other vehicle unaffected.
 func runSharedCacheArm(t *testing.T, n int, plans func() *controller.PlanSource, removeIdx int) map[int]vehicleTrace {
 	t.Helper()
-	f := fleet.New(fleet.Config{Workers: 2, NoPin: true})
+	f := fleet.New(fleet.Config{Workers: 2})
 	vehicles := make(map[int]*experiment.FleetVehicle, n)
 	for i := 0; i < n; i++ {
 		horizon := int64(testHorizon)
@@ -137,7 +137,7 @@ func TestFleetRemoveWhileSharedPlans(t *testing.T) {
 // vehicle built with its own spec.Plans keeps compiling through it, while a
 // vehicle without one joins the fleet's.
 func TestFleetAddKeepsVehicleSource(t *testing.T) {
-	f := fleet.New(fleet.Config{Workers: 2, NoPin: true})
+	f := fleet.New(fleet.Config{Workers: 2})
 	own := controller.NewPlanSource()
 	spec := experiment.FleetSpecAt(testSeed, 0, testHorizon, false)
 	spec.Plans = own

@@ -14,7 +14,7 @@ import (
 // the endpoints exercise the retired-vehicle paths as well as the live ones.
 func startFleet(t *testing.T) (*fleet.Fleet, *obs.Server) {
 	t.Helper()
-	f := fleet.New(fleet.Config{Workers: 2, NoPin: true})
+	f := fleet.New(fleet.Config{Workers: 2})
 	for i := 0; i < 3; i++ {
 		v, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(7, i, 200_000, false))
 		if err != nil {

@@ -102,7 +102,7 @@ func TestHealthzDegradesOnIssues(t *testing.T) {
 func TestFleetAlertsEmptyFleet(t *testing.T) {
 	// An empty fleet with no collector wired: /fleet/alerts still serves a
 	// well-formed empty view.
-	f := fleet.New(fleet.Config{Workers: 1, NoPin: true})
+	f := fleet.New(fleet.Config{Workers: 1})
 	srv, err := obs.ServeFleet("127.0.0.1:0", f)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestFleetAlertsEmptyFleet(t *testing.T) {
 }
 
 func TestFleetHealthzDegradesOnStall(t *testing.T) {
-	f := fleet.New(fleet.Config{Workers: 1, NoPin: true})
+	f := fleet.New(fleet.Config{Workers: 1})
 	mon := &watch.Monitor{}
 	stalled := false
 	mon.Attach(func(time.Time) []watch.Issue {
