@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"michican/internal/can"
+	"michican/internal/experiment"
 	"michican/internal/forensics"
 	"michican/internal/store"
 	"michican/internal/telemetry"
@@ -33,36 +34,41 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "candump:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	eventsIn := flag.String("events", "", "telemetry event stream (JSONL) from the same run; adds incident markers to destroyed attempts")
-	fromStore := flag.String("from-store", "", "reconstruct the dump from a durable store directory instead of a bit trace")
-	window := flag.String("window", "", "with -from-store: bit-time window from:to (either side open; default the whole recording)")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: candump [-events e.jsonl] [file]   (reads stdin without a file)")
-		fmt.Fprintln(os.Stderr, "       candump -from-store <dir> [-window from:to]")
-		flag.PrintDefaults()
+// run is the whole command; it reads stdin when no trace file is named. A
+// bad flag or -h exits as flag.ExitOnError does; every other failure is
+// returned.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
+	eventsIn := fs.String("events", "", "telemetry event stream (JSONL) from the same run; adds incident markers to destroyed attempts")
+	fromStore := fs.String("from-store", "", "reconstruct the dump from a durable store directory instead of a bit trace")
+	window := fs.String("window", "", "with -from-store: bit-time window from:to (either side open; default the whole recording)")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: candump [-events e.jsonl] [file]   (reads stdin without a file)")
+		fmt.Fprintln(stderr, "       candump -from-store <dir> [-window from:to]")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	fs.Parse(args)
 
 	if *fromStore != "" {
-		return runFromStore(*fromStore, *window)
+		return runFromStore(stdout, *fromStore, *window)
 	}
 
 	var (
 		data []byte
 		err  error
 	)
-	switch flag.NArg() {
+	switch fs.NArg() {
 	case 0:
 		data, err = io.ReadAll(os.Stdin)
 	case 1:
-		data, err = os.ReadFile(flag.Arg(0))
+		data, err = os.ReadFile(fs.Arg(0))
 	default:
 		return fmt.Errorf("at most one input file")
 	}
@@ -90,13 +96,13 @@ func run() error {
 			frames++
 			switch {
 			case e.Frame.FD:
-				fmt.Printf("(%08d) %s  FD [%d] % X\n", e.Start, e.Frame.ID, e.Frame.DLC(), e.Frame.Data)
+				fmt.Fprintf(stdout, "(%08d) %s  FD [%d] % X\n", e.Start, e.Frame.ID, e.Frame.DLC(), e.Frame.Data)
 			case e.Frame.Remote:
-				fmt.Printf("(%08d) %s  remote request [%d]\n", e.Start, e.Frame.ID, e.Frame.RequestLen)
+				fmt.Fprintf(stdout, "(%08d) %s  remote request [%d]\n", e.Start, e.Frame.ID, e.Frame.RequestLen)
 			case e.Frame.Extended:
-				fmt.Printf("(%08d) %s  EXT [%d] % X\n", e.Start, e.Frame.ID, e.Frame.DLC(), e.Frame.Data)
+				fmt.Fprintf(stdout, "(%08d) %s  EXT [%d] % X\n", e.Start, e.Frame.ID, e.Frame.DLC(), e.Frame.Data)
 			default:
-				fmt.Printf("(%08d) %s  [%d] % X\n", e.Start, e.Frame.ID, e.Frame.DLC(), e.Frame.Data)
+				fmt.Fprintf(stdout, "(%08d) %s  [%d] % X\n", e.Start, e.Frame.ID, e.Frame.DLC(), e.Frame.Data)
 			}
 		case trace.ErrorEvent:
 			destroyed++
@@ -108,13 +114,13 @@ func run() error {
 			if marks != nil {
 				note = marks.annotate(int64(e.Start), int64(e.End))
 			}
-			fmt.Printf("(%08d) %s  DESTROYED (error frame after %d bits)%s\n", e.Start, id, e.Bits(), note)
+			fmt.Fprintf(stdout, "(%08d) %s  DESTROYED (error frame after %d bits)%s\n", e.Start, id, e.Bits(), note)
 		}
 	}
-	fmt.Printf("-- %d bits, %d frames, %d destroyed attempts, bus load %.1f%%\n",
+	fmt.Fprintf(stdout, "-- %d bits, %d frames, %d destroyed attempts, bus load %.1f%%\n",
 		len(bits), frames, destroyed, trace.Load(events, int64(len(bits)))*100)
 	if marks != nil {
-		marks.printIncidents()
+		printIncidents(stdout, marks.eng)
 	}
 	return nil
 }
@@ -122,11 +128,11 @@ func run() error {
 // markers holds the per-instant annotations recovered from the telemetry
 // stream plus the reconstructed incidents.
 type markers struct {
-	detects  []detectMark
-	pulls    []pullMark
-	busOffs  []nodeMark
-	recovers []nodeMark
-	eng      *forensics.Engine
+	detects []detectMark
+	pulls   []pullMark
+	busOffs []nodeMark
+	pending []int64 // open pull starts
+	eng     *forensics.Engine
 }
 
 type detectMark struct {
@@ -142,7 +148,9 @@ type nodeMark struct {
 	node string
 }
 
-// loadMarkers reads a JSONL event stream and builds its markers.
+// loadMarkers reads a JSONL event stream and replays it through a stack
+// with a forensics engine — the pipeline a live run uses — collecting the
+// per-instant marks for inline annotation.
 func loadMarkers(path string, recordingEnd int64) (*markers, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -153,114 +161,88 @@ func loadMarkers(path string, recordingEnd int64) (*markers, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildMarkers(named, recordingEnd), nil
+	stack := experiment.NewStack(telemetry.NewHub(), experiment.StackConfig{Forensics: true})
+	defer stack.Close()
+	m := &markers{eng: stack.Forensics}
+	for _, ev := range named {
+		stack.Hub.Probe(ev.Node).Emit(ev.Time, ev.Kind, ev.A, ev.B)
+		m.observe(ev)
+	}
+	return m, stack.Finalize(recordingEnd)
 }
 
-// buildMarkers replays an event stream through a hub with a forensics engine
-// subscribed — the same pipeline a live run uses — and collects the
-// per-instant marks for inline annotation.
-func buildMarkers(named []telemetry.NamedEvent, recordingEnd int64) *markers {
-	hub := telemetry.NewHub()
-	hub.RetainEvents(false)
-	eng := forensics.NewEngine(hub)
-	defer eng.Close()
-
-	m := &markers{eng: eng}
-	var pending []int64 // open pull starts
-	for _, ev := range named {
-		hub.Probe(ev.Node).Emit(ev.Time, ev.Kind, ev.A, ev.B)
-		switch ev.Kind {
-		case telemetry.EvDetect:
-			m.detects = append(m.detects, detectMark{at: ev.Time, bit: ev.A})
-		case telemetry.EvPullStart:
-			pending = append(pending, ev.Time)
-		case telemetry.EvPullEnd:
-			start := ev.Time
-			if n := len(pending); n > 0 {
-				start, pending = pending[n-1], pending[:n-1]
-			}
-			m.pulls = append(m.pulls, pullMark{start: start, end: ev.Time, bits: ev.A})
-		case telemetry.EvBusOff:
-			m.busOffs = append(m.busOffs, nodeMark{at: ev.Time, node: ev.Node})
-		case telemetry.EvRecover:
-			m.recovers = append(m.recovers, nodeMark{at: ev.Time, node: ev.Node})
+// observe records ev's mark, if it makes one.
+func (m *markers) observe(ev telemetry.NamedEvent) {
+	switch ev.Kind {
+	case telemetry.EvDetect:
+		m.detects = append(m.detects, detectMark{at: ev.Time, bit: ev.A})
+	case telemetry.EvPullStart:
+		m.pending = append(m.pending, ev.Time)
+	case telemetry.EvPullEnd:
+		start := ev.Time
+		if n := len(m.pending); n > 0 {
+			start, m.pending = m.pending[n-1], m.pending[:n-1]
 		}
+		m.pulls = append(m.pulls, pullMark{start: start, end: ev.Time, bits: ev.A})
+	case telemetry.EvBusOff:
+		m.busOffs = append(m.busOffs, nodeMark{at: ev.Time, node: ev.Node})
 	}
-	eng.Finalize(recordingEnd)
-	return m
 }
 
 // runFromStore reconstructs a historical window out of a durable store: the
-// stored telemetry stream replays through the forensics pipeline (buildMarkers)
-// and the dump lists completed frames, detections, destroyed attempts, and
-// bus-off transitions, closing with the window's reconstructed incidents and
-// the stored incident log entries that intersect it.
-func runFromStore(dir, window string) error {
+// stored telemetry stream replays through the forensics pipeline
+// (experiment.ReplayStore) and the dump lists completed frames, detections,
+// destroyed attempts, and bus-off transitions, closing with the window's
+// reconstructed incidents and the stored incident log entries that
+// intersect it.
+func runFromStore(stdout io.Writer, dir, window string) error {
 	from, to, err := store.ParseWindow(window)
 	if err != nil {
 		return err
 	}
-	st, err := store.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	var events []telemetry.NamedEvent
-	last := int64(0)
-	if err := st.EventsInWindow(from, to, func(ev telemetry.NamedEvent) error {
-		events = append(events, ev)
-		if ev.Time > last {
-			last = ev.Time
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	end := last + 1
-	if to < int64(1)<<62 {
-		end = to
-	}
-	marks := buildMarkers(events, end)
-
-	frames, destroyed := 0, 0
-	var pending []int64 // open counterattack starts
-	for _, ev := range events {
+	// Each stored event prints as it replays; counterattack spans pair up
+	// the way the trace path's markers pair them.
+	var (
+		marks                     markers
+		events, frames, destroyed int
+	)
+	stack, err := experiment.ReplayStore(dir, from, to, experiment.StackConfig{Forensics: true}, func(ev telemetry.NamedEvent) {
+		events++
+		marks.observe(ev)
 		switch ev.Kind {
 		case telemetry.EvTxSuccess:
 			frames++
-			fmt.Printf("(%08d) %s  frame completed by %s\n", ev.Time, can.ID(ev.A), ev.Node)
+			fmt.Fprintf(stdout, "(%08d) %s  frame completed by %s\n", ev.Time, can.ID(ev.A), ev.Node)
 		case telemetry.EvDetect:
-			fmt.Printf("(%08d) %s  DETECT at ID bit %d\n", ev.Time, ev.Node, ev.A)
-		case telemetry.EvPullStart:
-			pending = append(pending, ev.Time)
+			fmt.Fprintf(stdout, "(%08d) %s  DETECT at ID bit %d\n", ev.Time, ev.Node, ev.A)
 		case telemetry.EvPullEnd:
 			destroyed++
-			start := ev.Time
-			if n := len(pending); n > 0 {
-				start, pending = pending[n-1], pending[:n-1]
-			}
-			fmt.Printf("(%08d) %s  DESTROYED attempt (counterattack %d bits t=%d–%d)\n",
+			start := marks.pulls[len(marks.pulls)-1].start
+			fmt.Fprintf(stdout, "(%08d) %s  DESTROYED attempt (counterattack %d bits t=%d–%d)\n",
 				start, ev.Node, ev.A, start, ev.Time)
 		case telemetry.EvBusOff:
-			fmt.Printf("(%08d) %s  BUS-OFF\n", ev.Time, ev.Node)
+			fmt.Fprintf(stdout, "(%08d) %s  BUS-OFF\n", ev.Time, ev.Node)
 		case telemetry.EvRecover:
-			fmt.Printf("(%08d) %s  recovered\n", ev.Time, ev.Node)
+			fmt.Fprintf(stdout, "(%08d) %s  recovered\n", ev.Time, ev.Node)
 		}
+	})
+	if err != nil {
+		return err
 	}
+	defer stack.Close()
 	win := window
 	if win == "" {
 		win = "full recording"
 	}
-	fmt.Printf("-- store %s (%s): %d events, %d frames completed, %d destroyed attempts\n",
-		dir, win, len(events), frames, destroyed)
-	marks.printIncidents()
+	fmt.Fprintf(stdout, "-- store %s (%s): %d events, %d frames completed, %d destroyed attempts\n",
+		dir, win, events, frames, destroyed)
+	printIncidents(stdout, stack.Forensics)
 
 	// The durable incident log is the run's own verdict; list the entries
 	// whose span intersects the window so a partial-window reconstruction can
 	// be checked against what the full run recorded.
 	stored := 0
-	err = st.IncidentPayloads(func(p []byte) error {
+	err = stack.Store.IncidentPayloads(func(p []byte) error {
 		inc, err := forensics.DecodeIncident(p)
 		if err != nil {
 			return err
@@ -273,7 +255,7 @@ func runFromStore(dir, window string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("-- %d stored incidents intersect the window (full log: candump is read-only; see /store/incidents)\n", stored)
+	fmt.Fprintf(stdout, "-- %d stored incidents intersect the window (full log: candump is read-only; see /store/incidents)\n", stored)
 	return nil
 }
 
@@ -309,12 +291,12 @@ func (m *markers) annotate(start, end int64) string {
 
 // printIncidents appends the forensics engine's incident view of the same
 // stream under the dump.
-func (m *markers) printIncidents() {
-	incs := m.eng.Incidents()
+func printIncidents(stdout io.Writer, eng *forensics.Engine) {
+	incs := eng.Incidents()
 	if len(incs) == 0 {
 		return
 	}
-	fmt.Printf("-- %d incidents reconstructed from the event stream:\n", len(incs))
+	fmt.Fprintf(stdout, "-- %d incidents reconstructed from the event stream:\n", len(incs))
 	for _, inc := range incs {
 		line := fmt.Sprintf("   %s  start=%d end=%d (%d bits) attempts=%d", inc.IDHex,
 			inc.Start, inc.End, inc.Bits(), inc.Attempts)
@@ -330,6 +312,6 @@ func (m *markers) printIncidents() {
 				line += fmt.Sprintf(" recovered@%d", inc.RecoveredAt)
 			}
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
 }

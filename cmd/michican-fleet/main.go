@@ -163,12 +163,8 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 			if !ok {
 				return
 			}
-			if err := dv.FinalizeDurable(incs); err != nil {
+			if err := errors.Join(dv.FinalizeDurable(incs), dv.Close()); err != nil {
 				finErr.Store(fmt.Errorf("finalize vehicle %d: %w", v.ID(), err))
-				return
-			}
-			if err := dv.Store.Close(); err != nil {
-				finErr.Store(err)
 			}
 		}
 	}
@@ -188,26 +184,22 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 			return nil
 		}
 		vehicles = resumed
-	case dp.dir != "":
-		for i := 0; i < vehicles; i++ {
-			spec := experiment.FleetSpecAt(seed, i, horizon, false)
-			spec.Watch = watchOn
-			dv, err := experiment.StartDurableVehicle(vehicleDir(dp.dir, i), spec, 0, "", opts)
-			if err != nil {
-				return err
-			}
-			if err := f.Add(dv); err != nil {
-				return err
-			}
-			if collector != nil && dv.Watch() != nil {
-				collector.Register(spec.Index, dv.Watch())
-			}
-		}
 	default:
 		for i := 0; i < vehicles; i++ {
 			spec := experiment.FleetSpecAt(seed, i, horizon, false)
 			spec.Watch = watchOn
-			v, err := experiment.NewFleetVehicle(spec)
+			var (
+				v interface {
+					fleet.Vehicle
+					Watch() *watch.Engine
+				}
+				err error
+			)
+			if dp.dir != "" {
+				v, err = experiment.StartDurableVehicle(vehicleDir(dp.dir, i), spec, 0, "", opts)
+			} else {
+				v, err = experiment.NewFleetVehicle(spec)
+			}
 			if err != nil {
 				return err
 			}

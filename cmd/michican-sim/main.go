@@ -13,8 +13,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,8 +26,8 @@ import (
 	"michican/internal/cli"
 	"michican/internal/controller"
 	"michican/internal/core"
+	"michican/internal/experiment"
 	"michican/internal/forensics"
-	"michican/internal/fsm"
 	"michican/internal/obs"
 	"michican/internal/restbus"
 	"michican/internal/store"
@@ -34,46 +36,44 @@ import (
 	"michican/internal/watch"
 )
 
-// Wall-clock self-health bounds for the -http liveness probe: the store
-// writer draining fewer events than this many behind is healthy, and the
-// group-commit fsync may lag this long before /healthz degrades.
-const (
-	storeBacklogBound = int64(1) << 16
-	fsyncStallBound   = 10 * time.Second
-)
-
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "michican-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the whole command. A bad flag or -h exits as flag.ExitOnError
+// does; every other failure is returned.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
+	// The scenario flags fill the generator config a -store run records.
+	var p simParams
+	fs.IntVar(&p.Rate, "rate", 50_000, "bus speed in bit/s")
+	fs.StringVar(&p.Defender, "defender", "0x173", "defended ECU's CAN ID")
+	fs.StringVar(&p.Attack, "attack", "spoof", "attack: spoof|dos|toggle|misc|none")
+	fs.StringVar(&p.AttackID, "attack-id", "", "attacker CAN ID (default: defender for spoof, 0x064 for dos)")
+	fs.BoolVar(&p.NoDefense, "no-defense", false, "leave the ECU unpatched")
+	fs.BoolVar(&p.Restbus, "restbus", false, "replay Veh. D benign traffic")
+	fs.StringVar(&p.MatrixFile, "matrix", "", "replay benign traffic from a communication-matrix file")
+	fs.DurationVar(&p.Duration, "duration", 200*time.Millisecond, "simulation length")
+	fs.BoolVar(&p.Watch, "watch", false, "attach the live SLO/alerting engine (serves /alerts under -http, persists the alert log under -store)")
 	var (
-		rateFlag   = flag.Int("rate", 50_000, "bus speed in bit/s")
-		defender   = flag.String("defender", "0x173", "defended ECU's CAN ID")
-		attackKind = flag.String("attack", "spoof", "attack: spoof|dos|toggle|misc|none")
-		attackID   = flag.String("attack-id", "", "attacker CAN ID (default: defender for spoof, 0x064 for dos)")
-		noDefense  = flag.Bool("no-defense", false, "leave the ECU unpatched")
-		withRest   = flag.Bool("restbus", false, "replay Veh. D benign traffic")
-		matrixFile = flag.String("matrix", "", "replay benign traffic from a communication-matrix file")
-		duration   = flag.Duration("duration", 200*time.Millisecond, "simulation length")
-		traceOut   = flag.String("trace", "", "write the raw bit trace to this file")
-		eventsOut  = flag.String("events", "", "write the telemetry event stream (JSONL) to this file")
-		chromeOut  = flag.String("chrome-trace", "", "write a Chrome trace_event JSON (Perfetto-viewable) to this file")
-		jsonOut    = flag.Bool("json", false, "emit the outcome as one JSON object instead of text")
-		httpAddr   = flag.String("http", "", "serve live observability (/metrics /incidents /snapshot /debug/pprof) on this address (use :0 for an ephemeral port)")
-		watchFlag  = flag.Bool("watch", false, "attach the live SLO/alerting engine (serves /alerts under -http, persists the alert log under -store)")
-		linger     = flag.Duration("linger", 0, "keep the -http server up this long after the run (so probes and profilers can attach)")
-		incOut     = flag.String("incidents", "", "write the forensics incident log (JSON, same shape as /incidents) to this file")
-		storeDir   = flag.String("store", "", "persist the run into a durable store at this directory (segments + checkpoints, DESIGN.md §8)")
-		resumeDir  = flag.String("resume", "", "resume an interrupted -store run from its last checkpoint (scenario flags come from the store)")
-		replayWin  = flag.String("replay-window", "", "time-travel replay: re-open this bit-time window (from:to, either side open) from the -store directory instead of simulating; alerts regenerate for every rule except ladder-collapse, which needs the fast-forward spans the store does not keep")
-		cpInterval = flag.Int64("checkpoint-interval", 1<<20, "bits of sim progress between automatic checkpoints under -store/-resume")
-		verbose    = flag.Bool("v", false, "print every decoded bus event")
+		traceOut   = fs.String("trace", "", "write the raw bit trace to this file")
+		eventsOut  = fs.String("events", "", "write the telemetry event stream (JSONL) to this file")
+		chromeOut  = fs.String("chrome-trace", "", "write a Chrome trace_event JSON (Perfetto-viewable) to this file")
+		jsonOut    = fs.Bool("json", false, "emit the outcome as one JSON object instead of text")
+		httpAddr   = fs.String("http", "", "serve live observability (/metrics /incidents /snapshot /debug/pprof) on this address (use :0 for an ephemeral port)")
+		linger     = fs.Duration("linger", 0, "keep the -http server up this long after the run (so probes and profilers can attach)")
+		incOut     = fs.String("incidents", "", "write the forensics incident log (JSON, same shape as /incidents) to this file")
+		storeDir   = fs.String("store", "", "persist the run into a durable store at this directory (segments + checkpoints, DESIGN.md §8)")
+		resumeDir  = fs.String("resume", "", "resume an interrupted -store run from its last checkpoint (scenario flags come from the store)")
+		replayWin  = fs.String("replay-window", "", "time-travel replay: re-open this bit-time window (from:to, either side open) from the -store directory instead of simulating; alerts regenerate for every rule except ladder-collapse, which needs the fast-forward spans the store does not keep")
+		cpInterval = fs.Int64("checkpoint-interval", 1<<20, "bits of sim progress between automatic checkpoints under -store/-resume")
+		verbose    = fs.Bool("v", false, "print every decoded bus event")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *replayWin != "" {
 		dir := *storeDir
@@ -83,265 +83,107 @@ func run() error {
 		if dir == "" {
 			return fmt.Errorf("-replay-window needs -store <dir> pointing at an existing store")
 		}
-		return runReplay(dir, *replayWin, *eventsOut, *chromeOut, *incOut, *jsonOut, *verbose)
+		return runReplay(stdout, dir, *replayWin, *eventsOut, *chromeOut, *incOut, *jsonOut, *verbose)
 	}
 	if *storeDir != "" && *resumeDir != "" {
 		return fmt.Errorf("-store creates a fresh run and -resume continues one; pick one")
 	}
 
-	// Resume rewinds the store to its newest checkpoint and replaces the
-	// scenario flags with the parameters recorded at -store time, so the
-	// regenerated run is bit-identical to the interrupted one.
-	var (
-		st       *store.Store
-		sinkOpts store.SinkOptions
-	)
-	if *resumeDir != "" {
-		var err error
-		if st, err = store.Open(*resumeDir); err != nil {
-			return err
-		}
-		defer st.Close()
-		var params simParams
-		if err := json.Unmarshal(st.Meta().Config, &params); err != nil {
-			return fmt.Errorf("resume %s: bad sim parameters in meta.json: %w", *resumeDir, err)
-		}
-		var completed bool
-		if sinkOpts, completed, err = st.ResumePoint(); err != nil {
-			return err
-		}
-		if completed {
-			return fmt.Errorf("resume %s: stored run already complete (replay it with -replay-window)", *resumeDir)
-		}
-		params.apply(rateFlag, defender, attackKind, attackID, noDefense, withRest, matrixFile, duration, watchFlag)
-		if !*jsonOut {
-			fmt.Printf("resuming from %s: %d events durable through bit %d\n",
-				*resumeDir, sinkOpts.SkipEvents, sinkOpts.ResumeFromBits)
-		}
-	}
-
-	rate := bus.Rate(*rateFlag)
-	defID, err := cli.ParseID(*defender)
-	if err != nil {
+	// The scenario is built before a store is created or rewound, so a
+	// scenario this build cannot run leaves no store behind and a resumable
+	// one untouched.
+	var sc *scenario
+	build := func() (err error) {
+		sc, err = newScenario(p, *verbose && !*jsonOut, stdout)
 		return err
 	}
-	attID := defID
-	if *attackID != "" {
-		if attID, err = cli.ParseID(*attackID); err != nil {
-			return err
+	var (
+		st       *store.Store
+		sinkOpts = store.SinkOptions{CheckpointIntervalBits: *cpInterval}
+		err      error
+	)
+	switch {
+	case *resumeDir != "":
+		// Resume rewinds the store to its newest checkpoint and replaces the
+		// scenario flags with the parameters recorded at -store time, so the
+		// regenerated run is bit-identical to the interrupted one.
+		p = simParams{}
+		st, sinkOpts, err = experiment.ResumeStore(*resumeDir, &p, sinkOpts, build)
+		if errors.Is(err, experiment.ErrRunComplete) {
+			return fmt.Errorf("resume %s: %w (replay it with -replay-window)", *resumeDir, err)
 		}
-	} else if *attackKind == "dos" {
-		attID = 0x064
-	}
-
-	b := bus.New(rate)
-	rec := trace.NewRecorder()
-	b.AttachTap(rec)
-
-	// The telemetry hub collects typed events from every participant; it is
-	// only created when an exporter asked for it, so the default run pays
-	// nothing beyond the disabled-probe nil checks. A durable store is such
-	// an exporter: the sink streams the hub to disk.
-	var hub *telemetry.Hub
-	if *eventsOut != "" || *chromeOut != "" || *httpAddr != "" || *incOut != "" ||
-		*storeDir != "" || st != nil || *watchFlag {
-		hub = telemetry.NewHub()
-		b.SetTelemetry(hub, "bus")
-	}
-
-	// Fresh -store runs record the scenario parameters as the store's
-	// generator config — that is what -resume reads back to rebuild this
-	// exact run.
-	if *storeDir != "" {
-		params := simParams{
-			Rate: *rateFlag, Defender: *defender, Attack: *attackKind,
-			AttackID: *attackID, NoDefense: *noDefense, Restbus: *withRest,
-			MatrixFile: *matrixFile, DurationNS: int64(*duration), Watch: *watchFlag,
-		}
-		cfg, err := json.Marshal(params)
 		if err != nil {
 			return err
 		}
-		if st, err = store.Create(*storeDir, store.Meta{Kind: "sim", Config: cfg}); err != nil {
+		if !*jsonOut {
+			fmt.Fprintf(stdout, "resuming from %s: %d events durable through bit %d\n",
+				*resumeDir, sinkOpts.SkipEvents, sinkOpts.ResumeFromBits)
+		}
+	default:
+		if err := build(); err != nil {
 			return err
 		}
-		defer st.Close()
-	}
-	var sink *store.Sink
-	if st != nil {
-		sinkOpts.CheckpointIntervalBits = *cpInterval
-		sink = store.NewSink(st, hub, sinkOpts)
+		// Fresh -store runs record the scenario parameters as the store's
+		// generator config — that is what -resume reads back to rebuild this
+		// exact run.
+		if *storeDir != "" {
+			if st, err = experiment.CreateStore(*storeDir, store.Meta{Kind: "sim"}, p); err != nil {
+				return err
+			}
+		}
 	}
 
-	// The forensics engine streams off the hub (no retained-log copies) and
-	// reconstructs per-attack incidents; the observability server exposes it
-	// live alongside the metrics registry, and a durable run persists its
-	// incident log at finalize.
-	var eng *forensics.Engine
-	if *httpAddr != "" || *incOut != "" || sink != nil || *watchFlag {
-		eng = forensics.NewEngine(hub)
-		defer eng.Close()
-	}
-	// The watch engine rides behind forensics: it scores incident closures
-	// (detection-latency / eradication / leak SLOs) live and keeps the
-	// deterministic alert log a durable run persists at finalize.
-	var watcher *watch.Engine
-	if *watchFlag {
-		watcher = watch.New(hub, eng, watch.Config{})
+	// The telemetry stack is only built when an exporter asked for it, so
+	// the default run pays nothing beyond the disabled-probe nil checks. The
+	// bus registers its probe first and the nodes theirs after the stack's
+	// watch probe: that order fixes the node IDs a stored run records. The
+	// hub keeps every event only for the -events and -chrome-trace exporters.
+	var stack *experiment.Stack
+	if *eventsOut != "" || *chromeOut != "" || *httpAddr != "" || *incOut != "" || st != nil || p.Watch {
+		hub := telemetry.NewHub()
+		sc.bus.SetTelemetry(hub, "bus")
+		stack = experiment.NewStack(hub, experiment.StackConfig{
+			Forensics: *httpAddr != "" || *incOut != "" || st != nil || p.Watch,
+			Watch:     p.Watch,
+			Retain:    *eventsOut != "" || *chromeOut != "",
+			Store:     st,
+			Sink:      sinkOpts,
+		})
+		defer stack.Close()
+		sc.setTelemetry(hub)
 	}
 	var server *obs.Server
 	if *httpAddr != "" {
-		var obsOpts []obs.Option
-		if st != nil {
-			obsOpts = append(obsOpts, obs.WithStore(st))
-		}
-		if watcher != nil {
-			obsOpts = append(obsOpts, obs.WithWatch(watcher))
-		}
-		if sink != nil {
-			// Wall-clock self-health: the liveness probe degrades to 503 when
-			// the store writer backs up or stops fsyncing.
-			mon := &watch.Monitor{}
-			mon.Attach(watch.StoreBacklogProbe(sink.Backlog, storeBacklogBound))
-			mon.Attach(watch.FsyncStallProbe(sink.SyncAge, fsyncStallBound))
-			obsOpts = append(obsOpts, obs.WithHealth(mon.Check))
-		}
-		server, err = obs.Serve(*httpAddr, hub, eng, obsOpts...)
-		if err != nil {
+		if server, err = stack.Serve(*httpAddr); err != nil {
 			return err
 		}
-		defer server.Close()
 		// The bound URL goes to stderr under -json so stdout stays one
 		// machine-readable object.
-		bannerTo := os.Stdout
+		bannerTo := stdout
 		if *jsonOut {
-			bannerTo = os.Stderr
+			bannerTo = stderr
 		}
 		fmt.Fprintf(bannerTo, "observability server listening on %s\n", server.URL())
 	}
-
-	// Legitimate IDs: the defender plus optional restbus.
-	ids := []can.ID{defID}
-	var benign *restbus.Matrix
-	switch {
-	case *matrixFile != "":
-		f, err := os.Open(*matrixFile)
-		if err != nil {
-			return err
-		}
-		benign, err = restbus.ParseMatrix(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	case *withRest:
-		benign = restbus.Buses(restbus.VehD)[0]
-	}
-	if benign != nil {
-		filtered := &restbus.Matrix{Vehicle: benign.Vehicle, Bus: benign.Bus}
-		for _, msg := range benign.Messages {
-			if msg.ID != defID && msg.ID != attID {
-				filtered.Messages = append(filtered.Messages, msg)
-			}
-		}
-		ids = append(ids, filtered.IDs()...)
-		rep := restbus.NewReplayer("restbus", filtered, rate, nil)
-		rep.SetTelemetry(hub)
-		b.Attach(rep)
+	if sc.att != nil && !*jsonOut {
+		fmt.Fprintf(stdout, "attack: %s with ID %s against defender %s on a %v bus (defense: %v)\n",
+			p.Attack, sc.attID, sc.defID, sc.rate, !p.NoDefense)
 	}
 
-	defCtl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
-	var defense *core.Defense
-	if !*noDefense {
-		v, err := fsm.NewIVN(ids)
-		if err != nil {
-			return err
-		}
-		ds, err := fsm.NewDetectionSet(v, v.Index(defID))
-		if err != nil {
-			return err
-		}
-		defense, err = core.New(core.Config{
-			Name: "michican",
-			FSM:  fsm.Build(ds),
-			OnDetect: func(t bus.BitTime, pos int) {
-				if *verbose {
-					fmt.Printf("t=%-8d DETECT at ID bit %d\n", t, pos)
-				}
-			},
-			OnCounterattack: func(t bus.BitTime) {
-				if *verbose {
-					fmt.Printf("t=%-8d COUNTERATTACK (pull CAN_TX low, 7 bits)\n", t)
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		ecu := core.NewECU(defCtl, defense)
-		ecu.SetTelemetry(hub)
-		b.Attach(ecu)
-	} else {
-		defCtl.SetTelemetry(hub)
-		b.Attach(defCtl)
-	}
-
-	var att *attack.Attacker
-	switch *attackKind {
-	case "spoof":
-		att = attack.NewFabrication("attacker", attID, []byte{0xDE, 0xAD, 0xBE, 0xEF}, 0)
-	case "dos":
-		att = attack.NewTargetedDoS("attacker", attID)
-	case "toggle":
-		att = attack.NewToggling("attacker", attID, attID+1)
-	case "misc":
-		att = attack.NewMiscellaneous("attacker", attID, 500)
-	case "none":
-	default:
-		return fmt.Errorf("unknown attack %q", *attackKind)
-	}
-	if att != nil {
-		att.SetTelemetry(hub)
-		b.Attach(att)
-		if !*jsonOut {
-			fmt.Printf("attack: %s with ID %s against defender %s on a %v bus (defense: %v)\n",
-				*attackKind, attID, defID, rate, !*noDefense)
-		}
-	}
-
-	b.RunFor(*duration)
-	if eng != nil {
-		eng.Finalize(int64(b.Now()))
-	}
-	if sink != nil {
+	sc.bus.RunFor(p.Duration)
+	if stack != nil {
 		// Finalize durability: the incident log lands in the store, then the
 		// final Completed checkpoint seals the run as resumable-no-more.
-		payloads, err := forensics.EncodeIncidents(eng.Incidents())
-		if err != nil {
+		if err := stack.Finalize(int64(sc.bus.Now())); err != nil {
 			return err
-		}
-		if err := sink.AppendIncidents(payloads); err != nil {
-			return err
-		}
-		if watcher != nil {
-			alerts, err := watcher.EncodeAlertLog()
-			if err != nil {
-				return err
-			}
-			if err := sink.AppendAlerts(alerts); err != nil {
-				return err
-			}
-		}
-		if err := sink.Close(int64(b.Now()), true); err != nil {
-			return err
-		}
-		if !*jsonOut {
-			stats := st.Stats()
-			fmt.Printf("durable store finalized at %s: %d events, %d incidents, %d alerts, %d KiB on disk\n",
-				st.Dir(), st.EventCount(), st.IncidentCount(), st.AlertCount(), stats.DiskBytes/1024)
 		}
 	}
+	if st != nil && !*jsonOut {
+		fmt.Fprintf(stdout, "durable store finalized at %s: %d events, %d incidents, %d alerts, %d KiB on disk\n",
+			st.Dir(), st.EventCount(), st.IncidentCount(), st.AlertCount(), st.Stats().DiskBytes/1024)
+	}
 
+	rec := sc.rec
 	events := trace.Decode(rec.Bits(), rec.Start())
 	frames, errors := 0, 0
 	for _, e := range events {
@@ -351,68 +193,61 @@ func run() error {
 			errors++
 		}
 		if *verbose && !*jsonOut {
-			fmt.Printf("t=%-8d %-5s %s (%d bits)\n", e.Start, e.Kind, e.ID, e.Bits())
+			fmt.Fprintf(stdout, "t=%-8d %-5s %s (%d bits)\n", e.Start, e.Kind, e.ID, e.Bits())
 		}
 	}
 	if *jsonOut {
-		if err := writeJSONReport(os.Stdout, *attackKind, attID, defID, rate, *duration,
-			rec.Len(), frames, errors, trace.Load(events, int64(rec.Len())), att, defCtl, defense); err != nil {
+		if err := writeJSONReport(stdout, p, sc, rec.Len(), frames, errors, trace.Load(events, int64(rec.Len()))); err != nil {
 			return err
 		}
 	} else {
-		fmt.Printf("\nsimulated %v (%d bits): %d complete frames, %d destroyed attempts, bus load %.1f%%\n",
-			*duration, rec.Len(), frames, errors, trace.Load(events, int64(rec.Len()))*100)
-		if att != nil {
-			st := att.Controller().Stats()
-			fmt.Printf("attacker: %d attempts, %d successes, %d bus-off events, state %v\n",
-				st.TxAttempts, st.TxSuccess, st.BusOffEvents, att.Controller().State())
+		fmt.Fprintf(stdout, "\nsimulated %v (%d bits): %d complete frames, %d destroyed attempts, bus load %.1f%%\n",
+			p.Duration, rec.Len(), frames, errors, trace.Load(events, int64(rec.Len()))*100)
+		if sc.att != nil {
+			st := sc.att.Controller().Stats()
+			fmt.Fprintf(stdout, "attacker: %d attempts, %d successes, %d bus-off events, state %v\n",
+				st.TxAttempts, st.TxSuccess, st.BusOffEvents, sc.att.Controller().State())
 		}
-		if defense != nil {
-			ds := defense.Stats()
-			fmt.Printf("defense: %d detections (mean position %.1f bits), %d counterattacks\n",
+		if sc.defense != nil {
+			ds := sc.defense.Stats()
+			fmt.Fprintf(stdout, "defense: %d detections (mean position %.1f bits), %d counterattacks\n",
 				ds.Detections, ds.MeanDetectionBits(), ds.Counterattacks)
 		}
-		if watcher != nil {
-			s := watcher.SLO()
-			fmt.Printf("slo: %d engaged campaigns, detect p50/p99 %.0f/%.0f bits (%d violations), %d eradicated / %d failed, %d frames leaked, %d alert transitions\n",
+		if stack != nil && stack.Watch != nil {
+			s := stack.Watch.SLO()
+			fmt.Fprintf(stdout, "slo: %d engaged campaigns, detect p50/p99 %.0f/%.0f bits (%d violations), %d eradicated / %d failed, %d frames leaked, %d alert transitions\n",
 				s.EngagedIncidents, s.DetectionP50Bits, s.DetectionP99Bits, s.DetectionViolations,
-				s.Eradications, s.EradicationFailures, s.FramesLeaked, len(watcher.Alerts()))
+				s.Eradications, s.EradicationFailures, s.FramesLeaked, len(stack.Watch.Alerts()))
 		}
 	}
 	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, []byte(trace.FormatBits(rec.Bits(), 120)), 0o644); err != nil {
+		bits := func(w io.Writer) error {
+			_, err := io.WriteString(w, trace.FormatBits(rec.Bits(), 120))
 			return err
 		}
-		if !*jsonOut {
-			fmt.Printf("raw bit trace written to %s (decode with candump)\n", *traceOut)
+		if err := writeFile(stdout, *traceOut, !*jsonOut, bits, "raw bit trace written to %s (decode with candump)", *traceOut); err != nil {
+			return err
 		}
 	}
-	if hub != nil {
-		if err := writeExporters(hub, rate, *eventsOut, *chromeOut, !*jsonOut); err != nil {
+	if stack != nil {
+		if err := writeExporters(stdout, stack.Hub, sc.rate, *eventsOut, *chromeOut, !*jsonOut); err != nil {
 			return err
 		}
 		if !*jsonOut {
-			fmt.Println("\ntelemetry metrics:")
-			if err := hub.Registry().WriteText(os.Stdout); err != nil {
+			fmt.Fprintln(stdout, "\ntelemetry metrics:")
+			if err := stack.Hub.Registry().WriteText(stdout); err != nil {
 				return err
 			}
 		}
 	}
 	if *incOut != "" {
-		doc, err := json.MarshalIndent(obs.Incidents(eng), "", "  ")
-		if err != nil {
+		if err := writeIncidents(stdout, *incOut, obs.Incidents(stack.Forensics), !*jsonOut); err != nil {
 			return err
-		}
-		if err := os.WriteFile(*incOut, append(doc, '\n'), 0o644); err != nil {
-			return err
-		}
-		if !*jsonOut {
-			fmt.Printf("forensics incident log written to %s\n", *incOut)
 		}
 	}
 	if server != nil && *linger > 0 {
 		if !*jsonOut {
-			fmt.Printf("lingering %v for probes on %s (Ctrl-C to stop)\n", *linger, server.URL())
+			fmt.Fprintf(stdout, "lingering %v for probes on %s (Ctrl-C to stop)\n", *linger, server.URL())
 		}
 		time.Sleep(*linger)
 	}
@@ -424,48 +259,167 @@ func run() error {
 // bit-identical to the interrupted one. A matrix file is referenced by path:
 // resume requires it unchanged at the same location.
 type simParams struct {
-	Rate       int    `json:"rate"`
-	Defender   string `json:"defender"`
-	Attack     string `json:"attack"`
-	AttackID   string `json:"attack_id,omitempty"`
-	NoDefense  bool   `json:"no_defense,omitempty"`
-	Restbus    bool   `json:"restbus,omitempty"`
-	MatrixFile string `json:"matrix_file,omitempty"`
-	DurationNS int64  `json:"duration_ns"`
+	Rate       int           `json:"rate"`
+	Defender   string        `json:"defender"`
+	Attack     string        `json:"attack"`
+	AttackID   string        `json:"attack_id,omitempty"`
+	NoDefense  bool          `json:"no_defense,omitempty"`
+	Restbus    bool          `json:"restbus,omitempty"`
+	MatrixFile string        `json:"matrix_file,omitempty"`
+	Duration   time.Duration `json:"duration_ns"`
 	// Watch is part of the generator config because the alert log it
 	// produces is persisted: a resumed run must re-attach the watch engine
 	// to regenerate the same alert bytes.
 	Watch bool `json:"watch,omitempty"`
 }
 
-// apply overwrites the scenario flag values with the stored parameters.
-func (p simParams) apply(rate *int, defender, attackKind, attackID *string,
-	noDefense, withRest *bool, matrixFile *string, duration *time.Duration, watch *bool) {
-	*rate = p.Rate
-	*defender = p.Defender
-	*attackKind = p.Attack
-	*attackID = p.AttackID
-	*noDefense = p.NoDefense
-	*withRest = p.Restbus
-	*matrixFile = p.MatrixFile
-	*duration = time.Duration(p.DurationNS)
-	*watch = p.Watch
+// scenario is one run's bus and nodes, built from its parameters before any
+// telemetry is wired.
+type scenario struct {
+	rate         bus.Rate
+	defID, attID can.ID
+	bus          *bus.Bus
+	rec          *trace.Recorder
+	defCtl       *controller.Controller
+	defense      *core.Defense
+	att          *attack.Attacker
+	// nodes are the bus participants in attach order, which is also their
+	// probe registration order.
+	nodes []interface {
+		bus.Node
+		SetTelemetry(*telemetry.Hub)
+	}
+}
+
+// newScenario parses the IDs and the attack kind, reads the matrix file,
+// and builds the bus with the defended ECU, the optional restbus and the
+// attacker attached. verbose prints each detection and counterattack to
+// stdout as the run makes it.
+func newScenario(p simParams, verbose bool, stdout io.Writer) (*scenario, error) {
+	sc := &scenario{rate: bus.Rate(p.Rate)}
+	var err error
+	if sc.defID, err = cli.ParseID(p.Defender); err != nil {
+		return nil, err
+	}
+	sc.attID = sc.defID
+	if p.AttackID != "" {
+		if sc.attID, err = cli.ParseID(p.AttackID); err != nil {
+			return nil, err
+		}
+	} else if p.Attack == "dos" {
+		sc.attID = 0x064
+	}
+	switch p.Attack {
+	case "spoof":
+		sc.att = attack.NewFabrication("attacker", sc.attID, []byte{0xDE, 0xAD, 0xBE, 0xEF}, 0)
+	case "dos":
+		sc.att = attack.NewTargetedDoS("attacker", sc.attID)
+	case "toggle":
+		sc.att = attack.NewToggling("attacker", sc.attID, sc.attID+1)
+	case "misc":
+		sc.att = attack.NewMiscellaneous("attacker", sc.attID, 500)
+	case "none":
+	default:
+		return nil, fmt.Errorf("unknown attack %q", p.Attack)
+	}
+
+	sc.bus = bus.New(sc.rate)
+	sc.rec = trace.NewRecorder()
+	sc.bus.AttachTap(sc.rec)
+
+	// Legitimate IDs: the defender plus optional restbus.
+	ids := []can.ID{sc.defID}
+	var benign *restbus.Matrix
+	switch {
+	case p.MatrixFile != "":
+		f, err := os.Open(p.MatrixFile)
+		if err != nil {
+			return nil, err
+		}
+		benign, err = restbus.ParseMatrix(f)
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
+	case p.Restbus:
+		benign = restbus.Buses(restbus.VehD)[0]
+	}
+	if benign != nil {
+		filtered := &restbus.Matrix{Vehicle: benign.Vehicle, Bus: benign.Bus}
+		for _, msg := range benign.Messages {
+			if msg.ID != sc.defID && msg.ID != sc.attID {
+				filtered.Messages = append(filtered.Messages, msg)
+			}
+		}
+		ids = append(ids, filtered.IDs()...)
+		sc.nodes = append(sc.nodes, restbus.NewReplayer("restbus", filtered, sc.rate, nil))
+	}
+
+	sc.defCtl = controller.New(controller.Config{Name: "defender", AutoRecover: true})
+	if p.NoDefense {
+		sc.nodes = append(sc.nodes, sc.defCtl)
+	} else {
+		sc.defense, err = core.NewFor(ids, sc.defID, core.Config{
+			Name: "michican",
+			OnDetect: func(t bus.BitTime, pos int) {
+				if verbose {
+					fmt.Fprintf(stdout, "t=%-8d DETECT at ID bit %d\n", t, pos)
+				}
+			},
+			OnCounterattack: func(t bus.BitTime) {
+				if verbose {
+					fmt.Fprintf(stdout, "t=%-8d COUNTERATTACK (pull CAN_TX low, 7 bits)\n", t)
+				}
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		sc.nodes = append(sc.nodes, core.NewECU(sc.defCtl, sc.defense))
+	}
+	if sc.att != nil {
+		sc.nodes = append(sc.nodes, sc.att)
+	}
+	for _, n := range sc.nodes {
+		sc.bus.Attach(n)
+	}
+	return sc, nil
+}
+
+// setTelemetry wires the nodes to hub in attach order: restbus, defender,
+// attacker.
+func (sc *scenario) setTelemetry(hub *telemetry.Hub) {
+	for _, n := range sc.nodes {
+		n.SetTelemetry(hub)
+	}
 }
 
 // runReplay is the time-travel path: no simulation runs. The stored event
-// window streams through a fresh hub — the same pipeline a live run uses — so
+// window streams through a fresh stack — the pipeline a live run uses — so
 // every exporter (JSONL, Chrome trace, incident log) works on historical data,
-// and a fresh forensics engine reconstructs the window's incidents.
-func runReplay(dir, window, eventsOut, chromeOut, incOut string, jsonOut, verbose bool) error {
+// and a fresh forensics engine reconstructs the window's incidents. A fresh
+// watch engine rides the same stream, so the window's SLO verdicts and alert
+// transitions regenerate from history as the live run produced them — every
+// rule except ladder-collapse, which folds fast-forward spans, and the store
+// keeps none.
+func runReplay(stdout io.Writer, dir, window, eventsOut, chromeOut, incOut string, jsonOut, verbose bool) error {
 	from, to, err := store.ParseWindow(window)
 	if err != nil {
 		return err
 	}
-	st, err := store.Open(dir)
+	replayed := 0
+	cfg := experiment.StackConfig{Forensics: true, Watch: true, Retain: eventsOut != "" || chromeOut != ""}
+	stack, err := experiment.ReplayStore(dir, from, to, cfg, func(ev telemetry.NamedEvent) {
+		if verbose && !jsonOut {
+			fmt.Fprintf(stdout, "t=%-8d %-10s %s a=%d b=%d\n", ev.Time, ev.Kind, ev.Node, ev.A, ev.B)
+		}
+		replayed++
+	})
 	if err != nil {
 		return err
 	}
-	defer st.Close()
+	defer stack.Close()
+	st := stack.Store
 
 	// The recorded parameters carry the bus rate the Chrome trace needs to
 	// convert bit times into wall time.
@@ -475,58 +429,23 @@ func runReplay(dir, window, eventsOut, chromeOut, incOut string, jsonOut, verbos
 		rate = bus.Rate(params.Rate)
 	}
 
-	hub := telemetry.NewHub()
-	eng := forensics.NewEngine(hub)
-	defer eng.Close()
-	// Alert replay: a fresh watch engine rides the replayed stream, so the
-	// window's SLO verdicts and alert transitions regenerate from history as
-	// the live run produced them — every rule except ladder-collapse, which
-	// folds fast-forward spans, and the store keeps none.
-	watcher := watch.New(hub, eng, watch.Config{})
-	replayed, last := 0, int64(0)
-	err = st.EventsInWindow(from, to, func(ev telemetry.NamedEvent) error {
-		hub.Probe(ev.Node).Emit(ev.Time, ev.Kind, ev.A, ev.B)
-		if verbose && !jsonOut {
-			fmt.Printf("t=%-8d %-10s %s a=%d b=%d\n", ev.Time, ev.Kind, ev.Node, ev.A, ev.B)
-		}
-		replayed++
-		if ev.Time > last {
-			last = ev.Time
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	end := last + 1
-	if to < int64(1)<<62 {
-		end = to
-	}
-	eng.Finalize(end)
-
+	watcher := stack.Watch
 	alerts := watcher.Alerts()
 	if !jsonOut {
-		fmt.Printf("replayed %d stored events from %s (window %s, %d on record)\n",
+		fmt.Fprintf(stdout, "replayed %d stored events from %s (window %s, %d on record)\n",
 			replayed, dir, window, st.EventCount())
 		if len(alerts) > 0 || st.AlertCount() > 0 {
-			fmt.Printf("alert replay: %d transitions regenerated (%d persisted in the store)\n",
+			fmt.Fprintf(stdout, "alert replay: %d transitions regenerated (%d persisted in the store)\n",
 				len(alerts), st.AlertCount())
 		}
 	}
-	if err := writeExporters(hub, rate, eventsOut, chromeOut, !jsonOut); err != nil {
+	if err := writeExporters(stdout, stack.Hub, rate, eventsOut, chromeOut, !jsonOut); err != nil {
 		return err
 	}
-	view := obs.Incidents(eng)
+	view := obs.Incidents(stack.Forensics)
 	if incOut != "" {
-		doc, err := json.MarshalIndent(view, "", "  ")
-		if err != nil {
+		if err := writeIncidents(stdout, incOut, view, !jsonOut); err != nil {
 			return err
-		}
-		if err := os.WriteFile(incOut, append(doc, '\n'), 0o644); err != nil {
-			return err
-		}
-		if !jsonOut {
-			fmt.Printf("forensics incident log written to %s\n", incOut)
 		}
 	}
 	if jsonOut {
@@ -539,60 +458,68 @@ func runReplay(dir, window, eventsOut, chromeOut, incOut string, jsonOut, verbos
 			Alerts    []watch.Alert        `json:"alerts"`
 			SLO       watch.SLOSummary     `json:"slo"`
 		}{dir, window, replayed, st.EventCount(), view.Incidents, alerts, watcher.SLO()}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(report)
+		return writeJSON(stdout, report)
 	}
 	for _, inc := range view.Incidents {
-		fmt.Printf("incident %s  start=%d end=%d attempts=%d eradicated=%v\n",
+		fmt.Fprintf(stdout, "incident %s  start=%d end=%d attempts=%d eradicated=%v\n",
 			inc.IDHex, inc.Start, inc.End, inc.Attempts, inc.Eradicated)
 	}
 	return nil
 }
 
 // writeExporters dumps the captured event log in the requested formats.
-func writeExporters(hub *telemetry.Hub, rate bus.Rate, eventsOut, chromeOut string, chatty bool) error {
+func writeExporters(stdout io.Writer, hub *telemetry.Hub, rate bus.Rate, eventsOut, chromeOut string, chatty bool) error {
 	if eventsOut != "" {
-		f, err := os.Create(eventsOut)
-		if err != nil {
+		if err := writeFile(stdout, eventsOut, chatty, hub.WriteJSONL,
+			"telemetry event stream (%d events) written to %s", hub.Len(), eventsOut); err != nil {
 			return err
-		}
-		if err := hub.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if chatty {
-			fmt.Printf("telemetry event stream (%d events) written to %s\n", hub.Len(), eventsOut)
 		}
 	}
 	if chromeOut != "" {
-		f, err := os.Create(chromeOut)
-		if err != nil {
-			return err
-		}
-		if err := hub.WriteChromeTrace(f, int64(rate)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if chatty {
-			fmt.Printf("chrome trace written to %s (open in ui.perfetto.dev)\n", chromeOut)
-		}
+		chrome := func(w io.Writer) error { return hub.WriteChromeTrace(w, int64(rate)) }
+		return writeFile(stdout, chromeOut, chatty, chrome, "chrome trace written to %s (open in ui.perfetto.dev)", chromeOut)
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write; under chatty it then
+// prints the note, formatted with args, on stdout.
+func writeFile(stdout io.Writer, path string, chatty bool, write func(io.Writer) error, note string, args ...any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if chatty {
+		fmt.Fprintf(stdout, note+"\n", args...)
+	}
+	return nil
+}
+
+// writeJSON writes v as one indented JSON document.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// writeIncidents writes the forensics incident log (the /incidents shape) to
+// path.
+func writeIncidents(stdout io.Writer, path string, view obs.IncidentsView, chatty bool) error {
+	incidents := func(w io.Writer) error { return writeJSON(w, view) }
+	return writeFile(stdout, path, chatty, incidents, "forensics incident log written to %s", path)
 }
 
 // writeJSONReport emits the scenario outcome as one JSON object: trace-level
 // aggregates, the attacker's controller state (TEC/REC/bus-off), the
 // defender's controller state, and the defense's core.Stats.
-func writeJSONReport(w *os.File, attackKind string, attID, defID can.ID, rate bus.Rate,
-	duration time.Duration, bits int, frames, destroyed int, load float64,
-	att *attack.Attacker, defCtl *controller.Controller, defense *core.Defense) error {
+func writeJSONReport(w io.Writer, p simParams, sc *scenario, bits, frames, destroyed int, load float64) error {
 	type ctlReport struct {
 		Name       string `json:"name"`
 		State      string `json:"state"`
@@ -635,31 +562,29 @@ func writeJSONReport(w *os.File, attackKind string, attID, defID can.ID, rate bu
 		Defender   ctlReport   `json:"defender"`
 		Defense    *core.Stats `json:"defense,omitempty"`
 	}{
-		Attack:     attackKind,
-		DefenderID: defID.String(),
-		Rate:       int(rate),
-		DurationMS: float64(duration) / float64(time.Millisecond),
+		Attack:     p.Attack,
+		DefenderID: sc.defID.String(),
+		Rate:       int(sc.rate),
+		DurationMS: float64(p.Duration) / float64(time.Millisecond),
 		Bits:       bits,
 		Frames:     frames,
 		Destroyed:  destroyed,
 		BusLoad:    load,
 		Outcome:    "no-attack",
-		Defender:   ctl(defCtl),
+		Defender:   ctl(sc.defCtl),
 	}
-	if att != nil {
-		report.AttackID = attID.String()
-		a := ctl(att.Controller())
+	if sc.att != nil {
+		report.AttackID = sc.attID.String()
+		a := ctl(sc.att.Controller())
 		report.Attacker = &a
 		report.Outcome = "attacker " + a.State
 		if a.BusOff > 0 {
 			report.Outcome = fmt.Sprintf("attacker bus-off x%d, now %s", a.BusOff, a.State)
 		}
 	}
-	if defense != nil {
-		ds := defense.Stats()
+	if sc.defense != nil {
+		ds := sc.defense.Stats()
 		report.Defense = &ds
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return writeJSON(w, report)
 }

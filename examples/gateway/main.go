@@ -16,7 +16,6 @@ import (
 	"michican/internal/can"
 	"michican/internal/controller"
 	"michican/internal/core"
-	"michican/internal/fsm"
 	"michican/internal/gateway"
 	"michican/internal/restbus"
 )
@@ -68,15 +67,7 @@ func run() error {
 
 	// MichiCAN on the body side: legitimate body IDs are 0x0C4 (forwarded)
 	// and 0x300; the defense guards from the top of the body ID space.
-	ivn, err := fsm.NewIVN([]can.ID{0x0C4, 0x300, 0x7F0})
-	if err != nil {
-		return err
-	}
-	ds, err := fsm.NewDetectionSet(ivn, ivn.Size()-1)
-	if err != nil {
-		return err
-	}
-	def, err := core.New(core.Config{Name: "body-michican", FSM: fsm.Build(ds)})
+	def, err := core.NewFor([]can.ID{0x0C4, 0x300, 0x7F0}, 0x7F0, core.Config{Name: "body-michican"})
 	if err != nil {
 		return err
 	}

@@ -9,12 +9,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"michican/internal/attack"
 	"michican/internal/bus"
 	"michican/internal/core"
-	"michican/internal/fsm"
 	"michican/internal/restbus"
 	"michican/internal/vehicle"
 )
@@ -57,15 +57,9 @@ func run() error {
 
 	// Phase 2: the OBD-II Y-cable carries both the attacker and MichiCAN.
 	fmt.Println("\n>>> plugging BOTH the attacker and the MichiCAN dongle (OBD-II splitter)")
-	ivn, err := fsm.NewIVN(matrix.IDs())
-	if err != nil {
-		return err
-	}
-	ds, err := fsm.NewDetectionSet(ivn, ivn.Size()-1)
-	if err != nil {
-		return err
-	}
-	dongle, err := core.New(core.Config{Name: "michican-dongle", FSM: fsm.Build(ds)})
+	// The dongle guards from the top of the vehicle's ID space.
+	ids := matrix.IDs()
+	dongle, err := core.NewFor(ids, slices.Max(ids), core.Config{Name: "michican-dongle"})
 	if err != nil {
 		return err
 	}

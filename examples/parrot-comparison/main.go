@@ -15,7 +15,6 @@ import (
 	"michican/internal/can"
 	"michican/internal/controller"
 	"michican/internal/core"
-	"michican/internal/fsm"
 	"michican/internal/parrot"
 	"michican/internal/trace"
 )
@@ -57,15 +56,7 @@ func scenario(system string) (result, error) {
 
 	switch system {
 	case "MichiCAN":
-		v, err := fsm.NewIVN([]can.ID{0x064, victimID, 0x300})
-		if err != nil {
-			return result{}, err
-		}
-		ds, err := fsm.NewDetectionSet(v, v.Index(victimID))
-		if err != nil {
-			return result{}, err
-		}
-		def, err := core.New(core.Config{Name: "michican", FSM: fsm.Build(ds)})
+		def, err := core.NewFor([]can.ID{0x064, victimID, 0x300}, victimID, core.Config{Name: "michican"})
 		if err != nil {
 			return result{}, err
 		}

@@ -27,6 +27,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"michican/internal/bus"
 	"michican/internal/can"
@@ -182,6 +183,22 @@ func New(cfg Config) (*Defense, error) {
 		// costs at most one frame of blindness until the next idle period.
 		cntSOF: can.IdleForSOF,
 	}, nil
+}
+
+// NewFor creates an armed Defense for the ECU that owns id on an IVN whose
+// legitimate IDs are ids: cfg, with its FSM generated from id's detection
+// set.
+func NewFor(ids []can.ID, id can.ID, cfg Config) (*Defense, error) {
+	v, err := fsm.NewIVN(ids)
+	if err != nil {
+		return nil, fmt.Errorf("build IVN: %w", err)
+	}
+	ds, err := fsm.NewDetectionSet(v, v.Index(id))
+	if err != nil {
+		return nil, fmt.Errorf("detection set: %w", err)
+	}
+	cfg.FSM = fsm.Build(ds)
+	return New(cfg)
 }
 
 // NewDetectionOnly creates a Defense that detects but never counterattacks.

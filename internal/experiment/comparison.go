@@ -9,7 +9,6 @@ import (
 	"michican/internal/can"
 	"michican/internal/controller"
 	"michican/internal/core"
-	"michican/internal/fsm"
 	"michican/internal/ids"
 	"michican/internal/parrot"
 )
@@ -111,17 +110,8 @@ func comparisonRun(cfg Config, system string) (ComparisonRow, comparisonMeta, er
 			OnDetect: markDetect,
 		}))
 	case "MichiCAN":
-		v, err := fsm.NewIVN([]can.ID{0x0A0, DefenderID})
-		if err != nil {
-			return row, meta, err
-		}
-		ds, err := fsm.NewDetectionSet(v, v.Index(DefenderID))
-		if err != nil {
-			return row, meta, err
-		}
-		def, err := core.New(core.Config{
+		def, err := core.NewFor([]can.ID{0x0A0, DefenderID}, DefenderID, core.Config{
 			Name:     "michican",
-			FSM:      fsm.Build(ds),
 			OnDetect: func(t bus.BitTime, _ int) { markDetect(t) },
 		})
 		if err != nil {

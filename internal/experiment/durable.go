@@ -1,10 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-
 	"michican/internal/forensics"
 	"michican/internal/store"
 )
@@ -27,83 +23,46 @@ type DurableVehicle struct {
 // the spec), builds the vehicle, and attaches a persistence sink. segBytes
 // and fsync zero-default per the store package.
 func StartDurableVehicle(dir string, spec FleetVehicleSpec, segBytes int64, fsync string, opts store.SinkOptions) (*DurableVehicle, error) {
-	cfg, err := json.Marshal(spec)
+	v, err := newFleetVehicle(spec)
 	if err != nil {
 		return nil, err
 	}
-	v, err := NewFleetVehicle(spec)
+	st, err := CreateStore(dir, store.Meta{Kind: "vehicle", SegmentBytes: segBytes, Fsync: fsync}, spec)
 	if err != nil {
 		return nil, err
 	}
-	st, err := store.Create(dir, store.Meta{Kind: "vehicle", SegmentBytes: segBytes, Fsync: fsync, Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return &DurableVehicle{FleetVehicle: v, Store: st, Sink: store.NewSink(st, v.Hub(), opts)}, nil
+	return v.durable(st, opts), nil
 }
 
-// ErrRunComplete reports a store whose final checkpoint says the run already
-// reached its horizon — there is nothing to resume.
-var ErrRunComplete = errors.New("experiment: stored run already complete")
-
-// ResumeDurableVehicle reopens a vehicle store and prepares the resumed run:
-// recover (scan + torn-tail truncation happens in store.Open), rewind to the
-// newest usable checkpoint, rebuild the vehicle from the stored spec, and
-// attach the sink in skip mode so the regenerated prefix is hash-validated
-// against the checkpoint instead of re-appended. The caller then advances
-// the vehicle to its horizon exactly as a fresh run would.
+// ResumeDurableVehicle reopens a vehicle store and prepares the resumed run
+// (ResumeStore): recover (scan + torn-tail truncation happens in
+// store.Open), rebuild the vehicle from the stored spec, rewind to the
+// newest usable checkpoint, and attach the sink in skip mode so the
+// regenerated prefix is hash-validated against the checkpoint instead of
+// re-appended. The caller then advances the vehicle to its horizon exactly
+// as a fresh run would.
 //
 // A store with no checkpoint resumes from zero (everything regenerates); a
 // store whose latest checkpoint is marked Completed returns ErrRunComplete.
 func ResumeDurableVehicle(dir string, opts store.SinkOptions) (*DurableVehicle, error) {
-	st, err := store.Open(dir)
+	var (
+		spec FleetVehicleSpec
+		v    *FleetVehicle
+	)
+	st, opts, err := ResumeStore(dir, &spec, opts, func() (err error) {
+		v, err = newFleetVehicle(spec)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	var spec FleetVehicleSpec
-	if err := json.Unmarshal(st.Meta().Config, &spec); err != nil {
-		st.Close()
-		return nil, fmt.Errorf("resume %s: bad vehicle spec in meta.json: %w", dir, err)
-	}
-	// Build the vehicle before ResumePoint rewinds the logs, so a spec this
-	// build cannot run leaves the store untouched.
-	v, err := NewFleetVehicle(spec)
-	if err != nil {
-		st.Close()
-		return nil, fmt.Errorf("resume %s: %w", dir, err)
-	}
-	resumeOpts, completed, err := st.ResumePoint()
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	if completed {
-		st.Close()
-		return nil, ErrRunComplete
-	}
-	opts.SkipEvents = resumeOpts.SkipEvents
-	opts.SkipIncidents = resumeOpts.SkipIncidents
-	opts.SkipAlerts = resumeOpts.SkipAlerts
-	opts.ExpectPrefixHash = resumeOpts.ExpectPrefixHash
-	opts.ExpectIncidentHash = resumeOpts.ExpectIncidentHash
-	opts.ExpectAlertHash = resumeOpts.ExpectAlertHash
-	opts.ResumeFromBits = resumeOpts.ResumeFromBits
-	return &DurableVehicle{FleetVehicle: v, Store: st, Sink: store.NewSink(st, v.Hub(), opts)}, nil
+	return v.durable(st, opts), nil
 }
 
-// StoredSpec reads the vehicle spec out of an existing store directory
-// without opening the logs (fleet roster listing).
-func StoredSpec(dir string) (FleetVehicleSpec, error) {
-	st, err := store.Open(dir)
-	if err != nil {
-		return FleetVehicleSpec{}, err
-	}
-	defer st.Close()
-	var spec FleetVehicleSpec
-	if err := json.Unmarshal(st.Meta().Config, &spec); err != nil {
-		return FleetVehicleSpec{}, err
-	}
-	return spec, nil
+// durable attaches the vehicle's stack with st as its store.
+func (v *FleetVehicle) durable(st *store.Store, opts store.SinkOptions) *DurableVehicle {
+	v.attach(StackConfig{Store: st, Sink: opts})
+	return &DurableVehicle{FleetVehicle: v, Store: st, Sink: v.stack.Sink}
 }
 
 // FinalizeDurable persists a finished vehicle: incidents appended through
@@ -112,27 +71,11 @@ func StoredSpec(dir string) (FleetVehicleSpec, error) {
 // Safe to call from fleet.Config.OnFinalize — it runs on the worker
 // goroutine while the vehicle is still alive.
 func (d *DurableVehicle) FinalizeDurable(incs []forensics.Incident) error {
-	payloads, err := forensics.EncodeIncidents(incs)
-	if err != nil {
-		return err
-	}
-	if err := d.Sink.AppendIncidents(payloads); err != nil {
-		return err
-	}
-	if w := d.Watch(); w != nil {
-		alerts, err := w.EncodeAlertLog()
-		if err != nil {
-			return err
-		}
-		if err := d.Sink.AppendAlerts(alerts); err != nil {
-			return err
-		}
-	}
-	return d.Sink.Close(d.Now(), true)
+	return d.stack.seal(incs, d.Now())
 }
 
-// Close releases the store without finalizing (the next open resumes from
-// the last checkpoint, as after a crash).
+// Close detaches the vehicle's stack without finalizing and closes the
+// store: the next open resumes from the last checkpoint, as after a crash.
 func (d *DurableVehicle) Close() error {
-	return d.Store.Close()
+	return d.stack.Close()
 }

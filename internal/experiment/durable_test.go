@@ -152,9 +152,10 @@ func TestResumeCompletedRun(t *testing.T) {
 	if _, err := ResumeDurableVehicle(dir, store.SinkOptions{}); err != ErrRunComplete {
 		t.Fatalf("resume of completed run = %v, want ErrRunComplete", err)
 	}
-	spec2, err := StoredSpec(dir)
-	if err != nil || spec2 != spec {
-		t.Fatalf("StoredSpec = %+v (%v), want %+v", spec2, err, spec)
+	// The completed store still records the spec it was generated from.
+	var spec2 FleetVehicleSpec
+	if _, _, err := ResumeStore(dir, &spec2, store.SinkOptions{}, func() error { return nil }); err != ErrRunComplete || spec2 != spec {
+		t.Fatalf("ResumeStore = %v with spec %+v, want ErrRunComplete with %+v", err, spec2, spec)
 	}
 }
 

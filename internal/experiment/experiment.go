@@ -16,7 +16,6 @@ import (
 	"michican/internal/can"
 	"michican/internal/controller"
 	"michican/internal/core"
-	"michican/internal/fsm"
 	"michican/internal/restbus"
 	"michican/internal/telemetry"
 	"michican/internal/trace"
@@ -91,17 +90,9 @@ func newTestbed(cfg Config, matrix *restbus.Matrix, exclude []can.ID) (*testbed,
 		matrix = scaleMatrixToLoad(matrix, cfg.Rate, restbusTargetLoad)
 		ids = append(ids, matrix.IDs()...)
 	}
-	v, err := fsm.NewIVN(ids)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: build IVN: %w", err)
-	}
-	ds, err := fsm.NewDetectionSet(v, v.Index(DefenderID))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: detection set: %w", err)
-	}
-	tb.defense, err = core.New(core.Config{Name: "michican", FSM: fsm.Build(ds)})
-	if err != nil {
-		return nil, err
+	var err error
+	if tb.defense, err = core.NewFor(ids, DefenderID, core.Config{Name: "michican"}); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	tb.defender = controller.New(controller.Config{Name: "defender", AutoRecover: true})
 	tb.bus.Attach(core.NewECU(tb.defender, tb.defense))
@@ -182,17 +173,9 @@ func cleanMatrix(m *restbus.Matrix, exclude []can.ID) *restbus.Matrix {
 // the given legitimate ID list (which must include DefenderID) and returns
 // the defense plus the composite bus node.
 func buildDefendedECU(ids []can.ID) (*core.Defense, bus.Node, error) {
-	v, err := fsm.NewIVN(ids)
+	def, err := core.NewFor(ids, DefenderID, core.Config{Name: "michican"})
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: build IVN: %w", err)
-	}
-	ds, err := fsm.NewDetectionSet(v, v.Index(DefenderID))
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: detection set: %w", err)
-	}
-	def, err := core.New(core.Config{Name: "michican", FSM: fsm.Build(ds)})
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("experiment: %w", err)
 	}
 	ctl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
 	return def, core.NewECU(ctl, def), nil

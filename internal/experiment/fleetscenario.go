@@ -10,7 +10,6 @@ import (
 	"michican/internal/controller"
 	"michican/internal/core"
 	"michican/internal/forensics"
-	"michican/internal/fsm"
 	"michican/internal/restbus"
 	"michican/internal/telemetry"
 	"michican/internal/trace"
@@ -114,13 +113,12 @@ type FleetVehicle struct {
 	spec       FleetVehicleSpec
 	bb         *bus.Bus
 	hub        *telemetry.Hub
-	eng        *forensics.Engine
+	stack      *Stack
 	defender   *controller.Controller
 	defense    *core.Defense
 	recorder   *trace.Recorder
 	rp         *restbus.Replayer
 	attackers  []*attack.Attacker
-	watch      *watch.Engine
 	periodBits int64
 	nextSend   bus.BitTime
 	finalized  bool
@@ -128,6 +126,16 @@ type FleetVehicle struct {
 
 // NewFleetVehicle builds the vehicle from its spec.
 func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
+	v, err := newFleetVehicle(spec)
+	if err == nil {
+		v.attach(StackConfig{})
+	}
+	return v, err
+}
+
+// newFleetVehicle builds the vehicle's bus and nodes, everything but its
+// telemetry stack (attach).
+func newFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 	if spec.Mode == "" {
 		spec.Mode = ModeSpliceFF
 	}
@@ -139,7 +147,6 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 		// sends every 25 ms; the spoof mix fights over exactly these sends).
 		periodBits: bus.Rate50k.Bits(25 * time.Millisecond),
 	}
-	v.hub.RetainEvents(false)
 	if err := applyMode(v.bb, spec.Mode); err != nil {
 		return nil, fmt.Errorf("fleet vehicle %d: %w", spec.Index, err)
 	}
@@ -152,17 +159,9 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 		matrix = scaleMatrixToLoad(matrix, bus.Rate50k, spec.Load)
 		ids = append(ids, matrix.IDs()...)
 	}
-	ivn, err := fsm.NewIVN(ids)
+	defense, err := core.NewFor(ids, DefenderID, core.Config{Name: "michican"})
 	if err != nil {
-		return nil, fmt.Errorf("fleet vehicle %d: build IVN: %w", spec.Index, err)
-	}
-	ds, err := fsm.NewDetectionSet(ivn, ivn.Index(DefenderID))
-	if err != nil {
-		return nil, fmt.Errorf("fleet vehicle %d: detection set: %w", spec.Index, err)
-	}
-	defense, err := core.New(core.Config{Name: "michican", FSM: fsm.Build(ds)})
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet vehicle %d: %w", spec.Index, err)
 	}
 	v.defender = controller.New(controller.Config{Name: "defender", AutoRecover: true})
 	v.defense = defense
@@ -191,16 +190,16 @@ func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 		v.recorder = trace.NewRecorder()
 		v.bb.AttachTap(v.recorder)
 	}
-	// The forensics engine subscribes last so it sees the same stream any
-	// external consumer would.
-	v.eng = forensics.NewEngine(v.hub)
-	if spec.Watch {
-		// The watch engine rides behind forensics: it scores incident
-		// closures via the engine's OnIncident hook and folds only the
-		// defender/ladder event streams itself.
-		v.watch = watch.New(v.hub, v.eng, watch.Config{})
-	}
 	return v, nil
+}
+
+// attach builds the vehicle's stack: forensics, watch when the spec asks
+// for it, and cfg's store. It runs after every node probe is registered,
+// so the watch engine's probe takes the last node ID, and before the first
+// Advance, so the stack sees the whole stream.
+func (v *FleetVehicle) attach(cfg StackConfig) {
+	cfg.Forensics, cfg.Watch = true, v.spec.Watch
+	v.stack = NewStack(v.hub, cfg)
 }
 
 // SharePlans wires a plan cache into every controller of the vehicle (nil:
@@ -221,7 +220,7 @@ func (v *FleetVehicle) SharePlans(src *controller.PlanSource) {
 func (v *FleetVehicle) PlanSource() *controller.PlanSource { return v.spec.Plans }
 
 // Watch returns the vehicle's live SLO engine (nil unless spec.Watch).
-func (v *FleetVehicle) Watch() *watch.Engine { return v.watch }
+func (v *FleetVehicle) Watch() *watch.Engine { return v.stack.Watch }
 
 // ID implements fleet.Vehicle.
 func (v *FleetVehicle) ID() int { return v.spec.Index }
@@ -285,17 +284,18 @@ func (v *FleetVehicle) WarmPlans() {
 }
 
 // LiveIncidents implements fleet.Vehicle.
-func (v *FleetVehicle) LiveIncidents() []forensics.Incident { return v.eng.Incidents() }
+func (v *FleetVehicle) LiveIncidents() []forensics.Incident { return v.stack.Forensics.Incidents() }
 
 // Finalize implements fleet.Vehicle: flush the forensics engine and return
 // the vehicle's complete incident log for hand-off.
 func (v *FleetVehicle) Finalize() []forensics.Incident {
+	eng := v.stack.Forensics
 	if !v.finalized {
 		v.finalized = true
-		v.eng.Finalize(int64(v.bb.Now()))
-		v.eng.Close()
+		eng.Finalize(int64(v.bb.Now()))
+		eng.Close()
 	}
-	return v.eng.Incidents()
+	return eng.Incidents()
 }
 
 // FleetSpecs derives n vehicle specs from one fleet seed. The attack

@@ -30,18 +30,19 @@ func Table2Forensics(cfg Config, exp int) (traceRows, incidentRows []Table2Row, 
 		return nil, nil, fmt.Errorf("experiment: unknown experiment number %d", exp)
 	}
 
-	hub := telemetry.NewHub()
-	hub.RetainEvents(false)
-	eng := forensics.NewEngine(hub)
-	defer eng.Close()
-	cfg.Hub = hub
+	stack := NewStack(telemetry.NewHub(), StackConfig{Forensics: true})
+	defer stack.Close()
+	cfg.Hub = stack.Hub
 
 	traceRows, tb, err := runTable2Scenario(cfg, spec)
 	if err != nil {
 		return nil, nil, err
 	}
 	end := int64(tb.bus.Now())
-	eng.Finalize(end)
+	if err := stack.Finalize(end); err != nil {
+		return nil, nil, err
+	}
+	eng := stack.Forensics
 
 	for _, id := range spec.measured {
 		incs := forensics.Complete(eng.IncidentsOf(id), end)
@@ -75,17 +76,18 @@ func Table2Forensics(cfg Config, exp int) (traceRows, incidentRows []Table2Row, 
 // hand-computed one field for field.
 func ComparisonForensics(cfg Config) (hand, derived ComparisonRow, err error) {
 	cfg = cfg.Defaults()
-	hub := telemetry.NewHub()
-	hub.RetainEvents(false)
-	eng := forensics.NewEngine(hub)
-	defer eng.Close()
-	cfg.Hub = hub
+	stack := NewStack(telemetry.NewHub(), StackConfig{Forensics: true})
+	defer stack.Close()
+	cfg.Hub = stack.Hub
 
 	hand, meta, err := comparisonRun(cfg, "MichiCAN")
 	if err != nil {
 		return hand, derived, err
 	}
-	eng.Finalize(meta.endAt)
+	if err := stack.Finalize(meta.endAt); err != nil {
+		return hand, derived, err
+	}
+	eng := stack.Forensics
 
 	derived = ComparisonRow{System: hand.System, DetectionBits: -1}
 	if at := eng.FirstDetectionAt(); at >= 0 {

@@ -112,7 +112,7 @@ func TestFleetForensicsParity(t *testing.T) {
 					}
 					eps = kept
 				}
-				incs := forensics.Complete(v.eng.IncidentsOf(id), int64(end))
+				incs := forensics.Complete(v.stack.Forensics.IncidentsOf(id), int64(end))
 				if len(eps) != len(incs) {
 					t.Errorf("%s: %d decoder episodes vs %d incidents", cell, len(eps), len(incs))
 				}

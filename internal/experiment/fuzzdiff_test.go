@@ -246,10 +246,8 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 	// alert transitions must be as stepping-mode-invariant as the forensics
 	// record they derive from.
 	newEng := func(retain bool) (*telemetry.Hub, *forensics.Engine, *watch.Engine) {
-		h := telemetry.NewHub()
-		h.RetainEvents(retain)
-		e := forensics.NewEngine(h)
-		return h, e, watch.New(h, e, watch.Config{})
+		s := NewStack(telemetry.NewHub(), StackConfig{Forensics: true, Watch: true, Retain: retain})
+		return s.Hub, s.Forensics, s.Watch
 	}
 	finalize := func(e *forensics.Engine) []forensics.Incident {
 		e.Finalize(fuzzTotalBits)

@@ -2,13 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"michican/internal/attack"
 	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/core"
-	"michican/internal/fsm"
 	"michican/internal/restbus"
 	"michican/internal/vehicle"
 )
@@ -103,21 +103,13 @@ func ParkSense(cfg Config) (ParkSenseResult, error) {
 // node whose detection FSM is derived from the Pacifica's communication
 // matrix, protecting everything below the highest vehicle ID.
 func parkSenseDongle(matrix *restbus.Matrix) (bus.Node, error) {
-	ids := matrix.IDs()
-	v, err := fsm.NewIVN(ids)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := fsm.NewDetectionSet(v, v.Size()-1)
-	if err != nil {
-		return nil, err
-	}
-	def, err := core.New(core.Config{Name: "michican-dongle", FSM: fsm.Build(ds)})
-	if err != nil {
-		return nil, err
-	}
 	// The dongle has no application traffic of its own: it is the pure
 	// defense node the paper attaches through the OBD-II Y-cable.
+	ids := matrix.IDs()
+	def, err := core.NewFor(ids, slices.Max(ids), core.Config{Name: "michican-dongle"})
+	if err != nil {
+		return nil, err
+	}
 	return def, nil
 }
 

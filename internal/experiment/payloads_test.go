@@ -34,7 +34,7 @@ func TestStorePayloadsMatchJSONMarshal(t *testing.T) {
 	for _, a := range []FleetAttack{FleetAttackSpoof, FleetAttackDoS, FleetAttackToggle} {
 		t.Run(string(a), func(t *testing.T) {
 			v := attackedVehicle(t, a, 1<<19, nil)
-			incs := v.eng.Incidents()
+			incs := v.stack.Forensics.Incidents()
 			alerts := v.Watch().Alerts()
 			if len(incs) == 0 || len(alerts) == 0 {
 				t.Fatalf("%d incidents and %d alerts: nothing to compare", len(incs), len(alerts))

@@ -11,7 +11,6 @@ import (
 	"michican/internal/can"
 	"michican/internal/controller"
 	"michican/internal/core"
-	"michican/internal/fsm"
 	"michican/internal/restbus"
 )
 
@@ -128,15 +127,7 @@ func throughputScenarioSeeded(target float64, mode SteppingMode, seed int64) (*b
 	if err := applyMode(bb, mode); err != nil {
 		return nil, nil, err
 	}
-	v, err := fsm.NewIVN(append(matrix.IDs(), DefenderID))
-	if err != nil {
-		return nil, nil, err
-	}
-	ds, err := fsm.NewDetectionSet(v, v.Index(DefenderID))
-	if err != nil {
-		return nil, nil, err
-	}
-	def, err := core.New(core.Config{Name: "defender", FSM: fsm.Build(ds)})
+	def, err := core.NewFor(append(matrix.IDs(), DefenderID), DefenderID, core.Config{Name: "defender"})
 	if err != nil {
 		return nil, nil, err
 	}

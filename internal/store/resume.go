@@ -8,7 +8,7 @@ import (
 )
 
 // ResumePoint rewinds an opened store to its newest usable checkpoint and
-// returns SinkOptions prefilled with the skip cursor a resuming sink needs
+// returns opts with the skip cursor a resuming sink needs filled in
 // (DESIGN.md §8.3). A store with no checkpoint rewinds to empty — the whole
 // run regenerates. completed reports a store whose final checkpoint says the
 // run already reached its horizon; the returned options are then zero and the
@@ -16,7 +16,7 @@ import (
 //
 // An unfinished store written in an older format cannot be resumed by this
 // build; the error says so before anything is truncated.
-func (s *Store) ResumePoint() (opts SinkOptions, completed bool, err error) {
+func (s *Store) ResumePoint(opts SinkOptions) (_ SinkOptions, completed bool, err error) {
 	cp, err := s.LatestCheckpoint()
 	switch {
 	case errors.Is(err, ErrNoCheckpoint):
@@ -32,26 +32,23 @@ func (s *Store) ResumePoint() (opts SinkOptions, completed bool, err error) {
 	if err := s.TruncateTo(cp); err != nil {
 		return SinkOptions{}, false, err
 	}
-	return SinkOptions{
-		SkipEvents:         cp.Events,
-		SkipIncidents:      cp.Incidents,
-		SkipAlerts:         cp.Alerts,
-		ExpectPrefixHash:   cp.PrefixHash,
-		ExpectIncidentHash: cp.IncidentHash,
-		ExpectAlertHash:    cp.AlertHash,
-		ResumeFromBits:     cp.TimeBits,
-	}, false, nil
+	opts.SkipEvents, opts.SkipIncidents, opts.SkipAlerts = cp.Events, cp.Incidents, cp.Alerts
+	opts.ExpectPrefixHash, opts.ExpectIncidentHash, opts.ExpectAlertHash = cp.PrefixHash, cp.IncidentHash, cp.AlertHash
+	opts.ResumeFromBits = cp.TimeBits
+	return opts, false, nil
 }
+
+// OpenWindowEnd is the end ParseWindow gives a window with an open end.
+const OpenWindowEnd = int64(1) << 62
 
 // ParseWindow parses a bit-time window written as "from:to". Either side may
 // be empty to leave that side open ("5000:" is everything from bit 5000 on;
 // ":" or "" is the whole recording); a bare "N" means from=N with an open
 // end. The returned to is exclusive-ish in the EventsInWindow sense (events
 // with Time in [from, to] are included) and defaults to a practically
-// unbounded value when open.
+// unbounded value, OpenWindowEnd, when open.
 func ParseWindow(s string) (from, to int64, err error) {
-	const open = int64(1) << 62
-	from, to = 0, open
+	from, to = 0, OpenWindowEnd
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return from, to, nil

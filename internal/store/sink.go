@@ -146,6 +146,8 @@ type Sink struct {
 	gBacklog, gCheckpointMs                                              *telemetry.Gauge
 	lastStats                                                            Stats
 	lastSyncAt                                                           atomic.Int64 // unix nanos of the last fsync (health probe input)
+
+	closed atomic.Bool // set by the first Close
 }
 
 // sinkBatch is one hand-off unit. A non-nil done channel is a barrier: the
@@ -520,8 +522,12 @@ func (s *Sink) Err() error {
 // detaches, joins the writer goroutine, writes the open event block, and
 // makes everything durable: when completed is true, by writing a final
 // checkpoint marked Completed at bit time t, whose one group commit covers
-// every log; otherwise by a Sync. Returns the first error encountered.
+// every log; otherwise by a Sync. Returns the first error encountered; a
+// later Close does nothing more and returns it again.
 func (s *Sink) Close(t int64, completed bool) error {
+	if s.closed.Swap(true) {
+		return s.Err()
+	}
 	s.hub.Flush()
 	s.cancel()
 	s.barrier()

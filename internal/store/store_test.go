@@ -533,7 +533,7 @@ func TestFormatVersion3ReadableNotResumable(t *testing.T) {
 	}
 
 	before := segmentBytes(t, v3Dir)
-	_, _, err = v3.ResumePoint()
+	_, _, err = v3.ResumePoint(SinkOptions{})
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format 3 store cannot be resumed by this build (format %d)", FormatVersion)) {
 		t.Fatalf("unfinished format-3 store: ResumePoint err = %v, want a format error", err)
 	}
@@ -549,7 +549,7 @@ func TestFormatVersion3ReadableNotResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer done.Close()
-	if _, completed, err := done.ResumePoint(); err != nil || !completed {
+	if _, completed, err := done.ResumePoint(SinkOptions{}); err != nil || !completed {
 		t.Fatalf("completed format-3 store: ResumePoint = complete %v, err %v; want complete", completed, err)
 	}
 }
@@ -678,7 +678,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 		if got := st.EventCount(); got != want {
 			t.Fatalf("tear at byte %d: Open recovered %d events, want %d", off, got, want)
 		}
-		opts, completed, err := st.ResumePoint()
+		opts, completed, err := st.ResumePoint(SinkOptions{})
 		if err != nil || completed || opts.SkipEvents != cp.Events || st.EventCount() != cp.Events {
 			t.Fatalf("tear at byte %d: ResumePoint = %+v, complete %v, err %v; %d events left, want %d",
 				off, opts, completed, err, st.EventCount(), cp.Events)
