@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build test vet bench bench-short race repro examples cover clean \
-	fleet fleet-bench fleet-guard store-guard watch-guard crash-resume-smoke
+	fleet fleet-guard store-guard watch-guard crash-resume-smoke
 
 all: build vet test
 
@@ -36,11 +36,6 @@ repro:
 # A small fleet with the control plane up for poking at /fleet/*.
 fleet:
 	$(GO) run ./cmd/michican-fleet -vehicles 16 -http 127.0.0.1:6180 -linger 5m
-
-# The churn benchmark behind BENCH_PR7.json (vehicles joining/leaving
-# mid-run, query load, worker scaling sweep).
-fleet-bench:
-	$(GO) run ./cmd/michican-fleet -bench -vehicles 16 -bench-json BENCH_PR7.json
 
 # The fleet-aggregation overhead guard (sharding + net commits vs the same
 # vehicles standalone, ≤5%).

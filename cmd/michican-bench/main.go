@@ -23,7 +23,6 @@ import (
 	"michican/internal/bus"
 	"michican/internal/experiment"
 	"michican/internal/mcu"
-	"michican/internal/store"
 	"michican/internal/telemetry"
 )
 
@@ -37,7 +36,7 @@ func main() {
 		rate       = flag.Int("rate", 50_000, "bus speed in bit/s")
 		seed       = flag.Int64("seed", 1, "deterministic seed")
 		fsms       = flag.Int("fsms", 160_000, "random FSMs for the detection study")
-		workers    = flag.Int("workers", 0, "trial-runner pool size (0 = GOMAXPROCS, 1 = serial); results are identical either way")
+		workers    = flag.Int("workers", 0, "trial-runner pool size (0 = GOMAXPROCS, 1 = serial); rows are identical either way, and -metrics/-http always run serially so their snapshot is reproducible")
 		mode       = flag.String("mode", "", "stepping mode, the top rung of the fast-forward ladder: exact|idle-ff|contend-ff|splice-ff (default: the full ladder)")
 		jsonOut    = flag.String("json", "", "measure the throughput grid (load × stepping mode) and write machine-readable results to this file")
 		gridBits   = flag.Int64("gridbits", 2_000_000, "simulated bit times per throughput-grid cell")
@@ -48,8 +47,6 @@ func main() {
 		overhead   = flag.String("overhead", "", "measure one layer's paired overhead grid and exit nonzero over -overhead-budget: telemetry|obs|store|watch")
 		overJSON   = flag.String("overhead-json", "", "also write the -overhead grid as JSON to this file")
 		overBudget = flag.Float64("overhead-budget", 2.0, "slowdown budget in percent for the gated arm of -overhead")
-		storeSeg   = flag.Int64("store-segment-bytes", store.DefaultSegmentBytes, "segment roll threshold for the -overhead store arms (also recorded in the -json store block)")
-		storeFsync = flag.String("store-fsync", store.FsyncGroup, "fsync policy for the -overhead store arms: group|checkpoint|none")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -63,7 +60,7 @@ func main() {
 		return
 	}
 	if *overhead != "" {
-		layer, err := overheadLayerFor(*overhead, *storeSeg, *storeFsync)
+		layer, err := overheadLayerFor(*overhead)
 		if err == nil {
 			err = runOverhead(layer, *gridBits, *overBudget, *overJSON)
 		}
@@ -74,7 +71,7 @@ func main() {
 		return
 	}
 	if *jsonOut != "" {
-		if err := writeThroughputJSON(*jsonOut, *gridBits, *workers, *storeSeg, *storeFsync); err != nil {
+		if err := writeThroughputJSON(*jsonOut, *gridBits, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, "michican-bench:", err)
 			os.Exit(1)
 		}
@@ -138,14 +135,13 @@ func runTelemetryGuard(simBits int64, thresholdPct float64) error {
 // GOMAXPROCS ride in the header so scaling curves from different machines
 // stay interpretable — a flat curve on a 1-core runner is physics,
 // not a regression.
-func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64, fsync string) error {
+func writeThroughputJSON(path string, simBits int64, workers int) error {
 	type report struct {
 		GeneratedAt string                     `json:"generated_at"`
 		GoVersion   string                     `json:"go_version"`
 		GOMAXPROCS  int                        `json:"gomaxprocs"`
 		NumCPU      int                        `json:"num_cpu"`
 		Workers     int                        `json:"workers"`
-		Store       storeBlock                 `json:"store"`
 		Modes       []experiment.SteppingMode  `json:"fast_path_modes"`
 		SimBitsPer  int64                      `json:"simulated_bits_per_cell"`
 		Rows        []experiment.ThroughputRow `json:"rows"`
@@ -199,7 +195,6 @@ func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
 		Workers:     workers,
-		Store:       storeBlock{Enabled: false, SegmentBytes: segBytes, Fsync: fsync},
 		Modes:       modes,
 		SimBitsPer:  simBits,
 		Rows:        rows,
@@ -215,15 +210,6 @@ func writeThroughputJSON(path string, simBits int64, workers int, segBytes int64
 	}
 	fmt.Printf("\nwrote %s\n", path)
 	return nil
-}
-
-// storeBlock documents the persistence configuration a benchmark report was
-// generated under: whether a durable store was attached to the measured runs,
-// and the segment/fsync policy any persistence arms used.
-type storeBlock struct {
-	Enabled      bool   `json:"enabled"`
-	SegmentBytes int64  `json:"segment_bytes"`
-	Fsync        string `json:"fsync"`
 }
 
 // profiledRun wraps run with the pprof plumbing and the throughput summary,

@@ -138,7 +138,7 @@ func (a stackArm) build() (*telemetry.Hub, experiment.OverheadTeardown, error) {
 }
 
 // overheadLayerFor returns the arms, grid and gate of one layer's guard.
-func overheadLayerFor(name string, segBytes int64, fsync string) (overheadLayer, error) {
+func overheadLayerFor(name string) (overheadLayer, error) {
 	layer := overheadLayer{name: name, cells: overheadGrid}
 	switch name {
 	case "telemetry":
@@ -170,7 +170,7 @@ func overheadLayerFor(name string, segBytes int64, fsync string) (overheadLayer,
 		storeArm := func(checkpointBits int64) armBuilder {
 			return stackArm{
 				cfg:     experiment.StackConfig{Sink: store.SinkOptions{CheckpointIntervalBits: checkpointBits}},
-				persist: &store.Meta{Kind: "bench", SegmentBytes: segBytes, Fsync: fsync},
+				persist: &store.Meta{Kind: "bench", SegmentBytes: store.DefaultSegmentBytes, Fsync: store.FsyncGroup},
 				counts: func(s *experiment.Stack) experiment.OverheadCounts {
 					st := s.Store.Stats()
 					return experiment.OverheadCounts{"disk_bytes": st.DiskBytes, "events": st.EventsAppended}
@@ -185,7 +185,7 @@ func overheadLayerFor(name string, segBytes int64, fsync string) (overheadLayer,
 			{Name: "checkpoints", Build: storeArm(1 << 18)},
 		}
 		layer.gated = idleCell
-		layer.store = &storeBlock{Enabled: true, SegmentBytes: segBytes, Fsync: fsync}
+		layer.store = &storeBlock{Enabled: true, SegmentBytes: store.DefaultSegmentBytes, Fsync: store.FsyncGroup}
 	case "watch":
 		// The engine folds only matching event kinds and every incident rule
 		// runs off forensics closures, so an idle alert surface must cost
@@ -215,6 +215,14 @@ func overheadLayerFor(name string, segBytes int64, fsync string) (overheadLayer,
 		return overheadLayer{}, fmt.Errorf("unknown -overhead layer %q (want telemetry|obs|store|watch)", name)
 	}
 	return layer, nil
+}
+
+// storeBlock records the segment and fsync policy the -overhead store arms
+// persisted under.
+type storeBlock struct {
+	Enabled      bool   `json:"enabled"`
+	SegmentBytes int64  `json:"segment_bytes"`
+	Fsync        string `json:"fsync"`
 }
 
 // overheadArmSummary is one arm's reading across the grid.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"michican/internal/experiment"
-	"michican/internal/store"
 )
 
 // TestOverheadArmsBuildAndTearDown builds and tears down every arm of every
@@ -26,7 +25,7 @@ func TestOverheadArmsBuildAndTearDown(t *testing.T) {
 		{"store", []string{"memory", "store", "checkpoints"}, idleCell},
 		{"watch", []string{"forensics", "watch", "poller"}, idleCell},
 	} {
-		layer, err := overheadLayerFor(tc.layer, store.DefaultSegmentBytes, store.FsyncGroup)
+		layer, err := overheadLayerFor(tc.layer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +70,7 @@ func TestOverheadArmsBuildAndTearDown(t *testing.T) {
 			}
 		}
 	}
-	if _, err := overheadLayerFor("fleet", store.DefaultSegmentBytes, store.FsyncGroup); err == nil {
+	if _, err := overheadLayerFor("fleet"); err == nil {
 		t.Error("an unknown layer must be refused")
 	}
 }
@@ -114,7 +113,7 @@ func TestOverheadGates(t *testing.T) {
 		{"obs", 5, func(c overheadCell) float64 { return map[bool]float64{true: 15, false: 0}[c == *idleCell] }, 0, true},
 		{"obs", 5, func(c overheadCell) float64 { return 5.5 }, 5.5, false},
 	} {
-		layer, err := overheadLayerFor(tc.layer, store.DefaultSegmentBytes, store.FsyncGroup)
+		layer, err := overheadLayerFor(tc.layer)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,21 +5,22 @@
 // thresholded net commits and served over HTTP (/fleet/*).
 //
 //	michican-fleet -vehicles 64 -http 127.0.0.1:6180      # run a fleet
-//	michican-fleet -bench -bench-json BENCH_PR7.json      # churn benchmark
+//	michican-fleet -vehicles 8 -watch -store run          # persist it
+//	michican-fleet -store run -resume                     # continue after a crash
+//	michican-fleet -store run -store-digest               # segment digests
 //	michican-fleet -agg-overhead -agg-budget 5            # CI overhead guard
+//
+// The fleet's end-to-end benchmark is benchmark/'s fleet-attacked workload.
 package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -31,7 +32,6 @@ import (
 	"michican/internal/fleet"
 	"michican/internal/forensics"
 	"michican/internal/obs"
-	"michican/internal/stats"
 	"michican/internal/store"
 	"michican/internal/watch"
 )
@@ -44,65 +44,72 @@ import (
 const workerStallBound = 30 * time.Second
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// daemonParams are the daemon mode's flags.
+type daemonParams struct {
+	vehicles       int
+	horizon, seed  int64
+	httpAddr       string
+	linger         time.Duration
+	storeDir       string
+	resume         bool
+	checkpointBits int64
+	watch, top     bool
+}
+
+// run is the whole command. It returns the exit status: 2 for a bad flag,
+// as flag.ExitOnError exits, 0 for -h, and 1 for any other failure, which
+// it reports on stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		vehicles    = flag.Int("vehicles", 16, "initial fleet size")
-		total       = flag.Int("total", 0, "total vehicles over the run incl. churn joiners (0 = 2x -vehicles with -churn, else -vehicles)")
-		workers     = flag.Int("workers", 0, "shared-nothing worker count (0 = GOMAXPROCS)")
-		seed        = flag.Int64("seed", 1, "fleet seed; per-vehicle seeds derive via experiment.DeriveSeed")
-		horizon     = flag.Int64("horizon-bits", 2_000_000, "simulated bits per vehicle before it retires (0 = run until removed)")
-		sliceBits   = flag.Int64("slice-bits", 65536, "scheduling quantum per vehicle per worker turn")
-		commitTh    = flag.Int64("commit-threshold", 4096, "net-commit trigger in pending telemetry events")
-		commitIval  = flag.Int64("commit-interval-bits", 1<<20, "max simulated bits between commits of a vehicle")
-		httpAddr    = flag.String("http", "", "serve the fleet observability surface (/fleet/*) on this address")
-		linger      = flag.Duration("linger", 0, "keep the HTTP server up this long after the fleet drains")
-		bench       = flag.Bool("bench", false, "run the churn benchmark (query load + scaling sweep) and exit")
-		benchJSON   = flag.String("bench-json", "", "write the churn benchmark report to this file (implies -bench)")
-		churn       = flag.Bool("churn", true, "benchmark: join replacement vehicles as others retire and remove some mid-run")
-		queryW      = flag.Int("query-workers", 2, "benchmark: concurrent HTTP query clients hammering /fleet/metrics and /fleet/incidents")
-		scalingVeh  = flag.Int("scaling-vehicles", 8, "benchmark: vehicles per scaling-sweep run")
-		noScaling   = flag.Bool("no-scaling", false, "benchmark: skip the worker scaling sweep")
-		aggOverhead = flag.Bool("agg-overhead", false, "measure fleet aggregation overhead vs the same vehicles run standalone and exit nonzero over -agg-budget")
-		aggBudget   = flag.Float64("agg-budget", 5.0, "aggregation overhead budget in percent for -agg-overhead")
-		storeDir    = flag.String("store", "", "persist every vehicle into a durable store rooted at this directory (one subdirectory per vehicle, DESIGN.md §8)")
-		resume      = flag.Bool("resume", false, "resume the roster recorded in -store from each vehicle's last checkpoint instead of minting fresh vehicles")
-		storeDigest = flag.Bool("store-digest", false, "print per-vehicle digests of the -store directory's segment files (CI byte-comparison) and exit")
-		cpInterval  = flag.Int64("checkpoint-interval", 1<<20, "bits of sim progress between automatic checkpoints under -store")
-		watchOn     = flag.Bool("watch", false, "attach a live SLO/alerting engine to every vehicle (serves /fleet/alerts, persists per-vehicle alert logs under -store)")
-		top         = flag.Bool("top", false, "render a live ANSI dashboard (SLO scoreboard, active alerts, vehicle progress) on stdout; implies -watch")
+		p   daemonParams
+		cfg fleet.Config
 	)
-	flag.Parse()
-	if *top {
-		*watchOn = true
+	fs.IntVar(&p.vehicles, "vehicles", 16, "initial fleet size")
+	fs.IntVar(&cfg.Workers, "workers", 0, "shared-nothing worker count (0 = GOMAXPROCS)")
+	fs.Int64Var(&p.seed, "seed", 1, "fleet seed; per-vehicle seeds derive via experiment.DeriveSeed")
+	fs.Int64Var(&p.horizon, "horizon-bits", 2_000_000, "simulated bits per vehicle before it retires (0 = run until removed)")
+	fs.Int64Var(&cfg.SliceBits, "slice-bits", 65536, "scheduling quantum per vehicle per worker turn")
+	fs.StringVar(&p.httpAddr, "http", "", "serve the fleet observability surface (/fleet/*) on this address")
+	fs.DurationVar(&p.linger, "linger", 0, "keep the HTTP server up this long after the fleet drains")
+	fs.StringVar(&p.storeDir, "store", "", "persist every vehicle into a durable store rooted at this directory (one subdirectory per vehicle, DESIGN.md §8)")
+	fs.BoolVar(&p.resume, "resume", false, "resume the roster recorded in -store from each vehicle's last checkpoint instead of minting fresh vehicles")
+	fs.Int64Var(&p.checkpointBits, "checkpoint-interval", 1<<20, "bits of sim progress between automatic checkpoints under -store")
+	fs.BoolVar(&p.watch, "watch", false, "attach a live SLO/alerting engine to every vehicle (serves /fleet/alerts, persists per-vehicle alert logs under -store)")
+	fs.BoolVar(&p.top, "top", false, "render a live ANSI dashboard (SLO scoreboard, active alerts, vehicle progress) on stdout; implies -watch")
+	var (
+		aggOverhead = fs.Bool("agg-overhead", false, "measure fleet aggregation overhead vs the same vehicles run standalone and exit nonzero over -agg-budget")
+		aggBudget   = fs.Float64("agg-budget", 5.0, "aggregation overhead budget in percent for -agg-overhead")
+		storeDigest = fs.Bool("store-digest", false, "print per-vehicle digests of the -store directory's segment files (CI byte-comparison) and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if p.top {
+		p.watch = true
 	}
 
-	cfg := fleet.Config{
-		Workers:            *workers,
-		SliceBits:          *sliceBits,
-		CommitThreshold:    *commitTh,
-		CommitIntervalBits: *commitIval,
-	}
 	var err error
 	switch {
 	case *storeDigest:
-		err = runStoreDigest(*storeDir)
+		err = runStoreDigest(stdout, p.storeDir)
 	case *aggOverhead:
-		err = runAggOverhead(cfg, *vehicles, *horizon, *seed, *aggBudget)
-	case *bench || *benchJSON != "":
-		err = runBench(cfg, benchParams{
-			vehicles: *vehicles, total: *total, seed: *seed, horizon: *horizon,
-			churn: *churn, queryWorkers: *queryW,
-			scalingVehicles: *scalingVeh, scaling: !*noScaling,
-			jsonPath: *benchJSON,
-		})
+		err = runAggOverhead(stdout, cfg, p.vehicles, p.horizon, p.seed, *aggBudget)
 	default:
-		err = runFleet(cfg, *vehicles, *horizon, *seed, *httpAddr, *linger,
-			durableParams{dir: *storeDir, resume: *resume, checkpointBits: *cpInterval},
-			*watchOn, *top)
+		err = runFleet(stdout, cfg, p)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "michican-fleet:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "michican-fleet:", err)
+		return 1
 	}
+	return 0
 }
 
 // buildAndAdd mints vehicle i from the fleet seed and joins it; Add wires
@@ -127,17 +134,11 @@ func planCacheMetrics(f *fleet.Fleet) obs.FleetOption {
 	})
 }
 
-// printPlanCache prints the one-line summary of a plan cache.
-func printPlanCache(st controller.PlanSourceStats, hitRate float64) {
-	fmt.Printf("plan cache: %d plans resident (%d bytes), %d hits / %d misses (%.1f%% hit rate)\n",
-		st.Plans, st.ResidentBytes, st.Hits, st.Misses, 100*hitRate)
-}
-
-// durableParams bundles the daemon's persistence knobs.
-type durableParams struct {
-	dir            string
-	resume         bool
-	checkpointBits int64
+// printPlanCache prints the one-line summary of the fleet's plan cache.
+func printPlanCache(w io.Writer, plans *controller.PlanSource) {
+	st := plans.Stats()
+	fmt.Fprintf(w, "plan cache: %d plans resident (%d bytes), %d hits / %d misses (%.1f%% hit rate)\n",
+		st.Plans, st.ResidentBytes, st.Hits, st.Misses, 100*plans.HitRate())
 }
 
 // vehicleDir names one vehicle's store subdirectory: the roster IS the
@@ -151,13 +152,13 @@ func vehicleDir(root string, i int) string {
 // sink, retirement appends the incident log and a final Completed checkpoint
 // via OnFinalize), and -resume rebuilds the roster from the directory listing,
 // continuing each vehicle from its newest checkpoint.
-func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr string, linger time.Duration, dp durableParams, watchOn, top bool) error {
+func runFleet(stdout io.Writer, cfg fleet.Config, p daemonParams) error {
 	var collector *watch.FleetCollector
-	if watchOn {
+	if p.watch {
 		collector = watch.NewFleetCollector(nil)
 	}
 	var finErr atomic.Value
-	if dp.dir != "" {
+	if p.storeDir != "" {
 		cfg.OnFinalize = func(v fleet.Vehicle, incs []forensics.Incident) {
 			dv, ok := v.(*experiment.DurableVehicle)
 			if !ok {
@@ -169,25 +170,26 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 		}
 	}
 	f := fleet.New(cfg)
-	opts := store.SinkOptions{CheckpointIntervalBits: dp.checkpointBits}
+	opts := store.SinkOptions{CheckpointIntervalBits: p.checkpointBits}
+	vehicles := p.vehicles
 	switch {
-	case dp.dir != "" && dp.resume:
+	case p.storeDir != "" && p.resume:
 		// The stored spec carries each vehicle's Watch bit, so a resumed
 		// roster re-attaches engines without re-stating -watch.
-		resumed, completed, err := resumeRoster(f, dp.dir, opts, collector)
+		resumed, completed, err := resumeRoster(f, p.storeDir, opts, collector)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("resumed roster from %s: %d vehicles continuing, %d already complete\n",
-			dp.dir, resumed, completed)
+		fmt.Fprintf(stdout, "resumed roster from %s: %d vehicles continuing, %d already complete\n",
+			p.storeDir, resumed, completed)
 		if resumed == 0 {
 			return nil
 		}
 		vehicles = resumed
 	default:
 		for i := 0; i < vehicles; i++ {
-			spec := experiment.FleetSpecAt(seed, i, horizon, false)
-			spec.Watch = watchOn
+			spec := experiment.FleetSpecAt(p.seed, i, p.horizon, false)
+			spec.Watch = p.watch
 			var (
 				v interface {
 					fleet.Vehicle
@@ -195,8 +197,8 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 				}
 				err error
 			)
-			if dp.dir != "" {
-				v, err = experiment.StartDurableVehicle(vehicleDir(dp.dir, i), spec, 0, "", opts)
+			if p.storeDir != "" {
+				v, err = experiment.StartDurableVehicle(vehicleDir(p.storeDir, i), spec, 0, "", opts)
 			} else {
 				v, err = experiment.NewFleetVehicle(spec)
 			}
@@ -224,7 +226,7 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 	}, workerStallBound).Check)
 
 	var server *obs.Server
-	if httpAddr != "" {
+	if p.httpAddr != "" {
 		fleetOpts := []obs.FleetOption{planCacheMetrics(f), obs.WithFleetHealth(mon.Check)}
 		if collector != nil {
 			fleetOpts = append(fleetOpts, obs.WithFleetAlerts(func() watch.FleetAlertView {
@@ -232,29 +234,29 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 			}))
 		}
 		var err error
-		server, err = obs.ServeFleet(httpAddr, f, fleetOpts...)
+		server, err = obs.ServeFleet(p.httpAddr, f, fleetOpts...)
 		if err != nil {
 			return err
 		}
 		defer server.Close()
-		fmt.Printf("fleet control plane listening on %s\n", server.URL())
+		fmt.Fprintf(stdout, "fleet control plane listening on %s\n", server.URL())
 	}
 	h := f.Health()
-	fmt.Printf("fleet: %d vehicles, %d workers, slice=%d bits, commit threshold=%d events / interval=%d bits\n",
+	fmt.Fprintf(stdout, "fleet: %d vehicles, %d workers, slice=%d bits, commit threshold=%d events / interval=%d bits\n",
 		vehicles, h.Workers, h.SliceBits, h.CommitThreshold, h.CommitIntervalBits)
 	start := time.Now()
 	var stopTop chan struct{}
 	var topDone sync.WaitGroup
-	if top {
+	if p.top {
 		stopTop = make(chan struct{})
 		topDone.Add(1)
 		go func() {
 			defer topDone.Done()
-			runDashboard(f, collector, mon, start, stopTop)
+			runDashboard(stdout, f, collector, mon, start, stopTop)
 		}()
 	}
 	f.Start()
-	if horizon > 0 {
+	if p.horizon > 0 {
 		f.Wait()
 	} else {
 		select {} // run until killed; the HTTP surface is the interface
@@ -268,11 +270,11 @@ func runFleet(cfg fleet.Config, vehicles int, horizon, seed int64, httpAddr stri
 		return e.(error)
 	}
 	wall := time.Since(start)
-	printSummary(f, wall)
-	printPlanCache(f.Plans().Stats(), f.Plans().HitRate())
-	if server != nil && linger > 0 {
-		fmt.Printf("lingering %v for inspection...\n", linger)
-		time.Sleep(linger)
+	printSummary(stdout, f, wall)
+	printPlanCache(stdout, f.Plans())
+	if server != nil && p.linger > 0 {
+		fmt.Fprintf(stdout, "lingering %v for inspection...\n", p.linger)
+		time.Sleep(p.linger)
 	}
 	return nil
 }
@@ -323,7 +325,7 @@ func resumeRoster(f *fleet.Fleet, root string, opts store.SinkOptions, collector
 // internally locked on the reader side, so the dashboard never stalls a
 // simulation worker. A final frame is painted on shutdown so the end state
 // stays on screen.
-func runDashboard(f *fleet.Fleet, collector *watch.FleetCollector, mon *watch.Monitor, start time.Time, stop <-chan struct{}) {
+func runDashboard(stdout io.Writer, f *fleet.Fleet, collector *watch.FleetCollector, mon *watch.Monitor, start time.Time, stop <-chan struct{}) {
 	var lastBits int64
 	var lastAt time.Time
 	frame := func() {
@@ -357,7 +359,7 @@ func runDashboard(f *fleet.Fleet, collector *watch.FleetCollector, mon *watch.Mo
 			}
 		}
 		lastBits, lastAt = totalBits, now
-		os.Stdout.WriteString(watch.RenderDashboard(watch.DashboardData{
+		io.WriteString(stdout, watch.RenderDashboard(watch.DashboardData{
 			Title:      fmt.Sprintf("fleet (%d vehicles)", len(infos)),
 			Elapsed:    now.Sub(start),
 			BitsPerSec: bps,
@@ -384,7 +386,7 @@ func runDashboard(f *fleet.Fleet, collector *watch.FleetCollector, mon *watch.Mo
 // run legitimately checkpoints at different cursors). Two runs of the same
 // fleet are byte-identical exactly when their digest outputs match; the CI
 // crash-resume smoke diffs them.
-func runStoreDigest(root string) error {
+func runStoreDigest(stdout io.Writer, root string) error {
 	if root == "" {
 		return fmt.Errorf("-store-digest needs -store <dir>")
 	}
@@ -419,359 +421,26 @@ func runStoreDigest(root string) error {
 			h.Write(b)
 			bytes += int64(len(b))
 		}
-		fmt.Printf("%s  %x  segments=%d bytes=%d\n", d, h.Sum(nil), len(segs), bytes)
+		fmt.Fprintf(stdout, "%s  %x  segments=%d bytes=%d\n", d, h.Sum(nil), len(segs), bytes)
 	}
 	return nil
 }
 
 // printSummary renders the end-of-run fleet accounting.
-func printSummary(f *fleet.Fleet, wall time.Duration) {
+func printSummary(w io.Writer, f *fleet.Fleet, wall time.Duration) {
 	h := f.Health()
 	mv := f.Aggregate().MetricsView()
 	iv := f.Aggregate().IncidentsView()
-	fmt.Printf("drained: %d vehicles (%d removed early) in %v\n", h.Completed, h.Removed, wall.Round(time.Millisecond))
-	fmt.Printf("aggregate: %d sim bits (%.1f Mbit/s of bus time), %d incidents (%d eradicated, %d frames leaked)\n",
+	fmt.Fprintf(w, "drained: %d vehicles (%d removed early) in %v\n", h.Completed, h.Removed, wall.Round(time.Millisecond))
+	fmt.Fprintf(w, "aggregate: %d sim bits (%.1f Mbit/s of bus time), %d incidents (%d eradicated, %d frames leaked)\n",
 		mv.SimBits, float64(mv.SimBits)/wall.Seconds()/1e6,
 		iv.Totals.Incidents, iv.Totals.Eradicated, iv.Totals.FramesLeaked)
 	ratio := float64(mv.LogicalUpdates)
 	if mv.CommitCalls > 0 {
 		ratio /= float64(mv.CommitCalls)
 	}
-	fmt.Printf("net-commit economy: %d logical updates folded into %d commit calls (%.0f updates/commit)\n",
+	fmt.Fprintf(w, "net-commit economy: %d logical updates folded into %d commit calls (%.0f updates/commit)\n",
 		mv.LogicalUpdates, mv.CommitCalls, ratio)
-}
-
-// sumFamily sums every series of one counter family in a metrics view.
-func sumFamily(mv fleet.MetricsView, family string) int64 {
-	var total int64
-	for k, v := range mv.Counters {
-		if k == family || (len(k) > len(family) && k[:len(family)] == family && k[len(family)] == '{') {
-			total += v
-		}
-	}
-	return total
-}
-
-type benchParams struct {
-	vehicles, total int
-	seed, horizon   int64
-	churn           bool
-	queryWorkers    int
-	scalingVehicles int
-	scaling         bool
-	jsonPath        string
-}
-
-type queryResult struct {
-	Requests int64   `json:"requests"`
-	Errors   int64   `json:"errors"`
-	P50Ms    float64 `json:"p50_ms"`
-	P95Ms    float64 `json:"p95_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	MaxMs    float64 `json:"max_ms"`
-}
-
-type churnResult struct {
-	VehiclesInitial           int                  `json:"vehicles_initial"`
-	VehiclesTotal             int                  `json:"vehicles_total"`
-	VehiclesCompleted         int64                `json:"vehicles_completed"`
-	VehiclesRemovedEarly      int64                `json:"vehicles_removed_early"`
-	WallSeconds               float64              `json:"wall_seconds"`
-	VehiclesPerSecond         float64              `json:"vehicles_per_second"`
-	SimBitsTotal              int64                `json:"sim_bits_total"`
-	AggregateSimBitsPerSecond float64              `json:"aggregate_sim_bits_per_second"`
-	LogicalUpdates            int64                `json:"logical_updates"`
-	CommitCalls               int64                `json:"commit_calls"`
-	UpdatesPerCommit          float64              `json:"updates_per_commit"`
-	CommittedDelta            int64                `json:"committed_delta"`
-	SpliceBitsTotal           int64                `json:"splice_bits_total"`
-	Incidents                 fleet.IncidentTotals `json:"incidents"`
-	Query                     queryResult          `json:"query"`
-	// PlanCache carries the counters of the fleet's plan cache.
-	PlanCache        controller.PlanSourceStats `json:"plan_cache"`
-	PlanCacheHitRate float64                    `json:"plan_cache_hit_rate"`
-}
-
-type scalingRow struct {
-	Workers                int     `json:"workers"`
-	Vehicles               int     `json:"vehicles"`
-	SimBitsTotal           int64   `json:"sim_bits_total"`
-	WallSeconds            float64 `json:"wall_seconds"`
-	AggregateBitsPerSecond float64 `json:"aggregate_bits_per_second"`
-	SpeedupVs1             float64 `json:"speedup_vs_1"`
-}
-
-type benchReport struct {
-	GeneratedAt        string       `json:"generated_at"`
-	GoVersion          string       `json:"go_version"`
-	GOMAXPROCS         int          `json:"gomaxprocs"`
-	NumCPU             int          `json:"num_cpu"`
-	Seed               int64        `json:"seed"`
-	Workers            int          `json:"workers"`
-	HorizonBits        int64        `json:"horizon_bits"`
-	SliceBits          int64        `json:"slice_bits"`
-	CommitThreshold    int64        `json:"commit_threshold"`
-	CommitIntervalBits int64        `json:"commit_interval_bits"`
-	Churn              bool         `json:"churn"`
-	Bench              churnResult  `json:"bench"`
-	Scaling            []scalingRow `json:"scaling,omitempty"`
-}
-
-// runBench is the churn benchmark: a fleet with vehicles joining and
-// leaving mid-run and a skewed attack distribution, under sustained HTTP
-// query load, followed by a worker scaling sweep on the same grid.
-func runBench(cfg fleet.Config, p benchParams) error {
-	if p.total <= 0 {
-		p.total = p.vehicles
-		if p.churn {
-			p.total = 2 * p.vehicles
-		}
-	}
-	fmt.Printf("==== fleet churn benchmark ====\n")
-	fmt.Printf("gomaxprocs=%d numcpu=%d\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
-
-	res, err := runChurn(cfg, p)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("completed %d vehicles (%d removed early) in %.2fs: %.1f vehicles/s, %.2f Mbit/s aggregate\n",
-		res.VehiclesCompleted, res.VehiclesRemovedEarly, res.WallSeconds,
-		res.VehiclesPerSecond, res.AggregateSimBitsPerSecond/1e6)
-	fmt.Printf("net-commit: %d logical updates / %d commits = %.0f updates/commit\n",
-		res.LogicalUpdates, res.CommitCalls, res.UpdatesPerCommit)
-	fmt.Printf("query load: %d requests, p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
-		res.Query.Requests, res.Query.P50Ms, res.Query.P95Ms, res.Query.P99Ms, res.Query.MaxMs)
-	printPlanCache(res.PlanCache, res.PlanCacheHitRate)
-
-	eff := cfg.Defaults()
-	rep := benchReport{
-		GeneratedAt:        time.Now().UTC().Format(time.RFC3339),
-		GoVersion:          runtime.Version(),
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		NumCPU:             runtime.NumCPU(),
-		Seed:               p.seed,
-		Workers:            eff.Workers,
-		HorizonBits:        p.horizon,
-		SliceBits:          eff.SliceBits,
-		CommitThreshold:    eff.CommitThreshold,
-		CommitIntervalBits: eff.CommitIntervalBits,
-		Churn:              p.churn,
-		Bench:              *res,
-	}
-	if p.scaling {
-		workersList := []int{1, 2, 4, 8}
-		if n := runtime.NumCPU(); n > 8 {
-			workersList = append(workersList, n)
-		}
-		fmt.Printf("\n==== worker scaling sweep (%d vehicles per run) ====\n", p.scalingVehicles)
-		for _, w := range workersList {
-			row, err := runScalingCell(cfg, p, w)
-			if err != nil {
-				return err
-			}
-			if len(rep.Scaling) > 0 && rep.Scaling[0].AggregateBitsPerSecond > 0 {
-				row.SpeedupVs1 = row.AggregateBitsPerSecond / rep.Scaling[0].AggregateBitsPerSecond
-			} else {
-				row.SpeedupVs1 = 1
-			}
-			fmt.Printf("workers=%2d  %8.2f Mbit/s aggregate  speedup=%.2fx\n",
-				row.Workers, row.AggregateBitsPerSecond/1e6, row.SpeedupVs1)
-			rep.Scaling = append(rep.Scaling, row)
-		}
-	}
-	if p.jsonPath != "" {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(p.jsonPath, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", p.jsonPath)
-	}
-	return nil
-}
-
-// runChurn runs the churny arm: replacements join as vehicles retire, a few
-// active vehicles are removed mid-run, and query clients hammer the HTTP
-// surface throughout.
-func runChurn(cfg fleet.Config, p benchParams) (*churnResult, error) {
-	var (
-		nextIdx  atomic.Int64
-		joinErr  atomic.Value
-		f        *fleet.Fleet
-		removeAt = map[int64]bool{}
-	)
-	nextIdx.Store(int64(p.vehicles))
-	if p.churn {
-		// Remove one active vehicle at every 25% completion mark of the
-		// initial population — each removal itself triggers a replacement
-		// join, so removals churn membership without shrinking the budget.
-		for q := int64(1); q <= 3; q++ {
-			removeAt[int64(p.vehicles)*q/4] = true
-		}
-	}
-	var retired atomic.Int64
-	cfg.OnRetire = func(r fleet.VehicleResult) {
-		n := retired.Add(1)
-		if p.churn && removeAt[n] {
-			// Remove the live vehicle with the lowest id (deterministic pick).
-			for _, vi := range f.Vehicles() {
-				if !vi.Done {
-					f.Remove(vi.ID)
-					break
-				}
-			}
-		}
-		if i := nextIdx.Add(1) - 1; int(i) < p.total {
-			if err := buildAndAdd(f, p.seed, int(i), p.horizon); err != nil {
-				joinErr.Store(err)
-			}
-		}
-	}
-	f = fleet.New(cfg)
-	for i := 0; i < p.vehicles; i++ {
-		if err := buildAndAdd(f, p.seed, i, p.horizon); err != nil {
-			return nil, err
-		}
-	}
-	server, err := obs.ServeFleet("127.0.0.1:0", f, planCacheMetrics(f))
-	if err != nil {
-		return nil, err
-	}
-	defer server.Close()
-
-	// Client-side query load: alternate /fleet/metrics and /fleet/incidents,
-	// recording end-to-end latency per request.
-	var (
-		qmu       sync.Mutex
-		latencies []float64
-		requests  int64
-		qerrors   int64
-		stopQ     = make(chan struct{})
-		qwg       sync.WaitGroup
-	)
-	urls := []string{server.URL() + "/fleet/metrics", server.URL() + "/fleet/incidents"}
-	for w := 0; w < p.queryWorkers; w++ {
-		qwg.Add(1)
-		go func(w int) {
-			defer qwg.Done()
-			client := &http.Client{Timeout: 10 * time.Second}
-			for i := w; ; i++ {
-				select {
-				case <-stopQ:
-					return
-				default:
-				}
-				t0 := time.Now()
-				resp, err := client.Get(urls[i%len(urls)])
-				if err == nil {
-					_, err = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-				d := time.Since(t0)
-				qmu.Lock()
-				requests++
-				if err != nil {
-					qerrors++
-				} else {
-					latencies = append(latencies, d.Seconds())
-				}
-				qmu.Unlock()
-			}
-		}(w)
-	}
-
-	start := time.Now()
-	f.Start()
-	for {
-		if f.Health().Completed >= int64(p.total) {
-			break
-		}
-		if e := joinErr.Load(); e != nil {
-			f.Stop()
-			return nil, e.(error)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	wall := time.Since(start).Seconds()
-	close(stopQ)
-	qwg.Wait()
-	f.Stop()
-
-	h := f.Health()
-	mv := f.Aggregate().MetricsView()
-	iv := f.Aggregate().IncidentsView()
-	res := &churnResult{
-		VehiclesInitial:           p.vehicles,
-		VehiclesTotal:             p.total,
-		VehiclesCompleted:         h.Completed,
-		VehiclesRemovedEarly:      h.Removed,
-		WallSeconds:               wall,
-		VehiclesPerSecond:         float64(h.Completed) / wall,
-		SimBitsTotal:              mv.SimBits,
-		AggregateSimBitsPerSecond: float64(mv.SimBits) / wall,
-		LogicalUpdates:            mv.LogicalUpdates,
-		CommitCalls:               mv.CommitCalls,
-		CommittedDelta:            mv.CommittedDelta,
-		SpliceBitsTotal:           sumFamily(mv, "michican_ff_splice_bits_total"),
-		Incidents:                 iv.Totals,
-		PlanCache:                 f.Plans().Stats(),
-		PlanCacheHitRate:          f.Plans().HitRate(),
-	}
-	if res.CommitCalls > 0 {
-		res.UpdatesPerCommit = float64(res.LogicalUpdates) / float64(res.CommitCalls)
-	}
-	qmu.Lock()
-	res.Query.Requests = requests
-	res.Query.Errors = qerrors
-	if len(latencies) > 0 {
-		p50, _ := stats.Percentile(latencies, 50)
-		p95, _ := stats.Percentile(latencies, 95)
-		p99, _ := stats.Percentile(latencies, 99)
-		res.Query.P50Ms = p50 * 1e3
-		res.Query.P95Ms = p95 * 1e3
-		res.Query.P99Ms = p99 * 1e3
-		mx := latencies[0]
-		for _, l := range latencies {
-			if l > mx {
-				mx = l
-			}
-		}
-		res.Query.MaxMs = mx * 1e3
-	}
-	qmu.Unlock()
-	return res, nil
-}
-
-// runScalingCell runs the same fixed vehicle set (no churn, no query load)
-// at one worker count and reports aggregate simulation throughput.
-func runScalingCell(cfg fleet.Config, p benchParams, workers int) (scalingRow, error) {
-	cfg.Workers = workers
-	cfg.OnRetire = nil
-	f := fleet.New(cfg) // a fresh plan cache per cell, so cells stay independent
-	for i := 0; i < p.scalingVehicles; i++ {
-		if err := buildAndAdd(f, p.seed, i, p.horizon); err != nil {
-			return scalingRow{}, err
-		}
-	}
-	start := time.Now()
-	f.Start()
-	f.Wait()
-	wall := time.Since(start).Seconds()
-	f.Stop()
-	if wall <= 0 {
-		wall = 1e-9
-	}
-	sim := f.Aggregate().MetricsView().SimBits
-	return scalingRow{
-		Workers:                workers,
-		Vehicles:               p.scalingVehicles,
-		SimBitsTotal:           sim,
-		WallSeconds:            wall,
-		AggregateBitsPerSecond: float64(sim) / wall,
-	}, nil
 }
 
 // runAggOverhead is the CI guard: the same vehicle set is run once through
@@ -780,16 +449,15 @@ func runScalingCell(cfg fleet.Config, p benchParams, workers int) (scalingRow, e
 // commits); the difference is the whole cost of sharding + thresholded
 // aggregation. Two rounds per arm, best-of — the min is robust against
 // scheduler interference on shared runners.
-func runAggOverhead(cfg fleet.Config, vehicles int, horizon, seed int64, budgetPct float64) error {
+func runAggOverhead(stdout io.Writer, cfg fleet.Config, vehicles int, horizon, seed int64, budgetPct float64) error {
 	if horizon <= 0 {
 		return fmt.Errorf("agg-overhead needs -horizon-bits > 0")
 	}
 	cfg.Workers = 1
-	cfg.OnRetire = nil
-	eff := cfg.Defaults()
-	fmt.Printf("==== fleet aggregation overhead guard ====\n")
-	fmt.Printf("%d vehicles x %d bits, slice=%d, commit threshold=%d events / interval=%d bits\n",
-		vehicles, horizon, eff.SliceBits, eff.CommitThreshold, eff.CommitIntervalBits)
+	h := fleet.New(cfg).Health()
+	fmt.Fprintf(stdout, "==== fleet aggregation overhead guard ====\n")
+	fmt.Fprintf(stdout, "%d vehicles x %d bits, slice=%d, commit threshold=%d events / interval=%d bits\n",
+		vehicles, horizon, h.SliceBits, h.CommitThreshold, h.CommitIntervalBits)
 
 	standalone := func() (float64, error) {
 		plans := controller.NewPlanSource() // fresh per round, as each fleet arm's
@@ -808,7 +476,7 @@ func runAggOverhead(cfg fleet.Config, vehicles int, horizon, seed int64, budgetP
 			done = true
 			for _, v := range vs {
 				if rem := horizon - v.Now(); rem > 0 {
-					slice := eff.SliceBits
+					slice := h.SliceBits
 					if rem < slice {
 						slice = rem
 					}
@@ -859,11 +527,11 @@ func runAggOverhead(cfg fleet.Config, vehicles int, horizon, seed int64, budgetP
 		return err
 	}
 	overhead := (fleetWall - soloWall) / soloWall * 100
-	fmt.Printf("standalone %.3fs, fleet %.3fs -> overhead %.2f%% (budget %.1f%%)\n",
+	fmt.Fprintf(stdout, "standalone %.3fs, fleet %.3fs -> overhead %.2f%% (budget %.1f%%)\n",
 		soloWall, fleetWall, overhead, budgetPct)
 	if overhead > budgetPct {
 		return fmt.Errorf("fleet aggregation overhead %.2f%% exceeds %.1f%% budget", overhead, budgetPct)
 	}
-	fmt.Println("ok: within budget")
+	fmt.Fprintln(stdout, "ok: within budget")
 	return nil
 }

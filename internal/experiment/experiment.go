@@ -30,7 +30,8 @@ type Config struct {
 	// Seed makes the randomized pieces (restbus phases) reproducible.
 	Seed int64
 	// Workers bounds the trial-runner pool (see Map): 0 means GOMAXPROCS,
-	// 1 forces the serial reference path. Results are identical either way.
+	// 1 forces the serial reference path. Results are identical either way;
+	// a set Hub forces 1 (see Defaults).
 	Workers int
 	// Mode is the stepping mode (see SteppingModes): "" is the full
 	// fast-forward ladder, ModeExact the per-bit reference path for
@@ -39,8 +40,8 @@ type Config struct {
 	Mode SteppingMode
 	// Hub, when set, wires every testbed participant (bus, defender
 	// controller, defense, restbus, attackers) into the telemetry collector.
-	// The parallel trial runner may share one hub across trials: node names
-	// dedupe and the per-node metric instruments aggregate through atomics.
+	// Every trial shares it: node names dedupe and the per-node metric
+	// instruments aggregate across trials.
 	Hub *telemetry.Hub
 }
 
@@ -54,6 +55,12 @@ func (c Config) Defaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Hub != nil {
+		// Trials that share a hub run one after another: its gauges keep
+		// the last write and its float folds depend on the order of adds,
+		// so parallel trials would make the metrics differ run to run.
+		c.Workers = 1
 	}
 	return c
 }

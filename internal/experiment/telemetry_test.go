@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"michican/internal/telemetry"
 )
@@ -70,6 +71,30 @@ func TestTelemetryCountersMatchControllers(t *testing.T) {
 	}
 	if got := reg.Gauge("michican_tec", "node", tb.defender.Name()).Value(); got != float64(tb.defender.TEC()) {
 		t.Errorf("defender TEC gauge = %v, controller says %d", got, tb.defender.TEC())
+	}
+}
+
+// TestHubMetricsReproducible runs Table II twice into a fresh hub each time,
+// with a two-worker pool asked for, and requires the two metric snapshots to
+// be byte-identical: a shared hub's gauges keep the last write and its float
+// folds depend on the order of adds, so trials must not interleave on it.
+func TestHubMetricsReproducible(t *testing.T) {
+	snapshot := func() string {
+		cfg := goldenCfg(1)
+		cfg.Duration = 200 * time.Millisecond
+		cfg.Workers = 2
+		cfg.Hub = telemetry.NewHub()
+		if _, err := Table2(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := cfg.Hub.Registry().WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if a, b := snapshot(), snapshot(); a != b {
+		t.Errorf("two runs of Table II with a hub gave different metrics:\n%s\nvs\n%s", a, b)
 	}
 }
 

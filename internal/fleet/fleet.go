@@ -23,7 +23,7 @@
 // (the hot path the simulation already pays), and a per-vehicle NetCommitter
 // folds the *net delta* into the fleet-wide Aggregate only when a commit
 // trigger fires — at least CommitThreshold hub events pending, or
-// CommitIntervalBits of simulated time elapsed, whichever comes first, plus
+// commitIntervalBits of simulated time elapsed, whichever comes first, plus
 // a final forced commit when the vehicle retires. Millions of per-event
 // updates per second therefore reach the shared snapshot as a handful of
 // commit batches per second, and the cost of aggregation is independent of
@@ -93,15 +93,6 @@ type Config struct {
 	// CommitThreshold is the net-commit trigger in pending hub events (the
 	// O(1) logical-update proxy). Default 4096.
 	CommitThreshold int64
-	// CommitIntervalBits bounds the staleness of the aggregate: a vehicle
-	// commits at least every this many simulated bits even when quiet.
-	// Default 1_048_576.
-	CommitIntervalBits int64
-	// OnRetire, when set, is invoked (on the worker goroutine, after the
-	// final commit and incident hand-off) each time a vehicle retires. It
-	// must not block; calling Add from it is allowed — that is how churn
-	// drivers backfill departures.
-	OnRetire func(VehicleResult)
 	// OnFinalize, when set, receives each retiring vehicle and its complete
 	// incident log on the worker goroutine, immediately after Finalize and
 	// before the aggregate hand-off. This is the durable store's hook: the
@@ -122,20 +113,12 @@ func (c Config) Defaults() Config {
 	if c.CommitThreshold <= 0 {
 		c.CommitThreshold = 4096
 	}
-	if c.CommitIntervalBits <= 0 {
-		c.CommitIntervalBits = 1 << 20
-	}
 	return c
 }
 
-// VehicleResult summarizes one retired vehicle.
-type VehicleResult struct {
-	ID        int   `json:"id"`
-	SimBits   int64 `json:"sim_bits"`
-	Incidents int   `json:"incidents"`
-	// Removed reports an explicit Remove (vs reaching the horizon).
-	Removed bool `json:"removed"`
-}
+// commitIntervalBits bounds the staleness of the aggregate: a vehicle
+// commits at least every this many simulated bits even when quiet.
+const commitIntervalBits = 1 << 20
 
 // shard is the fleet's bookkeeping around one vehicle.
 type shard struct {
@@ -316,26 +299,17 @@ func (f *Fleet) Stop() {
 }
 
 // onRetired moves a shard to the retired map and wakes waiters.
-func (f *Fleet) onRetired(s *shard, res VehicleResult) {
+func (f *Fleet) onRetired(s *shard, r retiredRecord) {
 	f.mu.Lock()
 	delete(f.byID, s.v.ID())
-	f.retired[s.v.ID()] = retiredRecord{
-		desc:      s.desc,
-		simBits:   res.SimBits,
-		incidents: res.Incidents,
-		removed:   res.Removed,
-	}
+	f.retired[s.v.ID()] = r
 	f.active--
 	f.completed.Add(1)
-	if res.Removed {
+	if r.removed {
 		f.removedN.Add(1)
 	}
 	f.cond.Broadcast()
-	cb := f.cfg.OnRetire
 	f.mu.Unlock()
-	if cb != nil {
-		cb(res)
-	}
 }
 
 // worker owns a disjoint set of shards and advances them round-robin.
@@ -443,7 +417,7 @@ func (w *worker) commit(s *shard, force bool) {
 	pendingEvents := s.v.Hub().EmitCount() - s.lastEmits
 	now := s.v.Now()
 	pendingBits := now - s.lastCommitBits
-	if !force && pendingEvents < cfg.CommitThreshold && pendingBits < cfg.CommitIntervalBits {
+	if !force && pendingEvents < cfg.CommitThreshold && pendingBits < commitIntervalBits {
 		return
 	}
 	if pendingEvents == 0 && pendingBits == 0 {
@@ -472,14 +446,14 @@ func (w *worker) retire(s *shard) {
 		cb(s.v, incs)
 	}
 	w.f.agg.handOff(s.v.ID(), incs)
-	res := VehicleResult{
-		ID:        s.v.ID(),
-		SimBits:   s.v.Now(),
-		Incidents: len(incs),
-		Removed:   s.removed.Load(),
+	r := retiredRecord{
+		desc:      s.desc,
+		simBits:   s.v.Now(),
+		incidents: len(incs),
+		removed:   s.removed.Load(),
 	}
 	w.drop(s)
-	w.f.onRetired(s, res)
+	w.f.onRetired(s, r)
 }
 
 // Health is the /fleet/healthz payload.
@@ -509,7 +483,7 @@ func (f *Fleet) Health() Health {
 		Removed:            f.removedN.Load(),
 		SliceBits:          f.cfg.SliceBits,
 		CommitThreshold:    f.cfg.CommitThreshold,
-		CommitIntervalBits: f.cfg.CommitIntervalBits,
+		CommitIntervalBits: commitIntervalBits,
 	}
 }
 

@@ -207,7 +207,8 @@ func TestIncidentHandOff(t *testing.T) {
 }
 
 // TestRemoveRetiresWithoutHorizon covers explicit removal: a horizon-less
-// vehicle runs until removed, and removal before Start retires it cleanly.
+// vehicle runs until removed, removal before Start retires it cleanly, and
+// the retired identity cannot join again.
 func TestRemoveRetiresWithoutHorizon(t *testing.T) {
 	f := fleet.New(fleet.Config{Workers: 1})
 	v, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(testSeed, 0, 0, false))
@@ -233,65 +234,12 @@ func TestRemoveRetiresWithoutHorizon(t *testing.T) {
 	if f.Remove(v.ID()) {
 		t.Fatal("Remove(retired id) = true")
 	}
-}
-
-// TestChurnViaOnRetire drives the churn-driver shape the benchmark uses:
-// every retirement backfills a joiner until the budget runs out, and the
-// duplicate-id guard rejects re-joining a retired identity.
-func TestChurnViaOnRetire(t *testing.T) {
-	const initial, total = 3, 8
-	var f *fleet.Fleet
-	next := make(chan int, total)
-	for i := initial; i < total; i++ {
-		next <- i
-	}
-	close(next)
-	joinErr := make(chan error, total)
-	f = fleet.New(fleet.Config{
-		Workers: 2,
-		OnRetire: func(fleet.VehicleResult) {
-			i, ok := <-next
-			if !ok {
-				return
-			}
-			v, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(testSeed, i, testHorizon/4, false))
-			if err == nil {
-				err = f.Add(v)
-			}
-			if err != nil {
-				joinErr <- err
-			}
-		},
-	})
-	for i := 0; i < initial; i++ {
-		v, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(testSeed, i, testHorizon/4, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Start()
-	for f.Health().Completed < total {
-		f.Wait() // returns at active==0; churn may have already backfilled
-	}
-	f.Stop()
-	select {
-	case err := <-joinErr:
-		t.Fatalf("churn join failed: %v", err)
-	default:
-	}
-	h := f.Health()
-	if h.Joined != total || h.Completed != total {
-		t.Fatalf("joined=%d completed=%d, want %d each", h.Joined, h.Completed, total)
-	}
 	// A retired identity must not be re-joinable.
-	v, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(testSeed, 0, testHorizon/4, false))
+	again, err := experiment.NewFleetVehicle(experiment.FleetSpecAt(testSeed, 0, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Add(v); err == nil {
+	if err := f.Add(again); err == nil {
 		t.Fatal("re-adding a retired id succeeded")
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Sink drain thresholds when SinkOptions leaves them zero. They mirror the
-// fleet's net-commit discipline (CommitThreshold / CommitIntervalBits): drain
+// fleet's net-commit discipline (an event threshold or a bit interval): drain
 // when enough events have accumulated or when the simulation has advanced far
 // enough that even a quiet store should make its tail durable.
 const (
