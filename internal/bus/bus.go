@@ -78,6 +78,21 @@ type Node interface {
 	Observe(t BitTime, level can.Level)
 }
 
+// Waker is an optional node capability: time-triggered work the node does
+// at a bit boundary, before any node drives that bit (a periodic send's
+// enqueue). The bus bounds every fast-forward op at the earliest wake of any
+// attached node, so a wake lands on exactly the bit it names on every rung.
+//
+// NextWake returns the bit time of the node's next wake, or
+// QuiescentForever for none; it may rise between wakes (a cancelled send)
+// but fall only through Wake. Wake
+// runs the work due at now; the bus calls it once NextWake() <= now, before
+// the bit is driven, and reads NextWake again afterwards.
+type Waker interface {
+	NextWake() BitTime
+	Wake(now BitTime)
+}
+
 // Tap is a passive observer (logic analyzer) that sees every resolved bit
 // but never drives the wire.
 type Tap interface {
@@ -95,6 +110,11 @@ type Bus struct {
 	now     BitTime
 	idleRun int
 	last    can.Level
+
+	// wake is the earliest NextWake of any attached Waker (QuiescentForever
+	// for none): no op crosses it, and the bit it names starts with the due
+	// nodes' Wake calls.
+	wake BitTime
 
 	// top is the highest fast-forward rung this bus may take (SetLadder);
 	// pinned has bit r set while some participant lacks a capability rung r
@@ -128,6 +148,7 @@ type Bus struct {
 // asserts; a nil capability means the node lacks it.
 type nodeRec struct {
 	n       Node
+	wake    Waker
 	quiet   Quiescent
 	run     RunObserver
 	contend ContendCommitter
@@ -143,7 +164,7 @@ type tapRec struct {
 
 // New creates an idle bus running at the given rate.
 func New(rate Rate) *Bus {
-	return &Bus{rate: rate, last: can.Recessive, top: RungSplice}
+	return &Bus{rate: rate, last: can.Recessive, top: RungSplice, wake: QuiescentForever}
 }
 
 // Rate returns the configured bus speed.
@@ -166,12 +187,16 @@ func (b *Bus) Elapsed() time.Duration { return b.rate.Duration(int64(b.now)) }
 // (e.g. plugging a device into the OBD-II port).
 func (b *Bus) Attach(n Node) {
 	r := nodeRec{n: n}
+	r.wake, _ = n.(Waker)
 	r.quiet, _ = n.(Quiescent)
 	r.run, _ = n.(RunObserver)
 	r.contend, _ = n.(ContendCommitter)
 	r.splice, _ = n.(Splicing)
 	b.nodes = append(b.nodes, r)
 	b.repin()
+	if r.wake != nil {
+		b.wake = min(b.wake, r.wake.NextWake())
+	}
 }
 
 // Detach removes a node from the bus. It reports whether the node was found.
@@ -183,6 +208,7 @@ func (b *Bus) Detach(n Node) bool {
 			b.nodes[last] = nodeRec{} // clear the stale tail so the node can be GC'd
 			b.nodes = b.nodes[:last]
 			b.repin()
+			b.wake = b.now // the next walk or Step recomputes it
 			b.invalidateProposal()
 			return true
 		}
@@ -199,9 +225,28 @@ func (b *Bus) AttachTap(t Tap) {
 	b.repin()
 }
 
+// wakeDue runs the Wake of every node due at the current bit and
+// recomputes the earliest wake.
+func (b *Bus) wakeDue() {
+	b.wake = QuiescentForever
+	for i := range b.nodes {
+		w := b.nodes[i].wake
+		if w == nil {
+			continue
+		}
+		if w.NextWake() <= b.now {
+			w.Wake(b.now)
+		}
+		b.wake = min(b.wake, w.NextWake())
+	}
+}
+
 // Step advances the simulation by one nominal bit time and returns the
-// resolved bus level for that bit.
+// resolved bus level for that bit, waking the nodes due at it first.
 func (b *Bus) Step() can.Level {
+	if b.now >= b.wake {
+		b.wakeDue()
+	}
 	t := b.now
 	level := can.Recessive
 	nodes, taps := b.nodes, b.taps
@@ -247,16 +292,21 @@ func (b *Bus) RunUntil(pred func() bool, maxBits int64) bool {
 	return b.walk(pred, b.now+BitTime(maxBits))
 }
 
-// walk is the ladder walker behind Run and RunUntil. Each iteration commits
-// one op bounded by end, trying the rungs in order — an idle jump, a
-// compiled splice, a contended span — and exact-stepping one bit when every
-// rung declines. pred, when non-nil, is polled after every op and stops the
-// walk when it fires; walk reports whether it did.
+// walk is the ladder walker behind Run and RunUntil. Each iteration wakes
+// the nodes due at the current bit, then commits one op bounded by end and
+// the next wake, trying the rungs in order — an idle jump, a compiled
+// splice, a contended span — and exact-stepping one bit when every rung
+// declines. pred, when non-nil, is polled after every op and stops the walk
+// when it fires; walk reports whether it did.
 func (b *Bus) walk(pred func() bool, end BitTime) bool {
 	start := b.now
 	fired := false
 	for b.now < end {
-		if !b.tryFastForward(end) && !b.trySpliceForward(end) && !b.tryContendForward(end) {
+		if b.now >= b.wake {
+			b.wakeDue()
+		}
+		stop := min(end, b.wake)
+		if !b.tryFastForward(stop) && !b.trySpliceForward(stop) && !b.tryContendForward(stop) {
 			b.Step()
 		}
 		if pred != nil && pred() {

@@ -1,6 +1,8 @@
 package bus
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -218,4 +220,75 @@ func TestGroupLockstep(t *testing.T) {
 	}
 	empty := NewGroup()
 	empty.Step() // must not panic
+}
+
+// periodicNode wakes every period bits from first and is otherwise idle
+// forever; it logs its wakes and drives.
+type periodicNode struct {
+	period, next BitTime
+	wakes        []BitTime
+	log          []string
+}
+
+func (n *periodicNode) Drive(t BitTime) can.Level {
+	n.log = append(n.log, fmt.Sprint("drive ", t))
+	return can.Recessive
+}
+func (n *periodicNode) Observe(BitTime, can.Level)     {}
+func (n *periodicNode) QuiescentUntil(BitTime) BitTime { return QuiescentForever }
+func (n *periodicNode) SkipIdle(BitTime, BitTime)      {}
+func (n *periodicNode) NextWake() BitTime              { return n.next }
+func (n *periodicNode) Wake(now BitTime) {
+	n.wakes = append(n.wakes, now)
+	n.log = append(n.log, fmt.Sprint("wake ", now))
+	n.next = now + n.period
+}
+
+// TestWakesLandOnTheirBits checks that a node's wake runs at exactly the bit
+// it names, before that bit is driven, whether the bus is run on the
+// ladder, stepped bit by bit or stepped in a group, and that a detached
+// node is not woken.
+func TestWakesLandOnTheirBits(t *testing.T) {
+	want := []BitTime{3, 13, 23, 33, 43}
+	newNode := func() *periodicNode { return &periodicNode{period: 10, next: 3} }
+
+	n := newNode()
+	b := New(Rate500k)
+	b.Attach(n)
+	b.Run(50)
+	if !slices.Equal(n.wakes, want) {
+		t.Errorf("ladder: wakes at %v, want %v", n.wakes, want)
+	}
+	if b.IdleForwardedBits() != 50 {
+		t.Errorf("ladder: %d of 50 bits idle-forwarded", b.IdleForwardedBits())
+	}
+
+	n = newNode()
+	b = New(Rate500k)
+	b.Attach(n)
+	for range 50 {
+		b.Step()
+	}
+	if !slices.Equal(n.wakes, want) {
+		t.Errorf("steps: wakes at %v, want %v", n.wakes, want)
+	}
+	if i := slices.Index(n.log, "wake 13"); i < 0 || n.log[i+1] != "drive 13" || n.log[i-1] != "drive 12" {
+		t.Errorf("steps: wake 13 not between drives 12 and 13: %v", n.log)
+	}
+
+	n = newNode()
+	fast, slow := New(Rate500k), New(Rate125k)
+	fast.Attach(n)
+	NewGroup(fast, slow).RunFor(100 * time.Microsecond) // 50 bits at 500k
+	if !slices.Equal(n.wakes, want) {
+		t.Errorf("group: wakes at %v, want %v", n.wakes, want)
+	}
+
+	if !fast.Detach(n) {
+		t.Fatal("group: node not found")
+	}
+	fast.Run(100)
+	if !slices.Equal(n.wakes, want) {
+		t.Errorf("after detach: wakes at %v, want %v", n.wakes, want)
+	}
 }

@@ -58,14 +58,6 @@ func SimulatedBits() int64 { return simulatedBits.Load() }
 // advanced via the idle (quiescence) fast path.
 func IdleForwardedTotal() int64 { return idleForwardedTotal.Load() }
 
-// AddSimulatedBits credits bits advanced outside the Run family (callers
-// that drive Step directly in their own loops).
-func AddSimulatedBits(n int64) {
-	if n > 0 {
-		simulatedBits.Add(n)
-	}
-}
-
 // Rung is one step of the fast-forward ladder. The ladder is ordered: a bus
 // whose top rung is r tries every rung from RungIdle through r and
 // exact-steps whatever they all decline, so every setting is a prefix of the
@@ -137,10 +129,12 @@ func (b *Bus) FastForwardedBits() int64 {
 	return b.ffSkipped + b.ffContendBits + b.ffSpliceBits
 }
 
-// idleHorizon computes the furthest bit time, bounded by end, through which
-// every node promises quiescence. It returns b.now when any participant pins
-// the bus or declines the promise. It performs no state changes.
+// idleHorizon computes the furthest bit time, bounded by end and the next
+// wake, through which every node promises quiescence. It returns b.now when
+// any participant pins the bus or declines the promise, or a node is due. It
+// performs no state changes.
 func (b *Bus) idleHorizon(end BitTime) BitTime {
+	end = min(end, b.wake)
 	if !b.open(RungIdle) || end <= b.now {
 		return b.now
 	}
@@ -188,8 +182,8 @@ func (b *Bus) jumpIdle(horizon BitTime) {
 // declines, in which case the walker tries the next rung down.
 //
 // The bound matters for correctness: external code only interacts with the
-// bus (Enqueue, Attach, predicate checks) at Run-family boundaries, so a
-// jump may never overshoot the window the caller asked for.
+// bus (Enqueue, Attach, predicate checks) at Run-family boundaries and
+// nodes' wakes, so a jump may never overshoot either.
 func (b *Bus) tryFastForward(end BitTime) bool {
 	horizon := b.idleHorizon(end)
 	if horizon <= b.now {

@@ -18,9 +18,28 @@ type ECU struct {
 	Controller *controller.Controller
 	// Defense is the MichiCAN patch; nil for an unpatched ECU.
 	Defense *Defense
+
+	// sched is the host's periodic send (zero: none) and next its next due
+	// bit.
+	sched Schedule
+	next  bus.BitTime
 }
 
-var _ bus.Node = (*ECU)(nil)
+// Schedule is a host's periodic send: from bit First on, every Period (≥ 1)
+// bits, the ECU enqueues Frame() before the due bit is driven, unless its
+// controller still holds a pending frame. The send is best effort: an
+// instance that finds its predecessor still queued (a spoof fight can stall
+// it) is skipped, not queued behind it.
+type Schedule struct {
+	Period int64
+	First  bus.BitTime
+	Frame  func() can.Frame
+}
+
+var (
+	_ bus.Node  = (*ECU)(nil)
+	_ bus.Waker = (*ECU)(nil)
+)
 
 // NewECU wires a controller and an optional defense into one bus node. The
 // defense learns to recognize the controller's own transmissions so it never
@@ -30,6 +49,28 @@ func NewECU(c *controller.Controller, d *Defense) *ECU {
 		d.cfg.SelfTransmitting = c.Transmitting
 	}
 	return &ECU{Controller: c, Defense: d}
+}
+
+// SetSchedule gives the ECU a periodic send; a zero Schedule stops it. Set
+// it before attaching the ECU, because the bus reads a node's wake at
+// Attach and after each Wake; stopping it is safe at any Run boundary.
+func (e *ECU) SetSchedule(s Schedule) { e.sched, e.next = s, s.First }
+
+// NextWake implements bus.Waker: the schedule's next due bit.
+func (e *ECU) NextWake() bus.BitTime {
+	if e.sched.Frame == nil {
+		return bus.QuiescentForever
+	}
+	return e.next
+}
+
+// Wake implements bus.Waker: the due instance is enqueued unless the
+// previous one is still pending.
+func (e *ECU) Wake(now bus.BitTime) {
+	if e.Controller.PendingTx() == 0 {
+		_ = e.Controller.Enqueue(e.sched.Frame())
+	}
+	e.next = now + bus.BitTime(e.sched.Period)
 }
 
 // SetTelemetry wires both halves of the ECU to a telemetry hub: the

@@ -68,6 +68,9 @@ func busLoadRun(cfg Config, system string) (BusLoadRow, error) {
 	matrix = scaleMatrixToLoad(matrix, cfg.Rate, restbusTargetLoad)
 
 	b := bus.New(cfg.Rate)
+	if err := applyMode(b, cfg.Mode); err != nil {
+		return BusLoadRow{}, err
+	}
 	rec := trace.NewRecorder()
 	b.AttachTap(rec)
 	replay := restbus.NewReplayer("restbus", matrix, cfg.Rate, newRand(cfg.Seed))

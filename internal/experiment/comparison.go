@@ -73,14 +73,24 @@ type comparisonMeta struct {
 }
 
 func comparisonRun(cfg Config, system string) (ComparisonRow, comparisonMeta, error) {
-	b := bus.New(cfg.Rate)
 	row := ComparisonRow{System: system, DetectionBits: -1}
 	var meta comparisonMeta
+	b := bus.New(cfg.Rate)
+	if err := applyMode(b, cfg.Mode); err != nil {
+		return row, meta, err
+	}
+	// The run polls its bus-off instant after every bit, and the IDS and
+	// Parrot nodes pin every rung anyway: step every system exactly.
+	b.SetLadder(bus.RungExact)
 
 	// A benign peer provides ACKs and periodic legitimate traffic that the
 	// IDS can train on.
-	peerPeriod := cfg.Rate.Bits(20 * time.Millisecond)
-	peer := controller.New(controller.Config{Name: "peer", AutoRecover: true})
+	peer := core.NewECU(controller.New(controller.Config{Name: "peer", AutoRecover: true}), nil)
+	peerFrame := can.Frame{ID: 0x0A0, Data: []byte{0x42}}
+	peer.SetSchedule(core.Schedule{
+		Period: cfg.Rate.Bits(20 * time.Millisecond),
+		Frame:  func() can.Frame { return peerFrame },
+	})
 	b.Attach(peer)
 	if cfg.Hub != nil {
 		b.SetTelemetry(cfg.Hub, "bus")
@@ -127,20 +137,7 @@ func comparisonRun(cfg Config, system string) (ComparisonRow, comparisonMeta, er
 	}
 
 	// Warm-up (IDS training) with periodic peer traffic.
-	warmBits := cfg.Rate.Bits(600 * time.Millisecond)
-	nextPeer := bus.BitTime(0)
-	tick := func() {
-		if b.Now() >= nextPeer {
-			if peer.PendingTx() == 0 {
-				_ = peer.Enqueue(can.Frame{ID: 0x0A0, Data: []byte{0x42}})
-			}
-			nextPeer += bus.BitTime(peerPeriod)
-		}
-		b.Step()
-	}
-	for i := int64(0); i < warmBits; i++ {
-		tick()
-	}
+	b.Run(cfg.Rate.Bits(600 * time.Millisecond))
 
 	// Attack: persistent spoof of the defender's ID.
 	att := attack.NewFabrication(comparisonAttacker, DefenderID,
@@ -151,20 +148,10 @@ func comparisonRun(cfg Config, system string) (ComparisonRow, comparisonMeta, er
 	attackStart := b.Now()
 	meta.attackStart = int64(attackStart)
 	b.Attach(att)
-	total := cfg.Rate.Bits(cfg.Duration)
 	busOffAt := bus.BitTime(-1)
-	for i := int64(0); i < total; i++ {
-		tick()
-		if busOffAt < 0 && att.Controller().Stats().BusOffEvents > 0 {
-			busOffAt = b.Now()
-			break
-		}
+	if b.RunUntil(func() bool { return att.Controller().Stats().BusOffEvents > 0 }, cfg.Rate.Bits(cfg.Duration)) {
+		busOffAt = b.Now()
 	}
-
-	// The IDS and Parrot nodes pin this bus to exact stepping (they have no
-	// quiescence capability), so the per-bit loops above are the real cost;
-	// credit them to the process-wide throughput counter.
-	bus.AddSimulatedBits(int64(b.Now()))
 	meta.endAt = int64(b.Now())
 
 	if detectedAt >= 0 {

@@ -99,6 +99,9 @@ func cpuRun(cfg Config, profile mcu.Profile, rate bus.Rate, matrix *restbus.Matr
 	}
 
 	b := bus.New(rate)
+	if err := applyMode(b, cfg.Mode); err != nil {
+		return CPURow{}, err
+	}
 	defCtl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
 	b.Attach(core.NewECU(defCtl, def))
 	// Replay the matrix minus the defender's own message (the other ECUs);

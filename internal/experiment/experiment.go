@@ -69,6 +69,18 @@ func (c Config) Defaults() Config {
 // experiments (Sec. V-C).
 const DefenderID can.ID = 0x173
 
+// defenderSends is the defended ECU's own traffic in the paper's testbed
+// (Sec. V-C): 0x173 every 25 ms from bit 0. The spoof experiments fight
+// over exactly these sends.
+func defenderSends(rate bus.Rate) core.Schedule {
+	return core.Schedule{Period: rate.Bits(25 * time.Millisecond), Frame: defenderFrame}
+}
+
+// defenderPayload is shared by every instance: Enqueue copies the payload.
+var defenderPayload = []byte{0x11, 0x22}
+
+func defenderFrame() can.Frame { return can.Frame{ID: DefenderID, Data: defenderPayload} }
+
 // testbed is the Sec. V-C topology: a MichiCAN-defended ECU plus optional
 // restbus traffic and a logic-analyzer recorder.
 type testbed struct {
@@ -82,8 +94,9 @@ type testbed struct {
 // newTestbed builds the defended bus. legitimate lists every benign CAN ID
 // other than the defender's own (the restbus matrix when present); the
 // defender's detection FSM covers everything below 0x173 that is not
-// legitimate, plus 0x173 itself.
-func newTestbed(cfg Config, matrix *restbus.Matrix, exclude []can.ID) (*testbed, error) {
+// legitimate, plus 0x173 itself. With sends the defender carries its
+// periodic 0x173 (defenderSends).
+func newTestbed(cfg Config, matrix *restbus.Matrix, exclude []can.ID, sends bool) (*testbed, error) {
 	tb := &testbed{bus: bus.New(cfg.Rate)}
 	if err := applyMode(tb.bus, cfg.Mode); err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
@@ -102,7 +115,11 @@ func newTestbed(cfg Config, matrix *restbus.Matrix, exclude []can.ID) (*testbed,
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	tb.defender = controller.New(controller.Config{Name: "defender", AutoRecover: true})
-	tb.bus.Attach(core.NewECU(tb.defender, tb.defense))
+	ecu := core.NewECU(tb.defender, tb.defense)
+	if sends {
+		ecu.SetSchedule(defenderSends(cfg.Rate))
+	}
+	tb.bus.Attach(ecu)
 
 	if matrix != nil {
 		tb.restbus = restbus.NewReplayer("restbus", matrix, cfg.Rate, newRand(cfg.Seed))

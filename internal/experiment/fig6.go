@@ -77,7 +77,7 @@ func Fig6(cfg Config) (Fig6Result, error) {
 // trial runner.
 func fig6Scenario(cfg Config) (Fig6Result, *testbed, error) {
 	cfg = cfg.Defaults()
-	tb, err := newTestbed(cfg, nil, []can.ID{0x066, 0x067})
+	tb, err := newTestbed(cfg, nil, []can.ID{0x066, 0x067}, false)
 	if err != nil {
 		return Fig6Result{}, nil, err
 	}

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"michican/internal/attack"
 	"michican/internal/bus"
@@ -110,18 +109,16 @@ func fleetAttackers(a FleetAttack) []*attack.Attacker {
 // package's Vehicle interface. Advance/Now/Finalize are worker-owned; Hub
 // and LiveIncidents are safe for concurrent observability reads.
 type FleetVehicle struct {
-	spec       FleetVehicleSpec
-	bb         *bus.Bus
-	hub        *telemetry.Hub
-	stack      *Stack
-	defender   *controller.Controller
-	defense    *core.Defense
-	recorder   *trace.Recorder
-	rp         *restbus.Replayer
-	attackers  []*attack.Attacker
-	periodBits int64
-	nextSend   bus.BitTime
-	finalized  bool
+	spec      FleetVehicleSpec
+	bb        *bus.Bus
+	hub       *telemetry.Hub
+	stack     *Stack
+	defender  *controller.Controller
+	defense   *core.Defense
+	recorder  *trace.Recorder
+	rp        *restbus.Replayer
+	attackers []*attack.Attacker
+	finalized bool
 }
 
 // NewFleetVehicle builds the vehicle from its spec.
@@ -143,9 +140,6 @@ func newFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 		spec: spec,
 		bb:   bus.New(bus.Rate50k),
 		hub:  telemetry.NewHub(),
-		// The defender's periodic 0x173 traffic (Sec. V-C: the defended ECU
-		// sends every 25 ms; the spoof mix fights over exactly these sends).
-		periodBits: bus.Rate50k.Bits(25 * time.Millisecond),
 	}
 	if err := applyMode(v.bb, spec.Mode); err != nil {
 		return nil, fmt.Errorf("fleet vehicle %d: %w", spec.Index, err)
@@ -165,7 +159,9 @@ func newFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
 	}
 	v.defender = controller.New(controller.Config{Name: "defender", AutoRecover: true})
 	v.defense = defense
-	v.bb.Attach(core.NewECU(v.defender, defense))
+	ecu := core.NewECU(v.defender, defense)
+	ecu.SetSchedule(defenderSends(bus.Rate50k))
+	v.bb.Attach(ecu)
 
 	if matrix != nil {
 		v.rp = restbus.NewReplayer("restbus", matrix, bus.Rate50k, newRand(spec.Seed))
@@ -247,30 +243,10 @@ func (v *FleetVehicle) Describe() string {
 		v.spec.Index, v.spec.Load*100, v.spec.Mode, v.spec.Attack, v.spec.Seed)
 }
 
-// Advance implements fleet.Vehicle: run the bus forward in chunks bounded
-// by the defender's periodic send instants, so each enqueue lands at
-// exactly the bit it would in a per-bit loop while the stretches between
-// may fast-forward. The chunking depends only on the vehicle's own clock,
-// never on the fleet's slice boundaries, so any slicing of the same horizon
-// produces the same wire trace.
-func (v *FleetVehicle) Advance(bits int64) {
-	end := v.bb.Now() + bus.BitTime(bits)
-	for v.bb.Now() < end {
-		if v.bb.Now() >= v.nextSend {
-			// Best-effort periodic send; skip while a previous instance is
-			// still queued (a spoof fight can stall it).
-			if v.defender.PendingTx() == 0 {
-				_ = v.defender.Enqueue(can.Frame{ID: DefenderID, Data: []byte{0x11, 0x22}})
-			}
-			v.nextSend += bus.BitTime(v.periodBits)
-		}
-		runTo := v.nextSend
-		if runTo > end {
-			runTo = end
-		}
-		v.bb.Run(int64(runTo - v.bb.Now()))
-	}
-}
+// Advance implements fleet.Vehicle. The defended ECU owns its periodic
+// sends (defenderSends), and the bus bounds every op at a send, so any
+// slicing of the same horizon produces the same wire trace.
+func (v *FleetVehicle) Advance(bits int64) { v.bb.Run(bits) }
 
 // WarmPlans pre-compiles the vehicle's restbus transmit plans (all 256
 // rolling-counter payload instances per message), the work the schedule

@@ -59,13 +59,14 @@ type diffOutcome struct {
 	Counterattacks int
 }
 
-// randomScenario derives a network from the seed: a handful of periodic
+// runRandomScenario derives a network from the seed: a handful of periodic
 // messages with random IDs/DLCs/periods behind one replayer, a
 // MichiCAN-defended ECU, optionally a rival replayer whose schedule is
 // built to provoke arbitration fights, optionally a fabrication attacker
 // that starts at a random bit, and optionally the half-capable pinning
-// observer.
-func runRandomScenario(seed int64, mode SteppingMode, hub *telemetry.Hub) (diffOutcome, ffCounters, error) {
+// observer. With periodic set, the ECU may also send its own ID on a core
+// schedule, with a twin replayer fighting it over that ID.
+func runRandomScenario(seed int64, periodic bool, mode SteppingMode, hub *telemetry.Hub) (diffOutcome, ffCounters, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var out diffOutcome
 	var ff ffCounters
@@ -142,8 +143,34 @@ func runRandomScenario(seed int64, mode SteppingMode, hub *telemetry.Hub) (diffO
 		return out, ff, err
 	}
 
+	// Periodic-host mix, drawn from its own stream so the draws above and
+	// below keep their meaning: with probability ~1/2 the defended ECU sends
+	// its own ID on a core schedule, and with probability ~1/2 of those, on
+	// a bus without the rival's fights, a twin replayer sends the same ID in
+	// phase with it at another payload length — the spoof fight of the
+	// paper's testbed, where the twin is the spoofer and takes the attack
+	// mix's place.
+	prng := rand.New(rand.NewSource(^seed))
 	defCtl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
 	ecu := core.NewECU(defCtl, def)
+	var twin *restbus.Matrix
+	if periodic && prng.Intn(2) == 0 {
+		period := time.Duration(10+prng.Intn(40)) * time.Millisecond
+		periodBits := bus.Rate50k.Bits(period)
+		dlc := prng.Intn(9)
+		sched := core.Schedule{
+			Period: periodBits,
+			First:  bus.BitTime(prng.Int63n(periodBits)),
+			Frame:  func() can.Frame { return can.Frame{ID: DefenderID, Data: make([]byte, dlc)} },
+		}
+		if prng.Intn(2) == 0 && rival == nil {
+			sched.First = 0 // a replayer without a phase source starts at 0
+			twin = &restbus.Matrix{Vehicle: "fuzz", Bus: "twin", Messages: []restbus.Message{{
+				ID: DefenderID, Transmitter: "twin", DLC: (dlc + 1 + prng.Intn(8)) % 9, Period: period,
+			}}}
+		}
+		ecu.SetSchedule(sched)
+	}
 	bb.Attach(ecu)
 	rep := restbus.NewReplayer("restbus", matrix, bus.Rate50k, rand.New(rand.NewSource(seed+1)))
 	bb.Attach(rep)
@@ -164,6 +191,15 @@ func runRandomScenario(seed int64, mode SteppingMode, hub *telemetry.Hub) (diffO
 		ctls = append(ctls, rrep.Controller())
 	}
 
+	if twin != nil {
+		trep := restbus.NewReplayer("twin", twin, bus.Rate50k, nil)
+		bb.Attach(trep)
+		if hub != nil {
+			trep.SetTelemetry(hub)
+		}
+		ctls = append(ctls, trep.Controller())
+	}
+
 	// Pinned-node mix: with probability ~1/3 a half-capable observer joins,
 	// pinning every frame span to exact stepping in every run.
 	pinned := rng.Intn(3) == 0
@@ -176,7 +212,7 @@ func runRandomScenario(seed int64, mode SteppingMode, hub *telemetry.Hub) (diffO
 	// random victim, starting at a random bit.
 	var attacker *attack.Attacker
 	attackStart := int64(0)
-	if rng.Intn(3) != 0 {
+	if twin == nil && rng.Intn(3) != 0 {
 		victim := DefenderID
 		if rng.Intn(3) == 0 {
 			victim = ids[1+rng.Intn(len(ids)-1)]
@@ -239,8 +275,9 @@ const fuzzTotalBits = int64(20_000)
 // with floors set it also requires each arm's own rung to carry bits, which
 // holds for the fixed sweep's seeds but not for every schedule (a saturated
 // bus with two replayers never has the lone transmitter a splice needs).
-// Returns the number of incidents the seed produced.
-func diffSeed(t *testing.T, seed int64, floors bool) int {
+// periodic adds the periodic-host mix (runRandomScenario). Returns the number
+// of incidents the seed produced.
+func diffSeed(t *testing.T, seed int64, floors, periodic bool) int {
 	t.Helper()
 	// Every wired arm also carries a live watch engine: SLO verdicts and
 	// alert transitions must be as stepping-mode-invariant as the forensics
@@ -255,7 +292,7 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 		return e.Incidents()
 	}
 
-	exact, exFF, err := runRandomScenario(seed, ModeExact, nil)
+	exact, exFF, err := runRandomScenario(seed, periodic, ModeExact, nil)
 	if err != nil {
 		t.Fatalf("seed %d exact: %v", seed, err)
 	}
@@ -263,7 +300,7 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 		t.Fatalf("seed %d: exact run fast-forwarded", seed)
 	}
 	idleHub, idleEng, idleW := newEng(false)
-	idle, idleFF, err := runRandomScenario(seed, ModeIdleFF, idleHub)
+	idle, idleFF, err := runRandomScenario(seed, periodic, ModeIdleFF, idleHub)
 	if err != nil {
 		t.Fatalf("seed %d idle: %v", seed, err)
 	}
@@ -274,7 +311,7 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 		t.Errorf("seed %d: disabled fast path engaged on idle-ff arm", seed)
 	}
 	contendHub, contendEng, contendW := newEng(false)
-	contend, contendFF, err := runRandomScenario(seed, ModeContendFF, contendHub)
+	contend, contendFF, err := runRandomScenario(seed, periodic, ModeContendFF, contendHub)
 	if err != nil {
 		t.Fatalf("seed %d contend: %v", seed, err)
 	}
@@ -285,7 +322,7 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 		t.Errorf("seed %d: splice path engaged while disabled", seed)
 	}
 	spliceHub, spliceEng, spliceW := newEng(false)
-	splice, spliceFF, err := runRandomScenario(seed, ModeSpliceFF, spliceHub)
+	splice, spliceFF, err := runRandomScenario(seed, periodic, ModeSpliceFF, spliceHub)
 	if err != nil {
 		t.Fatalf("seed %d splice: %v", seed, err)
 	}
@@ -293,7 +330,7 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 		t.Errorf("seed %d: splice fast path never engaged with no pinning node", seed)
 	}
 	hub, wiredEng, wiredW := newEng(true)
-	wired, _, err := runRandomScenario(seed, ModeExact, hub)
+	wired, _, err := runRandomScenario(seed, periodic, ModeExact, hub)
 	if err != nil {
 		t.Fatalf("seed %d wired: %v", seed, err)
 	}
@@ -430,7 +467,9 @@ func diffSeed(t *testing.T, seed int64, floors bool) int {
 // TestFastForwardDifferentialRandom sweeps a fixed seed range through the
 // differential: random schedules, rival-replayer arbitration fights, attack
 // start bits, and pinned-node mixes must produce bit-identical traces and
-// identical TEC/REC/bus-off counters across all stepping modes.
+// identical TEC/REC/bus-off counters across all stepping modes. Each seed
+// runs a second time with the periodic-host mix, without engagement floors:
+// the ECU's sends and the twin's fight saturate some of these buses.
 func TestFastForwardDifferentialRandom(t *testing.T) {
 	seeds := int64(30)
 	if testing.Short() {
@@ -438,7 +477,8 @@ func TestFastForwardDifferentialRandom(t *testing.T) {
 	}
 	incidents := 0
 	for seed := int64(1); seed <= seeds; seed++ {
-		incidents += diffSeed(t, seed, true)
+		incidents += diffSeed(t, seed, true, false)
+		incidents += diffSeed(t, seed, false, true)
 	}
 	// The attack mix guarantees defender-ID spoofs across the sweep; if no
 	// seed produced an incident, the forensics parity leg compared nothing.
@@ -448,13 +488,15 @@ func TestFastForwardDifferentialRandom(t *testing.T) {
 }
 
 // FuzzFastForwardDifferential lets the fuzzer explore seeds beyond the fixed
-// sweep: any seed for which the fast path diverges from exact stepping is a
-// crasher. Engagement floors are the fixed sweep's job.
+// sweep, with and without the periodic-host mix: any seed for which the fast
+// path diverges from exact stepping is a crasher. Engagement floors are the
+// fixed sweep's job.
 func FuzzFastForwardDifferential(f *testing.F) {
 	for _, seed := range []int64{1, 2, 7, 42, 99, 123, 1<<40 + 3} {
-		f.Add(seed)
+		f.Add(seed, false)
+		f.Add(seed, true)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		diffSeed(t, seed, false)
+	f.Fuzz(func(t *testing.T, seed int64, periodic bool) {
+		diffSeed(t, seed, false, periodic)
 	})
 }

@@ -119,7 +119,7 @@ func ValidateTable3(cfg Config) (Table3Validation, error) {
 	var out Table3Validation
 
 	matrix := restbus.Buses(restbus.VehD)[0]
-	tb, err := newTestbed(cfg, matrix, []can.ID{DefenderID})
+	tb, err := newTestbed(cfg, matrix, []can.ID{DefenderID}, false)
 	if err != nil {
 		return out, err
 	}

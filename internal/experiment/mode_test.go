@@ -7,15 +7,19 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"michican/internal/bus"
+	"michican/internal/mcu"
 	"michican/internal/store"
 )
 
 // TestSteppingModeValidation pins how every constructor that takes a stepping
 // mode treats each valid mode, the empty mode (the full ladder) and an
 // unknown one (an error naming it), including the retired "frame-ff": the
-// fleet vehicle, the throughput scenario, the experiments' Config.Mode, and a
-// durable vehicle started fresh or resumed from a stored spec.
+// fleet vehicle, the throughput scenario, the experiments' Config.Mode (the
+// testbed and each study that builds its own bus), and a durable vehicle
+// started fresh or resumed from a stored spec.
 func TestSteppingModeValidation(t *testing.T) {
 	cases := []struct {
 		mode SteppingMode
@@ -45,8 +49,19 @@ func TestSteppingModeValidation(t *testing.T) {
 			}
 			_, err = ThroughputScenario(0.02, tc.mode)
 			check("ThroughputScenario", err)
-			_, err = newTestbed(Config{Mode: tc.mode}.Defaults(), nil, nil)
+			_, err = newTestbed(Config{Mode: tc.mode}.Defaults(), nil, nil, false)
 			check("Config.Mode", err)
+			study := Config{Mode: tc.mode, Duration: 20 * time.Millisecond}
+			_, err = CPUUtilization(study, mcu.ArduinoDue, bus.Rate125k, true)
+			check("CPUUtilization", err)
+			_, err = ParkSense(study)
+			check("ParkSense", err)
+			_, err = SplitScenario(study)
+			check("SplitScenario", err)
+			_, err = BusLoad(study)
+			check("BusLoad", err)
+			_, err = DefenseComparison(study)
+			check("DefenseComparison", err)
 
 			dir := filepath.Join(t.TempDir(), "fresh")
 			dv, err := StartDurableVehicle(dir, spec, 0, "", store.SinkOptions{})

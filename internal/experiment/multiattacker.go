@@ -62,7 +62,7 @@ func runMultiAttacker(cfg Config, a int) (MultiAttackerRow, error) {
 	for i := range ids {
 		ids[i] = can.ID(0x066 + i)
 	}
-	tb, err := newTestbed(cfg, nil, ids)
+	tb, err := newTestbed(cfg, nil, ids, false)
 	if err != nil {
 		return MultiAttackerRow{}, err
 	}

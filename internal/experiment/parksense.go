@@ -55,6 +55,9 @@ func ParkSense(cfg Config) (ParkSenseResult, error) {
 	matrix := vehicle.Matrix()
 
 	b := bus.New(cfg.Rate)
+	if err := applyMode(b, cfg.Mode); err != nil {
+		return ParkSenseResult{}, err
+	}
 	// The Pacifica matrix is hand-sized for the prototype rate (unlike the
 	// captured Veh.-D traffic) — replay it at native periods so the
 	// dashboard's watchdog (3 ParkSense periods) stays meaningful.

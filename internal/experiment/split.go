@@ -56,11 +56,13 @@ func SplitScenario(cfg Config) (SplitResult, error) {
 	}
 
 	b := bus.New(cfg.Rate)
-	type member struct {
-		ctl *controller.Controller
-		def *core.Defense
+	if err := applyMode(b, cfg.Mode); err != nil {
+		return SplitResult{}, err
 	}
-	members := make([]member, n)
+	// Benign phase: every ECU broadcasts periodically, member i at phase
+	// i·period/n; measure CPU loads.
+	period := cfg.Rate.Bits(40 * time.Millisecond)
+	members := make([]*core.ECU, n)
 	for i := 0; i < n; i++ {
 		var ds *fsm.DetectionSet
 		if i < n/2 {
@@ -81,35 +83,27 @@ func SplitScenario(cfg Config) (SplitResult, error) {
 		if err != nil {
 			return SplitResult{}, err
 		}
-		members[i] = member{ctl: ctl, def: def}
-		b.Attach(core.NewECU(ctl, def))
+		members[i] = core.NewECU(ctl, def)
+		frame := can.Frame{ID: ids[i], Data: []byte{byte(i)}}
+		members[i].SetSchedule(core.Schedule{
+			Period: period,
+			First:  bus.BitTime(int64(i) * period / n),
+			Frame:  func() can.Frame { return frame },
+		})
+		b.Attach(members[i])
 	}
 
 	res := SplitResult{ECUs: n}
-
-	// Benign phase: every ECU broadcasts periodically; measure CPU loads.
-	period := cfg.Rate.Bits(40 * time.Millisecond)
-	next := make([]bus.BitTime, n)
-	for i := range next {
-		next[i] = bus.BitTime(int64(i) * period / int64(n))
-	}
-	benignBits := cfg.Rate.Bits(500 * time.Millisecond)
-	for t := int64(0); t < benignBits; t++ {
-		for i := range members {
-			if b.Now() >= next[i] {
-				if members[i].ctl.PendingTx() == 0 {
-					_ = members[i].ctl.Enqueue(can.Frame{ID: ids[i], Data: []byte{byte(i)}})
-				}
-				next[i] += bus.BitTime(period)
-			}
-		}
-		b.Step()
+	b.Run(cfg.Rate.Bits(500 * time.Millisecond))
+	// The attacks below run without benign traffic.
+	for _, m := range members {
+		m.SetSchedule(core.Schedule{})
 	}
 	// CPU utilization on a representative light (index 0) and full (index
 	// n-1, the largest range) member. Metering here runs at the 50 kbit/s
 	// prototype rate scaled to 125k for comparability with Sec. V-D.
-	res.LightLoad = members[0].def.Meter().CombinedLoad(int(bus.Rate125k))
-	res.FullLoad = members[n-1].def.Meter().CombinedLoad(int(bus.Rate125k))
+	res.LightLoad = members[0].Defense.Meter().CombinedLoad(int(bus.Rate125k))
+	res.FullLoad = members[n-1].Defense.Meter().CombinedLoad(int(bus.Rate125k))
 
 	// Attack 1: a DoS below everyone — only the full half can see it.
 	dos := attack.NewTargetedDoS("dos", 0x010)

@@ -133,7 +133,7 @@ func runTable2Scenario(cfg Config, spec experimentSpec) ([]Table2Row, *testbed, 
 	}
 	exclude := make([]can.ID, len(spec.measured))
 	copy(exclude, spec.measured)
-	tb, err := newTestbed(cfg, matrix, exclude)
+	tb, err := newTestbed(cfg, matrix, exclude, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -145,29 +145,9 @@ func runTable2Scenario(cfg Config, spec experimentSpec) ([]Table2Row, *testbed, 
 		}
 		tb.bus.Attach(a)
 	}
-	// The defender's own periodic 0x173 traffic (Sec. V-C: the defended ECU
-	// is configured to send 0x173). In experiment 1/2 the spoofer fights
-	// over this very ID. The bus advances in chunks bounded by the next
-	// send instant, so each enqueue happens at exactly the bit it would in
-	// a per-bit loop while the stretches in between may fast-forward.
-	defenderPeriod := cfg.Rate.Bits(25 * time.Millisecond)
-	next := bus.BitTime(0)
-	end := tb.bus.Now() + bus.BitTime(cfg.Rate.Bits(cfg.Duration))
-	for tb.bus.Now() < end {
-		if tb.bus.Now() >= next {
-			// Best-effort periodic send; skip while a previous instance is
-			// still queued (the spoof fight can stall it).
-			if tb.defender.PendingTx() == 0 {
-				_ = tb.defender.Enqueue(can.Frame{ID: DefenderID, Data: []byte{0x11, 0x22}})
-			}
-			next += bus.BitTime(defenderPeriod)
-		}
-		runTo := next
-		if runTo > end {
-			runTo = end
-		}
-		tb.bus.Run(int64(runTo - tb.bus.Now()))
-	}
+	// In experiments 1 and 2 the spoofer fights over the defender's own
+	// periodic 0x173 (defenderSends).
+	tb.bus.Run(cfg.Rate.Bits(cfg.Duration))
 
 	events := trace.Decode(tb.recorder.Bits(), tb.recorder.Start())
 	var rows []Table2Row

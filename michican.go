@@ -149,16 +149,14 @@ func NewNetwork(rate Rate) *Network {
 func (n *Network) Seed(seed int64) { n.rng = rand.New(rand.NewSource(seed)) }
 
 // ECU is a declared legitimate node. Its defense and controller come to life
-// when the network starts.
+// when the network starts, as one core.ECU bus node that also owns the
+// periodic send.
 type ECU struct {
 	cfg     ECUConfig
 	net     *Network
 	ctl     *controller.Controller
 	defense *core.Defense
-
-	periodBits int64
-	nextDue    BitTime
-	seq        byte
+	seq     byte
 }
 
 // AddECU declares a legitimate ECU. All ECUs must be declared before the
@@ -218,7 +216,7 @@ func (n *Network) Start() error {
 		if err := e.build(ivn); err != nil {
 			return fmt.Errorf("ECU %s: %w", e.cfg.Name, err)
 		}
-		n.bus.Attach(e)
+		n.bus.Attach(e.node())
 	}
 	n.started = true
 	return nil
@@ -276,13 +274,6 @@ func (n *Network) BusLoad() float64 {
 // build constructs the ECU's controller and defense once the IVN is known.
 func (e *ECU) build(ivn *fsm.IVN) error {
 	e.ctl = controller.New(controller.Config{Name: e.cfg.Name, AutoRecover: true})
-	if e.cfg.Period > 0 {
-		e.periodBits = e.net.rate.Bits(e.cfg.Period)
-		if e.periodBits < 1 {
-			e.periodBits = 1
-		}
-		e.nextDue = BitTime(e.net.rng.Int63n(e.periodBits))
-	}
 	if e.cfg.Defense == DefenseOff {
 		return nil
 	}
@@ -300,11 +291,10 @@ func (e *ECU) build(ivn *fsm.IVN) error {
 		return err
 	}
 	cfg := core.Config{
-		Name:             e.cfg.Name + "/michican",
-		FSM:              fsm.Build(ds),
-		Profile:          e.cfg.Profile,
-		SelfTransmitting: e.ctl.Transmitting,
-		ExtendedAware:    e.cfg.ExtendedAware,
+		Name:          e.cfg.Name + "/michican",
+		FSM:           fsm.Build(ds),
+		Profile:       e.cfg.Profile,
+		ExtendedAware: e.cfg.ExtendedAware,
 	}
 	if e.cfg.Defense == DefenseDetectOnly {
 		e.defense, err = core.NewDetectionOnly(cfg)
@@ -312,6 +302,26 @@ func (e *ECU) build(ivn *fsm.IVN) error {
 		e.defense, err = core.New(cfg)
 	}
 	return err
+}
+
+// node wires the built ECU into one bus node. A periodic ECU's first send
+// falls at a random bit within its first period.
+func (e *ECU) node() *core.ECU {
+	node := core.NewECU(e.ctl, e.defense)
+	if e.cfg.Period > 0 {
+		period := max(e.net.rate.Bits(e.cfg.Period), 1)
+		node.SetSchedule(core.Schedule{Period: period, First: BitTime(e.net.rng.Int63n(period)), Frame: e.periodic})
+	}
+	return node
+}
+
+// periodic is the ECU's next periodic message: DLC bytes led by a sequence
+// number.
+func (e *ECU) periodic() can.Frame {
+	e.seq++
+	data := make([]byte, e.cfg.DLC)
+	data[0] = e.seq
+	return can.Frame{ID: e.cfg.ID, Data: data}
 }
 
 // Send schedules a frame for transmission from this ECU.
@@ -345,68 +355,6 @@ func (e *ECU) Defense() *core.Defense { return e.defense }
 
 // Controller exposes the ECU's protocol controller.
 func (e *ECU) Controller() *controller.Controller { return e.ctl }
-
-// Drive implements bus.Node.
-func (e *ECU) Drive(t BitTime) can.Level {
-	level := e.ctl.Drive(t)
-	if e.defense != nil {
-		level = level.And(e.defense.Drive(t))
-	}
-	return level
-}
-
-// Observe implements bus.Node: periodic application traffic plus the
-// controller and defense.
-func (e *ECU) Observe(t BitTime, level can.Level) {
-	if e.periodBits > 0 && t >= e.nextDue {
-		e.nextDue = t + BitTime(e.periodBits)
-		if e.ctl.PendingTx() == 0 {
-			e.seq++
-			data := make([]byte, e.cfg.DLC)
-			if e.cfg.DLC > 0 {
-				data[0] = e.seq
-			}
-			_ = e.ctl.Enqueue(can.Frame{ID: e.cfg.ID, Data: data})
-		}
-	}
-	e.ctl.Observe(t, level)
-	if e.defense != nil {
-		e.defense.Observe(t, level)
-	}
-}
-
-var _ Node = (*ECU)(nil)
-var _ bus.Quiescent = (*ECU)(nil)
-
-// QuiescentUntil implements bus.Quiescent: the ECU wakes for its next
-// periodic send, its controller's work, or its defense's frame state —
-// whichever comes first.
-func (e *ECU) QuiescentUntil(now BitTime) BitTime {
-	h := e.ctl.QuiescentUntil(now)
-	if e.defense != nil {
-		if hd := e.defense.QuiescentUntil(now); hd < h {
-			h = hd
-		}
-	}
-	if e.periodBits > 0 {
-		if e.nextDue <= now {
-			return now
-		}
-		if e.nextDue < h {
-			h = e.nextDue
-		}
-	}
-	return h
-}
-
-// SkipIdle implements bus.Quiescent: the periodic-send schedule is absolute
-// (nextDue), so only the controller and defense carry per-bit state.
-func (e *ECU) SkipIdle(from, to BitTime) {
-	e.ctl.SkipIdle(from, to)
-	if e.defense != nil {
-		e.defense.SkipIdle(from, to)
-	}
-}
 
 // Attacker is a compromised node injected into the network.
 type Attacker = attack.Attacker

@@ -2,9 +2,11 @@ package michican
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/restbus"
 	"michican/internal/trace"
@@ -359,5 +361,71 @@ func TestFacadeRemoteRequest(t *testing.T) {
 	}
 	if owner.Controller().Stats().RxSuccess != 1 {
 		t.Error("remote request not delivered through the facade")
+	}
+}
+
+// TestNetworkECUsTakeTheLadder checks that a network's periodic ECUs no
+// longer pin its bus to the idle rung: with a restbus beside them the bus
+// splices whole frames, and the recorded trace and every ECU's counters
+// equal the same network stepped bit by bit.
+func TestNetworkECUsTakeTheLadder(t *testing.T) {
+	type outcome struct {
+		bits                 []can.Level
+		tec, tx, detections  []int
+		spliced, fastForward int64
+	}
+	run := func(exact bool) outcome {
+		n := NewNetwork(Rate50k)
+		n.Seed(5)
+		var ecus []*ECU
+		for _, cfg := range []ECUConfig{
+			{Name: "brake", ID: 0x173, Period: 20 * time.Millisecond, Defense: DefenseFull},
+			{Name: "engine", ID: 0x0C0, Period: 10 * time.Millisecond, DLC: 4, Defense: DefenseLight},
+			{Name: "door", ID: 0x300, Period: 50 * time.Millisecond},
+		} {
+			e, err := n.AddECU(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ecus = append(ecus, e)
+		}
+		if _, err := n.AddRestbus(restbus.VehD, 0, 0.2); err != nil {
+			t.Fatal(err)
+		}
+		if exact {
+			n.bus.SetLadder(bus.RungExact)
+		}
+		if err := n.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{bits: n.recorder.Bits(), spliced: n.bus.SpliceForwardedBits(), fastForward: n.bus.FastForwardedBits()}
+		for _, e := range ecus {
+			out.tec = append(out.tec, e.TEC())
+			out.tx = append(out.tx, e.TransmittedFrames())
+			out.detections = append(out.detections, e.DefenseStats().Detections)
+		}
+		return out
+	}
+	ff, exact := run(false), run(true)
+	if ff.spliced == 0 {
+		t.Errorf("periodic ECUs and a restbus spliced no bits (%d fast-forwarded)", ff.fastForward)
+	}
+	if exact.fastForward != 0 {
+		t.Fatalf("exact run fast-forwarded %d bits", exact.fastForward)
+	}
+	if !reflect.DeepEqual(ff.bits, exact.bits) {
+		i := 0
+		for i < len(ff.bits) && i < len(exact.bits) && ff.bits[i] == exact.bits[i] {
+			i++
+		}
+		t.Fatalf("traces diverge at bit %d (%d vs %d bits)", i, len(ff.bits), len(exact.bits))
+	}
+	ff.bits, exact.bits = nil, nil
+	ff.spliced, ff.fastForward = 0, 0
+	if !reflect.DeepEqual(ff, exact) {
+		t.Errorf("counters diverge: ladder %+v, exact %+v", ff, exact)
+	}
+	if exact.tx[0] == 0 || exact.tx[1] == 0 || exact.tx[2] == 0 {
+		t.Errorf("an ECU sent nothing: %v", exact.tx)
 	}
 }
