@@ -22,12 +22,14 @@ import (
 // bit time. Implementations must be deterministic given their construction
 // inputs (seeded RNGs) so experiments are reproducible.
 type Policy interface {
-	// Tick returns the frames to enqueue at bit time t, given how many
-	// frames are already pending in the attacker's transmit mailbox. A
-	// returned frame may share its payload with the policy's template:
-	// Controller.Enqueue copies the frame, so the caller must enqueue it
-	// before the template changes and must not modify it.
-	Tick(t bus.BitTime, pending int) []can.Frame
+	// Tick appends to dst the frames to enqueue at bit time t, given how
+	// many frames are already pending in the attacker's transmit mailbox,
+	// and returns the extended slice; the attacker reuses one buffer across
+	// bits. An appended frame may share its payload with the policy's
+	// template: Controller.Enqueue queues the payload copy its plan holds,
+	// so the caller must enqueue it before the template changes and must
+	// not modify it.
+	Tick(t bus.BitTime, pending int, dst []can.Frame) []can.Frame
 }
 
 // Attacker is a compromised ECU: a compliant controller plus an injection
@@ -35,6 +37,8 @@ type Policy interface {
 type Attacker struct {
 	ctl    *controller.Controller
 	policy Policy
+	// due is the buffer the policy's Tick appends into, reused every bit.
+	due []can.Frame
 }
 
 var _ bus.Node = (*Attacker)(nil)
@@ -70,7 +74,8 @@ func (a *Attacker) Drive(t bus.BitTime) can.Level { return a.ctl.Drive(t) }
 // Observe implements bus.Node: the application layer runs its injection
 // policy, then the controller advances.
 func (a *Attacker) Observe(t bus.BitTime, level can.Level) {
-	for _, f := range a.policy.Tick(t, a.ctl.PendingTx()) {
+	a.due = a.policy.Tick(t, a.ctl.PendingTx(), a.due[:0])
+	for _, f := range a.due {
 		// Policies only produce valid frames; an enqueue failure would be a
 		// programming error surfaced by tests, so drop silently here.
 		_ = a.ctl.Enqueue(f)
@@ -94,18 +99,18 @@ type Flood struct {
 var _ Policy = (*Flood)(nil)
 
 // Tick implements Policy.
-func (f *Flood) Tick(t bus.BitTime, pending int) []can.Frame {
+func (f *Flood) Tick(t bus.BitTime, pending int, dst []can.Frame) []can.Frame {
 	if f.PeriodBits > 0 {
 		if t < f.nextDue {
-			return nil
+			return dst
 		}
 		f.nextDue = t + bus.BitTime(f.PeriodBits)
-		return []can.Frame{f.Frame}
+		return append(dst, f.Frame)
 	}
 	if pending > 0 {
-		return nil
+		return dst
 	}
-	return []can.Frame{f.Frame}
+	return append(dst, f.Frame)
 }
 
 // NewTraditionalDoS floods CAN ID 0x000 — the highest priority on the bus —
@@ -155,14 +160,18 @@ type RandomDoS struct {
 var _ Policy = (*RandomDoS)(nil)
 
 // Tick implements Policy.
-func (r *RandomDoS) Tick(t bus.BitTime, _ int) []can.Frame {
+func (r *RandomDoS) Tick(t bus.BitTime, _ int, dst []can.Frame) []can.Frame {
 	if t < r.nextDue {
-		return nil
+		return dst
 	}
 	r.nextDue = t + bus.BitTime(r.PeriodBits)
 	id := can.ID(r.Rng.Intn(int(r.Below)))
-	return []can.Frame{{ID: id, Data: make([]byte, 8)}}
+	return append(dst, can.Frame{ID: id, Data: zeroPayload[:]})
 }
+
+// zeroPayload is the all-zero 8-byte payload RandomDoS injects, shared by
+// every frame it appends (Enqueue queues its plan's copy).
+var zeroPayload [can.MaxDataLen]byte
 
 // NewRandomDoS creates the random-DoS attacker of Fig. 2.
 func NewRandomDoS(name string, below can.ID, periodBits int64, rng *rand.Rand) *Attacker {
@@ -181,13 +190,13 @@ type Toggle struct {
 var _ Policy = (*Toggle)(nil)
 
 // Tick implements Policy.
-func (g *Toggle) Tick(_ bus.BitTime, pending int) []can.Frame {
+func (g *Toggle) Tick(_ bus.BitTime, pending int, dst []can.Frame) []can.Frame {
 	if pending > 0 || len(g.Frames) == 0 {
-		return nil
+		return dst
 	}
 	f := g.Frames[g.next]
 	g.next = (g.next + 1) % len(g.Frames)
-	return []can.Frame{f}
+	return append(dst, f)
 }
 
 // NewToggling creates the Experiment-6 attacker sending the given IDs
@@ -215,11 +224,11 @@ type Masquerade struct {
 var _ Policy = (*Masquerade)(nil)
 
 // Tick implements Policy.
-func (m *Masquerade) Tick(t bus.BitTime, pending int) []can.Frame {
+func (m *Masquerade) Tick(t bus.BitTime, pending int, dst []can.Frame) []can.Frame {
 	if t < m.SwitchBit {
-		return m.Suspend.Tick(t, pending)
+		return m.Suspend.Tick(t, pending, dst)
 	}
-	return m.Fabricate.Tick(t, pending)
+	return m.Fabricate.Tick(t, pending, dst)
 }
 
 // NewMasquerade builds the two-phase masquerade attacker: suspend the victim

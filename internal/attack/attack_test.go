@@ -224,3 +224,28 @@ func (j *rawJammer) Observe(_ bus.BitTime, level can.Level) {
 		j.next = can.Dominant
 	}
 }
+
+// TestInjectionAllocatesNothing: once each injected frame's plan is
+// compiled, an attacker's steady injection allocates nothing per send. The
+// policy appends into the attacker's reused buffer and the mailbox queues
+// the payload copy that frame's plan holds.
+func TestInjectionAllocatesNothing(t *testing.T) {
+	for name, att := range map[string]*Attacker{
+		"flood":       NewTraditionalDoS("dos"),
+		"fabrication": NewFabrication("spoof", 0x173, []byte{0xDE, 0xAD}, 500),
+		"random":      NewRandomDoS("random", 4, 300, rand.New(rand.NewSource(1))),
+		"toggle":      NewToggling("toggle", 0x050, 0x051),
+	} {
+		b := bus.New(bus.Rate500k)
+		b.Attach(controller.New(controller.Config{Name: "witness", AutoRecover: true}))
+		b.Attach(att)
+		b.Run(20_000)
+		sent := att.Controller().Stats().TxSuccess
+		if got := testing.AllocsPerRun(5, func() { b.Run(10_000) }); got != 0 {
+			t.Errorf("%s: %v allocations per 10,000 bits, want 0", name, got)
+		}
+		if att.Controller().Stats().TxSuccess-sent < 50 {
+			t.Errorf("%s: %d frames sent while measured, want at least 50", name, att.Controller().Stats().TxSuccess-sent)
+		}
+	}
+}

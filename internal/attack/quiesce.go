@@ -6,7 +6,7 @@ import "michican/internal/bus"
 // to let the attacker's bus node participate in idle fast-forwarding.
 //
 // QuiescentUntil(now, pending) promises that, given the mailbox depth stays
-// at pending and the bus stays recessive, Tick returns nil (and mutates
+// at pending and the bus stays recessive, Tick appends nothing (and mutates
 // nothing) for every bit in [now, horizon). A policy with a scheduled
 // injection returns its due bit so that bit is exact-stepped and Tick runs
 // there, exactly as in per-bit mode. Policies without the capability pin the

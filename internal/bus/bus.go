@@ -393,72 +393,15 @@ func (g *Group) Step() {
 // RunFor advances every bus in the group to at least d of simulated time.
 // Because the heap root is always the furthest-behind bus, the group is done
 // exactly when the root has reached d — no per-bit rescan of all buses.
-//
-// When every member bus is quiescent, the whole group jumps in lockstep to
-// the minimum quiescence horizon (in elapsed-time terms) instead of stepping
-// bit by bit; any pinned member forces exact stepping for the group, so the
-// result is bit-identical to per-bit lockstep.
 func (g *Group) RunFor(d time.Duration) {
 	if len(g.buses) == 0 {
 		return
 	}
 	var stepped int64
 	for g.buses[g.order[0]].Elapsed() < d {
-		if n := g.tryJump(d); n > 0 {
-			stepped += n
-			continue
-		}
 		g.buses[g.order[0]].Step()
 		g.siftDown(0)
 		stepped++
 	}
 	simulatedBits.Add(stepped)
-}
-
-// targetBits returns the bit count at which this bus's elapsed time first
-// reaches at least d — exactly where per-bit lockstep would leave it.
-func (b *Bus) targetBits(d time.Duration) BitTime {
-	n := b.rate.Bits(d)
-	if b.rate.Duration(n) < d {
-		n++
-	}
-	return BitTime(n)
-}
-
-// tryJump advances every member bus toward d through a window in which all
-// of them are quiescent, returning the total bits jumped (0 when any member
-// pins or no bus can move). Idle bits carry no cross-bus influence — every
-// node has promised passivity and count-pure state over the window — so
-// jumping all buses to a common wall-clock point T is interleaving-equivalent
-// to per-bit lockstep over the same region. Each bus lands at floor(T/bit),
-// never past its own promise horizon; the per-bit loop tops off the ragged
-// last bits exactly.
-func (g *Group) tryJump(d time.Duration) int64 {
-	T := d
-	for _, b := range g.buses {
-		target := b.targetBits(d)
-		if b.now >= target {
-			continue // already past the window; it jumps nowhere below
-		}
-		h := b.idleHorizon(target)
-		if h <= b.now {
-			return 0
-		}
-		if t := b.rate.Duration(int64(h)); t < T {
-			T = t
-		}
-	}
-	var moved int64
-	for _, b := range g.buses {
-		if to := BitTime(b.rate.Bits(T)); to > b.now {
-			moved += int64(to - b.now)
-			b.jumpIdle(to)
-		}
-	}
-	if moved > 0 {
-		for i := len(g.order)/2 - 1; i >= 0; i-- {
-			g.siftDown(i)
-		}
-	}
-	return moved
 }

@@ -46,9 +46,9 @@ func mixedRateGroup(t *testing.T, ff bool) (*bus.Group, *bus.Bus, *bus.Bus, *tra
 }
 
 // TestGroupMixedRateFastForwardIdentity runs the same two-domain scenario
-// through exact lockstep stepping and through the group's quiescent jump
-// (plus each member's own ladder) and requires bit-identical wire
-// traces on both buses — the satellite regression for Group fast-forward.
+// with each member bus pinned to exact stepping and with its default ladder
+// and requires bit-identical wire traces on both buses: the group's
+// lockstep steps every bit either way.
 func TestGroupMixedRateFastForwardIdentity(t *testing.T) {
 	const d = 100 * time.Millisecond
 
@@ -60,9 +60,6 @@ func TestGroupMixedRateFastForwardIdentity(t *testing.T) {
 
 	ffGrp, ffPT, ffBody, ffPTRec, ffBodyRec := mixedRateGroup(t, true)
 	ffGrp.RunFor(d)
-	if ffPT.IdleForwardedBits() == 0 && ffBody.IdleForwardedBits() == 0 {
-		t.Fatal("group jump never engaged")
-	}
 
 	if exactPT.Now() != ffPT.Now() || exactBody.Now() != ffBody.Now() {
 		t.Fatalf("clock divergence: exact (%d,%d), ff (%d,%d)",

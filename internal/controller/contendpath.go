@@ -43,12 +43,7 @@ func (c *Controller) ContendBits(now bus.BitTime) ([]can.Level, bus.BitTime) {
 		if !c.pendingSOF {
 			return nil, now
 		}
-		if f, ok := c.queue.head(); ok {
-			p := c.queue.headPlan()
-			if p == nil {
-				p = c.planFor(f)
-			}
-			c.pendingPlan, c.pendingFrame = p, f
+		if _, p, ok := c.queue.head(); ok {
 			run := p.bits[:p.ackIdx]
 			return run, now + bus.BitTime(len(run))
 		}

@@ -175,7 +175,8 @@ type Config struct {
 	// CRC (excluding the controller's own transmissions).
 	OnReceive func(t bus.BitTime, f can.Frame)
 	// OnTransmit, when set, is invoked when one of this controller's frames
-	// completes successfully.
+	// completes successfully. The frame's payload is shared with every
+	// controller on the plan source: read it, never modify it.
 	OnTransmit func(t bus.BitTime, f can.Frame)
 	// OnStateChange, when set, is invoked on fault-confinement transitions.
 	OnStateChange func(t bus.BitTime, old, new State)
@@ -216,9 +217,9 @@ type Controller struct {
 	own   *PlanSource
 	// planSlots is a lock-free front cache over the plan source, whose
 	// lookups take the source's lock — on a fleet-shared source, contended
-	// across vehicles — on the compiled-splice offer path. Lazily created;
-	// it stops installing at planSlotsMax entries, and misses fall through
-	// to the source.
+	// across vehicles — on every Enqueue. Lazily created; it stops
+	// installing at planSlotsMax entries, and misses fall through to the
+	// source.
 	planSlots map[planKey]*txPlan
 
 	// Receive pipeline, active for every frame on the bus from its SOF.
@@ -273,11 +274,8 @@ type Controller struct {
 	// so that when the dominant level appears we know we are a contender.
 	pendingSOF bool
 
-	// pendingPlan caches the head frame's plan between the pending-SOF
-	// ContendBits query or splice offer and the beginFrame (or SpliceCommit)
-	// that consumes it, saving the second plan-cache probe; pendingFrame is
-	// the head it was resolved for, against which beginFrame validates the
-	// live queue head before trusting the plan.
+	// pendingPlan and pendingFrame latch the head a splice offer was made
+	// for, which SpliceCommit transmits even if the head has changed since.
 	pendingPlan  *txPlan
 	pendingFrame can.Frame
 	// offer is the window SpliceOffer hands the bus, rewritten on every
@@ -375,7 +373,9 @@ func (c *Controller) MemoSlots() int { return len(c.planSlots) }
 var ErrListenOnly = errors.New("controller: listen-only mode cannot transmit")
 
 // Enqueue schedules a frame for transmission. It returns an error if the
-// frame is invalid or the controller is in listen-only mode.
+// frame is invalid or the controller is in listen-only mode. The mailbox
+// entry carries the frame's plan, resolved here once, and its Data points at
+// the plan's payload copy, so the caller may reuse f.Data at once.
 func (c *Controller) Enqueue(f can.Frame) error {
 	if c.cfg.ListenOnly {
 		return ErrListenOnly
@@ -383,7 +383,9 @@ func (c *Controller) Enqueue(f can.Frame) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	c.queue.push(f.Clone(), nil, c.cfg.SortQueueByPriority)
+	p := c.planFor(f)
+	f.Data = p.data
+	c.queue.push(f, p, c.cfg.SortQueueByPriority)
 	return nil
 }
 

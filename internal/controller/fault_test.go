@@ -235,8 +235,8 @@ func TestBusOffRecovery(t *testing.T) {
 func TestBusOffKeepsMailboxCapacity(t *testing.T) {
 	// Bus-off aborts the pending requests but keeps the mailbox's backing
 	// arrays, zeroed, so a persistent attacker re-submitting after every
-	// recovery does not re-grow them: Enqueue's own payload copy is then its
-	// only allocation.
+	// recovery does not re-grow them. Enqueue then allocates nothing: the
+	// queued frame points at the payload its compiled plan holds.
 	b := bus.New(bus.Rate500k)
 	attacker := newTestController("attacker", nil)
 	b.Attach(attacker)
@@ -267,8 +267,8 @@ func TestBusOffKeepsMailboxCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 1 {
-		t.Errorf("Enqueue after bus-off recovery allocates %v times, want 1 (the payload copy)", allocs)
+	if allocs != 0 {
+		t.Errorf("Enqueue after bus-off recovery allocates %v times, want 0", allocs)
 	}
 }
 

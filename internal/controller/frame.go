@@ -16,13 +16,7 @@ func (c *Controller) beginFrame(t bus.BitTime, level can.Level, contender bool) 
 	c.transmitting = false
 	c.plan = nil
 	if contender {
-		if f, ok := c.queue.head(); ok {
-			p := c.pendingPlan
-			if p == nil || !c.pendingFrame.Equal(&f) {
-				if p = c.queue.headPlan(); p == nil {
-					p = c.planFor(f)
-				}
-			}
+		if f, p, ok := c.queue.head(); ok {
 			c.plan, c.txFrame = p, f
 			c.txIdx = 0
 			c.acked = false

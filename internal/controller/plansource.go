@@ -257,10 +257,12 @@ func (k planKey) frame() can.Frame {
 	return f
 }
 
-// samePlan reports whether two plans hold the same serialization.
+// samePlan reports whether two plans hold the same payload and
+// serialization.
 func samePlan(a, b *txPlan) bool {
-	return slices.Equal(a.bits, b.bits) && slices.Equal(a.isStuff, b.isStuff) &&
-		slices.Equal(a.resolved, b.resolved) && a.arbEnd == b.arbEnd && a.ackIdx == b.ackIdx
+	return slices.Equal(a.data, b.data) && slices.Equal(a.bits, b.bits) &&
+		slices.Equal(a.isStuff, b.isStuff) && slices.Equal(a.resolved, b.resolved) &&
+		a.arbEnd == b.arbEnd && a.ackIdx == b.ackIdx
 }
 
 // source returns the plan source this controller compiles through: the

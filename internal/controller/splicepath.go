@@ -22,13 +22,9 @@ func (c *Controller) SpliceOffer(now bus.BitTime) *bus.SpliceWindow {
 	if c.phase != phaseIdle || !c.pendingSOF {
 		return nil
 	}
-	f, ok := c.queue.head()
+	f, p, ok := c.queue.head()
 	if !ok || f.FD || len(f.Data) > can.MaxDataLen {
 		return nil
-	}
-	p := c.queue.headPlan()
-	if p == nil {
-		p = c.planFor(f)
 	}
 	c.pendingPlan, c.pendingFrame = p, f
 	rx := can.Frame{ID: f.ID, Extended: f.Extended}

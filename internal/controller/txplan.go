@@ -2,19 +2,24 @@ package controller
 
 import (
 	"errors"
+	"slices"
 
 	"michican/internal/can"
 )
 
 // txPlan is a fully serialized transmission: the wire bits of one frame
 // (stuff bits included, ACK slot recessive) plus the geometry the transmit
-// engine needs while monitoring the bus bit by bit. A plan depends only on
-// the frame's encoded fields and is immutable once its source publishes it:
-// every controller on a PlanSource transmits the same frame content from
-// the same plan, and everything a controller tracks about an attempt (the
-// frame value it latched from the mailbox) lives on the controller, never
-// here.
+// engine needs while monitoring the bus bit by bit, and the frame's payload.
+// A plan depends only on the frame's encoded fields and is immutable once
+// its source publishes it: every controller on a PlanSource transmits the
+// same frame content from the same plan, and everything a controller tracks
+// about an attempt (the frame value it latched from the mailbox) lives on
+// the controller, never here.
 type txPlan struct {
+	// data is the plan's copy of the frame's payload (see withData), written
+	// at compile time and never after; every queued frame's Data points here.
+	data    []byte
+	payload [can.MaxDataLen]byte
 	// bits is the wire sequence from SOF through the last EOF bit.
 	bits []can.Level
 	// arbEnd is the wire index just past the arbitration field (the 11 ID
@@ -70,9 +75,10 @@ func keyOf(f *can.Frame) planKey {
 
 // planFor returns the serialized plan for f, probing the controller's front
 // cache and then its plan source (the shared one when wired, otherwise the
-// controller's own). Mirrors a real controller's mailbox, which keeps the
-// frame serialized between the retransmissions and periodic re-sends that
-// dominate bus traffic.
+// controller's own); FD and oversize frames get a fresh unpublished plan.
+// Enqueue calls it once per frame, so every mailbox entry carries its plan,
+// as a real controller's mailbox keeps the frame serialized between the
+// retransmissions and periodic re-sends that dominate bus traffic.
 func (c *Controller) planFor(f can.Frame) *txPlan {
 	if f.FD || len(f.Data) > can.MaxDataLen {
 		return newTxPlan(f)
@@ -98,14 +104,15 @@ func (c *Controller) planFor(f can.Frame) *txPlan {
 const planSlotsMax = 1 << 15
 
 // newTxPlan serializes a frame for transmission into an unpublished plan
-// (id -1); classical frames also get their resolved splice span.
+// (id -1) holding its own copy of the payload; classical frames also get
+// their resolved splice span.
 func newTxPlan(f can.Frame) *txPlan {
 	if f.FD {
 		wire, isStuff, arbEnd, ackIdx := can.FDWirePlan(&f)
-		return &txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, id: -1}
+		return (&txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, id: -1}).withData(f.Data)
 	}
 	if !f.Extended {
-		return newTxPlanBase(f)
+		return newTxPlanBase(f).withData(f.Data)
 	}
 	body := can.UnstuffedBody(&f)
 	arbEndPos := can.Layout{Extended: f.Extended}.ArbEndPos()
@@ -139,7 +146,14 @@ func newTxPlan(f can.Frame) *txPlan {
 		isStuff = append(isStuff, false)
 	}
 	resolved := resolveSpan(make([]can.Level, len(wire)+IntermissionBits), wire, ackIdx)
-	return &txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, resolved: resolved, id: -1}
+	return (&txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, resolved: resolved, id: -1}).withData(f.Data)
+}
+
+// withData gives the plan its copy of the payload: in the plan's own array
+// when it fits, as every classical payload does, otherwise a fresh one.
+func (p *txPlan) withData(data []byte) *txPlan {
+	p.data = slices.Clip(append(p.payload[:0], data...))
+	return p
 }
 
 // resolveSpan fills dst (len(bits)+IntermissionBits levels) with the window
@@ -249,11 +263,10 @@ func levelOf(v uint, i int) can.Level {
 }
 
 // Planned is a frame pre-validated and pre-serialized for transmission: a
-// rolling-counter instance resolved through Rolling.Instance. Schedule-driven
-// producers (the restbus replayer) enqueue it with EnqueuePlanned, so the
-// steady-state transmit path — and the splice tier keyed off it — starts
-// from the plan by direct pointer instead of probing the plan caches on
-// every frame start. The zero Planned is invalid.
+// rolling-counter instance resolved through Rolling.Instance, whose payload
+// is its table's immutable slice. Schedule-driven producers (the restbus
+// replayer) enqueue it with EnqueuePlanned, which skips the front-cache
+// probe Enqueue makes per frame. The zero Planned is invalid.
 type Planned struct {
 	frame can.Frame
 	plan  *txPlan
@@ -268,9 +281,9 @@ func (p Planned) Frame() can.Frame { return p.frame }
 // ErrUnplannable indicates an enqueue of the zero Planned.
 var ErrUnplannable = errors.New("controller: frame cannot be pre-planned")
 
-// EnqueuePlanned schedules a pre-planned frame for transmission, carrying
-// its serialization into the mailbox so the transmit paths skip the plan
-// lookup. Equivalent to Enqueue(p.Frame()) in every observable way.
+// EnqueuePlanned schedules a pre-planned frame for transmission with the
+// plan it already holds. Equivalent to Enqueue(p.Frame()) in every
+// observable way.
 func (c *Controller) EnqueuePlanned(p Planned) error {
 	if c.cfg.ListenOnly {
 		return ErrListenOnly
@@ -284,8 +297,8 @@ func (c *Controller) EnqueuePlanned(p Planned) error {
 
 // txQueue is the controller's transmit mailbox. The head of the queue is the
 // frame currently being (re)transmitted. plans rides in parallel with frames:
-// a non-nil entry is the frame's serialization, carried from EnqueuePlanned
-// so head-of-queue transmit paths skip the plan-cache probe.
+// every entry is its frame's serialization, resolved at enqueue, and the
+// frame's Data is that plan's payload or a rolling table's.
 type txQueue struct {
 	frames []can.Frame
 	plans  []*txPlan
@@ -310,20 +323,12 @@ func (q *txQueue) push(f can.Frame, p *txPlan, sortByPriority bool) {
 	q.plans[i] = p
 }
 
-func (q *txQueue) head() (can.Frame, bool) {
+// head returns the frame at the head of the mailbox and its plan.
+func (q *txQueue) head() (can.Frame, *txPlan, bool) {
 	if len(q.frames) == 0 {
-		return can.Frame{}, false
+		return can.Frame{}, nil, false
 	}
-	return q.frames[0], true
-}
-
-// headPlan returns the serialization carried with the head frame, or nil if
-// the head was enqueued unplanned.
-func (q *txQueue) headPlan() *txPlan {
-	if len(q.plans) == 0 {
-		return nil
-	}
-	return q.plans[0]
+	return q.frames[0], q.plans[0], true
 }
 
 // remove deletes the first queued frame equal to f. The transmit path uses

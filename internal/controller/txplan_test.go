@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"michican/internal/bus"
 	"michican/internal/can"
 )
 
@@ -102,6 +103,37 @@ func TestPlanCacheReuse(t *testing.T) {
 	p3 := c.planFor(can.Frame{ID: 0x123, Data: []byte{1, 2, 4}})
 	if p3 == p1 {
 		t.Fatalf("different payloads shared a plan")
+	}
+}
+
+// TestEnqueueLeavesCallerPayload: a queued frame points at its plan's
+// payload copy, not the caller's slice, so a caller that rewrites its buffer
+// after Enqueue — the periodic senders do — neither changes the frame on
+// the wire nor the plan another controller shares.
+func TestEnqueueLeavesCallerPayload(t *testing.T) {
+	b := bus.New(bus.Rate500k)
+	var rx recorder
+	src := NewPlanSource()
+	tx := New(Config{Name: "tx", AutoRecover: true, Plans: src})
+	b.Attach(tx)
+	b.Attach(newTestController("rx", &rx))
+	buf := make([]byte, 3)
+	for seq := byte(1); seq <= 2; seq++ {
+		copy(buf, []byte{seq, 2, 3})
+		if err := tx.Enqueue(can.Frame{ID: 0x123, Data: buf}); err != nil {
+			t.Fatal(err)
+		}
+		if f, _, _ := tx.queue.head(); &f.Data[0] == &buf[0] {
+			t.Fatal("queued frame aliases the caller's payload")
+		}
+		copy(buf, []byte{0xFF, 0xFF, 0xFF})
+	}
+	b.Run(400)
+	if len(rx.frames) != 2 || rx.frames[0].Data[0] != 1 || rx.frames[1].Data[0] != 2 || rx.frames[1].Data[1] != 2 {
+		t.Fatalf("received %v, want payloads 010203 then 020203", rx.frames)
+	}
+	if err := src.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -40,8 +40,8 @@ type Config struct {
 	Mode SteppingMode
 	// Hub, when set, wires every testbed participant (bus, defender
 	// controller, defense, restbus, attackers) into the telemetry collector.
-	// Every trial shares it: node names dedupe and the per-node metric
-	// instruments aggregate across trials.
+	// Every trial shares it, one trial at a time: node names dedupe and the
+	// per-node metric instruments aggregate across trials.
 	Hub *telemetry.Hub
 }
 
@@ -76,7 +76,8 @@ func defenderSends(rate bus.Rate) core.Schedule {
 	return core.Schedule{Period: rate.Bits(25 * time.Millisecond), Frame: defenderFrame}
 }
 
-// defenderPayload is shared by every instance: Enqueue copies the payload.
+// defenderPayload is shared by every send and never written: Enqueue queues
+// the payload copy the frame's compiled plan holds.
 var defenderPayload = []byte{0x11, 0x22}
 
 func defenderFrame() can.Frame { return can.Frame{ID: DefenderID, Data: defenderPayload} }

@@ -30,3 +30,26 @@ func TestMeasureFleetPlanCache(t *testing.T) {
 		t.Fatal("negative build time")
 	}
 }
+
+// TestBenignVehicleSteadyStateAllocations gates the per-send cost of a
+// warmed vehicle: a benign 60%-load hyper-ff vehicle with its forensics and
+// watch stack, plans compiled and buffers grown, advances 2^22 bits with
+// only a handful of allocations. The defender alone sends every 1,250 bits,
+// about 3,355 times here, so one allocation per send fails the gate.
+func TestBenignVehicleSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	v, err := NewFleetVehicle(FleetVehicleSpec{
+		Seed: DeriveSeed(1, 0), Load: 0.60, Mode: ModeHyperFF, Attack: FleetAttackNone, Watch: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.WarmPlans()
+	v.Advance(1 << 22)
+	const steadyMax = 8
+	if got := testing.AllocsPerRun(1, func() { v.Advance(1 << 22) }); got > steadyMax {
+		t.Errorf("2^22 warm bits allocate %v times, want at most %d", got, steadyMax)
+	}
+}

@@ -99,7 +99,7 @@ func (g *Gateway) onReceive(from int, f can.Frame) {
 		return
 	}
 	to := 1 - from
-	if err := g.ports[to].ctl.Enqueue(f.Clone()); err == nil {
+	if err := g.ports[to].ctl.Enqueue(f); err == nil {
 		g.stats.ForwardedByPort[to]++
 	}
 }

@@ -73,6 +73,10 @@ type Defender struct {
 
 var _ bus.Node = (*Defender)(nil)
 
+// zeroPayload backs every flood frame, sliced to the spoofed frame's length
+// and never written; Enqueue queues the payload copy of the frame's plan.
+var zeroPayload [can.MaxFDDataLen]byte
+
 // New creates a Parrot defender.
 func New(cfg Config) *Defender {
 	if cfg.QuietFrames <= 0 {
@@ -158,7 +162,7 @@ func (d *Defender) Observe(t bus.BitTime, level can.Level) {
 			// (both TECs ramp); once both nodes are error-passive the
 			// attacker's flag turns recessive, the flood frame completes,
 			// and only the attacker keeps bleeding TEC — Parrot survives.
-			if err := d.ctl.Enqueue(can.Frame{ID: d.cfg.OwnID, Data: make([]byte, d.spoofDLC)}); err == nil {
+			if err := d.ctl.Enqueue(can.Frame{ID: d.cfg.OwnID, Data: zeroPayload[:d.spoofDLC]}); err == nil {
 				d.stats.FloodFrames++
 			}
 		}

@@ -689,8 +689,10 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 
 // TestWindowReadAllocatesPerReadNotPerEvent checks that a window read's
 // allocations do not grow with the events it decodes: a read of forty
-// blocks allocates what a read of four does. A small-window read of a
-// small store allocates a few kilobytes, not a full-size read buffer.
+// blocks allocates what a read of four does, give or take the stray
+// allocation the race runtime adds; one per event would add 9,216. A
+// small-window read of a small store allocates a few kilobytes, not a
+// full-size read buffer.
 func TestWindowReadAllocatesPerReadNotPerEvent(t *testing.T) {
 	s, err := Create(t.TempDir(), Meta{Kind: "test", SegmentBytes: 1 << 20})
 	if err != nil {
@@ -738,8 +740,9 @@ func TestWindowReadAllocatesPerReadNotPerEvent(t *testing.T) {
 		}
 		return testing.AllocsPerRun(20, read)
 	}
-	if few, many := allocs(4), allocs(40); many != few {
-		t.Fatalf("reading 40 blocks allocates %v times, 4 blocks %v: decoding allocates per event", many, few)
+	const slack = 4
+	if few, many := allocs(4), allocs(40); many > few+slack {
+		t.Fatalf("reading 40 blocks allocates %v times, 4 blocks %v: decoding allocates per block or per event", many, few)
 	}
 }
 

@@ -61,7 +61,8 @@ func (h *Histogram) Summary() stats.Summary {
 // Registry is a named collection of metrics with Prometheus-style
 // name-plus-labels identity. Instrument lookups (Counter, Gauge, Histogram)
 // are idempotent: the same name and labels return the same instrument, so
-// concurrent trials sharing a registry aggregate into one set of values.
+// every writer sharing a registry (an experiment's trials, a fleet's
+// vehicle commits) aggregates into one set of values.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

@@ -16,9 +16,11 @@
 // is disabled, and no emit site sits on a per-bit loop — every event is per
 // frame, per error, or per fast-forward span.
 //
-// A Hub is safe for concurrent emission, so the parallel experiment runner
-// can share one hub across trials: node registration dedupes by name, and
-// the per-node metric instruments aggregate across trials through atomics.
+// A Hub is safe for concurrent emission. The experiment runner shares one
+// hub across a study's trials but runs them one after another (a set hub
+// forces Workers = 1, since gauges keep the last write and float folds
+// depend on the order of adds): node registration dedupes by name, so the
+// per-node metric instruments aggregate across trials.
 // Consumers that need canonical bit-time order (forensics, the durable
 // store) subscribe to the hub's one sequencer, which hands them released
 // runs of the stream as ordered batches (SubscribeOrdered).
@@ -245,8 +247,9 @@ func (h *Hub) Registry() *Registry {
 
 // Probe registers (or looks up) a named node and returns its emit handle.
 // Calling Probe with the same name returns a handle to the same node, which
-// is what lets a shared hub aggregate per-node metrics across parallel
-// trials that all name their defender "defender". Probe on a nil hub
+// is what lets a shared hub aggregate per-node metrics across the trials an
+// experiment runs on it one after another, all naming their defender
+// "defender". Probe on a nil hub
 // returns the zero Probe, whose Emit is a no-op after one nil check.
 func (h *Hub) Probe(name string) Probe {
 	if h == nil {

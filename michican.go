@@ -156,7 +156,9 @@ type ECU struct {
 	net     *Network
 	ctl     *controller.Controller
 	defense *core.Defense
-	seq     byte
+	// payload is the periodic message, rewritten in place every send: DLC
+	// bytes led by a sequence number. Enqueue queues its plan's copy.
+	payload []byte
 }
 
 // AddECU declares a legitimate ECU. All ECUs must be declared before the
@@ -179,7 +181,7 @@ func (n *Network) AddECU(cfg ECUConfig) (*ECU, error) {
 	if cfg.DLC < 0 || cfg.DLC > can.MaxDataLen {
 		return nil, fmt.Errorf("%w: %d", can.ErrDataLen, cfg.DLC)
 	}
-	e := &ECU{cfg: cfg, net: n}
+	e := &ECU{cfg: cfg, net: n, payload: make([]byte, cfg.DLC)}
 	n.ecus = append(n.ecus, e)
 	return e, nil
 }
@@ -315,13 +317,10 @@ func (e *ECU) node() *core.ECU {
 	return node
 }
 
-// periodic is the ECU's next periodic message: DLC bytes led by a sequence
-// number.
+// periodic is the ECU's next periodic message, its sequence number bumped.
 func (e *ECU) periodic() can.Frame {
-	e.seq++
-	data := make([]byte, e.cfg.DLC)
-	data[0] = e.seq
-	return can.Frame{ID: e.cfg.ID, Data: data}
+	e.payload[0]++
+	return can.Frame{ID: e.cfg.ID, Data: e.payload}
 }
 
 // Send schedules a frame for transmission from this ECU.
