@@ -129,9 +129,8 @@ type Bus struct {
 	ffContendBits int64
 	ffSpliceBits  int64
 
-	// contendSc is the contend rung's retained proposal scratch, which Detach
-	// invalidates (it may reference a detached node's committed stream).
-	contendSc *contendScratch
+	// contendSc is the contend rung's proposal scratch.
+	contendSc contendScratch
 
 	// spliceWin is the splice rung's copy of the committed offer: the
 	// offerer may rewrite its own window in SpliceCommit, before the
@@ -209,7 +208,6 @@ func (b *Bus) Detach(n Node) bool {
 			b.nodes = b.nodes[:last]
 			b.repin()
 			b.wake = b.now // the next walk or Step recomputes it
-			b.invalidateProposal()
 			return true
 		}
 	}

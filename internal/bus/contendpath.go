@@ -2,7 +2,6 @@ package bus
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"michican/internal/can"
@@ -86,10 +85,9 @@ func (b *Bus) ContendForwardedBits() int64 { return b.ffContendBits }
 
 // contendScratch is the per-proposal working set of tryContendForward: the
 // committer index list, their published streams, the bit-packed words (one
-// row of W words per committer, flat), and the running wired-AND row. Buses
-// keep one between negotiations and recycle it through a pool, so steady-state
-// proposals allocate nothing even across the short-lived buses of parallel
-// experiment runs.
+// row of W words per committer, flat), and the running wired-AND row. Each
+// bus owns one outright: it grows on the bus's first proposals and is reused
+// after, so steady-state proposals allocate nothing.
 type contendScratch struct {
 	idx   []int
 	bits  [][]can.Level
@@ -97,30 +95,16 @@ type contendScratch struct {
 	and   []uint64
 }
 
-// release drops all node-owned slice references (the committed streams alias
-// immutable transmit plans whose lifetime belongs to their controllers) so a
-// pooled scratch pins no detached node's memory.
+// release ends a proposal: it drops every node-owned slice reference (the
+// committed streams alias immutable transmit plans whose lifetime belongs to
+// their controllers), so between proposals the scratch pins no node's
+// memory, a detached one's included.
 func (sc *contendScratch) release() {
 	for i := range sc.bits {
 		sc.bits[i] = nil
 	}
 	sc.bits = sc.bits[:0]
 	sc.idx = sc.idx[:0]
-}
-
-var contendScratchPool = sync.Pool{New: func() any { return new(contendScratch) }}
-
-// invalidateProposal discards the bus's retained proposal scratch — called by
-// Detach, because a cached proposal may reference the detached node's
-// committed stream, and by anything else that makes in-flight span bookkeeping
-// stale.
-func (b *Bus) invalidateProposal() {
-	if b.contendSc == nil {
-		return
-	}
-	b.contendSc.release()
-	contendScratchPool.Put(b.contendSc)
-	b.contendSc = nil
 }
 
 // tryContendForward attempts one batch advance of committed streams, bounded
@@ -143,7 +127,7 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 	if !b.open(RungContend) || end <= b.now {
 		return false
 	}
-	var sc *contendScratch
+	sc := &b.contendSc
 	n := int(end - b.now)
 	frameBit := -1
 	nodes, taps := b.nodes, b.taps
@@ -161,20 +145,10 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 		}
 		if fb := cc.ContendFrameBit(); fb >= 0 {
 			if frameBit >= 0 && frameBit != fb {
-				if sc != nil {
-					sc.release()
-				}
+				sc.release()
 				return false // misaligned plan streams: exact-step it
 			}
 			frameBit = fb
-		}
-		if sc == nil {
-			// Scratch is acquired lazily: the common decline — no committer
-			// at all — touches neither the retained scratch nor the pool.
-			if sc = b.contendSc; sc == nil {
-				sc = contendScratchPool.Get().(*contendScratch)
-				b.contendSc = sc
-			}
 		}
 		sc.idx = append(sc.idx, i)
 		sc.bits = append(sc.bits, levels)
@@ -182,7 +156,7 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 			n = len(levels)
 		}
 	}
-	if sc == nil {
+	if len(sc.idx) == 0 {
 		return false
 	}
 	defer sc.release()
@@ -231,6 +205,10 @@ func (b *Bus) tryContendForward(end BitTime) bool {
 	return true
 }
 
+// minContendWords is the least capacity contendResolve gives the packed
+// words: four rows of three words, the longest classical window's span.
+const minContendWords = 4 * 3
+
 // contendResolve packs every committed stream, ANDs them word-wise, and
 // returns the span length clamped at the first divergence bit (n unchanged
 // when no committer's recessive is overridden within the first n bits).
@@ -238,7 +216,10 @@ func contendResolve(sc *contendScratch, n int) int {
 	w := (n + 63) >> 6
 	need := (len(sc.bits) + 1) * w
 	if cap(sc.words) < need {
-		sc.words = make([]uint64, need)
+		// At least minContendWords, so a bus's first resolution already
+		// holds a few committers over classical frames (three words each):
+		// a longer span later does not regrow it mid-run.
+		sc.words = make([]uint64, max(need, minContendWords))
 	}
 	sc.words = sc.words[:need]
 	for i := range sc.words {

@@ -196,10 +196,17 @@ func WireBits(f *Frame, ack Level) []Level {
 // intermission) of the frame assuming error-free transmission.
 func WireLen(f *Frame) int { return len(WireBits(f, Dominant)) }
 
+// maxUnstuffed is the unstuffed length, SOF through the last CRC bit, of the
+// longest classical frame (extended format, 8 data bytes): the size of
+// DecodeWire's destuffing buffer, and its length bound until the DLC is read.
+const maxUnstuffed = PosDataStartExt + 8*MaxDataLen + CRCBits
+
 // DecodeWire parses one complete frame (base or extended format) from the
 // beginning of a wire-level bit sequence that starts at the SOF bit. It
 // returns the decoded frame and the number of wire bits consumed (through
-// the last EOF bit). The ACK slot is accepted at either level.
+// the last EOF bit). The ACK slot is accepted at either level. It destuffs
+// into a fixed array on its own stack, so the only allocation is a data
+// frame's Data.
 func DecodeWire(bits []Level) (Frame, int, error) {
 	if sniffFD(bits) {
 		return DecodeFDWire(bits)
@@ -207,56 +214,20 @@ func DecodeWire(bits []Level) (Frame, int, error) {
 	var (
 		d        Destuffer
 		crc      CRC15
-		payload  []Level
+		buf      [maxUnstuffed]Level // the destuffed payload bits
+		n        int                 // payload bits destuffed into buf
 		consumed int
 		layout   Layout
+		remote   bool
 	)
 	d.Reset()
 	// Stuffed region: the format is unknown until the IDE bit (payload
-	// position 13) and the length until the DLC field, so destuff
-	// incrementally against a running upper bound.
-	// remote reports whether the (known-layout) frame has a recessive RTR;
-	// remote frames carry no data field regardless of the DLC value.
-	remote := func() bool {
-		if !layout.Extended {
-			return len(payload) > PosRTR && payload[PosRTR] == Recessive
-		}
-		return len(payload) > PosRTRExt && payload[PosRTRExt] == Recessive
-	}
-	dataLen := func() (int, bool) {
-		if len(payload) <= PosIDE || len(payload) < layout.DLCStart()+DLCBits {
-			return 0, false
-		}
-		if remote() {
-			return 0, true
-		}
-		dlc := decodeField(payload, layout.DLCStart(), DLCBits)
-		if dlc > MaxDataLen {
-			dlc = MaxDataLen
-		}
-		return dlc, true
-	}
-	need := func() int {
-		if len(payload) > PosIDE {
-			layout = Layout{Extended: payload[PosIDE] == Recessive}
-		}
-		n, known := dataLen()
-		if !known {
-			return Layout{Extended: true}.UnstuffedLen(MaxDataLen) // upper bound
-		}
-		return layout.UnstuffedLen(n)
-	}
-	dataEnd := func() int {
-		// SOF..last data bit (the CRC-protected region); an over-estimate
-		// until the DLC is known, which is safe because every pre-DLC bit is
-		// CRC-protected anyway.
-		n, known := dataLen()
-		if !known {
-			return 1 << 30
-		}
-		return layout.UnstuffedLen(n) - CRCBits
-	}
-	for len(payload) < need() {
+	// position 13) and the length until the DLC field, so destuff against
+	// an upper bound, tightened once the DLC is read. Until then the CRC
+	// takes every bit, which is safe because every pre-DLC bit is
+	// CRC-protected anyway; after it, only SOF through the last data bit.
+	need, dataEnd := maxUnstuffed, maxUnstuffed
+	for n < need {
 		if consumed >= len(bits) {
 			return Frame{}, consumed, ErrFrameTooShort
 		}
@@ -266,13 +237,30 @@ func DecodeWire(bits []Level) (Frame, int, error) {
 		if err != nil {
 			return Frame{}, consumed, err
 		}
-		if isPayload {
-			payload = append(payload, b)
-			if len(payload) <= dataEnd() {
-				crc.Update(b)
+		if !isPayload {
+			continue
+		}
+		buf[n] = b
+		n++
+		switch n {
+		case PosIDE + 1:
+			layout = Layout{Extended: b == Recessive}
+		case layout.DLCStart() + DLCBits:
+			// A recessive RTR marks a remote frame, which carries no data
+			// field regardless of the DLC value.
+			remote = buf[layout.ArbEndPos()] == Recessive
+			dataLen := 0
+			if !remote {
+				dataLen = min(decodeField(buf[:n], layout.DLCStart(), DLCBits), MaxDataLen)
 			}
+			need = layout.UnstuffedLen(dataLen)
+			dataEnd = need - CRCBits
+		}
+		if n <= dataEnd {
+			crc.Update(b)
 		}
 	}
+	payload := buf[:n]
 	// A stuff bit may follow the final CRC bit (the stuffed region covers
 	// SOF through the CRC sequence); consume it before the delimiter.
 	if d.Expecting() {
@@ -287,7 +275,6 @@ func DecodeWire(bits []Level) (Frame, int, error) {
 	if payload[PosSOF] != Dominant {
 		return Frame{}, consumed, ErrFormViolation
 	}
-	isRemote := remote()
 	if layout.Extended {
 		// SRR and IDE recessive (checked by layout selection); r1/r0
 		// dominant; RTR dominant for data frames, recessive for remote.
@@ -301,13 +288,13 @@ func DecodeWire(bits []Level) (Frame, int, error) {
 	}
 	dlc := decodeField(payload, layout.DLCStart(), DLCBits)
 	if dlc > MaxDataLen {
-		if !isRemote {
+		if !remote {
 			return Frame{}, consumed, fmt.Errorf("%w: DLC %d", ErrDataLen, dlc)
 		}
 		dlc = MaxDataLen // remote DLC 9..15 requests 8 bytes
 	}
 	payloadLen := dlc
-	if isRemote {
+	if remote {
 		payloadLen = 0
 	}
 	// The CRC is over SOF..last data bit; recompute and compare with the
@@ -335,7 +322,7 @@ func DecodeWire(bits []Level) (Frame, int, error) {
 	consumed += trailer
 
 	f := Frame{ID: layout.DecodeID(payload), Extended: layout.Extended}
-	if isRemote {
+	if remote {
 		f.Remote = true
 		f.RequestLen = dlc
 	} else if dlc > 0 {

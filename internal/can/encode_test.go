@@ -187,3 +187,34 @@ func TestWireLenAverageFrame(t *testing.T) {
 		t.Errorf("average 8-byte wire length = %.1f bits, expected within [108,125]", avg)
 	}
 }
+
+// TestDecodeWireAllocations pins the decoders' cost: they destuff into
+// arrays on their own stack, so a data frame allocates exactly its Data, a
+// frame without payload bytes (remote, DLC 0) allocates nothing, and so does
+// sniffing the FD format bit.
+func TestDecodeWireAllocations(t *testing.T) {
+	eight := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0xFF, 0x55, 0xAA}
+	for _, tc := range []struct {
+		name string
+		f    Frame
+		want float64
+	}{
+		{"base", Frame{ID: 0x173, Data: eight}, 1},
+		{"extended", Frame{ID: 0x1ABCDE0, Extended: true, Data: eight}, 1},
+		{"remote", Frame{ID: 0x173, Remote: true, RequestLen: 8}, 0},
+		{"dlc0", Frame{ID: 0x173}, 0},
+		{"fd", Frame{ID: 0x173, FD: true, Data: make([]byte, MaxFDDataLen)}, 1},
+	} {
+		wire := WireBits(&tc.f, Dominant)
+		got, n, err := DecodeWire(wire)
+		if err != nil || n != len(wire) || !got.Equal(&tc.f) {
+			t.Fatalf("%s: decoded %v, %d bits, %v; want %v, %d bits", tc.name, got, n, err, tc.f, len(wire))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { DecodeWire(wire) }); allocs != tc.want {
+			t.Errorf("%s: DecodeWire makes %v allocations, want %v", tc.name, allocs, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sniffFD(wire) }); allocs != 0 {
+			t.Errorf("%s: sniffFD makes %v allocations, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -243,16 +243,24 @@ func (f *Frame) validateFD() error {
 	return nil
 }
 
+// maxFDUnstuffed is the unstuffed length, SOF through the last data bit, of
+// the longest FD frame (extended format, 64 data bytes): the size of
+// DecodeFDWire's destuffing buffer.
+const maxFDUnstuffed = PosDataStartFDExt + 8*MaxFDDataLen
+
 // DecodeFDWire parses one complete CAN FD frame from a wire sequence
 // starting at the SOF bit, returning the frame and the wire bits consumed.
+// Like DecodeWire it destuffs into a fixed array on its own stack, so the
+// only allocation is the frame's Data.
 func DecodeFDWire(bits []Level) (Frame, int, error) {
 	var (
 		d        Destuffer
-		payload  []Level
+		buf      [maxFDUnstuffed]Level // the destuffed payload bits
+		n        int                   // payload bits destuffed into buf
 		consumed int
 		dynStuff int
-		crc17    = &FDCRC{reg: CRC17Init, poly: CRC17Poly, mask: crc17Mask, bits: 17}
-		crc21    = &FDCRC{reg: CRC21Init, poly: CRC21Poly, mask: crc21Mask, bits: 21}
+		crc17    = FDCRC{reg: CRC17Init, poly: CRC17Poly, mask: crc17Mask, bits: 17}
+		crc21    = FDCRC{reg: CRC21Init, poly: CRC21Poly, mask: crc21Mask, bits: 21}
 	)
 	d.Reset()
 
@@ -261,7 +269,7 @@ func DecodeFDWire(bits []Level) (Frame, int, error) {
 	dlcStart, dataStart := PosDLCStartFD, PosDataStartFD
 	// Dynamic region: SOF through the last data bit.
 	for {
-		if dataLen >= 0 && len(payload) == dataStart+8*dataLen {
+		if dataLen >= 0 && n == dataStart+8*dataLen {
 			break
 		}
 		if consumed >= len(bits) {
@@ -279,16 +287,17 @@ func DecodeFDWire(bits []Level) (Frame, int, error) {
 			dynStuff++
 			continue
 		}
-		payload = append(payload, b)
-		n := len(payload)
+		buf[n] = b
+		n++
 		if n == PosIDE+1 && b == Recessive {
 			extended = true
 			dlcStart, dataStart = PosDLCStartFDExt, PosDataStartFDExt
 		}
 		if n == dlcStart+DLCBits {
-			dataLen = FDLenFromDLC(DecodeField(payload, dlcStart, DLCBits))
+			dataLen = FDLenFromDLC(DecodeField(buf[:n], dlcStart, DLCBits))
 		}
 	}
+	payload := buf[:n]
 
 	// A pending dynamic stuff bit can follow the final data bit; consume it
 	// before the fixed-stuff region (the encoder emits it and counts it).
@@ -326,9 +335,9 @@ func DecodeFDWire(bits []Level) (Frame, int, error) {
 	}
 
 	// Fixed-stuff region: stuff count (4 payload bits) + CRC.
-	crc := crc17
+	crc := &crc17
 	if dataLen > 16 {
-		crc = crc21
+		crc = &crc21
 	}
 	fieldLen := 4 + crc.Bits()
 	var scBits [4]Level
@@ -395,13 +404,13 @@ func DecodeFDWire(bits []Level) (Frame, int, error) {
 }
 
 // sniffFD peeks at the format discriminators (FDF at payload position 14 for
-// base frames, 33 for extended ones) without committing to a full decode.
+// base frames, 33 for extended ones) without committing to a full decode. It
+// counts payload bits and keeps only the IDE level, so it allocates nothing.
 func sniffFD(bits []Level) bool {
 	var d Destuffer
 	d.Reset()
-	var payload []Level
-	ext := false
-	for i := 0; i < len(bits) && len(payload) <= PosFDFExt; i++ {
+	n, ext := 0, false // payload bits seen; IDE recessive
+	for i := 0; i < len(bits) && n <= PosFDFExt; i++ {
 		isPayload, err := d.Next(bits[i])
 		if err != nil {
 			return false
@@ -409,16 +418,14 @@ func sniffFD(bits []Level) bool {
 		if !isPayload {
 			continue
 		}
-		payload = append(payload, bits[i])
-		n := len(payload)
-		if n == PosIDE+1 {
-			ext = payload[PosIDE] == Recessive
-		}
-		if !ext && n == PosFDF+1 {
-			return payload[PosFDF] == Recessive
-		}
-		if ext && n == PosFDFExt+1 {
-			return payload[PosFDFExt] == Recessive
+		n++
+		switch {
+		case n == PosIDE+1:
+			ext = bits[i] == Recessive
+		case !ext && n == PosFDF+1:
+			return bits[i] == Recessive
+		case ext && n == PosFDFExt+1:
+			return bits[i] == Recessive
 		}
 	}
 	return false

@@ -77,9 +77,10 @@ type PlanSourceStats struct {
 	Misses int64 `json:"misses"`
 	// Plans is the number of distinct compiled plans resident.
 	Plans int `json:"plans"`
-	// ResidentBytes approximates the memory held by the source: the plan
-	// structs with their arrays and the rolling-counter tables with their
-	// payloads (one copy fleet-wide, however many controllers use them).
+	// ResidentBytes approximates the memory held by the source: each plan's
+	// footprint (a base plan's one allocation, or an extended plan's struct
+	// and arrays) and the rolling-counter tables with their payloads (one
+	// copy fleet-wide, however many controllers use them).
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
@@ -131,7 +132,7 @@ func (s *PlanSource) plan(key planKey, f *can.Frame, count bool) *txPlan {
 				}
 				p.id = int32(len(s.plans))
 				s.plans[key] = p
-				s.bytes.Add(int64(unsafe.Sizeof(*p)) + int64(cap(p.bits)+cap(p.resolved)+cap(p.isStuff)))
+				s.bytes.Add(int64(p.size))
 			}
 			if count {
 				s.misses.Add(1)

@@ -66,7 +66,7 @@ func TestPlanSourceSharesArrays(t *testing.T) {
 	}
 
 	st := src.Stats()
-	wantBytes := int64(unsafe.Sizeof(*p1)) + int64(cap(p1.bits)+cap(p1.isStuff)+cap(p1.resolved))
+	wantBytes := int64(basePlanSize(len(p1.bits)))
 	if st.Hits != 1 || st.Misses != 1 || st.Plans != 1 || st.ResidentBytes != wantBytes {
 		t.Fatalf("stats after one build and one hit: %+v (want 1/1/1/%d)", st, wantBytes)
 	}
@@ -370,8 +370,8 @@ func TestRollingConcurrentResolve(t *testing.T) {
 
 // TestPlanSourceStatsCountTables pins what the statistics mean: a rolling
 // instance another controller compiled is a hit, a repeat resolution is
-// not counted again, and ResidentBytes covers the plan structs, their
-// arrays and the rolling table with its payloads.
+// not counted again, and ResidentBytes covers each plan's one allocation
+// and the rolling table with its payloads.
 func TestPlanSourceStatsCountTables(t *testing.T) {
 	src := NewPlanSource()
 	r1 := New(Config{Name: "a", Plans: src}).Rolling(0x10, 3)
@@ -385,9 +385,8 @@ func TestPlanSourceStatsCountTables(t *testing.T) {
 	if got := p.Frame(); got.ID != 0x10 || string(got.Data) != "\x05\x00\x00" {
 		t.Fatalf("instance 5 frame = %v", got)
 	}
-	want := int64(unsafe.Sizeof(*r1)) + 256*3 +
-		int64(unsafe.Sizeof(*p.plan)) + int64(cap(p.plan.bits)+cap(p.plan.isStuff)+cap(p.plan.resolved))
+	want := int64(unsafe.Sizeof(*r1)) + 256*3 + int64(basePlanSize(len(p.plan.bits)))
 	if st := src.Stats(); st.ResidentBytes != want {
-		t.Fatalf("ResidentBytes = %d, want %d (table, payloads, plan struct and arrays)", st.ResidentBytes, want)
+		t.Fatalf("ResidentBytes = %d, want %d (table, payloads, the plan's one allocation)", st.ResidentBytes, want)
 	}
 }

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"slices"
+	"unsafe"
 
 	"michican/internal/can"
 )
@@ -47,6 +48,9 @@ type txPlan struct {
 	// offered with the window as its PlanID (the defense indexes its
 	// compiled summaries by it); -1 for a plan the source did not publish.
 	id int32
+	// size is the plan's resident footprint in bytes: its one allocation
+	// for a base plan, the struct plus its arrays' capacities otherwise.
+	size int32
 }
 
 // planKey is the value identity of a classical frame, used to memoize
@@ -107,13 +111,23 @@ const planSlotsMax = 1 << 15
 // (id -1) holding its own copy of the payload; classical frames also get
 // their resolved splice span.
 func newTxPlan(f can.Frame) *txPlan {
-	if f.FD {
-		wire, isStuff, arbEnd, ackIdx := can.FDWirePlan(&f)
-		return (&txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, id: -1}).withData(f.Data)
-	}
-	if !f.Extended {
+	if !f.FD && !f.Extended {
 		return newTxPlanBase(f).withData(f.Data)
 	}
+	var p *txPlan
+	if f.FD {
+		wire, isStuff, arbEnd, ackIdx := can.FDWirePlan(&f)
+		p = &txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, id: -1}
+	} else {
+		p = newTxPlanExt(f)
+	}
+	p.size = int32(planHeader) + int32(cap(p.bits)+cap(p.isStuff)+cap(p.resolved))
+	return p.withData(f.Data)
+}
+
+// newTxPlanExt serializes an extended-format frame in three passes: field
+// generation, then CRC, then stuffing.
+func newTxPlanExt(f can.Frame) *txPlan {
 	body := can.UnstuffedBody(&f)
 	arbEndPos := can.Layout{Extended: f.Extended}.ArbEndPos()
 	var s can.Stuffer
@@ -146,7 +160,7 @@ func newTxPlan(f can.Frame) *txPlan {
 		isStuff = append(isStuff, false)
 	}
 	resolved := resolveSpan(make([]can.Level, len(wire)+IntermissionBits), wire, ackIdx)
-	return (&txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, resolved: resolved, id: -1}).withData(f.Data)
+	return &txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, resolved: resolved, id: -1}
 }
 
 // withData gives the plan its copy of the payload: in the plan's own array
@@ -168,19 +182,26 @@ func resolveSpan(dst, bits []can.Level, ackIdx int) []can.Level {
 	return dst
 }
 
+// baseWireMax is the longest base-format window, SOF through the last EOF
+// bit: 8 data bytes with a stuff bit after every four unstuffed bits.
+const baseWireMax = can.PosDataStart + 8*can.MaxDataLen + can.CRCBits +
+	(can.PosDataStart+8*can.MaxDataLen+can.CRCBits)/4 + 3 + can.EOFBits
+
 // newTxPlanBase serializes a classical base-format frame with field
-// generation, CRC-15, and bit stuffing fused into a single pass (two
-// allocations for the arrays: the wire bits and the resolved span share
-// one). The output — bits, isStuff, arbEnd, ackIdx — is bit-identical to the
-// general three-pass path in newTxPlan, which remains the reference for
-// extended frames (a differential test pins the equivalence).
+// generation, CRC-15, and bit stuffing fused into a single pass over arrays
+// on its own stack, then copies the result into one allocation that holds
+// the plan and its three arrays (see allocBasePlan). The output — bits,
+// isStuff, arbEnd, ackIdx — is bit-identical to the general three-pass path
+// of newTxPlanExt, which remains the reference for extended frames (a
+// differential test pins the equivalence).
 func newTxPlanBase(f can.Frame) *txPlan {
+	var (
+		wire  [baseWireMax]can.Level
+		stuff [baseWireMax]bool
+		n     int // wire bits serialized
+	)
 	unstuffed := can.UnstuffedLen(len(f.Data))
 	dataEnd := unstuffed - can.CRCBits
-	maxWire := unstuffed + unstuffed/4 + 3 + can.EOFBits
-	levels := make([]can.Level, 2*maxWire+IntermissionBits)
-	bits := levels[:0:maxWire]
-	isStuff := make([]bool, 0, maxWire)
 
 	rtr := can.Dominant
 	dlc := uint(len(f.Data))
@@ -231,30 +252,82 @@ func newTxPlanBase(f can.Frame) *txPlan {
 		} else {
 			last, run = b, 1
 		}
-		bits = append(bits, b)
-		isStuff = append(isStuff, false)
+		wire[n] = b
+		n++
 		if run == can.StuffLimit {
 			st := b ^ 1
 			last, run = st, 1
-			bits = append(bits, st)
-			isStuff = append(isStuff, true)
+			wire[n], stuff[n] = st, true
+			n++
 		}
 		if pos <= can.PosRTR {
-			arbEnd = len(bits)
+			arbEnd = n
 		}
 	}
-	bits = append(bits, can.Recessive) // CRC delimiter
-	ackIdx := len(bits)
-	bits = append(bits, can.Recessive, can.Recessive) // ACK slot, ACK delimiter
-	for i := 0; i < can.EOFBits; i++ {
-		bits = append(bits, can.Recessive)
+	wire[n] = can.Recessive // CRC delimiter
+	ackIdx := n + 1
+	for i := n + 1; i < n+3+can.EOFBits; i++ {
+		wire[i] = can.Recessive // ACK slot, ACK delimiter, EOF
 	}
-	for len(isStuff) < len(bits) {
-		isStuff = append(isStuff, false)
+	n += 3 + can.EOFBits
+
+	// One object: the bits, the resolved span (window plus intermission)
+	// and the stuff map, each capped so no append can run into the next.
+	p, mem := allocBasePlan(3*n + IntermissionBits)
+	p.bits = mem[:n:n]
+	copy(p.bits, wire[:n])
+	p.resolved = resolveSpan(mem[n:2*n+IntermissionBits:2*n+IntermissionBits], p.bits, ackIdx)
+	p.isStuff = unsafe.Slice((*bool)(unsafe.Pointer(&mem[2*n+IntermissionBits])), n)
+	copy(p.isStuff, stuff[:n])
+	p.arbEnd, p.ackIdx, p.id = arbEnd, ackIdx, -1
+	return p
+}
+
+// planHeader is the size of a txPlan, the part of a base plan's allocation
+// ahead of its arrays.
+const planHeader = unsafe.Sizeof(txPlan{})
+
+// planBox is a txPlan allocated together with the storage its bits,
+// resolved span and stuff map view. A is a [N]can.Level array.
+type planBox[A any] struct {
+	plan txPlan
+	mem  A
+}
+
+// allocPlan allocates one planBox and returns its plan and its storage,
+// recording the object's size in the plan.
+func allocPlan[A any]() (*txPlan, []can.Level) {
+	box := new(planBox[A])
+	box.plan.size = int32(unsafe.Sizeof(*box))
+	return &box.plan, unsafe.Slice((*can.Level)(unsafe.Pointer(&box.mem)), unsafe.Sizeof(box.mem))
+}
+
+// allocBasePlan allocates a base plan with at least storage bytes for its
+// arrays, as one object in the smallest allocator size class that fits: a
+// base window of 44 to 132 bits needs 3n+3 bytes, so the whole plan lands in
+// one of the classes from 288 to 576 bytes and a short frame's plan stays
+// small.
+func allocBasePlan(storage int) (*txPlan, []can.Level) {
+	switch size := int(planHeader) + storage; {
+	case size <= 288:
+		return allocPlan[[288 - planHeader]can.Level]()
+	case size <= 320:
+		return allocPlan[[320 - planHeader]can.Level]()
+	case size <= 352:
+		return allocPlan[[352 - planHeader]can.Level]()
+	case size <= 384:
+		return allocPlan[[384 - planHeader]can.Level]()
+	case size <= 416:
+		return allocPlan[[416 - planHeader]can.Level]()
+	case size <= 448:
+		return allocPlan[[448 - planHeader]can.Level]()
+	case size <= 480:
+		return allocPlan[[480 - planHeader]can.Level]()
+	case size <= 512:
+		return allocPlan[[512 - planHeader]can.Level]()
+	default:
+		return allocPlan[[576 - planHeader]can.Level]()
 	}
-	n := len(bits)
-	resolved := resolveSpan(levels[maxWire:maxWire+n+IntermissionBits:maxWire+n+IntermissionBits], bits, ackIdx)
-	return &txPlan{bits: bits[:n:n], arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx, resolved: resolved, id: -1}
 }
 
 // levelOf returns bit i of v as a wire level (set = recessive).

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"michican/internal/bus"
@@ -41,6 +42,39 @@ func genericTxPlan(f can.Frame) *txPlan {
 	return &txPlan{bits: wire, arbEnd: arbEnd, isStuff: isStuff, ackIdx: ackIdx}
 }
 
+// basePlanSize is the size of the one object a base plan with an n-bit
+// window is allocated as: the smallest size class allocBasePlan offers that
+// holds the plan and its 3n+3 bytes of arrays.
+func basePlanSize(n int) int {
+	need := int(planHeader) + 3*n + IntermissionBits
+	for _, class := range []int{288, 320, 352, 384, 416, 448, 480, 512, 576} {
+		if need <= class {
+			return class
+		}
+	}
+	return -1
+}
+
+// TestTxPlanBaseAllocatesOnce pins the base serializer's cost: the plan,
+// its bits, resolved span and stuff map are one object, sized to its window
+// (a DLC-0 plan stays smaller than an 8-byte one), and the plan records that
+// size for its source's ResidentBytes.
+func TestTxPlanBaseAllocatesOnce(t *testing.T) {
+	for dlc := 0; dlc <= can.MaxDataLen; dlc++ {
+		f := can.Frame{ID: 0x173, Data: make([]byte, dlc)}
+		if got := testing.AllocsPerRun(100, func() { newTxPlan(f) }); got != 1 {
+			t.Errorf("DLC %d: newTxPlan makes %v allocations, want 1", dlc, got)
+		}
+		p := newTxPlan(f)
+		if want := basePlanSize(len(p.bits)); int(p.size) != want {
+			t.Errorf("DLC %d: plan records %d bytes, want its %d-byte object", dlc, p.size, want)
+		}
+	}
+	if small, large := newTxPlan(can.Frame{ID: 0x173}).size, newTxPlan(can.Frame{ID: 0x173, Data: make([]byte, 8)}).size; small >= large {
+		t.Errorf("a DLC-0 plan takes %d bytes, an 8-byte one %d", small, large)
+	}
+}
+
 // TestTxPlanBaseMatchesGeneric differentially checks the fused single-pass
 // serializer against the reference construction over random base-format
 // frames (all IDs stressed via randomness, every DLC, data and remote).
@@ -61,6 +95,9 @@ func TestTxPlanBaseMatchesGeneric(t *testing.T) {
 		if got.arbEnd != want.arbEnd || got.ackIdx != want.ackIdx {
 			t.Fatalf("frame %+v: geometry (%d,%d), want (%d,%d)",
 				f, got.arbEnd, got.ackIdx, want.arbEnd, want.ackIdx)
+		}
+		if !slices.Equal(got.resolved, resolveSpan(make([]can.Level, len(want.bits)+IntermissionBits), want.bits, want.ackIdx)) {
+			t.Fatalf("frame %+v: resolved span differs from the window it resolves", f)
 		}
 	}
 	// Stuffing-heavy corner IDs at every DLC.

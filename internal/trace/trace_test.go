@@ -1,6 +1,7 @@
 package trace
 
 import (
+	mathbits "math/bits"
 	"testing"
 
 	"michican/internal/bus"
@@ -201,4 +202,70 @@ func TestEndToEndAttackTrace(t *testing.T) {
 		t.Errorf("bus-off span = %d bits, want ≈1230", busOff)
 	}
 	t.Logf("trace-measured bus-off time: %d bits", busOff)
+}
+
+// TestDecodeAllocations bounds what decoding a recorded attacked trace
+// costs: one allocation per decoded data frame (its Data) plus the event
+// slice's O(log n) growth. Destroyed attempts, remote and DLC-0 frames and
+// the destuffing itself allocate nothing.
+func TestDecodeAllocations(t *testing.T) {
+	b := bus.New(bus.Rate500k)
+	r := NewRecorder()
+	b.AttachTap(r)
+	v, err := fsm.NewIVN([]can.ID{0x173})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := fsm.NewDetectionSet(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := core.New(core.Config{Name: "m", FSM: fsm.Build(ds)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defCtl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
+	b.Attach(core.NewECU(defCtl, def))
+	benign := controller.New(controller.Config{Name: "benign", AutoRecover: true})
+	b.Attach(benign)
+	att := controller.New(controller.Config{Name: "attacker", AutoRecover: true})
+	b.Attach(att)
+	for i := 0; i < 40; i++ {
+		f := can.Frame{ID: can.ID(0x200 + i), Data: make([]byte, i%9)}
+		if i%10 == 3 {
+			f = can.Frame{ID: can.ID(0x200 + i), Remote: true, RequestLen: 4}
+		}
+		if err := benign.Enqueue(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := defCtl.Enqueue(can.Frame{ID: 0x173, Data: []byte{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := att.Enqueue(can.Frame{ID: 0x064, Data: make([]byte, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	if !b.RunUntil(func() bool { return att.State() == controller.BusOff && benign.PendingTx() == 0 }, 20_000) {
+		t.Fatal("attacker not bused off or benign frames not sent")
+	}
+	b.Run(30)
+
+	bits, start := r.Bits(), r.Start()
+	events := Decode(bits, start)
+	dataFrames := 0
+	for _, e := range events {
+		if e.Kind == FrameEvent && len(e.Frame.Data) > 0 {
+			dataFrames++
+		}
+	}
+	if len(AttemptsOf(events, 0x064)) != 32 || dataFrames < 30 {
+		t.Fatalf("decoded %d events, %d destroyed attempts, %d data frames; want 32 attempts and ≥ 30 data frames",
+			len(events), len(AttemptsOf(events, 0x064)), dataFrames)
+	}
+	limit := dataFrames + 2*mathbits.Len(uint(len(events)))
+	got := testing.AllocsPerRun(10, func() { Decode(bits, start) })
+	if got > float64(limit) {
+		t.Errorf("Decode of %d events (%d data frames) makes %v allocations, want at most %d", len(events), dataFrames, got, limit)
+	}
+	t.Logf("Decode of %d events (%d data frames): %v allocations", len(events), dataFrames, got)
 }
