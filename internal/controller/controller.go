@@ -239,8 +239,8 @@ type Controller struct {
 	// region cursor.
 	rxFD        bool
 	rxFDKnown   bool
-	rxFDCRC17   *can.FDCRC
-	rxFDCRC21   *can.FDCRC
+	rxFDCRC17   can.FDCRC
+	rxFDCRC21   can.FDCRC
 	rxDynStuff  int
 	rxFSIdx     int // payload index within the fixed-stuff region
 	rxFSBNext   bool
@@ -306,6 +306,8 @@ func New(cfg Config) *Controller {
 		phase:         phaseIdle,
 		driveNext:     can.Recessive,
 		rxDLC:         -1,
+		rxFDCRC17:     *can.NewFDCRC(0),
+		rxFDCRC21:     *can.NewFDCRC(64),
 		framesSinceTx: 2, // no suspend before the first own transmission
 	}
 	c.rxBits = make([]can.Level, 0, can.UnstuffedLen(can.MaxDataLen))

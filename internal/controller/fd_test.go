@@ -121,3 +121,25 @@ func TestFDJammedFrameRampsTEC(t *testing.T) {
 		t.Errorf("attempts = %d, want 32", att.Stats().TxAttempts)
 	}
 }
+
+// TestFirstReceptionAllocatesNothing checks that a controller's first SOF,
+// which resets the whole receive pipeline, allocates nothing: the two FD CRC
+// registers live inside the controller from construction on.
+func TestFirstReceptionAllocatesNothing(t *testing.T) {
+	const runs = 100
+	ctls := make([]*Controller, runs+1) // AllocsPerRun makes one extra warm-up call
+	for i := range ctls {
+		ctls[i] = New(Config{Name: "rx"})
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		ctls[next].Observe(0, can.Dominant)
+		next++
+	})
+	if got != 0 {
+		t.Errorf("a fresh controller's first SOF makes %v allocations, want 0", got)
+	}
+	if ctls[0].phase != phaseFrame {
+		t.Fatalf("the SOF left the controller in phase %v, not on a frame", ctls[0].phase)
+	}
+}

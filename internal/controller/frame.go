@@ -45,13 +45,8 @@ func (c *Controller) resetRx() {
 	c.rxAwaitStuff = false
 	c.rxFD = false
 	c.rxFDKnown = false
-	if c.rxFDCRC17 == nil {
-		c.rxFDCRC17 = can.NewFDCRC(0)
-		c.rxFDCRC21 = can.NewFDCRC(64)
-	} else {
-		c.rxFDCRC17.Reset()
-		c.rxFDCRC21.Reset()
-	}
+	c.rxFDCRC17.Reset()
+	c.rxFDCRC21.Reset()
 	c.rxDynStuff = 0
 	c.rxFSIdx = -1
 	c.rxFSBNext = false
@@ -435,9 +430,9 @@ func (c *Controller) rxFDFixedStuffBit(t bus.BitTime, level can.Level) {
 	c.rxFSIdx++
 	if c.rxFSIdx == 4+crcBits {
 		count, ok := can.DecodeStuffCount(c.rxSCBits)
-		crc := c.rxFDCRC17
+		crc := &c.rxFDCRC17
 		if crcBits == 21 {
-			crc = c.rxFDCRC21
+			crc = &c.rxFDCRC21
 		}
 		var got uint32
 		for _, b := range c.rxFDCRCBits {

@@ -82,12 +82,11 @@ func busLoadRun(cfg Config, system string) (BusLoadRow, error) {
 
 	switch system {
 	case "MichiCAN":
-		ids := append(matrix.IDs(), DefenderID)
-		_, node, err := buildDefendedECU(ids)
+		ecu, err := defendedECU(append(matrix.IDs(), DefenderID))
 		if err != nil {
 			return BusLoadRow{}, err
 		}
-		b.Attach(node)
+		b.Attach(ecu)
 	case "Parrot":
 		b.Attach(parrot.New(parrot.Config{Name: "parrot", OwnID: DefenderID}))
 	case "none":

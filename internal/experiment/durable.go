@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"michican/internal/forensics"
 	"michican/internal/store"
 )
@@ -23,15 +25,16 @@ type DurableVehicle struct {
 // the spec), builds the vehicle, and attaches a persistence sink. segBytes
 // and fsync zero-default per the store package.
 func StartDurableVehicle(dir string, spec FleetVehicleSpec, segBytes int64, fsync string, opts store.SinkOptions) (*DurableVehicle, error) {
-	v, err := newFleetVehicle(spec)
+	db, err := newDefendedBus(spec.busSpec())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet vehicle %d: %w", spec.Index, err)
 	}
 	st, err := CreateStore(dir, store.Meta{Kind: "vehicle", SegmentBytes: segBytes, Fsync: fsync}, spec)
 	if err != nil {
 		return nil, err
 	}
-	return v.durable(st, opts), nil
+	v := spec.vehicle(db, StackConfig{Store: st, Sink: opts})
+	return &DurableVehicle{FleetVehicle: v, Store: st, Sink: v.stack.Sink}, nil
 }
 
 // ResumeDurableVehicle reopens a vehicle store and prepares the resumed run
@@ -47,22 +50,17 @@ func StartDurableVehicle(dir string, spec FleetVehicleSpec, segBytes int64, fsyn
 func ResumeDurableVehicle(dir string, opts store.SinkOptions) (*DurableVehicle, error) {
 	var (
 		spec FleetVehicleSpec
-		v    *FleetVehicle
+		db   defendedBus
 	)
 	st, opts, err := ResumeStore(dir, &spec, opts, func() (err error) {
-		v, err = newFleetVehicle(spec)
+		db, err = newDefendedBus(spec.busSpec())
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.durable(st, opts), nil
-}
-
-// durable attaches the vehicle's stack with st as its store.
-func (v *FleetVehicle) durable(st *store.Store, opts store.SinkOptions) *DurableVehicle {
-	v.attach(StackConfig{Store: st, Sink: opts})
-	return &DurableVehicle{FleetVehicle: v, Store: st, Sink: v.stack.Sink}
+	v := spec.vehicle(db, StackConfig{Store: st, Sink: opts})
+	return &DurableVehicle{FleetVehicle: v, Store: st, Sink: v.stack.Sink}, nil
 }
 
 // FinalizeDurable persists a finished vehicle: incidents appended through

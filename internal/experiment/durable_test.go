@@ -375,8 +375,8 @@ func TestResumedFleetSharesPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctls := []*controller.Controller{dv.defender}
-		if dv.rp != nil {
-			ctls = append(ctls, dv.rp.Controller())
+		if dv.restbus != nil {
+			ctls = append(ctls, dv.restbus.Controller())
 		}
 		for _, a := range dv.attackers {
 			ctls = append(ctls, a.Controller())

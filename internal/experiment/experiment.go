@@ -8,10 +8,10 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 	"time"
 
+	"michican/internal/attack"
 	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/controller"
@@ -38,10 +38,10 @@ type Config struct {
 	// golden-trace differential tests, and the modes between them the
 	// michican-bench -mode ablations. An unknown mode is an error.
 	Mode SteppingMode
-	// Hub, when set, wires every testbed participant (bus, defender
-	// controller, defense, restbus, attackers) into the telemetry collector.
-	// Every trial shares it, one trial at a time: node names dedupe and the
-	// per-node metric instruments aggregate across trials.
+	// Hub, when set, wires every participant of the defended bus (bus,
+	// defender controller, defense, restbus, attackers) into the telemetry
+	// collector. Every trial shares it, one trial at a time: node names
+	// dedupe and the per-node metric instruments aggregate across trials.
 	Hub *telemetry.Hub
 }
 
@@ -82,59 +82,127 @@ var defenderPayload = []byte{0x11, 0x22}
 
 func defenderFrame() can.Frame { return can.Frame{ID: DefenderID, Data: defenderPayload} }
 
-// testbed is the Sec. V-C topology: a MichiCAN-defended ECU plus optional
-// restbus traffic and a logic-analyzer recorder.
-type testbed struct {
-	bus      *bus.Bus
-	defender *controller.Controller
-	defense  *core.Defense
-	restbus  *restbus.Replayer
-	recorder *trace.Recorder
+// busSpec describes one Sec. V-C defended bus: the MichiCAN-defended 0x173
+// ECU, the Veh.-D restbus replay and the attackers. Its fields are the ones
+// the paper's experiments, the fleet vehicle and the throughput scenario set
+// differently.
+type busSpec struct {
+	rate bus.Rate
+	// mode is the stepping mode ("" is the full ladder).
+	mode SteppingMode
+	// seed drives the restbus phases.
+	seed int64
+	// matrix is the restbus traffic (nil: no restbus). DefenderID and the
+	// IDs in exclude are taken off it, and its periods are stretched to
+	// offer load.
+	matrix  *restbus.Matrix
+	load    float64
+	exclude []can.ID
+	// sends gives the defender its periodic 0x173 (defenderSends).
+	sends bool
+	// attackers attach after the restbus, in order.
+	attackers []*attack.Attacker
+	// hub, when set, receives every participant's telemetry.
+	hub *telemetry.Hub
+	// record attaches a logic-analyzer recorder.
+	record bool
+	// plans is the compiled-plan cache every controller resolves frames
+	// through (nil: each compiles privately).
+	plans *controller.PlanSource
+	// warm precompiles the restbus's whole rolling-counter rotation, so a
+	// timed window never pays a first-sight plan build.
+	warm bool
 }
 
-// newTestbed builds the defended bus. legitimate lists every benign CAN ID
-// other than the defender's own (the restbus matrix when present); the
-// defender's detection FSM covers everything below 0x173 that is not
-// legitimate, plus 0x173 itself. With sends the defender carries its
-// periodic 0x173 (defenderSends).
-func newTestbed(cfg Config, matrix *restbus.Matrix, exclude []can.ID, sends bool) (*testbed, error) {
-	tb := &testbed{bus: bus.New(cfg.Rate)}
-	if err := applyMode(tb.bus, cfg.Mode); err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	tb.recorder = trace.NewRecorder()
-	tb.bus.AttachTap(tb.recorder)
+// defendedBus is a bus built by newDefendedBus. restbus and recorder are
+// nil when the spec has none.
+type defendedBus struct {
+	bus       *bus.Bus
+	hub       *telemetry.Hub
+	defender  *controller.Controller
+	defense   *core.Defense
+	restbus   *restbus.Replayer
+	attackers []*attack.Attacker
+	recorder  *trace.Recorder
+}
 
+// newDefendedBus builds spec's bus. The defender's detection FSM covers
+// everything below 0x173 that is not on the cleaned matrix, plus 0x173
+// itself. The order is fixed: the bus and its ladder, the matrix, the
+// defended ECU; then the ECU, the restbus and the attackers attach, the
+// plan cache is wired, and last the hub takes every participant in attach
+// order. Probe registration order fixes the node IDs a recorded stream
+// carries, so this order is part of every stored stream's identity.
+func newDefendedBus(spec busSpec) (defendedBus, error) {
+	b := defendedBus{bus: bus.New(spec.rate), hub: spec.hub, attackers: spec.attackers}
+	if err := applyMode(b.bus, spec.mode); err != nil {
+		return defendedBus{}, err
+	}
+	if spec.record {
+		b.recorder = trace.NewRecorder()
+		b.bus.AttachTap(b.recorder)
+	}
+	matrix := spec.matrix
 	ids := []can.ID{DefenderID}
 	if matrix != nil {
-		matrix = cleanMatrix(matrix, append([]can.ID{DefenderID}, exclude...))
-		matrix = scaleMatrixToLoad(matrix, cfg.Rate, restbusTargetLoad)
+		matrix = cleanMatrix(matrix, append([]can.ID{DefenderID}, spec.exclude...))
+		matrix = scaleMatrixToLoad(matrix, spec.rate, spec.load)
 		ids = append(ids, matrix.IDs()...)
 	}
-	var err error
-	if tb.defense, err = core.NewFor(ids, DefenderID, core.Config{Name: "michican"}); err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
+	ecu, err := defendedECU(ids)
+	if err != nil {
+		return defendedBus{}, err
 	}
-	tb.defender = controller.New(controller.Config{Name: "defender", AutoRecover: true})
-	ecu := core.NewECU(tb.defender, tb.defense)
-	if sends {
-		ecu.SetSchedule(defenderSends(cfg.Rate))
+	if spec.sends {
+		ecu.SetSchedule(defenderSends(spec.rate))
 	}
-	tb.bus.Attach(ecu)
+	b.defender, b.defense = ecu.Controller, ecu.Defense
 
+	b.bus.Attach(ecu)
 	if matrix != nil {
-		tb.restbus = restbus.NewReplayer("restbus", matrix, cfg.Rate, newRand(cfg.Seed))
-		tb.bus.Attach(tb.restbus)
+		b.restbus = restbus.NewReplayer("restbus", matrix, spec.rate, newRand(spec.seed))
+		b.bus.Attach(b.restbus)
 	}
-	if cfg.Hub != nil {
-		tb.bus.SetTelemetry(cfg.Hub, "bus")
-		tb.defender.SetTelemetry(cfg.Hub)
-		tb.defense.SetTelemetry(cfg.Hub)
-		if tb.restbus != nil {
-			tb.restbus.SetTelemetry(cfg.Hub)
+	for _, a := range b.attackers {
+		b.bus.Attach(a)
+	}
+	b.sharePlans(spec.plans)
+	if spec.warm && b.restbus != nil {
+		b.restbus.WarmSplice(256)
+	}
+	if spec.hub != nil {
+		b.bus.SetTelemetry(spec.hub, "bus")
+		ecu.SetTelemetry(spec.hub)
+		if b.restbus != nil {
+			b.restbus.SetTelemetry(spec.hub)
+		}
+		for _, a := range b.attackers {
+			a.SetTelemetry(spec.hub)
 		}
 	}
-	return tb, nil
+	return b, nil
+}
+
+// defendedECU builds the paper's MichiCAN-defended 0x173 ECU for the
+// legitimate ID list ids, which must include DefenderID.
+func defendedECU(ids []can.ID) (*core.ECU, error) {
+	def, err := core.NewFor(ids, DefenderID, core.Config{Name: "michican"})
+	if err != nil {
+		return nil, err
+	}
+	return core.NewECU(controller.New(controller.Config{Name: "defender", AutoRecover: true}), def), nil
+}
+
+// sharePlans wires a plan cache into every controller on the bus (nil:
+// each compiles privately).
+func (b *defendedBus) sharePlans(src *controller.PlanSource) {
+	b.defender.SetPlanSource(src)
+	if b.restbus != nil {
+		b.restbus.SharePlans(src)
+	}
+	for _, a := range b.attackers {
+		a.SharePlans(src)
+	}
 }
 
 // restbusTargetLoad is the benign bus load replayed in the restbus
@@ -192,18 +260,6 @@ func cleanMatrix(m *restbus.Matrix, exclude []can.ID) *restbus.Matrix {
 		}
 	}
 	return out
-}
-
-// buildDefendedECU assembles the standard MichiCAN-defended 0x173 ECU for
-// the given legitimate ID list (which must include DefenderID) and returns
-// the defense plus the composite bus node.
-func buildDefendedECU(ids []can.ID) (*core.Defense, bus.Node, error) {
-	def, err := core.NewFor(ids, DefenderID, core.Config{Name: "michican"})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: %w", err)
-	}
-	ctl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
-	return def, core.NewECU(ctl, def), nil
 }
 
 // Episode is one complete bus-off cycle of a single attacker ID: the run of

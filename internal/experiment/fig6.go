@@ -70,21 +70,20 @@ func Fig6(cfg Config) (Fig6Result, error) {
 	return res, err
 }
 
-// fig6Scenario runs the Fig. 6 simulation and also returns its testbed so
+// fig6Scenario runs the Fig. 6 simulation and also returns its bus so
 // differential tests can compare raw recorder bit streams. The simulation
 // itself is one deterministic timeline (the interleaving under test *is*
 // the serialization), so only the per-ID episode decoding fans out over the
 // trial runner.
-func fig6Scenario(cfg Config) (Fig6Result, *testbed, error) {
+func fig6Scenario(cfg Config) (Fig6Result, *defendedBus, error) {
 	cfg = cfg.Defaults()
-	tb, err := newTestbed(cfg, nil, []can.ID{0x066, 0x067}, false)
+	a66 := attack.NewTargetedDoS("attacker-66", 0x066)
+	a67 := attack.NewTargetedDoS("attacker-67", 0x067)
+	tb, err := newDefendedBus(busSpec{rate: cfg.Rate, mode: cfg.Mode, seed: cfg.Seed,
+		attackers: []*attack.Attacker{a66, a67}, hub: cfg.Hub, record: true})
 	if err != nil {
 		return Fig6Result{}, nil, err
 	}
-	a66 := attack.NewTargetedDoS("attacker-66", 0x066)
-	a67 := attack.NewTargetedDoS("attacker-67", 0x067)
-	tb.bus.Attach(a66)
-	tb.bus.Attach(a67)
 
 	// Run until both attackers completed one full bus-off episode.
 	done := func() bool {
@@ -120,8 +119,8 @@ func fig6Scenario(cfg Config) (Fig6Result, *testbed, error) {
 		return eps[0].Bits(), nil
 	})
 	if err != nil {
-		return res, tb, err
+		return res, &tb, err
 	}
 	res.BusOffBits66, res.BusOffBits67 = bits[0], bits[1]
-	return res, tb, nil
+	return res, &tb, nil
 }

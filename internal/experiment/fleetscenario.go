@@ -7,7 +7,6 @@ import (
 	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/controller"
-	"michican/internal/core"
 	"michican/internal/forensics"
 	"michican/internal/restbus"
 	"michican/internal/telemetry"
@@ -109,93 +108,42 @@ func fleetAttackers(a FleetAttack) []*attack.Attacker {
 // package's Vehicle interface. Advance/Now/Finalize are worker-owned; Hub
 // and LiveIncidents are safe for concurrent observability reads.
 type FleetVehicle struct {
+	defendedBus
 	spec      FleetVehicleSpec
-	bb        *bus.Bus
-	hub       *telemetry.Hub
 	stack     *Stack
-	defender  *controller.Controller
-	defense   *core.Defense
-	recorder  *trace.Recorder
-	rp        *restbus.Replayer
-	attackers []*attack.Attacker
 	finalized bool
 }
 
 // NewFleetVehicle builds the vehicle from its spec.
 func NewFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
-	v, err := newFleetVehicle(spec)
-	if err == nil {
-		v.attach(StackConfig{})
-	}
-	return v, err
-}
-
-// newFleetVehicle builds the vehicle's bus and nodes, everything but its
-// telemetry stack (attach).
-func newFleetVehicle(spec FleetVehicleSpec) (*FleetVehicle, error) {
-	if spec.Mode == "" {
-		spec.Mode = ModeSpliceFF
-	}
-	v := &FleetVehicle{
-		spec: spec,
-		bb:   bus.New(bus.Rate50k),
-		hub:  telemetry.NewHub(),
-	}
-	if err := applyMode(v.bb, spec.Mode); err != nil {
-		return nil, fmt.Errorf("fleet vehicle %d: %w", spec.Index, err)
-	}
-
-	attackIDs := fleetAttackIDs(spec.Attack)
-	var matrix *restbus.Matrix
-	ids := []can.ID{DefenderID}
-	if spec.Load > 0 {
-		matrix = cleanMatrix(restbus.Buses(restbus.VehD)[0], append([]can.ID{DefenderID}, attackIDs...))
-		matrix = scaleMatrixToLoad(matrix, bus.Rate50k, spec.Load)
-		ids = append(ids, matrix.IDs()...)
-	}
-	defense, err := core.NewFor(ids, DefenderID, core.Config{Name: "michican"})
+	db, err := newDefendedBus(spec.busSpec())
 	if err != nil {
 		return nil, fmt.Errorf("fleet vehicle %d: %w", spec.Index, err)
 	}
-	v.defender = controller.New(controller.Config{Name: "defender", AutoRecover: true})
-	v.defense = defense
-	ecu := core.NewECU(v.defender, defense)
-	ecu.SetSchedule(defenderSends(bus.Rate50k))
-	v.bb.Attach(ecu)
-
-	if matrix != nil {
-		v.rp = restbus.NewReplayer("restbus", matrix, bus.Rate50k, newRand(spec.Seed))
-		v.bb.Attach(v.rp)
-	}
-	v.attackers = fleetAttackers(spec.Attack)
-	for _, a := range v.attackers {
-		v.bb.Attach(a)
-	}
-	v.SharePlans(spec.Plans)
-
-	v.bb.SetTelemetry(v.hub, "bus")
-	v.defender.SetTelemetry(v.hub)
-	defense.SetTelemetry(v.hub)
-	if v.rp != nil {
-		v.rp.SetTelemetry(v.hub)
-	}
-	for _, a := range v.attackers {
-		a.SetTelemetry(v.hub)
-	}
-	if spec.Record {
-		v.recorder = trace.NewRecorder()
-		v.bb.AttachTap(v.recorder)
-	}
-	return v, nil
+	return spec.vehicle(db, StackConfig{}), nil
 }
 
-// attach builds the vehicle's stack: forensics, watch when the spec asks
-// for it, and cfg's store. It runs after every node probe is registered,
-// so the watch engine's probe takes the last node ID, and before the first
-// Advance, so the stack sees the whole stream.
-func (v *FleetVehicle) attach(cfg StackConfig) {
-	cfg.Forensics, cfg.Watch = true, v.spec.Watch
-	v.stack = NewStack(v.hub, cfg)
+// busSpec is the vehicle's defended bus at 50 kbit/s, wired into a hub of
+// its own.
+func (s FleetVehicleSpec) busSpec() busSpec {
+	b := busSpec{rate: bus.Rate50k, mode: s.Mode, seed: s.Seed, exclude: fleetAttackIDs(s.Attack),
+		sends: true, attackers: fleetAttackers(s.Attack), hub: telemetry.NewHub(), record: s.Record, plans: s.Plans}
+	if s.Load > 0 {
+		b.matrix, b.load = restbus.Buses(restbus.VehD)[0], s.Load
+	}
+	return b
+}
+
+// vehicle wraps the vehicle's built bus and attaches its stack: forensics,
+// watch when the spec asks for it, and cfg's store. The bus registered
+// every node probe, so the watch engine's probe takes the last node ID, and
+// no bit has run, so the stack sees the whole stream.
+func (s FleetVehicleSpec) vehicle(db defendedBus, cfg StackConfig) *FleetVehicle {
+	if s.Mode == "" {
+		s.Mode = ModeSpliceFF
+	}
+	cfg.Forensics, cfg.Watch = true, s.Watch
+	return &FleetVehicle{defendedBus: db, spec: s, stack: NewStack(db.hub, cfg)}
 }
 
 // SharePlans wires a plan cache into every controller of the vehicle (nil:
@@ -203,13 +151,7 @@ func (v *FleetVehicle) attach(cfg StackConfig) {
 // on a vehicle built without spec.Plans — a resumed one, for instance.
 func (v *FleetVehicle) SharePlans(src *controller.PlanSource) {
 	v.spec.Plans = src
-	v.defender.SetPlanSource(src)
-	if v.rp != nil {
-		v.rp.SharePlans(src)
-	}
-	for _, a := range v.attackers {
-		a.SharePlans(src)
-	}
+	v.sharePlans(src)
 }
 
 // PlanSource returns the vehicle's plan cache (nil: private compiles).
@@ -229,7 +171,7 @@ func (v *FleetVehicle) Hub() *telemetry.Hub { return v.hub }
 
 // Now implements fleet.Vehicle (worker-owned; observability readers go
 // through the fleet's atomic mirror).
-func (v *FleetVehicle) Now() int64 { return int64(v.bb.Now()) }
+func (v *FleetVehicle) Now() int64 { return int64(v.bus.Now()) }
 
 // Spec returns the vehicle's spec.
 func (v *FleetVehicle) Spec() FleetVehicleSpec { return v.spec }
@@ -246,7 +188,7 @@ func (v *FleetVehicle) Describe() string {
 // Advance implements fleet.Vehicle. The defended ECU owns its periodic
 // sends (defenderSends), and the bus bounds every op at a send, so any
 // slicing of the same horizon produces the same wire trace.
-func (v *FleetVehicle) Advance(bits int64) { v.bb.Run(bits) }
+func (v *FleetVehicle) Advance(bits int64) { v.bus.Run(bits) }
 
 // WarmPlans pre-compiles the vehicle's restbus transmit plans (all 256
 // rolling-counter payload instances per message), the work the schedule
@@ -254,8 +196,8 @@ func (v *FleetVehicle) Advance(bits int64) { v.bb.Run(bits) }
 // PlanSource the first vehicle fills the cache and every later one resolves
 // by lookup, so fleet warm-up compile cost is paid once instead of N times.
 func (v *FleetVehicle) WarmPlans() {
-	if v.rp != nil {
-		v.rp.WarmSplice(256)
+	if v.restbus != nil {
+		v.restbus.WarmSplice(256)
 	}
 }
 
@@ -268,7 +210,7 @@ func (v *FleetVehicle) Finalize() []forensics.Incident {
 	eng := v.stack.Forensics
 	if !v.finalized {
 		v.finalized = true
-		eng.Finalize(int64(v.bb.Now()))
+		eng.Finalize(int64(v.bus.Now()))
 		eng.Close()
 	}
 	return eng.Incidents()

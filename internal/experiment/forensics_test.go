@@ -95,7 +95,7 @@ func TestFleetForensicsParity(t *testing.T) {
 			}
 			v.Advance(spec.HorizonBits)
 			v.Finalize()
-			end := v.bb.Now()
+			end := v.bus.Now()
 			events := trace.Decode(v.recorder.Bits(), v.recorder.Start())
 			for _, id := range fleetAttackIDs(attack) {
 				cell := fmt.Sprintf("%s@%.0f%%/%#03x", attack, load*100, uint32(id))

@@ -118,12 +118,13 @@ func ValidateTable3(cfg Config) (Table3Validation, error) {
 	cfg = cfg.Defaults()
 	var out Table3Validation
 
-	matrix := restbus.Buses(restbus.VehD)[0]
-	tb, err := newTestbed(cfg, matrix, []can.ID{DefenderID}, false)
+	spoofer := attack.NewTargetedDoS("attacker", DefenderID)
+	tb, err := newDefendedBus(busSpec{rate: cfg.Rate, mode: cfg.Mode, seed: cfg.Seed,
+		matrix: restbus.Buses(restbus.VehD)[0], load: restbusTargetLoad,
+		attackers: []*attack.Attacker{spoofer}, hub: cfg.Hub, record: true})
 	if err != nil {
 		return out, err
 	}
-	tb.bus.Attach(attack.NewTargetedDoS("attacker", DefenderID))
 	tb.bus.RunFor(cfg.Duration)
 
 	events := trace.Decode(tb.recorder.Bits(), tb.recorder.Start())

@@ -11,8 +11,6 @@ import (
 	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/controller"
-	"michican/internal/core"
-	"michican/internal/fsm"
 	"michican/internal/restbus"
 	"michican/internal/trace"
 )
@@ -187,40 +185,21 @@ func TestLadderIdentityAttackedMemoGrowth(t *testing.T) {
 		sliceBits = int64(100_000)
 	)
 	run := func(mode SteppingMode) (ladderOutcome, []int) {
-		matrix := cleanMatrix(restbus.Buses(restbus.VehD)[0], []can.ID{DefenderID})
-		matrix = scaleMatrixToLoad(matrix, bus.Rate50k, 0.60)
-		ivn, err := fsm.NewIVN(append([]can.ID{DefenderID}, matrix.IDs()...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := fsm.NewDetectionSet(ivn, ivn.Index(DefenderID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		def, err := core.New(core.Config{Name: "michican", FSM: fsm.Build(ds)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb := bus.New(bus.Rate50k)
-		if err := applyMode(bb, mode); err != nil {
-			t.Fatal(err)
-		}
-		defCtl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
-		bb.Attach(core.NewECU(defCtl, def))
-		rep := restbus.NewReplayer("restbus", matrix, bus.Rate50k, rand.New(rand.NewSource(5)))
-		bb.Attach(rep)
 		att := attack.NewTargetedDoS("attacker", DefenderID)
-		bb.Attach(att)
-		rec := trace.NewRecorder()
-		bb.AttachTap(rec)
+		tb, err := newDefendedBus(busSpec{rate: bus.Rate50k, mode: mode, seed: 5,
+			matrix: restbus.Buses(restbus.VehD)[0], load: 0.60,
+			attackers: []*attack.Attacker{att}, record: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		var sizes []int
 		for i := 0; i < slices; i++ {
-			bb.Run(sliceBits)
-			sizes = append(sizes, def.MemoSlots())
+			tb.bus.Run(sliceBits)
+			sizes = append(sizes, tb.defense.MemoSlots())
 		}
-		out := ladderOutcome{Bits: rec.Bits()}
-		for _, c := range []*controller.Controller{defCtl, rep.Controller(), att.Controller()} {
+		out := ladderOutcome{Bits: tb.recorder.Bits()}
+		for _, c := range []*controller.Controller{tb.defender, tb.restbus.Controller(), att.Controller()} {
 			st := c.Stats()
 			out.TEC = append(out.TEC, c.TEC())
 			out.REC = append(out.REC, c.REC())

@@ -17,8 +17,8 @@ import (
 // TestSteppingModeValidation pins how every constructor that takes a stepping
 // mode treats each valid mode, the empty mode (the full ladder) and an
 // unknown one (an error naming it), including the retired "frame-ff": the
-// fleet vehicle, the throughput scenario, the experiments' Config.Mode (the
-// testbed and each study that builds its own bus), and a durable vehicle
+// fleet vehicle, the throughput scenario, the defended bus the Sec. V-C
+// experiments build, each study that builds its own bus, and a durable vehicle
 // started fresh or resumed from a stored spec.
 func TestSteppingModeValidation(t *testing.T) {
 	cases := []struct {
@@ -49,8 +49,8 @@ func TestSteppingModeValidation(t *testing.T) {
 			}
 			_, err = ThroughputScenario(0.02, tc.mode)
 			check("ThroughputScenario", err)
-			_, err = newTestbed(Config{Mode: tc.mode}.Defaults(), nil, nil, false)
-			check("Config.Mode", err)
+			_, err = newDefendedBus(busSpec{rate: bus.Rate50k, mode: tc.mode})
+			check("newDefendedBus", err)
 			study := Config{Mode: tc.mode, Duration: 20 * time.Millisecond}
 			_, err = CPUUtilization(study, mcu.ArduinoDue, bus.Rate125k, true)
 			check("CPUUtilization", err)

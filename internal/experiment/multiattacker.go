@@ -62,14 +62,14 @@ func runMultiAttacker(cfg Config, a int) (MultiAttackerRow, error) {
 	for i := range ids {
 		ids[i] = can.ID(0x066 + i)
 	}
-	tb, err := newTestbed(cfg, nil, ids, false)
-	if err != nil {
-		return MultiAttackerRow{}, err
-	}
 	attackers := make([]*attack.Attacker, a)
 	for i, id := range ids {
 		attackers[i] = attack.NewTargetedDoS(fmt.Sprintf("attacker-%03X", uint32(id)), id)
-		tb.bus.Attach(attackers[i])
+	}
+	tb, err := newDefendedBus(busSpec{rate: cfg.Rate, mode: cfg.Mode, seed: cfg.Seed,
+		attackers: attackers, hub: cfg.Hub, record: true})
+	if err != nil {
+		return MultiAttackerRow{}, err
 	}
 	allOff := func() bool {
 		for _, at := range attackers {

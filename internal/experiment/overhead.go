@@ -169,31 +169,19 @@ func measureOverhead(load float64, mode SteppingMode, simBits int64, arms []Over
 	return row, nil
 }
 
-// telemetryWirer is what a throughput-scenario participant must expose to be
-// wired into a hub after construction.
-type telemetryWirer interface{ SetTelemetry(*telemetry.Hub) }
-
 // warmupBits is how far runScenarioOnce advances before its timed window.
 const warmupBits = 100_000
 
-// runScenarioOnce builds one fresh throughput scenario, optionally wires it
-// into hub, and times one simBits run after a warm-up.
+// runScenarioOnce builds one fresh throughput scenario wired into hub (nil:
+// telemetry off) and times one simBits run after a warm-up.
 func runScenarioOnce(target float64, mode SteppingMode, simBits int64, hub *telemetry.Hub) (float64, error) {
-	bb, nodes, err := throughputScenario(target, mode)
+	tb, err := newDefendedBus(throughputSpec(target, mode, 1, hub))
 	if err != nil {
 		return 0, err
 	}
-	if hub != nil {
-		bb.SetTelemetry(hub, "bus")
-		for _, n := range nodes {
-			if w, ok := n.(telemetryWirer); ok {
-				w.SetTelemetry(hub)
-			}
-		}
-	}
-	bb.Run(warmupBits)
+	tb.bus.Run(warmupBits)
 	start := time.Now()
-	bb.Run(simBits)
+	tb.bus.Run(simBits)
 	wall := time.Since(start).Seconds()
 	if wall <= 0 {
 		wall = 1e-9

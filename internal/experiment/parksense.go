@@ -7,7 +7,6 @@ import (
 
 	"michican/internal/attack"
 	"michican/internal/bus"
-	"michican/internal/can"
 	"michican/internal/core"
 	"michican/internal/restbus"
 	"michican/internal/vehicle"
@@ -129,6 +128,3 @@ func firstBusOffAttempts(att *attack.Attacker) int {
 	}
 	return st.TxAttempts
 }
-
-// Guard against unused import when can is only needed implicitly.
-var _ = can.ID(0)

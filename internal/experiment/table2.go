@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"michican/internal/attack"
-	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/restbus"
 	"michican/internal/stats"
-	"michican/internal/telemetry"
 	"michican/internal/trace"
 )
 
@@ -51,7 +49,7 @@ func (r Table2Row) String() string {
 type experimentSpec struct {
 	exp       int
 	restbus   bool
-	attackers func() []bus.Node
+	attackers func() []*attack.Attacker
 	measured  []can.ID // attacker IDs to report rows for
 }
 
@@ -61,9 +59,9 @@ type experimentSpec struct {
 //	3: DoS 0x064 with restbus       4: DoS 0x064 alone
 //	5: two attackers 0x066 + 0x067  6: one attacker toggling 0x050/0x051
 func table2Specs() []experimentSpec {
-	single := func(id can.ID) func() []bus.Node {
-		return func() []bus.Node {
-			return []bus.Node{attack.NewTargetedDoS("attacker", id)}
+	single := func(id can.ID) func() []*attack.Attacker {
+		return func() []*attack.Attacker {
+			return []*attack.Attacker{attack.NewTargetedDoS("attacker", id)}
 		}
 	}
 	return []experimentSpec{
@@ -71,14 +69,14 @@ func table2Specs() []experimentSpec {
 		{exp: 2, restbus: false, attackers: single(0x173), measured: []can.ID{0x173}},
 		{exp: 3, restbus: true, attackers: single(0x064), measured: []can.ID{0x064}},
 		{exp: 4, restbus: false, attackers: single(0x064), measured: []can.ID{0x064}},
-		{exp: 5, restbus: false, attackers: func() []bus.Node {
-			return []bus.Node{
+		{exp: 5, restbus: false, attackers: func() []*attack.Attacker {
+			return []*attack.Attacker{
 				attack.NewTargetedDoS("attacker-66", 0x066),
 				attack.NewTargetedDoS("attacker-67", 0x067),
 			}
 		}, measured: []can.ID{0x066, 0x067}},
-		{exp: 6, restbus: false, attackers: func() []bus.Node {
-			return []bus.Node{attack.NewToggling("attacker", 0x050, 0x051)}
+		{exp: 6, restbus: false, attackers: func() []*attack.Attacker {
+			return []*attack.Attacker{attack.NewToggling("attacker", 0x050, 0x051)}
 		}, measured: []can.ID{0x050, 0x051}},
 	}
 }
@@ -125,25 +123,16 @@ func runTable2Experiment(cfg Config, spec experimentSpec) ([]Table2Row, error) {
 }
 
 // runTable2Scenario runs one Table-II experiment and also returns its
-// testbed so differential tests can compare raw recorder bit streams.
-func runTable2Scenario(cfg Config, spec experimentSpec) ([]Table2Row, *testbed, error) {
-	var matrix *restbus.Matrix
+// bus so differential tests can compare raw recorder bit streams.
+func runTable2Scenario(cfg Config, spec experimentSpec) ([]Table2Row, *defendedBus, error) {
+	bs := busSpec{rate: cfg.Rate, mode: cfg.Mode, seed: cfg.Seed, exclude: spec.measured,
+		sends: true, attackers: spec.attackers(), hub: cfg.Hub, record: true}
 	if spec.restbus {
-		matrix = restbus.Buses(restbus.VehD)[0]
+		bs.matrix, bs.load = restbus.Buses(restbus.VehD)[0], restbusTargetLoad
 	}
-	exclude := make([]can.ID, len(spec.measured))
-	copy(exclude, spec.measured)
-	tb, err := newTestbed(cfg, matrix, exclude, true)
+	tb, err := newDefendedBus(bs)
 	if err != nil {
 		return nil, nil, err
-	}
-	for _, a := range spec.attackers() {
-		if cfg.Hub != nil {
-			if ta, ok := a.(interface{ SetTelemetry(*telemetry.Hub) }); ok {
-				ta.SetTelemetry(cfg.Hub)
-			}
-		}
-		tb.bus.Attach(a)
 	}
 	// In experiments 1 and 2 the spoofer fights over the defender's own
 	// periodic 0x173 (defenderSends).
@@ -172,5 +161,5 @@ func runTable2Scenario(cfg Config, spec experimentSpec) ([]Table2Row, *testbed, 
 			MeanBits:   acc.Mean(),
 		})
 	}
-	return rows, tb, nil
+	return rows, &tb, nil
 }

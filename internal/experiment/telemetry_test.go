@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"michican/internal/controller"
 	"michican/internal/telemetry"
 )
 
@@ -50,9 +52,10 @@ func TestTelemetryDifferential(t *testing.T) {
 }
 
 // TestTelemetryCountersMatchControllers cross-checks the folded metrics
-// against the simulation's own ground truth for one spoof scenario: the
-// defense core's detection/pull counts and the hub's TEC gauges must agree
-// with core.Stats and the controllers.
+// against the simulation's own ground truth: in the Experiment-1 spoof
+// scenario the defense core's detection/pull counts must agree with
+// core.Stats, and there and in Fig. 6 every controller's TEC gauge and
+// bus-off counter, the attackers' included, must agree with the controller.
 func TestTelemetryCountersMatchControllers(t *testing.T) {
 	spec := table2Specs()[0] // Exp 1: spoof 0x173 with restbus
 	cfg := goldenCfg(1).Defaults()
@@ -69,9 +72,57 @@ func TestTelemetryCountersMatchControllers(t *testing.T) {
 	if got := reg.Counter("michican_counterattacks_total", "node", tb.defense.Name()).Value(); got != int64(ds.Counterattacks) {
 		t.Errorf("pulls counter = %d, core.Stats says %d", got, ds.Counterattacks)
 	}
-	if got := reg.Gauge("michican_tec", "node", tb.defender.Name()).Value(); got != float64(tb.defender.TEC()) {
-		t.Errorf("defender TEC gauge = %v, controller says %d", got, tb.defender.TEC())
+
+	_, fig6, err := fig6Scenario(Config{Seed: 1, Hub: telemetry.NewHub()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for name, tb := range map[string]*defendedBus{"exp 1": tb, "fig 6": fig6} {
+		reg := tb.hub.Registry()
+		ctls := []*controller.Controller{tb.defender}
+		for _, a := range tb.attackers {
+			ctls = append(ctls, a.Controller())
+		}
+		for _, c := range ctls {
+			if got := reg.Gauge("michican_tec", "node", c.Name()).Value(); got != float64(c.TEC()) {
+				t.Errorf("%s: %s TEC gauge = %v, controller says %d", name, c.Name(), got, c.TEC())
+			}
+			if got := reg.Counter("michican_busoff_total", "node", c.Name()).Value(); got != int64(c.Stats().BusOffEvents) {
+				t.Errorf("%s: %s bus-off counter = %d, controller says %d", name, c.Name(), got, c.Stats().BusOffEvents)
+			}
+		}
+	}
+}
+
+// TestProbeOrderPinned pins the node IDs every recorded stream carries: the
+// defended bus registers its probes in attach order (bus, defender
+// controller, defense, restbus, attackers), and a watched fleet vehicle's
+// watch engine registers last.
+func TestProbeOrderPinned(t *testing.T) {
+	check := func(what string, got []string, want ...string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s registers nodes %q, want %q", what, got, want)
+		}
+	}
+	v, err := NewFleetVehicle(FleetVehicleSpec{Load: 0.30, Attack: FleetAttackSpoof, Watch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a watched spoof vehicle", v.Hub().Nodes(), "bus", "defender", "michican", "restbus", "attacker", "watch")
+
+	cfg := goldenCfg(1).Defaults()
+	cfg.Hub = telemetry.NewHub()
+	if _, _, err := runTable2Scenario(cfg, table2Specs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	check("Table II experiment 1", cfg.Hub.Nodes(), "bus", "defender", "michican", "restbus", "attacker")
+
+	hub := telemetry.NewHub()
+	if _, err := newDefendedBus(throughputSpec(0.30, ModeContendFF, 1, hub)); err != nil {
+		t.Fatal(err)
+	}
+	check("the throughput scenario", hub.Nodes(), "bus", "defender", "michican", "restbus")
 }
 
 // TestHubMetricsReproducible runs Table II twice into a fresh hub each time,
@@ -209,18 +260,11 @@ func BenchmarkContendFFTelemetry(b *testing.B) {
 		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			bb, nodes, err := throughputScenario(0.30, ModeContendFF)
+			tb, err := newDefendedBus(throughputSpec(0.30, ModeContendFF, 1, mode.hub()))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if hub := mode.hub(); hub != nil {
-				bb.SetTelemetry(hub, "bus")
-				for _, n := range nodes {
-					if w, ok := n.(telemetryWirer); ok {
-						w.SetTelemetry(hub)
-					}
-				}
-			}
+			bb := tb.bus
 			bb.Run(100_000) // warm-up
 			const bitsPerOp = 10_000
 			b.ResetTimer()

@@ -2,16 +2,13 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"time"
 
 	"michican/internal/bus"
-	"michican/internal/can"
-	"michican/internal/controller"
-	"michican/internal/core"
 	"michican/internal/restbus"
+	"michican/internal/telemetry"
 )
 
 // SteppingMode selects how the bus core advances time in a throughput
@@ -102,53 +99,24 @@ func (r ThroughputRow) String() string {
 // BenchmarkBusFastForward and michican-bench -json, so the numbers are
 // comparable. The empty mode is the full ladder; an unknown one is an error.
 func ThroughputScenario(target float64, mode SteppingMode) (*bus.Bus, error) {
-	bb, _, err := throughputScenario(target, mode)
-	return bb, err
-}
-
-// throughputScenario is the full-fidelity constructor: it also returns the
-// attached nodes so callers (the overhead harness) can wire them into
-// a hub after construction.
-func throughputScenario(target float64, mode SteppingMode) (*bus.Bus, []bus.Node, error) {
-	return throughputScenarioSeeded(target, mode, 1)
-}
-
-// throughputScenarioSeeded varies the restbus phase seed: the workers
-// scaling sweep builds several independent instances of the same grid cell,
-// each with its own derived seed.
-func throughputScenarioSeeded(target float64, mode SteppingMode, seed int64) (*bus.Bus, []bus.Node, error) {
-	if mode == "" {
-		mode = ModeSpliceFF
-	}
-	src := restbus.Buses(restbus.VehD)[0]
-	matrix := scaleMatrixToLoad(cleanMatrix(src, []can.ID{DefenderID}), bus.Rate50k, target)
-
-	bb := bus.New(bus.Rate50k)
-	if err := applyMode(bb, mode); err != nil {
-		return nil, nil, err
-	}
-	def, err := core.NewFor(append(matrix.IDs(), DefenderID), DefenderID, core.Config{Name: "defender"})
+	tb, err := newDefendedBus(throughputSpec(target, mode, 1, nil))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rp := restbus.NewReplayer("restbus", matrix, bus.Rate50k, rand.New(rand.NewSource(seed)))
-	nodes := []bus.Node{
-		core.NewECU(controller.New(controller.Config{Name: "defender", AutoRecover: true}), def),
-		rp,
-	}
-	for _, n := range nodes {
-		bb.Attach(n)
-	}
-	if mode == ModeSpliceFF {
-		// Schedule-driven cache warm: precompile the plans the rolling
-		// sequence counters will produce. One full rotation (256 values per
-		// message) covers every frame content the schedule can emit, so
-		// steady-state splicing never pays a first-sight serialization; the
-		// warm set stays well inside the bounded plan cache (messages × 256
-		// ≪ 16384).
-		rp.WarmSplice(256)
-	}
-	return bb, nodes, nil
+	return tb.bus, nil
+}
+
+// throughputSpec is the throughput scenario's bus, its restbus phases drawn
+// from seed (the workers scaling sweep builds several independent instances
+// of one grid cell) and wired into hub (the overhead harness). On the full
+// ladder the restbus plans are warmed: one full rotation of the rolling
+// sequence counters (256 values per message) covers every frame content the
+// schedule can emit, so steady-state splicing never pays a first-sight
+// serialization, and the warm set stays well inside the bounded plan cache
+// (messages × 256 ≪ 16384).
+func throughputSpec(target float64, mode SteppingMode, seed int64, hub *telemetry.Hub) busSpec {
+	return busSpec{rate: bus.Rate50k, mode: mode, seed: seed, matrix: restbus.Buses(restbus.VehD)[0],
+		load: target, hub: hub, warm: mode == "" || mode == ModeSpliceFF}
 }
 
 // MeasureThroughput simulates simBits bit times of the scenario at the given
@@ -254,12 +222,12 @@ func MeasureScalingSweep(load float64, mode SteppingMode, simBits int64, scenari
 	for _, workers := range workersList {
 		start := time.Now()
 		_, err := Map(scenarios, workers, func(i int) (struct{}, error) {
-			bb, _, err := throughputScenarioSeeded(load, mode, DeriveSeed(1, i))
+			tb, err := newDefendedBus(throughputSpec(load, mode, DeriveSeed(1, i), nil))
 			if err != nil {
 				return struct{}{}, err
 			}
-			bb.Run(warmup)
-			bb.Run(simBits)
+			tb.bus.Run(warmup)
+			tb.bus.Run(simBits)
 			return struct{}{}, nil
 		})
 		if err != nil {

@@ -48,8 +48,8 @@ func BenchmarkAttackedVehicle(b *testing.B) {
 				}
 				v.Advance(spec.HorizonBits)
 				v.Finalize()
-				total += int64(v.bb.Now())
-				exact += int64(v.bb.Now()) - v.bb.FastForwardedBits()
+				total += int64(v.bus.Now())
+				exact += int64(v.bus.Now()) - v.bus.FastForwardedBits()
 			}
 			b.ReportMetric(100*float64(exact)/float64(total), "exact_%")
 		})
