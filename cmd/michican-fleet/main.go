@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"michican/internal/controller"
+	"michican/internal/core"
 	"michican/internal/experiment"
 	"michican/internal/fleet"
 	"michican/internal/forensics"
@@ -123,22 +124,37 @@ func buildAndAdd(f *fleet.Fleet, fleetSeed int64, i int, horizon int64) error {
 }
 
 // planCacheMetrics is the /fleet/metrics appender exposing the counters of
-// the fleet's plan cache.
+// the fleet's plan cache and of the splice summaries it scopes.
 func planCacheMetrics(f *fleet.Fleet) obs.FleetOption {
-	return obs.WithFleetMetrics(func(w io.Writer) {
-		st := f.Plans().Stats()
-		fmt.Fprintf(w, "michican_fleet_plan_cache_hits_total %d\n", st.Hits)
-		fmt.Fprintf(w, "michican_fleet_plan_cache_misses_total %d\n", st.Misses)
-		fmt.Fprintf(w, "michican_fleet_plan_cache_plans %d\n", st.Plans)
-		fmt.Fprintf(w, "michican_fleet_plan_cache_resident_bytes %d\n", st.ResidentBytes)
-	})
+	return obs.WithFleetMetrics(func(w io.Writer) { writePlanCacheMetrics(w, f.Plans()) })
 }
 
-// printPlanCache prints the one-line summary of the fleet's plan cache.
+// writePlanCacheMetrics writes the plan cache's and the splice summary
+// tables' counters in the Prometheus text format.
+func writePlanCacheMetrics(w io.Writer, plans *controller.PlanSource) {
+	st := plans.Stats()
+	fmt.Fprintf(w, "michican_fleet_plan_cache_hits_total %d\n", st.Hits)
+	fmt.Fprintf(w, "michican_fleet_plan_cache_misses_total %d\n", st.Misses)
+	fmt.Fprintf(w, "michican_fleet_plan_cache_plans %d\n", st.Plans)
+	fmt.Fprintf(w, "michican_fleet_plan_cache_resident_bytes %d\n", st.ResidentBytes)
+	sp := core.SpliceTablesOf(plans).Stats()
+	fmt.Fprintf(w, "michican_fleet_splice_cache_compiles_total %d\n", sp.Compiles)
+	fmt.Fprintf(w, "michican_fleet_splice_cache_hits_total %d\n", sp.Hits)
+	fmt.Fprintf(w, "michican_fleet_splice_cache_declines_total %d\n", sp.Declines)
+	fmt.Fprintf(w, "michican_fleet_splice_cache_resets_total %d\n", sp.Resets)
+	fmt.Fprintf(w, "michican_fleet_splice_cache_fingerprints %d\n", sp.Fingerprints)
+	fmt.Fprintf(w, "michican_fleet_splice_cache_resident_bytes %d\n", sp.ResidentBytes)
+}
+
+// printPlanCache prints the one-line summaries of the fleet's plan cache
+// and of the splice summary tables it scopes.
 func printPlanCache(w io.Writer, plans *controller.PlanSource) {
 	st := plans.Stats()
 	fmt.Fprintf(w, "plan cache: %d plans resident (%d bytes), %d hits / %d misses (%.1f%% hit rate)\n",
 		st.Plans, st.ResidentBytes, st.Hits, st.Misses, 100*plans.HitRate())
+	sp := core.SpliceTablesOf(plans).Stats()
+	fmt.Fprintf(w, "splice cache: %d fingerprints (%d bytes), %d compiles, %d hits, %d declines, %d resets\n",
+		sp.Fingerprints, sp.ResidentBytes, sp.Compiles, sp.Hits, sp.Declines, sp.Resets)
 }
 
 // vehicleDir names one vehicle's store subdirectory: the roster IS the

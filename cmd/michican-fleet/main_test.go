@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"michican/internal/fleet"
 )
 
 // fleetCmd runs the command with args and returns its exit status, stdout
@@ -176,5 +180,45 @@ func TestResumeCrashImage(t *testing.T) {
 	}
 	if compared != 8 {
 		t.Errorf("compared %d event and incident segments, want 8", compared)
+	}
+}
+
+// TestTwoVehicleFleetSharesSpliceSummaries: both vehicles of fleet seed 1
+// carry defenses of one fingerprint (their attacks keep no other ID off the
+// matrix), so the second reads summaries the first compiled. The fleet's
+// splice cache reports those cross-vehicle hits on /fleet/metrics and in
+// the summary line.
+func TestTwoVehicleFleetSharesSpliceSummaries(t *testing.T) {
+	f := fleet.New(fleet.Config{Workers: 1})
+	for i := 0; i < 2; i++ {
+		if err := buildAndAdd(f, 1, i, 200_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Start()
+	f.Wait()
+	f.Stop()
+	var buf bytes.Buffer
+	writePlanCacheMetrics(&buf, f.Plans())
+	m := make(map[string]int64)
+	for _, l := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		kv := strings.Fields(l)
+		if len(kv) != 2 {
+			t.Fatalf("malformed metric line %q", l)
+		}
+		n, err := strconv.ParseInt(kv[1], 10, 64)
+		if err != nil {
+			t.Fatalf("malformed metric line %q", l)
+		}
+		m[kv[0]] = n
+	}
+	if m["michican_fleet_splice_cache_fingerprints"] != 1 || m["michican_fleet_splice_cache_compiles_total"] == 0 ||
+		m["michican_fleet_splice_cache_hits_total"] == 0 || m["michican_fleet_splice_cache_resets_total"] != 0 ||
+		m["michican_fleet_splice_cache_resident_bytes"] == 0 {
+		t.Fatalf("want one fingerprint, compiles, cross-vehicle hits and no resets:\n%s", buf.String())
+	}
+	out := mustFleet(t, "-vehicles", "2", "-horizon-bits", "200000")
+	if !regexp.MustCompile(`(?m)^splice cache: 1 fingerprints \(\d+ bytes\), [1-9]\d* compiles, [1-9]\d* hits`).MatchString(out) {
+		t.Fatalf("no splice cache line with cross-vehicle hits:\n%s", out)
 	}
 }

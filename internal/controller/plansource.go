@@ -27,10 +27,16 @@ import (
 // depends only on the frame, so a controller behaves bit-identically with
 // and without a shared source — the fleet determinism tests pin exactly
 // that.
+//
+// A source also carries what the layer above the controller derives from
+// the same offline compilation (Side): the defense's splice summaries are
+// keyed by the plan ids this source hands out, so they share its lifetime
+// and its fleet.
 type PlanSource struct {
 	mu    sync.RWMutex
 	plans map[planKey]*txPlan
 	rolls map[rollKey]*Rolling
+	side  any
 	// max caps the published plans (zero: planSourceMax) and, at one table
 	// per 256 plans, the rolling tables.
 	max int
@@ -145,6 +151,18 @@ func (s *PlanSource) plan(key planKey, f *can.Frame, count bool) *txPlan {
 		s.hits.Add(1)
 	}
 	return p
+}
+
+// Side returns the value the source carries for the defense layer,
+// storing mk's result on first use. The value's type is that layer's, so
+// the controller does not import it; the value lives as long as the source.
+func (s *PlanSource) Side(mk func() any) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.side == nil {
+		s.side = mk()
+	}
+	return s.side
 }
 
 // rollKey identifies a rolling-counter table.

@@ -31,6 +31,7 @@ import (
 
 	"michican/internal/bus"
 	"michican/internal/can"
+	"michican/internal/controller"
 	"michican/internal/fsm"
 	"michican/internal/mcu"
 	"michican/internal/telemetry"
@@ -156,9 +157,15 @@ type Defense struct {
 	// Probe is a no-op.
 	tel telemetry.Probe
 
-	// splices holds the compiled-splice summaries by window (see
-	// spliceIndex in splicepath.go).
-	splices spliceIndex
+	// shared is the splice-summary table of the defense's fingerprint on
+	// its plan source (see spliceTable in splicetable.go); without one the
+	// defense compiles into own. seen marks the shared table's slots this
+	// defense has resolved, for the table's statistics; scratch holds an
+	// unpublished window's summary between compile and use.
+	shared  *spliceTable
+	own     spliceTable
+	seen    []uint64
+	scratch spliceSummary
 }
 
 var _ bus.Node = (*Defense)(nil)
@@ -224,15 +231,32 @@ func (d *Defense) SetTelemetry(hub *telemetry.Hub) {
 // Stats returns a copy of the accumulated statistics.
 func (d *Defense) Stats() Stats { return d.stats }
 
-// MemoSlots reports the entries of the splice summary index, 0 before first
-// use. It grows with the traffic, one entry per window id below 2^17.
-func (d *Defense) MemoSlots() int { return d.splices.slots() }
+// SetPlanSource scopes the defense's splice summaries to src: it compiles
+// into and reads from the table src keeps for the defense's fingerprint
+// (FSM image, ExtendedAware, PreventionEnabled), shared with every other
+// defense wired to src with the same fingerprint, so a fleet compiles each
+// summary once (Sec. IV-A: the OEM derives everything from the matrix
+// once, offline). A nil src gives the defense a private table. A summary
+// depends only on the fingerprint and the window, so wiring changes no
+// behaviour; wire at a quiescent point, after the configuration is final.
+func (d *Defense) SetPlanSource(src *controller.PlanSource) {
+	d.shared = nil
+	clear(d.seen)
+	if src != nil {
+		d.shared = SpliceTablesOf(src).table(d)
+	}
+}
 
-// SpliceResets counts the splice index entries recompiled because a window
+// MemoSlots reports the entries of the splice summary table, 0 before first
+// use. It grows with the traffic, one entry per window id below 2^17; a
+// shared table counts the entries of every defense on it.
+func (d *Defense) MemoSlots() int { return d.spliceTable().slots() }
+
+// SpliceResets counts the splice table entries recompiled because a window
 // numbered like an earlier one carried another resolved span: offerers on
 // separate plan sources sharing ids. It stays 0 when every offerer on the
 // bus draws from one source.
-func (d *Defense) SpliceResets() int64 { return d.splices.resets }
+func (d *Defense) SpliceResets() int64 { return d.spliceTable().resets.Load() }
 
 // Meter exposes the MCU cycle meter for CPU-utilization evaluation.
 func (d *Defense) Meter() *mcu.Meter { return d.meter }

@@ -13,101 +13,6 @@ var (
 	_ bus.Splicing = (*Defense)(nil)
 )
 
-// spliceIndexPageBits sizes a spliceIndex page: 64 entries, 1.5 KiB.
-const spliceIndexPageBits = 6
-
-// spliceIndexMax bounds the PlanIDs the index addresses, matching the
-// largest plan source (2^17 plans), so the page table holds at most 2^11
-// pointers; a window numbered past it compiles uncached.
-const spliceIndexMax = 1 << 17
-
-// spliceIndex holds the defense's compiled summaries by the offered
-// window's PlanID, in pages allocated as offers reach them, so a defense
-// that sees a handful of windows holds a page or two and one that sees a
-// matrix's full rolling-counter rotation holds one entry per plan. Nothing
-// is evicted; a lookup is a pointer chase, with no hashing and no
-// conflicts. Unnumbered windows (PlanID -1) compile on every offer and
-// never grow the index. The summaries themselves live in slab chunks.
-type spliceIndex struct {
-	pages []*[1 << spliceIndexPageBits]spliceEntry
-	slab  []spliceSummary // the open chunk; entries point into it
-	// resets counts entries recompiled because a window with their id
-	// carried another span.
-	resets int64
-}
-
-// Slab chunks grow from slabFirst summaries by doubling up to slabMax, so
-// a defense that compiles a handful of windows holds a small chunk and one
-// that compiles thousands pays one allocation per slabMax of them.
-const (
-	slabFirst = 4
-	slabMax   = 256
-)
-
-// keep copies s into the slab and returns its address, stable for the
-// defense's lifetime: a full chunk is left to the entries pointing into it
-// and a new one opens.
-func (x *spliceIndex) keep(s *spliceSummary) *spliceSummary {
-	if len(x.slab) == cap(x.slab) {
-		x.slab = make([]spliceSummary, 0, min(max(2*cap(x.slab), slabFirst), slabMax))
-	}
-	x.slab = append(x.slab, *s)
-	return &x.slab[len(x.slab)-1]
-}
-
-// spliceEntry is one window's compiled summaries, one per SelfTransmitting
-// answer — the only live input the in-window walk consults. span is the
-// first level of the resolved span they were compiled for: offerers number
-// their windows independently (each plan source counts from 0), so a
-// same-id window with another span recompiles instead of inheriting the
-// entry. A nil summary is not compiled yet; declinedSplice marks a window
-// known to be unsummarizable, so repeat offers skip the walk.
-type spliceEntry struct {
-	span *can.Level
-	sums [2]*spliceSummary
-}
-
-// declinedSplice is the shared summary of every window compileSplice
-// declined.
-var declinedSplice = new(spliceSummary)
-
-// entry returns w's index entry, reset when it was compiled for another
-// span, or nil when w is unnumbered or numbered past the index bound.
-func (x *spliceIndex) entry(w *bus.SpliceWindow) *spliceEntry {
-	id := int(w.PlanID)
-	if id < 0 || id >= spliceIndexMax {
-		return nil
-	}
-	pg := id >> spliceIndexPageBits
-	if pg >= len(x.pages) {
-		x.pages = append(x.pages, make([]*[1 << spliceIndexPageBits]spliceEntry, pg+1-len(x.pages))...)
-	}
-	page := x.pages[pg]
-	if page == nil {
-		page = new([1 << spliceIndexPageBits]spliceEntry)
-		x.pages[pg] = page
-	}
-	e := &page[id&(1<<spliceIndexPageBits-1)]
-	if span := &w.Resolved[0]; e.span != span {
-		if e.span != nil {
-			x.resets++
-		}
-		*e = spliceEntry{span: span}
-	}
-	return e
-}
-
-// slots returns the number of entries the index has room for.
-func (x *spliceIndex) slots() int {
-	n := 0
-	for _, pg := range x.pages {
-		if pg != nil {
-			n += len(pg)
-		}
-	}
-	return n
-}
-
 // spliceSummary is the precompiled effect of one whole resolved frame window
 // on a defense entering from the synced-idle baseline (out of frame, cnt_sof
 // at or past the SOF threshold): the per-class invocation counts Algorithm 1
@@ -116,16 +21,19 @@ func (x *spliceIndex) slots() int {
 // ObserveRun over the window — dead fields (cnt, the stuff tracker, idBits,
 // postID, extFlag) are reset by the next beginFrame before anything reads
 // them, so the summary does not carry them.
+//
+// The FSM exit is a position, not a cursor, so the summary holds for every
+// defense whose FSM has the same image, and one table serves them all.
 type spliceSummary struct {
-	trackN    int64 // stuff-track-class invocations (incl. the strike bit)
-	idStoreN  int64 // ID bits stored after the FSM decided
-	idStepN   int64 // ID bits stepped through the FSM
-	idleN     int64 // out-of-frame invocations after the defense left the frame
-	exitSOF   int   // cnt_sof at the window's last bit
-	cursor    fsm.Cursor
+	trackN    int32 // stuff-track-class invocations (incl. the strike bit)
+	idStoreN  int32 // ID bits stored after the FSM decided
+	idStepN   int32 // ID bits stepped through the FSM
+	idleN     int32 // out-of-frame invocations after the defense left the frame
+	exitSOF   int32 // cnt_sof at the window's last bit
+	flaggedAt int32 // decision position (1-11), valid when flagged
+	strikeOff int32 // window offset of the strike decision, valid when flagged
+	pos       fsm.Position
 	flagged   bool // the FSM reached Malicious inside the ID
-	flaggedAt int  // decision position (1-11), valid when flagged
-	strikeOff int  // window offset of the strike decision, valid when flagged
 }
 
 // spliceQuery answers the bus's whole-window passivity question for the
@@ -184,68 +92,89 @@ func (d *Defense) spliceApply(now bus.BitTime, w *bus.SpliceWindow, self bool) {
 	// folds them (the strike bit costs base+StuffTrack when no pull launches,
 	// so it rides in the track class).
 	track := base + m.OpCost(mcu.OpStuffTrack)
-	m.ChargeInvocationsAs(s.trackN, track, true)
+	m.ChargeInvocationsAs(int64(s.trackN), track, true)
 	store := track + m.OpCost(mcu.OpFrameStore)
-	m.ChargeInvocationsAs(s.idStoreN, store, true)
-	m.ChargeInvocationsAs(s.idStepN, store+m.FSMStepCostOf(d.cfg.FSM.Size()), true)
+	m.ChargeInvocationsAs(int64(s.idStoreN), store, true)
+	m.ChargeInvocationsAs(int64(s.idStepN), store+m.FSMStepCostOf(d.cfg.FSM.Size()), true)
 
 	// Out-of-frame remainder after the defense left the frame.
-	m.ChargeIdleInvocations(s.idleN, mcu.OpISREnterExit, mcu.OpReadRX, mcu.OpIdleTrack)
+	m.ChargeIdleInvocations(int64(s.idleN), mcu.OpISREnterExit, mcu.OpReadRX, mcu.OpIdleTrack)
 
-	d.cfg.FSM.Restore(s.cursor)
+	d.cfg.FSM.Restore(s.pos)
 	if s.flagged {
-		d.detectedAt = s.flaggedAt
+		at := int(s.flaggedAt)
+		d.detectedAt = at
 		if !self {
 			// Detection-only verdict (a prevention launch would have declined
 			// the splice at query time): record it at the strike bit's time.
 			t := now + bus.BitTime(s.strikeOff)
 			d.stats.Detections++
-			d.stats.DetectionBitsSum += s.flaggedAt
-			if s.flaggedAt > d.stats.DetectionBitsMax {
-				d.stats.DetectionBitsMax = s.flaggedAt
+			d.stats.DetectionBitsSum += at
+			if at > d.stats.DetectionBitsMax {
+				d.stats.DetectionBitsMax = at
 			}
-			d.tel.Emit(int64(t), telemetry.EvDetect, int64(s.flaggedAt), 0)
+			d.tel.Emit(int64(t), telemetry.EvDetect, int64(at), 0)
 			if d.cfg.OnDetect != nil {
-				d.cfg.OnDetect(t, s.flaggedAt)
+				d.cfg.OnDetect(t, at)
 			}
 		}
 	}
-	d.cntSOF = s.exitSOF
+	d.cntSOF = int(s.exitSOF)
 	d.mux.LatchRX(resolved[len(resolved)-1])
 }
 
-// spliceSummaryFor returns the window's summary, compiling it into the
-// defense's index on first sight (see spliceIndex); an unnumbered window
-// compiles uncached. A nil return means the window is not summarizable from
-// the baseline, which spliceQuery reports as a decline; the exact fallback
-// in spliceApply keeps that reasoning non-load-bearing.
+// spliceSummaryFor returns the window's summary from the defense's table
+// (see spliceTable), compiling and publishing it on first sight; a window
+// unnumbered or numbered past the table's bound compiles unpublished into
+// the defense's scratch summary. A nil return means the window is not
+// summarizable from the baseline, which spliceQuery reports as a decline;
+// the exact fallback in spliceApply keeps that reasoning non-load-bearing.
 func (d *Defense) spliceSummaryFor(w *bus.SpliceWindow, self bool) *spliceSummary {
-	e := d.splices.entry(w)
-	if e == nil {
-		var s spliceSummary
-		if !d.compileSplice(&s, w.Resolved, self) {
+	id := int(w.PlanID)
+	if id < 0 || id >= spliceIndexMax {
+		d.scratch = spliceSummary{}
+		if !d.compileSplice(&d.scratch, w.Resolved, self) {
 			return nil
 		}
-		return &s
+		return &d.scratch
 	}
-	k := 0
-	if self {
-		k = 1
+	t, shared := d.spliceTable(), d.shared != nil
+	slot := spliceSlot(id, self)
+	e := t.lookup(slot)
+	if e == nil || e.span != &w.Resolved[0] {
+		e = t.publish(d, w.Resolved, self, slot, shared && d.firstSight(slot))
+	} else if shared && d.firstSight(slot) {
+		t.hits.Add(1)
 	}
-	s := e.sums[k]
-	if s == nil {
-		var c spliceSummary
-		if d.compileSplice(&c, w.Resolved, self) {
-			s = d.splices.keep(&c)
-		} else {
-			s = declinedSplice
-		}
-		e.sums[k] = s
-	}
-	if s == declinedSplice {
+	if !e.ok {
 		return nil
 	}
-	return s
+	return &e.sum
+}
+
+// firstSight reports whether the defense resolves slot of its shared table
+// for the first time since it was wired, marking it: the table's
+// statistics count one resolution per defense and entry, not one per
+// window. A private table has one reader, so it needs no marks.
+func (d *Defense) firstSight(slot int) bool {
+	i := slot >> 6
+	if i >= len(d.seen) {
+		d.seen = append(d.seen, make([]uint64, i+1-len(d.seen))...)
+	}
+	bit := uint64(1) << (slot & 63)
+	if d.seen[i]&bit != 0 {
+		return false
+	}
+	d.seen[i] |= bit
+	return true
+}
+
+// spliceTable returns the table the defense compiles into.
+func (d *Defense) spliceTable() *spliceTable {
+	if d.shared != nil {
+		return d.shared
+	}
+	return &d.own
 }
 
 // compileSplice walks the resolved window through Algorithm 1 from the
@@ -285,7 +214,7 @@ func (d *Defense) compileSplice(s *spliceSummary, resolved []can.Level, self boo
 				s.idStepN++
 				if cur.Step(level) == fsm.Malicious {
 					attackFlag = true
-					s.flaggedAt = idBits
+					s.flaggedAt = int32(idBits)
 				}
 			} else {
 				s.idStoreN++
@@ -298,7 +227,7 @@ func (d *Defense) compileSplice(s *spliceSummary, resolved []can.Level, self boo
 				return false // the pull would launch: the query declines this
 			}
 			s.trackN++
-			s.strikeOff = i - 1
+			s.strikeOff = int32(i - 1)
 			inFrame = false
 			continue
 		}
@@ -311,7 +240,7 @@ func (d *Defense) compileSplice(s *spliceSummary, resolved []can.Level, self boo
 				if attackFlag && d.cfg.PreventionEnabled && !self {
 					return false
 				}
-				s.strikeOff = i - 1
+				s.strikeOff = int32(i - 1)
 				inFrame = false
 			} else {
 				extFlag = true
@@ -324,7 +253,7 @@ func (d *Defense) compileSplice(s *spliceSummary, resolved []can.Level, self boo
 				return false
 			}
 			s.trackN++
-			s.strikeOff = i - 1
+			s.strikeOff = int32(i - 1)
 			inFrame = false
 		default:
 			s.trackN++
@@ -333,20 +262,20 @@ func (d *Defense) compileSplice(s *spliceSummary, resolved []can.Level, self boo
 	if inFrame {
 		return false // ran off the window mid-frame: not a whole-frame plan
 	}
-	s.cursor = cur
+	s.pos = cur.Position()
 	s.flagged = attackFlag
-	s.idleN = int64(len(resolved) - i)
+	s.idleN = int32(len(resolved) - i)
 	run := 0
 	for j := len(resolved) - 1; j >= i && resolved[j] == can.Recessive; j-- {
 		run++
 	}
-	if int64(run) == s.idleN {
+	if int32(run) == s.idleN {
 		// An all-recessive remainder accumulates onto the entry cnt_sof; the
 		// dominant ACK makes this unreachable for real windows, but a window
 		// that hits it is simply left to the exact path.
 		return false
 	}
-	s.exitSOF = run
+	s.exitSOF = int32(run)
 	return true
 }
 

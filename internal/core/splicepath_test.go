@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,8 +131,8 @@ func TestSpliceIndexSameIDOtherSource(t *testing.T) {
 		t.Fatal("splice rung never engaged")
 	}
 	checkSameOutcome(t, exact, spliced)
-	if len(d.splices.pages) != 1 {
-		t.Fatalf("index holds %d pages, want the one page of PlanID 0", len(d.splices.pages))
+	if got := d.MemoSlots(); got != 1<<spliceIndexPageBits {
+		t.Fatalf("table holds %d entries, want the one page of PlanID 0", got)
 	}
 
 	// The same at the index itself: alternating spans under one id each get
@@ -262,38 +263,109 @@ func TestSpliceIndexPastSourceCap(t *testing.T) {
 	}
 }
 
-// TestSpliceIndexAtCap checks the index at both ends of its range: the
+// TestSpliceIndexAtCap checks the table at both ends of its range: the
 // first and the last id it addresses each get one stable entry, pages are
 // allocated only where offers land, a window of another span with the
-// same id resets the entry instead of inheriting it, and unnumbered
-// windows and ids past the bound get none.
+// same id replaces the entry instead of inheriting it, and unnumbered
+// windows and ids at or past the bound compile unpublished and grow no
+// table.
 func TestSpliceIndexAtCap(t *testing.T) {
-	var x spliceIndex
+	d := buildDefense(t, spliceIDs, 1, Config{Name: "michican"})
 	span := func() []can.Level { return make([]can.Level, 1) }
+	entry := func(w *bus.SpliceWindow) *spliceEntry {
+		if d.spliceSummaryFor(w, false) != nil {
+			t.Fatal("a one-bit window summarized")
+		}
+		return d.own.lookup(spliceSlot(int(w.PlanID), false))
+	}
 	first := &bus.SpliceWindow{Resolved: span(), PlanID: 0}
 	last := &bus.SpliceWindow{Resolved: span(), PlanID: spliceIndexMax - 1}
-	ef, el := x.entry(first), x.entry(last)
-	if ef == nil || el == nil || ef == el {
-		t.Fatal("windows at the ends of the id range got no distinct entries")
+	ef, el := entry(first), entry(last)
+	if ef == nil || el == nil || ef == el || ef.ok || el.ok {
+		t.Fatal("windows at the ends of the id range got no distinct declined entries")
 	}
-	ef.sums[0] = declinedSplice
-	if x.entry(first) != ef || x.entry(last) != el || ef.sums[0] != declinedSplice {
+	if entry(first) != ef || entry(last) != el {
 		t.Fatal("entry not stable across offers")
 	}
-	if len(x.pages) != spliceIndexMax>>spliceIndexPageBits || x.slots() != 2<<spliceIndexPageBits {
-		t.Fatalf("index holds %d pages, %d entries; want %d pages, 2 allocated",
-			len(x.pages), x.slots(), spliceIndexMax>>spliceIndexPageBits)
-	}
-	other := &bus.SpliceWindow{Resolved: span(), PlanID: 0}
-	if e := x.entry(other); e != ef || e.sums[0] != nil || e.span != &other.Resolved[0] {
-		t.Fatal("a window of another span inherited the entry of the same id")
-	}
-	for _, id := range []int32{-1, spliceIndexMax} {
-		if x.entry(&bus.SpliceWindow{Resolved: span(), PlanID: id}) != nil {
-			t.Fatalf("window with PlanID %d got an entry", id)
+	dirs := 0
+	for i := range d.own.dirs {
+		if d.own.dirs[i].Load() != nil {
+			dirs++
 		}
 	}
-	if x.slots() != 2<<spliceIndexPageBits {
-		t.Fatalf("index grew to %d entries", x.slots())
+	if dirs != 2 || d.MemoSlots() != 2<<spliceIndexPageBits {
+		t.Fatalf("table holds %d directories, %d entries; want the first and the last directory and page", dirs, d.MemoSlots())
+	}
+	other := &bus.SpliceWindow{Resolved: span(), PlanID: 0}
+	if e := entry(other); e == ef || e.span != &other.Resolved[0] || ef.span != &first.Resolved[0] {
+		t.Fatal("a window of another span inherited the entry of the same id, or the published entry changed")
+	}
+	bytes := d.own.bytes.Load()
+	for _, id := range []int32{-1, spliceIndexMax, spliceIndexMax + 1} {
+		w := offeredWindow(t, can.Frame{ID: 0x0A0, Data: []byte{0xFF}})
+		w.PlanID = id
+		if d.spliceSummaryFor(w, false) != &d.scratch {
+			t.Fatalf("window with PlanID %d was not compiled unpublished", id)
+		}
+	}
+	if d.MemoSlots() != 2<<spliceIndexPageBits || d.own.bytes.Load() != bytes {
+		t.Fatalf("table grew to %d entries, %d bytes (was %d)", d.MemoSlots(), d.own.bytes.Load(), bytes)
+	}
+	if st := &d.own; st.compiles.Load() != 0 || st.declines.Load() != 3 || st.resets.Load() != 1 || st.hits.Load() != 0 {
+		t.Fatalf("counters: %d compiles, %d declines, %d resets, %d hits; want 0, 3, 1, 0",
+			st.compiles.Load(), st.declines.Load(), st.resets.Load(), st.hits.Load())
+	}
+}
+
+// TestSharedSpliceTablesMatchExact wires three defended buses to one plan
+// source: two defenses whose FSM admits 0x050 share one summary table, so
+// the second reads what the first compiled; a defense for which 0x050 is a
+// spoof gets a table of its own, and strikes the 0x050 frames the others
+// splice as benign. A detection-only defense with that FSM splices those
+// frames as detections, so it has a table apart from the striking one's.
+// Each run matches exact stepping, cycle meter included.
+func TestSharedSpliceTablesMatchExact(t *testing.T) {
+	wider := []can.ID{0x050, 0x0A0, 0x173, 0x2B4, 0x300}
+	run := func(top bus.Rung, ids []can.ID, detectOnly bool, src *controller.PlanSource) spliceOutcome {
+		b := bus.New(bus.Rate500k)
+		b.SetLadder(top)
+		ctl := controller.New(controller.Config{Name: "defender", AutoRecover: true})
+		d := buildDefense(t, ids, slices.Index(ids, 0x173), Config{Name: "michican"})
+		d.cfg.PreventionEnabled = !detectOnly
+		ctl.SetPlanSource(src)
+		d.SetPlanSource(src)
+		b.Attach(NewECU(ctl, d))
+		rec := trace.NewRecorder()
+		b.AttachTap(rec)
+		a := controller.New(controller.Config{Name: "a", AutoRecover: true})
+		a.SetPlanSource(src)
+		b.Attach(a)
+		for i := 0; i < 30; i++ {
+			c, f := a, can.Frame{ID: []can.ID{0x050, 0x0A0, 0x2B4}[i%3], Data: []byte{byte(i % 4)}}
+			if i%4 == 3 {
+				c, f = ctl, can.Frame{ID: 0x173, Data: []byte{byte(i)}}
+			}
+			if err := c.Enqueue(f); err != nil {
+				t.Fatal(err)
+			}
+			b.Run(300)
+		}
+		return outcomeOf(rec, d, ctl, a)
+	}
+	src := controller.NewPlanSource()
+	for i, c := range []struct {
+		ids        []can.ID
+		detectOnly bool
+	}{{wider, false}, {wider, false}, {spliceIDs, true}, {spliceIDs, false}} {
+		checkSameOutcome(t, run(bus.RungExact, c.ids, c.detectOnly, nil), run(bus.RungSplice, c.ids, c.detectOnly, src))
+		if i == 1 {
+			if st := SpliceTablesOf(src).Stats(); st.Hits == 0 || st.Compiles == 0 {
+				t.Fatalf("the second defense read nothing the first compiled: %+v", st)
+			}
+		}
+	}
+	st := SpliceTablesOf(src).Stats()
+	if st.Fingerprints != 3 || st.Resets != 0 || st.ResidentBytes == 0 {
+		t.Fatalf("want three fingerprints, no resets: %+v", st)
 	}
 }

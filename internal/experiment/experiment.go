@@ -107,7 +107,8 @@ type busSpec struct {
 	// record attaches a logic-analyzer recorder.
 	record bool
 	// plans is the compiled-plan cache every controller resolves frames
-	// through (nil: each compiles privately).
+	// through, and the scope of the defense's splice summaries (nil: each
+	// compiles privately).
 	plans *controller.PlanSource
 	// warm precompiles the restbus's whole rolling-counter rotation, so a
 	// timed window never pays a first-sight plan build.
@@ -193,10 +194,12 @@ func defendedECU(ids []can.ID) (*core.ECU, error) {
 	return core.NewECU(controller.New(controller.Config{Name: "defender", AutoRecover: true}), def), nil
 }
 
-// sharePlans wires a plan cache into every controller on the bus (nil:
-// each compiles privately).
+// sharePlans wires a plan cache into every controller on the bus, and the
+// defense's splice summaries into the same scope (nil: each compiles
+// privately).
 func (b *defendedBus) sharePlans(src *controller.PlanSource) {
 	b.defender.SetPlanSource(src)
+	b.defense.SetPlanSource(src)
 	if b.restbus != nil {
 		b.restbus.SharePlans(src)
 	}

@@ -146,8 +146,9 @@ func (s FleetVehicleSpec) vehicle(db defendedBus, cfg StackConfig) *FleetVehicle
 	return &FleetVehicle{defendedBus: db, spec: s, stack: NewStack(db.hub, cfg)}
 }
 
-// SharePlans wires a plan cache into every controller of the vehicle (nil:
-// each compiles privately). fleet.Add calls it, before the first Advance,
+// SharePlans wires a plan cache into every controller of the vehicle, and
+// the defense's splice summaries into the same scope (nil: each compiles
+// privately). fleet.Add calls it, before the first Advance,
 // on a vehicle built without spec.Plans — a resumed one, for instance.
 func (v *FleetVehicle) SharePlans(src *controller.PlanSource) {
 	v.spec.Plans = src

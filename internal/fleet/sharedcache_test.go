@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"michican/internal/controller"
+	"michican/internal/core"
 	"michican/internal/experiment"
 	"michican/internal/fleet"
+	"michican/internal/forensics"
+	"michican/internal/telemetry"
 )
 
 // These tests pin the fleet-facing contract of the shared compiled-plan
@@ -168,5 +171,109 @@ func TestFleetAddKeepsVehicleSource(t *testing.T) {
 	}
 	if st := f.Plans().Stats(); st.Misses == 0 {
 		t.Fatalf("the fleet's source compiled nothing: %+v", st)
+	}
+}
+
+// fsmMix is a roster whose defenses carry two FSMs. The defender's FSM is
+// generated from the IDs on its bus: the restbus matrix less the attack's
+// IDs (none of the mixes' attack IDs is on the VehD matrix, so every loaded
+// vehicle gets one FSM), or the defender's ID alone on a bus with no
+// restbus. Two or more vehicles per FSM make each table serve several
+// defenses.
+var fsmMix = []struct {
+	attack experiment.FleetAttack
+	load   float64
+}{
+	{experiment.FleetAttackSpoof, 0.30}, {experiment.FleetAttackDoS, 0.30}, {experiment.FleetAttackToggle, 0.30},
+	{experiment.FleetAttackSpoof, 0}, {experiment.FleetAttackDoS, 0}, {experiment.FleetAttackToggle, 0.60},
+	{experiment.FleetAttackToggle, 0},
+}
+
+// mixTrace is one watched vehicle's complete observable outcome.
+type mixTrace struct {
+	bits      string
+	incidents []forensics.Incident
+	alerts    [][]byte
+	counters  telemetry.CounterSnapshot
+}
+
+// runFSMMixArm runs the fsmMix roster, recorded and watched, each vehicle
+// resolving plans and splice summaries through the source plans returns
+// for it, and returns per-vehicle outcomes.
+func runFSMMixArm(t *testing.T, plans func() *controller.PlanSource) []mixTrace {
+	t.Helper()
+	f := fleet.New(fleet.Config{Workers: 2})
+	vehicles := make([]*experiment.FleetVehicle, len(fsmMix))
+	for i, m := range fsmMix {
+		spec := experiment.FleetSpecAt(testSeed, i, testHorizon, true)
+		spec.Attack, spec.Load, spec.Watch = m.attack, m.load, true
+		spec.Plans = plans()
+		v, err := experiment.NewFleetVehicle(spec)
+		if err != nil {
+			t.Fatalf("build vehicle %d: %v", i, err)
+		}
+		vehicles[i] = v
+		if err := f.Add(v); err != nil {
+			t.Fatalf("add vehicle %d: %v", i, err)
+		}
+	}
+	f.Start()
+	f.Wait()
+	f.Stop()
+	out := make([]mixTrace, len(vehicles))
+	for i, v := range vehicles {
+		incs := v.Finalize()
+		alerts, err := v.Watch().EncodeAlertLog()
+		if err != nil {
+			t.Fatalf("vehicle %d: %v", i, err)
+		}
+		out[i] = mixTrace{
+			bits:      fmt.Sprint(v.Recorder().Bits()),
+			incidents: incs,
+			alerts:    alerts,
+			counters:  v.Hub().Registry().SnapshotCounters(),
+		}
+	}
+	return out
+}
+
+// TestFleetDeterminismSharedSpliceSummaries: spoof, DoS and toggle vehicles
+// on one source read their defenses' splice summaries from tables shared
+// per fingerprint, and must behave exactly as with private plans and
+// tables: the same wire bits, incidents, alert logs and hub counters. The
+// source must hold more than one fingerprint and serve summaries across
+// vehicles.
+func TestFleetDeterminismSharedSpliceSummaries(t *testing.T) {
+	private := runFSMMixArm(t, controller.NewPlanSource)
+	src := controller.NewPlanSource()
+	shared := runFSMMixArm(t, func() *controller.PlanSource { return src })
+	for i := range fsmMix {
+		p, s := private[i], shared[i]
+		if p.bits != s.bits {
+			t.Errorf("vehicle %d (%s) wire trace diverged between private and shared summaries", i, fsmMix[i].attack)
+		}
+		if !reflect.DeepEqual(p.incidents, s.incidents) {
+			t.Errorf("vehicle %d (%s) incident log diverged: %d vs %d incidents",
+				i, fsmMix[i].attack, len(p.incidents), len(s.incidents))
+		}
+		if !reflect.DeepEqual(p.alerts, s.alerts) {
+			t.Errorf("vehicle %d (%s) alert log diverged: %d vs %d alerts", i, fsmMix[i].attack, len(p.alerts), len(s.alerts))
+		}
+		if !reflect.DeepEqual(p.counters, s.counters) {
+			t.Errorf("vehicle %d (%s) hub counters diverged", i, fsmMix[i].attack)
+		}
+	}
+	st := core.SpliceTablesOf(src).Stats()
+	if st.Fingerprints != 2 {
+		t.Errorf("the shared source holds %d splice fingerprints, want one per FSM (2)", st.Fingerprints)
+	}
+	if st.Compiles == 0 || st.Hits == 0 {
+		t.Errorf("the shared source served no cross-vehicle summary hits: %+v", st)
+	}
+	if st.Resets != 0 {
+		t.Errorf("%d splice table resets with every node on the source, want 0", st.Resets)
+	}
+	if err := src.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -40,12 +40,24 @@ func (cu *Cursor) Step(bit can.Level) Decision {
 // Decided returns the cursor's decision so far.
 func (cu *Cursor) Decided() Decision { return cu.done }
 
-// Restore sets the FSM's streaming state to the cursor's position — the
-// inverse of Cursor(). The defense core's splice fast path walks a compiled
-// window with a cursor once, memoizes the exit position, and on later cache
-// hits restores the FSM directly instead of re-stepping every ID bit. The
-// cursor must have been derived from this FSM.
-func (f *FSM) Restore(cu Cursor) {
-	f.eval = cu.eval
-	f.done = cu.done
+// Position is a streaming state on its own: the node a cursor stands on
+// and its decision so far, with no machine attached. It is valid on every
+// FSM with the same image (Marshal), so a position taken on one machine
+// restores another built from the same detection set.
+type Position struct {
+	eval int32
+	done Decision
+}
+
+// Position returns the cursor's position.
+func (cu *Cursor) Position() Position { return Position{eval: cu.eval, done: cu.done} }
+
+// Restore sets the FSM's streaming state to p. The defense core's splice
+// fast path walks a compiled window with a cursor once, keeps the exit
+// position, and on later hits restores the FSM directly instead of
+// re-stepping every ID bit. p must come from this FSM or one with the same
+// image.
+func (f *FSM) Restore(p Position) {
+	f.eval = p.eval
+	f.done = p.done
 }

@@ -24,6 +24,9 @@ const (
 	// blocks the emitter (backpressure) so memory stays bounded when the
 	// disk cannot keep up.
 	sinkQueueBatches = 8
+	// sinkSpares bounds the spare hand-off buffers of the whole process
+	// (see handoffBuffers): as many as one busy sink's queue recycles.
+	sinkSpares = sinkQueueBatches + 1
 	// sinkSyncInterval is the group-commit fsync cadence under FsyncGroup:
 	// drains flush to the OS at the event threshold, but the fsync itself
 	// fires at most once per interval of wall time. A crash therefore loses
@@ -107,12 +110,11 @@ type Sink struct {
 
 	// Hot path: the hub's batch callback copies into inBuf under inMu; full
 	// buffers ship through work to the writer goroutine, which recycles
-	// their backing arrays through free.
+	// their backing arrays through handoffBuffers.
 	inMu  sync.Mutex
 	inBuf []telemetry.Event
 	added atomic.Int64 // events shipped to the writer
 	work  chan sinkBatch
-	free  chan []telemetry.Event
 	done  chan struct{}
 
 	// mu guards the writer-side state below plus the incident cursor. The
@@ -158,6 +160,34 @@ type sinkBatch struct {
 	done chan struct{}
 }
 
+// handoffBuffers is the one free list of hand-off buffers every sink in the
+// process draws from and returns to. A fleet runs a few vehicles at a time
+// while the rest sit parked between slices, so per-sink spares would sit
+// idle in every parked vehicle; shared, a parked sink holds only its partly
+// filled inBuf, and the list never keeps more than sinkSpares. A sink
+// finding it empty makes a buffer, and a writer finding it full drops one.
+// Passing slice headers through a channel allocates nothing.
+var handoffBuffers = make(chan []telemetry.Event, sinkSpares)
+
+// handoffBuffer returns a spare hand-off buffer, or a new one.
+func handoffBuffer() []telemetry.Event {
+	select {
+	case b := <-handoffBuffers:
+		return b
+	default:
+		return make([]telemetry.Event, 0, sinkBatchEvents)
+	}
+}
+
+// recycleHandoff returns a drained hand-off buffer to the free list, or
+// drops it when the list is full.
+func recycleHandoff(b []telemetry.Event) {
+	select {
+	case handoffBuffers <- b[:0]:
+	default:
+	}
+}
+
 const fnvOffset64 = 14695981039346656037
 
 // NewSink attaches a persistence sink to hub, writing into st. Detach with
@@ -173,9 +203,8 @@ func NewSink(st *Store, hub *telemetry.Hub, opts SinkOptions) *Sink {
 		st:           st,
 		hub:          hub,
 		opts:         opts,
-		inBuf:        make([]telemetry.Event, 0, sinkBatchEvents),
+		inBuf:        handoffBuffer(),
 		work:         make(chan sinkBatch, sinkQueueBatches),
-		free:         make(chan []telemetry.Event, sinkQueueBatches+1),
 		done:         make(chan struct{}),
 		names:        make(map[telemetry.NodeID]string),
 		evHash:       fnvOffset64,
@@ -224,20 +253,19 @@ func (s *Sink) receive(batch []telemetry.Event) {
 
 // shipLocked hands the hot-path buffer to the writer, optionally with a
 // barrier the writer closes once the batch is processed, and swaps in a
-// recycled buffer. Empty buffers still ship when a barrier rides along.
+// spare buffer. An empty buffer stays put when a barrier ships alone.
 // Called with inMu held, and holds it across the send so a concurrent
 // barrier cannot overtake a full buffer; the writer never takes inMu, so a
 // full queue only blocks (backpressure), it cannot deadlock.
 func (s *Sink) shipLocked(barrier chan struct{}) {
 	evs := s.inBuf
-	if len(evs) == 0 && barrier == nil {
+	if len(evs) == 0 {
+		if barrier != nil {
+			s.work <- sinkBatch{done: barrier}
+		}
 		return
 	}
-	select {
-	case s.inBuf = <-s.free:
-	default:
-		s.inBuf = make([]telemetry.Event, 0, sinkBatchEvents)
-	}
+	s.inBuf = handoffBuffer()
 	s.added.Add(int64(len(evs)))
 	s.work <- sinkBatch{evs: evs, done: barrier}
 }
@@ -263,10 +291,7 @@ func (s *Sink) writer() {
 		}
 		s.mu.Unlock()
 		if b.evs != nil {
-			select {
-			case s.free <- b.evs[:0]:
-			default:
-			}
+			recycleHandoff(b.evs)
 		}
 		if b.done != nil {
 			close(b.done)
@@ -531,6 +556,10 @@ func (s *Sink) Close(t int64, completed bool) error {
 	s.hub.Flush()
 	s.cancel()
 	s.barrier()
+	s.inMu.Lock()
+	recycleHandoff(s.inBuf)
+	s.inBuf = nil
+	s.inMu.Unlock()
 	close(s.work)
 	<-s.done
 	s.mu.Lock()

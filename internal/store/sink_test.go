@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"michican/internal/forensics"
 	"michican/internal/telemetry"
@@ -393,6 +394,86 @@ func TestSinkQueueBlocksAtBound(t *testing.T) {
 	}
 	if got := durableJSONL(t, dir); !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("stored stream diverges from the emitted one: %d vs %d bytes", len(got), want.Len())
+	}
+}
+
+// TestHandoffSparesAllocateNoNewBuffers pins the hand-off free list every
+// sink shares at its bound. A burst of 20 batches through one sink, its
+// writer held so the queue fills, puts more buffers in flight than the list
+// keeps, and leaves exactly sinkSpares behind. A second sink then runs 20
+// batches on those spares without making a buffer of its own.
+func TestHandoffSparesAllocateNoNewBuffers(t *testing.T) {
+	drain := func() (bufs [][]telemetry.Event) {
+		for {
+			select {
+			case b := <-handoffBuffers:
+				bufs = append(bufs, b)
+			default:
+				return bufs
+			}
+		}
+	}
+	drain()
+	newSink := func() (*Sink, *telemetry.Hub) {
+		st, err := Create(t.TempDir(), Meta{Kind: "test", Fsync: FsyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		h := telemetry.NewHub()
+		h.RetainEvents(false)
+		return NewSink(st, h, SinkOptions{}), h
+	}
+
+	first, h := newSink()
+	first.mu.Lock()
+	emitted := make(chan int64)
+	go func() {
+		end := emitScripted(h, 20*sinkBatchEvents/4)
+		h.Flush()
+		emitted <- end
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(first.work) != sinkQueueBatches; {
+		if time.Now().After(deadline) {
+			first.mu.Unlock()
+			t.Fatalf("the hand-off queue never filled: %d batches queued", len(first.work))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	first.mu.Unlock()
+	if err := first.Close(<-emitted, true); err != nil {
+		t.Fatal(err)
+	}
+	spares := drain()
+	if len(spares) != sinkSpares {
+		t.Fatalf("a 20-batch burst left %d spare buffers, want the bound %d", len(spares), sinkSpares)
+	}
+	known := make(map[*telemetry.Event]bool, len(spares))
+	for _, b := range spares {
+		known[unsafe.SliceData(b)] = true
+		handoffBuffers <- b
+	}
+
+	second, h2 := newSink()
+	h2.Probe("alice") // node 0, the first registered
+	batch := make([]telemetry.Event, sinkBatchEvents)
+	for i := range batch {
+		batch[i] = telemetry.Event{Time: int64(i), Kind: telemetry.EvDetect}
+	}
+	for round := 0; round < 20; round++ {
+		if !known[unsafe.SliceData(second.inBuf)] {
+			t.Fatalf("round %d: the second sink made a new hand-off buffer", round)
+		}
+		second.receive(batch) // exactly one full buffer ships
+		second.barrier()
+	}
+	if err := second.Close(int64(len(batch)), true); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range drain() {
+		if !known[unsafe.SliceData(b)] {
+			t.Fatal("the second sink returned a buffer it made itself")
+		}
 	}
 }
 
